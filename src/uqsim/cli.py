@@ -13,7 +13,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -32,11 +31,13 @@ from .compiler import (
     inhomogeneous_cost,
     schedule_from_text,
     schedule_to_text,
+    trotter_cycles,
     trotter_schedule,
 )
 from .engine import (
     EngineError,
     ErrorModel,
+    StateFormatError,
     StateVector,
     exact_evolve,
     fidelity,
@@ -478,7 +479,7 @@ def cmd_cost(args, cfg, config_path) -> int:
         t_prime = section.getfloat("t_prime")
         epsilon = section.getfloat("epsilon")
         n_controls = section.getint("n_controls", 1)
-        num = max(1, math.ceil(cost_value**2 * t_prime**2 / epsilon - 1e-9))
+        num = trotter_cycles(cost_value, t_prime, epsilon)
         total = cost_value * t_prime
         lines.append(f"L={num}")
         lines.append(f"chi={n_controls * num / total if total else 0.0!r}")
@@ -536,7 +537,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
-    except (PauliError, FileNotFoundError) as exc:
+    except (PauliError, FileNotFoundError, StateFormatError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
     except PolicyError as exc:

@@ -353,6 +353,8 @@ class RawGate:
         for a, b, w in self.targets:
             if a == b:
                 raise CompileError(f"gate targets identical qubit {a}")
+            if not math.isfinite(w):
+                raise CompileError(f"gate weight {w!r} on {a}-{b} is not finite")
 
     def equals(self, other) -> bool:
         return (
@@ -456,11 +458,25 @@ def schedule_to_text(schedule: PulseSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_instruction(ins: Instruction, n_qubits: int) -> None:
+    if isinstance(ins, RawGate):
+        for a, b, _ in ins.targets:
+            if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+                raise CompileError(f"gate qubits {a}-{b} out of range for {n_qubits} qubits")
+    elif not ins.layer.matches(n_qubits):
+        raise CompileError(
+            f"layer has {ins.layer.n_qubits} unitaries for {n_qubits} qubits"
+        )
+
+
 def schedule_from_text(text: str) -> PulseSchedule:
+    """Parse the schedule text format; every instruction is checked against
+    the header's n_qubits (or, without one, the largest gate qubit)."""
     n_qubits = None
     num_cycles = None
     cycle_length = None
     instructions: list[Instruction] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -498,11 +514,19 @@ def schedule_from_text(text: str) -> PulseSchedule:
                 instructions.append(RawGate(gate_id, theta, tuple(targets)))
             else:
                 raise CompileError(f"unknown instruction {parts[0]!r}")
-        except (ValueError, IndexError, PauliError) as exc:
+        except (ValueError, IndexError, PauliError, CompileError) as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
+        linenos.append(lineno)
     if n_qubits is None:
         sites = [q for ins in instructions if isinstance(ins, RawGate) for a, b, _ in ins.targets for q in (a, b)]
         n_qubits = max(sites) + 1 if sites else 1
+    if n_qubits < 1:
+        raise CompileError(f"schedule header has n_qubits={n_qubits}")
+    for lineno, ins in zip(linenos, instructions):
+        try:
+            _check_instruction(ins, n_qubits)
+        except CompileError as exc:
+            raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
     return PulseSchedule(n_qubits, tuple(instructions), None, cycle_length, num_cycles)
 
 
@@ -552,24 +576,67 @@ class CyclePlan:
         return out
 
 
+# A site whose field rotation |b|*dt is below this stays at the identity.
+FIELD_ANGLE_FLOOR = 1e-300
+
+
+def field_rotations(plan: CyclePlan) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-site field strength |b| and unit axis b/|b| of the plan's local
+    terms (axis z where b = 0), or None without local terms.
+
+    The local-field layer for time dt rotates site q by |b_q|*dt about its
+    axis; a homogeneous plan applies site 0's rotation everywhere.
+    """
+    if plan.local_fields is None:
+        return None
+    norms = np.array([math.sqrt(bx * bx + by * by + bz * bz) for bx, by, bz in plan.local_fields])
+    axes = np.array([
+        (bx / nm, by / nm, bz / nm) if nm > 0 else (0.0, 0.0, 1.0)
+        for (bx, by, bz), nm in zip(plan.local_fields, norms)
+    ])
+    return norms, axes
+
+
 def _local_layer_for(plan: CyclePlan, dt: float) -> ApplyLocal | None:
-    fields = plan.local_fields
-    if fields is None:
+    rotations = field_rotations(plan)
+    if rotations is None:
         return None
-    units = []
-    any_nonzero = False
-    for bx, by, bz in fields:
-        norm = math.sqrt(bx * bx + by * by + bz * bz)
-        if norm * abs(dt) < 1e-300:
-            units.append(SingleQubitUnitary.identity())
-            continue
-        any_nonzero = True
-        units.append(SingleQubitUnitary.rot((bx / norm, by / norm, bz / norm), norm * dt))
-    if not any_nonzero:
+    norms, axes = rotations
+    live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
+    if not live.any():
         return None
+    units = [
+        SingleQubitUnitary.rot(axes[q], norms[q] * dt) if live[q] else SingleQubitUnitary.identity()
+        for q in range(len(norms))
+    ]
     if plan.homogeneous_locals:
         return ApplyLocal(LocalLayer.homogeneous(units[0]))
     return ApplyLocal(LocalLayer.inhomogeneous(units))
+
+
+def cycle_template(plan: CyclePlan) -> list[LocalLayer | tuple[RawGateSpec, float]]:
+    """The dt- and scale-independent part of one cycle, in emission order.
+
+    Control layers (each family's opening, then the merged bridge after each
+    sequence step) and (gate, step weight) pairs; identity control layers
+    are already dropped. A cycle is the local-field layer followed by these,
+    with gate angles p * unit_angle * dt * scale.
+    """
+    out: list[LocalLayer | tuple[RawGateSpec, float]] = []
+    for fam in plan.families:
+        steps = fam.sequence.steps
+        opening = steps[0][1].dagger()
+        if not opening.is_identity():
+            out.append(opening)
+        for i, (p, layer) in enumerate(steps):
+            out.extend((g, p) for g in fam.gates)
+            if i + 1 < len(steps):
+                bridge = steps[i + 1][1].dagger().compose(layer)
+            else:
+                bridge = layer
+            if not bridge.is_identity():
+                out.append(bridge)
+    return out
 
 
 def emit_cycle(plan: CyclePlan, dt: float, scale: float = 1.0) -> list[Instruction]:
@@ -577,7 +644,8 @@ def emit_cycle(plan: CyclePlan, dt: float, scale: float = 1.0) -> list[Instructi
 
     Local terms come first, then each gate family wrapped in its control
     sequence; adjacent local layers inside a wrap are merged, so an n-step
-    sequence emits n local layers per cycle.
+    sequence emits n local layers per cycle. Gates whose angle is exactly
+    zero are left out.
     """
     if scale == 0.0 or dt == 0.0:
         return []
@@ -585,22 +653,14 @@ def emit_cycle(plan: CyclePlan, dt: float, scale: float = 1.0) -> list[Instructi
     local = _local_layer_for(plan, dt * scale)
     if local is not None:
         out.append(local)
-    for fam in plan.families:
-        steps = fam.sequence.steps
-        opening = steps[0][1].dagger()
-        if not opening.is_identity():
-            out.append(ApplyLocal(opening))
-        for i, (p, layer) in enumerate(steps):
-            for g in fam.gates:
-                theta = p * g.unit_angle * dt * scale
-                if theta != 0.0:
-                    out.append(RawGate(g.gate_id, theta, g.targets))
-            if i + 1 < len(steps):
-                bridge = steps[i + 1][1].dagger().compose(layer)
-            else:
-                bridge = layer
-            if not bridge.is_identity():
-                out.append(ApplyLocal(bridge))
+    for item in cycle_template(plan):
+        if isinstance(item, LocalLayer):
+            out.append(ApplyLocal(item))
+            continue
+        g, p = item
+        theta = p * g.unit_angle * dt * scale
+        if theta != 0.0:
+            out.append(RawGate(g.gate_id, theta, g.targets))
     return out
 
 
@@ -717,9 +777,16 @@ def _plan_uqs2(n_qubits, fields, pairs, hw) -> CyclePlan:
     return CyclePlan(n_qubits, tuple(families), fields, homogeneous_locals=False)
 
 
-def _ceil_guarded(x: float) -> int:
-    # Guard against float fuzz pushing an exact integer over the next ceiling.
-    return max(0, math.ceil(x - 1e-9))
+def trotter_cycles(time_cost: float, t_prime: float, epsilon: float) -> int:
+    """The Trotter cycle count L = ceil(c^2 t'^2 / eps), at least 1.
+
+    The fewest identical cycles that keep the first-order error of
+    simulating time t' at time cost c inside the budget eps. A guard of 1e-9
+    keeps float fuzz from pushing an exact integer over the next ceiling.
+    """
+    if t_prime < 0 or epsilon <= 0:
+        raise CompileError("need t_prime >= 0 and epsilon > 0")
+    return max(1, math.ceil(time_cost * time_cost * t_prime * t_prime / epsilon - 1e-9))
 
 
 def trotter_schedule(
@@ -745,10 +812,10 @@ def trotter_schedule(
     c = plan.time_cost
     if num_cycles is not None:
         num = int(num_cycles)
+    elif (plan.families or plan.local_fields) and t_prime > 0:
+        num = trotter_cycles(c, t_prime, epsilon)
     else:
-        num = _ceil_guarded(c * c * t_prime * t_prime / epsilon)
-        if num == 0 and (plan.families or plan.local_fields) and t_prime > 0:
-            num = 1
+        num = 0
     if num == 0:
         report = CostReport(c, 0, 0, 0.0, 0.0, epsilon, t_prime, 0.0)
         return PulseSchedule(target.n_qubits, (), report, 0, 0), report

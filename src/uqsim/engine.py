@@ -1,14 +1,29 @@
 """Dense statevector execution of pulse schedules with timing-error
 injection, plus the exact-diagonalization oracle used to validate them.
 
-Amplitudes are indexed little-endian (qubit 0 = least significant bit); hot
-loops dispatch through :mod:`uqsim.kernels`. Runs are deterministic: the
-noise stream is drawn sequentially in instruction order from a seeded PCG64
-generator and logged per instruction, so identical (seed, schedule) pairs
-give bit-identical final states in single-threaded mode.
+Amplitudes are indexed little-endian (qubit 0 = least significant bit).
+
+Execution is lowered, fused and batched. Before they run, instructions and
+cycle plans become arrays: a local layer its per-qubit form
+exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
+non-identity qubits, and each run of consecutive raw gates one vector of
+theta*w over its targets with a +-1 Z_a Z_b sign row per target. Jitter then
+rescales theta in closed form, vectorised over qubits, and a gate run is a
+single multiply by exp(-i * coef @ signs). The state has a leading batch
+axis (R, 2^n): the repetitions of a sweep cell advance as one array, each
+row with its own seeded PCG64 generator, and a single run is a batch of one.
+
+Determinism: each row's jitter is drawn in instruction order, one
+rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
+per-instruction rng.uniform calls would, and logged per instruction. The
+same command and seed give bit-identical results. A repetition run inside
+a sweep batch agrees with the same seed run alone within 1e-12, not
+bitwise, since BLAS blocking depends on the batch size.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import os
 import re
@@ -17,7 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .compiler import ApplyLocal, PulseSchedule, RawGate
+from .compiler import (
+    FIELD_ANGLE_FLOOR,
+    ApplyLocal,
+    CyclePlan,
+    PulseSchedule,
+    RawGate,
+    cycle_template,
+    field_rotations,
+)
 from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -27,6 +50,10 @@ STATEVECTOR_CAP = 24
 
 class EngineError(Exception):
     pass
+
+
+class StateFormatError(EngineError):
+    """A malformed or unnormalised state dump (a parse error, not a numeric one)."""
 
 
 def dense_cap() -> int:
@@ -83,7 +110,7 @@ class StateVector:
 
     def check_norm(self, instructions: int = 1):
         drift = abs(self.norm() - 1.0)
-        if drift > max(NORM_TOL, 1e-12 * max(1, instructions)):
+        if not drift <= max(NORM_TOL, 1e-12 * max(1, instructions)):
             raise EngineError(f"state norm drifted by {drift:.3e}")
 
     # -- dump format: header + "index real imag" per nonzero amplitude -------
@@ -97,6 +124,8 @@ class StateVector:
 
     @staticmethod
     def load_text(text: str) -> "StateVector":
+        """Parse a dump; indices must be distinct and in range, values
+        finite, and the norm within NORM_TOL of 1."""
         n_qubits = None
         entries = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -110,14 +139,32 @@ class StateVector:
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise EngineError(f"line {lineno}: expected 'index real imag'")
-            entries.append((int(parts[0]), float(parts[1]), float(parts[2])))
+                raise StateFormatError(f"line {lineno}: expected 'index real imag'")
+            try:
+                entry = (int(parts[0]), complex(float(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise StateFormatError(f"line {lineno}: {exc}") from exc
+            if not cmath.isfinite(entry[1]):
+                raise StateFormatError(f"line {lineno}: non-finite amplitude")
+            entries.append((lineno, *entry))
         if n_qubits is None:
-            raise EngineError("missing n_qubits header")
+            raise StateFormatError("missing n_qubits header")
+        if not 1 <= n_qubits <= STATEVECTOR_CAP:
+            raise StateFormatError(f"n_qubits={n_qubits} outside 1..{STATEVECTOR_CAP}")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
-        for k, re_, im in entries:
-            amps[k] = complex(re_, im)
-        return StateVector(n_qubits, amps)
+        seen = set()
+        for lineno, k, z in entries:
+            if not 0 <= k < amps.size:
+                raise StateFormatError(f"line {lineno}: index {k} outside 0..{amps.size - 1}")
+            if k in seen:
+                raise StateFormatError(f"line {lineno}: index {k} given twice")
+            seen.add(k)
+            amps[k] = z
+        state = StateVector(n_qubits, amps)
+        drift = abs(state.norm() - 1.0)
+        if not drift <= NORM_TOL:
+            raise StateFormatError(f"dump norm is off from 1 by {drift:.3e}")
+        return state
 
 
 @dataclass(frozen=True)
@@ -171,60 +218,310 @@ class ExecutionLog:
 
 
 # ---------------------------------------------------------------------------
-# Gate application
+# Lowered execution core
 # ---------------------------------------------------------------------------
 
-def _apply_layer_inplace(amps, n_qubits, layer: LocalLayer, deltas=None):
-    for q in range(n_qubits):
-        u = layer.unitary_at(q)
-        if deltas is not None and deltas[q] != 0.0:
-            u = u.with_angle_scale(1.0 + deltas[q])
-        if not u.is_identity():
-            kernels.apply_single_qubit(amps, q, u.matrix)
+_IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
+_SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are cached and stacked per run
+_CHUNK = 64                # lowered ops per draw-and-apply pass, raw gates per fused run
+_LAYER_CACHE = 256         # lowered local layers kept per execute_batch call
 
 
-def apply_local_layer(
-    state: StateVector,
-    layer: LocalLayer,
-    err: ErrorModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply one layer of single-qubit unitaries (pure; returns a new state)."""
-    if not layer.matches(state.n_qubits):
-        raise EngineError("layer size does not match state")
-    out = state.copy()
-    deltas = None
-    if err is not None and err.eta_local > 0:
-        rng = rng if rng is not None else err.rng()
-        deltas = rng.uniform(-err.eta_local, err.eta_local, size=state.n_qubits)
-    _apply_layer_inplace(out.amps, out.n_qubits, layer, deltas)
-    out.check_norm()
-    return out
+class LoweredLayer:
+    """A local layer as arrays over its qubits.
+
+    Qubit q applies exp(i*alpha_q) (cos(theta_q) I - i sin(theta_q) n_q.sigma).
+    `matrices` holds the noiseless 2x2 unitaries and `active` the qubits
+    whose unitary is not the identity; only those reach a kernel, with or
+    without jitter, since jitter only rescales theta.
+    """
+
+    __slots__ = ("theta", "nsigma", "phase", "matrices", "active")
+
+    def __init__(self, alpha, theta, axis, matrices=None):
+        self.theta = np.asarray(theta, dtype=float)
+        axis = np.asarray(axis, dtype=float)
+        self.nsigma = (axis[:, 0, None, None] * SIGMA["X"] + axis[:, 1, None, None] * SIGMA["Y"]
+                       + axis[:, 2, None, None] * SIGMA["Z"])
+        self.phase = np.exp(1j * np.asarray(alpha, dtype=float))
+        self.matrices = self.jittered(1.0) if matrices is None else matrices
+        off = np.max(np.abs(self.matrices - np.eye(2)), axis=(1, 2))
+        self.active = tuple(np.flatnonzero(off > _IDENTITY_TOL).tolist())
+
+    @staticmethod
+    def from_layer(layer: LocalLayer, n_qubits: int) -> "LoweredLayer":
+        if not layer.matches(n_qubits):
+            raise EngineError(
+                f"layer has {layer.n_qubits} unitaries, the state {n_qubits} qubits"
+            )
+        units = [layer.unitary_at(q) for q in range(n_qubits)]
+        return LoweredLayer([u.alpha for u in units], [u.theta for u in units],
+                            [u.axis for u in units], np.array([u.matrix for u in units]))
+
+    def jittered(self, scale) -> np.ndarray:
+        """The (..., n, 2, 2) matrices with each angle theta_q times `scale`.
+
+        The closed form of SingleQubitUnitary.with_angle_scale, vectorised
+        over qubits and, through the shape of `scale`, over batch rows.
+        """
+        th = self.theta * scale
+        m = (np.cos(th)[..., None, None] * np.eye(2)
+             - 1j * np.sin(th)[..., None, None] * self.nsigma)
+        return self.phase[:, None, None] * m
 
 
-def apply_zz_gates(
-    state: StateVector,
-    gates,
-    err: ErrorModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply a list of (a, b, theta) diagonal ZZ gates (pure)."""
-    out = state.copy()
-    deltas = None
-    if err is not None and err.eta_int > 0:
-        rng = rng if rng is not None else err.rng()
-        deltas = rng.uniform(-err.eta_int, err.eta_int, size=len(gates))
-    for i, (a, b, theta) in enumerate(gates):
-        if a == b:
-            raise EngineError(f"ZZ gate with identical qubits {a}")
-        if not (0 <= a < out.n_qubits and 0 <= b < out.n_qubits):
-            raise EngineError(f"gate qubits {(a, b)} out of range")
-        if deltas is not None:
-            theta = theta * (1.0 + deltas[i])
-        if theta != 0.0:
-            kernels.apply_zz_phase(out.amps, a, b, theta)
-    out.check_norm()
-    return out
+class ZZRun:
+    """Consecutive raw gates as one diagonal exp(-i * coef @ signs).
+
+    `coef` is theta*w per target in gate order, `sizes` the target count of
+    each gate (its jitter draws) and `signs` the +-1 eigenvalue of Z_a Z_b on
+    every basis state, one row per target. Above _SHARED_SIGN_QUBITS the rows
+    are not stacked (`signs` is None) but made one at a time.
+    """
+
+    __slots__ = ("coef", "pairs", "sizes", "signs")
+
+    def __init__(self, coef, pairs, sizes, signs):
+        self.coef, self.pairs, self.sizes, self.signs = coef, pairs, sizes, signs
+
+
+def _zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
+    k = np.arange(1 << n_qubits)
+    return 1.0 - 2.0 * (((k >> a) ^ (k >> b)) & 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared_zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
+    row = _zz_signs(n_qubits, a, b)
+    row.setflags(write=False)
+    return row
+
+
+def _sign_matrix(pairs, n_qubits: int) -> np.ndarray | None:
+    for a, b in pairs:
+        if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+            raise EngineError(f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
+    if n_qubits > _SHARED_SIGN_QUBITS:
+        return None
+    rows = [_shared_zz_signs(n_qubits, a, b) for a, b in pairs]
+    return np.array(rows).reshape(len(rows), 1 << n_qubits)
+
+
+def _lower_gates(gates, n_qubits: int) -> ZZRun:
+    pairs, coef = [], []
+    for g in gates:
+        for a, b, w in g.targets:
+            pairs.append((a, b))
+            coef.append(g.theta * w)
+    return ZZRun(np.array(coef, dtype=float), pairs, tuple(len(g.targets) for g in gates),
+                 _sign_matrix(pairs, n_qubits))
+
+
+def _apply_single(amps: np.ndarray, q: int, u: np.ndarray) -> None:
+    """u (2, 2) on every row of amps (R, 2^n), or u (R, 2, 2), one per row."""
+    view = amps.reshape(amps.shape[0], -1, 2, 1 << q)
+    if u.ndim == 3:
+        u = u[:, None, None]
+    lo = view[:, :, 0, :].copy()
+    hi = view[:, :, 1, :]
+    view[:, :, 0, :] = u[..., 0, 0] * lo + u[..., 0, 1] * hi
+    view[:, :, 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
+
+
+def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
+    n = amps.shape[1].bit_length() - 1
+    if run.signs is not None:
+        angles = coef @ run.signs
+    else:
+        angles = sum(coef[..., t, None] * _zz_signs(n, a, b) for t, (a, b) in enumerate(run.pairs))
+    amps *= np.exp(-1j * angles)
+
+
+def execute_lowered(
+    amps: np.ndarray,
+    ops,
+    err: ErrorModel | None,
+    rngs,
+    log: ExecutionLog | None = None,
+    base_index: int = 0,
+) -> int:
+    """Apply lowered ops (LoweredLayer, ZZRun) to the batch amps (R, 2^n) in place.
+
+    Row r draws its jitter from rngs[r], one rng.random(size) for all ops,
+    and maps each value u onto -eta + 2*eta*u: bit for bit what one
+    rng.uniform(-eta, eta) per instruction gives, so seeds and logs keep
+    their meaning. A layer draws one value per qubit when eta_local > 0, a
+    gate one per target when eta_int > 0. Returns the next instruction
+    index.
+    """
+    n = amps.shape[1].bit_length() - 1
+    eta_l = err.eta_local if err is not None else 0.0
+    eta_i = err.eta_int if err is not None else 0.0
+    size = sum(
+        (n if eta_l > 0 else 0) if isinstance(op, LoweredLayer)
+        else (len(op.coef) if eta_i > 0 else 0)
+        for op in ops
+    )
+    if size and any(rng is None for rng in rngs):
+        raise EngineError("jitter needs a random generator for every state")
+    u = np.array([rng.random(size) for rng in rngs]) if size else np.empty((len(rngs), 0))
+    pos = 0
+    index = base_index
+    for op in ops:
+        if isinstance(op, LoweredLayer):
+            mats, draws = op.matrices, ()
+            if eta_l > 0:
+                d = -eta_l + (eta_l + eta_l) * u[:, pos:pos + n]
+                pos += n
+                mats, draws = op.jittered(1.0 + d), d[0]
+            for q in op.active:
+                _apply_single(amps, q, mats[..., q, :, :])
+            if log is not None:
+                log.record(index, "local", tuple(draws))
+            index += 1
+            continue
+        coef, d = op.coef, None
+        if eta_i > 0:
+            d = -eta_i + (eta_i + eta_i) * u[:, pos:pos + len(coef)]
+            pos += len(coef)
+            coef = coef * (1.0 + d)
+        _apply_zz(amps, op, coef)
+        if log is None:
+            index += len(op.sizes)
+            continue
+        start = 0
+        for k in op.sizes:
+            log.record(index, "gate", tuple(d[0, start:start + k]) if d is not None else ())
+            start += k
+            index += 1
+    return index
+
+
+class LoweredPlan:
+    """A CyclePlan lowered once for a fixed dt; each cycle only rescales angles.
+
+    `ops(scale)` stands for emit_cycle(plan, dt, scale): the same layers and
+    gates in the same order with the same angles, so jitter draws line up
+    one for one, but without building instruction objects.
+    """
+
+    def __init__(self, plan: CyclePlan, dt: float, n_qubits: int):
+        if plan.n_qubits != n_qubits:
+            raise EngineError(f"plan is for {plan.n_qubits} qubits, the state has {n_qubits}")
+        self.dt = dt
+        self.n_qubits = n_qubits
+        self.fields = field_rotations(plan)
+        self.homogeneous = plan.homogeneous_locals
+        self.template = []
+        specs = []
+        for item in cycle_template(plan) + [None]:
+            if isinstance(item, tuple):
+                specs.append(item)
+                continue
+            if specs:
+                self.template.append(_PlanRun(specs, dt, n_qubits))
+                specs = []
+            if item is not None:
+                self.template.append(LoweredLayer.from_layer(item, n_qubits))
+
+    def _field_layer(self, dt: float) -> LoweredLayer | None:
+        if self.fields is None:
+            return None
+        norms, axes = self.fields
+        live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
+        if not live.any():
+            return None
+        theta = np.where(live, norms * dt, 0.0)
+        if self.homogeneous:
+            theta = np.full(self.n_qubits, theta[0])
+            axes = np.broadcast_to(axes[0], axes.shape)
+        return LoweredLayer(np.zeros(self.n_qubits), theta, axes)
+
+    def ops(self, scale: float) -> list:
+        if scale == 0.0 or self.dt == 0.0:
+            return []
+        field = self._field_layer(self.dt * scale)
+        out = [field] if field is not None else []
+        for item in self.template:
+            out.append(item if isinstance(item, LoweredLayer) else item.run(scale))
+        return [op for op in out if op is not None]
+
+
+class _PlanRun:
+    """Consecutive gates of a plan: angles theta_g = base_g * scale per cycle."""
+
+    def __init__(self, specs, dt: float, n_qubits: int):
+        self.base = np.array([p * g.unit_angle * dt for g, p in specs])
+        self.sizes = np.array([len(g.targets) for g, _ in specs])
+        self.weights = np.array([w for g, _ in specs for _, _, w in g.targets], dtype=float)
+        self.pairs = [(a, b) for g, _ in specs for a, b, _ in g.targets]
+        self.signs = _sign_matrix(self.pairs, n_qubits)
+
+    def run(self, scale: float) -> ZZRun | None:
+        theta = self.base * scale
+        coef = np.repeat(theta, self.sizes) * self.weights
+        live = theta != 0.0
+        if live.all():
+            return ZZRun(coef, self.pairs, tuple(self.sizes.tolist()), self.signs)
+        if not live.any():
+            return None
+        # emit_cycle drops gates whose angle is exactly zero; so must the draws
+        keep = np.repeat(live, self.sizes)
+        return ZZRun(coef[keep], [p for p, k in zip(self.pairs, keep) if k],
+                     tuple(self.sizes[live].tolist()),
+                     None if self.signs is None else self.signs[keep])
+
+
+def execute_batch(
+    amps: np.ndarray,
+    n_qubits: int,
+    instructions,
+    err: ErrorModel | None,
+    rngs,
+    log: ExecutionLog | None = None,
+    base_index: int = 0,
+) -> int:
+    """Apply instructions to the batch `amps` (R, 2^n) in place, row r drawing
+    its jitter from rngs[r].
+
+    Instructions are lowered as they arrive; a local layer object that
+    repeats (a schedule of repeated cycles) is lowered once per call, and
+    each run of consecutive raw gates becomes one diagonal. Returns the next
+    instruction index.
+    """
+    if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
+            or not amps.flags.c_contiguous):
+        raise EngineError(f"amplitudes must be a C-contiguous complex (R, {1 << n_qubits}) array")
+    if len(rngs) != amps.shape[0]:
+        raise EngineError(f"{len(rngs)} generators for {amps.shape[0]} states")
+    if log is not None and amps.shape[0] != 1:
+        raise EngineError("an execution log records a batch of one state")
+    layers: dict[int, tuple[ApplyLocal, LoweredLayer]] = {}
+    ops, gates = [], []
+    index = base_index
+    for ins in instructions:
+        if isinstance(ins, RawGate):
+            gates.append(ins)
+            if len(gates) < _CHUNK:
+                continue
+        elif not isinstance(ins, ApplyLocal):
+            raise EngineError(f"unknown instruction {type(ins).__name__}")
+        if gates:
+            ops.append(_lower_gates(gates, n_qubits))
+            gates = []
+        if isinstance(ins, ApplyLocal):
+            hit = layers.get(id(ins))
+            if hit is None:
+                if len(layers) >= _LAYER_CACHE:
+                    layers.clear()
+                hit = layers[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
+            ops.append(hit[1])
+        if len(ops) >= _CHUNK:
+            index = execute_lowered(amps, ops, err, rngs, log, index)
+            ops = []
+    if gates:
+        ops.append(_lower_gates(gates, n_qubits))
+    return execute_lowered(amps, ops, err, rngs, log, index)
 
 
 def execute_instructions(
@@ -238,34 +535,48 @@ def execute_instructions(
 ) -> int:
     """Apply instructions to `amps` in place, drawing jitter from `rng`.
 
-    Returns the next instruction index; noise draws are strictly sequential
-    in instruction order so runs replay exactly.
+    A batch of one through execute_batch. Returns the next instruction
+    index; noise draws are strictly sequential in instruction order so runs
+    replay exactly.
     """
-    index = base_index
-    for ins in instructions:
-        if isinstance(ins, ApplyLocal):
-            deltas = None
-            if err is not None and err.eta_local > 0:
-                deltas = rng.uniform(-err.eta_local, err.eta_local, size=n_qubits)
-            _apply_layer_inplace(amps, n_qubits, ins.layer, deltas)
-            if log is not None:
-                log.record(index, "local", tuple(deltas) if deltas is not None else ())
-        elif isinstance(ins, RawGate):
-            deltas = None
-            if err is not None and err.eta_int > 0:
-                deltas = rng.uniform(-err.eta_int, err.eta_int, size=len(ins.targets))
-            for i, (a, b, w) in enumerate(ins.targets):
-                theta = ins.theta * w
-                if deltas is not None:
-                    theta = theta * (1.0 + deltas[i])
-                if theta != 0.0:
-                    kernels.apply_zz_phase(amps, a, b, theta)
-            if log is not None:
-                log.record(index, "gate", tuple(deltas) if deltas is not None else ())
-        else:
-            raise EngineError(f"unknown instruction {type(ins).__name__}")
-        index += 1
-    return index
+    amps = np.asarray(amps)
+    if amps.shape != (1 << n_qubits,):
+        raise EngineError(f"amplitude array has shape {amps.shape}, expected ({1 << n_qubits},)")
+    return execute_batch(amps[None, :], n_qubits, instructions, err, [rng], log, base_index)
+
+
+def apply_local_layer(
+    state: StateVector,
+    layer: LocalLayer,
+    err: ErrorModel | None = None,
+    rng: np.random.Generator | None = None,
+) -> StateVector:
+    """Apply one layer of single-qubit unitaries (pure; returns a new state)."""
+    if err is not None and err.eta_local > 0 and rng is None:
+        rng = err.rng()
+    out = state.copy()
+    execute_instructions(out.amps, out.n_qubits, [ApplyLocal(layer)], err, rng)
+    out.check_norm()
+    return out
+
+
+def apply_zz_gates(
+    state: StateVector,
+    gates,
+    err: ErrorModel | None = None,
+    rng: np.random.Generator | None = None,
+) -> StateVector:
+    """Apply a list of (a, b, theta) diagonal ZZ gates (pure)."""
+    for a, b, _ in gates:
+        if a == b:
+            raise EngineError(f"ZZ gate with identical qubits {a}")
+    if err is not None and err.eta_int > 0 and rng is None:
+        rng = err.rng()
+    out = state.copy()
+    gate = RawGate("zz", 1.0, tuple((a, b, theta) for a, b, theta in gates))
+    execute_instructions(out.amps, out.n_qubits, [gate], err, rng)
+    out.check_norm()
+    return out
 
 
 def run_schedule(

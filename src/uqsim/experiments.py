@@ -15,15 +15,15 @@ from .compiler import (
     HardwareConstraintError,
     PlannedFamily,
     RawGateSpec,
-    emit_cycle,
     plan_for_hamiltonian,
     protocol_library,
 )
 from .engine import (
     ErrorModel,
+    LoweredPlan,
     SpectrumCache,
     StateVector,
-    execute_instructions,
+    execute_lowered,
     expectation_energy,
     exact_evolve,
     ground_state,
@@ -416,13 +416,39 @@ def adiabatic_run(
 ) -> AdiabaticResult:
     """Interpolate from the ground state of h_initial toward h_target.
 
-    Each step compiles one Trotter cycle of H(k_s) (initial plan scaled by
-    k_s, target plan by 1-k_s) and executes it with timing errors; fidelity
-    is tracked against the instantaneous ground space.
+    Each step runs one Trotter cycle of H(k_s) (initial plan scaled by k_s,
+    target plan by 1-k_s) with timing errors; fidelity is tracked against
+    the instantaneous ground space. A batch of one of adiabatic_batch.
+    """
+    err = config.error_model
+    (result,) = adiabatic_batch(
+        config, hw, [err.seed if err is not None else None],
+        plan_initial=plan_initial, plan_target=plan_target, ground_path=ground_path,
+    )
+    return result
+
+
+def adiabatic_batch(
+    config: AdiabaticConfig,
+    hw,
+    seeds: Sequence[int | None],
+    *,
+    plan_initial: CyclePlan | None = None,
+    plan_target: CyclePlan | None = None,
+    ground_path: GroundPath | None = None,
+) -> list[AdiabaticResult]:
+    """One run of `config` per seed, advanced in lockstep as one batch.
+
+    Run r draws its jitter from config.error_model with seed seeds[r] and
+    gives what adiabatic_run gives at that seed, within 1e-12 (BLAS blocking
+    depends on the batch size). The plans are lowered once; each step only
+    rescales their angles.
     """
     h_i, h_t = config.h_initial, config.h_target
     if h_i.n_qubits != h_t.n_qubits:
         raise ExperimentError("size mismatch")
+    if not seeds:
+        raise ExperimentError("need at least one run")
     n = h_i.n_qubits
     if config.stepper not in ("trotter", "exact"):
         raise ExperimentError(f"unknown stepper {config.stepper!r}")
@@ -433,41 +459,50 @@ def adiabatic_run(
             plan_target = plan_for_hamiltonian(h_t, hw)
         peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
         dt = config.theta1 / peak if peak > 0 else config.theta1
+        lowered = (LoweredPlan(plan_initial, dt, n), LoweredPlan(plan_target, dt, n))
     else:
         dt = config.theta1
     ramp = config.ramp_fn()
     err = config.error_model
-    rng = err.rng() if err is not None and err.is_noisy else None
-    state = ground_state(h_i).state
+    noisy = err is not None and err.is_noisy
+    rngs = [replace(err, seed=seed).rng() if noisy else None for seed in seeds]
+    amps = np.tile(ground_state(h_i).state.amps, (len(seeds), 1))
     path = ground_path if ground_path is not None else GroundPath(h_i, h_t)
-    trajectory = []
+    trajectories = [[] for _ in seeds]
     index = 0
     for s in range(1, config.steps + 1):
         k = ramp(s / config.steps)
         if config.stepper == "exact":
-            state = exact_evolve(interpolated(h_i, h_t, k), dt, state)
+            h_k = interpolated(h_i, h_t, k)
+            for row in amps:
+                row[:] = exact_evolve(h_k, dt, StateVector(n, row)).amps
         else:
-            instrs = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
-            index = execute_instructions(state.amps, n, instrs, err, rng, None, index)
+            ops = lowered[0].ops(k) + lowered[1].ops(1.0 - k)
+            index = execute_lowered(amps, ops, err, rngs, None, index)
         record = config.record_every > 0 and (
             s % config.record_every == 0 or s == config.steps
         )
         if record:
             _, basis = path.ground_basis(k)
-            fid = subspace_fidelity(state, basis)
-            energy = expectation_energy(state, interpolated(h_i, h_t, k))
-            trajectory.append((s, k, fid, energy))
-    state.check_norm(max(index, 1))
+            h_k = interpolated(h_i, h_t, k)
+            for row, trajectory in zip(amps, trajectories):
+                state = StateVector(n, row)
+                trajectory.append((s, k, subspace_fidelity(state, basis), expectation_energy(state, h_k)))
     spec = SpectrumCache.from_hamiltonian(h_t)
-    histogram = [(spec.group_energy(g), spec.group_weight(g, state)) for g in range(len(spec.groups))]
-    return AdiabaticResult(
-        trajectory=trajectory,
-        histogram=histogram,
-        ground_weight=histogram[0][1],
-        final_state=state,
-        dt=dt,
-        t_sim=dt * config.steps,
-    )
+    results = []
+    for row, trajectory in zip(amps, trajectories):
+        state = StateVector(n, row.copy())
+        state.check_norm(max(index, 1))
+        histogram = [(spec.group_energy(g), spec.group_weight(g, state)) for g in range(len(spec.groups))]
+        results.append(AdiabaticResult(
+            trajectory=trajectory,
+            histogram=histogram,
+            ground_weight=histogram[0][1],
+            final_state=state,
+            dt=dt,
+            t_sim=dt * config.steps,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +532,9 @@ def error_sweep(
     """Full factorial (eta, steps) grid of final ground-space fidelities.
 
     eta applies to both error channels. Repetition r reuses seed base+r in
-    every grid cell (common random numbers across cells); eta = 0 cells are
-    deterministic so they run once.
+    every grid cell (common random numbers across cells); the repetitions of
+    a cell run as one adiabatic_batch. eta = 0 cells are deterministic so
+    they run once.
     """
     if repetitions < 1:
         raise ExperimentError("need at least one repetition")
@@ -510,20 +546,16 @@ def error_sweep(
     rows = []
     for eta in eta_list:
         for steps in steps_list:
-            reps = 1 if eta == 0.0 else repetitions
-            values = []
-            for r in range(reps):
-                err = (
-                    ErrorModel(eta_local=eta, eta_int=eta, seed=base_seed + r)
-                    if eta > 0.0 else None
-                )
-                cfg = replace(
-                    config, steps=int(steps), error_model=err, record_every=0
-                )
-                result = adiabatic_run(
-                    cfg, hw, plan_initial=plan_i, plan_target=plan_t, ground_path=path
-                )
-                values.append(result.ground_weight)
+            if eta > 0.0:
+                err = ErrorModel(eta_local=eta, eta_int=eta, seed=base_seed)
+                seeds = [base_seed + r for r in range(repetitions)]
+            else:
+                err, seeds = None, [None]
+            cfg = replace(config, steps=int(steps), error_model=err, record_every=0)
+            results = adiabatic_batch(
+                cfg, hw, seeds, plan_initial=plan_i, plan_target=plan_t, ground_path=path
+            )
+            values = [result.ground_weight for result in results]
             mean = float(np.mean(values))
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
             rows.append(SweepRow(eta, int(steps), len(values),

@@ -273,7 +273,7 @@ class SingleQubitUnitary:
         if m.shape != (2, 2):
             raise PauliError("single-qubit unitary must be 2x2")
         err = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if err > UNITARITY_TOL:
+        if not err <= UNITARITY_TOL:  # also rejects NaN entries
             raise PauliError(f"matrix is not unitary (deviation {err:.2e})")
         m.setflags(write=False)
         self.matrix = m

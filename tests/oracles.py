@@ -65,3 +65,60 @@ def local_layer_matrix(unitaries) -> np.ndarray:
     for u in unitaries:
         m = np.kron(np.asarray(u, dtype=complex), m)
     return m
+
+
+# ---------------------------------------------------------------------------
+# Reference execution: the per-instruction loop the lowered engine replaced
+# ---------------------------------------------------------------------------
+
+def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
+    """Apply instructions one at a time: per qubit a jittered
+    SingleQubitUnitary and a kernel call, per gate target one ZZ kernel
+    call, jitter drawn by one rng.uniform per instruction. `log` (a list)
+    receives (index, kind, draws) like ExecutionLog.entries."""
+    from uqsim import kernels
+    from uqsim.compiler import ApplyLocal
+
+    for index, ins in enumerate(instructions):
+        deltas = None
+        if isinstance(ins, ApplyLocal):
+            if err is not None and err.eta_local > 0:
+                deltas = rng.uniform(-err.eta_local, err.eta_local, size=n_qubits)
+            for q in range(n_qubits):
+                u = ins.layer.unitary_at(q)
+                if deltas is not None and deltas[q] != 0.0:
+                    u = u.with_angle_scale(1.0 + deltas[q])
+                if not u.is_identity():
+                    kernels.apply_single_qubit(amps, q, u.matrix)
+        else:
+            if err is not None and err.eta_int > 0:
+                deltas = rng.uniform(-err.eta_int, err.eta_int, size=len(ins.targets))
+            for i, (a, b, w) in enumerate(ins.targets):
+                theta = ins.theta * w
+                if deltas is not None:
+                    theta = theta * (1.0 + deltas[i])
+                if theta != 0.0:
+                    kernels.apply_zz_phase(amps, a, b, theta)
+        if log is not None:
+            kind = "local" if isinstance(ins, ApplyLocal) else "gate"
+            log.append((index, kind, tuple(deltas) if deltas is not None else ()))
+
+
+def reference_adiabatic_amps(config, plan_initial, plan_target):
+    """Final amplitudes of an adiabatic Trotter run built step by step from
+    emit_cycle and reference_execute."""
+    from uqsim.compiler import emit_cycle
+    from uqsim.engine import ground_state
+
+    n = config.h_initial.n_qubits
+    peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
+    dt = config.theta1 / peak if peak > 0 else config.theta1
+    ramp = config.ramp_fn()
+    err = config.error_model
+    rng = err.rng() if err is not None and err.is_noisy else None
+    amps = ground_state(config.h_initial).state.amps.copy()
+    for s in range(1, config.steps + 1):
+        k = ramp(s / config.steps)
+        cycle = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
+        reference_execute(amps, n, cycle, err, rng)
+    return amps

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from uqsim.cli import main
-from uqsim.compiler import schedule_from_text
+from uqsim.compiler import schedule_from_text, trotter_cycles, trotter_schedule
 from uqsim.engine import StateVector
+from uqsim.hardware import TrapArrayModel
+from uqsim.pauli import Hamiltonian
 
 
 def write(path: Path, text: str) -> Path:
@@ -139,6 +141,41 @@ class TestSimulate:
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
+    def simulate_text(self, tmp_path, schedule_text, extra=""):
+        write(tmp_path / "s.txt", schedule_text)
+        cfg = write(tmp_path / "sim.cfg", "[simulate]\nschedule = s.txt\n" + extra)
+        out = tmp_path / "out"
+        return main(["simulate", "--config", str(cfg), "--out-dir", str(out)]), out
+
+    def test_nan_weight_exits_1_and_writes_no_nan(self, tmp_path, capsys):
+        code, out = self.simulate_text(
+            tmp_path, "# pulse schedule version=1 n_qubits=2\nGATE g 0.1 0-1:nan\n")
+        assert code == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_gate_qubit_out_of_range_exits_1(self, tmp_path, capsys):
+        code, _ = self.simulate_text(
+            tmp_path, "# pulse schedule version=1 n_qubits=2\nGATE g 0.3 0-7:1.0\n")
+        assert code == 1
+        assert "out of range" in capsys.readouterr().err
+
+    def test_short_inhomogeneous_layer_exits_1(self, tmp_path, capsys):
+        ident = "1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
+        code, _ = self.simulate_text(
+            tmp_path, f"# pulse schedule version=1 n_qubits=3\nLOCAL I {ident}\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: ") and "1 unitaries for 3 qubits" in err
+
+    def test_bad_initial_dump_exits_1(self, tmp_path, capsys):
+        write(tmp_path / "dump.txt", "# statevector n_qubits=2\n-1 3.0 0.0\n")
+        code, _ = self.simulate_text(
+            tmp_path, "# pulse schedule version=1 n_qubits=2\n", "initial = file:dump.txt\n")
+        assert code == 1
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestAdiabatic:
     def small_cfg(self, tmp_path, extra=""):
         return write(
@@ -225,6 +262,27 @@ class TestCostAndCrosstalk:
         out = capsys.readouterr().out
         c = float([l for l in out.splitlines() if l.startswith("c=")][0][2:])
         assert c == pytest.approx(2 * j / 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("c, t_prime, eps", [
+        (3.0, 1.0, 0.01),    # c^2 t'^2 / eps = 900 exactly
+        (1.0, 0.5, 0.01),    # 25 exactly
+        (0.7, 1.3, 0.003),
+        (2.5, 0.2, 0.05),
+        (0.01, 1.0, 0.5),    # below one cycle: L = 1
+    ])
+    def test_cost_and_trotter_schedule_agree_on_L(self, tmp_path, capsys, c, t_prime, eps):
+        cfg = write(
+            tmp_path / "cost.cfg",
+            f"[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 {c!r}\n"
+            f"t_prime = {t_prime!r}\nepsilon = {eps!r}\n",
+        )
+        assert main(["cost", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        lines = dict(l.split("=", 1) for l in capsys.readouterr().out.splitlines())
+        target = Hamiltonian.from_terms(2, [(c, "ZZ")])
+        trap = TrapArrayModel(positions=((0.0,), (1.0,)))
+        _, report = trotter_schedule(target, t_prime, eps, trap)
+        assert float(lines["c"]) == report.time_cost
+        assert int(lines["L"]) == report.num_gates == trotter_cycles(c, t_prime, eps)
 
     def test_homogeneous_infeasible_exits_2(self, tmp_path, capsys):
         cfg = write(

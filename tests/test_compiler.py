@@ -26,7 +26,7 @@ from uqsim.compiler import (
     three_body_gate,
     trotter_schedule,
 )
-from uqsim.engine import StateVector, run_schedule
+from uqsim.engine import execute_batch
 from uqsim.hardware import LatticeModel, TrapArrayModel
 from uqsim.pauli import (
     CoeffMatrix,
@@ -43,15 +43,11 @@ def zz(gamma=1.0):
 
 
 def schedule_unitary(schedule: PulseSchedule) -> np.ndarray:
-    """Dense matrix of a schedule, built by running every basis state."""
+    """Dense matrix of a schedule: every basis state, run as one batch."""
     dim = 2**schedule.n_qubits
-    cols = []
-    for k in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[k] = 1.0
-        out, _ = run_schedule(StateVector(schedule.n_qubits, amps), schedule)
-        cols.append(out.amps)
-    return np.array(cols).T
+    rows = np.eye(dim, dtype=complex)  # row k starts as basis state k
+    execute_batch(rows, schedule.n_qubits, schedule.instructions, None, [None] * dim)
+    return rows.T
 
 
 def chain_trap(n, gamma=1.0):

@@ -10,6 +10,7 @@ from uqsim.engine import (
     EngineError,
     ErrorModel,
     SpectrumCache,
+    StateFormatError,
     StateVector,
     apply_local_layer,
     apply_zz_gates,
@@ -390,6 +391,36 @@ class TestDumpFormat:
         s = random_state(3, 40)
         again = StateVector.load_text(s.dump_text())
         np.testing.assert_array_equal(again.amps, s.amps)
+
+    @pytest.mark.parametrize("line, message", [
+        ("-1 1.0 0.0", "index -1"),
+        ("4 1.0 0.0", "index 4"),
+        ("0 nan 0.0", "non-finite"),
+        ("0 1.0 inf", "non-finite"),
+        ("x 1.0 0.0", "invalid literal"),
+    ])
+    def test_bad_entry_is_a_parse_error_with_its_line(self, line, message):
+        text = f"# statevector n_qubits=2 endian=little norm=1.0\n{line}\n"
+        with pytest.raises(StateFormatError, match=f"line 2: .*{message}"):
+            StateVector.load_text(text)
+
+    def test_duplicate_index_rejected(self):
+        text = "# statevector n_qubits=1\n0 0.6 0.0\n1 0.8 0.0\n0 0.6 0.0\n"
+        with pytest.raises(StateFormatError, match="line 4: index 0 given twice"):
+            StateVector.load_text(text)
+
+    def test_unnormalised_dump_rejected(self):
+        text = "# statevector n_qubits=1\n0 3.0 0.0\n"
+        with pytest.raises(StateFormatError, match="norm"):
+            StateVector.load_text(text)
+
+    def test_qubit_count_outside_cap_rejected(self):
+        with pytest.raises(StateFormatError, match="n_qubits=60"):
+            StateVector.load_text("# statevector n_qubits=60\n0 1.0 0.0\n")
+
+    def test_non_finite_norm_fails_closed(self):
+        with pytest.raises(EngineError, match="norm"):
+            StateVector(1, np.array([math.nan, 0.0])).check_norm()
 
     def test_threshold_drops_zeros(self):
         s = StateVector.zero_state(4)

@@ -1,0 +1,248 @@
+"""The lowered, batched execution core against the per-instruction loop it
+replaced (kept in oracles.reference_execute)."""
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import oracles
+from uqsim import engine
+from uqsim.compiler import (
+    ApplyLocal,
+    CyclePlan,
+    PlannedFamily,
+    RawGate,
+    RawGateSpec,
+    emit_cycle,
+    plan_for_hamiltonian,
+    protocol_library,
+)
+from uqsim.engine import (
+    EngineError,
+    ErrorModel,
+    ExecutionLog,
+    LoweredPlan,
+    execute_batch,
+    execute_instructions,
+    execute_lowered,
+)
+from uqsim.experiments import (
+    AdiabaticConfig,
+    Geometry,
+    NamedModel,
+    adiabatic_batch,
+    adiabatic_run,
+    build_model,
+    error_sweep,
+    nn_chain,
+    protocol_for_model,
+)
+from uqsim.hardware import LatticeModel, TrapArrayModel
+from uqsim.pauli import LocalLayer, SingleQubitUnitary
+
+AMP_TOL = 1e-12
+ETAS = [(0.0, 0.0), (0.04, 0.0), (0.0, 0.03), (0.05, 0.02)]
+
+
+def random_amps(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+def random_unit(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return SingleQubitUnitary.identity()
+    if kind == 1:
+        axis = rng.normal(size=3)
+        return SingleQubitUnitary.rot(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
+    # a general unitary, global phase included
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return SingleQubitUnitary(q)
+
+
+def random_schedule(n, seed, length=24):
+    """Homogeneous and per-qubit layers (with identity units) between runs
+    of multi-target gates, some with zero angles or weights."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.2:
+            out.append(ApplyLocal(LocalLayer.homogeneous(random_unit(rng))))
+        elif r < 0.45:
+            out.append(ApplyLocal(LocalLayer.inhomogeneous([random_unit(rng) for _ in range(n)])))
+        else:
+            targets = []
+            for _ in range(rng.integers(1, 4)):
+                a, b = rng.choice(n, size=2, replace=False)
+                w = 0.0 if rng.random() < 0.1 else rng.uniform(-1.5, 1.5)
+                targets.append((int(a), int(b), w))
+            theta = 0.0 if rng.random() < 0.1 else rng.uniform(-1.0, 1.0)
+            out.append(RawGate("g", theta, tuple(targets)))
+    return out
+
+
+def error_model(etas, seed):
+    return ErrorModel(*etas, seed=seed) if any(etas) else None
+
+
+def run_both(n, instructions, err, start):
+    """(lowered amps, lowered log text, reference amps, reference log text)."""
+    got = start.copy()
+    log = ExecutionLog(seed=err.seed if err else None)
+    execute_instructions(got, n, instructions, err, err.rng() if err else None, log)
+    ref = start.copy()
+    entries = []
+    oracles.reference_execute(ref, n, instructions, err, err.rng() if err else None, entries)
+    ref_log = ExecutionLog(seed=err.seed if err else None, entries=entries)
+    return got, log.to_text(), ref, ref_log.to_text()
+
+
+@pytest.mark.parametrize("etas", ETAS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_single_run_matches_reference(n, etas):
+    for trial in range(3):
+        seed = 100 * n + trial
+        got, log, ref, ref_log = run_both(
+            n, random_schedule(n, seed), error_model(etas, seed), random_amps(n, seed)
+        )
+        assert np.max(np.abs(got - ref)) <= AMP_TOL
+        assert log == ref_log  # repr of every draw: bit-identical
+
+
+@pytest.mark.parametrize("etas", ETAS)
+def test_long_runs_repeats_and_chunks(etas):
+    # more ops than one chunk, a raw-gate run longer than one fused run, and
+    # instruction objects that repeat (a cycle tuple times a count)
+    n = 3
+    cycle = random_schedule(n, 9, length=30)
+    gates = [RawGate("run", 0.01 * (i + 1), ((i % 3, (i + 1) % 3, 1.0),)) for i in range(150)]
+    empty = RawGate("empty", 0.5, ())
+    instructions = (empty,) + tuple(cycle) * 4 + tuple(gates) + tuple(cycle)
+    got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 3), random_amps(n, 3))
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert log == ref_log
+
+
+def test_unstacked_sign_rows_match(monkeypatch):
+    # above the shared-row size each target's signs are made one at a time
+    n = 4
+    err = ErrorModel(0.03, 0.02, seed=8)
+    instructions = random_schedule(n, 8, length=40)
+    stacked = random_amps(n, 8)
+    execute_instructions(stacked, n, instructions, err, err.rng())
+    monkeypatch.setattr(engine, "_SHARED_SIGN_QUBITS", 1)
+    got, _, ref, _ = run_both(n, instructions, err, random_amps(n, 8))
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert np.max(np.abs(got - stacked)) <= AMP_TOL
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_batch_rows_match_single_runs(rows):
+    n = 4
+    err = ErrorModel(eta_local=0.04, eta_int=0.02, seed=0)
+    instructions = random_schedule(n, 21, length=40)
+    seeds = [10 + r for r in range(rows)]
+    start = np.array([random_amps(n, s) for s in seeds])
+    batch = start.copy()
+    execute_batch(batch, n, instructions, err, [replace(err, seed=s).rng() for s in seeds])
+    for r, s in enumerate(seeds):
+        ref = start[r].copy()
+        oracles.reference_execute(ref, n, instructions, err, replace(err, seed=s).rng())
+        assert np.max(np.abs(batch[r] - ref)) <= AMP_TOL
+
+
+def test_lowering_validates_against_n_qubits():
+    amps = random_amps(3, 1)
+    with pytest.raises(EngineError, match="out of range"):
+        execute_instructions(amps, 3, [RawGate("g", 0.3, ((0, 7, 1.0),))], None, None)
+    short = ApplyLocal(LocalLayer.inhomogeneous([SingleQubitUnitary.identity()]))
+    with pytest.raises(EngineError, match="1 unitaries"):
+        execute_instructions(amps, 3, [short], None, None)
+    with pytest.raises(EngineError, match="generator"):
+        execute_instructions(amps, 3, [ApplyLocal(LocalLayer.identity())],
+                             ErrorModel(eta_local=0.1, seed=1), None)
+    with pytest.raises(EngineError, match="batch of one"):
+        execute_batch(np.zeros((2, 8), dtype=complex), 3, [], None, [None, None], ExecutionLog())
+
+
+def test_plan_ops_draw_exactly_what_emit_cycle_emits():
+    # gate "b" underflows to an exact zero angle at a tiny scale while "a"
+    # does not: emit_cycle drops b, and the lowered plan must draw for a only
+    n = 3
+    fam = PlannedFamily(
+        (RawGateSpec("a", ((0, 1, 1.0), (1, 2, 0.5)), 1.0), RawGateSpec("b", ((0, 2, 1.0),), 1e-3)),
+        protocol_library("xy2"), cost=1.0,
+    )
+    fields = ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0))
+    plan = CyclePlan(n, (fam,), fields, homogeneous_locals=False)
+    err = ErrorModel(eta_local=0.05, eta_int=0.03, seed=2)
+    lowered = LoweredPlan(plan, 1.0, n)
+    for scale in (1.0, 0.37, 1e-323, 0.0):
+        cycle = emit_cycle(plan, 1.0, scale)
+        ref, ref_rng = random_amps(n, 4), err.rng()
+        oracles.reference_execute(ref, n, cycle, err, ref_rng)
+        got, rng = random_amps(n, 4)[None, :].copy(), err.rng()
+        count = execute_lowered(got, lowered.ops(scale), err, [rng])
+        assert count == len(cycle)
+        assert np.max(np.abs(got[0] - ref)) <= AMP_TOL
+        assert rng.random() == ref_rng.random()  # streams in the same place
+
+
+def chain_trap(n):
+    return TrapArrayModel(positions=tuple((float(i),) for i in range(n)))
+
+
+ADIABATIC_CASES = {
+    # homogeneous layers, no fields
+    "dipole-uqs1": lambda: (NamedModel("dipole", Geometry.chain(3)), LatticeModel(n_sites=3), "zz"),
+    # homogeneous field layer
+    "heisenberg-field-uqs1": lambda: (
+        NamedModel("heisenberg", Geometry.chain(3), j=-1.0, b=0.4, direction=(0.6, 0.0, 0.8)),
+        LatticeModel(n_sites=3), "xx"),
+    # per-qubit fields and per-pair sequences
+    "random-ising-uqs2": lambda: (
+        NamedModel("random_ising", Geometry.chain(4), j_map=(((0, 1), 1.0), ((1, 2), -0.6), ((2, 3), 0.8)),
+                   b_list=(0.3, 0.0, 0.5, 0.2)),
+        chain_trap(4), "zz"),
+}
+
+
+@pytest.mark.parametrize("etas", [(0.0, 0.0), (0.03, 0.02)])
+@pytest.mark.parametrize("case", sorted(ADIABATIC_CASES))
+def test_adiabatic_run_matches_reference(case, etas):
+    model, hw, chain = ADIABATIC_CASES[case]()
+    target = build_model(model)
+    init = nn_chain(chain, model.geometry.n_sites)
+    plan_t = protocol_for_model(model, hw)
+    cfg = AdiabaticConfig(init, target, steps=12, theta1=0.1, ramp="cosine",
+                          error_model=error_model(etas, 6), record_every=4)
+    result = adiabatic_run(cfg, hw, plan_target=plan_t)
+    ref = oracles.reference_adiabatic_amps(cfg, plan_for_hamiltonian(init, hw), plan_t)
+    assert np.max(np.abs(result.final_state.amps - ref)) <= AMP_TOL
+
+
+def test_sweep_repetitions_match_single_runs():
+    n = 4
+    model = NamedModel("dipole", Geometry.chain(n))
+    hw = LatticeModel(n_sites=n)
+    plan_t = protocol_for_model(model, hw)
+    cfg = AdiabaticConfig(nn_chain("zz", n), build_model(model), steps=15, theta1=0.1,
+                          record_every=5)
+    seeds = [4, 5, 6]
+    err = ErrorModel(eta_local=0.03, eta_int=0.03, seed=0)
+    batch = adiabatic_batch(replace(cfg, error_model=err), hw, seeds, plan_target=plan_t)
+    singles = [
+        adiabatic_run(replace(cfg, error_model=replace(err, seed=s)), hw, plan_target=plan_t)
+        for s in seeds
+    ]
+    for b, s in zip(batch, singles):
+        assert abs(b.ground_weight - s.ground_weight) <= AMP_TOL
+        assert np.max(np.abs(b.final_state.amps - s.final_state.amps)) <= AMP_TOL
+        for (_, _, fb, eb), (_, _, fs, es) in zip(b.trajectory, s.trajectory):
+            assert abs(fb - fs) <= AMP_TOL and abs(eb - es) <= AMP_TOL
+    (row,) = error_sweep(cfg, hw, [0.03], [15], len(seeds), base_seed=4, plan_target=plan_t)
+    assert abs(row.mean_fidelity - np.mean([s.ground_weight for s in singles])) <= AMP_TOL
