@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tabular output format")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for sweep grids (per-run seeds keep results deterministic)")
-        p.add_argument("--single-thread", action="store_true",
-                       help="force single-threaded execution (bit-exact reruns)")
         return p
 
     common(sub.add_parser("compile", help="compile a Hamiltonian file into a pulse schedule"))
@@ -225,14 +223,13 @@ class OutputWriter:
         self.files[name] = hashlib.sha256(content.encode()).hexdigest()
         return path
 
-    def manifest(self, command, config_path, seed, single_thread, extra=None):
+    def manifest(self, command, config_path, seed, extra=None):
         doc = {
             "command": command,
             "config": str(config_path),
             "config_sha256": hashlib.sha256(config_path.read_bytes()).hexdigest(),
             "config_dialect": CONFIG_DIALECT,
             "seed": seed,
-            "single_thread": bool(single_thread),
             "kernel_backend": kernels.active_backend(),
             "version": __version__,
             "outputs": dict(sorted(self.files.items())),
@@ -279,7 +276,7 @@ def cmd_compile(args, cfg, config_path) -> int:
         },
     }
     writer.write("compile.json", json.dumps(doc, indent=2) + "\n")
-    writer.manifest("compile", config_path, args.seed, args.single_thread)
+    writer.manifest("compile", config_path, args.seed)
     print(f"compiled {len(schedule.instructions)} instructions "
           f"(L={report.num_gates}, c={report.time_cost:g}, chi={report.chi:g})")
     return EXIT_OK
@@ -335,7 +332,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         summary["oracle_fidelity"] = fid
         print(f"oracle_fidelity={fid!r}")
     writer.write("summary.json", json.dumps(summary, indent=2) + "\n")
-    writer.manifest("simulate", config_path, seed, args.single_thread)
+    writer.manifest("simulate", config_path, seed)
     print(f"final state written ({final.n_qubits} qubits, norm={final.norm():.12f})")
     return EXIT_OK
 
@@ -425,7 +422,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         writer.write("summary.json", json.dumps(summary, indent=2) + "\n")
         extra["ground_weight"] = result.ground_weight
         print(f"adiabatic run: {steps} steps, final ground weight {result.ground_weight:.6f}")
-    writer.manifest("adiabatic", config_path, seed, args.single_thread, extra)
+    writer.manifest("adiabatic", config_path, seed, extra)
     return EXIT_OK
 
 
@@ -485,7 +482,7 @@ def cmd_cost(args, cfg, config_path) -> int:
         lines.append(f"chi={n_controls * num / total if total else 0.0!r}")
     writer = OutputWriter(Path(args.out_dir))
     writer.write("cost.txt", "\n".join(lines) + "\n")
-    writer.manifest("cost", config_path, args.seed, args.single_thread)
+    writer.manifest("cost", config_path, args.seed)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -511,7 +508,7 @@ def cmd_crosstalk(args, cfg, config_path) -> int:
         lines.append(f"ratio[{gi},{gj}]={ratio!r}")
     writer = OutputWriter(Path(args.out_dir))
     writer.write("crosstalk.txt", "\n".join(lines) + "\n")
-    writer.manifest("crosstalk", config_path, args.seed, args.single_thread)
+    writer.manifest("crosstalk", config_path, args.seed)
     print("\n".join(lines))
     return EXIT_OK
 

@@ -12,6 +12,8 @@ rescales theta in closed form, vectorised over qubits, and a gate run is a
 single multiply by exp(-i * coef @ signs). The state has a leading batch
 axis (R, 2^n): the repetitions of a sweep cell advance as one array, each
 row with its own seeded PCG64 generator, and a single run is a batch of one.
+The single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
+which the observables below call too.
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
@@ -23,7 +25,6 @@ bitwise, since BLAS blocking depends on the batch size.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import os
 import re
@@ -172,21 +173,17 @@ class ErrorModel:
     """Fractional timing jitter, uniform on [-eta, +eta] per pulse.
 
     eta_local applies per qubit per local layer, eta_int per gate entry in a
-    ZZ gate list. The distribution is pluggable in principle; only "uniform"
-    is implemented.
+    ZZ gate list.
     """
 
     eta_local: float = 0.0
     eta_int: float = 0.0
     seed: int | None = None
-    distribution: str = "uniform"
 
     def __post_init__(self):
         for eta in (self.eta_local, self.eta_int):
             if not (0.0 <= eta < 1.0):
                 raise EngineError(f"jitter fraction {eta} outside [0, 1)")
-        if self.distribution != "uniform":
-            raise EngineError(f"unknown jitter distribution {self.distribution!r}")
         if (self.eta_local > 0 or self.eta_int > 0) and self.seed is None:
             raise EngineError("an error model with nonzero jitter needs a seed")
 
@@ -212,7 +209,7 @@ class ExecutionLog:
     def to_text(self) -> str:
         lines = [f"# execution log rng={self.rng_algorithm} seed={self.seed}"]
         for index, kind, draws in self.entries:
-            payload = ",".join(repr(d) for d in draws) if draws else "-"
+            payload = ",".join(repr(float(d)) for d in draws) if draws else "-"
             lines.append(f"{index} {kind} {payload}")
         return "\n".join(lines) + "\n"
 
@@ -285,25 +282,13 @@ class ZZRun:
         self.coef, self.pairs, self.sizes, self.signs = coef, pairs, sizes, signs
 
 
-def _zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
-    k = np.arange(1 << n_qubits)
-    return 1.0 - 2.0 * (((k >> a) ^ (k >> b)) & 1)
-
-
-@functools.lru_cache(maxsize=1024)
-def _shared_zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
-    row = _zz_signs(n_qubits, a, b)
-    row.setflags(write=False)
-    return row
-
-
 def _sign_matrix(pairs, n_qubits: int) -> np.ndarray | None:
     for a, b in pairs:
         if not (0 <= a < n_qubits and 0 <= b < n_qubits):
             raise EngineError(f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
     if n_qubits > _SHARED_SIGN_QUBITS:
         return None
-    rows = [_shared_zz_signs(n_qubits, a, b) for a, b in pairs]
+    rows = [kernels.shared_zz_signs(n_qubits, a, b) for a, b in pairs]
     return np.array(rows).reshape(len(rows), 1 << n_qubits)
 
 
@@ -317,23 +302,13 @@ def _lower_gates(gates, n_qubits: int) -> ZZRun:
                  _sign_matrix(pairs, n_qubits))
 
 
-def _apply_single(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    """u (2, 2) on every row of amps (R, 2^n), or u (R, 2, 2), one per row."""
-    view = amps.reshape(amps.shape[0], -1, 2, 1 << q)
-    if u.ndim == 3:
-        u = u[:, None, None]
-    lo = view[:, :, 0, :].copy()
-    hi = view[:, :, 1, :]
-    view[:, :, 0, :] = u[..., 0, 0] * lo + u[..., 0, 1] * hi
-    view[:, :, 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
-
-
 def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
     n = amps.shape[1].bit_length() - 1
     if run.signs is not None:
         angles = coef @ run.signs
     else:
-        angles = sum(coef[..., t, None] * _zz_signs(n, a, b) for t, (a, b) in enumerate(run.pairs))
+        angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b)
+                     for t, (a, b) in enumerate(run.pairs))
     amps *= np.exp(-1j * angles)
 
 
@@ -375,7 +350,7 @@ def execute_lowered(
                 pos += n
                 mats, draws = op.jittered(1.0 + d), d[0]
             for q in op.active:
-                _apply_single(amps, q, mats[..., q, :, :])
+                kernels.apply_single_qubit(amps, q, mats[..., q, :, :])
             if log is not None:
                 log.record(index, "local", tuple(draws))
             index += 1

@@ -1,97 +1,50 @@
-"""Statevector gate kernels with a compiled core and a numpy fallback.
+"""Statevector gate kernels in numpy, shared by schedule execution and the
+observables.
 
-The compiled extension (``uqsim._kernels``, Cython) is picked at import time
-when present; otherwise the numpy implementations below are used. Both mutate
-the amplitude array in place and agree to ~1e-15 per amplitude. Force a
-backend with the ``UQSIM_KERNELS`` environment variable (``compiled`` or
-``python``) or :func:`use_backend`.
+Amplitudes are indexed little-endian (qubit 0 = least significant bit) and
+come as one state (2^n,) or a batch of states (R, 2^n); the kernels mutate
+them in place. Z_a Z_b has eigenvalue +1 on basis states where bits a and b
+agree and -1 where they differ; `zz_signs` is the one place that rule lives.
 """
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 
-try:
-    from . import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-
-def _apply_single_qubit_numpy(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    view = amps.reshape(amps.size >> (q + 1), 2, 1 << q)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = u[0, 0] * lo + u[0, 1] * hi
-    view[:, 1, :] = u[1, 0] * lo + u[1, 1] * hi
-
-
-def _apply_zz_phase_numpy(amps: np.ndarray, a: int, b: int, theta: float) -> None:
-    k = np.arange(amps.size)
-    differ = (((k >> a) ^ (k >> b)) & 1).astype(bool)
-    amps[differ] *= complex(np.cos(theta), np.sin(theta))
-    amps[~differ] *= complex(np.cos(theta), -np.sin(theta))
-
-
-def _apply_z_phase_numpy(amps: np.ndarray, q: int, theta: float) -> None:
-    k = np.arange(amps.size)
-    one = ((k >> q) & 1).astype(bool)
-    amps[one] *= complex(np.cos(theta), np.sin(theta))
-    amps[~one] *= complex(np.cos(theta), -np.sin(theta))
-
-
-_BACKENDS = {
-    "python": {
-        "apply_single_qubit": _apply_single_qubit_numpy,
-        "apply_zz_phase": _apply_zz_phase_numpy,
-        "apply_z_phase": _apply_z_phase_numpy,
-    }
-}
-if _compiled is not None:
-    _BACKENDS["compiled"] = {
-        "apply_single_qubit": _compiled.apply_single_qubit,
-        "apply_zz_phase": _compiled.apply_zz_phase,
-        "apply_z_phase": _compiled.apply_z_phase,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def _initial_backend() -> str:
-    forced = os.environ.get("UQSIM_KERNELS", "").strip().lower()
-    if forced:
-        if forced not in _BACKENDS:
-            raise ImportError(
-                f"UQSIM_KERNELS={forced!r} requested but only {available_backends()} available"
-            )
-        return forced
-    return "compiled" if "compiled" in _BACKENDS else "python"
-
-
-_active = _initial_backend()
-
 
 def active_backend() -> str:
-    return _active
-
-
-def use_backend(name: str) -> None:
-    """Select a kernel backend by name; mainly for tests and benchmarks."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _active = name
+    """The kernel implementation in use; there is only numpy."""
+    return "numpy"
 
 
 def apply_single_qubit(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    _BACKENDS[_active]["apply_single_qubit"](amps, q, np.ascontiguousarray(u))
+    """u (2, 2) on qubit q of amps (2^n,) or of every row of amps (R, 2^n),
+    or u (R, 2, 2), one per row."""
+    view = amps.reshape(*amps.shape[:-1], -1, 2, 1 << q)
+    if u.ndim == 3:
+        u = u[:, None, None]
+    lo = view[..., 0, :].copy()
+    hi = view[..., 1, :]
+    view[..., 0, :] = u[..., 0, 0] * lo + u[..., 0, 1] * hi
+    view[..., 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
+
+
+def zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
+    """The +-1 eigenvalue of Z_a Z_b on every basis state of n qubits."""
+    k = np.arange(1 << n_qubits)
+    return 1.0 - 2.0 * (((k >> a) ^ (k >> b)) & 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def shared_zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
+    """zz_signs cached per (n, a, b) and read-only, for small n."""
+    row = zz_signs(n_qubits, a, b)
+    row.setflags(write=False)
+    return row
 
 
 def apply_zz_phase(amps: np.ndarray, a: int, b: int, theta: float) -> None:
-    _BACKENDS[_active]["apply_zz_phase"](amps, a, b, theta)
-
-
-def apply_z_phase(amps: np.ndarray, q: int, theta: float) -> None:
-    _BACKENDS[_active]["apply_z_phase"](amps, q, theta)
+    """exp(-i theta Z_a Z_b) on amps (2^n,) or on every row of amps (R, 2^n)."""
+    n = amps.shape[-1].bit_length() - 1
+    amps *= np.exp(-1j * theta * zz_signs(n, a, b))

@@ -306,7 +306,7 @@ def test_criterion_11_determinism(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         code = cli_main(["simulate", "--config", str(sim_cfg), "--out-dir", str(out),
-                         "--seed", "99", "--single-thread"])
+                         "--seed", "99"])
         assert code == 0
         dumps.append((out / "state.txt").read_bytes())
         manifests.append(json.loads((out / "manifest.json").read_text())["outputs"])

@@ -133,7 +133,7 @@ class TestSimulate:
         for name in ("a", "b"):
             out = tmp_path / name
             code = main(["simulate", "--config", str(cfg), "--out-dir", str(out),
-                         "--seed", "7", "--single-thread"])
+                         "--seed", "7"])
             assert code == 0
             outs.append((out / "state.txt").read_bytes())
         assert outs[0] == outs[1]

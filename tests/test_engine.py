@@ -35,16 +35,8 @@ def random_state(n, seed=0):
     return StateVector(n, amps)
 
 
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    previous = kernels.active_backend()
-    kernels.use_backend(request.param)
-    yield request.param
-    kernels.use_backend(previous)
-
-
 class TestKernels:
-    def test_single_qubit_matches_dense(self, backend):
+    def test_single_qubit_matches_dense(self):
         n = 4
         state = random_state(n, 3)
         u = SingleQubitUnitary.rot((0.6, 0.0, 0.8), 0.7)
@@ -56,7 +48,7 @@ class TestKernels:
             dense = oracles.local_layer_matrix(mats)
             np.testing.assert_allclose(got, dense @ state.amps, atol=1e-12)
 
-    def test_zz_phase_matches_dense(self, backend):
+    def test_zz_phase_matches_dense(self):
         n = 3
         state = random_state(n, 4)
         theta = 0.43
@@ -66,32 +58,34 @@ class TestKernels:
         dense = oracles.evolve(gen, theta)
         np.testing.assert_allclose(got, dense @ state.amps, atol=1e-12)
 
-    def test_z_phase_matches_dense(self, backend):
-        n = 2
-        state = random_state(n, 5)
-        got = state.amps.copy()
-        kernels.apply_z_phase(got, 1, 0.9)
-        dense = oracles.evolve(oracles.kron_string("IZ"), 0.9)
-        np.testing.assert_allclose(got, dense @ state.amps, atol=1e-12)
+    @staticmethod
+    def batch(n, rows):
+        return np.array([random_state(n, 20 + r).amps for r in range(rows)])
 
-
-@pytest.mark.skipif(len(kernels.available_backends()) < 2, reason="compiled kernels absent")
-def test_backends_agree():
-    n = 6
-    state = random_state(n, 11)
-    u = SingleQubitUnitary.rot((0.0, 1.0, 0.0), 0.3)
-    results = {}
-    for name in kernels.available_backends():
-        kernels.use_backend(name)
-        amps = state.amps.copy()
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_single_qubit_batch(self, per_row):
+        n, rows = 4, 3
+        amps = self.batch(n, rows)
+        us = np.array([SingleQubitUnitary.rot((0.6, 0.0, 0.8), 0.3 + 0.4 * r).matrix
+                       for r in range(rows)])
+        u = us if per_row else us[1]
         for q in range(n):
-            kernels.apply_single_qubit(amps, q, u.matrix)
-        for a in range(n - 1):
-            kernels.apply_zz_phase(amps, a, a + 1, 0.1 * (a + 1))
-        results[name] = amps
-    kernels.use_backend("compiled" if "compiled" in kernels.available_backends() else "python")
-    vals = list(results.values())
-    np.testing.assert_allclose(vals[0], vals[1], atol=1e-12)
+            got = amps.copy()
+            kernels.apply_single_qubit(got, q, u)
+            for r in range(rows):
+                mats = [np.eye(2)] * n
+                mats[q] = us[r] if per_row else u
+                dense = oracles.local_layer_matrix(mats)
+                np.testing.assert_allclose(got[r], dense @ amps[r], atol=1e-12)
+
+    def test_zz_phase_batch(self):
+        n, rows = 3, 3
+        amps = self.batch(n, rows)
+        got = amps.copy()
+        kernels.apply_zz_phase(got, 1, 2, -0.37)
+        dense = oracles.evolve(oracles.kron_string("IZZ"), -0.37)
+        for r in range(rows):
+            np.testing.assert_allclose(got[r], dense @ amps[r], atol=1e-12)
 
 
 class TestApplyLocalLayer:
@@ -200,6 +194,26 @@ class TestRunSchedule:
         assert len(log.entries[1][2]) == 1  # one delta per gate entry
         text = log.to_text()
         assert "numpy-PCG64" in text and "seed=5" in text
+
+    def test_log_text_values_are_the_applied_draws(self):
+        layer = LocalLayer.homogeneous(SingleQubitUnitary.rot((0, 1, 0), 0.4))
+        sched = PulseSchedule(3, (
+            ApplyLocal(layer),
+            RawGate("zz", 0.2, ((0, 1, 1.0), (1, 2, 0.5))),
+            ApplyLocal(LocalLayer.identity()),
+            RawGate("zz", 0.3, ((0, 2, 1.0),)),
+        ))
+        err = ErrorModel(eta_local=0.02, eta_int=0.007, seed=13)
+        _, log = run_schedule(random_state(3, 2), sched, err)
+        rng = np.random.Generator(np.random.PCG64(13))
+        lines = log.to_text().splitlines()[1:]
+        assert len(lines) == len(sched.instructions)
+        for line, ins in zip(lines, sched.instructions):
+            _, kind, payload = line.split()
+            values = [float(v) for v in payload.split(",")]
+            eta = err.eta_local if kind == "local" else err.eta_int
+            size = 3 if isinstance(ins, ApplyLocal) else len(ins.targets)
+            assert values == rng.uniform(-eta, eta, size=size).tolist()
 
     def test_missing_seed_rejected(self):
         with pytest.raises(EngineError):
