@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels, svg
+from . import __version__, svg
 from .compiler import (
     CompileError,
     CostReport,
@@ -230,7 +230,6 @@ class OutputWriter:
             "config_sha256": hashlib.sha256(config_path.read_bytes()).hexdigest(),
             "config_dialect": CONFIG_DIALECT,
             "seed": seed,
-            "kernel_backend": kernels.active_backend(),
             "version": __version__,
             "outputs": dict(sorted(self.files.items())),
         }

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernels import STATEVECTOR_CAP
 from .pauli import (
     CoeffMatrix,
     Hamiltonian,
@@ -434,27 +435,37 @@ def _format_unitary(u: SingleQubitUnitary) -> str:
 
 
 def _parse_unitary(tokens: list[str]) -> SingleQubitUnitary:
-    vals = [float(t) for t in tokens]
-    m = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+    if len(tokens) != 8:
+        raise CompileError(f"a unitary needs 8 floats, got {len(tokens)}")
+    # (real, imag) pairs read as complex: exact, signed zeros included
+    m = np.array([float(t) for t in tokens]).view(np.complex128)
     return SingleQubitUnitary(m.reshape(2, 2))
 
 
+def _format_instruction(ins: Instruction) -> str:
+    if isinstance(ins, ApplyLocal):
+        layer = ins.layer
+        if layer.is_homogeneous:
+            return "LOCAL H " + _format_unitary(layer.unitary_at(0))
+        return "LOCAL I " + " ".join(_format_unitary(layer.unitary_at(q)) for q in range(layer.n_qubits))
+    targets = " ".join(f"{a}-{b}:{w!r}" for a, b, w in ins.targets)
+    return f"GATE {ins.gate_id} {ins.theta!r} {targets}"
+
+
 def schedule_to_text(schedule: PulseSchedule) -> str:
-    lines = [
-        f"# pulse schedule version=1 n_qubits={schedule.n_qubits}"
-        + (f" cycles={schedule.num_cycles} cycle_length={schedule.cycle_length}"
-           if schedule.num_cycles is not None else "")
-    ]
+    """The schedule text format; an instruction object that repeats (the
+    cycles of a Trotter schedule) is formatted once."""
+    header = f"# pulse schedule version=1 n_qubits={schedule.n_qubits}"
+    for key, value in (("cycles", schedule.num_cycles), ("cycle_length", schedule.cycle_length)):
+        if value is not None:
+            header += f" {key}={value}"
+    lines = [header]
+    formatted: dict[int, str] = {}
     for ins in schedule.instructions:
-        if isinstance(ins, ApplyLocal):
-            if ins.layer.is_homogeneous:
-                lines.append("LOCAL H " + _format_unitary(ins.layer.unitary_at(0)))
-            else:
-                parts = [_format_unitary(ins.layer.unitary_at(q)) for q in range(ins.layer.n_qubits)]
-                lines.append("LOCAL I " + " ".join(parts))
-        else:
-            targets = " ".join(f"{a}-{b}:{w!r}" for a, b, w in ins.targets)
-            lines.append(f"GATE {ins.gate_id} {ins.theta!r} {targets}")
+        line = formatted.get(id(ins))
+        if line is None:
+            line = formatted[id(ins)] = _format_instruction(ins)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -469,65 +480,70 @@ def _check_instruction(ins: Instruction, n_qubits: int) -> None:
         )
 
 
+def _parse_instruction(parts: list[str]) -> Instruction:
+    if parts[0] == "LOCAL":
+        if parts[1] == "H":
+            return ApplyLocal(LocalLayer.homogeneous(_parse_unitary(parts[2:])))
+        if parts[1] == "I":
+            vals = parts[2:]
+            if len(vals) % 8:
+                raise CompileError("inhomogeneous layer needs 8 floats per qubit")
+            units = [_parse_unitary(vals[i : i + 8]) for i in range(0, len(vals), 8)]
+            return ApplyLocal(LocalLayer.inhomogeneous(units))
+        raise CompileError(f"unknown layer kind {parts[1]!r}")
+    if parts[0] == "GATE":
+        targets = []
+        for tok in parts[3:]:
+            pair, w = tok.split(":")
+            a, b = pair.split("-")
+            targets.append((int(a), int(b), float(w)))
+        return RawGate(parts[1], float(parts[2]), tuple(targets))
+    raise CompileError(f"unknown instruction {parts[0]!r}")
+
+
 def schedule_from_text(text: str) -> PulseSchedule:
     """Parse the schedule text format; every instruction is checked against
-    the header's n_qubits (or, without one, the largest gate qubit)."""
-    n_qubits = None
-    num_cycles = None
-    cycle_length = None
+    the header's n_qubits (or, without one, the largest gate qubit), which
+    must lie in 1..STATEVECTOR_CAP.
+
+    Each distinct instruction line is parsed and checked once: a line that
+    repeats (the cycles of a Trotter schedule) gives the same instruction
+    object, and an error names the line of its first occurrence.
+    """
+    header: dict[str, int] = {}
     instructions: list[Instruction] = []
-    linenos: list[int] = []
+    parsed: dict[str, tuple[Instruction, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("n_qubits="):
-                    n_qubits = int(tok.split("=", 1)[1])
-                elif tok.startswith("cycles="):
-                    num_cycles = int(tok.split("=", 1)[1])
-                elif tok.startswith("cycle_length="):
-                    cycle_length = int(tok.split("=", 1)[1])
-            continue
-        parts = line.split()
         try:
-            if parts[0] == "LOCAL":
-                if parts[1] == "H":
-                    instructions.append(ApplyLocal(LocalLayer.homogeneous(_parse_unitary(parts[2:]))))
-                elif parts[1] == "I":
-                    vals = parts[2:]
-                    if len(vals) % 8:
-                        raise CompileError("inhomogeneous layer needs 8 floats per qubit")
-                    units = [_parse_unitary(vals[i : i + 8]) for i in range(0, len(vals), 8)]
-                    instructions.append(ApplyLocal(LocalLayer.inhomogeneous(units)))
-                else:
-                    raise CompileError(f"unknown layer kind {parts[1]!r}")
-            elif parts[0] == "GATE":
-                gate_id = parts[1]
-                theta = float(parts[2])
-                targets = []
-                for tok in parts[3:]:
-                    pair, w = tok.split(":")
-                    a, b = pair.split("-")
-                    targets.append((int(a), int(b), float(w)))
-                instructions.append(RawGate(gate_id, theta, tuple(targets)))
-            else:
-                raise CompileError(f"unknown instruction {parts[0]!r}")
+            if line.startswith("#"):
+                for tok in line[1:].split():
+                    key, sep, value = tok.partition("=")
+                    if sep and key in ("n_qubits", "cycles", "cycle_length"):
+                        header[key] = int(value)
+                continue
+            hit = parsed.get(line)
+            if hit is None:
+                hit = parsed[line] = (_parse_instruction(line.split()), lineno)
         except (ValueError, IndexError, PauliError, CompileError) as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
-        linenos.append(lineno)
+        instructions.append(hit[0])
+    n_qubits = header.get("n_qubits")
     if n_qubits is None:
-        sites = [q for ins in instructions if isinstance(ins, RawGate) for a, b, _ in ins.targets for q in (a, b)]
+        sites = [q for ins, _ in parsed.values() if isinstance(ins, RawGate)
+                 for a, b, _ in ins.targets for q in (a, b)]
         n_qubits = max(sites) + 1 if sites else 1
-    if n_qubits < 1:
-        raise CompileError(f"schedule header has n_qubits={n_qubits}")
-    for lineno, ins in zip(linenos, instructions):
+    if not 1 <= n_qubits <= STATEVECTOR_CAP:
+        raise CompileError(f"schedule has n_qubits={n_qubits}, outside 1..{STATEVECTOR_CAP}")
+    for ins, lineno in parsed.values():
         try:
             _check_instruction(ins, n_qubits)
         except CompileError as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
-    return PulseSchedule(n_qubits, tuple(instructions), None, cycle_length, num_cycles)
+    return PulseSchedule(n_qubits, tuple(instructions), None,
+                         header.get("cycle_length"), header.get("cycles"))
 
 
 # ---------------------------------------------------------------------------

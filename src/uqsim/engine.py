@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .kernels import STATEVECTOR_CAP
 from .compiler import (
     FIELD_ANGLE_FLOOR,
     ApplyLocal,
@@ -46,7 +47,6 @@ from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA
 
 RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
-STATEVECTOR_CAP = 24
 
 
 class EngineError(Exception):

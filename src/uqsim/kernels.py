@@ -12,6 +12,9 @@ import functools
 
 import numpy as np
 
+# The most qubits a dense statevector may hold (256 MiB of amplitudes)
+STATEVECTOR_CAP = 24
+
 
 def active_backend() -> str:
     """The kernel implementation in use; there is only numpy."""

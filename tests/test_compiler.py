@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from uqsim.compiler import (
@@ -26,8 +28,10 @@ from uqsim.compiler import (
     three_body_gate,
     trotter_schedule,
 )
-from uqsim.engine import execute_batch
+from uqsim.cli import main
+from uqsim.engine import ErrorModel, LoweredLayer, StateVector, execute_batch, run_schedule
 from uqsim.hardware import LatticeModel, TrapArrayModel
+from uqsim.kernels import STATEVECTOR_CAP
 from uqsim.pauli import (
     CoeffMatrix,
     Hamiltonian,
@@ -426,6 +430,194 @@ class TestScheduleText:
     def test_parse_error_reports_line(self):
         with pytest.raises(CompileError, match="line 2"):
             schedule_from_text("# pulse schedule n_qubits=2\nGATE zz oops 0-1:1.0\n")
+
+    @staticmethod
+    def per_qubit_schedule():
+        target = Hamiltonian.from_terms(
+            3, [(-0.4, "ZZI"), (-0.6, "IZZ"), (0.3, "XII"), (0.5, "IXI"), (0.2, "IIX")]
+        )
+        sched, _ = trotter_schedule(target, 0.5, 0.05, chain_trap(3), num_cycles=4)
+        return sched
+
+    def test_repeated_lines_share_one_instruction(self):
+        text = schedule_to_text(self.per_qubit_schedule())
+        lines = text.splitlines()[1:]
+        assert any(line.startswith("LOCAL I ") for line in lines)
+        assert len(set(lines)) < len(lines)
+        parsed = schedule_from_text(text)
+        by_line: dict[str, int] = {}
+        for line, ins in zip(lines, parsed.instructions):
+            assert by_line.setdefault(line, id(ins)) == id(ins)
+        assert len({id(ins) for ins in parsed.instructions}) == len(set(lines))
+        assert schedule_to_text(parsed) == text
+
+    def test_parse_and_lowering_run_once_per_distinct_line(self, monkeypatch):
+        text = schedule_to_text(self.per_qubit_schedule())
+        local_lines = {line for line in text.splitlines() if line.startswith("LOCAL")}
+        n_qubits = 3
+        real_init = SingleQubitUnitary.__init__
+        units = []
+
+        def counting_init(self, *args, **kwargs):
+            units.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SingleQubitUnitary, "__init__", counting_init)
+        parsed = schedule_from_text(text)
+        monkeypatch.setattr(SingleQubitUnitary, "__init__", real_init)
+        assert 0 < len(units) <= len(local_lines) * n_qubits
+
+        real_from_layer = LoweredLayer.from_layer
+        lowered = []
+
+        def counting_from_layer(layer, n):
+            lowered.append(layer)
+            return real_from_layer(layer, n)
+
+        monkeypatch.setattr(LoweredLayer, "from_layer", staticmethod(counting_from_layer))
+        run_schedule(StateVector.zero_state(n_qubits), parsed, ErrorModel(0.01, 0.01, seed=3))
+        assert len(lowered) == len(local_lines)
+
+    def test_repeated_malformed_line_reports_first_occurrence(self):
+        gate = "GATE zz 0.25 0-1:1.0"
+        bad = "GATE zz 0.25 0-1:oops"
+        text = "\n".join(["# pulse schedule n_qubits=2", gate, bad, gate, bad]) + "\n"
+        with pytest.raises(CompileError, match="at line 3:"):
+            schedule_from_text(text)
+
+    def test_repeated_out_of_range_gate_reports_first_occurrence(self):
+        gate = "GATE zz 0.25 0-1:1.0"
+        far = "GATE zz 0.25 0-5:1.0"
+        text = "\n".join([gate, far, gate, far, "# pulse schedule n_qubits=2"]) + "\n"
+        with pytest.raises(CompileError, match="at line 2: gate qubits 0-5 out of range"):
+            schedule_from_text(text)
+
+    @pytest.mark.parametrize("field", ["n_qubits=abc", "cycles=x", "cycle_length=1.5"])
+    def test_non_integer_header_field_is_a_parse_error(self, field):
+        with pytest.raises(CompileError, match="line 2:"):
+            schedule_from_text(f"\n# pulse schedule {field}\nGATE zz 0.25 0-1:1.0\n")
+
+    @pytest.mark.parametrize("n", [0, STATEVECTOR_CAP + 1, 99])
+    def test_header_n_qubits_outside_the_cap_is_rejected(self, n):
+        with pytest.raises(CompileError, match=f"n_qubits={n}, outside 1..{STATEVECTOR_CAP}"):
+            schedule_from_text(f"# pulse schedule n_qubits={n}\nGATE zz 0.25 0-1:1.0\n")
+
+    def test_inferred_n_qubits_outside_the_cap_is_rejected(self):
+        with pytest.raises(CompileError, match="outside 1.."):
+            schedule_from_text("GATE zz 0.25 0-99:1.0\n")
+
+    @pytest.mark.parametrize("header", ["n_qubits=abc", "n_qubits=30"])
+    def test_bad_header_exits_1_through_main(self, tmp_path, header):
+        (tmp_path / "s.txt").write_text(f"# pulse schedule {header}\nGATE zz 0.25 0-1:1.0\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[simulate]\nschedule = s.txt\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out" / "state.txt").exists()
+
+
+FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+ANGLES = st.floats(-8.0, 8.0, allow_nan=False)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+EXACT_UNITARIES = [
+    SingleQubitUnitary.identity(),
+    SingleQubitUnitary.quarter_turn("x"),
+    SingleQubitUnitary.quarter_turn("y", inverse=True),
+    SingleQubitUnitary.pauli_flip("z"),
+]
+
+
+@st.composite
+def unitaries(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(EXACT_UNITARIES))
+    t, phi, lam = draw(ANGLES), draw(ANGLES), draw(ANGLES)
+    c, s = math.cos(t), math.sin(t)
+    return SingleQubitUnitary(np.array([
+        [c, -np.exp(1j * lam) * s],
+        [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+    ]))
+
+
+@st.composite
+def instructions(draw, n):
+    kind = draw(st.sampled_from(["H", "I", "GATE"] if n > 1 else ["H", "I"]))
+    if kind == "H":
+        return ApplyLocal(LocalLayer.homogeneous(draw(unitaries())))
+    if kind == "I":
+        return ApplyLocal(LocalLayer.inhomogeneous([draw(unitaries()) for _ in range(n)]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    targets = draw(st.lists(st.tuples(pairs, NUMBERS), min_size=1, max_size=3))
+    gate_id = draw(st.sampled_from(["zz", "push:0-1", "g7"]))
+    return RawGate(gate_id, draw(NUMBERS), tuple((a, b, w) for (a, b), w in targets))
+
+
+@st.composite
+def repeated_schedules(draw):
+    n = draw(st.integers(1, 4))
+    cycle = draw(st.lists(instructions(n), min_size=1, max_size=5))
+    repeats = draw(st.integers(1, 4))
+    cycle_length = draw(st.sampled_from([None, len(cycle)]))
+    num_cycles = draw(st.sampled_from([None, repeats]))
+    return PulseSchedule(n, tuple(cycle) * repeats, None, cycle_length, num_cycles)
+
+
+IDENTITY_8 = "1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
+BASE_TEXT = [
+    "# pulse schedule version=1 n_qubits=2 cycles=2 cycle_length=2",
+    f"LOCAL I {IDENTITY_8} {IDENTITY_8}",
+    "GATE zz 0.25 0-1:1.0",
+    f"LOCAL I {IDENTITY_8} {IDENTITY_8}",
+    "GATE zz 0.25 0-1:1.0",
+]
+TOKENS = st.sampled_from([
+    "#", "LOCAL", "GATE", "H", "I", "n_qubits=2", "n_qubits=abc", "n_qubits=0",
+    "n_qubits=99", "cycles=x", "cycle_length=1.5", "0-1:1.0", "0-0:1.0", "0-7:1.0",
+    "-1-2:1.0", "0-1", "0-1:nan", "1-0:inf", ":", "-", "=", "nan", "inf", "-inf",
+    "1e999", "0.0", "-0.0", "1.0", "0.7071067811865476", "zz", "",
+]) | st.text(max_size=6)
+
+
+def parses_or_compile_error(text: str) -> None:
+    try:
+        schedule_from_text(text)
+    except CompileError:
+        pass
+
+
+class TestScheduleTextFuzz:
+    @FUZZ
+    @given(repeated_schedules())
+    def test_valid_schedules_round_trip(self, sched):
+        text = schedule_to_text(sched)
+        parsed = schedule_from_text(text)
+        assert schedule_to_text(parsed) == text
+        assert parsed.equals(sched)
+        assert (parsed.cycle_length, parsed.num_cycles) == (sched.cycle_length, sched.num_cycles)
+        lines = text.splitlines()[1:]
+        assert len({id(ins) for ins in parsed.instructions}) == len(set(lines))
+
+    @FUZZ
+    @given(st.data())
+    def test_mutated_schedules_raise_only_compile_error(self, data):
+        lines = [line.split(" ") for line in BASE_TEXT]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = lines[data.draw(st.integers(0, len(lines) - 1))]
+            pos = data.draw(st.integers(0, len(row)))
+            op = data.draw(st.sampled_from(["replace", "insert", "delete", "line"]))
+            if op == "line":
+                lines.insert(pos % len(lines), data.draw(st.lists(TOKENS, max_size=4)))
+            elif op == "insert" or not row:
+                row.insert(pos, data.draw(TOKENS))
+            elif op == "replace":
+                row[pos % len(row)] = data.draw(TOKENS)
+            else:
+                del row[pos % len(row)]
+        parses_or_compile_error("\n".join(" ".join(row) for row in lines) + "\n")
+
+    @FUZZ
+    @given(st.lists(st.lists(TOKENS, max_size=6), max_size=6))
+    def test_garbage_raises_only_compile_error(self, rows):
+        parses_or_compile_error("\n".join(" ".join(row) for row in rows))
 
 
 class TestThreeBodyGate:
