@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, svg
 from .compiler import (
     CompileError,
-    CostReport,
     HardwareConstraintError,
     InfeasibleTargetError,
     UnsupportedInteractionError,
@@ -48,6 +47,7 @@ from .experiments import (
     AdiabaticConfig,
     ExperimentError,
     Geometry,
+    GroundPath,
     NamedModel,
     adiabatic_run,
     build_model,
@@ -147,12 +147,16 @@ def load_hardware(cfg, config_path):
     section = cfg["hardware"]
     if "file" in section:
         text = _relative(section["file"], config_path).read_text()
+    else:
+        lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
+        if "positions" in section:
+            lines.append("positions")
+            lines += [chunk.strip() for chunk in section["positions"].split(";") if chunk.strip()]
+        text = "\n".join(lines) + "\n"
+    try:
         return parse_hardware_text(text)
-    lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
-    if "positions" in section:
-        lines.append("positions")
-        lines += [chunk.strip() for chunk in section["positions"].split(";") if chunk.strip()]
-    return parse_hardware_text("\n".join(lines) + "\n")
+    except (HardwareError, ValueError) as exc:
+        raise UsageError(f"bad hardware description: {exc}") from exc
 
 
 def parse_geometry(spec: str) -> Geometry:
@@ -240,10 +244,6 @@ class OutputWriter:
         return doc
 
 
-def _cost_json(report: CostReport) -> dict:
-    return report.as_dict()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def cmd_compile(args, cfg, config_path) -> int:
     writer.write("schedule.txt", schedule_to_text(schedule))
     writer.write("cost.txt", report.to_text())
     doc = {
-        "cost": _cost_json(report),
+        "cost": report.as_dict(),
         "schedule": {
             "n_qubits": schedule.n_qubits,
             "num_cycles": schedule.num_cycles,
@@ -281,9 +281,15 @@ def cmd_compile(args, cfg, config_path) -> int:
     return EXIT_OK
 
 
+def _jitter_fraction(value: float, name: str) -> float:
+    if not 0.0 <= value < 1.0:
+        raise UsageError(f"{name} = {value!r} is outside [0, 1)")
+    return value
+
+
 def _error_model_from(section, seed) -> ErrorModel | None:
-    eta_local = section.getfloat("eta_local", 0.0)
-    eta_int = section.getfloat("eta_int", 0.0)
+    eta_local = _jitter_fraction(section.getfloat("eta_local", 0.0), "eta_local")
+    eta_int = _jitter_fraction(section.getfloat("eta_int", 0.0), "eta_int")
     if eta_local == 0.0 and eta_int == 0.0:
         return None
     if seed is None:
@@ -362,18 +368,16 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
     steps = args.steps if args.steps is not None else section.getint("steps", 100)
     seed = args.seed if args.seed is not None else section.getint("seed", fallback=None)
     theta1 = section.getfloat("theta1", 0.1)
-    record_every = section.getint("record_every", 1)
-    ramp = section.get("ramp", "linear")
-    writer = OutputWriter(Path(args.out_dir))
-    plan_target = protocol_for_model(model, hw)
     base = AdiabaticConfig(
         h_initial=initial, h_target=target, steps=steps, theta1=theta1,
-        ramp=ramp, error_model=None, record_every=record_every,
+        ramp=section.get("ramp", "linear"), record_every=section.getint("record_every", 1),
     )
+    writer = OutputWriter(Path(args.out_dir))
+    plan_target = protocol_for_model(model, hw)
     extra = {}
     if cfg.has_section("sweep"):
         sw = cfg["sweep"]
-        etas = [float(x) for x in sw.get("etas", "0").split()]
+        etas = [_jitter_fraction(float(x), "etas") for x in sw.get("etas", "0").split()]
         steps_list = [int(x) for x in sw.get("steps_list", str(steps)).split()]
         reps = sw.getint("repetitions", 20)
         if any(e > 0 for e in etas) and seed is None:
@@ -392,12 +396,9 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         extra["sweep"] = {"etas": etas, "steps_list": steps_list, "repetitions": reps}
         print(f"sweep complete: {len(rows)} rows")
     else:
-        err = _error_model_from(section, seed)
-        run_cfg = AdiabaticConfig(
-            h_initial=initial, h_target=target, steps=steps, theta1=theta1,
-            ramp=ramp, error_model=err, record_every=record_every,
-        )
-        result = adiabatic_run(run_cfg, hw, plan_target=plan_target)
+        run_cfg = replace(base, error_model=_error_model_from(section, seed))
+        path = GroundPath(initial, target)
+        result = adiabatic_run(run_cfg, hw, plan_target=plan_target, ground_path=path)
         writer.write("trajectory.csv", _trajectory_csv(result))
         writer.write("histogram.csv", _histogram_csv(result))
         traj = result.trajectory
@@ -408,7 +409,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         writer.write("histogram.svg", svg.bar_chart(
             [e for e, _ in result.histogram], [w for _, w in result.histogram],
             title="Final weight per eigenspace", xlabel="energy", ylabel="weight"))
-        gap = min_gap(initial, target, samples=41)
+        gap = min_gap(path, samples=41)
         summary = {
             "steps": steps,
             "theta1": theta1,

@@ -904,9 +904,6 @@ class EchoSequence:
             ("layer", self.flip),
         )
 
-    def effective_angle(self) -> float:
-        return 2.0 * self.theta
-
     def to_schedule(self) -> PulseSchedule:
         """Expand into engine instructions (ZZ gates + diagonal local layers)."""
         n = self.raw.n_qubits

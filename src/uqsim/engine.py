@@ -15,6 +15,11 @@ row with its own seeded PCG64 generator, and a single run is a batch of one.
 The single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
 which the observables below call too.
 
+The oracle has one eigendecomposition call, `_spectrum`, on a dense matrix,
+and keeps no process-wide cache. The adiabatic oracle
+(experiments.GroundPath) decomposes k*H_initial + (1-k)*H_target from two
+matrices built once per path.
+
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
 per-instruction rng.uniform calls would, and logged per instruction. The
@@ -57,19 +62,13 @@ class StateFormatError(EngineError):
     """A malformed or unnormalised state dump (a parse error, not a numeric one)."""
 
 
-def dense_cap() -> int:
-    """Qubit cap for dense-matrix operations; override with UQS_DENSE_CAP."""
-    raw = os.environ.get("UQS_DENSE_CAP", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise EngineError(f"bad UQS_DENSE_CAP value {raw!r}") from exc
-    return 12
-
-
 def _check_dense(n_qubits: int):
-    cap = dense_cap()
+    """Refuse dense matrices above the qubit cap: 12, or UQS_DENSE_CAP when set."""
+    raw = os.environ.get("UQS_DENSE_CAP", "").strip() or "12"
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise EngineError(f"bad UQS_DENSE_CAP value {raw!r}") from exc
     if n_qubits > cap:
         raise EngineError(f"{n_qubits} qubits exceeds the dense cap {cap}")
 
@@ -580,31 +579,19 @@ def exact_evolve(h: Hamiltonian, t: float, state: StateVector) -> StateVector:
     """exp(-i h t) |state> through eigendecomposition of the dense matrix."""
     if h.n_qubits != state.n_qubits:
         raise EngineError("Hamiltonian and state size mismatch")
-    _check_dense(h.n_qubits)
-    evals, evecs = _spectrum(h)
-    phases = np.exp(-1j * evals * t)
-    out = evecs @ (phases * (evecs.conj().T @ state.amps))
-    return StateVector(state.n_qubits, out)
+    return StateVector(state.n_qubits, SpectrumCache.from_hamiltonian(h).evolve(state.amps, t))
 
 
-_SPECTRUM_CACHE: dict[Hamiltonian, tuple[np.ndarray, np.ndarray]] = {}
-_SPECTRUM_CACHE_LIMIT = 8
-
-
-def _spectrum(h: Hamiltonian):
-    hit = _SPECTRUM_CACHE.get(h)
-    if hit is not None:
-        return hit
-    evals, evecs = np.linalg.eigh(h.to_matrix())
-    if len(_SPECTRUM_CACHE) >= _SPECTRUM_CACHE_LIMIT:
-        _SPECTRUM_CACHE.pop(next(iter(_SPECTRUM_CACHE)))
-    _SPECTRUM_CACHE[h] = (evals, evecs)
-    return evals, evecs
+def _spectrum(m: np.ndarray):
+    """The oracle's one eigendecomposition: ascending eigenvalues, eigenvector columns."""
+    return np.linalg.eigh(m)
 
 
 @dataclass
 class SpectrumCache:
-    """Sorted eigensystem with eigenvalues grouped into (near-)degenerate sets."""
+    """A grouped eigensystem: sorted eigenvalues, their eigenvectors and the
+    (near-)degenerate groups. It caches nothing; the name stays because
+    perfbench/spans.py wraps its methods by name."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns
@@ -612,20 +599,19 @@ class SpectrumCache:
     tol: float
 
     @staticmethod
-    def from_hamiltonian(h: Hamiltonian, tol: float | None = None) -> "SpectrumCache":
+    def from_hamiltonian(h: Hamiltonian) -> "SpectrumCache":
         _check_dense(h.n_qubits)
-        evals, evecs = _spectrum(h)
-        if tol is None:
-            spread = float(evals[-1] - evals[0]) if evals.size > 1 else 1.0
-            tol = 1e-8 * max(1.0, spread)
-        groups = []
-        start = 0
-        for i in range(1, evals.size):
-            if evals[i] - evals[i - 1] >= tol:
-                groups.append((start, i))
-                start = i
-        groups.append((start, evals.size))
-        return SpectrumCache(evals, evecs, tuple(groups), tol)
+        return SpectrumCache.from_matrix(h.to_matrix())
+
+    @staticmethod
+    def from_matrix(m: np.ndarray) -> "SpectrumCache":
+        """Eigenvalues less than 1e-8 * max(1, spread) apart share a group."""
+        evals, evecs = _spectrum(m)
+        spread = float(evals[-1] - evals[0]) if evals.size > 1 else 1.0
+        tol = 1e-8 * max(1.0, spread)
+        cuts = (np.flatnonzero(np.diff(evals) >= tol) + 1).tolist()
+        groups = tuple(zip([0] + cuts, cuts + [evals.size]))
+        return SpectrumCache(evals, evecs, groups, tol)
 
     def group_energy(self, g: int) -> float:
         start, stop = self.groups[g]
@@ -636,9 +622,32 @@ class SpectrumCache:
         return self.eigenvectors[:, start:stop]
 
     def group_weight(self, g: int, state: StateVector) -> float:
-        basis = self.group_basis(g)
-        overlaps = basis.conj().T @ state.amps
-        return float(np.real(np.vdot(overlaps, overlaps)))
+        return subspace_fidelity(state, self.group_basis(g))
+
+    def histogram(self, state: StateVector) -> list[tuple[float, float]]:
+        """(energy, weight) of the state in each eigenvalue group."""
+        return [(self.group_energy(g), self.group_weight(g, state)) for g in range(len(self.groups))]
+
+    def ground_vector(self) -> np.ndarray:
+        """A deterministic, basis-stable unit vector of the ground space.
+
+        With P the projector onto the (possibly degenerate) ground space,
+        this is P|e_k>/||P|e_k>|| for the computational basis state k with
+        the largest diagonal weight <e_k|P|e_k> (ties break to the lowest
+        index); its k-th amplitude is then real positive by construction.
+        """
+        basis = self.group_basis(0)
+        k = int(np.argmax(np.sum(np.abs(basis) ** 2, axis=1)))
+        vec = basis @ basis[k, :].conj()
+        return vec / np.linalg.norm(vec)
+
+    def evolve(self, amps: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) applied to one state (2^n,) or to each row of a batch (R, 2^n)."""
+        v = self.eigenvectors
+        phases = np.exp(-1j * self.eigenvalues * t)[:, None]
+        # states as columns: a single state then takes the matrix-vector path
+        out = v @ (phases * (v.conj().T @ np.atleast_2d(amps).T))
+        return out.T.reshape(amps.shape)
 
 
 @dataclass
@@ -648,25 +657,11 @@ class GroundState:
     degeneracy: int
 
 
-def ground_state(h: Hamiltonian, tol: float | None = None) -> GroundState:
-    """Lowest eigenvalue with a deterministic, basis-stable representative.
-
-    Within the (possibly degenerate) ground space with projector P, the
-    returned vector is P|e_k>/||P|e_k>|| for the computational basis state
-    k with the largest diagonal weight <e_k|P|e_k> (ties break to the lowest
-    index); its k-th amplitude is then real positive by construction.
-    """
-    spec = SpectrumCache.from_hamiltonian(h, tol)
-    basis = spec.group_basis(0)
-    diag = np.sum(np.abs(basis) ** 2, axis=1)
-    k = int(np.argmax(diag))
-    vec = basis @ basis[k, :].conj()
-    vec = vec / np.linalg.norm(vec)
-    return GroundState(
-        energy=float(spec.eigenvalues[0]),
-        state=StateVector(h.n_qubits, vec),
-        degeneracy=basis.shape[1],
-    )
+def ground_state(h: Hamiltonian) -> GroundState:
+    """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state."""
+    spec = SpectrumCache.from_hamiltonian(h)
+    return GroundState(energy=float(spec.eigenvalues[0]), degeneracy=spec.groups[0][1],
+                       state=StateVector(h.n_qubits, spec.ground_vector()))
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
@@ -682,14 +677,9 @@ def subspace_fidelity(psi: StateVector, basis: np.ndarray) -> float:
     return float(np.real(np.vdot(overlaps, overlaps)))
 
 
-def eigenspace_histogram(
-    state: StateVector, h: Hamiltonian, tol: float | None = None
-) -> list[tuple[float, float]]:
+def eigenspace_histogram(state: StateVector, h: Hamiltonian) -> list[tuple[float, float]]:
     """Weights of the state in each (possibly degenerate) eigenspace of h."""
-    spec = SpectrumCache.from_hamiltonian(h, tol)
-    out = []
-    for g in range(len(spec.groups)):
-        out.append((spec.group_energy(g), spec.group_weight(g, state)))
+    out = SpectrumCache.from_hamiltonian(h).histogram(state)
     total = sum(w for _, w in out)
     if abs(total - 1.0) > 1e-9:
         raise EngineError(f"histogram weights sum to {total}, expected 1")

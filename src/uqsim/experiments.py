@@ -23,11 +23,8 @@ from .engine import (
     LoweredPlan,
     SpectrumCache,
     StateVector,
+    _check_dense,
     execute_lowered,
-    expectation_energy,
-    exact_evolve,
-    ground_state,
-    subspace_fidelity,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes
 from .pauli import Hamiltonian
@@ -168,12 +165,8 @@ def build_model(model: NamedModel) -> Hamiltonian:
         couplings = random_couplings(model)
         for (a, b), j_ab in couplings.items():
             terms.append(_pair_term(n, a, b, "Z", -0.5 * j_ab))
-        b_list = model.b_list or ()
-        for q, ba in enumerate(b_list):
-            if ba != 0.0:
-                ops = ["I"] * n
-                ops[q] = "X"
-                terms.append((ba, "".join(ops)))
+        for q, ba in enumerate(model.b_list or ()):
+            terms.extend(_single_site_terms(n, q, (ba, 0.0, 0.0)))
     if model.b != 0.0:
         nx, ny, nz = model.direction
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
@@ -306,8 +299,44 @@ def _random_ising_plan(model: NamedModel, hw, target: Hamiltonian) -> CyclePlan:
 
 
 # ---------------------------------------------------------------------------
-# Minimum gap along the interpolation path
+# The interpolation path and its exact oracle
 # ---------------------------------------------------------------------------
+
+PATH_SPECTRA = 3  # spectra a path keeps: the endpoints k = 1 and k = 0 and the current k
+
+
+class GroundPath:
+    """The exact oracle of the path H(k) = k*H_initial + (1-k)*H_target.
+
+    Both dense matrices are built once. The spectra of the endpoints and of
+    the latest other k are kept, so runs sharing a path decompose each
+    endpoint once.
+    """
+
+    def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
+        if h_initial.n_qubits != h_target.n_qubits:
+            raise ExperimentError("size mismatch")
+        _check_dense(h_initial.n_qubits)
+        self.h_initial, self.h_target = h_initial, h_target
+        self._initial = h_initial.to_matrix()
+        self._target = h_target.to_matrix()
+        self._spectra: dict[float, SpectrumCache] = {}
+
+    def matrix(self, k: float) -> np.ndarray:
+        return k * self._initial + (1.0 - k) * self._target
+
+    def spectrum(self, k: float) -> SpectrumCache:
+        spec = self._spectra.get(k)
+        if spec is None:
+            if len(self._spectra) >= PATH_SPECTRA:
+                del self._spectra[next(q for q in self._spectra if q not in (0.0, 1.0))]
+            spec = self._spectra[k] = SpectrumCache.from_matrix(self.matrix(k))
+        return spec
+
+    def ground_basis(self, k: float) -> np.ndarray:
+        """Orthonormal columns spanning the ground space of H(k)."""
+        return self.spectrum(k).group_basis(0)
+
 
 @dataclass(frozen=True)
 class MinGapResult:
@@ -317,20 +346,14 @@ class MinGapResult:
     gapless: bool
 
 
-def interpolated(h_initial: Hamiltonian, h_target: Hamiltonian, k: float) -> Hamiltonian:
-    return h_initial.scaled(k) + h_target.scaled(1.0 - k)
-
-
-def min_gap(h_initial: Hamiltonian, h_target: Hamiltonian, samples: int = 101) -> MinGapResult:
+def min_gap(path: GroundPath, samples: int = 101) -> MinGapResult:
     """Smallest gap between the two lowest eigenvalue groups of H(k) on a
     uniform k grid, plus the adiabatic-time recommendation 1/gap."""
-    if h_initial.n_qubits != h_target.n_qubits:
-        raise ExperimentError("size mismatch")
     best = math.inf
     best_k = 0.0
     all_gapless = True
     for k in np.linspace(0.0, 1.0, samples):
-        spec = SpectrumCache.from_hamiltonian(interpolated(h_initial, h_target, float(k)))
+        spec = path.spectrum(float(k))
         if len(spec.groups) < 2:
             continue
         gap = spec.group_energy(1) - spec.group_energy(0)
@@ -352,6 +375,7 @@ RAMPS: dict[str, Callable[[float], float]] = {
     "linear": lambda x: 1.0 - x,
     "cosine": lambda x: 0.5 * (1.0 + math.cos(math.pi * x)),
 }
+STEPPERS = ("trotter", "exact")
 
 
 @dataclass(frozen=True)
@@ -372,28 +396,23 @@ class AdiabaticConfig:
     record_every: int = 1
     stepper: str = "trotter"  # or "exact" (dense per-step evolution, no gates)
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ExperimentError(f"steps must be at least 1, got {self.steps}")
+        if not (math.isfinite(self.theta1) and self.theta1 > 0):
+            raise ExperimentError(f"theta1 must be finite and positive, got {self.theta1}")
+        if self.record_every < 0:
+            raise ExperimentError(f"record_every must be at least 0, got {self.record_every}")
+        if not (callable(self.ramp) or self.ramp in RAMPS):
+            raise ExperimentError(f"unknown ramp {self.ramp!r} (have {tuple(RAMPS)})")
+        if self.stepper not in STEPPERS:
+            raise ExperimentError(f"unknown stepper {self.stepper!r} (have {STEPPERS})")
+
     def ramp_fn(self) -> Callable[[float], float]:
         fn = RAMPS[self.ramp] if isinstance(self.ramp, str) else self.ramp
         if abs(fn(0.0) - 1.0) > 1e-12 or abs(fn(1.0)) > 1e-12:
             raise ExperimentError("ramp must go from 1 to 0")
         return fn
-
-
-class GroundPath:
-    """Caches instantaneous ground-space bases along an interpolation path."""
-
-    def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
-        self.h_initial = h_initial
-        self.h_target = h_target
-        self._cache: dict[float, tuple[float, np.ndarray]] = {}
-
-    def ground_basis(self, k: float) -> tuple[float, np.ndarray]:
-        hit = self._cache.get(k)
-        if hit is None:
-            spec = SpectrumCache.from_hamiltonian(interpolated(self.h_initial, self.h_target, k))
-            hit = (spec.group_energy(0), spec.group_basis(0).copy())
-            self._cache[k] = hit
-        return hit
 
 
 @dataclass
@@ -445,18 +464,15 @@ def adiabatic_batch(
     rescales their angles.
     """
     h_i, h_t = config.h_initial, config.h_target
-    if h_i.n_qubits != h_t.n_qubits:
-        raise ExperimentError("size mismatch")
     if not seeds:
         raise ExperimentError("need at least one run")
+    path = ground_path or GroundPath(h_i, h_t)
+    if (path.h_initial, path.h_target) != (h_i, h_t):
+        raise ExperimentError("ground_path is for other Hamiltonians than the config's")
     n = h_i.n_qubits
-    if config.stepper not in ("trotter", "exact"):
-        raise ExperimentError(f"unknown stepper {config.stepper!r}")
     if config.stepper == "trotter":
-        if plan_initial is None:
-            plan_initial = plan_for_hamiltonian(h_i, hw)
-        if plan_target is None:
-            plan_target = plan_for_hamiltonian(h_t, hw)
+        plan_initial = plan_initial or plan_for_hamiltonian(h_i, hw)
+        plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
         peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
         dt = config.theta1 / peak if peak > 0 else config.theta1
         lowered = (LoweredPlan(plan_initial, dt, n), LoweredPlan(plan_target, dt, n))
@@ -466,42 +482,31 @@ def adiabatic_batch(
     err = config.error_model
     noisy = err is not None and err.is_noisy
     rngs = [replace(err, seed=seed).rng() if noisy else None for seed in seeds]
-    amps = np.tile(ground_state(h_i).state.amps, (len(seeds), 1))
-    path = ground_path if ground_path is not None else GroundPath(h_i, h_t)
+    amps = np.tile(path.spectrum(1.0).ground_vector(), (len(seeds), 1))
     trajectories = [[] for _ in seeds]
     index = 0
     for s in range(1, config.steps + 1):
         k = ramp(s / config.steps)
         if config.stepper == "exact":
-            h_k = interpolated(h_i, h_t, k)
-            for row in amps:
-                row[:] = exact_evolve(h_k, dt, StateVector(n, row)).amps
+            amps = path.spectrum(k).evolve(amps, dt)
         else:
             ops = lowered[0].ops(k) + lowered[1].ops(1.0 - k)
             index = execute_lowered(amps, ops, err, rngs, None, index)
-        record = config.record_every > 0 and (
-            s % config.record_every == 0 or s == config.steps
-        )
-        if record:
-            _, basis = path.ground_basis(k)
-            h_k = interpolated(h_i, h_t, k)
-            for row, trajectory in zip(amps, trajectories):
-                state = StateVector(n, row)
-                trajectory.append((s, k, subspace_fidelity(state, basis), expectation_energy(state, h_k)))
-    spec = SpectrumCache.from_hamiltonian(h_t)
+        if config.record_every > 0 and (s % config.record_every == 0 or s == config.steps):
+            overlaps = amps @ path.ground_basis(k).conj()
+            fidelities = np.sum(np.abs(overlaps) ** 2, axis=1).tolist()
+            energies = np.real(np.sum(amps.conj() * (amps @ path.matrix(k).T), axis=1)).tolist()
+            for trajectory, fid, energy in zip(trajectories, fidelities, energies):
+                trajectory.append((s, k, fid, energy))
+    final = path.spectrum(0.0)
     results = []
     for row, trajectory in zip(amps, trajectories):
         state = StateVector(n, row.copy())
         state.check_norm(max(index, 1))
-        histogram = [(spec.group_energy(g), spec.group_weight(g, state)) for g in range(len(spec.groups))]
-        results.append(AdiabaticResult(
-            trajectory=trajectory,
-            histogram=histogram,
-            ground_weight=histogram[0][1],
-            final_state=state,
-            dt=dt,
-            t_sim=dt * config.steps,
-        ))
+        histogram = final.histogram(state)
+        results.append(AdiabaticResult(trajectory=trajectory, histogram=histogram,
+                                       ground_weight=histogram[0][1], final_state=state,
+                                       dt=dt, t_sim=dt * config.steps))
     return results
 
 
@@ -538,6 +543,8 @@ def error_sweep(
     """
     if repetitions < 1:
         raise ExperimentError("need at least one repetition")
+    # every step count is checked before any cell runs
+    configs = {steps: replace(config, steps=int(steps), record_every=0) for steps in steps_list}
     plan_i = plan_t = None
     if config.stepper == "trotter":
         plan_i = plan_initial or plan_for_hamiltonian(config.h_initial, hw)
@@ -551,9 +558,9 @@ def error_sweep(
                 seeds = [base_seed + r for r in range(repetitions)]
             else:
                 err, seeds = None, [None]
-            cfg = replace(config, steps=int(steps), error_model=err, record_every=0)
             results = adiabatic_batch(
-                cfg, hw, seeds, plan_initial=plan_i, plan_target=plan_t, ground_path=path
+                replace(configs[steps], error_model=err), hw, seeds,
+                plan_initial=plan_i, plan_target=plan_t, ground_path=path,
             )
             values = [result.ground_weight for result in results]
             mean = float(np.mean(values))

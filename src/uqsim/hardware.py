@@ -34,6 +34,11 @@ class HardwareError(Exception):
 # Models
 # ---------------------------------------------------------------------------
 
+def _check_gamma(gamma: float):
+    if not (math.isfinite(gamma) and gamma != 0.0):
+        raise HardwareError(f"gamma must be finite and nonzero, got {gamma}")
+
+
 @dataclass(frozen=True)
 class LatticeModel:
     """Optical-lattice platform: homogeneous control, displacement gates."""
@@ -46,6 +51,7 @@ class LatticeModel:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _check_gamma(self.gamma)
         if self.n_sites < 2:
             raise HardwareError("need at least 2 sites")
         if self.dims not in (1, 2):
@@ -84,6 +90,7 @@ class TrapArrayModel:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _check_gamma(self.gamma)
         pos = tuple(
             (float(p),) if np.isscalar(p) else tuple(float(x) for x in p)
             for p in self.positions

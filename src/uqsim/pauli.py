@@ -170,9 +170,6 @@ class Hamiltonian:
         """2-norm of the Pauli coefficient vector (orthogonal basis)."""
         return math.sqrt(sum(t.coeff**2 for t in self.terms))
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
-
     def to_text(self) -> str:
         lines = [f"# hamiltonian n_qubits={self.n_qubits}"]
         for t in self.terms:

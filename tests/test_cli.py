@@ -1,5 +1,7 @@
 import json
+import re
 import xml.etree.ElementTree as ET
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,15 @@ class TestCostAndCrosstalk:
         assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
         assert "max_ratio=0.0" in capsys.readouterr().out
 
+    def test_addressing_fault_after_load_keeps_exit_4(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "x.cfg",
+            "[hardware]\nplatform = uqs2\npositions = 0 ; 1 ; 2\n"
+            "[crosstalk]\ngroups = 0 1 ; 1 2\n",
+        )
+        assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+        assert "overlap" in capsys.readouterr().err
+
     def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
         cfg = write(
             tmp_path / "x.cfg",
@@ -341,3 +352,52 @@ class TestUsage:
         from uqsim.compiler import schedule_to_text
 
         assert schedule_to_text(sched) == text
+
+
+def bundled(name: str) -> str:
+    return (resources.files("uqsim") / "configs" / name).read_text()
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    text, n = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+    assert n == 1, key
+    return text
+
+
+EMPTY_SCHEDULE = "# pulse schedule version=1 n_qubits=2\n"
+STEPS_3 = ["--steps", "3"]
+
+
+@pytest.mark.parametrize("config, key, value, argv", [
+    ("fig4a.cfg", None, None, ["--steps", "0"]),
+    ("fig4a.cfg", None, None, ["--steps", "-4"]),
+    ("fig4b.cfg", "steps_list", "0", STEPS_3),
+    ("fig4a.cfg", "theta1", "-0.1", STEPS_3),
+    ("fig4a.cfg", "theta1", "nan", STEPS_3),
+    ("fig4a.cfg", "theta1", "inf", STEPS_3),
+    ("fig4a.cfg", "record_every", "-1", STEPS_3),
+    ("fig4a.cfg", "ramp", "cubic", STEPS_3),
+    ("fig4a.cfg", "sites", "abc", STEPS_3),
+    ("fig4a.cfg", "sites", "1", STEPS_3),
+    ("fig4a.cfg", "gamma", "0", STEPS_3),
+    ("fig4a.cfg", "gamma", "nan", STEPS_3),
+    ("fig4a.cfg", "eta_local", "1.5", STEPS_3),
+    ("simulate", "eta_local", "1.5", []),
+    ("fig4b.cfg", "etas", "1.5", STEPS_3),
+    ("fig4b.cfg", "etas", "-0.1", STEPS_3),
+])
+def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, key, value, argv):
+    if config == "simulate":
+        write(tmp_path / "empty.txt", EMPTY_SCHEDULE)
+        text = "[simulate]\nschedule = empty.txt\neta_local = 0.0\nseed = 1\n"
+    else:
+        text = bundled(config)
+    if key is not None:
+        text = with_value(text, key, value)
+    cfg = write(tmp_path / "bad.cfg", text)
+    command = "simulate" if config == "simulate" else "adiabatic"
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("uqsim: ")

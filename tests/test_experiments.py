@@ -206,17 +206,101 @@ class TestProtocolForModel:
             protocol_for_model(model, LatticeModel(n_sites=3))
 
 
+def random_hamiltonian(rng, n):
+    terms = [(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=n)))
+             for _ in range(int(rng.integers(1, 2 * n + 2)))]
+    return Hamiltonian.from_terms(n, terms)
+
+
+class TestGroundPath:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matrix_matches_kron_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 5
+        h_i, h_t = random_hamiltonian(rng, n), random_hamiltonian(rng, n)
+        path = GroundPath(h_i, h_t)
+        dense_i = oracles.dense_hamiltonian(n, [(t.coeff, t.ops) for t in h_i.terms])
+        dense_t = oracles.dense_hamiltonian(n, [(t.coeff, t.ops) for t in h_t.terms])
+        for k in rng.random(3):
+            expect = k * dense_i + (1.0 - k) * dense_t
+            np.testing.assert_allclose(path.matrix(k), expect, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(path.matrix(1.0), h_i.to_matrix())
+        np.testing.assert_array_equal(path.matrix(0.0), h_t.to_matrix())
+
+    @staticmethod
+    def count_decompositions(monkeypatch):
+        from uqsim import engine
+
+        calls = []
+        real = engine._spectrum
+
+        def counting(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(engine, "_spectrum", counting)
+        return calls
+
+    def setup_method(self):
+        n = 3
+        self.init = nn_chain("zz", n)
+        self.target = build_model(NamedModel("dipole", Geometry.chain(n), j=1.0))
+        self.hw = LatticeModel(n_sites=n)
+
+    def test_sweep_decomposes_each_endpoint_once(self, monkeypatch):
+        calls = self.count_decompositions(monkeypatch)
+        cfg = AdiabaticConfig(self.init, self.target, steps=5, theta1=0.05, record_every=0)
+        rows = error_sweep(cfg, self.hw, eta_list=[0.01, 0.02, 0.03], steps_list=[4],
+                           repetitions=2, base_seed=3)
+        assert len(rows) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("stepper", ["trotter", "exact"])
+    def test_recorded_run_decomposes_once_per_step(self, monkeypatch, stepper):
+        calls = self.count_decompositions(monkeypatch)
+        steps = 6
+        cfg = AdiabaticConfig(self.init, self.target, steps=steps, theta1=0.05,
+                              record_every=1, stepper=stepper)
+        res = adiabatic_run(cfg, self.hw)
+        assert len(res.trajectory) == steps
+        assert len(calls) <= steps + 1
+
+    def test_path_for_other_hamiltonians_rejected(self):
+        cfg = AdiabaticConfig(self.init, self.target, steps=3, theta1=0.05)
+        other = GroundPath(nn_chain("xx", 3), self.target)
+        with pytest.raises(ExperimentError):
+            adiabatic_run(cfg, self.hw, ground_path=other)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ExperimentError):
+            GroundPath(nn_chain("zz", 3), nn_chain("zz", 4))
+
+
+class TestAdiabaticConfigChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("steps", -4), ("theta1", -0.1), ("theta1", 0.0),
+        ("theta1", math.nan), ("theta1", math.inf), ("record_every", -1),
+        ("ramp", "cubic"), ("stepper", "leapfrog"),
+    ])
+    def test_bad_field_names_it(self, field, value):
+        h = nn_chain("zz", 2)
+        fields = dict(h_initial=h, h_target=h, steps=3, theta1=0.1)
+        fields[field] = value
+        with pytest.raises(ExperimentError, match=field):
+            AdiabaticConfig(**fields)
+
+
 class TestMinGap:
     def test_constant_path(self):
         h = Hamiltonian.from_terms(1, [(1.0, "Z")])
-        res = min_gap(h, h, samples=11)
+        res = min_gap(GroundPath(h, h), samples=11)
         assert res.min_gap == pytest.approx(2.0, abs=1e-10)
         assert not res.gapless
 
     def test_single_qubit_closed_form(self):
         hz = Hamiltonian.from_terms(1, [(1.0, "Z")])
         hx = Hamiltonian.from_terms(1, [(1.0, "X")])
-        res = min_gap(hz, hx, samples=101)
+        res = min_gap(GroundPath(hz, hx), samples=101)
         assert res.min_gap == pytest.approx(math.sqrt(2.0), abs=1e-9)
         assert res.argmin_k == pytest.approx(0.5, abs=1e-9)
         assert res.recommended_time == pytest.approx(1 / math.sqrt(2.0), abs=1e-9)
@@ -225,7 +309,7 @@ class TestMinGap:
         n = 7
         init = nn_chain("zz", n)
         target = build_model(NamedModel("dipole", Geometry.chain(n), j=1.0))
-        res = min_gap(init, target, samples=101)
+        res = min_gap(GroundPath(init, target), samples=101)
         # regression value recorded at first implementation
         assert res.min_gap == pytest.approx(0.6927372499417848, abs=1e-6)
         assert res.min_gap > 0 and not res.gapless
@@ -298,7 +382,7 @@ class TestAdiabaticRun:
         n = 7
         init = nn_chain("zz", n)
         target = build_model(NamedModel("dipole", Geometry.chain(n), j=1.0))
-        gap = min_gap(init, target, samples=41).min_gap
+        gap = min_gap(GroundPath(init, target), samples=41).min_gap
         theta1 = 0.1
         steps = math.ceil(10.0 / gap / theta1)
         cfg = AdiabaticConfig(init, target, steps=steps, theta1=theta1,
