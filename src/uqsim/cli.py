@@ -93,20 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="INI config (bundled names resolve too)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="tabular output format")
+        return p
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for sweep grids (per-run seeds keep results deterministic)")
         return p
 
     common(sub.add_parser("compile", help="compile a Hamiltonian file into a pulse schedule"))
-    p_sim = common(sub.add_parser("simulate", help="execute a pulse schedule on a statevector"))
+    p_sim = seeded(common(sub.add_parser("simulate",
+                                         help="execute a pulse schedule on a statevector")))
     p_sim.add_argument("--oracle", action="store_true",
                        help="also compare against exact dense evolution")
-    p_adia = common(sub.add_parser("adiabatic", help="adiabatic ground-state preparation runs"))
+    p_adia = seeded(common(sub.add_parser("adiabatic",
+                                          help="adiabatic ground-state preparation runs")))
     p_adia.add_argument("--steps", type=int, default=None, help="override step count")
+    p_adia.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="json also writes a sweep's rows to sweep.json")
     common(sub.add_parser("cost", help="time cost / control complexity of a target"))
     common(sub.add_parser("crosstalk", help="crosstalk report for pushed ion groups"))
     return parser
@@ -134,6 +139,27 @@ def load_config(path: Path) -> configparser.ConfigParser:
     except (OSError, configparser.Error) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return cfg
+
+
+def config_value(section, key: str, convert, fallback=None):
+    """section[key] read through `convert`, or `fallback` when the key is
+    absent; a value that does not convert is a UsageError naming the key
+    (a grid geometry is converted through the hardware's lattice checks)."""
+    if key not in section:
+        return fallback
+    raw = section[key]
+    try:
+        return convert(raw)
+    except (ValueError, HardwareError) as exc:
+        raise UsageError(f"[{section.name}] {key} = {raw!r}: {exc}") from exc
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split())
 
 
 def _relative(path_str: str, config_path: Path) -> Path:
@@ -167,36 +193,39 @@ def parse_geometry(spec: str) -> Geometry:
         rows, cols = (int(x) for x in parts[1].split("x"))
         pattern = parts[2] if len(parts) == 3 else "rectangular"
         return Geometry.grid(rows, cols, pattern)
-    raise UsageError(f"bad geometry spec {spec!r} (use chain:N or grid:RxC[:pattern])")
+    raise ValueError("use chain:N or grid:RxC[:pattern]")
+
+
+def _j_map(text: str) -> tuple:
+    j_map = []
+    for chunk in text.split(","):
+        pair, value = chunk.strip().split(":")
+        a, b = pair.split("-")
+        j_map.append(((int(a), int(b)), float(value)))
+    return tuple(j_map)
+
+
+def _j_range(text: str) -> tuple[float, float]:
+    lo, hi = _floats(text)
+    return lo, hi
 
 
 def load_named_model(cfg) -> NamedModel:
     if not cfg.has_section("model"):
         raise UsageError("config needs a [model] section")
     section = cfg["model"]
-    geometry = parse_geometry(section.get("geometry", "chain:2"))
     kwargs = dict(
         name=section.get("name", "ising"),
-        geometry=geometry,
-        j=section.getfloat("j", 1.0),
-        b=section.getfloat("b", 0.0),
+        geometry=config_value(section, "geometry", parse_geometry, Geometry.chain(2)),
+        j=config_value(section, "j", float, 1.0),
+        b=config_value(section, "b", float, 0.0),
     )
-    if "direction" in section:
-        kwargs["direction"] = tuple(float(x) for x in section["direction"].split())
-    if "b_values" in section:
-        kwargs["b_list"] = tuple(float(x) for x in section["b_values"].split())
-    if "j_values" in section:
-        j_map = []
-        for chunk in section["j_values"].split(","):
-            pair, value = chunk.strip().split(":")
-            a, b = pair.split("-")
-            j_map.append(((int(a), int(b)), float(value)))
-        kwargs["j_map"] = tuple(j_map)
-    if "j_range" in section:
-        lo, hi = (float(x) for x in section["j_range"].split())
-        kwargs["j_range"] = (lo, hi)
-    if "seed" in section:
-        kwargs["seed"] = section.getint("seed")
+    optional = (("direction", "direction", _floats), ("b_values", "b_list", _floats),
+                ("j_values", "j_map", _j_map), ("j_range", "j_range", _j_range),
+                ("seed", "seed", int))
+    for key, name, convert in optional:
+        if key in section:
+            kwargs[name] = config_value(section, key, convert)
     try:
         return NamedModel(**kwargs)
     except ExperimentError as exc:
@@ -227,7 +256,7 @@ class OutputWriter:
         self.files[name] = hashlib.sha256(content.encode()).hexdigest()
         return path
 
-    def manifest(self, command, config_path, seed, extra=None):
+    def manifest(self, command, config_path, seed=None, extra=None):
         doc = {
             "command": command,
             "config": str(config_path),
@@ -259,8 +288,8 @@ def cmd_compile(args, cfg, config_path) -> int:
         target = build_model(load_named_model(cfg))
     else:
         raise UsageError("[compile] needs hamiltonian= or a [model] section")
-    t_prime = section.getfloat("t_prime", 1.0)
-    epsilon = section.getfloat("epsilon", 0.01)
+    t_prime = config_value(section, "t_prime", float, 1.0)
+    epsilon = config_value(section, "epsilon", float, 0.01)
     schedule, report = trotter_schedule(target, t_prime, epsilon, hw)
     writer = OutputWriter(Path(args.out_dir))
     writer.write("schedule.txt", schedule_to_text(schedule))
@@ -275,21 +304,26 @@ def cmd_compile(args, cfg, config_path) -> int:
         },
     }
     writer.write("compile.json", json.dumps(doc, indent=2) + "\n")
-    writer.manifest("compile", config_path, args.seed)
+    writer.manifest("compile", config_path)
     print(f"compiled {len(schedule.instructions)} instructions "
           f"(L={report.num_gates}, c={report.time_cost:g}, chi={report.chi:g})")
     return EXIT_OK
 
 
-def _jitter_fraction(value: float, name: str) -> float:
+def _jitter_fraction(text: str) -> float:
+    value = float(text)
     if not 0.0 <= value < 1.0:
-        raise UsageError(f"{name} = {value!r} is outside [0, 1)")
+        raise ValueError("outside [0, 1)")
     return value
 
 
+def _jitter_fractions(text: str) -> tuple[float, ...]:
+    return tuple(_jitter_fraction(x) for x in text.split())
+
+
 def _error_model_from(section, seed) -> ErrorModel | None:
-    eta_local = _jitter_fraction(section.getfloat("eta_local", 0.0), "eta_local")
-    eta_int = _jitter_fraction(section.getfloat("eta_int", 0.0), "eta_int")
+    eta_local = config_value(section, "eta_local", _jitter_fraction, 0.0)
+    eta_int = config_value(section, "eta_int", _jitter_fraction, 0.0)
     if eta_local == 0.0 and eta_int == 0.0:
         return None
     if seed is None:
@@ -312,7 +346,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         state = StateVector.load_text(_relative(init_spec[5:], config_path).read_text())
     else:
         raise UsageError(f"unknown initial state {init_spec!r}")
-    seed = args.seed if args.seed is not None else section.getint("seed", fallback=None)
+    seed = args.seed if args.seed is not None else config_value(section, "seed", int)
     err = _error_model_from(section, seed)
     final, log = run_schedule(state, schedule, err)
     writer = OutputWriter(Path(args.out_dir))
@@ -331,7 +365,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         h = Hamiltonian.from_text(
             _relative(section["oracle_hamiltonian"], config_path).read_text()
         )
-        t_prime = section.getfloat("t_prime", 1.0)
+        t_prime = config_value(section, "t_prime", float, 1.0)
         reference = exact_evolve(h, t_prime, state)
         fid = fidelity(final, reference)
         summary["oracle_fidelity"] = fid
@@ -365,21 +399,22 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
     target = build_model(model)
     n = model.geometry.n_sites
     initial = load_hamiltonian_source(section.get("initial", "zz_chain"), n, config_path)
-    steps = args.steps if args.steps is not None else section.getint("steps", 100)
-    seed = args.seed if args.seed is not None else section.getint("seed", fallback=None)
-    theta1 = section.getfloat("theta1", 0.1)
+    steps = args.steps if args.steps is not None else config_value(section, "steps", int, 100)
+    seed = args.seed if args.seed is not None else config_value(section, "seed", int)
+    theta1 = config_value(section, "theta1", float, 0.1)
     base = AdiabaticConfig(
         h_initial=initial, h_target=target, steps=steps, theta1=theta1,
-        ramp=section.get("ramp", "linear"), record_every=section.getint("record_every", 1),
+        ramp=section.get("ramp", "linear"),
+        record_every=config_value(section, "record_every", int, 1),
     )
     writer = OutputWriter(Path(args.out_dir))
     plan_target = protocol_for_model(model, hw)
     extra = {}
     if cfg.has_section("sweep"):
         sw = cfg["sweep"]
-        etas = [_jitter_fraction(float(x), "etas") for x in sw.get("etas", "0").split()]
-        steps_list = [int(x) for x in sw.get("steps_list", str(steps)).split()]
-        reps = sw.getint("repetitions", 20)
+        etas = config_value(sw, "etas", _jitter_fractions, (0.0,))
+        steps_list = config_value(sw, "steps_list", _ints, (steps,))
+        reps = config_value(sw, "repetitions", int, 20)
         if any(e > 0 for e in etas) and seed is None:
             raise PolicyError("sweep with noise needs a seed (seed= or --seed)")
         rows = _run_sweep(base, hw, etas, steps_list, reps, seed or 0, args.jobs, plan_target)
@@ -448,7 +483,7 @@ def _run_sweep(base, hw, etas, steps_list, reps, seed, jobs, plan_target=None):
 def _parse_matrix(text: str) -> CoeffMatrix:
     rows = [r.strip() for r in text.split(";") if r.strip()]
     if len(rows) != 3:
-        raise UsageError("matrix needs 3 ';'-separated rows")
+        raise ValueError("a matrix needs 3 ';'-separated rows")
     return CoeffMatrix(np.array([[float(x) for x in r.split()] for r in rows]))
 
 
@@ -456,9 +491,9 @@ def cmd_cost(args, cfg, config_path) -> int:
     if not cfg.has_section("cost"):
         raise UsageError("config needs a [cost] section")
     section = cfg["cost"]
-    gamma = section.getfloat("gamma", 1.0)
+    gamma = config_value(section, "gamma", float, 1.0)
     mode = section.get("mode", "homogeneous")
-    matrix = _parse_matrix(section.get("matrix", "0 0 0; 0 0 0; 0 0 1"))
+    matrix = config_value(section, "matrix", _parse_matrix, CoeffMatrix(np.diag([0.0, 0.0, 1.0])))
     lines = []
     if mode == "homogeneous":
         res = homogeneous_feasibility(matrix, gamma)
@@ -473,18 +508,22 @@ def cmd_cost(args, cfg, config_path) -> int:
         raise UsageError(f"unknown mode {mode!r}")
     lines.append(f"c={cost_value!r}")
     if "t_prime" in section and "epsilon" in section:
-        t_prime = section.getfloat("t_prime")
-        epsilon = section.getfloat("epsilon")
-        n_controls = section.getint("n_controls", 1)
+        t_prime = config_value(section, "t_prime", float)
+        epsilon = config_value(section, "epsilon", float)
+        n_controls = config_value(section, "n_controls", int, 1)
         num = trotter_cycles(cost_value, t_prime, epsilon)
         total = cost_value * t_prime
         lines.append(f"L={num}")
         lines.append(f"chi={n_controls * num / total if total else 0.0!r}")
     writer = OutputWriter(Path(args.out_dir))
     writer.write("cost.txt", "\n".join(lines) + "\n")
-    writer.manifest("cost", config_path, args.seed)
+    writer.manifest("cost", config_path)
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _groups(text: str) -> list[list[int]]:
+    return [list(_ints(chunk)) for chunk in text.split(";") if chunk.strip()]
 
 
 def cmd_crosstalk(args, cfg, config_path) -> int:
@@ -493,11 +532,7 @@ def cmd_crosstalk(args, cfg, config_path) -> int:
     if not cfg.has_section("crosstalk"):
         raise UsageError("config needs a [crosstalk] section")
     hw = load_hardware(cfg, config_path)
-    groups = []
-    for chunk in cfg["crosstalk"].get("groups", "").split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            groups.append([int(x) for x in chunk.split()])
+    groups = config_value(cfg["crosstalk"], "groups", _groups, [])
     if not groups:
         raise UsageError("[crosstalk] needs groups= (e.g. '0 1; 11 12')")
     report = crosstalk_report(hw, groups)
@@ -508,7 +543,7 @@ def cmd_crosstalk(args, cfg, config_path) -> int:
         lines.append(f"ratio[{gi},{gj}]={ratio!r}")
     writer = OutputWriter(Path(args.out_dir))
     writer.write("crosstalk.txt", "\n".join(lines) + "\n")
-    writer.manifest("crosstalk", config_path, args.seed)
+    writer.manifest("crosstalk", config_path)
     print("\n".join(lines))
     return EXIT_OK
 

@@ -596,91 +596,90 @@ class CyclePlan:
 FIELD_ANGLE_FLOOR = 1e-300
 
 
-def field_rotations(plan: CyclePlan) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-site field strength |b| and unit axis b/|b| of the plan's local
-    terms (axis z where b = 0), or None without local terms.
+def field_angles(plan: CyclePlan, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-site angle and unit axis of the local-field layer for time dt, or
+    None when a cycle has no such layer.
 
-    The local-field layer for time dt rotates site q by |b_q|*dt about its
-    axis; a homogeneous plan applies site 0's rotation everywhere.
+    Site q rotates by |b_q|*dt about b_q/|b_q| (axis z where b = 0); a site
+    below FIELD_ANGLE_FLOOR gets angle 0, and with every site below it there
+    is no layer. A homogeneous plan applies site 0's rotation everywhere.
     """
     if plan.local_fields is None:
         return None
     norms = np.array([math.sqrt(bx * bx + by * by + bz * bz) for bx, by, bz in plan.local_fields])
+    live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
+    if not live.any():
+        return None
     axes = np.array([
         (bx / nm, by / nm, bz / nm) if nm > 0 else (0.0, 0.0, 1.0)
         for (bx, by, bz), nm in zip(plan.local_fields, norms)
     ])
-    return norms, axes
+    theta = np.where(live, norms * dt, 0.0)
+    if plan.homogeneous_locals:
+        theta = np.full(plan.n_qubits, theta[0])
+        axes = np.broadcast_to(axes[0], axes.shape)
+    return theta, axes
 
 
 def _local_layer_for(plan: CyclePlan, dt: float) -> ApplyLocal | None:
-    rotations = field_rotations(plan)
-    if rotations is None:
-        return None
-    norms, axes = rotations
-    live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
-    if not live.any():
+    angles = field_angles(plan, dt)
+    if angles is None:
         return None
     units = [
-        SingleQubitUnitary.rot(axes[q], norms[q] * dt) if live[q] else SingleQubitUnitary.identity()
-        for q in range(len(norms))
+        SingleQubitUnitary.rot(axis, theta) if theta != 0.0 else SingleQubitUnitary.identity()
+        for theta, axis in zip(*angles)
     ]
     if plan.homogeneous_locals:
         return ApplyLocal(LocalLayer.homogeneous(units[0]))
     return ApplyLocal(LocalLayer.inhomogeneous(units))
 
 
-def cycle_template(plan: CyclePlan) -> list[LocalLayer | tuple[RawGateSpec, float]]:
-    """The dt- and scale-independent part of one cycle, in emission order.
+def cycle_body(plan: CyclePlan, dt: float) -> list[Instruction]:
+    """One cycle for time dt without its local-field layer, in emission order.
 
-    Control layers (each family's opening, then the merged bridge after each
-    sequence step) and (gate, step weight) pairs; identity control layers
-    are already dropped. A cycle is the local-field layer followed by these,
-    with gate angles p * unit_angle * dt * scale.
+    Each family emits its opening control layer, then per sequence step its
+    gates at angle p * unit_angle * dt followed by the merged bridge to the
+    next step; identity control layers are dropped. Gates of angle zero are
+    kept (emit_cycle drops them after scaling).
     """
-    out: list[LocalLayer | tuple[RawGateSpec, float]] = []
+    out: list[Instruction] = []
     for fam in plan.families:
         steps = fam.sequence.steps
         opening = steps[0][1].dagger()
         if not opening.is_identity():
-            out.append(opening)
+            out.append(ApplyLocal(opening))
         for i, (p, layer) in enumerate(steps):
-            out.extend((g, p) for g in fam.gates)
+            out.extend(RawGate(g.gate_id, p * g.unit_angle * dt, g.targets) for g in fam.gates)
             if i + 1 < len(steps):
                 bridge = steps[i + 1][1].dagger().compose(layer)
             else:
                 bridge = layer
             if not bridge.is_identity():
-                out.append(bridge)
+                out.append(ApplyLocal(bridge))
     return out
 
 
 def emit_cycle(plan: CyclePlan, dt: float, scale: float = 1.0) -> list[Instruction]:
     """Instructions of one Trotter cycle simulating `scale * H` for time dt.
 
-    Local terms come first, then each gate family wrapped in its control
-    sequence; adjacent local layers inside a wrap are merged, so an n-step
-    sequence emits n local layers per cycle. Gates whose angle is exactly
-    zero are left out.
+    The local-field layer for time dt * scale comes first, then
+    cycle_body(plan, dt) with every gate angle times `scale`; adjacent local
+    layers inside a wrap are merged, so an n-step sequence emits n local
+    layers per cycle. Gates whose angle is exactly zero are left out.
     """
     if scale == 0.0 or dt == 0.0:
         return []
-    out: list[Instruction] = []
     local = _local_layer_for(plan, dt * scale)
-    if local is not None:
-        out.append(local)
-    for item in cycle_template(plan):
-        if isinstance(item, LocalLayer):
-            out.append(ApplyLocal(item))
-            continue
-        g, p = item
-        theta = p * g.unit_angle * dt * scale
-        if theta != 0.0:
-            out.append(RawGate(g.gate_id, theta, g.targets))
+    out: list[Instruction] = [local] if local is not None else []
+    for ins in cycle_body(plan, dt):
+        if isinstance(ins, ApplyLocal):
+            out.append(ins)
+        elif ins.theta * scale != 0.0:
+            out.append(RawGate(ins.gate_id, ins.theta * scale, ins.targets))
     return out
 
 
-def _split_target(target: Hamiltonian):
+def split_target(target: Hamiltonian):
     """Split into per-site field vectors and per-pair coefficient matrices."""
     fields = [[0.0, 0.0, 0.0] for _ in range(target.n_qubits)]
     pairs: dict[tuple[int, int], np.ndarray] = {}
@@ -708,7 +707,7 @@ def plan_for_hamiltonian(target: Hamiltonian, hw) -> CyclePlan:
     """Build a cycle plan for a 1-/2-qubit-term target on the given hardware."""
     from . import hardware as hwmod
 
-    fields, pairs = _split_target(target)
+    fields, pairs = split_target(target)
     if isinstance(hw, hwmod.LatticeModel):
         return _plan_uqs1(target.n_qubits, fields, pairs, hw)
     if isinstance(hw, hwmod.TrapArrayModel):

@@ -3,16 +3,20 @@ injection, plus the exact-diagonalization oracle used to validate them.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 
-Execution is lowered, fused and batched. Before they run, instructions and
-cycle plans become arrays: a local layer its per-qubit form
+Execution is lowered, fused and batched. One lowering turns instructions
+into arrays before they run: a local layer becomes its per-qubit form
 exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
-non-identity qubits, and each run of consecutive raw gates one vector of
-theta*w over its targets with a +-1 Z_a Z_b sign row per target. Jitter then
-rescales theta in closed form, vectorised over qubits, and a gate run is a
-single multiply by exp(-i * coef @ signs). The state has a leading batch
-axis (R, 2^n): the repetitions of a sweep cell advance as one array, each
-row with its own seeded PCG64 generator, and a single run is a batch of one.
-The single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
+non-identity qubits, and each run of consecutive raw gates one ZZRun, a
+vector of theta*w over its targets with a +-1 Z_a Z_b sign row per target.
+Schedules go through it as they run. A cycle plan goes through it once, as
+the compiler's cycle_body; each adiabatic step then adds the compiler's
+field_angles layer and scales the body's runs (LoweredPlan), so the
+compiler alone decides what a cycle contains. Jitter rescales theta in
+closed form, vectorised over qubits, and a gate run is a single multiply by
+exp(-i * coef @ signs). The state has a leading batch axis (R, 2^n): the
+repetitions of a sweep cell advance as one array, each row with its own
+seeded PCG64 generator, and a single run is a batch of one. The
+single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
 which the observables below call too.
 
 The oracle has one eigendecomposition call, `_spectrum`, on a dense matrix,
@@ -39,15 +43,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import STATEVECTOR_CAP
-from .compiler import (
-    FIELD_ANGLE_FLOOR,
-    ApplyLocal,
-    CyclePlan,
-    PulseSchedule,
-    RawGate,
-    cycle_template,
-    field_rotations,
-)
+from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, cycle_body, field_angles
 from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -115,10 +111,11 @@ class StateVector:
 
     # -- dump format: header + "index real imag" per nonzero amplitude -------
 
-    def dump_text(self, threshold: float = 1e-15) -> str:
+    def dump_text(self) -> str:
+        """Amplitudes of magnitude above 1e-15 only."""
         lines = [f"# statevector n_qubits={self.n_qubits} endian=little norm={self.norm()!r}"]
         for k, z in enumerate(self.amps):
-            if abs(z) > threshold:
+            if abs(z) > 1e-15:
                 lines.append(f"{k} {float(z.real)!r} {float(z.imag)!r}")
         return "\n".join(lines) + "\n"
 
@@ -269,16 +266,50 @@ class LoweredLayer:
 class ZZRun:
     """Consecutive raw gates as one diagonal exp(-i * coef @ signs).
 
-    `coef` is theta*w per target in gate order, `sizes` the target count of
-    each gate (its jitter draws) and `signs` the +-1 eigenvalue of Z_a Z_b on
-    every basis state, one row per target. Above _SHARED_SIGN_QUBITS the rows
-    are not stacked (`signs` is None) but made one at a time.
+    `thetas` holds each gate's angle and `sizes` its target count (its
+    jitter draws); `weights`, `pairs` and `coef` = theta*w have one entry
+    per target in gate order, and `signs` the +-1 eigenvalue of Z_a Z_b on
+    every basis state, one row per target. Above _SHARED_SIGN_QUBITS the
+    rows are not stacked (`signs` is None) but made one at a time.
     """
 
-    __slots__ = ("coef", "pairs", "sizes", "signs")
+    __slots__ = ("thetas", "sizes", "weights", "pairs", "coef", "signs")
 
-    def __init__(self, coef, pairs, sizes, signs):
-        self.coef, self.pairs, self.sizes, self.signs = coef, pairs, sizes, signs
+    def __init__(self, thetas, sizes, weights, pairs, coef, signs):
+        self.thetas, self.sizes, self.weights = thetas, sizes, weights
+        self.pairs, self.coef, self.signs = pairs, coef, signs
+
+    @staticmethod
+    def from_gates(gates, n_qubits: int) -> "ZZRun":
+        thetas, sizes, weights, pairs, coef = [], [], [], [], []
+        for g in gates:
+            thetas.append(g.theta)
+            sizes.append(len(g.targets))
+            for a, b, w in g.targets:
+                weights.append(w)
+                pairs.append((a, b))
+                coef.append(g.theta * w)
+        return ZZRun(thetas, sizes, weights, pairs, np.array(coef, dtype=float),
+                     _sign_matrix(pairs, n_qubits))
+
+    def scaled(self, scale: float) -> "ZZRun | None":
+        """This run with every gate angle times `scale`, or None when none is left.
+
+        Gates whose angle is then exactly zero are left out, as emit_cycle
+        leaves them out, so the jitter draws line up with its instructions.
+        """
+        thetas = np.asarray(self.thetas) * scale
+        sizes, weights = np.asarray(self.sizes), np.asarray(self.weights)
+        coef = np.repeat(thetas, sizes) * weights
+        live = thetas != 0.0
+        if live.all():
+            return ZZRun(thetas, sizes, weights, self.pairs, coef, self.signs)
+        if not live.any():
+            return None
+        keep = np.repeat(live, sizes)
+        return ZZRun(thetas[live], sizes[live], weights[keep],
+                     [p for p, k in zip(self.pairs, keep) if k], coef[keep],
+                     None if self.signs is None else self.signs[keep])
 
 
 def _sign_matrix(pairs, n_qubits: int) -> np.ndarray | None:
@@ -291,14 +322,31 @@ def _sign_matrix(pairs, n_qubits: int) -> np.ndarray | None:
     return np.array(rows).reshape(len(rows), 1 << n_qubits)
 
 
-def _lower_gates(gates, n_qubits: int) -> ZZRun:
-    pairs, coef = [], []
-    for g in gates:
-        for a, b, w in g.targets:
-            pairs.append((a, b))
-            coef.append(g.theta * w)
-    return ZZRun(np.array(coef, dtype=float), pairs, tuple(len(g.targets) for g in gates),
-                 _sign_matrix(pairs, n_qubits))
+def _lower(instructions, n_qubits: int):
+    """Lowered ops of an instruction stream, in order: a LoweredLayer per
+    local layer (an ApplyLocal object that repeats is lowered once) and a
+    ZZRun per run of up to _CHUNK consecutive raw gates."""
+    layers: dict[int, tuple[ApplyLocal, LoweredLayer]] = {}
+    gates = []
+    for ins in instructions:
+        if isinstance(ins, RawGate):
+            gates.append(ins)
+            if len(gates) < _CHUNK:
+                continue
+        elif not isinstance(ins, ApplyLocal):
+            raise EngineError(f"unknown instruction {type(ins).__name__}")
+        if gates:
+            yield ZZRun.from_gates(gates, n_qubits)
+            gates = []
+        if isinstance(ins, ApplyLocal):
+            hit = layers.get(id(ins))
+            if hit is None:
+                if len(layers) >= _LAYER_CACHE:
+                    layers.clear()
+                hit = layers[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
+            yield hit[1]
+    if gates:
+        yield ZZRun.from_gates(gates, n_qubits)
 
 
 def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
@@ -374,76 +422,33 @@ def execute_lowered(
 class LoweredPlan:
     """A CyclePlan lowered once for a fixed dt; each cycle only rescales angles.
 
-    `ops(scale)` stands for emit_cycle(plan, dt, scale): the same layers and
-    gates in the same order with the same angles, so jitter draws line up
-    one for one, but without building instruction objects.
+    `ops(scale)` stands for emit_cycle(plan, dt, scale): the field layer of
+    field_angles(plan, dt * scale), then cycle_body(plan, dt) lowered once
+    with its gate runs scaled, so the layers, gates, angles and jitter draws
+    line up one for one without building instruction objects.
     """
 
     def __init__(self, plan: CyclePlan, dt: float, n_qubits: int):
         if plan.n_qubits != n_qubits:
             raise EngineError(f"plan is for {plan.n_qubits} qubits, the state has {n_qubits}")
-        self.dt = dt
-        self.n_qubits = n_qubits
-        self.fields = field_rotations(plan)
-        self.homogeneous = plan.homogeneous_locals
-        self.template = []
-        specs = []
-        for item in cycle_template(plan) + [None]:
-            if isinstance(item, tuple):
-                specs.append(item)
-                continue
-            if specs:
-                self.template.append(_PlanRun(specs, dt, n_qubits))
-                specs = []
-            if item is not None:
-                self.template.append(LoweredLayer.from_layer(item, n_qubits))
-
-    def _field_layer(self, dt: float) -> LoweredLayer | None:
-        if self.fields is None:
-            return None
-        norms, axes = self.fields
-        live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
-        if not live.any():
-            return None
-        theta = np.where(live, norms * dt, 0.0)
-        if self.homogeneous:
-            theta = np.full(self.n_qubits, theta[0])
-            axes = np.broadcast_to(axes[0], axes.shape)
-        return LoweredLayer(np.zeros(self.n_qubits), theta, axes)
+        self.plan, self.dt, self.n_qubits = plan, dt, n_qubits
+        # scaled(1.0) gives each run the arrays that every later scaled() reuses
+        body = (op if isinstance(op, LoweredLayer) else op.scaled(1.0)
+                for op in _lower(cycle_body(plan, dt), n_qubits))
+        self.body = [op for op in body if op is not None]
 
     def ops(self, scale: float) -> list:
         if scale == 0.0 or self.dt == 0.0:
             return []
-        field = self._field_layer(self.dt * scale)
-        out = [field] if field is not None else []
-        for item in self.template:
-            out.append(item if isinstance(item, LoweredLayer) else item.run(scale))
-        return [op for op in out if op is not None]
-
-
-class _PlanRun:
-    """Consecutive gates of a plan: angles theta_g = base_g * scale per cycle."""
-
-    def __init__(self, specs, dt: float, n_qubits: int):
-        self.base = np.array([p * g.unit_angle * dt for g, p in specs])
-        self.sizes = np.array([len(g.targets) for g, _ in specs])
-        self.weights = np.array([w for g, _ in specs for _, _, w in g.targets], dtype=float)
-        self.pairs = [(a, b) for g, _ in specs for a, b, _ in g.targets]
-        self.signs = _sign_matrix(self.pairs, n_qubits)
-
-    def run(self, scale: float) -> ZZRun | None:
-        theta = self.base * scale
-        coef = np.repeat(theta, self.sizes) * self.weights
-        live = theta != 0.0
-        if live.all():
-            return ZZRun(coef, self.pairs, tuple(self.sizes.tolist()), self.signs)
-        if not live.any():
-            return None
-        # emit_cycle drops gates whose angle is exactly zero; so must the draws
-        keep = np.repeat(live, self.sizes)
-        return ZZRun(coef[keep], [p for p, k in zip(self.pairs, keep) if k],
-                     tuple(self.sizes[live].tolist()),
-                     None if self.signs is None else self.signs[keep])
+        out = []
+        field = field_angles(self.plan, self.dt * scale)
+        if field is not None:
+            out.append(LoweredLayer(np.zeros(self.n_qubits), *field))
+        for op in self.body:
+            op = op if isinstance(op, LoweredLayer) else op.scaled(scale)
+            if op is not None:
+                out.append(op)
+        return out
 
 
 def execute_batch(
@@ -453,15 +458,14 @@ def execute_batch(
     err: ErrorModel | None,
     rngs,
     log: ExecutionLog | None = None,
-    base_index: int = 0,
 ) -> int:
     """Apply instructions to the batch `amps` (R, 2^n) in place, row r drawing
     its jitter from rngs[r].
 
-    Instructions are lowered as they arrive; a local layer object that
-    repeats (a schedule of repeated cycles) is lowered once per call, and
-    each run of consecutive raw gates becomes one diagonal. Returns the next
-    instruction index.
+    Instructions are lowered as they arrive and run in chunks of _CHUNK ops;
+    a local layer object that repeats (a schedule of repeated cycles) is
+    lowered once per call, and each run of consecutive raw gates becomes one
+    diagonal. Returns the number of instructions run.
     """
     if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
             or not amps.flags.c_contiguous):
@@ -470,31 +474,12 @@ def execute_batch(
         raise EngineError(f"{len(rngs)} generators for {amps.shape[0]} states")
     if log is not None and amps.shape[0] != 1:
         raise EngineError("an execution log records a batch of one state")
-    layers: dict[int, tuple[ApplyLocal, LoweredLayer]] = {}
-    ops, gates = [], []
-    index = base_index
-    for ins in instructions:
-        if isinstance(ins, RawGate):
-            gates.append(ins)
-            if len(gates) < _CHUNK:
-                continue
-        elif not isinstance(ins, ApplyLocal):
-            raise EngineError(f"unknown instruction {type(ins).__name__}")
-        if gates:
-            ops.append(_lower_gates(gates, n_qubits))
-            gates = []
-        if isinstance(ins, ApplyLocal):
-            hit = layers.get(id(ins))
-            if hit is None:
-                if len(layers) >= _LAYER_CACHE:
-                    layers.clear()
-                hit = layers[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
-            ops.append(hit[1])
+    ops, index = [], 0
+    for op in _lower(instructions, n_qubits):
+        ops.append(op)
         if len(ops) >= _CHUNK:
             index = execute_lowered(amps, ops, err, rngs, log, index)
             ops = []
-    if gates:
-        ops.append(_lower_gates(gates, n_qubits))
     return execute_lowered(amps, ops, err, rngs, log, index)
 
 
@@ -505,18 +490,17 @@ def execute_instructions(
     err: ErrorModel | None,
     rng: np.random.Generator | None,
     log: ExecutionLog | None = None,
-    base_index: int = 0,
 ) -> int:
     """Apply instructions to `amps` in place, drawing jitter from `rng`.
 
-    A batch of one through execute_batch. Returns the next instruction
-    index; noise draws are strictly sequential in instruction order so runs
-    replay exactly.
+    A batch of one through execute_batch. Returns the number of
+    instructions run; noise draws are strictly sequential in instruction
+    order so runs replay exactly.
     """
     amps = np.asarray(amps)
     if amps.shape != (1 << n_qubits,):
         raise EngineError(f"amplitude array has shape {amps.shape}, expected ({1 << n_qubits},)")
-    return execute_batch(amps[None, :], n_qubits, instructions, err, [rng], log, base_index)
+    return execute_batch(amps[None, :], n_qubits, instructions, err, [rng], log)
 
 
 def apply_local_layer(

@@ -17,6 +17,7 @@ from .compiler import (
     RawGateSpec,
     plan_for_hamiltonian,
     protocol_library,
+    split_target,
 )
 from .engine import (
     ErrorModel,
@@ -46,11 +47,11 @@ class Geometry:
     nn_pairs: tuple[tuple[int, int], ...]
 
     @staticmethod
-    def chain(n: int, spacing: float = 1.0) -> "Geometry":
+    def chain(n: int) -> "Geometry":
         if n < 2:
             raise ExperimentError("chain needs at least 2 sites")
         return Geometry(
-            positions=tuple((spacing * i,) for i in range(n)),
+            positions=tuple((float(i),) for i in range(n)),
             nn_pairs=tuple((a, a + 1) for a in range(n - 1)),
         )
 
@@ -196,7 +197,7 @@ def protocol_for_model(model: NamedModel, hw) -> CyclePlan:
     """Preset per-cycle gate plan for a named model on a platform."""
     target = build_model(model)
     if model.name == "dipole":
-        return _dipole_plan(model, hw)
+        return _dipole_plan(model, hw, target)
     if model.name == "random_ising":
         return _random_ising_plan(model, hw, target)
     # ising / heisenberg compile straight through the generic planner,
@@ -204,27 +205,10 @@ def protocol_for_model(model: NamedModel, hw) -> CyclePlan:
     return plan_for_hamiltonian(target, hw)
 
 
-def _field_vectors(model: NamedModel, n: int):
-    vecs = [[0.0, 0.0, 0.0] for _ in range(n)]
-    any_field = False
-    if model.b != 0.0:
-        nx, ny, nz = model.direction
-        for v in vecs:
-            v[0] += model.b * nx
-            v[1] += model.b * ny
-            v[2] += model.b * nz
-        any_field = True
-    if model.name == "random_ising" and model.b_list:
-        for q, ba in enumerate(model.b_list):
-            vecs[q][0] += ba
-        any_field = True
-    return tuple(tuple(v) for v in vecs) if any_field else None
-
-
-def _dipole_plan(model: NamedModel, hw) -> CyclePlan:
+def _dipole_plan(model: NamedModel, hw, target: Hamiltonian) -> CyclePlan:
     geo = model.geometry
     n = geo.n_sites
-    fields = _field_vectors(model, n)
+    fields, _ = split_target(target)
     if isinstance(hw, TrapArrayModel):
         if hw.n_ions != n or any(
             abs(hw.distance(a, b) - geo.distance(a, b)) > 1e-12
@@ -295,7 +279,7 @@ def _random_ising_plan(model: NamedModel, hw, target: Hamiltonian) -> CyclePlan:
         )
         cost = abs(unit_total) / abs(gamma_ab)
         families.append(PlannedFamily(gates, protocol_library("identity"), cost))
-    return CyclePlan(n, tuple(families), _field_vectors(model, n), homogeneous_locals=False)
+    return CyclePlan(n, tuple(families), split_target(target)[0], homogeneous_locals=False)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +413,6 @@ def adiabatic_run(
     config: AdiabaticConfig,
     hw,
     *,
-    plan_initial: CyclePlan | None = None,
     plan_target: CyclePlan | None = None,
     ground_path: GroundPath | None = None,
 ) -> AdiabaticResult:
@@ -442,7 +425,7 @@ def adiabatic_run(
     err = config.error_model
     (result,) = adiabatic_batch(
         config, hw, [err.seed if err is not None else None],
-        plan_initial=plan_initial, plan_target=plan_target, ground_path=ground_path,
+        plan_target=plan_target, ground_path=ground_path,
     )
     return result
 
@@ -452,7 +435,6 @@ def adiabatic_batch(
     hw,
     seeds: Sequence[int | None],
     *,
-    plan_initial: CyclePlan | None = None,
     plan_target: CyclePlan | None = None,
     ground_path: GroundPath | None = None,
 ) -> list[AdiabaticResult]:
@@ -471,7 +453,7 @@ def adiabatic_batch(
         raise ExperimentError("ground_path is for other Hamiltonians than the config's")
     n = h_i.n_qubits
     if config.stepper == "trotter":
-        plan_initial = plan_initial or plan_for_hamiltonian(h_i, hw)
+        plan_initial = plan_for_hamiltonian(h_i, hw)
         plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
         peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
         dt = config.theta1 / peak if peak > 0 else config.theta1
@@ -531,7 +513,6 @@ def error_sweep(
     steps_list: Sequence[int],
     repetitions: int,
     base_seed: int = 0,
-    plan_initial: CyclePlan | None = None,
     plan_target: CyclePlan | None = None,
 ) -> list[SweepRow]:
     """Full factorial (eta, steps) grid of final ground-space fidelities.
@@ -545,10 +526,8 @@ def error_sweep(
         raise ExperimentError("need at least one repetition")
     # every step count is checked before any cell runs
     configs = {steps: replace(config, steps=int(steps), record_every=0) for steps in steps_list}
-    plan_i = plan_t = None
     if config.stepper == "trotter":
-        plan_i = plan_initial or plan_for_hamiltonian(config.h_initial, hw)
-        plan_t = plan_target or plan_for_hamiltonian(config.h_target, hw)
+        plan_target = plan_target or plan_for_hamiltonian(config.h_target, hw)
     path = GroundPath(config.h_initial, config.h_target)
     rows = []
     for eta in eta_list:
@@ -560,7 +539,7 @@ def error_sweep(
                 err, seeds = None, [None]
             results = adiabatic_batch(
                 replace(configs[steps], error_model=err), hw, seeds,
-                plan_initial=plan_i, plan_target=plan_t, ground_path=path,
+                plan_target=plan_target, ground_path=path,
             )
             values = [result.ground_weight for result in results]
             mean = float(np.mean(values))

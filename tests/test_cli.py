@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uqsim.cli import main
+from uqsim.cli import build_parser, main
 from uqsim.compiler import schedule_from_text, trotter_cycles, trotter_schedule
 from uqsim.engine import StateVector
 from uqsim.hardware import TrapArrayModel
@@ -241,6 +242,44 @@ class TestAdiabatic:
             texts.append((out / "sweep.csv").read_text())
         assert texts[0] == texts[1]
 
+    def test_format_json_writes_the_sweep_rows(self, tmp_path):
+        cfg = self.small_cfg(
+            tmp_path,
+            "[sweep]\netas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n",
+        )
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out),
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        csv_rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(csv_rows) == 2
+        for row, line in zip(rows, csv_rows):
+            assert line == ",".join(repr(row[k]) for k in
+                                    ("eta", "steps", "repetitions", "mean_fidelity",
+                                     "std_fidelity", "stderr"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "sweep.json" in manifest["outputs"]
+
+    def test_ising_on_a_2d_lattice(self, tmp_path):
+        # a 2x2 grid on a 2D uqs1 lattice, with a homogeneous transverse field
+        cfg = write(
+            tmp_path / "grid.cfg",
+            "[hardware]\nplatform = uqs1\nsites = 4\ndims = 2\nshape = 2 2\n"
+            "boundary = open\navailable_j = all\ngamma = 1.0\n"
+            "[model]\nname = ising\nj = -1.0\nb = 0.5\ndirection = 1 0 0\ngeometry = grid:2x2\n"
+            "[adiabatic]\ninitial = xx_chain\nsteps = 20\ntheta1 = 0.1\nrecord_every = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 3
+        histogram = (out / "histogram.csv").read_text().splitlines()[1:]
+        weights = [float(line.split(",")[2]) for line in histogram]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ground_weight"] == weights[0]
+        assert summary["t_sim"] == pytest.approx(0.2, rel=1e-12)
+
     def test_sweep_noise_without_seed_exits_3(self, tmp_path):
         cfg = write(
             tmp_path / "adia.cfg",
@@ -401,3 +440,88 @@ def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, ke
     assert code == 1, err
     assert "Traceback" not in err
     assert err.startswith("uqsim: ")
+
+
+CONFIG_BASES = {
+    "cost": "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n",
+    "crosstalk": UQS2_2 + "[crosstalk]\ngroups = 0 1\n",
+    "compile": UQS2_2 + "[compile]\nhamiltonian = zz.ham\nt_prime = 1.0\n",
+}
+
+
+def set_value(text: str, section: str, key: str, value: str) -> str:
+    """`key = value` in [section]: the key's line replaced, or one added."""
+    text, n = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+    assert n <= 1, key
+    return text if n else text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
+
+
+@pytest.mark.parametrize("config, section, key, value", [
+    ("fig4a.cfg", "adiabatic", "theta1", "abc"),
+    ("fig4a.cfg", "adiabatic", "record_every", "1.5"),
+    ("fig4a.cfg", "adiabatic", "seed", "x"),
+    ("fig4a.cfg", "adiabatic", "eta_local", "abc"),
+    ("fig4a.cfg", "model", "j", "abc"),
+    ("fig4a.cfg", "model", "b", "abc"),
+    ("fig4a.cfg", "model", "geometry", "chain:x"),
+    ("fig4a.cfg", "model", "geometry", "grid:2x2:kagome"),
+    ("fig4a.cfg", "model", "geometry", "grid:0x2"),
+    ("fig4b.cfg", "sweep", "etas", "0 abc"),
+    ("fig4b.cfg", "sweep", "repetitions", "many"),
+    ("fig4b.cfg", "sweep", "steps_list", "100 1e3"),
+    ("cost", "cost", "gamma", "abc"),
+    ("cost", "cost", "matrix", "1 0 0 ; 0 x 0 ; 0 0 1"),
+    ("crosstalk", "crosstalk", "groups", "0 a ; 2 3"),
+    ("compile", "compile", "t_prime", "abc"),
+])
+def test_unparsable_config_value_exits_1_naming_the_key(tmp_path, capsys, config, section, key,
+                                                        value):
+    write(tmp_path / "zz.ham", "1.0 Z Z\n")
+    text = CONFIG_BASES.get(config) or bundled(config)
+    cfg = write(tmp_path / "bad.cfg", set_value(text, section, key, value))
+    command = "adiabatic" if config.endswith(".cfg") else config
+    argv = STEPS_3 if command == "adiabatic" else []
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert err.startswith(f"uqsim: [{section}] {key} = {value!r}: ")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, "csv" if flag == "--format" else "1")
+    for command, flags in (("compile", ("--seed", "--jobs", "--format")),
+                           ("cost", ("--seed", "--jobs", "--format")),
+                           ("crosstalk", ("--seed", "--jobs", "--format")),
+                           ("simulate", ("--format",)))
+    for flag in flags
+])
+def test_a_subcommand_rejects_flags_it_does_not_read(command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--config", "x.cfg", flag, value])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_BASES))
+def test_unseeded_commands_record_no_seed(tmp_path, command):
+    write(tmp_path / "zz.ham", "1.0 Z Z\n")
+    cfg = write(tmp_path / "c.cfg", CONFIG_BASES[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
+def benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name, workload", sorted(benchmark_workloads().items()))
+def test_benchmark_argv_parses(name, workload):
+    # the benchmark drives these exact argument lists; a dropped flag would fail every run
+    for seed in (1, 2):
+        for argv in workload.commands(seed):
+            build_parser().parse_args(argv)

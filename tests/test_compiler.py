@@ -15,6 +15,7 @@ from uqsim.compiler import (
     PulseSchedule,
     RawGate,
     UnsupportedInteractionError,
+    compile_pair_interaction,
     decoupling_echo,
     effective_hamiltonian,
     homogeneous_feasibility,
@@ -239,6 +240,29 @@ class TestSynthesizeDiagonal:
         for t in expect.terms:
             assert scaled.coefficient(t.ops) == pytest.approx(t.coeff, abs=1e-14)
         assert len(scaled.terms) == len(expect.terms)
+
+
+class TestAntisymmetricPair:
+    @staticmethod
+    def target(j):
+        m = np.zeros((3, 3))
+        m[2, 1], m[1, 2] = j, -j  # J*(ZY - YZ)
+        return CoeffMatrix(m)
+
+    @pytest.mark.parametrize("j, gamma", [(0.7, 0.5), (-0.7, 0.5), (0.7, -2.0), (-0.3, -1.0)])
+    def test_per_qubit_sequence_realizes_the_target(self, j, gamma):
+        # both signs of J*gamma: the library antisym2 steps and their mirror
+        seq, cost = compile_pair_interaction(self.target(j), gamma, homogeneous_only=False)
+        assert cost == pytest.approx(2 * abs(j) / abs(gamma), rel=1e-12)
+        eff = effective_hamiltonian(seq, zz(gamma)).scaled(cost)
+        expect = from_coeff_matrix(self.target(j))
+        assert len(eff.terms) == len(expect.terms) == 2
+        for t in expect.terms:
+            assert eff.coefficient(t.ops) == pytest.approx(t.coeff, abs=1e-14)
+
+    def test_homogeneous_control_cannot_realize_it(self):
+        with pytest.raises(InfeasibleTargetError, match="per-qubit"):
+            compile_pair_interaction(self.target(0.7), 0.5, homogeneous_only=True)
 
 
 class TestTrotterSchedule:

@@ -22,7 +22,7 @@ from uqsim.experiments import (
     random_couplings,
     sweep_table_csv,
 )
-from uqsim.hardware import LatticeModel, TrapArrayModel
+from uqsim.hardware import HardwareError, LatticeModel, TrapArrayModel
 from uqsim.pauli import Hamiltonian, conjugate as pauli_conjugate
 
 
@@ -54,6 +54,28 @@ def plan_effective(plan) -> Hamiltonian:
                     terms.append((c, "".join(ops)))
         acc = acc + Hamiltonian.from_terms(plan.n_qubits, terms)
     return acc
+
+
+# a 3x3 grid, site 3*row + col
+GRID_ROWS = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
+GRID_COLS = [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)]
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("pattern, pairs", [
+        ("rectangular", GRID_ROWS + GRID_COLS),
+        ("triangular", GRID_ROWS + GRID_COLS + [(0, 4), (1, 5), (3, 7), (4, 8)]),
+        ("hexagonal", GRID_ROWS + [(0, 3), (2, 5), (4, 7)]),  # rungs where row + col is even
+    ])
+    def test_grid_patterns(self, pattern, pairs):
+        geo = Geometry.grid(3, 3, pattern)
+        assert sorted(geo.nn_pairs) == sorted(pairs)
+        assert geo.positions == tuple((float(r), float(c)) for r in range(3) for c in range(3))
+        assert geo.distance(0, 4) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+    def test_unknown_grid_pattern(self):
+        with pytest.raises(HardwareError, match="pattern"):
+            Geometry.grid(2, 2, "kagome")
 
 
 class TestBuildModel:
@@ -191,6 +213,19 @@ class TestProtocolForModel:
         assert counts["push:0-1"] == 1
         assert counts["push:1-2"] == 2
         assert counts["push:2-3"] == 4
+        assert plan_effective(plan) == build_model(model)
+
+    @pytest.mark.parametrize("model, hw", [
+        (NamedModel("dipole", Geometry.chain(3), b=0.4, direction=(0.6, 0.0, 0.8)),
+         LatticeModel(n_sites=3)),
+        (NamedModel("random_ising", Geometry.chain(4), j_map=(((0, 1), 1.0), ((2, 3), -0.6)),
+                    b_list=(0.3, 0.0, -0.5, 0.2), b=0.25, direction=(1.0, 0.0, 0.0)),
+         chain_trap(4)),
+    ])
+    def test_plan_fields_are_the_targets(self, model, hw):
+        # the preset plans read their local terms off the target Hamiltonian
+        plan = protocol_for_model(model, hw)
+        assert plan.local_fields is not None
         assert plan_effective(plan) == build_model(model)
 
     def test_dipole_uqs2_rejects_mismatched_positions(self):

@@ -169,16 +169,18 @@ def test_lowering_validates_against_n_qubits():
         execute_batch(np.zeros((2, 8), dtype=complex), 3, [], None, [None, None], ExecutionLog())
 
 
-def test_plan_ops_draw_exactly_what_emit_cycle_emits():
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_plan_ops_draw_exactly_what_emit_cycle_emits(homogeneous):
     # gate "b" underflows to an exact zero angle at a tiny scale while "a"
-    # does not: emit_cycle drops b, and the lowered plan must draw for a only
+    # does not: emit_cycle drops b, and the lowered plan must draw for a only.
+    # A homogeneous plan applies site 0's field rotation on every site.
     n = 3
     fam = PlannedFamily(
         (RawGateSpec("a", ((0, 1, 1.0), (1, 2, 0.5)), 1.0), RawGateSpec("b", ((0, 2, 1.0),), 1e-3)),
         protocol_library("xy2"), cost=1.0,
     )
     fields = ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0))
-    plan = CyclePlan(n, (fam,), fields, homogeneous_locals=False)
+    plan = CyclePlan(n, (fam,), fields, homogeneous_locals=homogeneous)
     err = ErrorModel(eta_local=0.05, eta_int=0.03, seed=2)
     lowered = LoweredPlan(plan, 1.0, n)
     for scale in (1.0, 0.37, 1e-323, 0.0):
