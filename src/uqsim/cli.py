@@ -26,6 +26,7 @@ from .compiler import (
     HardwareConstraintError,
     InfeasibleTargetError,
     UnsupportedInteractionError,
+    cost_report,
     homogeneous_feasibility,
     inhomogeneous_cost,
     schedule_from_text,
@@ -511,10 +512,10 @@ def cmd_cost(args, cfg, config_path) -> int:
         t_prime = config_value(section, "t_prime", float)
         epsilon = config_value(section, "epsilon", float)
         n_controls = config_value(section, "n_controls", int, 1)
-        num = trotter_cycles(cost_value, t_prime, epsilon)
-        total = cost_value * t_prime
-        lines.append(f"L={num}")
-        lines.append(f"chi={n_controls * num / total if total else 0.0!r}")
+        report = cost_report(cost_value, n_controls, trotter_cycles(cost_value, t_prime, epsilon),
+                             t_prime, epsilon)
+        lines.append(f"L={report.num_gates}")
+        lines.append(f"chi={report.chi!r}")
     writer = OutputWriter(Path(args.out_dir))
     writer.write("cost.txt", "\n".join(lines) + "\n")
     writer.manifest("cost", config_path)

@@ -6,7 +6,10 @@ interleaving short evolutions under it with local layers V_i of weight p_i
 produces the average Hamiltonian sum_i p_i V_i H0 V_i^dag. Feasibility and
 time cost follow the eigenvalue/singular-value rules for homogeneous and
 per-qubit control, and long evolutions are Trotterized into L identical
-cycles with a quadratic gate-count/error trade-off.
+cycles with a quadratic gate-count/error trade-off. plan_for_hamiltonian is
+the one planner: it picks the native gates (lattice displacement classes,
+sharing a wrap where their sequences agree; one push of all trap ions for a
+1/d^3 target, else one push per pair).
 """
 from __future__ import annotations
 
@@ -168,7 +171,7 @@ def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
     if bad:
         msg = (
             "infeasible under homogeneous control: eigenvalues "
-            f"{[round(b, 12) for b in bad]} have sign opposite to gamma={gamma}"
+            f"{[round(float(b), 12) for b in bad]} have sign opposite to gamma={gamma}"
         )
         return FeasibilityResult(False, None, tuple(evals), msg)
     cost = float(np.sum(evals)) / gamma
@@ -508,9 +511,12 @@ def schedule_from_text(text: str) -> PulseSchedule:
 
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
-    object, and an error names the line of its first occurrence.
+    object, and an error names the line of its first occurrence. A header
+    giving both cycles and cycle_length must multiply to the instruction
+    count.
     """
     header: dict[str, int] = {}
+    header_line = 1
     instructions: list[Instruction] = []
     parsed: dict[str, tuple[Instruction, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -523,6 +529,7 @@ def schedule_from_text(text: str) -> PulseSchedule:
                     key, sep, value = tok.partition("=")
                     if sep and key in ("n_qubits", "cycles", "cycle_length"):
                         header[key] = int(value)
+                        header_line = lineno
                 continue
             hit = parsed.get(line)
             if hit is None:
@@ -542,8 +549,13 @@ def schedule_from_text(text: str) -> PulseSchedule:
             _check_instruction(ins, n_qubits)
         except CompileError as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
-    return PulseSchedule(n_qubits, tuple(instructions), None,
-                         header.get("cycle_length"), header.get("cycles"))
+    cycles, cycle_length = header.get("cycles"), header.get("cycle_length")
+    if cycles is not None and cycle_length is not None and cycles * cycle_length != len(instructions):
+        raise CompileError(
+            f"schedule parse error at line {header_line}: cycles={cycles} times "
+            f"cycle_length={cycle_length} is not the {len(instructions)} instructions of the body"
+        )
+    return PulseSchedule(n_qubits, tuple(instructions), None, cycle_length, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +716,33 @@ def split_target(target: Hamiltonian):
 
 
 def plan_for_hamiltonian(target: Hamiltonian, hw) -> CyclePlan:
-    """Build a cycle plan for a 1-/2-qubit-term target on the given hardware."""
+    """Build a cycle plan for a 1-/2-qubit-term target on hardware with as
+    many sites as the target has qubits."""
     from . import hardware as hwmod
 
-    fields, pairs = split_target(target)
     if isinstance(hw, hwmod.LatticeModel):
-        return _plan_uqs1(target.n_qubits, fields, pairs, hw)
-    if isinstance(hw, hwmod.TrapArrayModel):
-        return _plan_uqs2(target.n_qubits, fields, pairs, hw)
-    raise CompileError(f"unknown hardware model {type(hw).__name__}")
+        planner, size = _plan_uqs1, hw.n_sites
+    elif isinstance(hw, hwmod.TrapArrayModel):
+        planner, size = _plan_uqs2, hw.n_ions
+    else:
+        raise CompileError(f"unknown hardware model {type(hw).__name__}")
+    if target.n_qubits != size:
+        raise HardwareConstraintError(
+            f"the target acts on {target.n_qubits} qubits, the hardware has {size} sites")
+    return planner(target.n_qubits, *split_target(target), hw)
+
+
+def _same_wrap(s: ControlSequence, t: ControlSequence) -> bool:
+    """Equal weights and equal layer matrices, step by step."""
+    return s.n == t.n and all(
+        p == q and ApplyLocal(a).equals(ApplyLocal(b)) for (p, a), (q, b) in zip(s.steps, t.steps)
+    )
 
 
 def _plan_uqs1(n_qubits, fields, pairs, hw) -> CyclePlan:
+    """One displacement gate per translation class. Classes whose control
+    sequences are equal share one wrap, in class order: every gate is
+    diagonal ZZ, so the average Hamiltonian is the same."""
     from . import hardware as hwmod
 
     if fields is not None:
@@ -726,14 +753,13 @@ def _plan_uqs1(n_qubits, fields, pairs, hw) -> CyclePlan:
             )
     classes = hwmod.displacement_classes(hw)
     remaining = dict(pairs)
-    families = []
+    families: list[PlannedFamily] = []
     for disp, class_pairs in classes:
         keys = [(a, b) for a, b, _ in class_pairs]
-        present = [k for k in keys if k in remaining]
-        if not present:
+        missing = [k for k in keys if k not in remaining]
+        if len(missing) == len(keys):
             continue
-        if len(present) != len(keys):
-            missing = [k for k in keys if k not in remaining]
+        if missing:
             raise HardwareConstraintError(
                 f"translation class {disp} is incomplete (missing pairs {missing}); "
                 "non-translation-invariant targets require single qubit addressability"
@@ -753,7 +779,12 @@ def _plan_uqs1(n_qubits, fields, pairs, hw) -> CyclePlan:
             targets=tuple((a, b, float(mult)) for a, b, mult in class_pairs),
             unit_angle=hw.gamma * cost,
         )
-        families.append(PlannedFamily((gate,), seq, cost))
+        for i, fam in enumerate(families):
+            if _same_wrap(fam.sequence, seq):
+                families[i] = PlannedFamily(fam.gates + (gate,), fam.sequence, fam.cost + cost)
+                break
+        else:
+            families.append(PlannedFamily((gate,), seq, cost))
         for k in keys:
             del remaining[k]
     if remaining:
@@ -778,16 +809,35 @@ def _embed_pair_sequence(seq: ControlSequence, a: int, b: int, n: int) -> Contro
     return ControlSequence(tuple(steps))
 
 
+def _global_push(n_qubits, pairs, hw) -> PlannedFamily | None:
+    """One push of all ions, weighted by the 1/d^3 law, when the target
+    couples every pair of at least 3 ions by one unit matrix times the pair's
+    inv_cube_distance (to 1e-14) that homogeneous control realizes; else None."""
+    if n_qubits < 3 or len(pairs) != n_qubits * (n_qubits - 1) // 2:
+        return None
+    weights = {k: hw.inv_cube_distance(*k) for k in sorted(pairs)}
+    unit_m = pairs[(0, 1)] / weights[(0, 1)]
+    if not all(np.allclose(pairs[k] / w, unit_m, atol=1e-14, rtol=0.0) for k, w in weights.items()):
+        return None
+    try:
+        seq, cost = compile_pair_interaction(CoeffMatrix(unit_m), hw.gamma, homogeneous_only=True)
+    except (InfeasibleTargetError, UnsupportedInteractionError):
+        return None
+    targets = tuple((a, b, w) for (a, b), w in weights.items())
+    return PlannedFamily((RawGateSpec("push:all", targets, hw.gamma * cost),), seq, cost)
+
+
 def _plan_uqs2(n_qubits, fields, pairs, hw) -> CyclePlan:
+    """One push of all ions when the target follows the 1/d^3 law (see
+    _global_push); otherwise one push and one per-qubit wrap per pair."""
+    push = _global_push(n_qubits, pairs, hw)
+    if push is not None:
+        return CyclePlan(n_qubits, (push,), fields, homogeneous_locals=False)
     families = []
     for (a, b), m in sorted(pairs.items()):
         gamma_ab = hw.gamma * hw.inv_cube_distance(a, b)
         seq, cost = compile_pair_interaction(CoeffMatrix(m), gamma_ab, homogeneous_only=False)
-        gate = RawGateSpec(
-            gate_id=f"push:{a}-{b}",
-            targets=((a, b, 1.0),),
-            unit_angle=gamma_ab * cost,
-        )
+        gate = RawGateSpec(f"push:{a}-{b}", ((a, b, 1.0),), gamma_ab * cost)
         families.append(PlannedFamily((gate,), _embed_pair_sequence(seq, a, b, n_qubits), cost))
     return CyclePlan(n_qubits, tuple(families), fields, homogeneous_locals=False)
 
@@ -802,6 +852,17 @@ def trotter_cycles(time_cost: float, t_prime: float, epsilon: float) -> int:
     if t_prime < 0 or epsilon <= 0:
         raise CompileError("need t_prime >= 0 and epsilon > 0")
     return max(1, math.ceil(time_cost * time_cost * t_prime * t_prime / epsilon - 1e-9))
+
+
+def cost_report(time_cost: float, n_controls: int, num_cycles: int,
+                t_prime: float, epsilon: float) -> CostReport:
+    """Report of L = num_cycles cycles of n local layers each: T = c*t',
+    step_t = T/L and chi = n*L/T (0 when T is 0); all zero without cycles."""
+    if num_cycles == 0:
+        return CostReport(time_cost, 0, 0, 0.0, 0.0, epsilon, t_prime, 0.0)
+    total = time_cost * t_prime
+    chi = n_controls * num_cycles / total if total > 0 else 0.0
+    return CostReport(time_cost, n_controls, num_cycles, total / num_cycles, chi, epsilon, t_prime, total)
 
 
 def trotter_schedule(
@@ -831,20 +892,10 @@ def trotter_schedule(
         num = trotter_cycles(c, t_prime, epsilon)
     else:
         num = 0
-    if num == 0:
-        report = CostReport(c, 0, 0, 0.0, 0.0, epsilon, t_prime, 0.0)
-        return PulseSchedule(target.n_qubits, (), report, 0, 0), report
-    dt = t_prime / num
-    cycle = emit_cycle(plan, dt)
+    cycle = emit_cycle(plan, t_prime / num) if num else []
     n_controls = sum(1 for ins in cycle if isinstance(ins, ApplyLocal))
-    total_time = c * t_prime
-    step_t = total_time / num
-    chi = n_controls * num / total_time if total_time > 0 else 0.0
-    report = CostReport(c, n_controls, num, step_t, chi, epsilon, t_prime, total_time)
-    schedule = PulseSchedule(
-        target.n_qubits, tuple(cycle) * num, report, len(cycle), num
-    )
-    return schedule, report
+    report = cost_report(c, n_controls, num, t_prime, epsilon)
+    return PulseSchedule(target.n_qubits, tuple(cycle) * num, report, len(cycle), num), report
 
 
 # ---------------------------------------------------------------------------

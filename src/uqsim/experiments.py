@@ -1,6 +1,6 @@
-"""End-to-end spin-model protocols: model builders, per-cycle gate plans,
-minimum-gap analysis, and adiabatic ground-state preparation with timing
-errors (the numerical experiments behind the fidelity/histogram figures).
+"""End-to-end spin-model protocols: model builders, the rules a model adds
+to the compiler's plan, minimum-gap analysis, and adiabatic ground-state
+preparation with timing errors (the experiments behind the figures).
 """
 from __future__ import annotations
 
@@ -10,15 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import (
-    CyclePlan,
-    HardwareConstraintError,
-    PlannedFamily,
-    RawGateSpec,
-    plan_for_hamiltonian,
-    protocol_library,
-    split_target,
-)
+from .compiler import CyclePlan, HardwareConstraintError, plan_for_hamiltonian
 from .engine import (
     ErrorModel,
     LoweredPlan,
@@ -118,6 +110,11 @@ class NamedModel:
                 raise ExperimentError("random_ising needs j_map or j_range")
             if self.j_range is not None and self.seed is None:
                 raise ExperimentError("random_ising with j_range needs a seed")
+        n = self.geometry.n_sites
+        for (a, b), _ in self.j_map or ():
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ExperimentError(
+                    f"j_map pair {a}-{b} is not two distinct sites of the {n}-site geometry")
 
 
 def _single_site_terms(n, q, vec):
@@ -194,92 +191,39 @@ def nn_chain(kind: str, n: int, coeff: float = 1.0) -> Hamiltonian:
 # ---------------------------------------------------------------------------
 
 def protocol_for_model(model: NamedModel, hw) -> CyclePlan:
-    """Preset per-cycle gate plan for a named model on a platform."""
+    """The compiler's plan of build_model(model) under two model rules.
+
+    A lattice dipole is 1D-only and simulates the pairs that displacement
+    classes reach. Random Ising is trap-only; each pair's gate splits into
+    max(1, round(|J_ab|/J_ref)) equal gates, J_ref the least nonzero |J_ab|.
+    """
     target = build_model(model)
-    if model.name == "dipole":
-        return _dipole_plan(model, hw, target)
-    if model.name == "random_ising":
-        return _random_ising_plan(model, hw, target)
-    # ising / heisenberg compile straight through the generic planner,
-    # which already produces the standard wraps (identity and three-step).
-    return plan_for_hamiltonian(target, hw)
-
-
-def _dipole_plan(model: NamedModel, hw, target: Hamiltonian) -> CyclePlan:
-    geo = model.geometry
-    n = geo.n_sites
-    fields, _ = split_target(target)
-    if isinstance(hw, TrapArrayModel):
-        if hw.n_ions != n or any(
-            abs(hw.distance(a, b) - geo.distance(a, b)) > 1e-12
-            for a, b in geo.nn_pairs
-        ):
-            raise HardwareConstraintError(
-                "trap positions do not match the model geometry; the global "
-                "push realizes couplings from the physical distances"
-            )
-        # one global push: the cube-law weights realize the full coupling set
-        targets = tuple((a, b, geo.inv_cube(a, b)) for a, b in geo.all_pairs())
-        gate = RawGateSpec("push:all", targets, unit_angle=model.j)
-        fam = PlannedFamily((gate,), protocol_library("xy2"), cost=abs(model.j) / abs(hw.gamma))
-        if fields is not None:
-            raise HardwareConstraintError("dipole plan with extra fields not supported on uqs2 yet")
-        return CyclePlan(n, (fam,), None, homogeneous_locals=False)
-    if isinstance(hw, LatticeModel):
+    if model.name == "dipole" and isinstance(hw, LatticeModel):
         if hw.dims != 1:
             raise HardwareConstraintError(
                 "dipole protocol on the lattice platform is defined for 1D chains "
                 "(displacement classes cannot reach off-axis pairs)"
             )
-        if hw.n_sites != n:
-            raise HardwareConstraintError("lattice size does not match geometry")
-        gates = []
-        cost = 0.0
-        for disp, pairs in displacement_classes(hw):
-            (j,) = disp
-            unit = model.j / float(j * j * j)
-            gates.append(
-                RawGateSpec(
-                    gate_id=f"uqs1:{j}",
-                    targets=tuple((a, b, float(m)) for a, b, m in pairs),
-                    unit_angle=unit,
-                )
-            )
-            cost += abs(unit) / abs(hw.gamma)
-        fam = PlannedFamily(tuple(gates), protocol_library("xy2"), cost=cost)
-        if fields is not None and any(v != fields[0] for v in fields):
-            raise HardwareConstraintError("site-dependent fields require addressability")
-        return CyclePlan(n, (fam,), fields, homogeneous_locals=True)
-    raise HardwareConstraintError(f"unknown hardware model {type(hw).__name__}")
-
-
-def _random_ising_plan(model: NamedModel, hw, target: Hamiltonian) -> CyclePlan:
-    if not isinstance(hw, TrapArrayModel):
+        reached = {(a, b) for _, pairs in displacement_classes(hw) for a, b, _ in pairs}
+        target = Hamiltonian(target.n_qubits, tuple(
+            t for t in target.terms if len(t.sites()) < 2 or t.sites() in reached))
+    if model.name == "random_ising" and not isinstance(hw, TrapArrayModel):
         raise HardwareConstraintError(
             "random-coefficient Ising requires single qubit addressability: "
             "use the trap-array platform (or beam compensation on the lattice)"
         )
-    geo = model.geometry
-    n = geo.n_sites
-    couplings = random_couplings(model)
-    nonzero = [abs(j) for j in couplings.values() if j != 0.0]
-    j_ref = min(nonzero) if nonzero else 1.0
-    families = []
-    for (a, b), j_ab in sorted(couplings.items()):
-        if j_ab == 0.0:
-            continue
-        # gate count proportional to the coupling: each pair is driven at its
-        # own repetition frequency, all gates sharing the base angle scale
-        reps = max(1, round(abs(j_ab) / j_ref))
-        gamma_ab = hw.gamma * hw.inv_cube_distance(a, b)
-        unit_total = -0.5 * j_ab  # ZZ coefficient of the target term
-        gates = tuple(
-            RawGateSpec(f"push:{a}-{b}", ((a, b, 1.0),), unit_angle=unit_total / reps)
-            for _ in range(reps)
-        )
-        cost = abs(unit_total) / abs(gamma_ab)
-        families.append(PlannedFamily(gates, protocol_library("identity"), cost))
-    return CyclePlan(n, tuple(families), split_target(target)[0], homogeneous_locals=False)
+    plan = plan_for_hamiltonian(target, hw)
+    if model.name != "random_ising":
+        return plan
+    strength = {tuple(sorted(pair)): abs(j) for pair, j in random_couplings(model).items()}
+    j_ref = min((j for j in strength.values() if j != 0.0), default=1.0)
+
+    def split(g):
+        reps = max(1, round(strength[g.targets[0][:2]] / j_ref)) if len(g.targets) == 1 else 1
+        return [replace(g, unit_angle=g.unit_angle / reps)] * reps
+
+    return replace(plan, families=tuple(
+        replace(f, gates=tuple(h for g in f.gates for h in split(g))) for f in plan.families))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +251,9 @@ class GroundPath:
         self._spectra: dict[float, SpectrumCache] = {}
 
     def matrix(self, k: float) -> np.ndarray:
-        return k * self._initial + (1.0 - k) * self._target
+        m = k * self._initial
+        m += (1.0 - k) * self._target
+        return m
 
     def spectrum(self, k: float) -> SpectrumCache:
         spec = self._spectra.get(k)

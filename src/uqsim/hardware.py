@@ -471,16 +471,23 @@ def realize_schedule(abstract: PulseSchedule, hw, include_crosstalk: bool = Fals
     every gate to its displacement id. UQS2 greedily packs runs of adjacent
     pair gates into concurrent groups that pass the crosstalk check; with
     `include_crosstalk` the dropped parasitic couplings are appended as an
-    explicit coherent-error gate per group.
+    explicit coherent-error gate per group. The cycle fields of the
+    abstract schedule are kept only when the instruction count is.
     """
     if isinstance(hw, LatticeModel):
-        return _realize_uqs1(abstract, hw)
-    if isinstance(hw, TrapArrayModel):
-        return _realize_uqs2(abstract, hw, include_crosstalk)
-    raise HardwareError(f"unknown hardware model {type(hw).__name__}")
+        out, groups = _realize_uqs1(abstract, hw)
+    elif isinstance(hw, TrapArrayModel):
+        out, groups = _realize_uqs2(abstract, hw, include_crosstalk)
+    else:
+        raise HardwareError(f"unknown hardware model {type(hw).__name__}")
+    same = len(out) == len(abstract.instructions)
+    schedule = PulseSchedule(abstract.n_qubits, tuple(out), abstract.cost,
+                             abstract.cycle_length if same else None,
+                             abstract.num_cycles if same else None)
+    return RealizedSchedule(schedule, groups)
 
 
-def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel) -> RealizedSchedule:
+def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel):
     class_index = {
         frozenset((a, b) for a, b, _ in pairs): disp
         for disp, pairs in displacement_classes(hw)
@@ -502,20 +509,14 @@ def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel) -> RealizedSchedule
                 f"gate targets {sorted(key)} do not form a realizable translation class"
             )
         out.append(RawGate(displacement_gate_id(disp), ins.theta, ins.targets))
-    groups = tuple((i,) for i in range(len(out)))
-    return RealizedSchedule(
-        PulseSchedule(abstract.n_qubits, tuple(out), abstract.cost,
-                      abstract.cycle_length, abstract.num_cycles),
-        groups,
-    )
+    return out, tuple((i,) for i in range(len(out)))
 
 
 def _gate_ions(gate: RawGate) -> tuple[int, ...]:
     return tuple(sorted({q for a, b, _ in gate.targets for q in (a, b)}))
 
 
-def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel,
-                  include_crosstalk: bool) -> RealizedSchedule:
+def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel, include_crosstalk: bool):
     out: list = []
     groups: list[tuple[int, ...]] = []
     run: list[RawGate] = []
@@ -560,11 +561,7 @@ def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel,
             flush_run()
             out.append(ins)
     flush_run()
-    return RealizedSchedule(
-        PulseSchedule(abstract.n_qubits, tuple(out), abstract.cost,
-                      abstract.cycle_length, abstract.num_cycles),
-        tuple(groups),
-    )
+    return out, tuple(groups)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,24 @@ class TestCompile:
         assert code == 2
         assert "sign" in capsys.readouterr().err
 
+    def test_cube_law_dipole_compiles_to_one_push(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg",
+                    "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2 ; 3 ; 4\n"
+                    "[model]\nname = dipole\ngeometry = chain:5\n"
+                    "[compile]\nt_prime = 1.0\nepsilon = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["compile", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "compile.json").read_text())
+        assert (doc["cost"]["c"], doc["cost"]["L"]) == (1.0, 100)
+        assert doc["schedule"]["num_instructions"] == 500
+
+    def test_qubit_count_mismatch_exits_2(self, tmp_path, capsys):
+        ham = write(tmp_path / "h.ham", "1.0 Z Z I\n1.0 I Z Z\n")
+        cfg = write(tmp_path / "c.cfg", f"[compile]\nhamiltonian = {ham.name}\n" + UQS2_2)
+        assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: infeasible: ") and "Traceback" not in err
+
     def test_empty_hamiltonian(self, tmp_path):
         ham = write(tmp_path / "h.ham", "# nothing\n0.0 I I\n")
         cfg = write(tmp_path / "c.cfg", f"[compile]\nhamiltonian = {ham.name}\n" + UQS1_3.replace("sites = 3", "sites = 2"))
@@ -279,6 +297,41 @@ class TestAdiabatic:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ground_weight"] == weights[0]
         assert summary["t_sim"] == pytest.approx(0.2, rel=1e-12)
+
+    def test_dipole_with_j_against_gamma_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "neg.cfg", with_value(bundled("fig4a.cfg"), "j", "-1.0"))
+        code = main(["adiabatic", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                     "--steps", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "sign opposite to gamma" in err and "np.float64" not in err
+
+    RANDOM_ISING = ("[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2 ; 3\n"
+                    "[model]\nname = random_ising\ngeometry = chain:4\nb_values = 0.3 0.2 0.4 0.1\n"
+                    "[adiabatic]\ninitial = xx_chain\ntheta1 = 0.1\nrecord_every = 1\n")
+
+    @pytest.mark.parametrize("couplings", [
+        "j_values = 0-1:1.0, 1-2:-0.5, 2-3:2.0",
+        "j_range = -1.0 1.0\nseed = 4",
+    ])
+    def test_random_ising_on_the_trap_array(self, tmp_path, couplings):
+        cfg = write(tmp_path / "ri.cfg", self.RANDOM_ISING.replace(
+            "[adiabatic]", f"{couplings}\n[adiabatic]"))
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 0
+        weights = [float(line.split(",")[2])
+                   for line in (out / "histogram.csv").read_text().splitlines()[1:]]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("pair", ["0-7", "1-1"])
+    def test_j_values_pair_outside_the_geometry_exits_1(self, tmp_path, capsys, pair):
+        cfg = write(tmp_path / "ri.cfg", self.RANDOM_ISING.replace(
+            "[adiabatic]", f"j_values = {pair}:1.0\n[adiabatic]"))
+        code = main(["adiabatic", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                     "--steps", "2"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "distinct sites" in err and "Traceback" not in err
 
     def test_sweep_noise_without_seed_exits_3(self, tmp_path):
         cfg = write(

@@ -10,17 +10,23 @@ from uqsim.compiler import (
     ApplyLocal,
     CompileError,
     ControlSequence,
+    CyclePlan,
     HardwareConstraintError,
     InfeasibleTargetError,
+    PlannedFamily,
     PulseSchedule,
     RawGate,
+    RawGateSpec,
     UnsupportedInteractionError,
     compile_pair_interaction,
+    cost_report,
     decoupling_echo,
     effective_hamiltonian,
+    emit_cycle,
     homogeneous_feasibility,
     inhomogeneous_cost,
     magnetic_field_layer,
+    plan_for_hamiltonian,
     protocol_library,
     schedule_from_text,
     schedule_to_text,
@@ -442,6 +448,83 @@ class TestTrotterSchedule:
             assert 3.5 <= ratio <= 4.5, f"trial {trial}: ratio {ratio}"
 
 
+def dipole_chain(n, j=1.0, b=0.0):
+    """(J/2)(XX + YY)/d^3 on every pair of an n-site chain, plus a field b X."""
+    terms = []
+    for a in range(n):
+        for c in range(a + 1, n):
+            d = float(c - a)
+            for axis in "XY":
+                ops = ["I"] * n
+                ops[a] = ops[c] = axis
+                terms.append((0.5 * j * (1.0 / (d * d * d)), "".join(ops)))
+    terms += [(b, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n) if b]
+    return Hamiltonian.from_terms(n, terms)
+
+
+class TestPlanning:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("j", [1.0, 2.5])
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    def test_lattice_classes_with_equal_sequences_share_one_wrap(self, n, j, b):
+        # the open dipole chain: every displacement class is wrapped by xy2,
+        # so the plan is one xy2 family driving the classes in order
+        plan = plan_for_hamiltonian(dipole_chain(n, j, b), LatticeModel(n_sites=n))
+        (fam,) = plan.families
+        assert [g.gate_id for g in fam.gates] == [f"uqs1:{d}" for d in range(1, n)]
+        units = [j / float(d * d * d) for d in range(1, n)]
+        hand = PlannedFamily(
+            tuple(RawGateSpec(g.gate_id, g.targets, u) for g, u in zip(fam.gates, units)),
+            protocol_library("xy2"), sum(units))
+        by_hand = CyclePlan(n, (hand,), plan.local_fields, homogeneous_locals=True)
+        assert fam.cost == hand.cost
+        for dt, scale in ((0.01, 1.0), (0.1, 0.37)):
+            ours, theirs = emit_cycle(plan, dt, scale), emit_cycle(by_hand, dt, scale)
+            assert len(ours) == len(theirs)
+            assert all(a.equals(b) for a, b in zip(ours, theirs))
+
+    def test_cube_law_target_compiles_to_one_push(self):
+        n = 5
+        sched, report = trotter_schedule(dipole_chain(n), 1.0, 0.01, chain_trap(n))
+        assert (report.time_cost, report.num_gates, len(sched.instructions)) == (1.0, 100, 500)
+        gates = {ins.gate_id for ins in sched.instructions if isinstance(ins, RawGate)}
+        assert gates == {"push:all"}
+        plan = plan_for_hamiltonian(dipole_chain(n, b=0.3), chain_trap(n))
+        (fam,) = plan.families
+        (gate,) = fam.gates
+        assert gate.targets == tuple((a, c, 1.0 / float(c - a) ** 3)
+                                     for a in range(n) for c in range(a + 1, n))
+        assert plan.local_fields == ((0.3, 0.0, 0.0),) * n
+
+    @pytest.mark.parametrize("target, hw", [
+        (dipole_chain(2), chain_trap(2)),                      # fewer than 3 ions
+        (dipole_chain(4, j=-1.0), chain_trap(4)),              # sign opposite to gamma
+        (dipole_chain(4), chain_trap(4, gamma=-1.0)),
+        (dipole_chain(3), TrapArrayModel(positions=((0.0,), (1.0,), (3.0,)))),  # not 1/d^3
+        (Hamiltonian.from_terms(3, [(1.0, "ZZI"), (1.0, "IZZ")]), chain_trap(3)),  # a pair missing
+    ])
+    def test_other_targets_get_one_push_per_pair(self, target, hw):
+        plan = plan_for_hamiltonian(target, hw)
+        assert all(len(g.targets) == 1 for fam in plan.families for g in fam.gates)
+        assert all(g.unit_angle * hw.gamma > 0 for fam in plan.families for g in fam.gates)
+
+    @pytest.mark.parametrize("hw", [chain_trap(2), LatticeModel(n_sites=4)])
+    def test_qubit_count_must_match_the_hardware(self, hw):
+        target = Hamiltonian.from_terms(3, [(1.0, "ZZI"), (1.0, "IZZ")])
+        with pytest.raises(HardwareConstraintError, match="3 qubits"):
+            plan_for_hamiltonian(target, hw)
+
+    def test_cost_report_is_the_schedule_report(self):
+        for target, hw in ((dipole_chain(4), LatticeModel(n_sites=4)), (zz(0.7), chain_trap(2))):
+            _, report = trotter_schedule(target, 1.3, 0.02, hw)
+            assert cost_report(report.time_cost, report.n_controls, report.num_gates,
+                               1.3, 0.02) == report
+
+    def test_infeasibility_message_prints_plain_numbers(self):
+        res = homogeneous_feasibility(CoeffMatrix(np.diag([-0.5, -0.5, 0.0])), 1.0)
+        assert "[-0.5, -0.5]" in res.message
+
+
 class TestScheduleText:
     def test_round_trip(self):
         target = Hamiltonian.from_terms(2, [(0.6, "ZZ"), (0.3, "XX"), (0.2, "XI"), (0.2, "IX")])
@@ -450,6 +533,15 @@ class TestScheduleText:
         again = schedule_from_text(text)
         assert again.equals(sched)
         assert again.num_cycles == sched.num_cycles
+
+    @pytest.mark.parametrize("header", ["cycles=5 cycle_length=3", "cycle_length=2 cycles=1458"])
+    def test_header_cycles_must_multiply_to_the_body(self, header):
+        text = f"# pulse schedule version=1 n_qubits=2 {header}\nGATE push:0-1 0.1 0-1:1.0\n"
+        with pytest.raises(CompileError, match="line 1"):
+            schedule_from_text(text)
+        body = "GATE push:0-1 0.1 0-1:1.0\n" * 3
+        sched = schedule_from_text(f"# n_qubits=2 cycles=3 cycle_length=1\n{body}")
+        assert (sched.num_cycles, sched.cycle_length) == (3, 1)
 
     def test_parse_error_reports_line(self):
         with pytest.raises(CompileError, match="line 2"):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from uqsim.compiler import ApplyLocal, HardwareConstraintError, emit_cycle
+from uqsim.compiler import ApplyLocal, HardwareConstraintError, InfeasibleTargetError, emit_cycle
 from uqsim.engine import ErrorModel
 from uqsim.experiments import (
+    MODEL_NAMES,
     AdiabaticConfig,
     ExperimentError,
     Geometry,
@@ -129,6 +130,11 @@ class TestBuildModel:
         with pytest.raises(ExperimentError):
             NamedModel("random_ising", geo, j_range=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("pair", [(0, 7), (1, 1), (-1, 2)])
+    def test_j_map_pairs_are_distinct_sites(self, pair):
+        with pytest.raises(ExperimentError, match="distinct sites"):
+            NamedModel("random_ising", Geometry.chain(3), j_map=((pair, 1.0),))
+
     def test_ising_relabeling_invariance(self):
         # reversing a chain is a graph automorphism: canonical forms agree
         n = 5
@@ -228,17 +234,71 @@ class TestProtocolForModel:
         assert plan.local_fields is not None
         assert plan_effective(plan) == build_model(model)
 
-    def test_dipole_uqs2_rejects_mismatched_positions(self):
-        geo = Geometry.chain(3)
-        stretched = TrapArrayModel(positions=((0.0,), (2.0,), (4.0,)))
-        with pytest.raises(HardwareConstraintError, match="positions"):
-            protocol_for_model(NamedModel("dipole", geo, j=1.0), stretched)
+    def test_dipole_uqs2_mismatched_positions_realize_the_target(self):
+        # trap positions other than the geometry's: a uniform stretch keeps the
+        # cube law (one push of all ions), an uneven one needs a push per pair
+        model = NamedModel("dipole", Geometry.chain(3), j=1.0)
+        for positions, ids in ((((0.0,), (2.0,), (4.0,)), ["push:all"]),
+                               (((0.0,), (1.0,), (3.0,)), ["push:0-1", "push:0-2", "push:1-2"])):
+            plan = protocol_for_model(model, TrapArrayModel(positions=positions))
+            assert [g.gate_id for fam in plan.families for g in fam.gates] == ids
+            assert plan_effective(plan) == build_model(model)
+
+    def test_dipole_on_a_periodic_lattice_is_rejected(self):
+        # a wrap class would couple sites 0 and n-1 at unit distance
+        hw = LatticeModel(n_sites=5, boundary="periodic")
+        with pytest.raises(HardwareConstraintError):
+            protocol_for_model(NamedModel("dipole", Geometry.chain(5)), hw)
+
+    @pytest.mark.parametrize("hw", [LatticeModel(n_sites=4), chain_trap(2)])
+    def test_geometry_must_match_the_hardware_size(self, hw):
+        with pytest.raises(HardwareConstraintError, match="3 qubits"):
+            protocol_for_model(NamedModel("dipole", Geometry.chain(3)), hw)
 
     def test_random_ising_uqs1_needs_addressability(self):
         geo = Geometry.chain(3)
         model = NamedModel("random_ising", geo, j_map=(((0, 1), 1.0), ((1, 2), 0.5)))
         with pytest.raises(HardwareConstraintError, match="addressability"):
             protocol_for_model(model, LatticeModel(n_sites=3))
+
+
+def realizability_model(name, sign):
+    if name == "random_ising":
+        couplings = (((0, 1), sign), ((1, 2), -0.6 * sign), ((2, 3), 2.0 * sign))
+        return NamedModel(name, Geometry.chain(4), j_map=couplings, b_list=(0.3, 0.0, -0.5, 0.2))
+    return NamedModel(name, Geometry.chain(4), j=sign, b=0.25, direction=(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("platform", ["uqs1", "uqs2"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_plans_are_physically_realizable(name, platform, sign, gamma):
+    # a plan either fails with a compile error or simulates the target with
+    # raw angles of gamma's sign; on the lattice the sign rule decides which
+    model = realizability_model(name, sign)
+    target = build_model(model)
+    if platform == "uqs1":
+        hw = LatticeModel(n_sites=4, available_j=frozenset({1, 2}), gamma=gamma)
+        # the dipole simulates the pairs the classes reach: all but 0-3
+        target = Hamiltonian(4, tuple(t for t in target.terms if t.sites() != (0, 3)))
+    else:
+        hw = chain_trap(4, gamma=gamma)
+    if platform == "uqs1" and name == "random_ising":
+        expected = HardwareConstraintError
+    elif platform == "uqs1" and (sign * gamma > 0) != (name == "dipole"):
+        expected = InfeasibleTargetError  # -(J/2) couplings need J*gamma < 0
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(expected):
+            protocol_for_model(model, hw)
+        return
+    plan = protocol_for_model(model, hw)
+    effective = {t.ops: t.coeff for t in plan_effective(plan).terms}
+    assert set(effective) == {t.ops for t in target.terms}
+    assert all(abs(effective[t.ops] - t.coeff) <= 1e-12 for t in target.terms)
+    assert all(g.unit_angle * gamma > 0 for fam in plan.families for g in fam.gates)
 
 
 def random_hamiltonian(rng, n):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from uqsim.compiler import ApplyLocal, HardwareConstraintError, PulseSchedule, RawGate
+from uqsim.compiler import (
+    ApplyLocal,
+    HardwareConstraintError,
+    PulseSchedule,
+    RawGate,
+    schedule_from_text,
+    schedule_to_text,
+    trotter_schedule,
+)
 from uqsim.hardware import (
     HardwareError,
     LatticeModel,
@@ -342,6 +350,18 @@ class TestRealizeSchedule:
         # both pushes last tau=0.2; strongest parasitic pair is at distance 10
         strongest = max(abs(w) for _, _, w in para.targets)
         assert strongest == pytest.approx(0.2 / 1000.0, rel=1e-12)
+
+    def test_cycle_fields_stay_only_with_the_instruction_count(self):
+        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
+        target = Hamiltonian.from_terms(4, [(0.5, "ZZII"), (0.5, "IIZZ")])
+        sched, _ = trotter_schedule(target, 1.0, 0.5, model, num_cycles=3)
+        assert (sched.cycle_length, sched.num_cycles) == (2, 3)
+        plain = realize_schedule(sched, model).schedule
+        assert (plain.cycle_length, plain.num_cycles) == (2, 3)
+        noisy = realize_schedule(sched, model, include_crosstalk=True).schedule
+        assert len(noisy.instructions) == 9  # a crosstalk gate per concurrent pair
+        assert (noisy.cycle_length, noisy.num_cycles) == (None, None)
+        assert schedule_from_text(schedule_to_text(noisy)).equals(noisy)
 
     def test_ordering_preserved_around_layers(self):
         model = chain_trap(4)
