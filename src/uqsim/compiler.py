@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -593,6 +594,21 @@ class CyclePlan:
     def time_cost(self) -> float:
         return sum(f.cost for f in self.families)
 
+    @cached_property
+    def field_axes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-site field norm |b_q| and unit axis b_q/|b_q| (axis z where
+        b = 0), read-only and computed once per plan; None without fields."""
+        if self.local_fields is None:
+            return None
+        norms = np.array([math.sqrt(bx * bx + by * by + bz * bz)
+                          for bx, by, bz in self.local_fields])
+        axes = np.array([
+            (bx / nm, by / nm, bz / nm) if nm > 0 else (0.0, 0.0, 1.0)
+            for (bx, by, bz), nm in zip(self.local_fields, norms)
+        ])
+        norms.flags.writeable = axes.flags.writeable = False
+        return norms, axes
+
     def max_unit_angle(self) -> float:
         """Largest |theta|*weight of any emitted gate per unit simulated time."""
         out = 0.0
@@ -616,16 +632,12 @@ def field_angles(plan: CyclePlan, dt: float) -> tuple[np.ndarray, np.ndarray] | 
     below FIELD_ANGLE_FLOOR gets angle 0, and with every site below it there
     is no layer. A homogeneous plan applies site 0's rotation everywhere.
     """
-    if plan.local_fields is None:
+    if plan.field_axes is None:
         return None
-    norms = np.array([math.sqrt(bx * bx + by * by + bz * bz) for bx, by, bz in plan.local_fields])
+    norms, axes = plan.field_axes
     live = norms * abs(dt) >= FIELD_ANGLE_FLOOR
     if not live.any():
         return None
-    axes = np.array([
-        (bx / nm, by / nm, bz / nm) if nm > 0 else (0.0, 0.0, 1.0)
-        for (bx, by, bz), nm in zip(plan.local_fields, norms)
-    ])
     theta = np.where(live, norms * dt, 0.0)
     if plan.homogeneous_locals:
         theta = np.full(plan.n_qubits, theta[0])

@@ -20,9 +20,10 @@ single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
 which the observables below call too.
 
 The oracle has one eigendecomposition call, `_spectrum`, on a dense matrix,
-and keeps no process-wide cache. The adiabatic oracle
+and keeps no process-wide cache. Asked for eigenvalues only, it uses real
+arithmetic when the matrix is real. The adiabatic oracle
 (experiments.GroundPath) decomposes k*H_initial + (1-k)*H_target from two
-matrices built once per path.
+matrices built once per path; its gap scan asks for eigenvalues only.
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
@@ -566,19 +567,28 @@ def exact_evolve(h: Hamiltonian, t: float, state: StateVector) -> StateVector:
     return StateVector(state.n_qubits, SpectrumCache.from_hamiltonian(h).evolve(state.amps, t))
 
 
-def _spectrum(m: np.ndarray):
-    """The oracle's one eigendecomposition: ascending eigenvalues, eigenvector columns."""
-    return np.linalg.eigh(m)
+def _spectrum(m: np.ndarray, vectors: bool = True):
+    """The oracle's one eigendecomposition: ascending eigenvalues and
+    eigenvector columns. With vectors=False, the eigenvalues alone, from
+    real arithmetic when m has no imaginary part."""
+    if vectors:
+        return np.linalg.eigh(m)
+    return np.linalg.eigvalsh(m if m.imag.any() else m.real)
 
 
 @dataclass
 class SpectrumCache:
-    """A grouped eigensystem: sorted eigenvalues, their eigenvectors and the
-    (near-)degenerate groups. It caches nothing; the name stays because
-    perfbench/spans.py wraps its methods by name."""
+    """A grouped spectrum: sorted eigenvalues, their (near-)degenerate
+    groups and, unless it was built from eigenvalues alone, the eigenvectors.
+
+    A spectrum without vectors answers group energies and gaps only; asking
+    it for a basis, weight or evolution raises EngineError. It caches
+    nothing; the name stays because perfbench/spans.py wraps its methods by
+    name.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
+    eigenvectors: np.ndarray | None  # columns
     groups: tuple[tuple[int, int], ...]  # [start, stop) index ranges
     tol: float
 
@@ -588,14 +598,20 @@ class SpectrumCache:
         return SpectrumCache.from_matrix(h.to_matrix())
 
     @staticmethod
-    def from_matrix(m: np.ndarray) -> "SpectrumCache":
-        """Eigenvalues less than 1e-8 * max(1, spread) apart share a group."""
-        evals, evecs = _spectrum(m)
+    def from_matrix(m: np.ndarray, vectors: bool = True) -> "SpectrumCache":
+        """Eigenvalues less than 1e-8 * max(1, spread) apart share a group.
+        vectors=False decomposes eigenvalues only (see _spectrum)."""
+        evals, evecs = _spectrum(m) if vectors else (_spectrum(m, vectors=False), None)
         spread = float(evals[-1] - evals[0]) if evals.size > 1 else 1.0
         tol = 1e-8 * max(1.0, spread)
         cuts = (np.flatnonzero(np.diff(evals) >= tol) + 1).tolist()
         groups = tuple(zip([0] + cuts, cuts + [evals.size]))
         return SpectrumCache(evals, evecs, groups, tol)
+
+    def _vectors(self) -> np.ndarray:
+        if self.eigenvectors is None:
+            raise EngineError("this spectrum holds eigenvalues only, no eigenvectors")
+        return self.eigenvectors
 
     def group_energy(self, g: int) -> float:
         start, stop = self.groups[g]
@@ -603,7 +619,7 @@ class SpectrumCache:
 
     def group_basis(self, g: int) -> np.ndarray:
         start, stop = self.groups[g]
-        return self.eigenvectors[:, start:stop]
+        return self._vectors()[:, start:stop]
 
     def group_weight(self, g: int, state: StateVector) -> float:
         return subspace_fidelity(state, self.group_basis(g))
@@ -613,12 +629,19 @@ class SpectrumCache:
         return [(self.group_energy(g), self.group_weight(g, state)) for g in range(len(self.groups))]
 
     def ground_vector(self) -> np.ndarray:
-        """A deterministic, basis-stable unit vector of the ground space.
+        """A unit vector of the ground space, the same on every call with
+        the same eigenvectors.
 
         With P the projector onto the (possibly degenerate) ground space,
-        this is P|e_k>/||P|e_k>|| for the computational basis state k with
-        the largest diagonal weight <e_k|P|e_k> (ties break to the lowest
-        index); its k-th amplitude is then real positive by construction.
+        this is P|e_k>/||P|e_k>|| for the computational basis state k whose
+        computed diagonal weight <e_k|P|e_k> is largest; its k-th amplitude
+        is then real positive by construction. Only an exact float tie
+        breaks to the lowest index. Weights that are equal in exact
+        arithmetic but differ in rounding pick k by that rounding, which can
+        change with the eigensolver, its arithmetic and its thread count: on
+        the 9-site XX chain all 512 weights are 1/256, and with one OpenBLAS
+        thread complex eigh picks k = 11 and real eigh k = 263, whose
+        vectors lie in different Z-parity sectors.
         """
         basis = self.group_basis(0)
         k = int(np.argmax(np.sum(np.abs(basis) ** 2, axis=1)))
@@ -627,7 +650,7 @@ class SpectrumCache:
 
     def evolve(self, amps: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied to one state (2^n,) or to each row of a batch (R, 2^n)."""
-        v = self.eigenvectors
+        v = self._vectors()
         phases = np.exp(-1j * self.eigenvalues * t)[:, None]
         # states as columns: a single state then takes the matrix-vector path
         out = v @ (phases * (v.conj().T @ np.atleast_2d(amps).T))

@@ -238,7 +238,8 @@ class GroundPath:
 
     Both dense matrices are built once. The spectra of the endpoints and of
     the latest other k are kept, so runs sharing a path decompose each
-    endpoint once.
+    endpoint once. `levels` serves the gap scan: it decomposes eigenvalues
+    only and keeps nothing.
     """
 
     def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
@@ -263,6 +264,14 @@ class GroundPath:
             spec = self._spectra[k] = SpectrumCache.from_matrix(self.matrix(k))
         return spec
 
+    def levels(self, k: float) -> SpectrumCache:
+        """The grouped eigenvalues of H(k): a kept spectrum of k if there is
+        one, else an eigenvalue-only spectrum that is not kept."""
+        spec = self._spectra.get(k)
+        if spec is None:
+            spec = SpectrumCache.from_matrix(self.matrix(k), vectors=False)
+        return spec
+
     def ground_basis(self, k: float) -> np.ndarray:
         """Orthonormal columns spanning the ground space of H(k)."""
         return self.spectrum(k).group_basis(0)
@@ -283,7 +292,7 @@ def min_gap(path: GroundPath, samples: int = 101) -> MinGapResult:
     best_k = 0.0
     all_gapless = True
     for k in np.linspace(0.0, 1.0, samples):
-        spec = path.spectrum(float(k))
+        spec = path.levels(float(k))
         if len(spec.groups) < 2:
             continue
         gap = spec.group_energy(1) - spec.group_energy(0)

@@ -75,13 +75,6 @@ class PauliString:
     def scaled(self, factor: float) -> "PauliString":
         return PauliString(self.ops, self.coeff * factor)
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^N x 2^N matrix with qubit 0 as the least significant bit."""
-        m = np.array([[self.coeff]], dtype=complex)
-        for c in self.ops:
-            m = np.kron(SIGMA[c], m)
-        return m
-
     def __repr__(self):
         return f"PauliString({self.ops!r}, {self.coeff!r})"
 
@@ -160,10 +153,24 @@ class Hamiltonian:
         return self.scaled(float(factor))
 
     def to_matrix(self) -> np.ndarray:
+        """Dense 2^N x 2^N matrix with qubit 0 as the least significant bit.
+
+        A string with X or Y on the sites of x_mask, Y or Z on those of
+        z_mask and #Y factors Y has in column c one entry,
+        coeff * i^#Y * (-1)^popcount(c & z_mask), in row c ^ x_mask. Terms
+        are added in order, which gives the same floats as summing the
+        kron products of the strings.
+        """
         dim = 2**self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
         for t in self.terms:
-            m += t.to_matrix()
+            x_mask = sum(1 << q for q, c in enumerate(t.ops) if c in "XY")
+            z_mask = sum(1 << q for q, c in enumerate(t.ops) if c in "YZ")
+            n_y = t.ops.count("Y")
+            signs = 1 - 2 * _parity(cols & z_mask)
+            part = m.real if n_y % 2 == 0 else m.imag
+            part[cols ^ x_mask, cols] += (t.coeff if n_y % 4 < 2 else -t.coeff) * signs
         return m
 
     def frobenius_coeff_norm(self) -> float:
@@ -205,6 +212,13 @@ class Hamiltonian:
     def __repr__(self):
         body = " + ".join(f"{t.coeff:g}*{t.ops}" for t in self.terms) or "0"
         return f"Hamiltonian({self.n_qubits}, {body})"
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    """popcount(v) mod 2, elementwise, for entries below 2^32."""
+    for shift in (16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
 
 
 def _canonicalize(n_qubits: int, strings: Sequence[PauliString]) -> tuple[PauliString, ...]:

@@ -23,6 +23,7 @@ from uqsim.compiler import (
     decoupling_echo,
     effective_hamiltonian,
     emit_cycle,
+    field_angles,
     homogeneous_feasibility,
     inhomogeneous_cost,
     magnetic_field_layer,
@@ -848,3 +849,18 @@ class TestMagneticFieldLayer:
             layer.unitary_at(0).matrix, oracles.expm(-1j * 0.15 * oracles.SX), atol=1e-12
         )
         assert layer.unitary_at(1).is_identity()
+
+    def test_field_angles_read_the_plans_field_axes(self):
+        # norms and axes are computed once per plan; each dt only scales them
+        fields = ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0))
+        plan = CyclePlan(3, (), fields, homogeneous_locals=False)
+        assert plan.field_axes is plan.field_axes
+        with pytest.raises(ValueError):
+            plan.field_axes[1][0, 0] = 1.0
+        for dt in (0.37, -1.5):
+            theta, axes = field_angles(plan, dt)
+            for q, (bx, by, bz) in enumerate(fields):
+                nm = math.sqrt(bx * bx + by * by + bz * bz)
+                axis = (bx / nm, by / nm, bz / nm) if nm > 0 else (0.0, 0.0, 1.0)
+                assert theta[q] == nm * dt and tuple(axes[q]) == axis
+        assert CyclePlan(3, (), None).field_axes is None

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from uqsim.compiler import ApplyLocal, HardwareConstraintError, InfeasibleTargetError, emit_cycle
-from uqsim.engine import ErrorModel
+from uqsim.engine import EngineError, ErrorModel, StateVector
 from uqsim.experiments import (
     MODEL_NAMES,
     AdiabaticConfig,
@@ -399,6 +399,70 @@ class TestMinGap:
         assert res.min_gap == pytest.approx(math.sqrt(2.0), abs=1e-9)
         assert res.argmin_k == pytest.approx(0.5, abs=1e-9)
         assert res.recommended_time == pytest.approx(1 / math.sqrt(2.0), abs=1e-9)
+
+    @staticmethod
+    def real_path():
+        n = 7
+        return GroundPath(nn_chain("zz", n), build_model(NamedModel("dipole", Geometry.chain(n))))
+
+    @staticmethod
+    def complex_path():
+        # a field along X turning into one along Y: one Y per target term
+        n = 4
+
+        def field(axis):
+            return Hamiltonian.from_terms(n, [(1.0, "I" * q + axis + "I" * (n - q - 1))
+                                              for q in range(n)])
+
+        return GroundPath(field("X"), field("Y"))
+
+    @pytest.mark.parametrize("which, dtypes", [
+        ("real", [np.float64] * 4),
+        # H(1) is the X field alone, so real
+        ("complex", [np.complex128] * 3 + [np.float64]),
+    ])
+    def test_levels_match_the_full_spectrum(self, monkeypatch, which, dtypes):
+        path = self.real_path() if which == "real" else self.complex_path()
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or eigvalsh(m))
+        for k in (0.0, 0.3, 0.5, 1.0):
+            levels = path.levels(k)
+            assert levels.eigenvectors is None
+            full = path.spectrum(k)
+            assert levels.groups == full.groups
+            np.testing.assert_allclose(levels.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
+        assert seen == dtypes
+
+    def test_levels_reuse_a_kept_spectrum_and_keep_nothing(self):
+        path = self.complex_path()
+        assert path.levels(1.0) is not path.levels(1.0)
+        full = path.spectrum(1.0)
+        assert path.levels(1.0) is full
+        path.levels(0.25)
+        assert path.spectrum(0.25).eigenvectors is not None
+
+    def test_complex_path_gap(self):
+        res = min_gap(self.complex_path(), samples=41)
+        assert res.min_gap == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert res.argmin_k == 0.5
+
+    def test_scan_decomposes_no_eigenvectors(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        res = min_gap(self.real_path(), samples=41)
+        assert calls == []
+        assert res.min_gap == pytest.approx(0.6927372499417848, abs=1e-6)
+
+    def test_eigenvalue_only_spectrum_has_no_vectors(self):
+        levels = self.complex_path().levels(0.5)
+        state = StateVector.zero_state(4)
+        for ask in (lambda: levels.group_basis(0), levels.ground_vector,
+                    lambda: levels.group_weight(0, state), lambda: levels.histogram(state),
+                    lambda: levels.evolve(state.amps, 0.1)):
+            with pytest.raises(EngineError, match="eigenvalues only"):
+                ask()
 
     def test_fig4_path_regression_baseline(self):
         n = 7

@@ -86,6 +86,19 @@ class TestHamiltonianCanonical:
         assert h.n_qubits == 2 and h.coefficient("ZZ") == 1.0
 
 
+class TestToMatrix:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_kron_oracle_exactly(self, n, seed):
+        # every letter appears, and terms are summed in canonical order on both sides
+        rng = np.random.default_rng(100 * n + seed)
+        strings = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2 * n + 2)]
+        strings += [c * n for c in "IXYZ"]
+        h = Hamiltonian.from_terms(n, [(float(rng.normal()), ops) for ops in strings])
+        dense = oracles.dense_hamiltonian(n, [(t.coeff, t.ops) for t in h.terms])
+        assert np.array_equal(h.to_matrix(), dense)
+
+
 class TestCommutator:
     def test_standard_identity(self):
         h1 = Hamiltonian.from_terms(1, [(1.0, "Z")])
