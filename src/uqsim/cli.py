@@ -570,7 +570,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
-    except (PauliError, FileNotFoundError, StateFormatError) as exc:
+    except (PauliError, OSError, StateFormatError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
     except PolicyError as exc:

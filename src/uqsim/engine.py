@@ -6,18 +6,26 @@ Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 Execution is lowered, fused and batched. One lowering turns instructions
 into arrays before they run: a local layer becomes its per-qubit form
 exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
-non-identity qubits, and each run of consecutive raw gates one ZZRun, a
-vector of theta*w over its targets with a +-1 Z_a Z_b sign row per target.
+non-identity qubits and its fused groups, and each run of consecutive raw
+gates one ZZRun, a vector of theta*w over its targets with a +-1 Z_a Z_b
+sign row per target.
 Schedules go through it as they run. A cycle plan goes through it once, as
 the compiler's cycle_body; each adiabatic step then adds the compiler's
 field_angles layer and scales the body's runs (LoweredPlan), so the
 compiler alone decides what a cycle contains. Jitter rescales theta in
 closed form, vectorised over qubits, and a gate run is a single multiply by
-exp(-i * coef @ signs). The state has a leading batch axis (R, 2^n): the
-repetitions of a sweep cell advance as one array, each row with its own
-seeded PCG64 generator, and a single run is a batch of one. The
-single-qubit kernel and the Z_a Z_b sign rows come from uqsim.kernels,
-which the observables below call too.
+exp(-i * coef @ signs). A local layer runs group by group: its qubits are
+split once, at lowering, into contiguous groups of at most _GROUP_QUBITS
+(4+3 at n=7, 3+3+3 at n=9). A group with two or more non-identity qubits
+is applied as one (2^k, 2^k) Kronecker block of its 2x2s, an exact identity
+in place of each identity qubit, in the manner of qsim's gate fusion
+(arXiv:2111.02396); a group with one is a single-qubit kernel call, which
+is cheaper than the same qubit padded with identities; a group with none is
+skipped. The state has a leading batch axis (R, 2^n): the repetitions of a
+sweep cell advance as one array, each row with its own seeded PCG64
+generator, and a single run is a batch of one. The single-qubit and block
+kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
+observables below call too.
 
 The oracle has one eigendecomposition call, `_spectrum`, on a dense matrix,
 and keeps no process-wide cache. Asked for eigenvalues only, it uses real
@@ -133,7 +141,10 @@ class StateVector:
             if line.startswith("#"):
                 m = re.search(r"n_qubits=(\d+)", line)
                 if m:
-                    n_qubits = int(m.group(1))
+                    try:
+                        n_qubits = int(m.group(1))
+                    except ValueError as exc:  # beyond int's digit limit
+                        raise StateFormatError(f"line {lineno}: bad n_qubits") from exc
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -219,6 +230,21 @@ _IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
 _SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are cached and stacked per run
 _CHUNK = 64                # lowered ops per draw-and-apply pass, raw gates per fused run
 _LAYER_CACHE = 256         # lowered local layers kept per execute_batch call
+_GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
+def _group_bounds(n_qubits: int):
+    """(lo, k) of the ceil(n / _GROUP_QUBITS) contiguous qubit groups of
+    near-equal size, larger groups first: 4+3 at n=7, 3+3+3 at n=9."""
+    count = -(-n_qubits // _GROUP_QUBITS)
+    size, extra = divmod(n_qubits, count)
+    lo = 0
+    for g in range(count):
+        k = size + (g < extra)
+        yield lo, k
+        lo += k
 
 
 class LoweredLayer:
@@ -226,11 +252,18 @@ class LoweredLayer:
 
     Qubit q applies exp(i*alpha_q) (cos(theta_q) I - i sin(theta_q) n_q.sigma).
     `matrices` holds the noiseless 2x2 unitaries and `active` the qubits
-    whose unitary is not the identity; only those reach a kernel, with or
+    whose unitary is not the identity; only those are applied, with or
     without jitter, since jitter only rescales theta.
+
+    `groups` fixes at lowering how the layer is applied: the qubits split
+    into contiguous groups of at most _GROUP_QUBITS (_group_bounds), each
+    kept as (lo, k, its active qubits) when it has any. A group with one
+    active qubit is one single-qubit kernel call; one with more is one
+    (2^k, 2^k) Kronecker block, an exact identity standing for each inactive
+    qubit in it.
     """
 
-    __slots__ = ("theta", "nsigma", "phase", "matrices", "active")
+    __slots__ = ("theta", "nsigma", "phase", "matrices", "active", "groups")
 
     def __init__(self, alpha, theta, axis, matrices=None):
         self.theta = np.asarray(theta, dtype=float)
@@ -239,8 +272,11 @@ class LoweredLayer:
                        + axis[:, 2, None, None] * SIGMA["Z"])
         self.phase = np.exp(1j * np.asarray(alpha, dtype=float))
         self.matrices = self.jittered(1.0) if matrices is None else matrices
-        off = np.max(np.abs(self.matrices - np.eye(2)), axis=(1, 2))
+        off = np.max(np.abs(self.matrices - _EYE2), axis=(1, 2))
         self.active = tuple(np.flatnonzero(off > _IDENTITY_TOL).tolist())
+        groups = ((lo, k, tuple(q for q in self.active if lo <= q < lo + k))
+                  for lo, k in _group_bounds(len(self.theta)))
+        self.groups = tuple(g for g in groups if g[2])
 
     @staticmethod
     def from_layer(layer: LocalLayer, n_qubits: int) -> "LoweredLayer":
@@ -259,9 +295,24 @@ class LoweredLayer:
         over qubits and, through the shape of `scale`, over batch rows.
         """
         th = self.theta * scale
-        m = (np.cos(th)[..., None, None] * np.eye(2)
+        m = (np.cos(th)[..., None, None] * _EYE2
              - 1j * np.sin(th)[..., None, None] * self.nsigma)
         return self.phase[:, None, None] * m
+
+    def apply(self, amps: np.ndarray, mats: np.ndarray) -> None:
+        """The layer with unitaries `mats` (n, 2, 2), or (R, n, 2, 2) one set
+        per row, on the batch amps (R, 2^n) in place, group by group."""
+        for lo, k, live in self.groups:
+            if len(live) == 1:
+                kernels.apply_single_qubit(amps, live[0], mats[..., live[0], :, :])
+                continue
+            block = mats[..., lo, :, :] if lo in live else _EYE2
+            for q in range(lo + 1, lo + k):
+                m = mats[..., q, :, :] if q in live else _EYE2
+                # kron(m, block): qubit q is the block's new high bit
+                prod = m[..., :, None, :, None] * block[..., None, :, None, :]
+                block = prod.reshape(*prod.shape[:-4], 2 * prod.shape[-3], 2 * prod.shape[-1])
+            kernels.apply_block(amps, lo, block)
 
 
 class ZZRun:
@@ -397,8 +448,7 @@ def execute_lowered(
                 d = -eta_l + (eta_l + eta_l) * u[:, pos:pos + n]
                 pos += n
                 mats, draws = op.jittered(1.0 + d), d[0]
-            for q in op.active:
-                kernels.apply_single_qubit(amps, q, mats[..., q, :, :])
+            op.apply(amps, mats)
             if log is not None:
                 log.record(index, "local", tuple(draws))
             index += 1

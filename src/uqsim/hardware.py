@@ -469,7 +469,9 @@ def realize_schedule(abstract: PulseSchedule, hw, include_crosstalk: bool = Fals
 
     UQS1 requires homogeneous layers and complete translation classes and maps
     every gate to its displacement id. UQS2 greedily packs runs of adjacent
-    pair gates into concurrent groups that pass the crosstalk check; with
+    pair gates into concurrent groups that pass the crosstalk check; a run
+    ends at every local layer and, when the schedule has a cycle_length, at
+    every cycle boundary, so packing stays linear in the cycle count. With
     `include_crosstalk` the dropped parasitic couplings are appended as an
     explicit coherent-error gate per group. The cycle fields of the
     abstract schedule are kept only when the instruction count is.
@@ -551,7 +553,10 @@ def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel, include_crosstalk
                     out.append(parasitic)
         run.clear()
 
-    for ins in abstract.instructions:
+    cycle = abstract.cycle_length
+    for i, ins in enumerate(abstract.instructions):
+        if cycle and i % cycle == 0:
+            flush_run()  # a run ends at every cycle boundary
         if isinstance(ins, RawGate):
             for a, b, _ in ins.targets:
                 if not (0 <= a < hw.n_ions and 0 <= b < hw.n_ions):

@@ -33,6 +33,23 @@ def apply_single_qubit(amps: np.ndarray, q: int, u: np.ndarray) -> None:
     view[..., 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
 
 
+def apply_block(amps: np.ndarray, lo: int, u: np.ndarray) -> None:
+    """u (2^k, 2^k) on qubits lo..lo+k-1 of amps (2^n,) or of every row of
+    amps (R, 2^n), or u (R, 2^k, 2^k), one per row. Qubit lo + j is bit j
+    of the block's row and column index.
+
+    One matmul on a reshaped view: (..., 2^(n-k), 2^k) @ u^T for a block at
+    qubit 0, u @ (..., 2^(n-lo-k), 2^k, 2^lo) above it.
+    """
+    dim = u.shape[-1]
+    if lo == 0:
+        view = amps.reshape(*amps.shape[:-1], -1, dim)
+        view[...] = view @ np.swapaxes(u, -1, -2)
+    else:
+        view = amps.reshape(*amps.shape[:-1], -1, dim, 1 << lo)
+        view[...] = (u[:, None] if u.ndim == 3 else u) @ view
+
+
 def zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
     """The +-1 eigenvalue of Z_a Z_b on every basis state of n qubits."""
     k = np.arange(1 << n_qubits)

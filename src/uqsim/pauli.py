@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -185,12 +186,28 @@ class Hamiltonian:
 
     @staticmethod
     def from_text(text: str, n_qubits: int | None = None) -> "Hamiltonian":
-        """Parse the one-term-per-line format ``coeff op_1 op_2 ... op_N``."""
+        """Parse the one-term-per-line format ``coeff op_1 op_2 ... op_N``.
+
+        A comment line with ``n_qubits=N``, the header to_text writes, fixes
+        the size: the `n_qubits` argument and every term must agree with it,
+        and a header alone is the zero Hamiltonian on N qubits.
+        """
         terms = []
         n = n_qubits
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
+                m = re.search(r"n_qubits=(\d+)", line)
+                if m:
+                    try:
+                        size = int(m.group(1))
+                    except ValueError as exc:  # beyond int's digit limit
+                        raise PauliError(f"line {lineno}: bad n_qubits") from exc
+                    if n is not None and size != n:
+                        raise PauliError(f"line {lineno}: n_qubits={size}, expected {n}")
+                    n = size
+                continue
+            if not line:
                 continue
             parts = line.split()
             if len(parts) < 2:
@@ -206,7 +223,7 @@ class Hamiltonian:
                 raise PauliError(f"line {lineno}: expected {n} ops, got {len(ops)}")
             terms.append((coeff, ops))
         if n is None:
-            raise PauliError("no terms and no explicit n_qubits")
+            raise PauliError("no terms and no n_qubits header")
         return Hamiltonian.from_terms(n, terms)
 
     def __repr__(self):

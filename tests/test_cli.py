@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import json
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uqsim.cli import build_parser, main
 from uqsim.compiler import schedule_from_text, trotter_cycles, trotter_schedule
@@ -195,6 +200,23 @@ class TestSimulate:
             tmp_path, "# pulse schedule version=1 n_qubits=2\n", "initial = file:dump.txt\n")
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def simulate_oracle(self, tmp_path, ham_text, n_qubits):
+        write(tmp_path / "h.ham", ham_text)
+        write(tmp_path / "s.txt", f"# pulse schedule version=1 n_qubits={n_qubits}\n")
+        cfg = write(tmp_path / "sim.cfg", "[simulate]\nschedule = s.txt\noracle_hamiltonian = h.ham\n")
+        return main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--oracle"])
+
+    def test_oracle_hamiltonian_against_its_header_exits_1(self, tmp_path, capsys):
+        # the body is 2 qubits, the header and the schedule 3
+        assert self.simulate_oracle(tmp_path, "# hamiltonian n_qubits=3\n1.0 Z Z\n", 3) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: line 2: expected 3 ops, got 2")
+        assert "Traceback" not in err
+
+    def test_oracle_reads_a_header_only_hamiltonian(self, tmp_path, capsys):
+        assert self.simulate_oracle(tmp_path, Hamiltonian.zero(2).to_text(), 2) == 0
+        assert "oracle_fidelity=1.0" in capsys.readouterr().out
 
 
 class TestAdiabatic:
@@ -477,6 +499,7 @@ STEPS_3 = ["--steps", "3"]
     ("simulate", "eta_local", "1.5", []),
     ("fig4b.cfg", "etas", "1.5", STEPS_3),
     ("fig4b.cfg", "etas", "-0.1", STEPS_3),
+    ("fig4a.cfg", "initial", "file:.", STEPS_3),
 ])
 def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, key, value, argv):
     if config == "simulate":
@@ -578,3 +601,45 @@ def test_benchmark_argv_parses(name, workload):
     for seed in (1, 2):
         for argv in workload.commands(seed):
             build_parser().parse_args(argv)
+
+
+GUARD = settings(max_examples=24, deadline=None, database=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+GUARD_VALUES = st.sampled_from([
+    "", "abc", "0", "1", "2", "3", "-1", "0.5", "1.5", "-0.1", "1e-9", "1e999", "nan", "inf",
+    "-inf", "0 0.01", "2 3", "chain:3", "chain:2", "chain:x", "grid:2x2", "grid:1x3", "uqs1", "uqs2",
+    "open", "periodic", "all", "1 2", "dipole", "heisenberg", "ising", "random_ising", "xx_chain",
+    "zz_chain", "linear", "cosine", "file:missing.ham", "file:.", "file:bad.ham", "0 ; 1 ; 2",
+])
+GUARD_SWEEP = {"etas": "0 0.01", "steps_list": "2", "repetitions": "2"}
+
+
+def bundled_lines(name: str) -> list[str]:
+    """A bundled config's lines with its [sweep] narrowed to 2 steps and 2 runs."""
+    text = bundled(name)
+    for key, value in GUARD_SWEEP.items():
+        if re.search(rf"(?m)^{key}\s*=", text):
+            text = with_value(text, key, value)
+    return text.splitlines()
+
+
+@GUARD
+@given(config=st.sampled_from(["fig4a.cfg", "fig4b.cfg"]), data=st.data())
+def test_mutated_bundled_configs_never_raise(config, data):
+    # every outcome is a documented exit code with a one-line message, never a traceback
+    lines = bundled_lines(config)
+    keyed = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.sampled_from(keyed))
+        lines[i] = f"{lines[i].split('=')[0].strip()} = {data.draw(GUARD_VALUES)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write(work / "bad.ham", "# hamiltonian n_qubits=3\n1.0 Z Z\n")
+        cfg = write(work / "c.cfg", "\n".join(lines) + "\n")
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(["adiabatic", "--config", str(cfg), "--out-dir", str(work / "out"),
+                         "--steps", "2", "--jobs", "1"])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("uqsim: ")

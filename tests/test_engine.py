@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from uqsim import kernels
@@ -86,6 +88,41 @@ class TestKernels:
         dense = oracles.evolve(oracles.kron_string("IZZ"), -0.37)
         for r in range(rows):
             np.testing.assert_allclose(got[r], dense @ amps[r], atol=1e-12)
+
+    @staticmethod
+    def block_positions(n):
+        """(lo, k) of blocks at qubit 0, at the top and, at n=9, in the middle."""
+        k = min(n, 4)
+        out = {(0, k), (n - k, k)}
+        if n == 9:
+            out.add((3, 3))
+        return sorted(out)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_matches_dense(self, n, per_row):
+        rows = 3
+        amps = self.batch(n, rows)
+        rng = np.random.default_rng(n)
+        for lo, k in self.block_positions(n):
+            # per qubit of the block, one unitary per row
+            us = [np.array([np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                            for _ in range(rows)]) for _ in range(k)]
+            if not per_row:
+                us = [u[0] for u in us]
+            block = np.array([oracles.local_layer_matrix([u[r] for u in us]) for r in range(rows)]
+                             if per_row else oracles.local_layer_matrix(us))
+            got = amps.copy()
+            kernels.apply_block(got, lo, block)
+            for r in range(rows):
+                mats = [np.eye(2)] * n
+                mats[lo:lo + k] = [u[r] for u in us] if per_row else us
+                dense = oracles.local_layer_matrix(mats)
+                np.testing.assert_allclose(got[r], dense @ amps[r], atol=1e-12)
+            if not per_row:  # a single state (2^n,)
+                one = amps[0].copy()
+                kernels.apply_block(one, lo, block)
+                np.testing.assert_allclose(one, got[0], atol=1e-12)
 
 
 class TestApplyLocalLayer:
@@ -432,6 +469,10 @@ class TestDumpFormat:
         with pytest.raises(StateFormatError, match="n_qubits=60"):
             StateVector.load_text("# statevector n_qubits=60\n0 1.0 0.0\n")
 
+    def test_header_beyond_the_int_digit_limit_is_a_parse_error(self):
+        with pytest.raises(StateFormatError, match="bad n_qubits"):
+            StateVector.load_text("# statevector n_qubits=" + "9" * 5000 + "\n0 1.0 0.0\n")
+
     def test_non_finite_norm_fails_closed(self):
         with pytest.raises(EngineError, match="norm"):
             StateVector(1, np.array([math.nan, 0.0])).check_norm()
@@ -441,3 +482,65 @@ class TestDumpFormat:
         text = s.dump_text()
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(lines) == 1
+
+
+STATE_FUZZ = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+STATE_TOKENS = st.sampled_from([
+    "#", "# statevector", "n_qubits=1", "n_qubits=2", "n_qubits=0", "n_qubits=99", "n_qubits=x",
+    "endian=little", "norm=1.0", "0", "1", "3", "4", "-1", "0.6", "0.8", "-0.8", "1.0", "0.0",
+    "-0.0", "nan", "inf", "-inf", "1e999", "1e-320", "x", "", "=",
+]) | st.text(max_size=5)
+
+
+@st.composite
+def states(draw):
+    n = draw(st.integers(1, 4))
+    parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-16, 1e-300])
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(2**n)])
+    norm = np.linalg.norm(amps)
+    if not norm > 1e-3:
+        amps, norm = np.eye(2**n)[draw(st.integers(0, 2**n - 1))].astype(complex), 1.0
+    return StateVector(n, amps / norm)
+
+
+class TestDumpFormatFuzz:
+    @STATE_FUZZ
+    @given(states())
+    def test_valid_dumps_round_trip(self, state):
+        text = state.dump_text()
+        again = StateVector.load_text(text)
+        assert again.dump_text() == text
+        kept = np.abs(state.amps) > 1e-15
+        np.testing.assert_array_equal(again.amps[kept], state.amps[kept])
+        assert not again.amps[~kept].any()
+
+    @STATE_FUZZ
+    @given(st.data())
+    def test_mutated_dumps_raise_only_state_format_error(self, data):
+        base = "# statevector n_qubits=2 endian=little norm=1.0\n0 0.6 0.0\n3 0.0 -0.8\n"
+        lines = [line.split(" ") for line in base.splitlines()]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            words = lines[row]
+            action = data.draw(st.sampled_from(["replace", "insert", "delete", "line"]))
+            at = data.draw(st.integers(0, len(words)))
+            if action == "replace" and at < len(words):
+                words[at] = data.draw(STATE_TOKENS)
+            elif action == "delete" and at < len(words):
+                del words[at]
+            elif action == "line":
+                lines.insert(row, data.draw(st.lists(STATE_TOKENS, max_size=4)))
+            else:
+                words.insert(at, data.draw(STATE_TOKENS))
+        try:
+            StateVector.load_text("\n".join(" ".join(w) for w in lines) + "\n")
+        except StateFormatError:
+            pass
+
+    @STATE_FUZZ
+    @given(st.text(max_size=60))
+    def test_garbage_raises_only_state_format_error(self, text):
+        try:
+            StateVector.load_text(text)
+        except StateFormatError:
+            pass

@@ -13,6 +13,7 @@ from uqsim.compiler import (
     schedule_to_text,
     trotter_schedule,
 )
+from uqsim import hardware
 from uqsim.hardware import (
     HardwareError,
     LatticeModel,
@@ -362,6 +363,42 @@ class TestRealizeSchedule:
         assert len(noisy.instructions) == 9  # a crosstalk gate per concurrent pair
         assert (noisy.cycle_length, noisy.num_cycles) == (None, None)
         assert schedule_from_text(schedule_to_text(noisy)).equals(noisy)
+
+    def test_packing_is_linear_in_the_cycle_count(self, monkeypatch):
+        # a ZZ-only target has no local layer between its cycles: 2,916 gates
+        # in one run took 46 s when packing ignored the cycle boundaries
+        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
+        target = Hamiltonian.from_terms(4, [(0.5, "ZZII"), (0.5, "IIZZ")])
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return crosstalk_report(*args)
+
+        monkeypatch.setattr(hardware, "crosstalk_report", counted)
+        sched, _ = trotter_schedule(target, 1.0, 0.5, model)
+        assert (len(sched.instructions), sched.cycle_length) == (2916, 2)
+        realized = realize_schedule(sched, model, include_crosstalk=True)
+        # per cycle: its two pushes as one group, then their crosstalk gate
+        assert realized.concurrent_groups == tuple((3 * c, 3 * c + 1) for c in range(1458))
+        counts = []
+        for num_cycles in (3, 6, 12, 24):
+            sched, _ = trotter_schedule(target, 1.0, 0.5, model, num_cycles=num_cycles)
+            calls.clear()
+            realize_schedule(sched, model, include_crosstalk=True)
+            counts.append(len(calls))
+        assert counts == [counts[0] * m for m in (1, 2, 4, 8)]
+
+    def test_no_group_spans_a_cycle_boundary(self):
+        # across cycles the second 0-1 push would pair with the next cycle's 2-3
+        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
+        cycle = (RawGate("push:0-1", 0.2, ((0, 1, 1.0),)), RawGate("push:2-3", 0.3, ((2, 3, 1.0),)),
+                 RawGate("push:0-1", 0.1, ((0, 1, 1.0),)))
+        sched = PulseSchedule(4, cycle * 4, None, 3, 4)
+        realized = realize_schedule(sched, model)
+        assert realized.concurrent_groups == tuple(
+            g for c in range(4) for g in ((3 * c, 3 * c + 1), (3 * c + 2,)))
+        assert realized.schedule.gate_angle_totals() == sched.gate_angle_totals()
 
     def test_ordering_preserved_around_layers(self):
         model = chain_trap(4)

@@ -102,8 +102,10 @@ def run_both(n, instructions, err, start):
 
 
 @pytest.mark.parametrize("etas", ETAS)
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 13])
 def test_single_run_matches_reference(n, etas):
+    # 6 and 9: local layers in two and three fused groups, one in the middle;
+    # 13: four groups and sign rows made per target
     for trial in range(3):
         seed = 100 * n + trial
         got, log, ref, ref_log = run_both(
@@ -111,6 +113,34 @@ def test_single_run_matches_reference(n, etas):
         )
         assert np.max(np.abs(got - ref)) <= AMP_TOL
         assert log == ref_log  # repr of every draw: bit-identical
+
+
+@pytest.mark.parametrize("etas", ETAS)
+def test_fused_group_with_inactive_qubits(etas):
+    # group 0..3 holds an identity on qubit 1 and a bare phase on qubit 2
+    # (theta = 0, alpha != 0: active) beside rotations; group 4..6 has one
+    # active qubit and takes the single-qubit kernel
+    n = 7
+    rot = SingleQubitUnitary.rot((0.6, 0.0, 0.8), 0.7)
+    units = [SingleQubitUnitary.identity()] * n
+    units[0], units[3], units[6] = rot, SingleQubitUnitary.rot((0.0, 1.0, 0.0), -0.4), rot
+    units[2] = SingleQubitUnitary(np.exp(0.3j) * np.eye(2))
+    layer = LocalLayer.inhomogeneous(units)
+    lowered = engine.LoweredLayer.from_layer(layer, n)
+    assert lowered.groups == ((0, 4, (0, 2, 3)), (4, 3, (6,)))
+    gate = RawGate("g", 0.4, ((1, 5, 1.0), (2, 6, -0.5)))
+    instructions = [ApplyLocal(layer), gate, ApplyLocal(layer)]
+    got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 5), random_amps(n, 5))
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert log == ref_log
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (4, [4]), (5, [3, 2]), (7, [4, 3]), (8, [4, 4]),
+                                      (9, [3, 3, 3]), (13, [4, 3, 3, 3])])
+def test_group_bounds(n, sizes):
+    bounds = list(engine._group_bounds(n))
+    assert [k for _, k in bounds] == sizes
+    assert [lo for lo, _ in bounds] == [sum(sizes[:g]) for g in range(len(sizes))]
 
 
 @pytest.mark.parametrize("etas", ETAS)

@@ -85,6 +85,85 @@ class TestHamiltonianCanonical:
         h = Hamiltonian.from_text("# c\n\n1.0 Z Z\n")
         assert h.n_qubits == 2 and h.coefficient("ZZ") == 1.0
 
+    @pytest.mark.parametrize("text, n_qubits, message", [
+        ("# hamiltonian n_qubits=3\n1 ZZ\n", None, "expected 3 ops, got 2"),
+        ("# hamiltonian n_qubits=3\n1 ZZZ\n", 2, "line 1: n_qubits=3, expected 2"),
+        ("# hamiltonian n_qubits=3\n# n_qubits=2\n", None, "line 2: n_qubits=2, expected 3"),
+        ("1 ZZ\n# n_qubits=3\n", None, "line 2: n_qubits=3, expected 2"),
+        ("# hamiltonian n_qubits=0\n", None, "positive"),
+        ("# hamiltonian n_qubits=" + "9" * 5000 + "\n", None, "bad n_qubits"),
+        ("# a comment\n", None, "no terms and no n_qubits header"),
+    ], ids=["short-term", "argument", "two-headers", "header-after-term", "zero", "digits",
+            "nothing"])
+    def test_header_is_checked(self, text, n_qubits, message):
+        with pytest.raises(PauliError, match=message):
+            Hamiltonian.from_text(text, n_qubits)
+
+    def test_header_only_is_the_zero_hamiltonian(self):
+        zero = Hamiltonian.zero(3)
+        assert zero.to_text() == "# hamiltonian n_qubits=3\n"
+        assert Hamiltonian.from_text(zero.to_text()) == zero
+        assert Hamiltonian.from_text(zero.to_text(), 3) == zero
+        assert Hamiltonian.from_text("# hamiltonian n_qubits=3\n0.5 X I Z\n").coefficient("XIZ") == 0.5
+
+
+HAM_FUZZ = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+HAM_TOKENS = st.sampled_from([
+    "#", "# hamiltonian", "n_qubits=2", "n_qubits=3", "n_qubits=0", "n_qubits=x", "1.0", "-0.5",
+    "0.0", "1e-300", "nan", "inf", "-inf", "1e999", "X", "Y", "Z", "I", "XX", "ZZ", "IZ", "Q",
+    "x", "", "=",
+]) | st.text(max_size=5)
+
+
+@st.composite
+def hamiltonians(draw):
+    n = draw(st.integers(1, 5))
+    coeffs = st.floats(-1e300, 1e300)  # merged duplicates stay finite
+    terms = draw(st.lists(st.tuples(coeffs, ops_strings(n)), max_size=6))
+    return Hamiltonian.from_terms(n, terms)
+
+
+class TestHamiltonianTextFuzz:
+    @HAM_FUZZ
+    @given(hamiltonians())
+    def test_valid_text_round_trips(self, h):
+        text = h.to_text()
+        again = Hamiltonian.from_text(text)
+        assert again == h
+        assert again.to_text() == text
+
+    @HAM_FUZZ
+    @given(st.data())
+    def test_mutated_text_raises_only_pauli_error(self, data):
+        base = Hamiltonian.from_terms(3, [(0.5, "XYZ"), (-1.25, "ZZI")]).to_text()
+        lines = [line.split(" ") for line in base.splitlines()]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            words = lines[row]
+            action = data.draw(st.sampled_from(["replace", "insert", "delete", "line"]))
+            at = data.draw(st.integers(0, len(words)))
+            if action == "replace" and at < len(words):
+                words[at] = data.draw(HAM_TOKENS)
+            elif action == "delete" and at < len(words):
+                del words[at]
+            elif action == "line":
+                lines.insert(row, data.draw(st.lists(HAM_TOKENS, max_size=4)))
+            else:
+                words.insert(at, data.draw(HAM_TOKENS))
+        n_qubits = data.draw(st.sampled_from([None, 2, 3]))
+        try:
+            Hamiltonian.from_text("\n".join(" ".join(w) for w in lines) + "\n", n_qubits)
+        except PauliError:
+            pass
+
+    @HAM_FUZZ
+    @given(st.text(max_size=60))
+    def test_garbage_raises_only_pauli_error(self, text):
+        try:
+            Hamiltonian.from_text(text)
+        except PauliError:
+            pass
+
 
 class TestToMatrix:
     @pytest.mark.parametrize("n", range(1, 7))
