@@ -6,22 +6,26 @@ Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 Execution is lowered, fused and batched. One lowering turns instructions
 into arrays before they run: a local layer becomes its per-qubit form
 exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
-non-identity qubits and its fused groups, and each run of consecutive raw
-gates one ZZRun, a vector of theta*w over its targets with a +-1 Z_a Z_b
-sign row per target.
-Schedules go through it as they run. A cycle plan goes through it once, as
-the compiler's cycle_body; each adiabatic step then adds the compiler's
-field_angles layer and scales the body's runs (LoweredPlan), so the
-compiler alone decides what a cycle contains. Jitter rescales theta in
-closed form, vectorised over qubits, and a gate run is a single multiply by
-exp(-i * coef @ signs). A local layer runs group by group: its qubits are
-split once, at lowering, into contiguous groups of at most _GROUP_QUBITS
-(4+3 at n=7, 3+3+3 at n=9). A group with two or more non-identity qubits
-is applied as one (2^k, 2^k) Kronecker block of its 2x2s, an exact identity
-in place of each identity qubit, in the manner of qsim's gate fusion
-(arXiv:2111.02396); a group with one is a single-qubit kernel call, which
-is cheaper than the same qubit padded with identities; a group with none is
-skipped. The state has a leading batch axis (R, 2^n): the repetitions of a
+non-identity qubits and its fused groups, and a raw gate a one-gate ZZRun,
+its theta*w per target beside references to the shared +-1 Z_a Z_b sign
+rows. Each distinct instruction object is lowered once per call, so a
+schedule of L repeated cycles pays for the lines of one cycle, not for
+each occurrence; a run of consecutive raw gates is joined from their
+lowered parts as it occurs and applied as a single multiply by
+exp(-i * coef @ signs).
+A cycle plan goes through the same lowering once, as the compiler's
+cycle_body; each adiabatic step then adds the compiler's field_angles layer
+and scales the body's runs (LoweredPlan), so the compiler alone decides
+what a cycle contains. Lowered ops run in chunks of _CHUNK: jitter
+rescales theta in closed form, and the jittered 2x2s of all a chunk's local
+layers are built in one vectorised pass. A local layer runs group by group:
+its qubits are split once, at lowering, into contiguous groups of at most
+_GROUP_QUBITS (4+3 at n=7, 3+3+3 at n=9). A group with two or more
+non-identity qubits is applied as one (2^k, 2^k) Kronecker block of its
+2x2s, an exact identity in place of each identity qubit, in the manner of
+qsim's gate fusion (arXiv:2111.02396); a group with one is a single-qubit
+kernel call, which is cheaper than the same qubit padded with identities; a
+group with none is skipped. The state has a leading batch axis (R, 2^n): the repetitions of a
 sweep cell advance as one array, each row with its own seeded PCG64
 generator, and a single run is a batch of one. The single-qubit and block
 kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
@@ -35,10 +39,12 @@ matrices built once per path; its gap scan asks for eigenvalues only.
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
-per-instruction rng.uniform calls would, and logged per instruction. The
-same command and seed give bit-identical results. A repetition run inside
-a sweep batch agrees with the same seed run alone within 1e-12, not
-bitwise, since BLAS blocking depends on the batch size.
+per-instruction rng.uniform calls would. The log keeps each chunk's mapped
+draws as one array and writes them per instruction; a run replays from its
+log (run_schedule(..., replay=log)). The same command and seed give
+bit-identical results. A repetition run inside a sweep batch agrees with
+the same seed run alone within 1e-12, not bitwise, since BLAS blocking
+depends on the batch size.
 """
 from __future__ import annotations
 
@@ -46,7 +52,7 @@ import cmath
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,23 +209,127 @@ class ErrorModel:
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
-@dataclass
+class LogFormatError(EngineError):
+    """A malformed execution log text (a parse error, not a numeric one)."""
+
+
+_LOG_HEADER = re.compile(r"# execution log rng=(\S+) seed=(None|-?\d+)")
+_LOG_KINDS = ("local", "gate")
+
+
 class ExecutionLog:
-    """Per-instruction jitter draws, sufficient to replay a run."""
+    """Per-instruction jitter draws, sufficient to replay a run.
 
-    rng_algorithm: str = RNG_ALGORITHM
-    seed: int | None = None
-    entries: list[tuple[int, str, tuple[float, ...]]] = field(default_factory=list)
+    The draws are kept per chunk of instructions, as execute_lowered makes
+    them: the index of its first instruction, each instruction's kind
+    ("local" or "gate") and draw count, and one float array of the chunk's
+    mapped draws in instruction order. `entries` is a fresh list of
+    (index, kind, draws) per instruction; `to_text` writes one line per
+    instruction, which `from_text` reads back exactly. Replaying a log
+    needs only the reader and a draw source: run_schedule(..., replay=log)
+    takes every draw from the log (LogDraws) instead of the generator.
+    """
 
-    def record(self, index: int, kind: str, draws: tuple[float, ...]):
-        self.entries.append((index, kind, draws))
+    def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None,
+                 entries=()):
+        self.rng_algorithm, self.seed = rng_algorithm, seed
+        self._chunks: list[tuple[int, list[str], list[int], np.ndarray]] = []
+        for index, kind, draws in entries:
+            self.record(index, [kind], [len(draws)], np.array(draws, dtype=float))
+
+    def record(self, index: int, kinds: list[str], sizes: list[int], draws: np.ndarray):
+        """Instruction index + i has kind kinds[i] and the next sizes[i]
+        values of the flat `draws`, in order."""
+        self._chunks.append((index, kinds, sizes, draws))
+
+    def _rows(self):
+        for index, kinds, sizes, draws in self._chunks:
+            values, pos = draws.tolist(), 0
+            for i, (kind, k) in enumerate(zip(kinds, sizes)):
+                yield index + i, kind, values[pos:pos + k]
+                pos += k
+
+    @property
+    def entries(self) -> list[tuple[int, str, tuple[float, ...]]]:
+        return [(index, kind, tuple(values)) for index, kind, values in self._rows()]
 
     def to_text(self) -> str:
         lines = [f"# execution log rng={self.rng_algorithm} seed={self.seed}"]
-        for index, kind, draws in self.entries:
-            payload = ",".join(repr(float(d)) for d in draws) if draws else "-"
+        for index, kind, values in self._rows():
+            payload = ",".join(map(repr, values)) if values else "-"
             lines.append(f"{index} {kind} {payload}")
         return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def from_text(text: str) -> "ExecutionLog":
+        """Parse what to_text writes: the header line, then `index kind
+        draws` per instruction with indices 0, 1, 2, ..., kind `local` or
+        `gate`, and draws a comma list of finite floats or `-` for none.
+        Anything else raises LogFormatError naming the line."""
+        lines = text.splitlines()
+        head = _LOG_HEADER.fullmatch(lines[0].strip()) if lines else None
+        if head is None:
+            raise LogFormatError("line 1: expected the header "
+                                 "'# execution log rng=<name> seed=<int or None>'")
+        try:
+            seed = None if head.group(2) == "None" else int(head.group(2))
+        except ValueError as exc:  # beyond int's digit limit
+            raise LogFormatError("line 1: bad seed") from exc
+        kinds, sizes, draws = [], [], []
+        for lineno, raw in enumerate(lines[1:], start=2):
+            parts = raw.split()
+            if len(parts) != 3:
+                raise LogFormatError(f"line {lineno}: expected 'index kind draws'")
+            index, kind, payload = parts
+            if index != str(len(kinds)):
+                raise LogFormatError(f"line {lineno}: expected index {len(kinds)}, got {index!r}")
+            if kind not in _LOG_KINDS:
+                raise LogFormatError(f"line {lineno}: kind {kind!r} is not local or gate")
+            values = [] if payload == "-" else payload.split(",")
+            try:
+                values = [float(v) for v in values]
+            except ValueError as exc:
+                raise LogFormatError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise LogFormatError(f"line {lineno}: non-finite draw")
+            kinds.append(kind)
+            sizes.append(len(values))
+            draws.extend(values)
+        log = ExecutionLog(head.group(1), seed)
+        if kinds:
+            log.record(0, kinds, sizes, np.array(draws, dtype=float))
+        return log
+
+
+class LogDraws:
+    """A draw source that hands out a log's mapped draws in order: the
+    jitter of the run the log recorded, for a batch of one state.
+
+    Each chunk must ask for the kinds and draw counts that the log holds
+    for its instructions; `close` checks that the run used every one.
+    """
+
+    def __init__(self, log: ExecutionLog):
+        chunks = log._chunks
+        self.kinds = [k for c in chunks for k in c[1]]
+        self.sizes = [k for c in chunks for k in c[2]]
+        self.values = np.concatenate([c[3] for c in chunks]) if chunks else np.empty(0)
+        self.index = self.pos = 0
+
+    def take(self, kinds: list[str], sizes: list[int]) -> np.ndarray:
+        """The next (1, sum(sizes)) draws."""
+        stop = self.index + len(kinds)
+        if self.kinds[self.index:stop] != kinds or self.sizes[self.index:stop] != sizes:
+            raise EngineError(f"instructions {self.index}..{stop - 1} do not match the log")
+        size = sum(sizes)
+        out = self.values[None, self.pos:self.pos + size]
+        self.index, self.pos = stop, self.pos + size
+        return out
+
+    def close(self):
+        if self.index != len(self.kinds):
+            raise EngineError(
+                f"the log holds {len(self.kinds)} instructions, the run {self.index}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +337,8 @@ class ExecutionLog:
 # ---------------------------------------------------------------------------
 
 _IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
-_SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are cached and stacked per run
+_SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are shared per gate, stacked per run
 _CHUNK = 64                # lowered ops per draw-and-apply pass, raw gates per fused run
-_LAYER_CACHE = 256         # lowered local layers kept per execute_batch call
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
@@ -271,7 +380,8 @@ class LoweredLayer:
         self.nsigma = (axis[:, 0, None, None] * SIGMA["X"] + axis[:, 1, None, None] * SIGMA["Y"]
                        + axis[:, 2, None, None] * SIGMA["Z"])
         self.phase = np.exp(1j * np.asarray(alpha, dtype=float))
-        self.matrices = self.jittered(1.0) if matrices is None else matrices
+        self.matrices = (_local_matrices(self.theta, self.nsigma, self.phase, 1.0)
+                         if matrices is None else matrices)
         off = np.max(np.abs(self.matrices - _EYE2), axis=(1, 2))
         self.active = tuple(np.flatnonzero(off > _IDENTITY_TOL).tolist())
         groups = ((lo, k, tuple(q for q in self.active if lo <= q < lo + k))
@@ -287,17 +397,6 @@ class LoweredLayer:
         units = [layer.unitary_at(q) for q in range(n_qubits)]
         return LoweredLayer([u.alpha for u in units], [u.theta for u in units],
                             [u.axis for u in units], np.array([u.matrix for u in units]))
-
-    def jittered(self, scale) -> np.ndarray:
-        """The (..., n, 2, 2) matrices with each angle theta_q times `scale`.
-
-        The closed form of SingleQubitUnitary.with_angle_scale, vectorised
-        over qubits and, through the shape of `scale`, over batch rows.
-        """
-        th = self.theta * scale
-        m = (np.cos(th)[..., None, None] * _EYE2
-             - 1j * np.sin(th)[..., None, None] * self.nsigma)
-        return self.phase[:, None, None] * m
 
     def apply(self, amps: np.ndarray, mats: np.ndarray) -> None:
         """The layer with unitaries `mats` (n, 2, 2), or (R, n, 2, 2) one set
@@ -315,14 +414,28 @@ class LoweredLayer:
             kernels.apply_block(amps, lo, block)
 
 
+def _local_matrices(theta, nsigma, phase, scale) -> np.ndarray:
+    """exp(i*alpha) (cos(theta*scale) I - i sin(theta*scale) n.sigma) for
+    theta, phase (..., n) and nsigma (..., n, 2, 2): the closed form of
+    SingleQubitUnitary.with_angle_scale, vectorised over qubits, over the
+    stacked layers of a chunk and, through the shape of `scale`, over batch
+    rows."""
+    th = theta * scale
+    m = (np.cos(th)[..., None, None] * _EYE2
+         - 1j * np.sin(th)[..., None, None] * nsigma)
+    return phase[..., None, None] * m
+
+
 class ZZRun:
     """Consecutive raw gates as one diagonal exp(-i * coef @ signs).
 
     `thetas` holds each gate's angle and `sizes` its target count (its
     jitter draws); `weights`, `pairs` and `coef` = theta*w have one entry
     per target in gate order, and `signs` the +-1 eigenvalue of Z_a Z_b on
-    every basis state, one row per target. Above _SHARED_SIGN_QUBITS the
-    rows are not stacked (`signs` is None) but made one at a time.
+    every basis state, one row per target: a tuple of the shared read-only
+    rows of kernels.shared_zz_signs, stacked when the run is applied, or one
+    (targets, 2^n) array (`stacked`). Above _SHARED_SIGN_QUBITS `signs` is
+    None and the rows are made one at a time.
     """
 
     __slots__ = ("thetas", "sizes", "weights", "pairs", "coef", "signs")
@@ -332,23 +445,41 @@ class ZZRun:
         self.pairs, self.coef, self.signs = pairs, coef, signs
 
     @staticmethod
-    def from_gates(gates, n_qubits: int) -> "ZZRun":
-        thetas, sizes, weights, pairs, coef = [], [], [], [], []
-        for g in gates:
-            thetas.append(g.theta)
-            sizes.append(len(g.targets))
-            for a, b, w in g.targets:
-                weights.append(w)
-                pairs.append((a, b))
-                coef.append(g.theta * w)
-        return ZZRun(thetas, sizes, weights, pairs, np.array(coef, dtype=float),
-                     _sign_matrix(pairs, n_qubits))
+    def from_gate(gate: RawGate, n_qubits: int) -> "ZZRun":
+        """One raw gate, its sign rows shared rather than copied."""
+        pairs = tuple((a, b) for a, b, _ in gate.targets)
+        for a, b in pairs:
+            if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+                raise EngineError(f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
+        weights = np.array([w for _, _, w in gate.targets], dtype=float)
+        signs = (None if n_qubits > _SHARED_SIGN_QUBITS
+                 else tuple(kernels.shared_zz_signs(n_qubits, a, b) for a, b in pairs))
+        return ZZRun((gate.theta,), (len(pairs),), weights, pairs, gate.theta * weights, signs)
+
+    @staticmethod
+    def join(runs) -> "ZZRun":
+        """The gates of `runs` in order as one run."""
+        if len(runs) == 1:
+            return runs[0]
+        signs = None if runs[0].signs is None else tuple(s for r in runs for s in r.signs)
+        return ZZRun(tuple(t for r in runs for t in r.thetas),
+                     tuple(k for r in runs for k in r.sizes),
+                     np.concatenate([r.weights for r in runs]),
+                     tuple(p for r in runs for p in r.pairs),
+                     np.concatenate([r.coef for r in runs]), signs)
+
+    def stacked(self, dim: int) -> "ZZRun":
+        """This run with its sign rows stacked into one (targets, dim) array,
+        for a run applied many times."""
+        signs = None if self.signs is None else np.reshape(self.signs, (len(self.signs), dim))
+        return ZZRun(self.thetas, self.sizes, self.weights, self.pairs, self.coef, signs)
 
     def scaled(self, scale: float) -> "ZZRun | None":
         """This run with every gate angle times `scale`, or None when none is left.
 
         Gates whose angle is then exactly zero are left out, as emit_cycle
         leaves them out, so the jitter draws line up with its instructions.
+        The sign rows must be stacked (`stacked`).
         """
         thetas = np.asarray(self.thetas) * scale
         sizes, weights = np.asarray(self.sizes), np.asarray(self.weights)
@@ -364,50 +495,51 @@ class ZZRun:
                      None if self.signs is None else self.signs[keep])
 
 
-def _sign_matrix(pairs, n_qubits: int) -> np.ndarray | None:
-    for a, b in pairs:
-        if not (0 <= a < n_qubits and 0 <= b < n_qubits):
-            raise EngineError(f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
-    if n_qubits > _SHARED_SIGN_QUBITS:
-        return None
-    rows = [kernels.shared_zz_signs(n_qubits, a, b) for a, b in pairs]
-    return np.array(rows).reshape(len(rows), 1 << n_qubits)
-
-
 def _lower(instructions, n_qubits: int):
     """Lowered ops of an instruction stream, in order: a LoweredLayer per
-    local layer (an ApplyLocal object that repeats is lowered once) and a
-    ZZRun per run of up to _CHUNK consecutive raw gates."""
-    layers: dict[int, tuple[ApplyLocal, LoweredLayer]] = {}
+    local layer and a ZZRun per run of up to _CHUNK consecutive raw gates.
+
+    Each distinct ApplyLocal and RawGate object is lowered once per call and
+    kept, with the object so that its id stays its own, until the stream
+    ends; a run of gates is joined from their lowered parts.
+    """
+    lowered: dict[int, tuple[object, LoweredLayer | ZZRun]] = {}
     gates = []
     for ins in instructions:
-        if isinstance(ins, RawGate):
-            gates.append(ins)
+        hit = lowered.get(id(ins))
+        if hit is None:
+            if isinstance(ins, RawGate):
+                op = ZZRun.from_gate(ins, n_qubits)
+            elif isinstance(ins, ApplyLocal):
+                op = LoweredLayer.from_layer(ins.layer, n_qubits)
+            else:
+                raise EngineError(f"unknown instruction {type(ins).__name__}")
+            hit = lowered[id(ins)] = (ins, op)
+        op = hit[1]
+        if isinstance(op, ZZRun):
+            gates.append(op)
             if len(gates) < _CHUNK:
                 continue
-        elif not isinstance(ins, ApplyLocal):
-            raise EngineError(f"unknown instruction {type(ins).__name__}")
         if gates:
-            yield ZZRun.from_gates(gates, n_qubits)
+            yield ZZRun.join(gates)
             gates = []
-        if isinstance(ins, ApplyLocal):
-            hit = layers.get(id(ins))
-            if hit is None:
-                if len(layers) >= _LAYER_CACHE:
-                    layers.clear()
-                hit = layers[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
-            yield hit[1]
+        if isinstance(op, LoweredLayer):
+            yield op
     if gates:
-        yield ZZRun.from_gates(gates, n_qubits)
+        yield ZZRun.join(gates)
 
 
 def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
-    n = amps.shape[1].bit_length() - 1
-    if run.signs is not None:
-        angles = coef @ run.signs
-    else:
+    signs = run.signs
+    if signs is None:
+        n = amps.shape[1].bit_length() - 1
         angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b)
                      for t, (a, b) in enumerate(run.pairs))
+    else:
+        if not isinstance(signs, np.ndarray):  # shared rows: one as a view, more stacked
+            dim = amps.shape[1]
+            signs = signs[0][None] if len(signs) == 1 else np.reshape(signs, (len(signs), dim))
+        angles = coef @ signs
     amps *= np.exp(-1j * angles)
 
 
@@ -415,59 +547,77 @@ def execute_lowered(
     amps: np.ndarray,
     ops,
     err: ErrorModel | None,
-    rngs,
+    draws,
     log: ExecutionLog | None = None,
     base_index: int = 0,
 ) -> int:
     """Apply lowered ops (LoweredLayer, ZZRun) to the batch amps (R, 2^n) in place.
 
-    Row r draws its jitter from rngs[r], one rng.random(size) for all ops,
-    and maps each value u onto -eta + 2*eta*u: bit for bit what one
-    rng.uniform(-eta, eta) per instruction gives, so seeds and logs keep
-    their meaning. A layer draws one value per qubit when eta_local > 0, a
-    gate one per target when eta_int > 0. Returns the next instruction
-    index.
+    `draws` is the jitter source. Given a sequence of generators, row r
+    draws one rng.random(size) from draws[r] for all ops and maps each
+    value u onto -eta + 2*eta*u: bit for bit what one rng.uniform(-eta, eta)
+    per instruction gives, so seeds and logs keep their meaning. Given a
+    LogDraws, the ops take the mapped draws a log recorded. A layer draws
+    one value per qubit when eta_local > 0, a gate one per target when
+    eta_int > 0. The jittered 2x2s of all the ops' layers are built in one
+    pass, (R, layers, n, 2, 2). Returns the next instruction index.
     """
     n = amps.shape[1].bit_length() - 1
     eta_l = err.eta_local if err is not None else 0.0
     eta_i = err.eta_int if err is not None else 0.0
-    size = sum(
-        (n if eta_l > 0 else 0) if isinstance(op, LoweredLayer)
-        else (len(op.coef) if eta_i > 0 else 0)
-        for op in ops
-    )
-    if size and any(rng is None for rng in rngs):
-        raise EngineError("jitter needs a random generator for every state")
-    u = np.array([rng.random(size) for rng in rngs]) if size else np.empty((len(rngs), 0))
-    pos = 0
-    index = base_index
+    # per op its first draw; per instruction, for a log or a replay, its
+    # kind and draw count
+    record = log is not None or isinstance(draws, LogDraws)
+    starts, kinds, sizes = [], [], []
+    size = count = 0
     for op in ops:
+        starts.append(size)
         if isinstance(op, LoweredLayer):
-            mats, draws = op.matrices, ()
-            if eta_l > 0:
-                d = -eta_l + (eta_l + eta_l) * u[:, pos:pos + n]
-                pos += n
-                mats, draws = op.jittered(1.0 + d), d[0]
-            op.apply(amps, mats)
-            if log is not None:
-                log.record(index, "local", tuple(draws))
-            index += 1
+            k = n if eta_l > 0 else 0
+            count += 1
+            if record:
+                kinds.append("local")
+                sizes.append(k)
+        else:
+            k = len(op.coef) if eta_i > 0 else 0
+            count += len(op.sizes)
+            if record:
+                kinds += ["gate"] * len(op.sizes)
+                sizes.extend(op.sizes if eta_i > 0 else [0] * len(op.sizes))
+        size += k
+    layers = [(op, s) for op, s in zip(ops, starts) if isinstance(op, LoweredLayer)]
+    # the draws of layer j are d[:, at[j]]
+    at = np.add.outer([s for _, s in layers], np.arange(n)) if eta_l > 0 and layers else None
+    if isinstance(draws, LogDraws):
+        d = draws.take(kinds, sizes)
+    elif size:
+        if any(rng is None for rng in draws):
+            raise EngineError("jitter needs a random generator for every state")
+        u = np.array([rng.random(size) for rng in draws])
+        eta = eta_l if eta_i == 0 else eta_i
+        if at is not None and 0 < eta_i != eta_l:
+            eta = np.full(size, eta_i)
+            eta[at] = eta_l
+        d = -eta + (eta + eta) * u
+    else:
+        d = np.empty((len(draws), 0))
+    if at is not None:
+        mats = _local_matrices(np.array([op.theta for op, _ in layers]),
+                               np.array([op.nsigma for op, _ in layers]),
+                               np.array([op.phase for op, _ in layers]), 1.0 + d[:, at])
+    j = 0
+    for op, start in zip(ops, starts):
+        if isinstance(op, LoweredLayer):
+            op.apply(amps, op.matrices if at is None else mats[:, j])
+            j += 1
             continue
-        coef, d = op.coef, None
+        coef = op.coef
         if eta_i > 0:
-            d = -eta_i + (eta_i + eta_i) * u[:, pos:pos + len(coef)]
-            pos += len(coef)
-            coef = coef * (1.0 + d)
+            coef = coef * (1.0 + d[:, start:start + len(coef)])
         _apply_zz(amps, op, coef)
-        if log is None:
-            index += len(op.sizes)
-            continue
-        start = 0
-        for k in op.sizes:
-            log.record(index, "gate", tuple(d[0, start:start + k]) if d is not None else ())
-            start += k
-            index += 1
-    return index
+    if log is not None and kinds:
+        log.record(base_index, kinds, sizes, d[0])
+    return base_index + count
 
 
 class LoweredPlan:
@@ -483,8 +633,9 @@ class LoweredPlan:
         if plan.n_qubits != n_qubits:
             raise EngineError(f"plan is for {plan.n_qubits} qubits, the state has {n_qubits}")
         self.plan, self.dt, self.n_qubits = plan, dt, n_qubits
-        # scaled(1.0) gives each run the arrays that every later scaled() reuses
-        body = (op if isinstance(op, LoweredLayer) else op.scaled(1.0)
+        # stacked(...).scaled(1.0) gives each run the arrays that every later
+        # scaled() reuses
+        body = (op if isinstance(op, LoweredLayer) else op.stacked(1 << n_qubits).scaled(1.0)
                 for op in _lower(cycle_body(plan, dt), n_qubits))
         self.body = [op for op in body if op is not None]
 
@@ -507,31 +658,36 @@ def execute_batch(
     n_qubits: int,
     instructions,
     err: ErrorModel | None,
-    rngs,
+    draws,
     log: ExecutionLog | None = None,
 ) -> int:
     """Apply instructions to the batch `amps` (R, 2^n) in place, row r drawing
-    its jitter from rngs[r].
+    its jitter from the generator draws[r], or a batch of one replaying the
+    draws of a LogDraws.
 
-    Instructions are lowered as they arrive and run in chunks of _CHUNK ops;
-    a local layer object that repeats (a schedule of repeated cycles) is
-    lowered once per call, and each run of consecutive raw gates becomes one
-    diagonal. Returns the number of instructions run.
+    Instructions are lowered as they arrive and run in chunks of _CHUNK ops.
+    Each distinct instruction object is lowered once per call (a schedule of
+    repeated cycles pays per line of its cycle, not per occurrence), and
+    each run of consecutive raw gates becomes one diagonal. Returns the
+    number of instructions run.
     """
     if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
             or not amps.flags.c_contiguous):
         raise EngineError(f"amplitudes must be a C-contiguous complex (R, {1 << n_qubits}) array")
-    if len(rngs) != amps.shape[0]:
-        raise EngineError(f"{len(rngs)} generators for {amps.shape[0]} states")
+    if isinstance(draws, LogDraws):
+        if amps.shape[0] != 1:
+            raise EngineError("a replayed log draws for a batch of one state")
+    elif len(draws) != amps.shape[0]:
+        raise EngineError(f"{len(draws)} generators for {amps.shape[0]} states")
     if log is not None and amps.shape[0] != 1:
         raise EngineError("an execution log records a batch of one state")
     ops, index = [], 0
     for op in _lower(instructions, n_qubits):
         ops.append(op)
         if len(ops) >= _CHUNK:
-            index = execute_lowered(amps, ops, err, rngs, log, index)
+            index = execute_lowered(amps, ops, err, draws, log, index)
             ops = []
-    return execute_lowered(amps, ops, err, rngs, log, index)
+    return execute_lowered(amps, ops, err, draws, log, index)
 
 
 def execute_instructions(
@@ -539,10 +695,11 @@ def execute_instructions(
     n_qubits: int,
     instructions,
     err: ErrorModel | None,
-    rng: np.random.Generator | None,
+    rng: "np.random.Generator | LogDraws | None",
     log: ExecutionLog | None = None,
 ) -> int:
-    """Apply instructions to `amps` in place, drawing jitter from `rng`.
+    """Apply instructions to `amps` in place, drawing jitter from `rng`, a
+    generator or a LogDraws replaying a log.
 
     A batch of one through execute_batch. Returns the number of
     instructions run; noise draws are strictly sequential in instruction
@@ -551,7 +708,8 @@ def execute_instructions(
     amps = np.asarray(amps)
     if amps.shape != (1 << n_qubits,):
         raise EngineError(f"amplitude array has shape {amps.shape}, expected ({1 << n_qubits},)")
-    return execute_batch(amps[None, :], n_qubits, instructions, err, [rng], log)
+    draws = rng if isinstance(rng, LogDraws) else [rng]
+    return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log)
 
 
 def apply_local_layer(
@@ -592,16 +750,30 @@ def run_schedule(
     state: StateVector,
     schedule: PulseSchedule,
     err: ErrorModel | None = None,
+    replay: ExecutionLog | None = None,
 ) -> tuple[StateVector, ExecutionLog]:
-    """Execute instructions in order; the log records every jitter draw."""
+    """Execute instructions in order; the log records every jitter draw.
+
+    With `replay`, the log of an earlier run of this schedule from this
+    state under an error model with the same nonzero etas, every draw comes
+    from that log instead of err's generator, and the run repeats the
+    earlier one bit for bit. A log that does not fit the run raises
+    EngineError.
+    """
     if schedule.n_qubits != state.n_qubits:
         raise EngineError(
             f"schedule is for {schedule.n_qubits} qubits, state has {state.n_qubits}"
         )
-    log = ExecutionLog(seed=err.seed if err is not None else None)
-    rng = err.rng() if err is not None and err.is_noisy else None
+    if replay is not None:
+        log = ExecutionLog(replay.rng_algorithm, replay.seed)
+        rng = LogDraws(replay)
+    else:
+        log = ExecutionLog(seed=err.seed if err is not None else None)
+        rng = err.rng() if err is not None and err.is_noisy else None
     out = state.copy()
     execute_instructions(out.amps, out.n_qubits, schedule.instructions, err, rng, log)
+    if replay is not None:
+        rng.close()
     out.check_norm(len(schedule.instructions) + 1)
     return out, log
 
