@@ -13,6 +13,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from importlib import resources
@@ -159,6 +160,13 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split())
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split())
 
@@ -289,8 +297,8 @@ def cmd_compile(args, cfg, config_path) -> int:
         target = build_model(load_named_model(cfg))
     else:
         raise UsageError("[compile] needs hamiltonian= or a [model] section")
-    t_prime = config_value(section, "t_prime", float, 1.0)
-    epsilon = config_value(section, "epsilon", float, 0.01)
+    t_prime = config_value(section, "t_prime", _finite_float, 1.0)
+    epsilon = config_value(section, "epsilon", _finite_float, 0.01)
     schedule, report = trotter_schedule(target, t_prime, epsilon, hw)
     writer = OutputWriter(Path(args.out_dir))
     writer.write("schedule.txt", schedule_to_text(schedule))
@@ -366,7 +374,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         h = Hamiltonian.from_text(
             _relative(section["oracle_hamiltonian"], config_path).read_text()
         )
-        t_prime = config_value(section, "t_prime", float, 1.0)
+        t_prime = config_value(section, "t_prime", _finite_float, 1.0)
         reference = exact_evolve(h, t_prime, state)
         fid = fidelity(final, reference)
         summary["oracle_fidelity"] = fid
@@ -509,8 +517,8 @@ def cmd_cost(args, cfg, config_path) -> int:
         raise UsageError(f"unknown mode {mode!r}")
     lines.append(f"c={cost_value!r}")
     if "t_prime" in section and "epsilon" in section:
-        t_prime = config_value(section, "t_prime", float)
-        epsilon = config_value(section, "epsilon", float)
+        t_prime = config_value(section, "t_prime", _finite_float)
+        epsilon = config_value(section, "epsilon", _finite_float)
         n_controls = config_value(section, "n_controls", int, 1)
         report = cost_report(cost_value, n_controls, trotter_cycles(cost_value, t_prime, epsilon),
                              t_prime, epsilon)

@@ -31,11 +31,20 @@ generator, and a single run is a batch of one. The single-qubit and block
 kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
 observables below call too.
 
-The oracle has one eigendecomposition call, `_spectrum`, on a dense matrix,
-and keeps no process-wide cache. Asked for eigenvalues only, it uses real
-arithmetic when the matrix is real. The adiabatic oracle
-(experiments.GroundPath) decomposes k*H_initial + (1-k)*H_target from two
-matrices built once per path; its gap scan asks for eigenvalues only.
+The oracle decomposes block by block and keeps no process-wide cache.
+Sectors splits the basis states into the cosets of the GF(2) span of the
+Hamiltonians' x_masks, and by popcount when they all commute with the total
+Z magnetization; each block matrix is built from the Hamiltonian's
+TermTable. `_spectrum`, the one eigendecomposition call, solves the blocks
+of one size as one stacked array, in real arithmetic when they have no
+imaginary part, and SpectrumCache merges their eigenvalues in ascending
+order before grouping them. Its eigenvectors stay per block. The adiabatic
+oracle (experiments.GroundPath) builds both endpoints' blocks once per path
+and decomposes k*H_initial + (1-k)*H_target from them; its gap scan asks
+for eigenvalues only. The start state is the one exception: ground_state
+decomposes the whole matrix in complex arithmetic, since its pick among
+degenerate ground states follows rounding, and a pinned benchmark weight
+depends on that pick.
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
@@ -59,7 +68,7 @@ import numpy as np
 from . import kernels
 from .kernels import STATEVECTOR_CAP
 from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, cycle_body, field_angles
-from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA
+from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable, commutator
 
 RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
@@ -783,25 +792,118 @@ def run_schedule(
 # ---------------------------------------------------------------------------
 
 def exact_evolve(h: Hamiltonian, t: float, state: StateVector) -> StateVector:
-    """exp(-i h t) |state> through eigendecomposition of the dense matrix."""
+    """exp(-i h t) |state> through the block eigendecomposition of h."""
     if h.n_qubits != state.n_qubits:
         raise EngineError("Hamiltonian and state size mismatch")
+    if not math.isfinite(t):
+        raise EngineError(f"evolution time {t!r} is not finite")
     return StateVector(state.n_qubits, SpectrumCache.from_hamiltonian(h).evolve(state.amps, t))
 
 
-def _spectrum(m: np.ndarray, vectors: bool = True):
-    """The oracle's one eigendecomposition: ascending eigenvalues and
-    eigenvector columns. With vectors=False, the eigenvalues alone, from
-    real arithmetic when m has no imaginary part."""
+class Sectors:
+    """The invariant blocks shared by Hamiltonians on n qubits.
+
+    A string with x_mask x maps basis state c to c ^ x, so the cosets of the
+    GF(2) span of all the strings' x_masks are invariant blocks: the
+    Z-string symmetries of the symplectic picture (Aaronson & Gottesman,
+    quant-ph/0406196). When every Hamiltonian commutes with sum_q Z_q, as
+    pauli.commutator decides, each coset splits further by popcount
+    (`magnetization`). QuSpin builds its symmetry blocks the same way
+    (Weinberg & Bukov, arXiv:1610.03042).
+
+    `stacks` groups the blocks by size: per size d, ascending, one (m, d)
+    array holding the basis states of m blocks, each block ascending, so
+    that blocks of one size are decomposed in one stacked call.
+    """
+
+    def __init__(self, n_qubits: int, hamiltonians: tuple[Hamiltonian, ...]):
+        basis: list[int] = []  # an echelon basis of the span, leading bits descending
+        for h in hamiltonians:
+            for x in h.table.x_mask.tolist():
+                for b in basis:
+                    x = min(x, x ^ b)
+                if x:
+                    basis = sorted(basis + [x], reverse=True)
+        states = np.arange(1 << n_qubits)
+        key = states
+        for b in basis:  # clears every leading bit: one label per coset
+            key = np.minimum(key, key ^ b)
+        total_z = Hamiltonian.from_terms(
+            n_qubits, [(1.0, "I" * q + "Z" + "I" * (n_qubits - q - 1)) for q in range(n_qubits)])
+        self.magnetization = all(not commutator(h, total_z) for h in hamiltonians)
+        if self.magnetization:
+            key = key * (n_qubits + 1) + sum((states >> q) & 1 for q in range(n_qubits))
+        self._key = key
+        by_key = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[by_key])) + 1
+        blocks = np.split(by_key, cuts)
+        sizes = sorted({b.size for b in blocks})
+        self.stacks = tuple(np.array([b for b in blocks if b.size == d]) for d in sizes)
+        # entry (r, c) of c's block lies at _column_at[c] + _row_at[r] in the
+        # stacks' entries laid end to end
+        self._column_at = np.empty_like(states)
+        self._row_at = np.empty_like(states)
+        offset = 0
+        for idx in self.stacks:
+            m, d = idx.shape
+            self._column_at[idx] = offset + d * d * np.arange(m)[:, None] + np.arange(d)
+            self._row_at[idx] = d * np.arange(d)
+            offset += m * d * d
+
+    def blocks(self, h: Hamiltonian) -> list[np.ndarray]:
+        """h's block matrices, one (m, d, d) array per stack, real when no
+        block of the stack has an imaginary part.
+
+        Entries are summed term by term as in Hamiltonian.to_matrix, so
+        each equals the dense entry. A term's entries that leave a block
+        (only under the popcount split) are left out: they cancel in the sum
+        over terms, exactly up to rounding in the dense matrix.
+        """
+        size = sum(idx.size * idx.shape[1] for idx in self.stacks)
+        real, imag = np.zeros(size), np.zeros(size)
+        cols = np.arange(self._key.size)
+        with np.errstate(over="ignore"):  # SpectrumCache.from_blocks rejects what overflows
+            for x_mask, imaginary, values in h.table.entries(cols):
+                rows = cols ^ x_mask
+                keep = self._key[rows] == self._key
+                (imag if imaginary else real)[self._column_at[keep] + self._row_at[rows[keep]]] \
+                    += values[keep]
+        out, offset = [], 0
+        for idx in self.stacks:
+            m, d = idx.shape
+            part = slice(offset, offset + m * d * d)
+            offset = part.stop
+            block = real[part].reshape(m, d, d)
+            if imag[part].any():
+                block = np.empty((m, d, d), dtype=complex)
+                block.real, block.imag = real[part].reshape(m, d, d), imag[part].reshape(m, d, d)
+            out.append(block)
+        return out
+
+
+def _spectrum(stacks, vectors: bool = True):
+    """The oracle's one eigendecomposition call: for each (m, d, d) stack of
+    equal-size blocks, one stacked LAPACK call giving ascending eigenvalues
+    (m, d) and eigenvector columns (m, d, d), or None with vectors=False. A
+    real stack is decomposed in real arithmetic, a complex one in complex."""
     if vectors:
-        return np.linalg.eigh(m)
-    return np.linalg.eigvalsh(m if m.imag.any() else m.real)
+        return [np.linalg.eigh(m) for m in stacks]
+    return [(np.linalg.eigvalsh(m), None) for m in stacks]
 
 
 @dataclass
 class SpectrumCache:
-    """A grouped spectrum: sorted eigenvalues, their (near-)degenerate
-    groups and, unless it was built from eigenvalues alone, the eigenvectors.
+    """A grouped spectrum, decomposed block by block.
+
+    `stacks` holds the blocks as Sectors.stacks does, and per stack
+    `levels` their eigenvalues (m, d) and, unless the spectrum was built
+    from eigenvalues alone, `eigenvectors` their eigenvector columns
+    (m, d, d), real for a real stack. `eigenvalues` merges all blocks'
+    eigenvalues in ascending order, `order` gives the flat position in the
+    stacks of each, and `groups` the (near-)degenerate groups of the merged
+    list, so group energies and gaps mean what they mean for the full
+    spectrum. Eigenvectors stay per block: bases, weights, histograms and
+    evolution work block by block.
 
     A spectrum without vectors answers group energies and gaps only; asking
     it for a basis, weight or evolution raises EngineError. It caches
@@ -810,45 +912,96 @@ class SpectrumCache:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None  # columns
     groups: tuple[tuple[int, int], ...]  # [start, stop) index ranges
     tol: float
+    stacks: tuple[np.ndarray, ...]
+    levels: tuple[np.ndarray, ...]
+    eigenvectors: tuple[np.ndarray, ...] | None
+    order: np.ndarray
 
     @staticmethod
     def from_hamiltonian(h: Hamiltonian) -> "SpectrumCache":
         _check_dense(h.n_qubits)
-        return SpectrumCache.from_matrix(h.to_matrix())
+        sectors = Sectors(h.n_qubits, (h,))
+        return SpectrumCache.from_blocks(sectors.stacks, sectors.blocks(h))
 
     @staticmethod
-    def from_matrix(m: np.ndarray, vectors: bool = True) -> "SpectrumCache":
-        """Eigenvalues less than 1e-8 * max(1, spread) apart share a group.
-        vectors=False decomposes eigenvalues only (see _spectrum)."""
-        evals, evecs = _spectrum(m) if vectors else (_spectrum(m, vectors=False), None)
-        spread = float(evals[-1] - evals[0]) if evals.size > 1 else 1.0
+    def from_blocks(stacks, mats, vectors: bool = True) -> "SpectrumCache":
+        """The spectrum of the block matrices `mats`, one (m, d, d) array per
+        (m, d) stack of basis states. Merged eigenvalues less than
+        1e-8 * max(1, spread) apart share a group. vectors=False decomposes
+        eigenvalues only. A non-finite entry, a failed decomposition or a
+        non-finite eigenvalue or spread raises EngineError."""
+        if not all(np.isfinite(m).all() for m in mats):
+            raise EngineError("the Hamiltonian has a non-finite matrix entry")
+        try:
+            parts = _spectrum(mats, vectors)
+        except np.linalg.LinAlgError as exc:
+            raise EngineError(f"eigendecomposition failed: {exc}") from exc
+        levels = tuple(w for w, _ in parts)
+        flat = np.concatenate([w.ravel() for w in levels])
+        order = np.argsort(flat, kind="stable")
+        evals = flat[order]
+        spread = float(evals[-1]) - float(evals[0]) if evals.size > 1 else 1.0
+        if not (math.isfinite(evals[0]) and math.isfinite(evals[-1]) and math.isfinite(spread)):
+            raise EngineError("the spectrum is not finite")
         tol = 1e-8 * max(1.0, spread)
         cuts = (np.flatnonzero(np.diff(evals) >= tol) + 1).tolist()
         groups = tuple(zip([0] + cuts, cuts + [evals.size]))
-        return SpectrumCache(evals, evecs, groups, tol)
+        vecs = tuple(v for _, v in parts) if vectors else None
+        return SpectrumCache(evals, groups, tol, tuple(stacks), levels, vecs, order)
 
-    def _vectors(self) -> np.ndarray:
+    def _vectors(self) -> tuple[np.ndarray, ...]:
         if self.eigenvectors is None:
             raise EngineError("this spectrum holds eigenvalues only, no eigenvectors")
         return self.eigenvectors
 
+    def _coefficients(self, amps: np.ndarray) -> list[np.ndarray]:
+        """Per stack, (..., m, d): the components <v|psi> of one state
+        (2^n,) or of each row of a batch (R, 2^n) along the stack's
+        eigenvectors."""
+        return [(amps[..., idx][..., None, :] @ v.conj())[..., 0, :]
+                for idx, v in zip(self.stacks, self._vectors())]
+
     def group_energy(self, g: int) -> float:
         start, stop = self.groups[g]
-        return float(np.mean(self.eigenvalues[start:stop]))
+        energy = float(np.mean(self.eigenvalues[start:stop]))
+        if not math.isfinite(energy):
+            raise EngineError(f"the energy of eigenvalue group {g} is not finite")
+        return energy
 
     def group_basis(self, g: int) -> np.ndarray:
+        """Orthonormal columns (2^n, size) spanning group g, each an
+        eigenvector embedded from its block."""
         start, stop = self.groups[g]
-        return self._vectors()[:, start:stop]
+        vecs = self._vectors()
+        ends = np.cumsum([idx.size for idx in self.stacks])
+        out = np.zeros((self.eigenvalues.size, stop - start), dtype=complex)
+        for col, p in enumerate(self.order[start:stop].tolist()):
+            s = int(np.searchsorted(ends, p, side="right"))
+            idx = self.stacks[s]
+            b, j = divmod(p - int(ends[s]) + idx.size, idx.shape[1])
+            out[idx[b], col] = vecs[s][b, :, j]
+        return out
+
+    def level_weights(self, amps: np.ndarray) -> np.ndarray:
+        """|<v_j|psi>|^2 for every eigenvector v_j in merged order: (2^n,)
+        for one state, (R, 2^n) for each row of a batch."""
+        lead = amps.shape[:-1]
+        parts = [np.abs(c.reshape(*lead, -1)) ** 2 for c in self._coefficients(amps)]
+        return np.concatenate(parts, axis=-1)[..., self.order]
+
+    def weights(self, amps: np.ndarray) -> np.ndarray:
+        """The weight of one state, or of each row of a batch, in every group."""
+        starts = [start for start, _ in self.groups]
+        return np.add.reduceat(self.level_weights(amps), starts, axis=-1)
 
     def group_weight(self, g: int, state: StateVector) -> float:
-        return subspace_fidelity(state, self.group_basis(g))
+        return float(self.weights(state.amps)[g])
 
     def histogram(self, state: StateVector) -> list[tuple[float, float]]:
         """(energy, weight) of the state in each eigenvalue group."""
-        return [(self.group_energy(g), self.group_weight(g, state)) for g in range(len(self.groups))]
+        return [(self.group_energy(g), w) for g, w in enumerate(self.weights(state.amps).tolist())]
 
     def ground_vector(self) -> np.ndarray:
         """A unit vector of the ground space, the same on every call with
@@ -860,10 +1013,13 @@ class SpectrumCache:
         is then real positive by construction. Only an exact float tie
         breaks to the lowest index. Weights that are equal in exact
         arithmetic but differ in rounding pick k by that rounding, which can
-        change with the eigensolver, its arithmetic and its thread count: on
-        the 9-site XX chain all 512 weights are 1/256, and with one OpenBLAS
-        thread complex eigh picks k = 11 and real eigh k = 263, whose
-        vectors lie in different Z-parity sectors.
+        change with the eigensolver, its arithmetic, its thread count and
+        the blocks it is given: on the 9-site XX chain all 512 weights are
+        1/256, and with one OpenBLAS thread complex eigh of the whole matrix
+        picks k = 11 and real eigh k = 263, whose vectors lie in different
+        Z-parity sectors. ground_state therefore asks it only of a
+        whole-matrix complex decomposition, whose pick the pinned fig5
+        ground weight depends on (see ground_state).
         """
         basis = self.group_basis(0)
         k = int(np.argmax(np.sum(np.abs(basis) ** 2, axis=1)))
@@ -871,12 +1027,14 @@ class SpectrumCache:
         return vec / np.linalg.norm(vec)
 
     def evolve(self, amps: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) applied to one state (2^n,) or to each row of a batch (R, 2^n)."""
-        v = self._vectors()
-        phases = np.exp(-1j * self.eigenvalues * t)[:, None]
-        # states as columns: a single state then takes the matrix-vector path
-        out = v @ (phases * (v.conj().T @ np.atleast_2d(amps).T))
-        return out.T.reshape(amps.shape)
+        """exp(-i H t) applied to one state (2^n,) or to each row of a batch
+        (R, 2^n), block by block."""
+        out = np.empty(amps.shape, dtype=complex)
+        for idx, w, v, c in zip(self.stacks, self.levels, self._vectors(),
+                                self._coefficients(amps)):
+            c = c * np.exp(-1j * w * t)
+            out[..., idx] = (c[..., None, :] @ np.swapaxes(v, -1, -2))[..., 0, :]
+        return out
 
 
 @dataclass
@@ -887,8 +1045,20 @@ class GroundState:
 
 
 def ground_state(h: Hamiltonian) -> GroundState:
-    """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state."""
-    spec = SpectrumCache.from_hamiltonian(h)
+    """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state.
+
+    This is also the start vector of every adiabatic run (GroundPath.start),
+    and the one oracle answer not taken block by block: h is decomposed
+    whole, in complex arithmetic, as before the symmetry blocks. The vector
+    picks its basis state k by rounding when weights tie in exact
+    arithmetic (see ground_vector), and the pinned fig5 ground weight
+    depends on the pick this decomposition makes. A tie-break that does not
+    depend on rounding, and the re-pinned weight it gives, belong with the
+    next change to the benchmark.
+    """
+    _check_dense(h.n_qubits)
+    whole = np.arange(1 << h.n_qubits)[None]
+    spec = SpectrumCache.from_blocks((whole,), [h.to_matrix()[None]])
     return GroundState(energy=float(spec.eigenvalues[0]), degeneracy=spec.groups[0][1],
                        state=StateVector(h.n_qubits, spec.ground_vector()))
 
@@ -938,23 +1108,32 @@ def parse_observable(spec: str, n_qubits: int) -> PauliString:
     return PauliString("".join(ops))
 
 
+def _term_values(amps: np.ndarray, table: TermTable) -> np.ndarray:
+    """coeff * <psi|P|psi> of every string of `table`: one gather and one
+    sign per string."""
+    cols = np.arange(amps.size)
+    out = np.empty(len(table.coeff), dtype=complex)
+    for t, (x_mask, imaginary, values) in enumerate(table.entries(cols)):
+        value = np.vdot(amps[cols ^ x_mask], values * amps)
+        out[t] = 1j * value if imaginary else value
+    bad = np.flatnonzero(np.abs(out.imag) > 1e-10)
+    if bad.size:
+        raise EngineError(f"expectation came out complex ({out[bad[0]]})")
+    return out.real
+
+
 def expectation(state: StateVector, op: PauliString) -> float:
     """<psi| P |psi> for a Pauli string; real within numerical noise."""
     if op.n_qubits != state.n_qubits:
         raise EngineError("operator size mismatch")
-    work = state.amps.copy()
-    for q, c in enumerate(op.ops):
-        if c != "I":
-            kernels.apply_single_qubit(work, q, SIGMA[c])
-    val = np.vdot(state.amps, work) * op.coeff
-    if abs(val.imag) > 1e-10:
-        raise EngineError(f"expectation came out complex ({val})")
-    return float(val.real)
+    return float(_term_values(state.amps, TermTable.of([op]))[0])
 
 
 def expectation_energy(state: StateVector, h: Hamiltonian) -> float:
     """<psi| H |psi> accumulated term by term (no dense matrix needed)."""
-    return sum(expectation(state, t) for t in h.terms)
+    if h.n_qubits != state.n_qubits:
+        raise EngineError("operator size mismatch")
+    return float(sum(_term_values(state.amps, h.table).tolist()))
 
 
 def observables(state: StateVector, specs) -> list[tuple[str, float]]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -14,10 +15,12 @@ from .compiler import CyclePlan, HardwareConstraintError, plan_for_hamiltonian
 from .engine import (
     ErrorModel,
     LoweredPlan,
+    Sectors,
     SpectrumCache,
     StateVector,
     _check_dense,
     execute_lowered,
+    ground_state,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes
 from .pauli import Hamiltonian
@@ -236,10 +239,14 @@ PATH_SPECTRA = 3  # spectra a path keeps: the endpoints k = 1 and k = 0 and the 
 class GroundPath:
     """The exact oracle of the path H(k) = k*H_initial + (1-k)*H_target.
 
-    Both dense matrices are built once. The spectra of the endpoints and of
-    the latest other k are kept, so runs sharing a path decompose each
-    endpoint once. `levels` serves the gap scan: it decomposes eigenvalues
-    only and keeps nothing.
+    The path is split once into the symmetry blocks both endpoints share
+    (Sectors), and each endpoint's block matrices are built once; H(k) is
+    then k*A + (1-k)*B block by block, real wherever it has no imaginary
+    part. The spectra of the endpoints and of the latest other k are kept,
+    so runs sharing a path decompose each endpoint once. `levels` serves
+    the gap scan: it decomposes eigenvalues only and keeps nothing. The
+    start vector of every run is ground_state(h_initial), decomposed once
+    per path.
     """
 
     def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
@@ -247,13 +254,31 @@ class GroundPath:
             raise ExperimentError("size mismatch")
         _check_dense(h_initial.n_qubits)
         self.h_initial, self.h_target = h_initial, h_target
-        self._initial = h_initial.to_matrix()
-        self._target = h_target.to_matrix()
+        self.sectors = Sectors(h_initial.n_qubits, (h_initial, h_target))
+        self._initial = self.sectors.blocks(h_initial)
+        self._target = self.sectors.blocks(h_target)
         self._spectra: dict[float, SpectrumCache] = {}
 
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The amplitudes of ground_state(h_initial), where every run starts."""
+        return ground_state(self.h_initial).state.amps
+
+    def blocks(self, k: float) -> list[np.ndarray]:
+        """The block matrices of H(k), one (m, d, d) array per stack of
+        self.sectors, real when the stack has no imaginary part."""
+        out = []
+        for a, b in zip(self._initial, self._target):
+            m = k * a + (1.0 - k) * b
+            out.append(m.real if np.iscomplexobj(m) and not m.imag.any() else m)
+        return out
+
     def matrix(self, k: float) -> np.ndarray:
-        m = k * self._initial
-        m += (1.0 - k) * self._target
+        """H(k) as a dense matrix, assembled from its blocks."""
+        dim = 1 << self.h_initial.n_qubits
+        m = np.zeros((dim, dim), dtype=complex)
+        for idx, block in zip(self.sectors.stacks, self.blocks(k)):
+            m[idx[:, :, None], idx[:, None, :]] = block
         return m
 
     def spectrum(self, k: float) -> SpectrumCache:
@@ -261,7 +286,8 @@ class GroundPath:
         if spec is None:
             if len(self._spectra) >= PATH_SPECTRA:
                 del self._spectra[next(q for q in self._spectra if q not in (0.0, 1.0))]
-            spec = self._spectra[k] = SpectrumCache.from_matrix(self.matrix(k))
+            spec = self._spectra[k] = SpectrumCache.from_blocks(self.sectors.stacks,
+                                                                self.blocks(k))
         return spec
 
     def levels(self, k: float) -> SpectrumCache:
@@ -269,7 +295,7 @@ class GroundPath:
         one, else an eigenvalue-only spectrum that is not kept."""
         spec = self._spectra.get(k)
         if spec is None:
-            spec = SpectrumCache.from_matrix(self.matrix(k), vectors=False)
+            spec = SpectrumCache.from_blocks(self.sectors.stacks, self.blocks(k), vectors=False)
         return spec
 
     def ground_basis(self, k: float) -> np.ndarray:
@@ -419,7 +445,7 @@ def adiabatic_batch(
     err = config.error_model
     noisy = err is not None and err.is_noisy
     rngs = [replace(err, seed=seed).rng() if noisy else None for seed in seeds]
-    amps = np.tile(path.spectrum(1.0).ground_vector(), (len(seeds), 1))
+    amps = np.tile(path.start, (len(seeds), 1))
     trajectories = [[] for _ in seeds]
     index = 0
     for s in range(1, config.steps + 1):
@@ -430,9 +456,10 @@ def adiabatic_batch(
             ops = lowered[0].ops(k) + lowered[1].ops(1.0 - k)
             index = execute_lowered(amps, ops, err, rngs, None, index)
         if config.record_every > 0 and (s % config.record_every == 0 or s == config.steps):
-            overlaps = amps @ path.ground_basis(k).conj()
-            fidelities = np.sum(np.abs(overlaps) ** 2, axis=1).tolist()
-            energies = np.real(np.sum(amps.conj() * (amps @ path.matrix(k).T), axis=1)).tolist()
+            spec = path.spectrum(k)
+            weights = spec.level_weights(amps)
+            fidelities = weights[:, slice(*spec.groups[0])].sum(axis=1).tolist()
+            energies = (weights @ spec.eigenvalues).tolist()
             for trajectory, fid, energy in zip(trajectories, fidelities, energies):
                 trajectory.append((s, k, fid, energy))
     final = path.spectrum(0.0)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,25 +154,24 @@ class Hamiltonian:
     def __rmul__(self, factor: float) -> "Hamiltonian":
         return self.scaled(float(factor))
 
+    @cached_property
+    def table(self) -> "TermTable":
+        """The terms as bitmasks, in term order (see TermTable)."""
+        return TermTable.of(self.terms)
+
     def to_matrix(self) -> np.ndarray:
         """Dense 2^N x 2^N matrix with qubit 0 as the least significant bit.
 
-        A string with X or Y on the sites of x_mask, Y or Z on those of
-        z_mask and #Y factors Y has in column c one entry,
-        coeff * i^#Y * (-1)^popcount(c & z_mask), in row c ^ x_mask. Terms
-        are added in order, which gives the same floats as summing the
-        kron products of the strings.
+        Each term adds its TermTable.entries; terms are added in order,
+        which gives the same floats as summing the kron products of the
+        strings.
         """
         dim = 2**self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
-        for t in self.terms:
-            x_mask = sum(1 << q for q, c in enumerate(t.ops) if c in "XY")
-            z_mask = sum(1 << q for q, c in enumerate(t.ops) if c in "YZ")
-            n_y = t.ops.count("Y")
-            signs = 1 - 2 * _parity(cols & z_mask)
-            part = m.real if n_y % 2 == 0 else m.imag
-            part[cols ^ x_mask, cols] += (t.coeff if n_y % 4 < 2 else -t.coeff) * signs
+        for x_mask, imaginary, values in self.table.entries(cols):
+            part = m.imag if imaginary else m.real
+            part[cols ^ x_mask, cols] += values
         return m
 
     def frobenius_coeff_norm(self) -> float:
@@ -236,6 +236,43 @@ def _parity(v: np.ndarray) -> np.ndarray:
     for shift in (16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
     return v & 1
+
+
+class TermTable(NamedTuple):
+    """Pauli strings as bitmasks, one entry per string in order.
+
+    A string has X or Y on the sites of x_mask, Y or Z on those of z_mask,
+    and n_y factors Y. It maps basis state c to c ^ x_mask with the factor
+    coeff * i^n_y * (-1)^popcount(c & z_mask): the one home of that rule,
+    which the dense matrix, the oracle's symmetry blocks and the
+    observables all read.
+    """
+
+    x_mask: np.ndarray
+    z_mask: np.ndarray
+    n_y: np.ndarray
+    coeff: np.ndarray
+
+    @staticmethod
+    def of(strings: Iterable[PauliString]) -> "TermTable":
+        strings = tuple(strings)
+        return TermTable(
+            np.array([sum(1 << q for q, c in enumerate(t.ops) if c in "XY") for t in strings],
+                     dtype=np.int64),
+            np.array([sum(1 << q for q, c in enumerate(t.ops) if c in "YZ") for t in strings],
+                     dtype=np.int64),
+            np.array([t.ops.count("Y") for t in strings], dtype=np.int64),
+            np.array([t.coeff for t in strings], dtype=float),
+        )
+
+    def entries(self, cols: np.ndarray):
+        """Per string, (x_mask, imaginary, values): column c of its matrix
+        holds i * values[c] when `imaginary`, else values[c], in row
+        c ^ x_mask, for each basis state c of the integer array `cols`."""
+        for x_mask, z_mask, n_y, coeff in zip(self.x_mask.tolist(), self.z_mask.tolist(),
+                                              self.n_y.tolist(), self.coeff.tolist()):
+            signs = 1 - 2 * _parity(cols & z_mask)
+            yield x_mask, n_y % 2 == 1, (coeff if n_y % 4 < 2 else -coeff) * signs
 
 
 def _canonicalize(n_qubits: int, strings: Sequence[PauliString]) -> tuple[PauliString, ...]:

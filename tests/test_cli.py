@@ -54,6 +54,15 @@ class TestCompile:
         doc = json.loads((out / "compile.json").read_text())
         assert doc["cost"]["L"] == 900
 
+    @pytest.mark.parametrize("key", ["t_prime", "epsilon"])
+    def test_non_finite_trotter_setting_exits_1(self, tmp_path, capsys, key):
+        ham = write(tmp_path / "h.ham", HEISENBERG_CHAIN3)
+        settings = {"t_prime": "1.0", "epsilon": "0.01", key: "nan"}
+        cfg = write(tmp_path / "c.cfg", f"[compile]\nhamiltonian = {ham.name}\n"
+                    + "".join(f"{k} = {v}\n" for k, v in settings.items()) + UQS1_3)
+        assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_sign_mismatch_exits_2(self, tmp_path, capsys):
         ham = write(tmp_path / "h.ham", HEISENBERG_CHAIN3)
         cfg = write(
@@ -140,6 +149,26 @@ class TestSimulate:
         obs = (out / "observables.csv").read_text().splitlines()
         assert obs[0] == "observable,value"
         assert len(obs) == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_prime_exits_1_naming_it(self, tmp_path, capsys, value):
+        write(tmp_path / "zz.ham", "1.0 Z Z\n")
+        write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=2\n")
+        cfg = write(tmp_path / "sim.cfg", "[simulate]\nschedule = empty.txt\n"
+                    f"oracle_hamiltonian = zz.ham\nt_prime = {value}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert "t_prime" in err and "Traceback" not in err
+
+    def test_overflowing_oracle_exits_4(self, tmp_path, capsys):
+        write(tmp_path / "big.ham", "1e308 Z Z\n1e308 X X\n1e308 Y Y\n")
+        write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=2\n")
+        cfg = write(tmp_path / "sim.cfg",
+                    "[simulate]\nschedule = empty.txt\noracle_hamiltonian = big.ham\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--oracle"]) == 4
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_noise_without_seed_exits_3(self, tmp_path, capsys):
         sched_path = self.compile_zz(tmp_path)
@@ -256,6 +285,12 @@ class TestAdiabatic:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "adiabatic"
         assert set(manifest["outputs"]) >= {"trajectory.csv", "histogram.csv", "fidelity.svg"}
+
+    def test_overflowing_spectrum_exits_4(self, tmp_path, capsys):
+        text = with_value(with_value(bundled("fig4a.cfg"), "j", "1e308"), "steps", "3")
+        cfg = write(tmp_path / "big.cfg", text)
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_grid(self, tmp_path):
         cfg = self.small_cfg(

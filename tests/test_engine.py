@@ -300,6 +300,12 @@ class TestExactEvolve:
         b = exact_evolve(h, 1.0, s)
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-9)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        h = Hamiltonian.from_terms(2, [(1.0, "XY"), (0.2, "ZI")])
+        with pytest.raises(EngineError, match="not finite"):
+            exact_evolve(h, t, random_state(2, 3))
+
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("UQS_DENSE_CAP", "2")
         h = Hamiltonian.from_terms(3, [(1.0, "ZZZ")])
@@ -378,8 +384,10 @@ class TestSpectrumAndHistogram:
     def test_orthonormal_eigenvectors(self):
         h = Hamiltonian.from_terms(3, [(0.3, "ZZI"), (0.4, "IXX"), (0.1, "YIY")])
         spec = SpectrumCache.from_hamiltonian(h)
-        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(8))) < 1e-9
+        assert sum(v.shape[0] * v.shape[1] for v in spec.eigenvectors) == 8
+        for v in spec.eigenvectors:
+            gram = np.swapaxes(v.conj(), -1, -2) @ v
+            assert np.max(np.abs(gram - np.eye(v.shape[-1]))) < 1e-9
 
     def test_ground_vector_weight(self):
         h = Hamiltonian.from_terms(2, [(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
@@ -402,6 +410,24 @@ class TestSpectrumAndHistogram:
 
 
 class TestObservables:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_expectation_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 6
+        state = random_state(n, 100 + seed)
+        terms = []
+        for _ in range(5):
+            ops = "".join(rng.choice(list("IXYZ"), size=n))
+            coeff = float(rng.normal())
+            dense = oracles.kron_string(ops, coeff)
+            expect = np.real(np.vdot(state.amps, dense @ state.amps))
+            assert expectation(state, PauliString(ops, coeff)) == pytest.approx(expect, abs=1e-12)
+            terms.append((coeff, ops))
+        h = Hamiltonian.from_terms(n, terms)
+        expect = np.real(np.vdot(state.amps, oracles.dense_hamiltonian(
+            n, [(t.coeff, t.ops) for t in h.terms]) @ state.amps))
+        assert expectation_energy(state, h) == pytest.approx(expect, abs=1e-12)
+
     def test_z_on_zero(self):
         s = StateVector.zero_state(1)
         assert expectation(s, PauliString("Z")) == pytest.approx(1.0, abs=1e-12)

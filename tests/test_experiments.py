@@ -329,9 +329,9 @@ class TestGroundPath:
         calls = []
         real = engine._spectrum
 
-        def counting(m):
-            calls.append(m.shape)
-            return real(m)
+        def counting(stacks, *args, **kwargs):
+            calls.append([m.shape for m in stacks])
+            return real(stacks, *args, **kwargs)
 
         monkeypatch.setattr(engine, "_spectrum", counting)
         return calls
@@ -423,16 +423,23 @@ class TestMinGap:
     ])
     def test_levels_match_the_full_spectrum(self, monkeypatch, which, dtypes):
         path = self.real_path() if which == "real" else self.complex_path()
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or eigvalsh(m))
+        seen = {"eigvalsh": [], "eigh": []}  # per k, the dtype of every stacked call
+        for name in seen:
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, name=name, solve=solve:
+                                seen[name][-1].append(m.dtype) or solve(m))
         for k in (0.0, 0.3, 0.5, 1.0):
+            for calls in seen.values():
+                calls.append([])
             levels = path.levels(k)
             assert levels.eigenvectors is None
             full = path.spectrum(k)
             assert levels.groups == full.groups
             np.testing.assert_allclose(levels.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
-        assert seen == dtypes
+        # one call per block size, each in the arithmetic of the blocks
+        stacks = len(path.sectors.stacks)
+        for calls in seen.values():
+            assert calls == [[dtype] * stacks for dtype in dtypes]
 
     def test_levels_reuse_a_kept_spectrum_and_keep_nothing(self):
         path = self.complex_path()
