@@ -16,20 +16,28 @@ exp(-i * coef @ signs).
 A cycle plan goes through the same lowering once, as the compiler's
 cycle_body; each adiabatic step then adds the compiler's field_angles layer
 and scales the body's runs (LoweredPlan), so the compiler alone decides
-what a cycle contains. Lowered ops run in chunks of _CHUNK: jitter
-rescales theta in closed form, and the jittered 2x2s of all a chunk's local
-layers are built in one vectorised pass. A local layer runs group by group:
-its qubits are split once, at lowering, into contiguous groups of at most
-_GROUP_QUBITS (4+3 at n=7, 3+3+3 at n=9). A group with two or more
-non-identity qubits is applied as one (2^k, 2^k) Kronecker block of its
-2x2s, an exact identity in place of each identity qubit, in the manner of
-qsim's gate fusion (arXiv:2111.02396); a group with one is a single-qubit
-kernel call, which is cheaper than the same qubit padded with identities; a
-group with none is skipped. The state has a leading batch axis (R, 2^n): the repetitions of a
-sweep cell advance as one array, each row with its own seeded PCG64
-generator, and a single run is a batch of one. The single-qubit and block
-kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
-observables below call too.
+what a cycle contains. The qubits split into contiguous groups of at most
+_GROUP_QUBITS (_group_bounds: 4+3 at n=7, 3+3+3 at n=9), and local work is
+applied group by group as (2^k, 2^k) blocks in the manner of qsim's gate
+fusion (arXiv:2111.02396).
+
+A schedule whose cycle_length names its period runs each window of that
+many instructions that the next windows repeat, object for object, as one
+FusedCycle: the cycle's layers and in-group gate runs fused into blocks per
+group, a gate run across groups kept as one diagonal, and the blocks of a
+pass over many occurrences built in one vectorised pass, then applied
+(4 state-sized calls per cycle on the 8-ion trap chain instead of 23).
+Everything else, adiabatic steps included, runs op by op in chunks of
+_CHUNK ops: jitter rescales theta in closed form, and the jittered 2x2s of
+all a chunk's local layers are built in one vectorised pass. There a local
+layer's group with two or more non-identity qubits is one Kronecker block
+of its 2x2s, an exact identity in place of each identity qubit; a group
+with one is a single-qubit kernel call, which is cheaper than the same
+qubit padded with identities; a group with none is skipped. The state has
+a leading batch axis (R, 2^n): the repetitions of a sweep cell advance as
+one array, each row with its own seeded PCG64 generator, and a single run
+is a batch of one. The single-qubit and block kernels and the Z_a Z_b sign
+rows come from uqsim.kernels, which the observables below call too.
 
 The oracle decomposes block by block and keeps no process-wide cache.
 Sectors splits the basis states into the cosets of the GF(2) span of the
@@ -51,9 +59,11 @@ rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
 per-instruction rng.uniform calls would. The log keeps each chunk's mapped
 draws as one array and writes them per instruction; a run replays from its
 log (run_schedule(..., replay=log)). The same command and seed give
-bit-identical results. A repetition run inside a sweep batch agrees with
-the same seed run alone within 1e-12, not bitwise, since BLAS blocking
-depends on the batch size.
+bit-identical results. Fused cycles draw and log exactly what the op-by-op
+path would, and a replay repeats them bit for bit; their arithmetic agrees
+with the per-instruction reference within 1e-12. A repetition run inside a
+sweep batch agrees with the same seed run alone within 1e-12, not bitwise,
+since BLAS blocking depends on the batch size.
 """
 from __future__ import annotations
 
@@ -349,6 +359,7 @@ _IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
 _SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are shared per gate, stacked per run
 _CHUNK = 64                # lowered ops per draw-and-apply pass, raw gates per fused run
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
+_CHUNK_BLOCKS = 256        # most fused blocks one pass of a repeated cycle builds
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
@@ -504,15 +515,15 @@ class ZZRun:
                      None if self.signs is None else self.signs[keep])
 
 
-def _lower(instructions, n_qubits: int):
+def _lower(instructions, n_qubits: int, lowered: dict):
     """Lowered ops of an instruction stream, in order: a LoweredLayer per
     local layer and a ZZRun per run of up to _CHUNK consecutive raw gates.
 
-    Each distinct ApplyLocal and RawGate object is lowered once per call and
-    kept, with the object so that its id stays its own, until the stream
-    ends; a run of gates is joined from their lowered parts.
+    Each distinct ApplyLocal and RawGate object is lowered once and kept in
+    `lowered`, with the object so that its id stays its own, for as long as
+    the caller keeps the dict; a run of gates is joined from their lowered
+    parts.
     """
-    lowered: dict[int, tuple[object, LoweredLayer | ZZRun]] = {}
     gates = []
     for ins in instructions:
         hit = lowered.get(id(ins))
@@ -550,6 +561,20 @@ def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
             signs = signs[0][None] if len(signs) == 1 else np.reshape(signs, (len(signs), dim))
         angles = coef @ signs
     amps *= np.exp(-1j * angles)
+
+
+def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int]) -> np.ndarray:
+    """(R, size) jitter draws, u mapped onto -eta + 2*eta*u with one
+    rng.random(size) per row of generators, or the next (1, size) values of
+    a LogDraws, whose instructions must have `kinds` and `sizes`."""
+    if isinstance(draws, LogDraws):
+        return draws.take(kinds, sizes)
+    if not size:
+        return np.empty((len(draws), 0))
+    if any(rng is None for rng in draws):
+        raise EngineError("jitter needs a random generator for every state")
+    u = np.array([rng.random(size) for rng in draws])
+    return -eta + (eta + eta) * u
 
 
 def execute_lowered(
@@ -597,19 +622,11 @@ def execute_lowered(
     layers = [(op, s) for op, s in zip(ops, starts) if isinstance(op, LoweredLayer)]
     # the draws of layer j are d[:, at[j]]
     at = np.add.outer([s for _, s in layers], np.arange(n)) if eta_l > 0 and layers else None
-    if isinstance(draws, LogDraws):
-        d = draws.take(kinds, sizes)
-    elif size:
-        if any(rng is None for rng in draws):
-            raise EngineError("jitter needs a random generator for every state")
-        u = np.array([rng.random(size) for rng in draws])
-        eta = eta_l if eta_i == 0 else eta_i
-        if at is not None and 0 < eta_i != eta_l:
-            eta = np.full(size, eta_i)
-            eta[at] = eta_l
-        d = -eta + (eta + eta) * u
-    else:
-        d = np.empty((len(draws), 0))
+    eta = eta_l if eta_i == 0 else eta_i
+    if at is not None and 0 < eta_i != eta_l:
+        eta = np.full(size, eta_i)
+        eta[at] = eta_l
+    d = _mapped_draws(draws, eta, size, kinds, sizes)
     if at is not None:
         mats = _local_matrices(np.array([op.theta for op, _ in layers]),
                                np.array([op.nsigma for op, _ in layers]),
@@ -645,7 +662,7 @@ class LoweredPlan:
         # stacked(...).scaled(1.0) gives each run the arrays that every later
         # scaled() reuses
         body = (op if isinstance(op, LoweredLayer) else op.stacked(1 << n_qubits).scaled(1.0)
-                for op in _lower(cycle_body(plan, dt), n_qubits))
+                for op in _lower(cycle_body(plan, dt), n_qubits, {}))
         self.body = [op for op in body if op is not None]
 
     def ops(self, scale: float) -> list:
@@ -662,6 +679,168 @@ class LoweredPlan:
         return out
 
 
+class FusedCycle:
+    """One cycle's lowered ops fused into blocks over the qubit groups, run
+    for many back-to-back occurrences of the cycle.
+
+    The ops are taken in order. Each active qubit of a local layer joins the
+    open block of its group (_group_bounds) as a 2x2 factor, and a ZZRun
+    whose targets all lie inside one group joins that group's block as a
+    diagonal factor. A run with a target across groups closes the open
+    blocks of the groups it touches and stays one diagonal; the end of the
+    cycle closes the rest. What other groups' blocks hold commutes with
+    such a run, so only the order within each group is kept. A trotter-uqs2
+    cycle on 8 ions (a field layer, 14 one-ion echo pulses and 7 one-pair
+    gates) becomes 4 ops: the block of ions 0..3, that of 4..7, the ZZ(3,4)
+    diagonal and another block of 4..7.
+
+    The cycle draws as execute_lowered would draw for its ops, so a pass
+    over C occurrences takes one rng.random per row for all of them and
+    logs them as one chunk. Each pass builds its blocks for all (C, R)
+    occurrences at once, a few broadcast operations per factor; a cycle
+    without draws builds them once.
+    """
+
+    def __init__(self, ops, n_qubits: int, eta_l: float, eta_i: float):
+        home = [(lo, k) for lo, k in _group_bounds(n_qubits) for _ in range(k)]
+        self.kinds, self.sizes = [], []
+        theta, nsigma, phase, mats, at_u, coef, at_g, eta = [], [], [], [], [], [], [], []
+        open_blocks: dict[tuple[int, int], list] = {}
+        # ("block", lo, k, factors) and ("zz", run, its coef slice) in apply order
+        self.steps = []
+
+        def close(group):
+            factors = open_blocks.pop(group, None)
+            if factors:
+                self.steps.append(("block", *group, factors))
+
+        for op in ops:
+            start = len(eta)  # the op's first draw
+            if isinstance(op, LoweredLayer):
+                self.kinds.append("local")
+                self.sizes.append(n_qubits if eta_l > 0 else 0)
+                eta += [eta_l] * self.sizes[-1]
+                for q in op.active:
+                    lo, k = home[q]
+                    # a 2x2 factor: (its index, its bit in the block)
+                    open_blocks.setdefault((lo, k), []).append((len(theta), q - lo))
+                    theta.append(op.theta[q])
+                    nsigma.append(op.nsigma[q])
+                    phase.append(op.phase[q])
+                    mats.append(op.matrices[q])
+                    at_u.append(start + q)
+            else:
+                self.kinds += ["gate"] * len(op.sizes)
+                self.sizes += op.sizes if eta_i > 0 else [0] * len(op.sizes)
+                eta += [eta_i] * (len(op.coef) if eta_i > 0 else 0)
+                span = slice(len(coef), len(coef) + len(op.coef))
+                coef.extend(op.coef)
+                at_g.extend(range(start, start + len(op.coef)))
+                touched = sorted({home[q] for pair in op.pairs for q in pair})
+                if len(touched) == 1:
+                    (lo, k), = touched
+                    # a diagonal factor: (its coef slice, its sign rows in the block)
+                    signs = np.array([kernels.zz_signs(k, a - lo, b - lo) for a, b in op.pairs])
+                    open_blocks.setdefault((lo, k), []).append((span, signs))
+                elif touched:
+                    for group in touched:
+                        close(group)
+                    self.steps.append(("zz", op.stacked(1 << n_qubits), span))
+        for group in sorted(open_blocks):
+            close(group)
+        self.width, self.n_blocks = len(eta), sum(step[0] == "block" for step in self.steps)
+        self.eta = np.array(eta, dtype=float)
+        self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
+        self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
+        self.mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
+        self.coef = np.array(coef, dtype=float)
+        # where the draws of the factors' 2x2s and of the targets' coefs sit
+        self.at_u = np.array(at_u, dtype=np.intp) if eta_l > 0 and at_u else None
+        self.at_g = np.array(at_g, dtype=np.intp) if eta_i > 0 and at_g else None
+        self._static = None
+
+    def _build(self, d: np.ndarray) -> list:
+        """Per step (lo, block, None) or (None, run, coef) for the draws d
+        (C, R, width): a block (2^k, 2^k) or (C, R, 2^k, 2^k), coefs
+        (targets,) or (C, R, targets), the same for every occurrence where
+        no draw reaches them."""
+        mats, coef = self.mats, self.coef
+        if self.at_u is not None:
+            mats = _local_matrices(self.theta, self.nsigma, self.phase, 1.0 + d[..., self.at_u])
+        if self.at_g is not None:
+            coef = coef * (1.0 + d[..., self.at_g])
+        return [(None, step[1], coef[..., step[2]]) if step[0] == "zz"
+                else (step[1], _fused_block(step[2], step[3], mats, coef), None)
+                for step in self.steps]
+
+    def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
+                index: int) -> int:
+        """`count` occurrences of the cycle on amps (R, 2^n) in place, in
+        passes of up to _CHUNK_BLOCKS blocks over occurrences and rows.
+        Returns the next instruction index."""
+        rows = amps.shape[0]
+        per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
+        for first in range(0, count, per_pass):
+            c = min(per_pass, count - first)
+            kinds, sizes = self.kinds * c, self.sizes * c
+            d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, kinds, sizes)
+            if self.width:
+                built = self._build(d.reshape(rows, c, self.width).transpose(1, 0, 2))
+            else:
+                built = self._static = self._static or self._build(None)
+            for j in range(c):
+                for lo, step, coef in built:
+                    if lo is None:
+                        _apply_zz(amps, step, coef if coef.ndim == 1 else coef[j])
+                    else:
+                        kernels.apply_block(amps, lo, step if step.ndim == 2 else step[j])
+            if log is not None and kinds:
+                log.record(index, kinds, sizes, d[0])
+            index += len(kinds)
+        return index
+
+
+def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The (..., 2^k, 2^k) product of a block's factors, the first applied
+    first: a 2x2 mats[..., i] on bit b of the row index for (i, b), and
+    exp(-i * coef[..., span] @ signs) on the rows for (span, signs)."""
+    dim = 1 << k
+    block = np.eye(dim, dtype=complex)
+    for a, b in factors:
+        if isinstance(a, slice):
+            block = np.exp(-1j * (coef[..., a] @ b))[..., :, None] * block
+        else:
+            view = block.reshape(*block.shape[:-2], dim >> (b + 1), 2, -1)
+            prod = mats[..., a, None, :, :] @ view
+            block = prod.reshape(*prod.shape[:-3], dim, dim)
+    return block
+
+
+def _repeats(instructions, period: int | None):
+    """The stream as (instructions, count) pieces in order. count >= 2 is a
+    window of `period` instructions that the next count - 1 windows repeat
+    object for object (by id); count == 1 is a stretch without such a
+    repeat, the whole stream when period is None."""
+    if period is None or period < 1:
+        yield instructions, 1
+        return
+    seq = tuple(instructions)
+    ids = [id(ins) for ins in seq]
+    start = i = 0
+    while i + 2 * period <= len(seq):
+        window, stop = ids[i:i + period], i + period
+        while ids[stop:stop + period] == window:
+            stop += period
+        if stop - i > period:
+            if start < i:
+                yield seq[start:i], 1
+            yield seq[i:i + period], (stop - i) // period
+            start = stop
+        i = stop
+    if start < len(seq):
+        yield seq[start:], 1
+
+
 def execute_batch(
     amps: np.ndarray,
     n_qubits: int,
@@ -669,16 +848,22 @@ def execute_batch(
     err: ErrorModel | None,
     draws,
     log: ExecutionLog | None = None,
+    cycle_length: int | None = None,
 ) -> int:
     """Apply instructions to the batch `amps` (R, 2^n) in place, row r drawing
     its jitter from the generator draws[r], or a batch of one replaying the
     draws of a LogDraws.
 
-    Instructions are lowered as they arrive and run in chunks of _CHUNK ops.
     Each distinct instruction object is lowered once per call (a schedule of
     repeated cycles pays per line of its cycle, not per occurrence), and
-    each run of consecutive raw gates becomes one diagonal. Returns the
-    number of instructions run.
+    each run of consecutive raw gates becomes one diagonal. Given a
+    cycle_length, each window of that many instructions that the next
+    windows repeat object for object runs as one FusedCycle for all its
+    occurrences; anything else (no cycle_length, an unrepeated window, a
+    trailing partial cycle) is lowered as it arrives and runs in chunks of
+    _CHUNK ops. The draws and the log are the same either way; the fused
+    arithmetic agrees with the per-op path within 1e-12. Returns the number
+    of instructions run.
     """
     if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
             or not amps.flags.c_contiguous):
@@ -690,13 +875,23 @@ def execute_batch(
         raise EngineError(f"{len(draws)} generators for {amps.shape[0]} states")
     if log is not None and amps.shape[0] != 1:
         raise EngineError("an execution log records a batch of one state")
-    ops, index = [], 0
-    for op in _lower(instructions, n_qubits):
-        ops.append(op)
-        if len(ops) >= _CHUNK:
-            index = execute_lowered(amps, ops, err, draws, log, index)
-            ops = []
-    return execute_lowered(amps, ops, err, draws, log, index)
+    eta_l = err.eta_local if err is not None else 0.0
+    eta_i = err.eta_int if err is not None else 0.0
+    lowered, index = {}, 0
+    for piece, count in _repeats(instructions, cycle_length):
+        ops = _lower(piece, n_qubits, lowered)
+        if count > 1:
+            cycle = FusedCycle(list(ops), n_qubits, eta_l, eta_i)
+            index = cycle.execute(amps, count, draws, log, index)
+            continue
+        chunk = []
+        for op in ops:
+            chunk.append(op)
+            if len(chunk) >= _CHUNK:
+                index = execute_lowered(amps, chunk, err, draws, log, index)
+                chunk = []
+        index = execute_lowered(amps, chunk, err, draws, log, index)
+    return index
 
 
 def execute_instructions(
@@ -706,19 +901,20 @@ def execute_instructions(
     err: ErrorModel | None,
     rng: "np.random.Generator | LogDraws | None",
     log: ExecutionLog | None = None,
+    cycle_length: int | None = None,
 ) -> int:
     """Apply instructions to `amps` in place, drawing jitter from `rng`, a
     generator or a LogDraws replaying a log.
 
-    A batch of one through execute_batch. Returns the number of
-    instructions run; noise draws are strictly sequential in instruction
-    order so runs replay exactly.
+    A batch of one through execute_batch, cycle_length included. Returns
+    the number of instructions run; noise draws are strictly sequential in
+    instruction order so runs replay exactly.
     """
     amps = np.asarray(amps)
     if amps.shape != (1 << n_qubits,):
         raise EngineError(f"amplitude array has shape {amps.shape}, expected ({1 << n_qubits},)")
     draws = rng if isinstance(rng, LogDraws) else [rng]
-    return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log)
+    return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log, cycle_length)
 
 
 def apply_local_layer(
@@ -780,7 +976,8 @@ def run_schedule(
         log = ExecutionLog(seed=err.seed if err is not None else None)
         rng = err.rng() if err is not None and err.is_noisy else None
     out = state.copy()
-    execute_instructions(out.amps, out.n_qubits, schedule.instructions, err, rng, log)
+    execute_instructions(out.amps, out.n_qubits, schedule.instructions, err, rng, log,
+                         cycle_length=schedule.cycle_length)
     if replay is not None:
         rng.close()
     out.check_norm(len(schedule.instructions) + 1)

@@ -4,11 +4,16 @@ histograms."""
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 70
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text: str) -> str:
+    """XML character data: & then > then <, as xml.sax.saxutils.escape does
+    by default (that module imports urllib and email on every start)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 6):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uqsim import svg
 from uqsim.cli import build_parser, main
 from uqsim.compiler import schedule_from_text, trotter_cycles, trotter_schedule
 from uqsim.engine import StateVector
@@ -620,6 +621,13 @@ def test_unseeded_commands_record_no_seed(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
+def test_svg_escapes_text():
+    text = svg.line_plot([("x>0", [0.0, 1.0], [0.0, 1.0])], title="a&b<c>d")
+    assert "a&amp;b&lt;c&gt;d" in text
+    texts = [t.text for t in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c>d" in texts and "x>0" in texts
 
 
 def benchmark_workloads():

@@ -12,6 +12,7 @@ from uqsim.compiler import (
     ApplyLocal,
     CyclePlan,
     PlannedFamily,
+    PulseSchedule,
     RawGate,
     RawGateSpec,
     emit_cycle,
@@ -23,9 +24,11 @@ from uqsim.engine import (
     ErrorModel,
     ExecutionLog,
     LoweredPlan,
+    StateVector,
     execute_batch,
     execute_instructions,
     execute_lowered,
+    run_schedule,
 )
 from uqsim.experiments import (
     AdiabaticConfig,
@@ -89,11 +92,11 @@ def error_model(etas, seed):
     return ErrorModel(*etas, seed=seed) if any(etas) else None
 
 
-def run_both(n, instructions, err, start):
+def run_both(n, instructions, err, start, cycle_length=None):
     """(lowered amps, lowered log text, reference amps, reference log text)."""
     got = start.copy()
     log = ExecutionLog(seed=err.seed if err else None)
-    execute_instructions(got, n, instructions, err, err.rng() if err else None, log)
+    execute_instructions(got, n, instructions, err, err.rng() if err else None, log, cycle_length)
     ref = start.copy()
     entries = []
     oracles.reference_execute(ref, n, instructions, err, err.rng() if err else None, entries)
@@ -183,6 +186,77 @@ def test_batch_rows_match_single_runs(rows):
         ref = start[r].copy()
         oracles.reference_execute(ref, n, instructions, err, replace(err, seed=s).rng())
         assert np.max(np.abs(batch[r] - ref)) <= AMP_TOL
+
+
+def cycle_of(n, seed):
+    """A random_schedule cycle behind back-to-back layers (one with identity
+    qubits), gates inside the first and the last qubit group and one across
+    groups."""
+    rng = np.random.default_rng(seed)
+    units = ApplyLocal(LocalLayer.inhomogeneous(
+        [random_unit(rng) if q % 3 else SingleQubitUnitary.identity() for q in range(n)]))
+    rot = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.rot((0.0, 0.6, 0.8), 0.3)))
+    head = [units, rot, RawGate("in", 0.2, ((0, 1, 1.0), (1, 2, -0.5))), units,
+            RawGate("last", 0.4, ((n - 2, n - 1, 0.8),)), rot,
+            RawGate("across", -0.3, ((1, n - 1, 1.0),))]
+    return head + random_schedule(n, seed, length=10)
+
+
+def spy_fused(monkeypatch):
+    """The occurrence counts that FusedCycle.execute runs."""
+    counts, real = [], engine.FusedCycle.execute
+
+    def spy(self, amps, count, *args):
+        counts.append(count)
+        return real(self, amps, count, *args)
+
+    monkeypatch.setattr(engine.FusedCycle, "execute", spy)
+    return counts
+
+
+@pytest.mark.parametrize("etas", ETAS)
+@pytest.mark.parametrize("n", [5, 8])
+def test_repeated_cycles_match_reference(monkeypatch, n, etas):
+    # at most 8 blocks per pass: passes of one or two occurrences
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 8)
+    fused = spy_fused(monkeypatch)
+    cycle = cycle_of(n, n)
+    instructions, err = tuple(cycle) * 8, error_model(etas, n)
+    got, log, ref, ref_log = run_both(n, instructions, err, random_amps(n, n), len(cycle))
+    assert fused == [8]
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert log == ref_log
+    seeds = [n, n + 1, n + 2]
+    start = np.array([random_amps(n, s) for s in seeds])
+    batch = start.copy()
+    rngs = [replace(err, seed=s).rng() if err else None for s in seeds]
+    assert execute_batch(batch, n, instructions, err, rngs, None, len(cycle)) == len(instructions)
+    for r, s in enumerate(seeds):
+        ref = start[r].copy()
+        oracles.reference_execute(ref, n, instructions, err, replace(err, seed=s).rng() if err else None)
+        assert np.max(np.abs(batch[r] - ref)) <= AMP_TOL
+
+
+@pytest.mark.parametrize("case", ["cycle 2 differs", "trailing partial cycle", "wrong period"])
+def test_cycle_length_is_checked_not_assumed(monkeypatch, case):
+    n, err = 6, ErrorModel(0.04, 0.03, seed=11)
+    fused = spy_fused(monkeypatch)
+    cycle = cycle_of(n, 6)
+    other = list(cycle)
+    other[2] = RawGate("in", 0.7, ((0, 1, 1.0), (1, 2, -0.5)))  # one changed angle in cycle 2
+    instructions, period, cycles = {
+        "cycle 2 differs": (cycle + other + cycle * 3, len(cycle), 5),
+        "trailing partial cycle": (cycle * 4 + cycle[:5], len(cycle), None),
+        "wrong period": (cycle * 4, len(cycle) + 1, None),
+    }[case]
+    schedule = PulseSchedule(n, tuple(instructions), None, period, cycles)
+    start = random_amps(n, 6)
+    final, log = run_schedule(StateVector.from_amplitudes(start), schedule, err)
+    ref, entries = start.copy(), []
+    oracles.reference_execute(ref, n, instructions, err, err.rng(), entries)
+    assert fused == {"cycle 2 differs": [3], "trailing partial cycle": [4], "wrong period": []}[case]
+    assert np.max(np.abs(final.amps - ref)) <= AMP_TOL
+    assert log.to_text() == ExecutionLog(seed=err.seed, entries=entries).to_text()
 
 
 def test_lowering_validates_against_n_qubits():

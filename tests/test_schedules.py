@@ -1,6 +1,7 @@
 """Compiled schedules through `uqsim simulate`: pinned output bytes, one
-lowering per distinct instruction, the contract the benchmark's tracer reads,
-and replay of a run from its execution log."""
+lowering per distinct instruction, kernel calls per repeated cycle, the
+contract the benchmark's tracer reads, and replay of a run from its
+execution log."""
 import hashlib
 import inspect
 import math
@@ -8,17 +9,20 @@ import math
 import numpy as np
 import pytest
 
-from uqsim import engine
+import oracles
+from uqsim import engine, kernels
 from uqsim.cli import main
-from uqsim.compiler import RawGate, schedule_from_text, trotter_schedule
+from uqsim.compiler import RawGate, plan_for_hamiltonian, schedule_from_text, trotter_schedule
 from uqsim.engine import (
     EngineError,
     ErrorModel,
     ExecutionLog,
     LogFormatError,
     LoweredLayer,
+    LoweredPlan,
     StateVector,
     ZZRun,
+    execute_lowered,
     run_schedule,
 )
 from uqsim.hardware import TrapArrayModel
@@ -53,9 +57,11 @@ eta_int = 0.02
 """
 ETAS = (0.01, 0.02)
 SEED = 5
-# sha256 of the outputs at SEED, recorded before the engine lowered each
-# distinct instruction once and jittered a chunk's layers in one pass
-STATE_SHA256 = "a3ec6a443b47c62755e9bad280517ff03b76908ca6075974712bb52a20c9282a"
+# sha256 of the outputs at SEED. The state was recorded once the engine ran
+# repeated cycles as fused blocks (the 4 ions are one qubit group, so each
+# cycle is one block), which moved its last bits; the log, recorded before
+# the engine lowered each distinct instruction once, has not moved since.
+STATE_SHA256 = "62b8f9df161d9468aae90cca8aad5bda8e9bedb7683ccd8fa6a9d03d979f4046"
 LOG_SHA256 = "8e06a612adf1c557bf185e81f263089a45979accdf82a826ff8e682c4a4c77d8"
 
 
@@ -76,8 +82,14 @@ def test_outputs_are_pinned_byte_for_byte(simulated):
     schedule = schedule_from_text((simulated / "compiled" / "schedule.txt").read_text())
     assert schedule.num_cycles >= 3 and len(schedule.instructions) > engine._CHUNK
     out = simulated / "out"
-    assert hashlib.sha256((out / "state.txt").read_bytes()).hexdigest() == STATE_SHA256
     assert hashlib.sha256((out / "execution_log.txt").read_bytes()).hexdigest() == LOG_SHA256
+    assert hashlib.sha256((out / "state.txt").read_bytes()).hexdigest() == STATE_SHA256
+    # the pin is not the only check: the per-instruction reference agrees
+    ref = StateVector.zero_state(4).amps
+    err = ErrorModel(*ETAS, seed=SEED)
+    oracles.reference_execute(ref, 4, schedule.instructions, err, err.rng())
+    state = StateVector.load_text((out / "state.txt").read_text())
+    assert np.max(np.abs(state.amps - ref)) <= 1e-12
 
 
 def test_replay_reproduces_the_state_dump(simulated):
@@ -145,6 +157,56 @@ def test_each_distinct_instruction_is_lowered_once(monkeypatch):
         counts.update(layer=0, gate=0)
         run_schedule(StateVector.zero_state(4), schedule, ErrorModel(*ETAS, seed=2))
         assert counts == {"layer": len(distinct) - gates, "gate": gates}
+
+
+def count_calls(monkeypatch):
+    """Calls of the state-sized kernels and of the fused-block build."""
+    counts = dict.fromkeys(("block", "zz", "single", "build"), 0)
+
+    def spy(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(kernels, "apply_block", "block")
+    spy(engine, "_apply_zz", "zz")
+    spy(kernels, "apply_single_qubit", "single")
+    spy(engine, "_fused_block", "build")
+    return counts
+
+
+@pytest.mark.parametrize("err", [None, ErrorModel(0.002, 0.001, seed=1)])
+def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err):
+    # the trotter-uqs2 shape: on 8 ions a cycle is a field layer, 14 one-ion
+    # echo pulses and 7 one-pair gates, and ZZ(3, 4) is the one gate across
+    # the two 4-qubit groups
+    schedule, cost = trotter_schedule(ising_chain(8), t_prime=0.6, epsilon=0.01, hw=trap_chain(8))
+    cycles, per_pass = cost.num_gates, engine._CHUNK_BLOCKS // 3
+    assert schedule.cycle_length == 22 and cycles > per_pass
+    counts = count_calls(monkeypatch)
+    run_schedule(StateVector.zero_state(8), schedule, err)
+    assert counts["block"] + counts["zz"] + counts["single"] <= 4 * cycles
+    assert counts["single"] == 0 and counts["zz"] == cycles
+    # 3 blocks per cycle (0..3, 4..7 twice), built per pass of up to
+    # per_pass cycles; noiseless, each is built once
+    assert counts["build"] == 3 * (1 if err is None else -(-cycles // per_pass))
+
+
+def test_an_adiabatic_step_runs_op_by_op(monkeypatch):
+    # a LoweredPlan step of the same chain makes the calls it made before
+    # repeated cycles were fused: 2 field-layer blocks, 14 echo pulses, 7 gates
+    plan = plan_for_hamiltonian(ising_chain(8), trap_chain(8))
+    err = ErrorModel(0.01, 0.02, seed=3)
+    amps = np.zeros((2, 256), dtype=complex)
+    amps[:, 0] = 1.0
+    counts = count_calls(monkeypatch)
+    assert execute_lowered(amps, LoweredPlan(plan, 0.1, 8).ops(0.6), err,
+                           [err.rng(), err.rng()]) == 22
+    assert counts == {"block": 2, "zz": 7, "single": 14, "build": 0}
 
 
 def test_the_tracer_reads_execute_instructions_by_position():
