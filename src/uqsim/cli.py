@@ -136,11 +136,20 @@ def resolve_config_path(name: str) -> Path:
 def load_config(path: Path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return cfg
+
+
+def _read_input(path: Path) -> str:
+    """The text of an input file named by a config; a file that is not
+    UTF-8 text is a UsageError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def config_value(section, key: str, convert, fallback=None):
@@ -168,7 +177,10 @@ def _finite_float(text: str) -> float:
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split())
+    values = tuple(int(x) for x in text.split())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 def _relative(path_str: str, config_path: Path) -> Path:
@@ -181,7 +193,7 @@ def load_hardware(cfg, config_path):
         raise UsageError("config needs a [hardware] section")
     section = cfg["hardware"]
     if "file" in section:
-        text = _relative(section["file"], config_path).read_text()
+        text = _read_input(_relative(section["file"], config_path))
     else:
         lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
         if "positions" in section:
@@ -245,7 +257,7 @@ def load_hamiltonian_source(spec: str, n: int, config_path: Path) -> Hamiltonian
     if spec in ("zz_chain", "xx_chain"):
         return nn_chain(spec.split("_")[0], n)
     if spec.startswith("file:"):
-        return Hamiltonian.from_text(_relative(spec[5:], config_path).read_text())
+        return Hamiltonian.from_text(_read_input(_relative(spec[5:], config_path)))
     raise UsageError(f"unknown Hamiltonian source {spec!r}")
 
 
@@ -292,7 +304,7 @@ def cmd_compile(args, cfg, config_path) -> int:
     section = cfg["compile"]
     hw = load_hardware(cfg, config_path)
     if "hamiltonian" in section:
-        target = Hamiltonian.from_text(_relative(section["hamiltonian"], config_path).read_text())
+        target = Hamiltonian.from_text(_read_input(_relative(section["hamiltonian"], config_path)))
     elif cfg.has_section("model"):
         target = build_model(load_named_model(cfg))
     else:
@@ -327,7 +339,10 @@ def _jitter_fraction(text: str) -> float:
 
 
 def _jitter_fractions(text: str) -> tuple[float, ...]:
-    return tuple(_jitter_fraction(x) for x in text.split())
+    values = tuple(_jitter_fraction(x) for x in text.split())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 def _error_model_from(section, seed) -> ErrorModel | None:
@@ -347,12 +362,12 @@ def cmd_simulate(args, cfg, config_path) -> int:
         raise UsageError("config needs a [simulate] section")
     section = cfg["simulate"]
     sched_path = _relative(section.get("schedule", "schedule.txt"), config_path)
-    schedule = schedule_from_text(sched_path.read_text())
+    schedule = schedule_from_text(_read_input(sched_path))
     init_spec = section.get("initial", "zeros")
     if init_spec == "zeros":
         state = StateVector.zero_state(schedule.n_qubits)
     elif init_spec.startswith("file:"):
-        state = StateVector.load_text(_relative(init_spec[5:], config_path).read_text())
+        state = StateVector.load_text(_read_input(_relative(init_spec[5:], config_path)))
     else:
         raise UsageError(f"unknown initial state {init_spec!r}")
     seed = args.seed if args.seed is not None else config_value(section, "seed", int)
@@ -372,7 +387,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         if "oracle_hamiltonian" not in section:
             raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
         h = Hamiltonian.from_text(
-            _relative(section["oracle_hamiltonian"], config_path).read_text()
+            _read_input(_relative(section["oracle_hamiltonian"], config_path))
         )
         t_prime = config_value(section, "t_prime", _finite_float, 1.0)
         reference = exact_evolve(h, t_prime, state)

@@ -27,32 +27,36 @@ FusedCycle: the cycle's layers and in-group gate runs fused into blocks per
 group, a gate run across groups kept as one diagonal, and the blocks of a
 pass over many occurrences built in one vectorised pass, then applied
 (4 state-sized calls per cycle on the 8-ion trap chain instead of 23).
-Everything else, adiabatic steps included, runs op by op in chunks of
-_CHUNK ops: jitter rescales theta in closed form, and the jittered 2x2s of
-all a chunk's local layers are built in one vectorised pass. There a local
-layer's group with two or more non-identity qubits is one Kronecker block
-of its 2x2s, an exact identity in place of each identity qubit; a group
-with one is a single-qubit kernel call, which is cheaper than the same
-qubit padded with identities; a group with none is skipped. The state has
-a leading batch axis (R, 2^n): the repetitions of a sweep cell advance as
-one array, each row with its own seeded PCG64 generator, and a single run
-is a batch of one. The single-qubit and block kernels and the Z_a Z_b sign
-rows come from uqsim.kernels, which the observables below call too.
+Consecutive unrecorded adiabatic steps of one shape run the same way, as
+occurrences of the two plans' template cycle with per-occurrence angle
+scales (k, 1 - k) (experiments.adiabatic_batch). Everything else runs op
+by op in chunks of _CHUNK ops: jitter rescales theta in closed form, and
+the jittered 2x2s of all a chunk's local layers are built in one
+vectorised pass. There a local layer's group with two or more non-identity
+qubits is one Kronecker block of its 2x2s, an exact identity in place of
+each identity qubit; a group with one is a single-qubit kernel call, which
+is cheaper than the same qubit padded with identities; a group with none
+is skipped. The state has a leading batch axis (R, 2^n): the repetitions
+of a sweep cell advance as one array, each row with its own seeded PCG64
+generator, and a single run is a batch of one. The single-qubit and block
+kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
+observables below call too.
 
-The oracle decomposes block by block and keeps no process-wide cache.
-Sectors splits the basis states into the cosets of the GF(2) span of the
-Hamiltonians' x_masks, and by popcount when they all commute with the total
-Z magnetization; each block matrix is built from the Hamiltonian's
-TermTable. `_spectrum`, the one eigendecomposition call, solves the blocks
-of one size as one stacked array, in real arithmetic when they have no
-imaginary part, and SpectrumCache merges their eigenvalues in ascending
-order before grouping them. Its eigenvectors stay per block. The adiabatic
-oracle (experiments.GroundPath) builds both endpoints' blocks once per path
-and decomposes k*H_initial + (1-k)*H_target from them; its gap scan asks
-for eigenvalues only. The start state is the one exception: ground_state
-decomposes the whole matrix in complex arithmetic, since its pick among
-degenerate ground states follows rounding, and a pinned benchmark weight
-depends on that pick.
+The oracle decomposes part by part and keeps no process-wide cache.
+Sectors (uqsim.sectors) splits the basis states into the invariant blocks
+of the Hamiltonians' term tables, decomposes one block per orbit of the
+spin flip and the mirror when both endpoints commute with them, and
+splits it into symmetry-adapted parts. `_spectrum`, the one
+eigendecomposition call, solves the parts of one size as one stacked
+array, in real arithmetic when they have no imaginary part, and
+SpectrumCache merges every block's eigenvalues, with multiplicity, in
+ascending order before grouping them. Its eigenvectors stay per block.
+The adiabatic oracle (experiments.GroundPath) reduces both endpoints once
+per path and decomposes k*H_initial + (1-k)*H_target on the parts; its gap
+scan asks for eigenvalues only. The start state is the one exception:
+ground_state decomposes the whole matrix in complex arithmetic, since its
+pick among degenerate ground states follows rounding, and a pinned
+benchmark weight depends on that pick.
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
@@ -78,7 +82,8 @@ import numpy as np
 from . import kernels
 from .kernels import STATEVECTOR_CAP
 from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, cycle_body, field_angles
-from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable, commutator
+from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
+from .sectors import Sectors
 
 RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
@@ -652,7 +657,9 @@ class LoweredPlan:
     `ops(scale)` stands for emit_cycle(plan, dt, scale): the field layer of
     field_angles(plan, dt * scale), then cycle_body(plan, dt) lowered once
     with its gate runs scaled, so the layers, gates, angles and jitter draws
-    line up one for one without building instruction objects.
+    line up one for one without building instruction objects. `template`
+    and `regular` let a FusedCycle run many such cycles as ops(1.0) with
+    per-occurrence scales.
     """
 
     def __init__(self, plan: CyclePlan, dt: float, n_qubits: int):
@@ -665,18 +672,41 @@ class LoweredPlan:
                 for op in _lower(cycle_body(plan, dt), n_qubits, {}))
         self.body = [op for op in body if op is not None]
 
+    def _field(self, scale: float) -> LoweredLayer | None:
+        field = field_angles(self.plan, self.dt * scale)
+        return None if field is None else LoweredLayer(np.zeros(self.n_qubits), *field)
+
     def ops(self, scale: float) -> list:
         if scale == 0.0 or self.dt == 0.0:
             return []
-        out = []
-        field = field_angles(self.plan, self.dt * scale)
-        if field is not None:
-            out.append(LoweredLayer(np.zeros(self.n_qubits), *field))
+        field = self._field(scale)
+        out = [] if field is None else [field]
         for op in self.body:
             op = op if isinstance(op, LoweredLayer) else op.scaled(scale)
             if op is not None:
                 out.append(op)
         return out
+
+    def template(self, slot: int) -> tuple[list, list]:
+        """ops(1.0) and, per op, its FusedCycle scale slot: `slot` for the
+        field layer and the gate runs, whose angles ops(s) scales by s, and
+        None for the body's layers, which it leaves alone."""
+        ops = self.ops(1.0)
+        return ops, [None if any(op is b for b in self.body) else slot for op in ops]
+
+    def regular(self, scales: np.ndarray) -> np.ndarray:
+        """Per scale s, whether ops(s) is template's ops with their angles
+        scaled by s: s is nonzero, no gate angle becomes exactly zero, and
+        the field layer acts on the same qubits (a site can cross
+        FIELD_ANGLE_FLOOR or the identity tolerance)."""
+        ok = np.asarray(scales) != 0.0
+        thetas = [t for op in self.body if isinstance(op, ZZRun) for t in np.asarray(op.thetas)]
+        if thetas:
+            ok &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
+        if self.plan.field_axes is not None:
+            active = [None if f is None else f.active for f in map(self._field, [1.0, *scales])]
+            ok &= np.array([a == active[0] for a in active[1:]], dtype=bool)
+        return ok
 
 
 class FusedCycle:
@@ -692,19 +722,29 @@ class FusedCycle:
     such a run, so only the order within each group is kept. A trotter-uqs2
     cycle on 8 ions (a field layer, 14 one-ion echo pulses and 7 one-pair
     gates) becomes 4 ops: the block of ions 0..3, that of 4..7, the ZZ(3,4)
-    diagonal and another block of 4..7.
+    diagonal and another block of 4..7. A fig5 adiabatic step (9 sites in
+    groups of 3, five layers between three runs across groups) becomes 12
+    blocks and 3 diagonals.
+
+    Occurrences may differ by scales: `slots` gives per op the column of
+    execute's per-occurrence `scales` that multiplies its angles (each
+    2x2's theta, each gate's theta), or None for an op every occurrence
+    applies as it is. An adiabatic step is ops(k) of one plan and
+    ops(1 - k) of the other (LoweredPlan.template), so consecutive steps of
+    one shape run as one FusedCycle with scales (k, 1 - k).
 
     The cycle draws as execute_lowered would draw for its ops, so a pass
     over C occurrences takes one rng.random per row for all of them and
     logs them as one chunk. Each pass builds its blocks for all (C, R)
     occurrences at once, a few broadcast operations per factor; a cycle
-    without draws builds them once.
+    without draws or scales builds them once.
     """
 
-    def __init__(self, ops, n_qubits: int, eta_l: float, eta_i: float):
+    def __init__(self, ops, n_qubits: int, eta_l: float, eta_i: float, slots=None):
         home = [(lo, k) for lo, k in _group_bounds(n_qubits) for _ in range(k)]
         self.kinds, self.sizes = [], []
-        theta, nsigma, phase, mats, at_u, coef, at_g, eta = [], [], [], [], [], [], [], []
+        theta, nsigma, phase, mats, at_u, slot_u = [], [], [], [], [], []
+        theta_g, weight, at_g, slot_g, eta = [], [], [], [], []
         open_blocks: dict[tuple[int, int], list] = {}
         # ("block", lo, k, factors) and ("zz", run, its coef slice) in apply order
         self.steps = []
@@ -714,28 +754,35 @@ class FusedCycle:
             if factors:
                 self.steps.append(("block", *group, factors))
 
-        for op in ops:
+        for op, slot in zip(ops, [None] * len(ops) if slots is None else slots):
             start = len(eta)  # the op's first draw
+            column = -1 if slot is None else slot  # -1: execute's column of ones
             if isinstance(op, LoweredLayer):
                 self.kinds.append("local")
                 self.sizes.append(n_qubits if eta_l > 0 else 0)
                 eta += [eta_l] * self.sizes[-1]
+                layer: dict[tuple[int, int], list] = {}
                 for q in op.active:
                     lo, k = home[q]
-                    # a 2x2 factor: (its index, its bit in the block)
-                    open_blocks.setdefault((lo, k), []).append((len(theta), q - lo))
+                    # a 2x2: (its index, its bit in the block)
+                    layer.setdefault((lo, k), []).append((len(theta), q - lo))
                     theta.append(op.theta[q])
                     nsigma.append(op.nsigma[q])
                     phase.append(op.phase[q])
                     mats.append(op.matrices[q])
                     at_u.append(start + q)
+                    slot_u.append(column)
+                for group, pairs in layer.items():  # a layer factor: (its 2x2s, None)
+                    open_blocks.setdefault(group, []).append((tuple(pairs), None))
             else:
                 self.kinds += ["gate"] * len(op.sizes)
-                self.sizes += op.sizes if eta_i > 0 else [0] * len(op.sizes)
+                self.sizes.extend(op.sizes if eta_i > 0 else [0] * len(op.sizes))
                 eta += [eta_i] * (len(op.coef) if eta_i > 0 else 0)
-                span = slice(len(coef), len(coef) + len(op.coef))
-                coef.extend(op.coef)
+                span = slice(len(theta_g), len(theta_g) + len(op.coef))
+                theta_g.extend(np.repeat(op.thetas, op.sizes))
+                weight.extend(op.weights)
                 at_g.extend(range(start, start + len(op.coef)))
+                slot_g += [column] * len(op.coef)
                 touched = sorted({home[q] for pair in op.pairs for q in pair})
                 if len(touched) == 1:
                     (lo, k), = touched
@@ -753,20 +800,30 @@ class FusedCycle:
         self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
         self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
         self.mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
-        self.coef = np.array(coef, dtype=float)
+        # per target its gate's theta and its weight: coef = theta * w, as ZZRun makes it
+        self.theta_g, self.weight = np.array(theta_g, dtype=float), np.array(weight, dtype=float)
+        self.coef = self.theta_g * self.weight
+        self.slot_u = np.array(slot_u, dtype=np.intp)
+        self.slot_g = np.array(slot_g, dtype=np.intp)
         # where the draws of the factors' 2x2s and of the targets' coefs sit
         self.at_u = np.array(at_u, dtype=np.intp) if eta_l > 0 and at_u else None
         self.at_g = np.array(at_g, dtype=np.intp) if eta_i > 0 and at_g else None
         self._static = None
 
-    def _build(self, d: np.ndarray) -> list:
+    def _build(self, d: np.ndarray | None, scales: np.ndarray | None) -> list:
         """Per step (lo, block, None) or (None, run, coef) for the draws d
-        (C, R, width): a block (2^k, 2^k) or (C, R, 2^k, 2^k), coefs
-        (targets,) or (C, R, targets), the same for every occurrence where
-        no draw reaches them."""
-        mats, coef = self.mats, self.coef
+        (C, R, width) and the scales (C, slots + 1), the last column ones:
+        a block (2^k, 2^k) or (C, R or 1, 2^k, 2^k), coefs (targets,) or
+        (C, R or 1, targets), the same for every occurrence where no draw
+        and no scale reaches them."""
+        theta, mats, coef, mult = self.theta, self.mats, self.coef, 1.0
+        if scales is not None:
+            theta = theta * scales[:, None, self.slot_u]
+            coef = (self.theta_g * scales[:, None, self.slot_g]) * self.weight
         if self.at_u is not None:
-            mats = _local_matrices(self.theta, self.nsigma, self.phase, 1.0 + d[..., self.at_u])
+            mult = 1.0 + d[..., self.at_u]
+        if scales is not None or self.at_u is not None:
+            mats = _local_matrices(theta, self.nsigma, self.phase, mult)
         if self.at_g is not None:
             coef = coef * (1.0 + d[..., self.at_g])
         return [(None, step[1], coef[..., step[2]]) if step[0] == "zz"
@@ -774,20 +831,24 @@ class FusedCycle:
                 for step in self.steps]
 
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
-                index: int) -> int:
+                index: int, scales: np.ndarray | None = None) -> int:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
-        passes of up to _CHUNK_BLOCKS blocks over occurrences and rows.
-        Returns the next instruction index."""
+        passes of up to _CHUNK_BLOCKS blocks over occurrences and rows;
+        occurrence j with the scales[j] (count, slots) of its ops' slots
+        when the cycle has any. Returns the next instruction index."""
         rows = amps.shape[0]
         per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
+        if scales is not None:
+            scales = np.column_stack([scales, np.ones(count)])
         for first in range(0, count, per_pass):
             c = min(per_pass, count - first)
             kinds, sizes = self.kinds * c, self.sizes * c
             d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, kinds, sizes)
-            if self.width:
-                built = self._build(d.reshape(rows, c, self.width).transpose(1, 0, 2))
+            if self.width or scales is not None:
+                built = self._build(d.reshape(rows, c, self.width).transpose(1, 0, 2),
+                                    None if scales is None else scales[first:first + c])
             else:
-                built = self._static = self._static or self._build(None)
+                built = self._static = self._static or self._build(None, None)
             for j in range(c):
                 for lo, step, coef in built:
                     if lo is None:
@@ -802,18 +863,41 @@ class FusedCycle:
 
 def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The (..., 2^k, 2^k) product of a block's factors, the first applied
-    first: a 2x2 mats[..., i] on bit b of the row index for (i, b), and
-    exp(-i * coef[..., span] @ signs) on the rows for (span, signs)."""
+    first: for (((i, b), ...), None) one layer's 2x2s mats[..., i] on bits b
+    of the row index, and exp(-i * coef[..., span] @ signs) on the rows for
+    (span, signs).
+
+    With one batch row, a layer's 2x2s are multiplied into the block one at
+    a time. With many (mats (C, R, ...), R > 1), each such product is a loop
+    over C * R * 2^(k-1) tiny matrices, so a layer with more than one 2x2,
+    or the block's first, becomes their Kronecker product (exact identities
+    on the other bits, as LoweredLayer.apply builds it) times the block.
+    That is much faster for fig4b-cell's 10 rows; at one row it gains no
+    time on fig5 or trotter-uqs2 and raises trotter-uqs2's peak memory.
+    """
     dim = 1 << k
-    block = np.eye(dim, dtype=complex)
+    rows = mats.shape[-4] if mats.ndim > 4 else 1
+    block = None  # the identity so far
     for a, b in factors:
-        if isinstance(a, slice):
-            block = np.exp(-1j * (coef[..., a] @ b))[..., :, None] * block
+        if b is not None:
+            phases = np.exp(-1j * (coef[..., a] @ b))[..., :, None]
+            block = phases * (np.eye(dim) if block is None else block)
+        elif rows > 1 and (block is None or len(a) > 1):
+            at = {bit: i for i, bit in a}
+            kron = mats[..., at[0], :, :] if 0 in at else _EYE2
+            for q in range(1, k):
+                m = mats[..., at[q], :, :] if q in at else _EYE2
+                # kron(m, kron): bit q is the new high bit
+                prod = m[..., :, None, :, None] * kron[..., None, :, None, :]
+                kron = prod.reshape(*prod.shape[:-4], 2 * prod.shape[-3], 2 * prod.shape[-1])
+            block = kron if block is None else kron @ block
         else:
-            view = block.reshape(*block.shape[:-2], dim >> (b + 1), 2, -1)
-            prod = mats[..., a, None, :, :] @ view
-            block = prod.reshape(*prod.shape[:-3], dim, dim)
-    return block
+            for i, bit in a:
+                block = np.eye(dim, dtype=complex) if block is None else block
+                view = block.reshape(*block.shape[:-2], dim >> (bit + 1), 2, -1)
+                prod = mats[..., i, None, :, :] @ view
+                block = prod.reshape(*prod.shape[:-3], dim, dim)
+    return np.eye(dim, dtype=complex) if block is None else block
 
 
 def _repeats(instructions, period: int | None):
@@ -997,87 +1081,6 @@ def exact_evolve(h: Hamiltonian, t: float, state: StateVector) -> StateVector:
     return StateVector(state.n_qubits, SpectrumCache.from_hamiltonian(h).evolve(state.amps, t))
 
 
-class Sectors:
-    """The invariant blocks shared by Hamiltonians on n qubits.
-
-    A string with x_mask x maps basis state c to c ^ x, so the cosets of the
-    GF(2) span of all the strings' x_masks are invariant blocks: the
-    Z-string symmetries of the symplectic picture (Aaronson & Gottesman,
-    quant-ph/0406196). When every Hamiltonian commutes with sum_q Z_q, as
-    pauli.commutator decides, each coset splits further by popcount
-    (`magnetization`). QuSpin builds its symmetry blocks the same way
-    (Weinberg & Bukov, arXiv:1610.03042).
-
-    `stacks` groups the blocks by size: per size d, ascending, one (m, d)
-    array holding the basis states of m blocks, each block ascending, so
-    that blocks of one size are decomposed in one stacked call.
-    """
-
-    def __init__(self, n_qubits: int, hamiltonians: tuple[Hamiltonian, ...]):
-        basis: list[int] = []  # an echelon basis of the span, leading bits descending
-        for h in hamiltonians:
-            for x in h.table.x_mask.tolist():
-                for b in basis:
-                    x = min(x, x ^ b)
-                if x:
-                    basis = sorted(basis + [x], reverse=True)
-        states = np.arange(1 << n_qubits)
-        key = states
-        for b in basis:  # clears every leading bit: one label per coset
-            key = np.minimum(key, key ^ b)
-        total_z = Hamiltonian.from_terms(
-            n_qubits, [(1.0, "I" * q + "Z" + "I" * (n_qubits - q - 1)) for q in range(n_qubits)])
-        self.magnetization = all(not commutator(h, total_z) for h in hamiltonians)
-        if self.magnetization:
-            key = key * (n_qubits + 1) + sum((states >> q) & 1 for q in range(n_qubits))
-        self._key = key
-        by_key = np.argsort(key, kind="stable")
-        cuts = np.flatnonzero(np.diff(key[by_key])) + 1
-        blocks = np.split(by_key, cuts)
-        sizes = sorted({b.size for b in blocks})
-        self.stacks = tuple(np.array([b for b in blocks if b.size == d]) for d in sizes)
-        # entry (r, c) of c's block lies at _column_at[c] + _row_at[r] in the
-        # stacks' entries laid end to end
-        self._column_at = np.empty_like(states)
-        self._row_at = np.empty_like(states)
-        offset = 0
-        for idx in self.stacks:
-            m, d = idx.shape
-            self._column_at[idx] = offset + d * d * np.arange(m)[:, None] + np.arange(d)
-            self._row_at[idx] = d * np.arange(d)
-            offset += m * d * d
-
-    def blocks(self, h: Hamiltonian) -> list[np.ndarray]:
-        """h's block matrices, one (m, d, d) array per stack, real when no
-        block of the stack has an imaginary part.
-
-        Entries are summed term by term as in Hamiltonian.to_matrix, so
-        each equals the dense entry. A term's entries that leave a block
-        (only under the popcount split) are left out: they cancel in the sum
-        over terms, exactly up to rounding in the dense matrix.
-        """
-        size = sum(idx.size * idx.shape[1] for idx in self.stacks)
-        real, imag = np.zeros(size), np.zeros(size)
-        cols = np.arange(self._key.size)
-        with np.errstate(over="ignore"):  # SpectrumCache.from_blocks rejects what overflows
-            for x_mask, imaginary, values in h.table.entries(cols):
-                rows = cols ^ x_mask
-                keep = self._key[rows] == self._key
-                (imag if imaginary else real)[self._column_at[keep] + self._row_at[rows[keep]]] \
-                    += values[keep]
-        out, offset = [], 0
-        for idx in self.stacks:
-            m, d = idx.shape
-            part = slice(offset, offset + m * d * d)
-            offset = part.stop
-            block = real[part].reshape(m, d, d)
-            if imag[part].any():
-                block = np.empty((m, d, d), dtype=complex)
-                block.real, block.imag = real[part].reshape(m, d, d), imag[part].reshape(m, d, d)
-            out.append(block)
-        return out
-
-
 def _spectrum(stacks, vectors: bool = True):
     """The oracle's one eigendecomposition call: for each (m, d, d) stack of
     equal-size blocks, one stacked LAPACK call giving ascending eigenvalues
@@ -1090,17 +1093,19 @@ def _spectrum(stacks, vectors: bool = True):
 
 @dataclass
 class SpectrumCache:
-    """A grouped spectrum, decomposed block by block.
+    """A grouped spectrum, decomposed part by part.
 
-    `stacks` holds the blocks as Sectors.stacks does, and per stack
-    `levels` their eigenvalues (m, d) and, unless the spectrum was built
-    from eigenvalues alone, `eigenvectors` their eigenvector columns
-    (m, d, d), real for a real stack. `eigenvalues` merges all blocks'
-    eigenvalues in ascending order, `order` gives the flat position in the
-    stacks of each, and `groups` the (near-)degenerate groups of the merged
-    list, so group energies and gaps mean what they mean for the full
-    spectrum. Eigenvectors stay per block: bases, weights, histograms and
-    evolution work block by block.
+    `stacks` holds every block's basis states as Sectors.stacks does, and
+    per stack `levels` the blocks' eigenvalues (m, d) and, unless the
+    spectrum was built from eigenvalues alone, `eigenvectors` their
+    eigenvector columns (m, d, d) over those states, real for a real
+    stack; copies of one block under a symmetry share its eigenpairs.
+    `eigenvalues` merges all blocks' eigenvalues, with multiplicity, in
+    ascending order, `order` gives the flat position in the stacks of each,
+    and `groups` the (near-)degenerate groups of the merged list, so group
+    energies and gaps mean what they mean for the full spectrum.
+    Eigenvectors stay per block: bases, weights, histograms and evolution
+    work block by block.
 
     A spectrum without vectors answers group energies and gaps only; asking
     it for a basis, weight or evolution raises EngineError. It caches
@@ -1120,12 +1125,12 @@ class SpectrumCache:
     def from_hamiltonian(h: Hamiltonian) -> "SpectrumCache":
         _check_dense(h.n_qubits)
         sectors = Sectors(h.n_qubits, (h,))
-        return SpectrumCache.from_blocks(sectors.stacks, sectors.blocks(h))
+        return SpectrumCache.from_blocks(sectors, sectors.parts(h))
 
     @staticmethod
-    def from_blocks(stacks, mats, vectors: bool = True) -> "SpectrumCache":
-        """The spectrum of the block matrices `mats`, one (m, d, d) array per
-        (m, d) stack of basis states. Merged eigenvalues less than
+    def from_blocks(sectors: Sectors, mats, vectors: bool = True) -> "SpectrumCache":
+        """The spectrum of the part matrices `mats`, one (p, d, d) array per
+        entry of sectors.part_sizes. Merged eigenvalues less than
         1e-8 * max(1, spread) apart share a group. vectors=False decomposes
         eigenvalues only. A non-finite entry, a failed decomposition or a
         non-finite eigenvalue or spread raises EngineError."""
@@ -1135,7 +1140,7 @@ class SpectrumCache:
             parts = _spectrum(mats, vectors)
         except np.linalg.LinAlgError as exc:
             raise EngineError(f"eigendecomposition failed: {exc}") from exc
-        levels = tuple(w for w, _ in parts)
+        levels, vecs = sectors.expand(parts, vectors)
         flat = np.concatenate([w.ravel() for w in levels])
         order = np.argsort(flat, kind="stable")
         evals = flat[order]
@@ -1145,8 +1150,7 @@ class SpectrumCache:
         tol = 1e-8 * max(1.0, spread)
         cuts = (np.flatnonzero(np.diff(evals) >= tol) + 1).tolist()
         groups = tuple(zip([0] + cuts, cuts + [evals.size]))
-        vecs = tuple(v for _, v in parts) if vectors else None
-        return SpectrumCache(evals, groups, tol, tuple(stacks), levels, vecs, order)
+        return SpectrumCache(evals, groups, tol, sectors.stacks, levels, vecs, order)
 
     def _vectors(self) -> tuple[np.ndarray, ...]:
         if self.eigenvectors is None:
@@ -1245,8 +1249,9 @@ def ground_state(h: Hamiltonian) -> GroundState:
     """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state.
 
     This is also the start vector of every adiabatic run (GroundPath.start),
-    and the one oracle answer not taken block by block: h is decomposed
-    whole, in complex arithmetic, as before the symmetry blocks. The vector
+    and the one oracle answer not taken part by part: h is decomposed whole
+    (Sectors.whole), in complex arithmetic, with neither the blocks nor the
+    flip and mirror parts that every other answer uses. The vector
     picks its basis state k by rounding when weights tie in exact
     arithmetic (see ground_vector), and the pinned fig5 ground weight
     depends on the pick this decomposition makes. A tie-break that does not
@@ -1254,8 +1259,7 @@ def ground_state(h: Hamiltonian) -> GroundState:
     next change to the benchmark.
     """
     _check_dense(h.n_qubits)
-    whole = np.arange(1 << h.n_qubits)[None]
-    spec = SpectrumCache.from_blocks((whole,), [h.to_matrix()[None]])
+    spec = SpectrumCache.from_blocks(Sectors.whole(h.n_qubits), [h.to_matrix()[None]])
     return GroundState(energy=float(spec.eigenvalues[0]), degeneracy=spec.groups[0][1],
                        state=StateVector(h.n_qubits, spec.ground_vector()))
 

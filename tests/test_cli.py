@@ -686,3 +686,46 @@ def test_mutated_bundled_configs_never_raise(config, data):
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or err.getvalue().startswith("uqsim: ")
+
+
+EMPTY_SCHEDULE = "# pulse schedule version=1 n_qubits=2\n"
+ADIABATIC_3 = ("[hardware]\nplatform = uqs1\nsites = 3\navailable_j = all\ngamma = 1.0\n"
+               "[model]\nname = dipole\ngeometry = chain:3\n[adiabatic]\nsteps = 2\n")
+# per input: (the config text, the file names holding it and other inputs, the command)
+NON_UTF8_INPUTS = {
+    "config": ("[compile]\n# \xff\n", "c.cfg", {}, "compile"),
+    "schedule": ("[simulate]\nschedule = s.txt\n", "s.txt", {}, "simulate"),
+    "hamiltonian": ("[compile]\nhamiltonian = h.ham\n" + UQS2_2, "h.ham", {}, "compile"),
+    "oracle_hamiltonian": ("[simulate]\nschedule = s.txt\noracle_hamiltonian = h.ham\n", "h.ham",
+                           {"s.txt": EMPTY_SCHEDULE}, "simulate"),
+    "initial": ("[simulate]\nschedule = s.txt\ninitial = file:state.txt\n", "state.txt",
+                {"s.txt": EMPTY_SCHEDULE}, "simulate"),
+    "adiabatic initial": (ADIABATIC_3 + "initial = file:h.ham\n", "h.ham", {}, "adiabatic"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, which):
+    config, bad, others, command = NON_UTF8_INPUTS[which]
+    for name, text in others.items():
+        write(tmp_path / name, text)
+    (tmp_path / "c.cfg").write_bytes(config.encode("latin-1"))
+    if bad != "c.cfg":
+        (tmp_path / bad).write_bytes(b"# \xff\n1.0 Z Z I\n")
+    argv = [command, "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + (["--oracle"] if which == "oracle_hamiltonian" else [])) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and bad in err and err.startswith("uqsim: ")
+
+
+@pytest.mark.parametrize("key", ["etas", "steps_list"])
+def test_empty_sweep_list_exits_1_naming_the_key(tmp_path, capsys, key):
+    sweep = {"etas": "0 0.02", "steps_list": "5", "repetitions": "2"}
+    sweep[key] = ""
+    cfg = write(tmp_path / "c.cfg", ADIABATIC_3 + "seed = 1\n[sweep]\n"
+                + "".join(f"{k} = {v}\n" for k, v in sweep.items()))
+    out = tmp_path / "out"
+    assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()

@@ -436,8 +436,8 @@ class TestMinGap:
             full = path.spectrum(k)
             assert levels.groups == full.groups
             np.testing.assert_allclose(levels.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
-        # one call per block size, each in the arithmetic of the blocks
-        stacks = len(path.sectors.stacks)
+        # one call per part size, each in the arithmetic of the parts
+        stacks = len(path.sectors.part_sizes)
         for calls in seen.values():
             assert calls == [[dtype] * stacks for dtype in dtypes]
 

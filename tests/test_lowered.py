@@ -33,6 +33,7 @@ from uqsim.engine import (
 from uqsim.experiments import (
     AdiabaticConfig,
     Geometry,
+    GroundPath,
     NamedModel,
     adiabatic_batch,
     adiabatic_run,
@@ -305,6 +306,9 @@ def chain_trap(n):
 ADIABATIC_CASES = {
     # homogeneous layers, no fields
     "dipole-uqs1": lambda: (NamedModel("dipole", Geometry.chain(3)), LatticeModel(n_sites=3), "zz"),
+    # fig5's shape: three qubit groups, every gate run across them
+    "dipole-9-uqs1": lambda: (NamedModel("dipole", Geometry.chain(9)), LatticeModel(n_sites=9),
+                              "xx"),
     # homogeneous field layer
     "heisenberg-field-uqs1": lambda: (
         NamedModel("heisenberg", Geometry.chain(3), j=-1.0, b=0.4, direction=(0.6, 0.0, 0.8)),
@@ -317,18 +321,122 @@ ADIABATIC_CASES = {
 }
 
 
-@pytest.mark.parametrize("etas", [(0.0, 0.0), (0.03, 0.02)])
+def op_by_op(cfg, hw, plan_t, seeds, start):
+    """The amplitudes and generators of adiabatic_batch(cfg, hw, seeds) from
+    the amplitudes `start`, with every step run op by op through
+    execute_lowered."""
+    n = cfg.h_initial.n_qubits
+    plan_i = plan_for_hamiltonian(cfg.h_initial, hw)
+    dt = cfg.theta1 / max(plan_i.max_unit_angle(), plan_t.max_unit_angle())
+    lowered = LoweredPlan(plan_i, dt, n), LoweredPlan(plan_t, dt, n)
+    err = cfg.error_model
+    rngs = [replace(err, seed=s).rng() if err else None for s in seeds]
+    amps = np.tile(start, (len(seeds), 1))
+    ramp = cfg.ramp_fn()
+    for s in range(1, cfg.steps + 1):
+        k = ramp(s / cfg.steps)
+        execute_lowered(amps, lowered[0].ops(k) + lowered[1].ops(1.0 - k), err, rngs)
+    return amps, rngs
+
+
+def spy_generators(monkeypatch):
+    """Every generator ErrorModel.rng makes, in order."""
+    made, real = [], ErrorModel.rng
+
+    def spy(self):
+        made.append(real(self))
+        return made[-1]
+
+    monkeypatch.setattr(ErrorModel, "rng", spy)
+    return made
+
+
+@pytest.mark.parametrize("etas", [(0.0, 0.0), (0.03, 0.02), (0.04, 0.0), (0.0, 0.03)])
 @pytest.mark.parametrize("case", sorted(ADIABATIC_CASES))
-def test_adiabatic_run_matches_reference(case, etas):
+def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
+    # steps 4, 8 and 12 are recorded and run op by op, the others as fused
+    # occurrences in passes of a few steps
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
+    fused = spy_fused(monkeypatch)
     model, hw, chain = ADIABATIC_CASES[case]()
     target = build_model(model)
     init = nn_chain(chain, model.geometry.n_sites)
     plan_t = protocol_for_model(model, hw)
     cfg = AdiabaticConfig(init, target, steps=12, theta1=0.1, ramp="cosine",
                           error_model=error_model(etas, 6), record_every=4)
-    result = adiabatic_run(cfg, hw, plan_target=plan_t)
+    path = GroundPath(init, target)
+    result = adiabatic_run(cfg, hw, plan_target=plan_t, ground_path=path)
+    assert fused == [3, 3, 3]
     ref = oracles.reference_adiabatic_amps(cfg, plan_for_hamiltonian(init, hw), plan_t)
     assert np.max(np.abs(result.final_state.amps - ref)) <= AMP_TOL
+    for seeds in ([6], [6, 7, 8]):
+        made = spy_generators(monkeypatch)
+        results = adiabatic_batch(cfg, hw, seeds, plan_target=plan_t, ground_path=path)
+        made = list(made)
+        amps, rngs = op_by_op(cfg, hw, plan_t, seeds, path.start)
+        for r, result in enumerate(results):
+            assert np.max(np.abs(result.final_state.amps - amps[r])) <= AMP_TOL
+        if any(etas):
+            assert [g.bit_generator.state for g in made] == [g.bit_generator.state for g in rngs]
+
+
+def test_adiabatic_steps_fall_back_to_op_by_op(monkeypatch):
+    from uqsim import experiments
+
+    model, hw, _ = ADIABATIC_CASES["dipole-uqs1"]()
+    plan_t = protocol_for_model(model, hw)
+    cfg = AdiabaticConfig(nn_chain("zz", 3), build_model(model), steps=10, theta1=0.1,
+                          error_model=ErrorModel(0.02, 0.01, seed=3), record_every=0)
+    fused = spy_fused(monkeypatch)
+    stepped, real = [], experiments.execute_lowered
+    monkeypatch.setattr(experiments, "execute_lowered",
+                        lambda amps, ops, *args: stepped.append(len(ops)) or real(amps, ops, *args))
+    adiabatic_run(cfg, hw, plan_target=plan_t)
+    # the final k = 0 step leaves out the initial plan: op by op
+    assert fused == [9] and len(stepped) == 1
+    fused.clear(), stepped.clear()
+    adiabatic_run(replace(cfg, record_every=1), hw, plan_target=plan_t)
+    assert fused == [] and len(stepped) == 10  # every step recorded
+
+
+def test_regular_scales_keep_the_shape_of_scale_one():
+    # at 1e-15 the field rotations fall within the identity tolerance, at
+    # 1e-310 the fields below FIELD_ANGLE_FLOOR and at 1e-323 gate b's angle
+    # to an exact zero
+    n = 3
+    fam = PlannedFamily(
+        (RawGateSpec("a", ((0, 1, 1.0), (1, 2, 0.5)), 1.0), RawGateSpec("b", ((0, 2, 1.0),), 1e-3)),
+        protocol_library("xy2"), cost=1.0,
+    )
+    plan = CyclePlan(n, (fam,), ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0)))
+    lowered = LoweredPlan(plan, 1.0, n)
+    scales = np.array([1.0, 0.37, -2.0, 1e-15, 1e-310, 1e-323, 0.0])
+    assert lowered.regular(scales).tolist() == [True, True, True, False, False, False, False]
+    no_field = LoweredPlan(replace(plan, local_fields=None), 1.0, n)
+    assert no_field.regular(scales).tolist() == [True] * 5 + [False] * 2
+
+
+def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
+    n = 9
+    hw = LatticeModel(n_sites=n)
+    plans = (plan_for_hamiltonian(nn_chain("xx", n), hw),
+             protocol_for_model(NamedModel("dipole", Geometry.chain(n)), hw))
+    dt = 0.025 / max(p.max_unit_angle() for p in plans)
+    (ops_i, slots_i), (ops_t, slots_t) = (LoweredPlan(p, dt, n).template(j)
+                                          for j, p in enumerate(plans))
+    err = ErrorModel(0.01, 0.01, seed=1)
+    cycle = engine.FusedCycle(ops_i + ops_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
+    assert cycle.n_blocks == 12
+    calls = {"block": 0, "zz": 0}
+    for name, module, key in (("apply_block", engine.kernels, "block"),
+                              ("_apply_zz", engine, "zz")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, key=key:
+                            calls.__setitem__(key, calls[key] + 1) or real(*a))
+    amps = np.tile(random_amps(n, 1), (2, 1))
+    ks = np.array([0.9, 0.7, 0.5])
+    cycle.execute(amps, 3, [err.rng(), err.rng()], None, 0, np.column_stack([ks, 1.0 - ks]))
+    assert calls["block"] <= 12 * 3 and calls["zz"] <= 3 * 3
 
 
 def test_sweep_repetitions_match_single_runs():

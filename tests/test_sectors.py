@@ -1,16 +1,19 @@
 """The oracle's symmetry blocks against dense matrices.
 
 GroundPath splits H(k) into the cosets of the GF(2) span of its strings'
-x_masks, and by popcount when both endpoints commute with sum_q Z_q. These
-tests check the split, the merged spectra, the ground-space projectors and
-the evolution against the dense forms built by tests/oracles.py and numpy.
+x_masks, and by popcount when both endpoints commute with sum_q Z_q; the
+spin flip and the mirror, when both endpoints commute with them, map blocks
+onto each other and split each decomposed block into symmetry-adapted
+parts. These tests check the split, the merged spectra, the ground-space
+projectors and the evolution against the dense forms built by
+tests/oracles.py and numpy.
 """
 import numpy as np
 import pytest
 
 import oracles
 from test_experiments import random_hamiltonian
-from uqsim.engine import SpectrumCache, ground_state
+from uqsim.engine import Sectors, SpectrumCache, StateVector, ground_state
 from uqsim.experiments import Geometry, GroundPath, NamedModel, build_model, nn_chain
 from uqsim.pauli import Hamiltonian
 
@@ -51,6 +54,50 @@ def random_pair(seed):
     return rng, make(rng, n), make(rng, n)
 
 
+def mirrored(ops):
+    return ops[::-1]
+
+
+def symmetric_hamiltonian(rng, n, flip, mirror):
+    """Random strings with real and imaginary entries (odd Y counts
+    included) that commute with the spin flip X^n when `flip` and with the
+    mirror when `mirror`, and (for n >= 2) with neither otherwise."""
+    terms = []
+    while len(terms) < 2 * n:
+        ops = "".join(rng.choice(list("IXYZ"), size=n))
+        odd = sum(c in "YZ" for c in ops) % 2
+        if set(ops) == {"I"} or (flip and odd):
+            continue
+        c = float(rng.normal())
+        terms.append((c, ops))
+        if mirror and mirrored(ops) != ops:
+            terms.append((c, mirrored(ops)))
+    if not flip:  # Z fields anticommute with the flip
+        terms.append((0.7, "Z" + "I" * (n - 1)))
+        if mirror:
+            terms.append((0.7, "I" * (n - 1) + "Z"))
+    if not mirror:  # YZ and its mirror image ZY with other coefficients
+        terms.append((0.4, "YZ" + "I" * (n - 2)))
+        terms.append((-1.3, "I" * (n - 2) + "ZY"))
+    return Hamiltonian.from_terms(n, terms)
+
+
+SYMMETRY_CASES = [(flip, mirror) for flip in (True, False) for mirror in (True, False)]
+
+
+def symmetric_pair(seed):
+    """A seeded pair on 2..7 qubits with the flip and the mirror of
+    SYMMETRY_CASES[seed % 4]."""
+    rng = np.random.default_rng(1000 + seed)
+    n = 2 + seed % 6
+    flip, mirror = SYMMETRY_CASES[seed % 4]
+    return rng, *(symmetric_hamiltonian(rng, n, flip, mirror) for _ in range(2))
+
+
+def commutes(m, perm):
+    return np.max(np.abs(m[perm][:, perm] - m)) < 1e-12
+
+
 def block_mask(path):
     dim = 1 << path.h_initial.n_qubits
     mask = np.zeros((dim, dim), dtype=bool)
@@ -63,16 +110,22 @@ def block_mask(path):
 def test_blocks_hold_every_entry_of_the_dense_path(seed):
     rng, h_i, h_t = random_pair(seed)
     path = GroundPath(h_i, h_t)
-    states = np.concatenate([idx.ravel() for idx in path.sectors.stacks])
+    sectors = path.sectors
+    states = np.concatenate([idx.ravel() for idx in sectors.stacks])
     assert sorted(states.tolist()) == list(range(1 << h_i.n_qubits))
     mask = block_mask(path)
-    a, b = h_i.to_matrix(), h_t.to_matrix()
-    for k in (0.0, 1.0, *rng.random(2)):
-        m = k * a + (1.0 - k) * b
+    for h in (h_i, h_t):
+        m = h.to_matrix()
         assert np.all(m[~mask] == 0.0)
-        for idx, block in zip(path.sectors.stacks, path.blocks(k)):
+        for idx, block in zip(sectors.stacks, sectors.blocks(h)):
             np.testing.assert_array_equal(block, m[idx[:, :, None], idx[:, None, :]])
             assert np.iscomplexobj(block) == bool(m[idx[:, :, None], idx[:, None, :]].imag.any())
+    a, b = h_i.to_matrix(), h_t.to_matrix()
+    for k in (0.0, 1.0, *rng.random(2)):
+        np.testing.assert_array_equal(path.matrix(k), k * a + (1.0 - k) * b)
+        for d, part in zip(sectors.part_sizes, path.blocks(k)):
+            assert part.shape[1:] == (d, d)
+            assert np.iscomplexobj(part) == bool(np.imag(part).any())
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -82,7 +135,7 @@ def test_merged_spectrum_projector_and_evolution_match_dense(seed):
     dim = 1 << h_i.n_qubits
     for k in rng.random(2):
         m = k * dense(h_i) + (1.0 - k) * dense(h_t)
-        whole = SpectrumCache.from_blocks((np.arange(dim)[None],), [m[None]])
+        whole = SpectrumCache.from_blocks(Sectors.whole(h_i.n_qubits), [m[None]])
         levels, spec = path.levels(k), path.spectrum(k)
         np.testing.assert_allclose(levels.eigenvalues, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
         assert levels.groups == spec.groups == whole.groups
@@ -120,9 +173,14 @@ def test_bundled_paths_split_as_measured():
     assert fig4a.sectors.magnetization
     assert sorted(b.size for idx in fig4a.sectors.stacks for b in idx) == [1, 1, 7, 7, 21, 21,
                                                                           35, 35]
+    assert fig4a.sectors.flip and fig4a.sectors.mirror
+    assert fig4a.sectors.part_sizes == [1, 3, 4, 9, 12, 16, 19]
+    assert [b.shape[0] for b in fig4a.blocks(0.5)] == [1] * 7
     fig5 = GroundPath(nn_chain("xx", 9), build_model(NamedModel("dipole", Geometry.chain(9))))
     assert not fig5.sectors.magnetization
+    assert fig5.sectors.flip and fig5.sectors.mirror
     assert [idx.shape for idx in fig5.sectors.stacks] == [(2, 256)]
+    assert [b.shape for b in fig5.blocks(0.5)] == [(1, 120, 120), (1, 136, 136)]
     x_field = Hamiltonian.from_terms(3, [(1.0, "XII"), (1.0, "IXI"), (1.0, "IIX")])
     assert not GroundPath(nn_chain("zz", 3), x_field).sectors.magnetization
 
@@ -138,3 +196,88 @@ def test_start_vector_is_the_ground_state(h_initial):
     path = GroundPath(h_initial, build_model(NamedModel("dipole", Geometry.chain(5))))
     np.testing.assert_array_equal(path.start, ground_state(h_initial).state.amps)
     assert path.start is path.start
+
+
+def flip_and_mirror(n):
+    states = np.arange(1 << n)
+    reverse = sum(((states >> q) & 1) << (n - 1 - q) for q in range(n))
+    return states ^ ((1 << n) - 1), reverse
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_symmetries_found_exactly_when_present(seed):
+    _, h_i, h_t = symmetric_pair(seed)
+    flip, mirror = SYMMETRY_CASES[seed % 4]
+    sectors = GroundPath(h_i, h_t).sectors
+    assert (sectors.flip, sectors.mirror) == (flip, mirror)
+    f, m = flip_and_mirror(h_i.n_qubits)
+    for h in (h_i, h_t):
+        assert commutes(dense(h), f) == flip
+        assert commutes(dense(h), m) == mirror
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_adapted_parts_match_dense(seed):
+    rng, h_i, h_t = symmetric_pair(seed)
+    path = GroundPath(h_i, h_t)
+    n, dim = h_i.n_qubits, 1 << h_i.n_qubits
+    decomposed = sum(d * b.shape[0] for d, b in zip(path.sectors.part_sizes, path.blocks(0.5)))
+    largest = max(idx.shape[1] for idx in path.sectors.stacks)
+    if path.sectors.flip or path.sectors.mirror:  # fewer states, or smaller parts, to decompose
+        assert decomposed < dim or max(path.sectors.part_sizes) < largest
+    for k in (1.0, float(rng.random())):
+        m = k * dense(h_i) + (1.0 - k) * dense(h_t)
+        exact = k * h_i.to_matrix() + (1.0 - k) * h_t.to_matrix()
+        np.testing.assert_array_equal(path.matrix(k), exact)
+        np.testing.assert_allclose(path.matrix(k), m, rtol=0, atol=1e-12)
+        w, v = np.linalg.eigh(m)
+        levels, spec = path.levels(k), path.spectrum(k)
+        np.testing.assert_allclose(levels.eigenvalues, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.eigenvalues, w, rtol=0, atol=1e-12)
+        whole = SpectrumCache.from_blocks(Sectors.whole(n), [m[None]])
+        assert spec.groups == whole.groups
+        for g in range(min(3, len(spec.groups))):
+            basis, full = spec.group_basis(g), whole.group_basis(g)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(basis @ basis.conj().T, full @ full.conj().T,
+                                       rtol=0, atol=1e-10)
+        amps = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        np.testing.assert_allclose(spec.weights(amps), whole.weights(amps), rtol=0, atol=1e-10)
+        single = [start for start, stop in spec.groups if stop - start == 1]
+        np.testing.assert_allclose(spec.level_weights(amps)[:, single],
+                                   whole.level_weights(amps)[:, single], rtol=0, atol=1e-10)
+        state = StateVector(n, amps[0])
+        for (e, p), (e_ref, p_ref) in zip(spec.histogram(state), whole.histogram(state)):
+            assert abs(e - e_ref) <= 1e-12 and abs(p - p_ref) <= 1e-10
+        t = float(rng.uniform(0.1, 2.0))
+        propagator = (v * np.exp(-1j * w * t)) @ v.conj().T  # exp(-i m t) from dense eigh
+        np.testing.assert_allclose(spec.evolve(amps, t), amps @ propagator.T, rtol=0, atol=1e-10)
+
+
+def test_mirror_needs_bit_identical_coefficients():
+    c = 0.3
+    twin = np.nextafter(c, 1.0)  # differs from c in the last bit
+    pair = Hamiltonian.from_terms(4, [(c, "XXII"), (c, "IIXX"), (1.0, "IZZI")])
+    off = Hamiltonian.from_terms(4, [(c, "XXII"), (twin, "IIXX"), (1.0, "IZZI")])
+    target = nn_chain("zz", 4)
+    assert GroundPath(pair, target).sectors.mirror
+    sectors = GroundPath(off, target).sectors
+    assert sectors.flip and not sectors.mirror
+
+
+def test_trap_chain_oracle_splits_by_the_flip_only():
+    # the trotter-uqs2 target: a random Ising chain with X fields on 8 ions
+    rng = np.random.default_rng(1)
+    n = 8
+    terms = [(float(-0.5 * rng.uniform(0.5, 1.5)), "I" * a + "ZZ" + "I" * (n - a - 2))
+             for a in range(n - 1)]
+    terms += [(float(rng.uniform(0.2, 0.8)), "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)]
+    h = Hamiltonian.from_terms(n, terms)
+    sectors = Sectors(n, (h,))
+    assert sectors.flip and not sectors.mirror
+    assert [idx.shape for idx in sectors.stacks] == [(1, 256)]
+    assert [b.shape for b in sectors.parts(h)] == [(2, 128, 128)]
+    spec = SpectrumCache.from_hamiltonian(h)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(dense(h)), rtol=0, atol=1e-12)
