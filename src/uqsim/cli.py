@@ -176,6 +176,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("a seed must be a non-negative integer")
+    return value
+
+
+def _run_seed(args, section) -> int | None:
+    """--seed, else the section's seed=, else None; a negative seed is a
+    UsageError naming where it came from."""
+    if args.seed is None:
+        return config_value(section, "seed", _seed)
+    if args.seed < 0:
+        raise UsageError(f"--seed {args.seed}: a seed must be a non-negative integer")
+    return args.seed
+
+
 def _ints(text: str) -> tuple[int, ...]:
     values = tuple(int(x) for x in text.split())
     if not values:
@@ -243,7 +260,7 @@ def load_named_model(cfg) -> NamedModel:
     )
     optional = (("direction", "direction", _floats), ("b_values", "b_list", _floats),
                 ("j_values", "j_map", _j_map), ("j_range", "j_range", _j_range),
-                ("seed", "seed", int))
+                ("seed", "seed", _seed))
     for key, name, convert in optional:
         if key in section:
             kwargs[name] = config_value(section, key, convert)
@@ -370,7 +387,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         state = StateVector.load_text(_read_input(_relative(init_spec[5:], config_path)))
     else:
         raise UsageError(f"unknown initial state {init_spec!r}")
-    seed = args.seed if args.seed is not None else config_value(section, "seed", int)
+    seed = _run_seed(args, section)
     err = _error_model_from(section, seed)
     final, log = run_schedule(state, schedule, err)
     writer = OutputWriter(Path(args.out_dir))
@@ -424,7 +441,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
     n = model.geometry.n_sites
     initial = load_hamiltonian_source(section.get("initial", "zz_chain"), n, config_path)
     steps = args.steps if args.steps is not None else config_value(section, "steps", int, 100)
-    seed = args.seed if args.seed is not None else config_value(section, "seed", int)
+    seed = _run_seed(args, section)
     theta1 = config_value(section, "theta1", float, 0.1)
     base = AdiabaticConfig(
         h_initial=initial, h_target=target, steps=steps, theta1=theta1,

@@ -3,44 +3,39 @@ injection, plus the exact-diagonalization oracle used to validate them.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 
-Execution is lowered, fused and batched. One lowering turns instructions
-into arrays before they run: a local layer becomes its per-qubit form
+Execution is lowered, fused and batched, and FusedCycle is its one
+executor. One lowering turns instructions into arrays before they run: a
+local layer becomes its per-qubit form
 exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
-non-identity qubits and its fused groups, and a raw gate a one-gate ZZRun,
-its theta*w per target beside references to the shared +-1 Z_a Z_b sign
-rows. Each distinct instruction object is lowered once per call, so a
-schedule of L repeated cycles pays for the lines of one cycle, not for
-each occurrence; a run of consecutive raw gates is joined from their
-lowered parts as it occurs and applied as a single multiply by
-exp(-i * coef @ signs).
-A cycle plan goes through the same lowering once, as the compiler's
-cycle_body; each adiabatic step then adds the compiler's field_angles layer
-and scales the body's runs (LoweredPlan), so the compiler alone decides
-what a cycle contains. The qubits split into contiguous groups of at most
-_GROUP_QUBITS (_group_bounds: 4+3 at n=7, 3+3+3 at n=9), and local work is
-applied group by group as (2^k, 2^k) blocks in the manner of qsim's gate
-fusion (arXiv:2111.02396).
+non-identity qubits, and a raw gate a one-gate ZZRun, its theta*w per
+target beside references to the shared +-1 Z_a Z_b sign rows. Each
+distinct instruction object is lowered once per call, so a schedule of L
+repeated cycles pays for the lines of one cycle, not for each occurrence;
+a run of consecutive raw gates is joined from their lowered parts as it
+occurs. A cycle plan goes through the same lowering once, as the
+compiler's cycle_body; each adiabatic step then adds the compiler's
+field_angles layer and scales the body's runs (LoweredPlan), so the
+compiler alone decides what a cycle contains.
 
-A schedule whose cycle_length names its period runs each window of that
-many instructions that the next windows repeat, object for object, as one
-FusedCycle: the cycle's layers and in-group gate runs fused into blocks per
-group, a gate run across groups kept as one diagonal, and the blocks of a
-pass over many occurrences built in one vectorised pass, then applied
-(4 state-sized calls per cycle on the 8-ion trap chain instead of 23).
-Consecutive unrecorded adiabatic steps of one shape run the same way, as
-occurrences of the two plans' template cycle with per-occurrence angle
-scales (k, 1 - k) (experiments.adiabatic_batch). Everything else runs op
-by op in chunks of _CHUNK ops: jitter rescales theta in closed form, and
-the jittered 2x2s of all a chunk's local layers are built in one
-vectorised pass. There a local layer's group with two or more non-identity
-qubits is one Kronecker block of its 2x2s, an exact identity in place of
-each identity qubit; a group with one is a single-qubit kernel call, which
-is cheaper than the same qubit padded with identities; a group with none
-is skipped. The state has a leading batch axis (R, 2^n): the repetitions
-of a sweep cell advance as one array, each row with its own seeded PCG64
-generator, and a single run is a batch of one. The single-qubit and block
-kernels and the Z_a Z_b sign rows come from uqsim.kernels, which the
-observables below call too.
+A FusedCycle applies a window of lowered ops group by group in the manner
+of qsim's gate fusion (arXiv:2111.02396). The qubits split into
+contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
+3+3+3 at n=9); the window's layers and in-group gate runs fuse into one
+(2^k, 2^k) block per group between gate runs across groups, each kept as
+one multiply by exp(-i * coef @ signs). The blocks of a pass over many
+occurrences of the window are built in one vectorised pass, jitter
+rescaling theta in closed form, then applied (4 state-sized calls per
+cycle on the 8-ion trap chain instead of 23). A schedule whose
+cycle_length names its period runs each window of that many instructions
+that the next windows repeat, object for object, as one FusedCycle over
+all its occurrences; every other stretch runs in windows of at most
+_CHUNK instructions, one occurrence each. Consecutive regular adiabatic
+steps run as occurrences of the two plans' template cycle with
+per-occurrence angle scales (k, 1 - k), and any other step as a cycle of
+its own (experiments.adiabatic_batch). The state has a leading batch axis
+(R, 2^n): the repetitions of a sweep cell advance as one array, each row
+with its own seeded PCG64 generator, and a single run is a batch of one.
+The block kernel and the Z_a Z_b sign rows come from uqsim.kernels.
 
 The oracle decomposes part by part and keeps no process-wide cache.
 Sectors (uqsim.sectors) splits the basis states into the invariant blocks
@@ -59,15 +54,15 @@ pick among degenerate ground states follows rounding, and a pinned
 benchmark weight depends on that pick.
 
 Determinism: each row's jitter is drawn in instruction order, one
-rng.random per chunk of instructions mapped onto [-eta, eta] exactly as
-per-instruction rng.uniform calls would. The log keeps each chunk's mapped
-draws as one array and writes them per instruction; a run replays from its
-log (run_schedule(..., replay=log)). The same command and seed give
-bit-identical results. Fused cycles draw and log exactly what the op-by-op
-path would, and a replay repeats them bit for bit; their arithmetic agrees
-with the per-instruction reference within 1e-12. A repetition run inside a
-sweep batch agrees with the same seed run alone within 1e-12, not bitwise,
-since BLAS blocking depends on the batch size.
+rng.random per pass mapped onto [-eta, eta] exactly as per-instruction
+rng.uniform calls would. The log keeps each pass's mapped draws as one
+array and writes them per instruction; a run replays from its log
+(run_schedule(..., replay=log)) bit for bit. The same command and seed
+give bit-identical results. The fused arithmetic multiplies in another
+order than one kernel call per instruction: it agrees with that
+per-instruction reference within 1e-12, not bitwise. A repetition run
+inside a sweep batch agrees with the same seed run alone within 1e-12,
+not bitwise, since BLAS blocking depends on the batch size.
 """
 from __future__ import annotations
 
@@ -211,7 +206,7 @@ class ErrorModel:
     """Fractional timing jitter, uniform on [-eta, +eta] per pulse.
 
     eta_local applies per qubit per local layer, eta_int per gate entry in a
-    ZZ gate list.
+    ZZ gate list. seed is None or a non-negative int, as PCG64 takes it.
     """
 
     eta_local: float = 0.0
@@ -222,6 +217,8 @@ class ErrorModel:
         for eta in (self.eta_local, self.eta_int):
             if not (0.0 <= eta < 1.0):
                 raise EngineError(f"jitter fraction {eta} outside [0, 1)")
+        if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):
+            raise EngineError(f"seed {self.seed!r} is not a non-negative integer")
         if (self.eta_local > 0 or self.eta_int > 0) and self.seed is None:
             raise EngineError("an error model with nonzero jitter needs a seed")
 
@@ -244,9 +241,9 @@ _LOG_KINDS = ("local", "gate")
 class ExecutionLog:
     """Per-instruction jitter draws, sufficient to replay a run.
 
-    The draws are kept per chunk of instructions, as execute_lowered makes
-    them: the index of its first instruction, each instruction's kind
-    ("local" or "gate") and draw count, and one float array of the chunk's
+    The draws are kept per pass of FusedCycle.execute, as it draws them:
+    the index of the pass's first instruction, each instruction's kind
+    ("local" or "gate") and draw count, and one float array of the pass's
     mapped draws in instruction order. `entries` is a fresh list of
     (index, kind, draws) per instruction; `to_text` writes one line per
     instruction, which `from_text` reads back exactly. Replaying a log
@@ -329,7 +326,7 @@ class LogDraws:
     """A draw source that hands out a log's mapped draws in order: the
     jitter of the run the log recorded, for a batch of one state.
 
-    Each chunk must ask for the kinds and draw counts that the log holds
+    Each pass must ask for the kinds and draw counts that the log holds
     for its instructions; `close` checks that the run used every one.
     """
 
@@ -362,9 +359,9 @@ class LogDraws:
 
 _IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
 _SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are shared per gate, stacked per run
-_CHUNK = 64                # lowered ops per draw-and-apply pass, raw gates per fused run
+_CHUNK = 64                # instructions per unrepeated window, raw gates per joined run
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
-_CHUNK_BLOCKS = 256        # most fused blocks one pass of a repeated cycle builds
+_CHUNK_BLOCKS = 256        # most fused blocks one pass of a FusedCycle builds
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
@@ -388,16 +385,9 @@ class LoweredLayer:
     `matrices` holds the noiseless 2x2 unitaries and `active` the qubits
     whose unitary is not the identity; only those are applied, with or
     without jitter, since jitter only rescales theta.
-
-    `groups` fixes at lowering how the layer is applied: the qubits split
-    into contiguous groups of at most _GROUP_QUBITS (_group_bounds), each
-    kept as (lo, k, its active qubits) when it has any. A group with one
-    active qubit is one single-qubit kernel call; one with more is one
-    (2^k, 2^k) Kronecker block, an exact identity standing for each inactive
-    qubit in it.
     """
 
-    __slots__ = ("theta", "nsigma", "phase", "matrices", "active", "groups")
+    __slots__ = ("theta", "nsigma", "phase", "matrices", "active")
 
     def __init__(self, alpha, theta, axis, matrices=None):
         self.theta = np.asarray(theta, dtype=float)
@@ -409,9 +399,6 @@ class LoweredLayer:
                          if matrices is None else matrices)
         off = np.max(np.abs(self.matrices - _EYE2), axis=(1, 2))
         self.active = tuple(np.flatnonzero(off > _IDENTITY_TOL).tolist())
-        groups = ((lo, k, tuple(q for q in self.active if lo <= q < lo + k))
-                  for lo, k in _group_bounds(len(self.theta)))
-        self.groups = tuple(g for g in groups if g[2])
 
     @staticmethod
     def from_layer(layer: LocalLayer, n_qubits: int) -> "LoweredLayer":
@@ -423,28 +410,13 @@ class LoweredLayer:
         return LoweredLayer([u.alpha for u in units], [u.theta for u in units],
                             [u.axis for u in units], np.array([u.matrix for u in units]))
 
-    def apply(self, amps: np.ndarray, mats: np.ndarray) -> None:
-        """The layer with unitaries `mats` (n, 2, 2), or (R, n, 2, 2) one set
-        per row, on the batch amps (R, 2^n) in place, group by group."""
-        for lo, k, live in self.groups:
-            if len(live) == 1:
-                kernels.apply_single_qubit(amps, live[0], mats[..., live[0], :, :])
-                continue
-            block = mats[..., lo, :, :] if lo in live else _EYE2
-            for q in range(lo + 1, lo + k):
-                m = mats[..., q, :, :] if q in live else _EYE2
-                # kron(m, block): qubit q is the block's new high bit
-                prod = m[..., :, None, :, None] * block[..., None, :, None, :]
-                block = prod.reshape(*prod.shape[:-4], 2 * prod.shape[-3], 2 * prod.shape[-1])
-            kernels.apply_block(amps, lo, block)
-
 
 def _local_matrices(theta, nsigma, phase, scale) -> np.ndarray:
     """exp(i*alpha) (cos(theta*scale) I - i sin(theta*scale) n.sigma) for
     theta, phase (..., n) and nsigma (..., n, 2, 2): the closed form of
-    SingleQubitUnitary.with_angle_scale, vectorised over qubits, over the
-    stacked layers of a chunk and, through the shape of `scale`, over batch
-    rows."""
+    SingleQubitUnitary.with_angle_scale, vectorised over qubits or a
+    FusedCycle's 2x2s and, through the shape of `scale`, over occurrences
+    and batch rows."""
     th = theta * scale
     m = (np.cos(th)[..., None, None] * _EYE2
          - 1j * np.sin(th)[..., None, None] * nsigma)
@@ -582,75 +554,6 @@ def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int]) -> 
     return -eta + (eta + eta) * u
 
 
-def execute_lowered(
-    amps: np.ndarray,
-    ops,
-    err: ErrorModel | None,
-    draws,
-    log: ExecutionLog | None = None,
-    base_index: int = 0,
-) -> int:
-    """Apply lowered ops (LoweredLayer, ZZRun) to the batch amps (R, 2^n) in place.
-
-    `draws` is the jitter source. Given a sequence of generators, row r
-    draws one rng.random(size) from draws[r] for all ops and maps each
-    value u onto -eta + 2*eta*u: bit for bit what one rng.uniform(-eta, eta)
-    per instruction gives, so seeds and logs keep their meaning. Given a
-    LogDraws, the ops take the mapped draws a log recorded. A layer draws
-    one value per qubit when eta_local > 0, a gate one per target when
-    eta_int > 0. The jittered 2x2s of all the ops' layers are built in one
-    pass, (R, layers, n, 2, 2). Returns the next instruction index.
-    """
-    n = amps.shape[1].bit_length() - 1
-    eta_l = err.eta_local if err is not None else 0.0
-    eta_i = err.eta_int if err is not None else 0.0
-    # per op its first draw; per instruction, for a log or a replay, its
-    # kind and draw count
-    record = log is not None or isinstance(draws, LogDraws)
-    starts, kinds, sizes = [], [], []
-    size = count = 0
-    for op in ops:
-        starts.append(size)
-        if isinstance(op, LoweredLayer):
-            k = n if eta_l > 0 else 0
-            count += 1
-            if record:
-                kinds.append("local")
-                sizes.append(k)
-        else:
-            k = len(op.coef) if eta_i > 0 else 0
-            count += len(op.sizes)
-            if record:
-                kinds += ["gate"] * len(op.sizes)
-                sizes.extend(op.sizes if eta_i > 0 else [0] * len(op.sizes))
-        size += k
-    layers = [(op, s) for op, s in zip(ops, starts) if isinstance(op, LoweredLayer)]
-    # the draws of layer j are d[:, at[j]]
-    at = np.add.outer([s for _, s in layers], np.arange(n)) if eta_l > 0 and layers else None
-    eta = eta_l if eta_i == 0 else eta_i
-    if at is not None and 0 < eta_i != eta_l:
-        eta = np.full(size, eta_i)
-        eta[at] = eta_l
-    d = _mapped_draws(draws, eta, size, kinds, sizes)
-    if at is not None:
-        mats = _local_matrices(np.array([op.theta for op, _ in layers]),
-                               np.array([op.nsigma for op, _ in layers]),
-                               np.array([op.phase for op, _ in layers]), 1.0 + d[:, at])
-    j = 0
-    for op, start in zip(ops, starts):
-        if isinstance(op, LoweredLayer):
-            op.apply(amps, op.matrices if at is None else mats[:, j])
-            j += 1
-            continue
-        coef = op.coef
-        if eta_i > 0:
-            coef = coef * (1.0 + d[:, start:start + len(coef)])
-        _apply_zz(amps, op, coef)
-    if log is not None and kinds:
-        log.record(base_index, kinds, sizes, d[0])
-    return base_index + count
-
-
 class LoweredPlan:
     """A CyclePlan lowered once for a fixed dt; each cycle only rescales angles.
 
@@ -710,8 +613,10 @@ class LoweredPlan:
 
 
 class FusedCycle:
-    """One cycle's lowered ops fused into blocks over the qubit groups, run
-    for many back-to-back occurrences of the cycle.
+    """The one executor: a window of lowered ops fused into blocks over the
+    qubit groups, run for one or many back-to-back occurrences. A repeated
+    schedule cycle, an adiabatic step and an unrepeated stretch of
+    instructions (at most _CHUNK of them) all run as one.
 
     The ops are taken in order. Each active qubit of a local layer joins the
     open block of its group (_group_bounds) as a 2x2 factor, and a ZZRun
@@ -733,11 +638,12 @@ class FusedCycle:
     ops(1 - k) of the other (LoweredPlan.template), so consecutive steps of
     one shape run as one FusedCycle with scales (k, 1 - k).
 
-    The cycle draws as execute_lowered would draw for its ops, so a pass
-    over C occurrences takes one rng.random per row for all of them and
-    logs them as one chunk. Each pass builds its blocks for all (C, R)
-    occurrences at once, a few broadcast operations per factor; a cycle
-    without draws or scales builds them once.
+    A layer draws one value per qubit when eta_l > 0 and a gate one per
+    target when eta_i > 0, in instruction order, so a pass over C
+    occurrences takes one rng.random per row for all of them and logs them
+    as one chunk. Each pass builds its blocks for all (C, R) occurrences at
+    once, a few broadcast operations per factor; a cycle without draws or
+    scales builds them once.
     """
 
     def __init__(self, ops, n_qubits: int, eta_l: float, eta_i: float, slots=None):
@@ -835,7 +741,16 @@ class FusedCycle:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
         passes of up to _CHUNK_BLOCKS blocks over occurrences and rows;
         occurrence j with the scales[j] (count, slots) of its ops' slots
-        when the cycle has any. Returns the next instruction index."""
+        when the cycle has any. Returns the next instruction index.
+
+        `draws` is the jitter source. Given a sequence of generators, row r
+        draws one rng.random(c * width) from draws[r] per pass of c
+        occurrences and maps each value u onto -eta + 2*eta*u: bit for bit
+        what one rng.uniform(-eta, eta) per instruction gives, since PCG64
+        splits one call into consecutive ones exactly, so seeds and logs
+        keep their meaning. Given a LogDraws, each pass takes the mapped
+        draws the log recorded. `log` records each pass's draws at `index`.
+        """
         rows = amps.shape[0]
         per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
         if scales is not None:
@@ -870,10 +785,10 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     With one batch row, a layer's 2x2s are multiplied into the block one at
     a time. With many (mats (C, R, ...), R > 1), each such product is a loop
     over C * R * 2^(k-1) tiny matrices, so a layer with more than one 2x2,
-    or the block's first, becomes their Kronecker product (exact identities
-    on the other bits, as LoweredLayer.apply builds it) times the block.
-    That is much faster for fig4b-cell's 10 rows; at one row it gains no
-    time on fig5 or trotter-uqs2 and raises trotter-uqs2's peak memory.
+    or the block's first, becomes their Kronecker product (an exact
+    identity on each other bit) times the block. That is much faster for
+    fig4b-cell's 10 rows; at one row it gains no time on fig5 or
+    trotter-uqs2 and raises trotter-uqs2's peak memory.
     """
     dim = 1 << k
     rows = mats.shape[-4] if mats.ndim > 4 else 1
@@ -903,26 +818,25 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
 def _repeats(instructions, period: int | None):
     """The stream as (instructions, count) pieces in order. count >= 2 is a
     window of `period` instructions that the next count - 1 windows repeat
-    object for object (by id); count == 1 is a stretch without such a
-    repeat, the whole stream when period is None."""
-    if period is None or period < 1:
-        yield instructions, 1
-        return
+    object for object (by id); count == 1 is a window of at most _CHUNK
+    instructions of a stretch without such a repeat, the whole stream when
+    period is None."""
     seq = tuple(instructions)
-    ids = [id(ins) for ins in seq]
     start = i = 0
-    while i + 2 * period <= len(seq):
-        window, stop = ids[i:i + period], i + period
-        while ids[stop:stop + period] == window:
-            stop += period
-        if stop - i > period:
-            if start < i:
-                yield seq[start:i], 1
-            yield seq[i:i + period], (stop - i) // period
-            start = stop
-        i = stop
-    if start < len(seq):
-        yield seq[start:], 1
+    if period is not None and period >= 1:
+        ids = [id(ins) for ins in seq]
+        while i + 2 * period <= len(seq):
+            window, stop = ids[i:i + period], i + period
+            while ids[stop:stop + period] == window:
+                stop += period
+            if stop - i > period:
+                for at in range(start, i, _CHUNK):
+                    yield seq[at:min(at + _CHUNK, i)], 1
+                yield seq[i:i + period], (stop - i) // period
+                start = stop
+            i = stop
+    for at in range(start, len(seq), _CHUNK):
+        yield seq[at:at + _CHUNK], 1
 
 
 def execute_batch(
@@ -939,15 +853,13 @@ def execute_batch(
     draws of a LogDraws.
 
     Each distinct instruction object is lowered once per call (a schedule of
-    repeated cycles pays per line of its cycle, not per occurrence), and
-    each run of consecutive raw gates becomes one diagonal. Given a
-    cycle_length, each window of that many instructions that the next
-    windows repeat object for object runs as one FusedCycle for all its
-    occurrences; anything else (no cycle_length, an unrepeated window, a
-    trailing partial cycle) is lowered as it arrives and runs in chunks of
-    _CHUNK ops. The draws and the log are the same either way; the fused
-    arithmetic agrees with the per-op path within 1e-12. Returns the number
-    of instructions run.
+    repeated cycles pays per line of its cycle, not per occurrence). Every
+    piece of _repeats runs as one FusedCycle: given a cycle_length, each
+    window of that many instructions that the next windows repeat object
+    for object, for all its occurrences; anything else (no cycle_length, an
+    unrepeated window, a trailing partial cycle) in windows of at most
+    _CHUNK instructions, one occurrence each. Returns the number of
+    instructions run.
     """
     if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
             or not amps.flags.c_contiguous):
@@ -963,18 +875,8 @@ def execute_batch(
     eta_i = err.eta_int if err is not None else 0.0
     lowered, index = {}, 0
     for piece, count in _repeats(instructions, cycle_length):
-        ops = _lower(piece, n_qubits, lowered)
-        if count > 1:
-            cycle = FusedCycle(list(ops), n_qubits, eta_l, eta_i)
-            index = cycle.execute(amps, count, draws, log, index)
-            continue
-        chunk = []
-        for op in ops:
-            chunk.append(op)
-            if len(chunk) >= _CHUNK:
-                index = execute_lowered(amps, chunk, err, draws, log, index)
-                chunk = []
-        index = execute_lowered(amps, chunk, err, draws, log, index)
+        cycle = FusedCycle(list(_lower(piece, n_qubits, lowered)), n_qubits, eta_l, eta_i)
+        index = cycle.execute(amps, count, draws, log, index)
     return index
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .engine import (
     SpectrumCache,
     StateVector,
     _check_dense,
-    execute_lowered,
     ground_state,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes
@@ -431,12 +429,12 @@ def adiabatic_batch(
     depends on the batch size). The plans are lowered once; each step only
     rescales their angles.
 
-    Consecutive Trotter steps that are not recorded and have the shape of
-    the plans at scale 1 (LoweredPlan.regular) run as occurrences of one
-    FusedCycle with scales (k, 1 - k), drawing what op-by-op steps draw.
-    A recorded step, a step with a zero scale (the final k = 0 of both
-    ramps) and a step where a field site or a gate angle drops out run op
-    by op through execute_lowered.
+    Trotter steps that have the shape of the plans at scale 1
+    (LoweredPlan.regular) run as occurrences of one template FusedCycle
+    with scales (k, 1 - k), each run of them up to and including the next
+    recorded step, where the trajectory is sampled. Any other step, such as
+    the final k = 0 of both ramps or one where a field site or a gate angle
+    drops out, runs as a FusedCycle of its own ops, built where it runs.
     """
     h_i, h_t = config.h_initial, config.h_target
     if not seeds:
@@ -463,34 +461,37 @@ def adiabatic_batch(
     recorded = np.array([config.record_every > 0 and (s % config.record_every == 0
                                                       or s == config.steps)
                          for s in range(1, config.steps + 1)], dtype=bool)
-    fused = np.zeros(config.steps, dtype=bool)
+    etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
+    regular = np.zeros(config.steps, dtype=bool)
     if config.stepper == "trotter":
-        fused = ~recorded & lowered[0].regular(ks) & lowered[1].regular(1.0 - ks)
-    if fused.any():
+        regular = lowered[0].regular(ks) & lowered[1].regular(1.0 - ks)
+    if regular.any():
         (ops_i, slots_i), (ops_t, slots_t) = lowered[0].template(0), lowered[1].template(1)
-        cycle = FusedCycle(ops_i + ops_t, n, err.eta_local if err else 0.0,
-                           err.eta_int if err else 0.0, slots_i + slots_t)
-    index = 0
-    for together, run in groupby(range(1, config.steps + 1), lambda s: bool(fused[s - 1])):
-        run = list(run)
-        if together:
-            k = ks[run[0] - 1:run[-1]]
-            index = cycle.execute(amps, len(run), rngs, None, index, np.column_stack([k, 1.0 - k]))
-            continue
-        for s in run:
+        cycle = FusedCycle(ops_i + ops_t, n, *etas, slots_i + slots_t)
+    index = s = 0  # steps 1..s have run
+    while s < config.steps:
+        stop = s + 1
+        if config.stepper == "exact":
+            amps = path.spectrum(float(ks[s])).evolve(amps, dt)
+        elif regular[s]:
+            while stop < config.steps and regular[stop] and not recorded[stop - 1]:
+                stop += 1
+            run = ks[s:stop]
+            index = cycle.execute(amps, stop - s, rngs, None, index,
+                                  np.column_stack([run, 1.0 - run]))
+        else:
+            k = float(ks[s])
+            step = FusedCycle(lowered[0].ops(k) + lowered[1].ops(1.0 - k), n, *etas)
+            index = step.execute(amps, 1, rngs, None, index)
+        s = stop
+        if recorded[s - 1]:
             k = float(ks[s - 1])
-            if config.stepper == "exact":
-                amps = path.spectrum(k).evolve(amps, dt)
-            else:
-                ops = lowered[0].ops(k) + lowered[1].ops(1.0 - k)
-                index = execute_lowered(amps, ops, err, rngs, None, index)
-            if recorded[s - 1]:
-                spec = path.spectrum(k)
-                weights = spec.level_weights(amps)
-                fidelities = weights[:, slice(*spec.groups[0])].sum(axis=1).tolist()
-                energies = (weights @ spec.eigenvalues).tolist()
-                for trajectory, fid, energy in zip(trajectories, fidelities, energies):
-                    trajectory.append((s, k, fid, energy))
+            spec = path.spectrum(k)
+            weights = spec.level_weights(amps)
+            fidelities = weights[:, slice(*spec.groups[0])].sum(axis=1).tolist()
+            energies = (weights @ spec.eigenvalues).tolist()
+            for trajectory, fid, energy in zip(trajectories, fidelities, energies):
+                trajectory.append((s, k, fid, energy))
     final = path.spectrum(0.0)
     results = []
     for row, trajectory in zip(amps, trajectories):

@@ -1,5 +1,11 @@
-"""Statevector gate kernels in numpy, shared by schedule execution and the
-observables.
+"""Statevector gate kernels in numpy.
+
+Schedule execution applies its fused blocks through `apply_block` and its
+ZZ diagonals through the sign rows of `zz_signs`. `apply_single_qubit` and
+`apply_zz_phase` apply one instruction's unitary as it stands: they are
+the kernels of the per-instruction reference that the tests compare
+execution against, and the benchmark's tracer (perfbench/spans.py) wraps
+them by name, so they stay.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit) and
 come as one state (2^n,) or a batch of states (R, 2^n); the kernels mutate

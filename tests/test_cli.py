@@ -554,6 +554,39 @@ def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, ke
     assert err.startswith("uqsim: ")
 
 
+@pytest.mark.parametrize("run, where", [
+    ("simulate noisy", "config"), ("simulate noisy", "flag"),
+    ("simulate noiseless", "config"), ("simulate noiseless", "flag"),
+    ("adiabatic", "config"), ("adiabatic", "flag"),
+    ("sweep", "config"), ("sweep", "flag"),
+    ("model", "config"),
+])
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, run, where):
+    # numpy's generators refuse a negative seed: it is a usage error before
+    # any work, not a traceback or a manifest with "seed": -1
+    if run.startswith("simulate"):
+        write(tmp_path / "empty.txt", EMPTY_SCHEDULE)
+        eta = "0.01" if run == "simulate noisy" else "0.0"
+        text = f"[simulate]\nschedule = empty.txt\neta_local = {eta}\nseed = 1\n"
+        command, argv, key = "simulate", [], "[simulate] seed"
+    else:
+        text = bundled("fig4b.cfg" if run == "sweep" else "fig4a.cfg")
+        command, argv, key = "adiabatic", STEPS_3, "[adiabatic] seed"
+    if run == "model":
+        text, key = text.replace("[model]\n", "[model]\nseed = -1\n"), "[model] seed"
+    elif where == "config":
+        text = with_value(text, "seed", "-1")
+    else:
+        argv, key = [*argv, "--seed", "-1"], "--seed -1"
+    cfg = write(tmp_path / "bad.cfg", text)
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("uqsim: ") and key in err and "non-negative" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 CONFIG_BASES = {
     "cost": "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n",
     "crosstalk": UQS2_2 + "[crosstalk]\ngroups = 0 1\n",
@@ -646,8 +679,7 @@ def test_benchmark_argv_parses(name, workload):
             build_parser().parse_args(argv)
 
 
-GUARD = settings(max_examples=24, deadline=None, database=None, derandomize=True,
-                 suppress_health_check=[HealthCheck.too_slow])
+GUARD = settings(max_examples=24, suppress_health_check=[HealthCheck.too_slow])
 GUARD_VALUES = st.sampled_from([
     "", "abc", "0", "1", "2", "3", "-1", "0.5", "1.5", "-0.1", "1e-9", "1e999", "nan", "inf",
     "-inf", "0 0.01", "2 3", "chain:3", "chain:2", "chain:x", "grid:2x2", "grid:1x3", "uqs1", "uqs2",

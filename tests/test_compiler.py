@@ -632,7 +632,7 @@ class TestScheduleText:
         assert not (tmp_path / "out" / "state.txt").exists()
 
 
-FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+FUZZ = settings(max_examples=60)
 ANGLES = st.floats(-8.0, 8.0, allow_nan=False)
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 EXACT_UNITARIES = [

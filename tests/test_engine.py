@@ -256,6 +256,14 @@ class TestRunSchedule:
         with pytest.raises(EngineError):
             ErrorModel(eta_local=0.01)
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "1"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(EngineError, match="non-negative integer"):
+            ErrorModel(eta_local=0.01, seed=seed)
+        with pytest.raises(EngineError, match="non-negative integer"):
+            ErrorModel(seed=seed)
+        assert ErrorModel(eta_local=0.01, seed=0).seed == 0
+
 
 class TestExactEvolve:
     def test_t_zero(self):
@@ -510,7 +518,7 @@ class TestDumpFormat:
         assert len(lines) == 1
 
 
-STATE_FUZZ = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+STATE_FUZZ = settings(max_examples=80)
 STATE_TOKENS = st.sampled_from([
     "#", "# statevector", "n_qubits=1", "n_qubits=2", "n_qubits=0", "n_qubits=99", "n_qubits=x",
     "endian=little", "norm=1.0", "0", "1", "3", "4", "-1", "0.6", "0.8", "-0.8", "1.0", "0.0",

@@ -27,7 +27,6 @@ from uqsim.engine import (
     StateVector,
     execute_batch,
     execute_instructions,
-    execute_lowered,
     run_schedule,
 )
 from uqsim.experiments import (
@@ -123,15 +122,13 @@ def test_single_run_matches_reference(n, etas):
 def test_fused_group_with_inactive_qubits(etas):
     # group 0..3 holds an identity on qubit 1 and a bare phase on qubit 2
     # (theta = 0, alpha != 0: active) beside rotations; group 4..6 has one
-    # active qubit and takes the single-qubit kernel
+    # active qubit
     n = 7
     rot = SingleQubitUnitary.rot((0.6, 0.0, 0.8), 0.7)
     units = [SingleQubitUnitary.identity()] * n
     units[0], units[3], units[6] = rot, SingleQubitUnitary.rot((0.0, 1.0, 0.0), -0.4), rot
     units[2] = SingleQubitUnitary(np.exp(0.3j) * np.eye(2))
     layer = LocalLayer.inhomogeneous(units)
-    lowered = engine.LoweredLayer.from_layer(layer, n)
-    assert lowered.groups == ((0, 4, (0, 2, 3)), (4, 3, (6,)))
     gate = RawGate("g", 0.4, ((1, 5, 1.0), (2, 6, -0.5)))
     instructions = [ApplyLocal(layer), gate, ApplyLocal(layer)]
     got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 5), random_amps(n, 5))
@@ -157,6 +154,25 @@ def test_long_runs_repeats_and_chunks(etas):
     empty = RawGate("empty", 0.5, ())
     instructions = (empty,) + tuple(cycle) * 4 + tuple(gates) + tuple(cycle)
     got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 3), random_amps(n, 3))
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert log == ref_log
+
+
+@pytest.mark.parametrize("etas", ETAS)
+def test_unrepeated_stretches_run_in_bounded_fused_windows(monkeypatch, etas):
+    # without a cycle_length the whole stream is one unrepeated stretch: it
+    # runs as count-1 FusedCycle passes over windows of _CHUNK instructions
+    n = 5
+    passes, real = [], engine.FusedCycle.execute
+
+    def spy(self, amps, count, *args):
+        passes.append((count, len(self.kinds)))
+        return real(self, amps, count, *args)
+
+    monkeypatch.setattr(engine.FusedCycle, "execute", spy)
+    instructions = random_schedule(n, 31, length=200)
+    got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 31), random_amps(n, 31))
+    assert engine._CHUNK == 64 and passes == [(1, 64)] * 3 + [(1, 8)]
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert log == ref_log
 
@@ -255,7 +271,11 @@ def test_cycle_length_is_checked_not_assumed(monkeypatch, case):
     final, log = run_schedule(StateVector.from_amplitudes(start), schedule, err)
     ref, entries = start.copy(), []
     oracles.reference_execute(ref, n, instructions, err, err.rng(), entries)
-    assert fused == {"cycle 2 differs": [3], "trailing partial cycle": [4], "wrong period": []}[case]
+    # every piece of the stream is one FusedCycle: the repeats of one
+    # 17-instruction window as one, an unrepeated stretch in count-1
+    # windows of at most 64 instructions
+    assert fused == {"cycle 2 differs": [1, 3], "trailing partial cycle": [4, 1],
+                     "wrong period": [1, 1]}[case]
     assert np.max(np.abs(final.amps - ref)) <= AMP_TOL
     assert log.to_text() == ExecutionLog(seed=err.seed, entries=entries).to_text()
 
@@ -293,7 +313,8 @@ def test_plan_ops_draw_exactly_what_emit_cycle_emits(homogeneous):
         ref, ref_rng = random_amps(n, 4), err.rng()
         oracles.reference_execute(ref, n, cycle, err, ref_rng)
         got, rng = random_amps(n, 4)[None, :].copy(), err.rng()
-        count = execute_lowered(got, lowered.ops(scale), err, [rng])
+        step = engine.FusedCycle(lowered.ops(scale), n, err.eta_local, err.eta_int)
+        count = step.execute(got, 1, [rng], None, 0)
         assert count == len(cycle)
         assert np.max(np.abs(got[0] - ref)) <= AMP_TOL
         assert rng.random() == ref_rng.random()  # streams in the same place
@@ -323,19 +344,20 @@ ADIABATIC_CASES = {
 
 def op_by_op(cfg, hw, plan_t, seeds, start):
     """The amplitudes and generators of adiabatic_batch(cfg, hw, seeds) from
-    the amplitudes `start`, with every step run op by op through
-    execute_lowered."""
+    the amplitudes `start`, row by row with every step's emit_cycle
+    instructions run one at a time through oracles.reference_execute."""
     n = cfg.h_initial.n_qubits
     plan_i = plan_for_hamiltonian(cfg.h_initial, hw)
     dt = cfg.theta1 / max(plan_i.max_unit_angle(), plan_t.max_unit_angle())
-    lowered = LoweredPlan(plan_i, dt, n), LoweredPlan(plan_t, dt, n)
     err = cfg.error_model
     rngs = [replace(err, seed=s).rng() if err else None for s in seeds]
     amps = np.tile(start, (len(seeds), 1))
     ramp = cfg.ramp_fn()
     for s in range(1, cfg.steps + 1):
         k = ramp(s / cfg.steps)
-        execute_lowered(amps, lowered[0].ops(k) + lowered[1].ops(1.0 - k), err, rngs)
+        cycle = emit_cycle(plan_i, dt, k) + emit_cycle(plan_t, dt, 1.0 - k)
+        for row, rng in zip(amps, rngs):
+            oracles.reference_execute(row, n, cycle, err, rng)
     return amps, rngs
 
 
@@ -354,8 +376,8 @@ def spy_generators(monkeypatch):
 @pytest.mark.parametrize("etas", [(0.0, 0.0), (0.03, 0.02), (0.04, 0.0), (0.0, 0.03)])
 @pytest.mark.parametrize("case", sorted(ADIABATIC_CASES))
 def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
-    # steps 4, 8 and 12 are recorded and run op by op, the others as fused
-    # occurrences in passes of a few steps
+    # steps 4 and 8 are recorded and end a run of fused occurrences (in
+    # passes of a few steps); the final k = 0 step 12 runs on its own
     monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
     fused = spy_fused(monkeypatch)
     model, hw, chain = ADIABATIC_CASES[case]()
@@ -366,7 +388,7 @@ def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
                           error_model=error_model(etas, 6), record_every=4)
     path = GroundPath(init, target)
     result = adiabatic_run(cfg, hw, plan_target=plan_t, ground_path=path)
-    assert fused == [3, 3, 3]
+    assert fused == [4, 4, 3, 1]
     ref = oracles.reference_adiabatic_amps(cfg, plan_for_hamiltonian(init, hw), plan_t)
     assert np.max(np.abs(result.final_state.amps - ref)) <= AMP_TOL
     for seeds in ([6], [6, 7, 8]):
@@ -380,23 +402,18 @@ def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
             assert [g.bit_generator.state for g in made] == [g.bit_generator.state for g in rngs]
 
 
-def test_adiabatic_steps_fall_back_to_op_by_op(monkeypatch):
-    from uqsim import experiments
-
+def test_recorded_and_irregular_steps_end_fused_passes(monkeypatch):
     model, hw, _ = ADIABATIC_CASES["dipole-uqs1"]()
     plan_t = protocol_for_model(model, hw)
     cfg = AdiabaticConfig(nn_chain("zz", 3), build_model(model), steps=10, theta1=0.1,
                           error_model=ErrorModel(0.02, 0.01, seed=3), record_every=0)
     fused = spy_fused(monkeypatch)
-    stepped, real = [], experiments.execute_lowered
-    monkeypatch.setattr(experiments, "execute_lowered",
-                        lambda amps, ops, *args: stepped.append(len(ops)) or real(amps, ops, *args))
     adiabatic_run(cfg, hw, plan_target=plan_t)
-    # the final k = 0 step leaves out the initial plan: op by op
-    assert fused == [9] and len(stepped) == 1
-    fused.clear(), stepped.clear()
+    # the final k = 0 step leaves out the initial plan: a cycle of its own
+    assert fused == [9, 1]
+    fused.clear()
     adiabatic_run(replace(cfg, record_every=1), hw, plan_target=plan_t)
-    assert fused == [] and len(stepped) == 10  # every step recorded
+    assert fused == [1] * 10  # every step recorded
 
 
 def test_regular_scales_keep_the_shape_of_scale_one():

@@ -46,7 +46,7 @@ class TestPauliMultiply:
         with pytest.raises(PauliError):
             pauli_multiply(PauliString("X"), PauliString("XX"))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(ops_strings(3), ops_strings(3), ops_strings(3))
     def test_associative_and_phase_consistent(self, a, b, c):
         pa, pb, pc = PauliString(a), PauliString(b), PauliString(c)
@@ -107,7 +107,7 @@ class TestHamiltonianCanonical:
         assert Hamiltonian.from_text("# hamiltonian n_qubits=3\n0.5 X I Z\n").coefficient("XIZ") == 0.5
 
 
-HAM_FUZZ = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+HAM_FUZZ = settings(max_examples=80)
 HAM_TOKENS = st.sampled_from([
     "#", "# hamiltonian", "n_qubits=2", "n_qubits=3", "n_qubits=0", "n_qubits=x", "1.0", "-0.5",
     "0.0", "1e-300", "nan", "inf", "-inf", "1e999", "X", "Y", "Z", "I", "XX", "ZZ", "IZ", "Q",
@@ -204,7 +204,7 @@ class TestCommutator:
         dense = -1j * (a @ b - b @ a)
         np.testing.assert_allclose(gen.to_matrix(), dense, atol=1e-12)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         st.lists(st.tuples(st.floats(-2, 2), ops_strings(3)), min_size=1, max_size=3),
         st.lists(st.tuples(st.floats(-2, 2), ops_strings(3)), min_size=1, max_size=3),
@@ -251,7 +251,7 @@ class TestConjugate:
         with pytest.raises(PauliError):
             SingleQubitUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.lists(st.tuples(st.floats(-2, 2), ops_strings(2)), min_size=1, max_size=4),
         st.floats(-math.pi, math.pi),

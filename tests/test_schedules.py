@@ -22,7 +22,6 @@ from uqsim.engine import (
     LoweredPlan,
     StateVector,
     ZZRun,
-    execute_lowered,
     run_schedule,
 )
 from uqsim.hardware import TrapArrayModel
@@ -196,17 +195,17 @@ def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err
     assert counts["build"] == 3 * (1 if err is None else -(-cycles // per_pass))
 
 
-def test_an_adiabatic_step_runs_op_by_op(monkeypatch):
-    # a LoweredPlan step of the same chain makes the calls it made before
-    # repeated cycles were fused: 2 field-layer blocks, 14 echo pulses, 7 gates
+def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
+    # a LoweredPlan step of the same chain, run once, fuses as a repeated
+    # cycle does: 3 blocks and the ZZ(3, 4) diagonal, no single-qubit calls
     plan = plan_for_hamiltonian(ising_chain(8), trap_chain(8))
     err = ErrorModel(0.01, 0.02, seed=3)
     amps = np.zeros((2, 256), dtype=complex)
     amps[:, 0] = 1.0
     counts = count_calls(monkeypatch)
-    assert execute_lowered(amps, LoweredPlan(plan, 0.1, 8).ops(0.6), err,
-                           [err.rng(), err.rng()]) == 22
-    assert counts == {"block": 2, "zz": 7, "single": 14, "build": 0}
+    step = engine.FusedCycle(LoweredPlan(plan, 0.1, 8).ops(0.6), 8, err.eta_local, err.eta_int)
+    assert step.execute(amps, 1, [err.rng(), err.rng()], None, 0) == 22
+    assert counts == {"block": 3, "zz": 1, "single": 0, "build": 3}
 
 
 def test_the_tracer_reads_execute_instructions_by_position():
