@@ -510,7 +510,7 @@ def _run_sweep(base, hw, etas, steps_list, reps, seed, jobs, plan_target=None):
 
     cells = [(eta, s) for eta in etas for s in steps_list]
     rows = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         futures = [
             pool.submit(error_sweep, base, hw, [eta], [s], reps, seed,
                         plan_target=plan_target)

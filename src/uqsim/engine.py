@@ -3,21 +3,18 @@ injection, plus the exact-diagonalization oracle used to validate them.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 
-Execution is lowered, fused and batched, and FusedCycle is its one
-executor. One lowering turns instructions into arrays before they run: a
-local layer becomes its per-qubit form
-exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus the mask of
-non-identity qubits, and a raw gate a one-gate ZZRun, its theta*w per
-target beside references to the shared +-1 Z_a Z_b sign rows. Each
-distinct instruction object is lowered once per call, so a schedule of L
-repeated cycles pays for the lines of one cycle, not for each occurrence;
-a run of consecutive raw gates is joined from their lowered parts as it
-occurs. A cycle plan goes through the same lowering once, as the
-compiler's cycle_body; each adiabatic step then adds the compiler's
-field_angles layer and scales the body's runs (LoweredPlan), so the
+Execution is fused and batched, and FusedCycle is its one executor. It
+takes compiler instructions as they are (ApplyLocal, RawGate) and turns
+them into arrays once, when the cycle is built: a local layer becomes its
+per-qubit form exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus
+the mask of non-identity qubits (LoweredLayer), once per distinct layer
+object per call, so a schedule of L repeated cycles pays for the lines of
+one cycle, not for each occurrence; a run of consecutive raw gates becomes
+one diagonal, theta*w per target beside the +-1 Z_a Z_b sign rows. An
+adiabatic step is the compiler's emit_cycle of both plans, so the
 compiler alone decides what a cycle contains.
 
-A FusedCycle applies a window of lowered ops group by group in the manner
+A FusedCycle applies a window of instructions group by group in the manner
 of qsim's gate fusion (arXiv:2111.02396). The qubits split into
 contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
 3+3+3 at n=9); the window's layers and in-group gate runs fuse into one
@@ -29,12 +26,13 @@ cycle on the 8-ion trap chain instead of 23). A schedule whose
 cycle_length names its period runs each window of that many instructions
 that the next windows repeat, object for object, as one FusedCycle over
 all its occurrences; every other stretch runs in windows of at most
-_CHUNK instructions, one occurrence each. Consecutive regular adiabatic
-steps run as occurrences of the two plans' template cycle with
-per-occurrence angle scales (k, 1 - k), and any other step as a cycle of
-its own (experiments.adiabatic_batch). The state has a leading batch axis
-(R, 2^n): the repetitions of a sweep cell advance as one array, each row
-with its own seeded PCG64 generator, and a single run is a batch of one.
+_CHUNK instructions, one occurrence each. Consecutive adiabatic steps
+of the template's shape run as occurrences of the two plans' template
+cycle (cycle_template) with per-occurrence angle scales (k, 1 - k), and
+any other step as a cycle of its own (experiments.adiabatic_batch). The
+state has a leading batch axis (R, 2^n): the repetitions of a sweep cell
+advance as one array, each row with its own seeded PCG64 generator, and a
+single run is a batch of one.
 The block kernel and the Z_a Z_b sign rows come from uqsim.kernels.
 
 The oracle decomposes part by part and keeps no process-wide cache.
@@ -71,12 +69,13 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import kernels
 from .kernels import STATEVECTOR_CAP
-from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, cycle_body, field_angles
+from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, emit_cycle, field_angles
 from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
 from .sectors import Sectors
 
@@ -127,10 +126,9 @@ class StateVector:
     @staticmethod
     def from_amplitudes(amps) -> "StateVector":
         a = np.asarray(amps, dtype=np.complex128)
-        n = int(round(math.log2(a.size)))
-        if 2**n != a.size:
+        if a.size == 0 or a.size & (a.size - 1):
             raise EngineError("amplitude count is not a power of 2")
-        return StateVector(n, a.copy())
+        return StateVector(a.size.bit_length() - 1, a.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -234,7 +232,7 @@ class LogFormatError(EngineError):
     """A malformed execution log text (a parse error, not a numeric one)."""
 
 
-_LOG_HEADER = re.compile(r"# execution log rng=(\S+) seed=(None|-?\d+)")
+_LOG_HEADER = re.compile(r"# execution log rng=(\S+) seed=(None|\d+)")
 _LOG_KINDS = ("local", "gate")
 
 
@@ -291,7 +289,7 @@ class ExecutionLog:
         head = _LOG_HEADER.fullmatch(lines[0].strip()) if lines else None
         if head is None:
             raise LogFormatError("line 1: expected the header "
-                                 "'# execution log rng=<name> seed=<int or None>'")
+                                 "'# execution log rng=<name> seed=<non-negative int or None>'")
         try:
             seed = None if head.group(2) == "None" else int(head.group(2))
         except ValueError as exc:  # beyond int's digit limit
@@ -354,12 +352,12 @@ class LogDraws:
 
 
 # ---------------------------------------------------------------------------
-# Lowered execution core
+# Fused execution core
 # ---------------------------------------------------------------------------
 
 _IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
-_SHARED_SIGN_QUBITS = 12   # sign rows up to 32 KiB are shared per gate, stacked per run
-_CHUNK = 64                # instructions per unrepeated window, raw gates per joined run
+_SIGN_ROW_QUBITS = 12      # most qubits whose cross-group diagonals keep their sign rows
+_CHUNK = 64                # instructions per unrepeated window, raw gates per diagonal
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
 _CHUNK_BLOCKS = 256        # most fused blocks one pass of a FusedCycle builds
 _EYE2 = np.eye(2)
@@ -423,119 +421,15 @@ def _local_matrices(theta, nsigma, phase, scale) -> np.ndarray:
     return phase[..., None, None] * m
 
 
-class ZZRun:
-    """Consecutive raw gates as one diagonal exp(-i * coef @ signs).
-
-    `thetas` holds each gate's angle and `sizes` its target count (its
-    jitter draws); `weights`, `pairs` and `coef` = theta*w have one entry
-    per target in gate order, and `signs` the +-1 eigenvalue of Z_a Z_b on
-    every basis state, one row per target: a tuple of the shared read-only
-    rows of kernels.shared_zz_signs, stacked when the run is applied, or one
-    (targets, 2^n) array (`stacked`). Above _SHARED_SIGN_QUBITS `signs` is
-    None and the rows are made one at a time.
-    """
-
-    __slots__ = ("thetas", "sizes", "weights", "pairs", "coef", "signs")
-
-    def __init__(self, thetas, sizes, weights, pairs, coef, signs):
-        self.thetas, self.sizes, self.weights = thetas, sizes, weights
-        self.pairs, self.coef, self.signs = pairs, coef, signs
-
-    @staticmethod
-    def from_gate(gate: RawGate, n_qubits: int) -> "ZZRun":
-        """One raw gate, its sign rows shared rather than copied."""
-        pairs = tuple((a, b) for a, b, _ in gate.targets)
-        for a, b in pairs:
-            if not (0 <= a < n_qubits and 0 <= b < n_qubits):
-                raise EngineError(f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
-        weights = np.array([w for _, _, w in gate.targets], dtype=float)
-        signs = (None if n_qubits > _SHARED_SIGN_QUBITS
-                 else tuple(kernels.shared_zz_signs(n_qubits, a, b) for a, b in pairs))
-        return ZZRun((gate.theta,), (len(pairs),), weights, pairs, gate.theta * weights, signs)
-
-    @staticmethod
-    def join(runs) -> "ZZRun":
-        """The gates of `runs` in order as one run."""
-        if len(runs) == 1:
-            return runs[0]
-        signs = None if runs[0].signs is None else tuple(s for r in runs for s in r.signs)
-        return ZZRun(tuple(t for r in runs for t in r.thetas),
-                     tuple(k for r in runs for k in r.sizes),
-                     np.concatenate([r.weights for r in runs]),
-                     tuple(p for r in runs for p in r.pairs),
-                     np.concatenate([r.coef for r in runs]), signs)
-
-    def stacked(self, dim: int) -> "ZZRun":
-        """This run with its sign rows stacked into one (targets, dim) array,
-        for a run applied many times."""
-        signs = None if self.signs is None else np.reshape(self.signs, (len(self.signs), dim))
-        return ZZRun(self.thetas, self.sizes, self.weights, self.pairs, self.coef, signs)
-
-    def scaled(self, scale: float) -> "ZZRun | None":
-        """This run with every gate angle times `scale`, or None when none is left.
-
-        Gates whose angle is then exactly zero are left out, as emit_cycle
-        leaves them out, so the jitter draws line up with its instructions.
-        The sign rows must be stacked (`stacked`).
-        """
-        thetas = np.asarray(self.thetas) * scale
-        sizes, weights = np.asarray(self.sizes), np.asarray(self.weights)
-        coef = np.repeat(thetas, sizes) * weights
-        live = thetas != 0.0
-        if live.all():
-            return ZZRun(thetas, sizes, weights, self.pairs, coef, self.signs)
-        if not live.any():
-            return None
-        keep = np.repeat(live, sizes)
-        return ZZRun(thetas[live], sizes[live], weights[keep],
-                     [p for p, k in zip(self.pairs, keep) if k], coef[keep],
-                     None if self.signs is None else self.signs[keep])
-
-
-def _lower(instructions, n_qubits: int, lowered: dict):
-    """Lowered ops of an instruction stream, in order: a LoweredLayer per
-    local layer and a ZZRun per run of up to _CHUNK consecutive raw gates.
-
-    Each distinct ApplyLocal and RawGate object is lowered once and kept in
-    `lowered`, with the object so that its id stays its own, for as long as
-    the caller keeps the dict; a run of gates is joined from their lowered
-    parts.
-    """
-    gates = []
-    for ins in instructions:
-        hit = lowered.get(id(ins))
-        if hit is None:
-            if isinstance(ins, RawGate):
-                op = ZZRun.from_gate(ins, n_qubits)
-            elif isinstance(ins, ApplyLocal):
-                op = LoweredLayer.from_layer(ins.layer, n_qubits)
-            else:
-                raise EngineError(f"unknown instruction {type(ins).__name__}")
-            hit = lowered[id(ins)] = (ins, op)
-        op = hit[1]
-        if isinstance(op, ZZRun):
-            gates.append(op)
-            if len(gates) < _CHUNK:
-                continue
-        if gates:
-            yield ZZRun.join(gates)
-            gates = []
-        if isinstance(op, LoweredLayer):
-            yield op
-    if gates:
-        yield ZZRun.join(gates)
-
-
-def _apply_zz(amps: np.ndarray, run: ZZRun, coef: np.ndarray) -> None:
-    signs = run.signs
+def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarray) -> None:
+    """exp(-i * coef @ signs) on every row of amps (R, 2^n): `signs` holds
+    the +-1 row of Z_a Z_b per pair (a, b), or is None to make the rows one
+    at a time."""
     if signs is None:
         n = amps.shape[1].bit_length() - 1
         angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b)
-                     for t, (a, b) in enumerate(run.pairs))
+                     for t, (a, b) in enumerate(pairs))
     else:
-        if not isinstance(signs, np.ndarray):  # shared rows: one as a view, more stacked
-            dim = amps.shape[1]
-            signs = signs[0][None] if len(signs) == 1 else np.reshape(signs, (len(signs), dim))
         angles = coef @ signs
     amps *= np.exp(-1j * angles)
 
@@ -554,89 +448,37 @@ def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int]) -> 
     return -eta + (eta + eta) * u
 
 
-class LoweredPlan:
-    """A CyclePlan lowered once for a fixed dt; each cycle only rescales angles.
-
-    `ops(scale)` stands for emit_cycle(plan, dt, scale): the field layer of
-    field_angles(plan, dt * scale), then cycle_body(plan, dt) lowered once
-    with its gate runs scaled, so the layers, gates, angles and jitter draws
-    line up one for one without building instruction objects. `template`
-    and `regular` let a FusedCycle run many such cycles as ops(1.0) with
-    per-occurrence scales.
-    """
-
-    def __init__(self, plan: CyclePlan, dt: float, n_qubits: int):
-        if plan.n_qubits != n_qubits:
-            raise EngineError(f"plan is for {plan.n_qubits} qubits, the state has {n_qubits}")
-        self.plan, self.dt, self.n_qubits = plan, dt, n_qubits
-        # stacked(...).scaled(1.0) gives each run the arrays that every later
-        # scaled() reuses
-        body = (op if isinstance(op, LoweredLayer) else op.stacked(1 << n_qubits).scaled(1.0)
-                for op in _lower(cycle_body(plan, dt), n_qubits, {}))
-        self.body = [op for op in body if op is not None]
-
-    def _field(self, scale: float) -> LoweredLayer | None:
-        field = field_angles(self.plan, self.dt * scale)
-        return None if field is None else LoweredLayer(np.zeros(self.n_qubits), *field)
-
-    def ops(self, scale: float) -> list:
-        if scale == 0.0 or self.dt == 0.0:
-            return []
-        field = self._field(scale)
-        out = [] if field is None else [field]
-        for op in self.body:
-            op = op if isinstance(op, LoweredLayer) else op.scaled(scale)
-            if op is not None:
-                out.append(op)
-        return out
-
-    def template(self, slot: int) -> tuple[list, list]:
-        """ops(1.0) and, per op, its FusedCycle scale slot: `slot` for the
-        field layer and the gate runs, whose angles ops(s) scales by s, and
-        None for the body's layers, which it leaves alone."""
-        ops = self.ops(1.0)
-        return ops, [None if any(op is b for b in self.body) else slot for op in ops]
-
-    def regular(self, scales: np.ndarray) -> np.ndarray:
-        """Per scale s, whether ops(s) is template's ops with their angles
-        scaled by s: s is nonzero, no gate angle becomes exactly zero, and
-        the field layer acts on the same qubits (a site can cross
-        FIELD_ANGLE_FLOOR or the identity tolerance)."""
-        ok = np.asarray(scales) != 0.0
-        thetas = [t for op in self.body if isinstance(op, ZZRun) for t in np.asarray(op.thetas)]
-        if thetas:
-            ok &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
-        if self.plan.field_axes is not None:
-            active = [None if f is None else f.active for f in map(self._field, [1.0, *scales])]
-            ok &= np.array([a == active[0] for a in active[1:]], dtype=bool)
-        return ok
-
-
 class FusedCycle:
-    """The one executor: a window of lowered ops fused into blocks over the
-    qubit groups, run for one or many back-to-back occurrences. A repeated
-    schedule cycle, an adiabatic step and an unrepeated stretch of
+    """The one executor: a window of instructions fused into blocks over
+    the qubit groups, run for one or many back-to-back occurrences. A
+    repeated schedule cycle, an adiabatic step and an unrepeated stretch of
     instructions (at most _CHUNK of them) all run as one.
 
-    The ops are taken in order. Each active qubit of a local layer joins the
-    open block of its group (_group_bounds) as a 2x2 factor, and a ZZRun
-    whose targets all lie inside one group joins that group's block as a
-    diagonal factor. A run with a target across groups closes the open
-    blocks of the groups it touches and stays one diagonal; the end of the
-    cycle closes the rest. What other groups' blocks hold commutes with
-    such a run, so only the order within each group is kept. A trotter-uqs2
-    cycle on 8 ions (a field layer, 14 one-ion echo pulses and 7 one-pair
-    gates) becomes 4 ops: the block of ions 0..3, that of 4..7, the ZZ(3,4)
-    diagonal and another block of 4..7. A fig5 adiabatic step (9 sites in
-    groups of 3, five layers between three runs across groups) becomes 12
-    blocks and 3 diagonals.
+    The instructions are taken in order. A local layer is lowered to a
+    LoweredLayer once per distinct ApplyLocal object through `lowered`, a
+    dict the caller may share between cycles, and each of its active qubits
+    joins the open block of its group (_group_bounds) as a 2x2 factor. A run
+    of up to _CHUNK consecutive raw gates is one diagonal exp(-i * coef @
+    signs), with theta * w per target and the +-1 Z_a Z_b sign rows built
+    here: a run whose targets all lie inside one group joins that group's
+    block as a diagonal factor, and a run with a target across groups
+    closes the open blocks of the groups it touches and stays one diagonal
+    over the whole state (its rows made as it runs above _SIGN_ROW_QUBITS).
+    The end of the cycle closes the rest. What other groups' blocks hold
+    commutes with such a run, so only the order within each group is kept.
+    A trotter-uqs2 cycle on 8 ions (a field layer, 14 one-ion echo pulses
+    and 7 one-pair gates) becomes 4 ops: the block of ions 0..3, that of
+    4..7, the ZZ(3,4) diagonal and another block of 4..7. A fig5 adiabatic
+    step (9 sites in groups of 3, five layers between three runs across
+    groups) becomes 12 blocks and 3 diagonals.
 
-    Occurrences may differ by scales: `slots` gives per op the column of
-    execute's per-occurrence `scales` that multiplies its angles (each
-    2x2's theta, each gate's theta), or None for an op every occurrence
-    applies as it is. An adiabatic step is ops(k) of one plan and
-    ops(1 - k) of the other (LoweredPlan.template), so consecutive steps of
-    one shape run as one FusedCycle with scales (k, 1 - k).
+    Occurrences may differ by scales: `slots` gives per instruction the
+    column of execute's per-occurrence `scales` that multiplies its angles
+    (each 2x2's theta, each gate's theta), or None for an instruction every
+    occurrence applies as it is. An adiabatic step is emit_cycle(plan, dt,
+    k) of one plan and emit_cycle(plan, dt, 1 - k) of the other, so
+    consecutive steps of one shape run as the two plans' cycle_template
+    with scales (k, 1 - k).
 
     A layer draws one value per qubit when eta_l > 0 and a gate one per
     target when eta_i > 0, in instruction order, so a pass over C
@@ -646,13 +488,15 @@ class FusedCycle:
     scales builds them once.
     """
 
-    def __init__(self, ops, n_qubits: int, eta_l: float, eta_i: float, slots=None):
+    def __init__(self, instructions, n_qubits: int, eta_l: float, eta_i: float, slots=None,
+                 lowered: dict | None = None):
+        lowered = {} if lowered is None else lowered
         home = [(lo, k) for lo, k in _group_bounds(n_qubits) for _ in range(k)]
         self.kinds, self.sizes = [], []
         theta, nsigma, phase, mats, at_u, slot_u = [], [], [], [], [], []
         theta_g, weight, at_g, slot_g, eta = [], [], [], [], []
         open_blocks: dict[tuple[int, int], list] = {}
-        # ("block", lo, k, factors) and ("zz", run, its coef slice) in apply order
+        # ("block", lo, k, factors) and ("zz", pairs, sign rows, coef slice) in apply order
         self.steps = []
 
         def close(group):
@@ -660,45 +504,66 @@ class FusedCycle:
             if factors:
                 self.steps.append(("block", *group, factors))
 
-        for op, slot in zip(ops, [None] * len(ops) if slots is None else slots):
-            start = len(eta)  # the op's first draw
-            column = -1 if slot is None else slot  # -1: execute's column of ones
-            if isinstance(op, LoweredLayer):
-                self.kinds.append("local")
-                self.sizes.append(n_qubits if eta_l > 0 else 0)
-                eta += [eta_l] * self.sizes[-1]
-                layer: dict[tuple[int, int], list] = {}
-                for q in op.active:
-                    lo, k = home[q]
-                    # a 2x2: (its index, its bit in the block)
-                    layer.setdefault((lo, k), []).append((len(theta), q - lo))
-                    theta.append(op.theta[q])
-                    nsigma.append(op.nsigma[q])
-                    phase.append(op.phase[q])
-                    mats.append(op.matrices[q])
-                    at_u.append(start + q)
-                    slot_u.append(column)
-                for group, pairs in layer.items():  # a layer factor: (its 2x2s, None)
-                    open_blocks.setdefault(group, []).append((tuple(pairs), None))
-            else:
-                self.kinds += ["gate"] * len(op.sizes)
-                self.sizes.extend(op.sizes if eta_i > 0 else [0] * len(op.sizes))
-                eta += [eta_i] * (len(op.coef) if eta_i > 0 else 0)
-                span = slice(len(theta_g), len(theta_g) + len(op.coef))
-                theta_g.extend(np.repeat(op.thetas, op.sizes))
-                weight.extend(op.weights)
-                at_g.extend(range(start, start + len(op.coef)))
-                slot_g += [column] * len(op.coef)
-                touched = sorted({home[q] for pair in op.pairs for q in pair})
+        # -1: execute's column of ones
+        columns = ([-1] * len(instructions) if slots is None
+                   else [-1 if slot is None else slot for slot in slots])
+        items = zip(instructions, columns)
+        for is_gate, run in groupby(items, lambda item: isinstance(item[0], RawGate)):
+            run = list(run)
+            if not is_gate:
+                for ins, column in run:
+                    if not isinstance(ins, ApplyLocal):
+                        raise EngineError(f"unknown instruction {type(ins).__name__}")
+                    hit = lowered.get(id(ins))
+                    if hit is None:  # kept with the object, so that its id stays its own
+                        hit = lowered[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
+                    op, start = hit[1], len(eta)  # start: the layer's first draw
+                    self.kinds.append("local")
+                    self.sizes.append(n_qubits if eta_l > 0 else 0)
+                    eta += [eta_l] * self.sizes[-1]
+                    layer: dict[tuple[int, int], list] = {}
+                    for q in op.active:
+                        lo, k = home[q]
+                        # a 2x2: (its index, its bit in the block)
+                        layer.setdefault((lo, k), []).append((len(theta), q - lo))
+                        theta.append(op.theta[q])
+                        nsigma.append(op.nsigma[q])
+                        phase.append(op.phase[q])
+                        mats.append(op.matrices[q])
+                        at_u.append(start + q)
+                        slot_u.append(column)
+                    for group, pairs in layer.items():  # a layer factor: (its 2x2s, None)
+                        open_blocks.setdefault(group, []).append((tuple(pairs), None))
+                continue
+            for at in range(0, len(run), _CHUNK):
+                first, pairs = len(theta_g), []
+                for gate, column in run[at:at + _CHUNK]:
+                    start, size = len(eta), len(gate.targets)
+                    for a, b, w in gate.targets:
+                        if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+                            raise EngineError(
+                                f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
+                        pairs.append((a, b))
+                        weight.append(w)
+                    self.kinds.append("gate")
+                    self.sizes.append(size if eta_i > 0 else 0)
+                    eta += [eta_i] * self.sizes[-1]
+                    theta_g += [gate.theta] * size
+                    at_g.extend(range(start, start + size))
+                    slot_g += [column] * size
+                span = slice(first, len(theta_g))
+                touched = sorted({home[q] for pair in pairs for q in pair})
                 if len(touched) == 1:
                     (lo, k), = touched
                     # a diagonal factor: (its coef slice, its sign rows in the block)
-                    signs = np.array([kernels.zz_signs(k, a - lo, b - lo) for a, b in op.pairs])
+                    signs = np.array([kernels.zz_signs(k, a - lo, b - lo) for a, b in pairs])
                     open_blocks.setdefault((lo, k), []).append((span, signs))
                 elif touched:
                     for group in touched:
                         close(group)
-                    self.steps.append(("zz", op.stacked(1 << n_qubits), span))
+                    signs = (None if n_qubits > _SIGN_ROW_QUBITS
+                             else np.array([kernels.zz_signs(n_qubits, a, b) for a, b in pairs]))
+                    self.steps.append(("zz", pairs, signs, span))
         for group in sorted(open_blocks):
             close(group)
         self.width, self.n_blocks = len(eta), sum(step[0] == "block" for step in self.steps)
@@ -706,7 +571,7 @@ class FusedCycle:
         self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
         self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
         self.mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
-        # per target its gate's theta and its weight: coef = theta * w, as ZZRun makes it
+        # per target its gate's theta and its weight: coef = theta * w
         self.theta_g, self.weight = np.array(theta_g, dtype=float), np.array(weight, dtype=float)
         self.coef = self.theta_g * self.weight
         self.slot_u = np.array(slot_u, dtype=np.intp)
@@ -717,11 +582,11 @@ class FusedCycle:
         self._static = None
 
     def _build(self, d: np.ndarray | None, scales: np.ndarray | None) -> list:
-        """Per step (lo, block, None) or (None, run, coef) for the draws d
-        (C, R, width) and the scales (C, slots + 1), the last column ones:
-        a block (2^k, 2^k) or (C, R or 1, 2^k, 2^k), coefs (targets,) or
-        (C, R or 1, targets), the same for every occurrence where no draw
-        and no scale reaches them."""
+        """Per step (lo, block, None) or (None, (pairs, signs), coef) for
+        the draws d (C, R, width) and the scales (C, slots + 1), the last
+        column ones: a block (2^k, 2^k) or (C, R or 1, 2^k, 2^k), coefs
+        (targets,) or (C, R or 1, targets), the same for every occurrence
+        where no draw and no scale reaches them."""
         theta, mats, coef, mult = self.theta, self.mats, self.coef, 1.0
         if scales is not None:
             theta = theta * scales[:, None, self.slot_u]
@@ -732,7 +597,7 @@ class FusedCycle:
             mats = _local_matrices(theta, self.nsigma, self.phase, mult)
         if self.at_g is not None:
             coef = coef * (1.0 + d[..., self.at_g])
-        return [(None, step[1], coef[..., step[2]]) if step[0] == "zz"
+        return [(None, step[1:3], coef[..., step[3]]) if step[0] == "zz"
                 else (step[1], _fused_block(step[2], step[3], mats, coef), None)
                 for step in self.steps]
 
@@ -767,7 +632,7 @@ class FusedCycle:
             for j in range(c):
                 for lo, step, coef in built:
                     if lo is None:
-                        _apply_zz(amps, step, coef if coef.ndim == 1 else coef[j])
+                        _apply_zz(amps, *step, coef if coef.ndim == 1 else coef[j])
                     else:
                         kernels.apply_block(amps, lo, step if step.ndim == 2 else step[j])
             if log is not None and kinds:
@@ -815,6 +680,34 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     return np.eye(dim, dtype=complex) if block is None else block
 
 
+def cycle_template(plan: CyclePlan, dt: float, slot: int,
+                   scales) -> tuple[list, list, np.ndarray]:
+    """The template of a run of adiabatic steps: emit_cycle(plan, dt), per
+    instruction its FusedCycle slot, and per scale s whether
+    emit_cycle(plan, dt, s) is that template with its angles times s.
+
+    The slot is `slot` for the field layer and the gates, whose angles
+    emit_cycle scales by s, and None for cycle_body's layers, which it
+    leaves alone. A scale keeps the template's shape when it is nonzero, no
+    gate angle becomes exactly zero, and the field layer acts on the same
+    qubits (a site can cross FIELD_ANGLE_FLOOR or the identity tolerance).
+    """
+    template = emit_cycle(plan, dt)
+    scales = np.asarray(scales, dtype=float)
+    regular = scales != 0.0
+    thetas = [ins.theta for ins in template if isinstance(ins, RawGate)]
+    if thetas:
+        regular &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
+    field = None
+    if plan.field_axes is not None:
+        active = [None if f is None else LoweredLayer(np.zeros(plan.n_qubits), *f).active
+                  for f in (field_angles(plan, dt * s) for s in [1.0, *scales])]
+        regular &= np.array([a == active[0] for a in active[1:]], dtype=bool)
+        field = None if active[0] is None else template[0]
+    slots = [slot if isinstance(ins, RawGate) or ins is field else None for ins in template]
+    return template, slots, regular
+
+
 def _repeats(instructions, period: int | None):
     """The stream as (instructions, count) pieces in order. count >= 2 is a
     window of `period` instructions that the next count - 1 windows repeat
@@ -852,7 +745,8 @@ def execute_batch(
     its jitter from the generator draws[r], or a batch of one replaying the
     draws of a LogDraws.
 
-    Each distinct instruction object is lowered once per call (a schedule of
+    Each distinct layer object is lowered once per call, and each window's
+    gates are read once, when its FusedCycle is built (a schedule of
     repeated cycles pays per line of its cycle, not per occurrence). Every
     piece of _repeats runs as one FusedCycle: given a cycle_length, each
     window of that many instructions that the next windows repeat object
@@ -875,7 +769,7 @@ def execute_batch(
     eta_i = err.eta_int if err is not None else 0.0
     lowered, index = {}, 0
     for piece, count in _repeats(instructions, cycle_length):
-        cycle = FusedCycle(list(_lower(piece, n_qubits, lowered)), n_qubits, eta_l, eta_i)
+        cycle = FusedCycle(piece, n_qubits, eta_l, eta_i, lowered=lowered)
         index = cycle.execute(amps, count, draws, log, index)
     return index
 

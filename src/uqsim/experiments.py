@@ -11,15 +11,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import CyclePlan, HardwareConstraintError, plan_for_hamiltonian
+from .compiler import CyclePlan, HardwareConstraintError, emit_cycle, plan_for_hamiltonian
 from .engine import (
     ErrorModel,
     FusedCycle,
-    LoweredPlan,
     Sectors,
     SpectrumCache,
     StateVector,
     _check_dense,
+    cycle_template,
     ground_state,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes
@@ -275,16 +275,6 @@ class GroundPath:
             out.append(m.real if np.iscomplexobj(m) and not m.imag.any() else m)
         return out
 
-    def matrix(self, k: float) -> np.ndarray:
-        """H(k) as a dense matrix, assembled from both endpoints' matrices
-        on every block (Sectors.blocks)."""
-        dim = 1 << self.h_initial.n_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        for idx, a, b in zip(self.sectors.stacks, self.sectors.blocks(self.h_initial),
-                             self.sectors.blocks(self.h_target)):
-            m[idx[:, :, None], idx[:, None, :]] = k * a + (1.0 - k) * b
-        return m
-
     def spectrum(self, k: float) -> SpectrumCache:
         spec = self._spectra.get(k)
         if spec is None:
@@ -426,15 +416,16 @@ def adiabatic_batch(
 
     Run r draws its jitter from config.error_model with seed seeds[r] and
     gives what adiabatic_run gives at that seed, within 1e-12 (BLAS blocking
-    depends on the batch size). The plans are lowered once; each step only
-    rescales their angles.
+    depends on the batch size). Step k runs emit_cycle(plan_initial, dt, k)
+    followed by emit_cycle(plan_target, dt, 1 - k).
 
-    Trotter steps that have the shape of the plans at scale 1
-    (LoweredPlan.regular) run as occurrences of one template FusedCycle
-    with scales (k, 1 - k), each run of them up to and including the next
-    recorded step, where the trajectory is sampled. Any other step, such as
-    the final k = 0 of both ramps or one where a field site or a gate angle
-    drops out, runs as a FusedCycle of its own ops, built where it runs.
+    Both plans' cycles at scale 1 (engine.cycle_template) form one template
+    FusedCycle, built once. Steps that keep the template's shape run as its
+    occurrences with scales (k, 1 - k), each run of them up to and including
+    the next recorded step, where the trajectory is sampled. Any other step,
+    such as the final k = 0 of both ramps or one where a field site or a
+    gate angle drops out, runs as a FusedCycle of its own emit_cycle
+    instructions, built where it runs.
     """
     h_i, h_t = config.h_initial, config.h_target
     if not seeds:
@@ -448,7 +439,6 @@ def adiabatic_batch(
         plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
         peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
         dt = config.theta1 / peak if peak > 0 else config.theta1
-        lowered = (LoweredPlan(plan_initial, dt, n), LoweredPlan(plan_target, dt, n))
     else:
         dt = config.theta1
     ramp = config.ramp_fn()
@@ -464,10 +454,11 @@ def adiabatic_batch(
     etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
     regular = np.zeros(config.steps, dtype=bool)
     if config.stepper == "trotter":
-        regular = lowered[0].regular(ks) & lowered[1].regular(1.0 - ks)
+        (ins_i, slots_i, regular_i), (ins_t, slots_t, regular_t) = (
+            cycle_template(plan_initial, dt, 0, ks), cycle_template(plan_target, dt, 1, 1.0 - ks))
+        regular = regular_i & regular_t
     if regular.any():
-        (ops_i, slots_i), (ops_t, slots_t) = lowered[0].template(0), lowered[1].template(1)
-        cycle = FusedCycle(ops_i + ops_t, n, *etas, slots_i + slots_t)
+        cycle = FusedCycle(ins_i + ins_t, n, *etas, slots_i + slots_t)
     index = s = 0  # steps 1..s have run
     while s < config.steps:
         stop = s + 1
@@ -481,8 +472,8 @@ def adiabatic_batch(
                                   np.column_stack([run, 1.0 - run]))
         else:
             k = float(ks[s])
-            step = FusedCycle(lowered[0].ops(k) + lowered[1].ops(1.0 - k), n, *etas)
-            index = step.execute(amps, 1, rngs, None, index)
+            ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
+            index = FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None, index)
         s = stop
         if recorded[s - 1]:
             k = float(ks[s - 1])

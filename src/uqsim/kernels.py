@@ -14,8 +14,6 @@ agree and -1 where they differ; `zz_signs` is the one place that rule lives.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # The most qubits a dense statevector may hold (256 MiB of amplitudes)
@@ -60,14 +58,6 @@ def zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
     """The +-1 eigenvalue of Z_a Z_b on every basis state of n qubits."""
     k = np.arange(1 << n_qubits)
     return 1.0 - 2.0 * (((k >> a) ^ (k >> b)) & 1)
-
-
-@functools.lru_cache(maxsize=1024)
-def shared_zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
-    """zz_signs cached per (n, a, b) and read-only, for small n."""
-    row = zz_signs(n_qubits, a, b)
-    row.setflags(write=False)
-    return row
 
 
 def apply_zz_phase(amps: np.ndarray, a: int, b: int, theta: float) -> None:

@@ -318,6 +318,42 @@ class TestAdiabatic:
             texts.append((out / "sweep.csv").read_text())
         assert texts[0] == texts[1]
 
+    def test_sweep_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # a pool that records its size and runs each cell in this process,
+        # so that --jobs 8 forks nothing
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args, **kwargs))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = self.small_cfg(
+            tmp_path,
+            "[sweep]\netas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n",
+        )
+        texts = []
+        for name, jobs in (("o1", "1"), ("o8", "8")):
+            out = tmp_path / name
+            assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out),
+                         "--jobs", jobs]) == 0
+            texts.append((out / "sweep.csv").read_text())
+        assert sizes == [2]  # two cells
+        assert texts[0] == texts[1]
+
     def test_format_json_writes_the_sweep_rows(self, tmp_path):
         cfg = self.small_cfg(
             tmp_path,

@@ -578,3 +578,8 @@ class TestDumpFormatFuzz:
             StateVector.load_text(text)
         except StateFormatError:
             pass
+
+    @pytest.mark.parametrize("amps", [[], [1.0, 0.0, 0.0], [1.0] + [0.0] * 5])
+    def test_amplitude_count_must_be_a_power_of_2(self, amps):
+        with pytest.raises(EngineError, match="not a power of 2"):
+            StateVector.from_amplitudes(amps)

@@ -23,8 +23,8 @@ from uqsim.engine import (
     EngineError,
     ErrorModel,
     ExecutionLog,
-    LoweredPlan,
     StateVector,
+    cycle_template,
     execute_batch,
     execute_instructions,
     run_schedule,
@@ -178,13 +178,14 @@ def test_unrepeated_stretches_run_in_bounded_fused_windows(monkeypatch, etas):
 
 
 def test_unstacked_sign_rows_match(monkeypatch):
-    # above the shared-row size each target's signs are made one at a time
+    # above _SIGN_ROW_QUBITS a diagonal across groups makes its sign rows
+    # one target at a time as it runs
     n = 4
     err = ErrorModel(0.03, 0.02, seed=8)
     instructions = random_schedule(n, 8, length=40)
     stacked = random_amps(n, 8)
     execute_instructions(stacked, n, instructions, err, err.rng())
-    monkeypatch.setattr(engine, "_SHARED_SIGN_QUBITS", 1)
+    monkeypatch.setattr(engine, "_SIGN_ROW_QUBITS", 1)
     got, _, ref, _ = run_both(n, instructions, err, random_amps(n, 8))
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert np.max(np.abs(got - stacked)) <= AMP_TOL
@@ -297,7 +298,7 @@ def test_lowering_validates_against_n_qubits():
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_plan_ops_draw_exactly_what_emit_cycle_emits(homogeneous):
     # gate "b" underflows to an exact zero angle at a tiny scale while "a"
-    # does not: emit_cycle drops b, and the lowered plan must draw for a only.
+    # does not: emit_cycle drops b, and the fused cycle must draw for a only.
     # A homogeneous plan applies site 0's field rotation on every site.
     n = 3
     fam = PlannedFamily(
@@ -307,13 +308,12 @@ def test_plan_ops_draw_exactly_what_emit_cycle_emits(homogeneous):
     fields = ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0))
     plan = CyclePlan(n, (fam,), fields, homogeneous_locals=homogeneous)
     err = ErrorModel(eta_local=0.05, eta_int=0.03, seed=2)
-    lowered = LoweredPlan(plan, 1.0, n)
     for scale in (1.0, 0.37, 1e-323, 0.0):
         cycle = emit_cycle(plan, 1.0, scale)
         ref, ref_rng = random_amps(n, 4), err.rng()
         oracles.reference_execute(ref, n, cycle, err, ref_rng)
         got, rng = random_amps(n, 4)[None, :].copy(), err.rng()
-        step = engine.FusedCycle(lowered.ops(scale), n, err.eta_local, err.eta_int)
+        step = engine.FusedCycle(cycle, n, err.eta_local, err.eta_int)
         count = step.execute(got, 1, [rng], None, 0)
         assert count == len(cycle)
         assert np.max(np.abs(got[0] - ref)) <= AMP_TOL
@@ -426,11 +426,15 @@ def test_regular_scales_keep_the_shape_of_scale_one():
         protocol_library("xy2"), cost=1.0,
     )
     plan = CyclePlan(n, (fam,), ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0)))
-    lowered = LoweredPlan(plan, 1.0, n)
     scales = np.array([1.0, 0.37, -2.0, 1e-15, 1e-310, 1e-323, 0.0])
-    assert lowered.regular(scales).tolist() == [True, True, True, False, False, False, False]
-    no_field = LoweredPlan(replace(plan, local_fields=None), 1.0, n)
-    assert no_field.regular(scales).tolist() == [True] * 5 + [False] * 2
+    template, slots, regular = cycle_template(plan, 1.0, 0, scales)
+    assert regular.tolist() == [True, True, True, False, False, False, False]
+    # the field layer (first) and the gates take the plan's slot
+    assert slots == [0 if i == 0 or isinstance(ins, RawGate) else None
+                     for i, ins in enumerate(template)]
+    template, slots, regular = cycle_template(replace(plan, local_fields=None), 1.0, 1, scales)
+    assert regular.tolist() == [True] * 5 + [False] * 2
+    assert slots == [1 if isinstance(ins, RawGate) else None for ins in template]
 
 
 def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
@@ -439,10 +443,10 @@ def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
     plans = (plan_for_hamiltonian(nn_chain("xx", n), hw),
              protocol_for_model(NamedModel("dipole", Geometry.chain(n)), hw))
     dt = 0.025 / max(p.max_unit_angle() for p in plans)
-    (ops_i, slots_i), (ops_t, slots_t) = (LoweredPlan(p, dt, n).template(j)
-                                          for j, p in enumerate(plans))
+    (ins_i, slots_i, _), (ins_t, slots_t, _) = (cycle_template(p, dt, j, [])
+                                                for j, p in enumerate(plans))
     err = ErrorModel(0.01, 0.01, seed=1)
-    cycle = engine.FusedCycle(ops_i + ops_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
+    cycle = engine.FusedCycle(ins_i + ins_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
     assert cycle.n_blocks == 12
     calls = {"block": 0, "zz": 0}
     for name, module, key in (("apply_block", engine.kernels, "block"),

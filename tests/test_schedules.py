@@ -12,16 +12,20 @@ import pytest
 import oracles
 from uqsim import engine, kernels
 from uqsim.cli import main
-from uqsim.compiler import RawGate, plan_for_hamiltonian, schedule_from_text, trotter_schedule
+from uqsim.compiler import (
+    RawGate,
+    emit_cycle,
+    plan_for_hamiltonian,
+    schedule_from_text,
+    trotter_schedule,
+)
 from uqsim.engine import (
     EngineError,
     ErrorModel,
     ExecutionLog,
     LogFormatError,
     LoweredLayer,
-    LoweredPlan,
     StateVector,
-    ZZRun,
     run_schedule,
 )
 from uqsim.hardware import TrapArrayModel
@@ -130,19 +134,14 @@ def ising_chain(n):
 
 def test_each_distinct_instruction_is_lowered_once(monkeypatch):
     assert not hasattr(engine, "_LAYER_CACHE")
-    real_layer, real_gate = LoweredLayer.from_layer, ZZRun.from_gate
-    counts = {"layer": 0, "gate": 0}
+    real_layer = LoweredLayer.from_layer
+    counts = {"layer": 0}
 
     def counting_layer(layer, n):
         counts["layer"] += 1
         return real_layer(layer, n)
 
-    def counting_gate(gate, n):
-        counts["gate"] += 1
-        return real_gate(gate, n)
-
     monkeypatch.setattr(LoweredLayer, "from_layer", staticmethod(counting_layer))
-    monkeypatch.setattr(ZZRun, "from_gate", staticmethod(counting_gate))
     h, hw, eps = ising_chain(4), trap_chain(4), 0.05
     c = trotter_schedule(h, t_prime=0.1, epsilon=eps, hw=hw)[1].time_cost
     for cycles in (3, 30):
@@ -153,9 +152,9 @@ def test_each_distinct_instruction_is_lowered_once(monkeypatch):
         distinct = {id(ins): ins for ins in schedule.instructions}.values()
         gates = sum(isinstance(ins, RawGate) for ins in distinct)
         assert 0 < gates < len(distinct) < len(schedule.instructions)
-        counts.update(layer=0, gate=0)
+        counts.update(layer=0)
         run_schedule(StateVector.zero_state(4), schedule, ErrorModel(*ETAS, seed=2))
-        assert counts == {"layer": len(distinct) - gates, "gate": gates}
+        assert counts == {"layer": len(distinct) - gates}
 
 
 def count_calls(monkeypatch):
@@ -196,14 +195,14 @@ def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err
 
 
 def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
-    # a LoweredPlan step of the same chain, run once, fuses as a repeated
+    # an adiabatic step of the same chain, run once, fuses as a repeated
     # cycle does: 3 blocks and the ZZ(3, 4) diagonal, no single-qubit calls
     plan = plan_for_hamiltonian(ising_chain(8), trap_chain(8))
     err = ErrorModel(0.01, 0.02, seed=3)
     amps = np.zeros((2, 256), dtype=complex)
     amps[:, 0] = 1.0
     counts = count_calls(monkeypatch)
-    step = engine.FusedCycle(LoweredPlan(plan, 0.1, 8).ops(0.6), 8, err.eta_local, err.eta_int)
+    step = engine.FusedCycle(emit_cycle(plan, 0.1, 0.6), 8, err.eta_local, err.eta_int)
     assert step.execute(amps, 1, [err.rng(), err.rng()], None, 0) == 22
     assert counts == {"block": 3, "zz": 1, "single": 0, "build": 3}
 
@@ -249,6 +248,7 @@ class TestLogText:
         ("0 local -\n", 1),
         ("# pulse schedule n_qubits=2\n0 local -\n", 1),
         ("# execution log rng=numpy-PCG64 seed=x\n", 1),
+        ("# execution log rng=numpy-PCG64 seed=-5\n", 1),
         (HEAD + "1 local -\n", 2),
         (HEAD + "0 local -\n0 gate -\n", 3),
         (HEAD + "0 layer -\n", 2),
