@@ -84,6 +84,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="uqsim",
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def seeded(p):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs, default=1,
                        help="parallel workers for sweep grids (per-run seeds keep results deterministic)")
         return p
 

@@ -28,11 +28,12 @@ that the next windows repeat, object for object, as one FusedCycle over
 all its occurrences; every other stretch runs in windows of at most
 _CHUNK instructions, one occurrence each. Consecutive adiabatic steps
 of the template's shape run as occurrences of the two plans' template
-cycle (cycle_template) with per-occurrence angle scales (k, 1 - k), and
-any other step as a cycle of its own (experiments.adiabatic_batch). The
-state has a leading batch axis (R, 2^n): the repetitions of a sweep cell
-advance as one array, each row with its own seeded PCG64 generator, and a
-single run is a batch of one.
+cycle (experiments.cycle_template) with per-occurrence angle scales
+(k, 1 - k), recorded steps copied out mid-pass, and any other step as a
+cycle of its own (experiments.adiabatic_batch). The state has a leading
+batch axis (R, 2^n): the repetitions of a sweep cell advance as one
+array, each row with its own seeded PCG64 generator, and a single run is
+a batch of one.
 The block kernel and the Z_a Z_b sign rows come from uqsim.kernels.
 
 The oracle decomposes part by part and keeps no process-wide cache.
@@ -45,7 +46,8 @@ array, in real arithmetic when they have no imaginary part, and
 SpectrumCache merges every block's eigenvalues, with multiplicity, in
 ascending order before grouping them. Its eigenvectors stay per block.
 The adiabatic oracle (experiments.GroundPath) reduces both endpoints once
-per path and decomposes k*H_initial + (1-k)*H_target on the parts; its gap
+per path and decomposes k*H_initial + (1-k)*H_target on the parts for a
+chunk of k values per stacked call (SpectrumCache.from_stacks); its gap
 scan asks for eigenvalues only. The start state is the one exception:
 ground_state decomposes the whole matrix in complex arithmetic, since its
 pick among degenerate ground states follows rounding, and a pinned
@@ -75,7 +77,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import STATEVECTOR_CAP
-from .compiler import ApplyLocal, CyclePlan, PulseSchedule, RawGate, emit_cycle, field_angles
+from .compiler import ApplyLocal, PulseSchedule, RawGate
 from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
 from .sectors import Sectors
 
@@ -477,8 +479,8 @@ class FusedCycle:
     (each 2x2's theta, each gate's theta), or None for an instruction every
     occurrence applies as it is. An adiabatic step is emit_cycle(plan, dt,
     k) of one plan and emit_cycle(plan, dt, 1 - k) of the other, so
-    consecutive steps of one shape run as the two plans' cycle_template
-    with scales (k, 1 - k).
+    consecutive steps of one shape run as the two plans'
+    experiments.cycle_template with scales (k, 1 - k).
 
     A layer draws one value per qubit when eta_l > 0 and a gate one per
     target when eta_i > 0, in instruction order, so a pass over C
@@ -602,11 +604,13 @@ class FusedCycle:
                 for step in self.steps]
 
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
-                index: int, scales: np.ndarray | None = None) -> int:
+                index: int, scales: np.ndarray | None = None, after=None) -> int:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
         passes of up to _CHUNK_BLOCKS blocks over occurrences and rows;
         occurrence j with the scales[j] (count, slots) of its ops' slots
-        when the cycle has any. Returns the next instruction index.
+        when the cycle has any. `after(j)`, when given, is called once
+        occurrence j has run, so that a caller can copy amps out mid-pass.
+        Returns the next instruction index.
 
         `draws` is the jitter source. Given a sequence of generators, row r
         draws one rng.random(c * width) from draws[r] per pass of c
@@ -635,6 +639,8 @@ class FusedCycle:
                         _apply_zz(amps, *step, coef if coef.ndim == 1 else coef[j])
                     else:
                         kernels.apply_block(amps, lo, step if step.ndim == 2 else step[j])
+                if after is not None:
+                    after(first + j)
             if log is not None and kinds:
                 log.record(index, kinds, sizes, d[0])
             index += len(kinds)
@@ -678,34 +684,6 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
                 prod = mats[..., i, None, :, :] @ view
                 block = prod.reshape(*prod.shape[:-3], dim, dim)
     return np.eye(dim, dtype=complex) if block is None else block
-
-
-def cycle_template(plan: CyclePlan, dt: float, slot: int,
-                   scales) -> tuple[list, list, np.ndarray]:
-    """The template of a run of adiabatic steps: emit_cycle(plan, dt), per
-    instruction its FusedCycle slot, and per scale s whether
-    emit_cycle(plan, dt, s) is that template with its angles times s.
-
-    The slot is `slot` for the field layer and the gates, whose angles
-    emit_cycle scales by s, and None for cycle_body's layers, which it
-    leaves alone. A scale keeps the template's shape when it is nonzero, no
-    gate angle becomes exactly zero, and the field layer acts on the same
-    qubits (a site can cross FIELD_ANGLE_FLOOR or the identity tolerance).
-    """
-    template = emit_cycle(plan, dt)
-    scales = np.asarray(scales, dtype=float)
-    regular = scales != 0.0
-    thetas = [ins.theta for ins in template if isinstance(ins, RawGate)]
-    if thetas:
-        regular &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
-    field = None
-    if plan.field_axes is not None:
-        active = [None if f is None else LoweredLayer(np.zeros(plan.n_qubits), *f).active
-                  for f in (field_angles(plan, dt * s) for s in [1.0, *scales])]
-        regular &= np.array([a == active[0] for a in active[1:]], dtype=bool)
-        field = None if active[0] is None else template[0]
-    slots = [slot if isinstance(ins, RawGate) or ins is field else None for ins in template]
-    return template, slots, regular
 
 
 def _repeats(instructions, period: int | None):
@@ -901,7 +879,8 @@ class SpectrumCache:
     and `groups` the (near-)degenerate groups of the merged list, so group
     energies and gaps mean what they mean for the full spectrum.
     Eigenvectors stay per block: bases, weights, histograms and evolution
-    work block by block.
+    work block by block. from_stacks builds the spectra of many values of
+    k at once, and they share its arrays; from_blocks is its one-k case.
 
     A spectrum without vectors answers group energies and gaps only; asking
     it for a basis, weight or evolution raises EngineError. It caches
@@ -926,10 +905,19 @@ class SpectrumCache:
     @staticmethod
     def from_blocks(sectors: Sectors, mats, vectors: bool = True) -> "SpectrumCache":
         """The spectrum of the part matrices `mats`, one (p, d, d) array per
-        entry of sectors.part_sizes. Merged eigenvalues less than
-        1e-8 * max(1, spread) apart share a group. vectors=False decomposes
-        eigenvalues only. A non-finite entry, a failed decomposition or a
-        non-finite eigenvalue or spread raises EngineError."""
+        entry of sectors.part_sizes: from_stacks for one k."""
+        (spec,) = SpectrumCache.from_stacks(sectors, [m[None] for m in mats], vectors)
+        return spec
+
+    @staticmethod
+    def from_stacks(sectors: Sectors, mats, vectors: bool = True) -> list["SpectrumCache"]:
+        """The spectra of K sets of part matrices, one (K, p, d, d) array per
+        entry of sectors.part_sizes, decomposed in one stacked call per size
+        and merged and grouped for all K at once. Merged eigenvalues less
+        than 1e-8 * max(1, spread) apart share a group. vectors=False
+        decomposes eigenvalues only. A non-finite entry, a failed
+        decomposition or a non-finite eigenvalue or spread raises
+        EngineError. The K spectra share the arrays of the call."""
         if not all(np.isfinite(m).all() for m in mats):
             raise EngineError("the Hamiltonian has a non-finite matrix entry")
         try:
@@ -937,16 +925,21 @@ class SpectrumCache:
         except np.linalg.LinAlgError as exc:
             raise EngineError(f"eigendecomposition failed: {exc}") from exc
         levels, vecs = sectors.expand(parts, vectors)
-        flat = np.concatenate([w.ravel() for w in levels])
-        order = np.argsort(flat, kind="stable")
-        evals = flat[order]
-        spread = float(evals[-1]) - float(evals[0]) if evals.size > 1 else 1.0
-        if not (math.isfinite(evals[0]) and math.isfinite(evals[-1]) and math.isfinite(spread)):
+        flat = np.concatenate([w.reshape(w.shape[0], -1) for w in levels], axis=1)
+        order = np.argsort(flat, axis=1, kind="stable")
+        evals = np.take_along_axis(flat, order, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite if either end is not
+            spread = evals[:, -1] - evals[:, 0]
+        if not np.isfinite(spread).all():
             raise EngineError("the spectrum is not finite")
-        tol = 1e-8 * max(1.0, spread)
-        cuts = (np.flatnonzero(np.diff(evals) >= tol) + 1).tolist()
-        groups = tuple(zip([0] + cuts, cuts + [evals.size]))
-        return SpectrumCache(evals, groups, tol, sectors.stacks, levels, vecs, order)
+        out = []
+        for k, tol in enumerate((1e-8 * np.maximum(1.0, spread)).tolist()):
+            cuts = (np.flatnonzero(np.diff(evals[k]) >= tol) + 1).tolist()
+            groups = tuple(zip([0] + cuts, cuts + [evals.shape[1]]))
+            vectors_k = None if vecs is None else tuple(v[k] for v in vecs)
+            out.append(SpectrumCache(evals[k], groups, tol, sectors.stacks,
+                                     tuple(w[k] for w in levels), vectors_k, order[k]))
+        return out
 
     def _vectors(self) -> tuple[np.ndarray, ...]:
         if self.eigenvectors is None:

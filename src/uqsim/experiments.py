@@ -11,15 +11,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compiler import CyclePlan, HardwareConstraintError, emit_cycle, plan_for_hamiltonian
+from .compiler import (
+    CyclePlan,
+    HardwareConstraintError,
+    RawGate,
+    emit_cycle,
+    field_angles,
+    plan_for_hamiltonian,
+)
 from .engine import (
     ErrorModel,
     FusedCycle,
+    LoweredLayer,
     Sectors,
     SpectrumCache,
     StateVector,
     _check_dense,
-    cycle_template,
     ground_state,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes
@@ -233,7 +240,7 @@ def protocol_for_model(model: NamedModel, hw) -> CyclePlan:
 # The interpolation path and its exact oracle
 # ---------------------------------------------------------------------------
 
-PATH_SPECTRA = 3  # spectra a path keeps: the endpoints k = 1 and k = 0 and the current k
+_CHUNK_ENTRIES = 1 << 16  # most matrix or state entries one chunk of k values holds
 
 
 class GroundPath:
@@ -244,11 +251,16 @@ class GroundPath:
     mirror when both endpoints commute with them), and each endpoint is
     reduced onto the parts once; H(k) is then k*A + (1-k)*B part by part,
     real wherever it has no imaginary part. fig5's path decomposes a 136
-    and a 120 part per k instead of two 256 blocks. The spectra of the
-    endpoints and of the latest other k are kept, so runs sharing a path
-    decompose each endpoint once. `levels` serves the gap scan: it
-    decomposes eigenvalues only and keeps nothing. The start vector of
-    every run is ground_state(h_initial), decomposed whole once per path.
+    and a 120 part per k instead of two 256 blocks.
+
+    The spectra do not depend on any state, so `spectra` decomposes many
+    values of k at once: one stacked call per part size per chunk of k,
+    each chunk as large as keeps its part matrices (and, with vectors, the
+    eigenvectors mapped onto the blocks) within _CHUNK_ENTRIES entries.
+    `spectrum` and `levels` are its one-k case. The spectra of the two
+    endpoints are kept, so runs sharing a path decompose each endpoint
+    once. The start vector of every run is ground_state(h_initial),
+    decomposed whole once per path.
     """
 
     def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
@@ -266,21 +278,39 @@ class GroundPath:
         """The amplitudes of ground_state(h_initial), where every run starts."""
         return ground_state(self.h_initial).state.amps
 
-    def blocks(self, k: float) -> list[np.ndarray]:
+    def blocks(self, k) -> list[np.ndarray]:
         """The part matrices of H(k), one (p, d, d) array per entry of
-        self.sectors.part_sizes, real when the stack has no imaginary part."""
+        self.sectors.part_sizes, or (K, p, d, d) for a 1-D array of K
+        values of k; real when the stack has no imaginary part."""
+        k = np.asarray(k, dtype=float)[..., None, None, None]
         out = []
         for a, b in zip(self._initial, self._target):
             m = k * a + (1.0 - k) * b
             out.append(m.real if np.iscomplexobj(m) and not m.imag.any() else m)
         return out
 
+    def chunk(self, vectors: bool = True) -> int:
+        """How many values of k one stacked decomposition takes."""
+        entries = sum(a.size for a in self._initial)
+        if vectors:
+            entries += sum(idx.size * idx.shape[1] for idx in self.sectors.stacks)
+        return max(1, _CHUNK_ENTRIES // entries)
+
+    def spectra(self, ks, vectors: bool = True):
+        """The SpectrumCache of H(k) for each k of ks in order, decomposed
+        in chunks of self.chunk(vectors) values; only one chunk is held."""
+        ks = np.asarray(ks, dtype=float)
+        size = self.chunk(vectors)
+        for at in range(0, ks.size, size):
+            yield from SpectrumCache.from_stacks(self.sectors, self.blocks(ks[at:at + size]),
+                                                 vectors)
+
     def spectrum(self, k: float) -> SpectrumCache:
         spec = self._spectra.get(k)
         if spec is None:
-            if len(self._spectra) >= PATH_SPECTRA:
-                del self._spectra[next(q for q in self._spectra if q not in (0.0, 1.0))]
-            spec = self._spectra[k] = SpectrumCache.from_blocks(self.sectors, self.blocks(k))
+            (spec,) = self.spectra([k])
+            if k in (0.0, 1.0):
+                self._spectra[k] = spec
         return spec
 
     def levels(self, k: float) -> SpectrumCache:
@@ -288,7 +318,7 @@ class GroundPath:
         one, else an eigenvalue-only spectrum that is not kept."""
         spec = self._spectra.get(k)
         if spec is None:
-            spec = SpectrumCache.from_blocks(self.sectors, self.blocks(k), vectors=False)
+            (spec,) = self.spectra([k], vectors=False)
         return spec
 
     def ground_basis(self, k: float) -> np.ndarray:
@@ -306,12 +336,13 @@ class MinGapResult:
 
 def min_gap(path: GroundPath, samples: int = 101) -> MinGapResult:
     """Smallest gap between the two lowest eigenvalue groups of H(k) on a
-    uniform k grid, plus the adiabatic-time recommendation 1/gap."""
+    uniform k grid, plus the adiabatic-time recommendation 1/gap. The grid
+    is decomposed for eigenvalues only, in chunks (GroundPath.spectra)."""
     best = math.inf
     best_k = 0.0
     all_gapless = True
-    for k in np.linspace(0.0, 1.0, samples):
-        spec = path.levels(float(k))
+    ks = np.linspace(0.0, 1.0, samples)
+    for k, spec in zip(ks.tolist(), path.spectra(ks, vectors=False)):
         if len(spec.groups) < 2:
             continue
         gap = spec.group_energy(1) - spec.group_energy(0)
@@ -319,7 +350,7 @@ def min_gap(path: GroundPath, samples: int = 101) -> MinGapResult:
             all_gapless = False
         if gap < best:
             best = gap
-            best_k = float(k)
+            best_k = k
     if not math.isfinite(best):
         return MinGapResult(0.0, 0.0, math.inf, True)
     return MinGapResult(best, best_k, math.inf if all_gapless else 1.0 / best, all_gapless)
@@ -383,6 +414,39 @@ class AdiabaticResult:
     t_sim: float
 
 
+def cycle_template(plan: CyclePlan, dt: float, slot: int,
+                   scales) -> tuple[list, list, np.ndarray]:
+    """The template of a run of adiabatic steps: emit_cycle(plan, dt), per
+    instruction its FusedCycle slot, and per scale s whether
+    emit_cycle(plan, dt, s) is that template with its angles times s.
+
+    The slot is `slot` for the field layer and the gates, whose angles
+    emit_cycle scales by s, and None for cycle_body's layers, which it
+    leaves alone. A scale keeps the template's shape when it is nonzero, no
+    gate angle becomes exactly zero, and the field layer acts on the same
+    qubits (a site can cross FIELD_ANGLE_FLOOR or the identity tolerance).
+    """
+    template = emit_cycle(plan, dt)
+    scales = np.asarray(scales, dtype=float)
+    regular = scales != 0.0
+    thetas = [ins.theta for ins in template if isinstance(ins, RawGate)]
+    if thetas:
+        regular &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
+    field = None
+    if plan.field_axes is not None:
+        fields = [field_angles(plan, dt * s) for s in [1.0, *scales.tolist()]]
+        # LoweredLayer's identity test, once over every (scale, site)
+        none = (np.zeros(plan.n_qubits), np.zeros((plan.n_qubits, 3)))
+        theta, axes = (np.concatenate(a) for a in zip(*(f or none for f in fields)))
+        active = np.zeros(theta.size, dtype=bool)
+        active[list(LoweredLayer(np.zeros(theta.size), theta, axes).active)] = True
+        shape = np.c_[[f is not None for f in fields], active.reshape(len(fields), -1)]
+        regular &= np.all(shape[1:] == shape[0], axis=1)
+        field = template[0] if fields[0] else None
+    slots = [slot if isinstance(ins, RawGate) or ins is field else None for ins in template]
+    return template, slots, regular
+
+
 def adiabatic_run(
     config: AdiabaticConfig,
     hw,
@@ -419,13 +483,18 @@ def adiabatic_batch(
     depends on the batch size). Step k runs emit_cycle(plan_initial, dt, k)
     followed by emit_cycle(plan_target, dt, 1 - k).
 
-    Both plans' cycles at scale 1 (engine.cycle_template) form one template
-    FusedCycle, built once. Steps that keep the template's shape run as its
-    occurrences with scales (k, 1 - k), each run of them up to and including
-    the next recorded step, where the trajectory is sampled. Any other step,
-    such as the final k = 0 of both ramps or one where a field site or a
-    gate angle drops out, runs as a FusedCycle of its own emit_cycle
-    instructions, built where it runs.
+    Both plans' cycles at scale 1 (cycle_template) form one template
+    FusedCycle, built once. Each run of consecutive steps that keep the
+    template's shape is its occurrences with scales (k, 1 - k), run in
+    passes of many steps; a recorded step does not end a pass, the pass
+    copies the states out after it. Any other step, such as the final
+    k = 0 of both ramps or one where a field site or a gate angle drops
+    out, runs as a FusedCycle of its own emit_cycle instructions, built
+    where it runs. The copied states wait until a chunk of them is held
+    (GroundPath.chunk, and at most _CHUNK_ENTRIES amplitudes) or the run
+    ends; their spectra are then decomposed as one chunk of k
+    (GroundPath.spectra) and the trajectory sampled from them. The exact
+    stepper steps and samples through the same chunks of spectra.
     """
     h_i, h_t = config.h_initial, config.h_target
     if not seeds:
@@ -451,38 +520,60 @@ def adiabatic_batch(
     recorded = np.array([config.record_every > 0 and (s % config.record_every == 0
                                                       or s == config.steps)
                          for s in range(1, config.steps + 1)], dtype=bool)
-    etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
-    regular = np.zeros(config.steps, dtype=bool)
-    if config.stepper == "trotter":
+
+    def sample(s, spec, states):
+        """The trajectory at step s from the spectrum of H(k_s)."""
+        weights = spec.level_weights(states)
+        fidelities = weights[:, slice(*spec.groups[0])].sum(axis=1).tolist()
+        energies = (weights @ spec.eigenvalues).tolist()
+        for trajectory, fid, energy in zip(trajectories, fidelities, energies):
+            trajectory.append((s, float(ks[s - 1]), fid, energy))
+
+    index = 0
+    if config.stepper == "exact":
+        for s, spec in enumerate(path.spectra(ks), 1):
+            amps = spec.evolve(amps, dt)
+            if recorded[s - 1]:
+                sample(s, spec, amps)
+    else:
+        # recorded states are copied out mid-pass into `kept`, and sampled
+        # from one chunk of spectra once it is full or the run ends
+        kept = np.empty((min(int(recorded.sum()), path.chunk(),
+                             max(1, _CHUNK_ENTRIES // amps.size)), *amps.shape), dtype=complex)
+        held = []  # the steps whose states `kept` holds
+
+        def keep(s):
+            """Step s has run on amps."""
+            if recorded[s - 1]:
+                kept[len(held)] = amps
+                held.append(s)
+            if held and (len(held) == len(kept) or s == config.steps):
+                for step, spec, states in zip(held, path.spectra(ks[np.array(held) - 1]), kept):
+                    sample(step, spec, states)
+                held.clear()
+
+        etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
         (ins_i, slots_i, regular_i), (ins_t, slots_t, regular_t) = (
             cycle_template(plan_initial, dt, 0, ks), cycle_template(plan_target, dt, 1, 1.0 - ks))
         regular = regular_i & regular_t
-    if regular.any():
-        cycle = FusedCycle(ins_i + ins_t, n, *etas, slots_i + slots_t)
-    index = s = 0  # steps 1..s have run
-    while s < config.steps:
-        stop = s + 1
-        if config.stepper == "exact":
-            amps = path.spectrum(float(ks[s])).evolve(amps, dt)
-        elif regular[s]:
-            while stop < config.steps and regular[stop] and not recorded[stop - 1]:
-                stop += 1
-            run = ks[s:stop]
-            index = cycle.execute(amps, stop - s, rngs, None, index,
-                                  np.column_stack([run, 1.0 - run]))
-        else:
-            k = float(ks[s])
-            ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
-            index = FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None, index)
-        s = stop
-        if recorded[s - 1]:
-            k = float(ks[s - 1])
-            spec = path.spectrum(k)
-            weights = spec.level_weights(amps)
-            fidelities = weights[:, slice(*spec.groups[0])].sum(axis=1).tolist()
-            energies = (weights @ spec.eigenvalues).tolist()
-            for trajectory, fid, energy in zip(trajectories, fidelities, energies):
-                trajectory.append((s, k, fid, energy))
+        if regular.any():
+            cycle = FusedCycle(ins_i + ins_t, n, *etas, slots_i + slots_t)
+        s = 0  # steps 1..s have run
+        while s < config.steps:
+            stop = s + 1
+            if regular[s]:
+                while stop < config.steps and regular[stop]:
+                    stop += 1
+                run = ks[s:stop]
+                after = (lambda j, s=s: keep(s + j + 1)) if len(kept) else None
+                index = cycle.execute(amps, stop - s, rngs, None, index,
+                                      np.column_stack([run, 1.0 - run]), after)
+            else:
+                k = float(ks[s])
+                ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
+                index = FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None, index)
+                keep(stop)
+            s = stop
     final = path.spectrum(0.0)
     results = []
     for row, trajectory in zip(amps, trajectories):

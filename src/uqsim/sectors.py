@@ -113,7 +113,8 @@ class Sectors:
     row. `part_sizes` lists the sizes of the parts, ascending: `parts`
     returns one (p, d, d) stack of part matrices per size, decomposed in
     one stacked call, and `expand` turns their eigenpairs back into
-    per-block eigenvalues and eigenvectors over basis states.
+    per-block eigenvalues and eigenvectors over basis states, for one k of
+    a path or a chunk of them on a leading axis.
     """
 
     def __init__(self, n_qubits: int, hamiltonians: tuple[Hamiltonian, ...]):
@@ -253,37 +254,41 @@ class Sectors:
         return [p.real if np.iscomplexobj(p) and not p.imag.any() else p for p in out]
 
     def expand(self, solved, vectors: bool = True):
-        """Per stack, the eigenvalues (m, d) of every block and, with
-        vectors, its eigenvector columns (m, d, d) over the block's basis
-        states, from `solved`: per part stack, the (eigenvalues,
-        eigenvectors) of its parts. A block copies the eigenpairs of the
-        decomposed block of its orbit; each part's eigenvectors are mapped
-        through the block's adapted basis. vectors=False gives None for the
-        eigenvectors."""
+        """Per stack, the eigenvalues (..., m, d) of every block and, with
+        vectors, its eigenvector columns (..., m, d, d) over the block's
+        basis states, from `solved`: per part stack, the eigenvalues
+        (..., p, d) and eigenvectors (..., p, d, d) of its parts, with the
+        same leading axes throughout (one per k of a path's chunk). A block
+        copies the eigenpairs of the decomposed block of its orbit; each
+        part's eigenvectors are mapped through the block's adapted basis.
+        vectors=False gives None for the eigenvectors."""
         levels, vecs = {}, {}
         for b, (_, _, sums, sizes, slots) in self._home_rows.items():
-            levels[b] = np.concatenate([solved[p][0][j] for p, j in slots])
+            levels[b] = np.concatenate([solved[p][0][..., j, :] for p, j in slots], axis=-1)
             if not vectors:
                 continue
-            parts = [solved[p][1][j] for p, j in slots]
+            parts = [solved[p][1][..., j, :, :] for p, j in slots]
             if sums is None:
                 vecs[b] = parts[0]
                 continue
-            vecs[b] = np.zeros((sum(sizes), sum(sizes)), dtype=np.result_type(*parts))
+            d = sum(sizes)
+            vecs[b] = np.zeros((*parts[0].shape[:-2], d, d), dtype=np.result_type(*parts))
             lo = 0
             for (at, coef), v in zip(sums, parts):
                 for a, c in zip(at, coef):  # U v, the positions of one s distinct
-                    vecs[b][a, lo:lo + v.shape[1]] += c[:, None] * v
-                lo += v.shape[1]
-        out_levels = tuple(self._per_row(levels, s) for s in range(len(self.stacks)))
+                    vecs[b][..., a, lo:lo + v.shape[-1]] += c[:, None] * v
+                lo += v.shape[-1]
+        out_levels = tuple(self._per_row(levels, s, 1) for s in range(len(self.stacks)))
         if not vectors:
             return out_levels, None
-        return out_levels, tuple(self._per_row(vecs, s) for s in range(len(self.stacks)))
+        return out_levels, tuple(self._per_row(vecs, s, 2) for s in range(len(self.stacks)))
 
-    def _per_row(self, per_home: dict, s: int) -> np.ndarray:
-        """The arrays of stack s's decomposed blocks, one per row of the
-        stack: a read-only view when the stack copies one block."""
+    def _per_row(self, per_home: dict, s: int, tail: int) -> np.ndarray:
+        """The arrays of stack s's decomposed blocks, each with `tail`
+        trailing axes, one per row of the stack on a new axis before them:
+        a read-only view when the stack copies one block."""
         homes, copies = self._homes[s], self._copies[s]
         if len(homes) == 1:
-            return np.broadcast_to(per_home[homes[0]], (len(copies), *per_home[homes[0]].shape))
-        return np.array([per_home[b] for b in homes])[copies]
+            one = np.expand_dims(per_home[homes[0]], -1 - tail)
+            return np.broadcast_to(one, (*one.shape[:-1 - tail], len(copies), *one.shape[-tail:]))
+        return np.stack([per_home[b] for b in homes], axis=-1 - tail).take(copies, axis=-1 - tail)

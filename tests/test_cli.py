@@ -683,6 +683,17 @@ def test_a_subcommand_rejects_flags_it_does_not_read(command, flag, value):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["adiabatic", "simulate"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_rejected_naming_the_flag(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "x.cfg", "--jobs", jobs])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+    # the value the benchmark passes stays valid
+    assert build_parser().parse_args([command, "--config", "x.cfg", "--jobs", "1"]).jobs == 1
+
+
 @pytest.mark.parametrize("command", sorted(CONFIG_BASES))
 def test_unseeded_commands_record_no_seed(tmp_path, command):
     write(tmp_path / "zz.ham", "1.0 Z Z\n")

@@ -361,6 +361,16 @@ class TestGroundPath:
         assert len(res.trajectory) == steps
         assert len(calls) <= steps + 1
 
+    def test_bundled_fig4a_decomposes_in_chunks_of_k(self, monkeypatch, tmp_path):
+        # start state, 100 recorded steps in chunks of 15, the final
+        # histogram, and the 41-point gap scan in one chunk
+        from uqsim.cli import main
+
+        calls = self.count_decompositions(monkeypatch)
+        assert main(["adiabatic", "--config", "fig4a.cfg", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 10
+        assert sorted({shapes[0][0] for shapes in calls}) == [1, 10, 15, 41]
+
     def test_path_for_other_hamiltonians_rejected(self):
         cfg = AdiabaticConfig(self.init, self.target, steps=3, theta1=0.05)
         other = GroundPath(nn_chain("xx", 3), self.target)

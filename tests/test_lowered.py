@@ -15,7 +15,9 @@ from uqsim.compiler import (
     PulseSchedule,
     RawGate,
     RawGateSpec,
+    FIELD_ANGLE_FLOOR,
     emit_cycle,
+    field_angles,
     plan_for_hamiltonian,
     protocol_library,
 )
@@ -24,7 +26,6 @@ from uqsim.engine import (
     ErrorModel,
     ExecutionLog,
     StateVector,
-    cycle_template,
     execute_batch,
     execute_instructions,
     run_schedule,
@@ -37,6 +38,7 @@ from uqsim.experiments import (
     adiabatic_batch,
     adiabatic_run,
     build_model,
+    cycle_template,
     error_sweep,
     nn_chain,
     protocol_for_model,
@@ -376,7 +378,7 @@ def spy_generators(monkeypatch):
 @pytest.mark.parametrize("etas", [(0.0, 0.0), (0.03, 0.02), (0.04, 0.0), (0.0, 0.03)])
 @pytest.mark.parametrize("case", sorted(ADIABATIC_CASES))
 def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
-    # steps 4 and 8 are recorded and end a run of fused occurrences (in
+    # steps 4 and 8 are recorded inside one run of fused occurrences (in
     # passes of a few steps); the final k = 0 step 12 runs on its own
     monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
     fused = spy_fused(monkeypatch)
@@ -388,7 +390,7 @@ def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
                           error_model=error_model(etas, 6), record_every=4)
     path = GroundPath(init, target)
     result = adiabatic_run(cfg, hw, plan_target=plan_t, ground_path=path)
-    assert fused == [4, 4, 3, 1]
+    assert fused == [11, 1]
     ref = oracles.reference_adiabatic_amps(cfg, plan_for_hamiltonian(init, hw), plan_t)
     assert np.max(np.abs(result.final_state.amps - ref)) <= AMP_TOL
     for seeds in ([6], [6, 7, 8]):
@@ -402,7 +404,7 @@ def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
             assert [g.bit_generator.state for g in made] == [g.bit_generator.state for g in rngs]
 
 
-def test_recorded_and_irregular_steps_end_fused_passes(monkeypatch):
+def test_irregular_steps_end_fused_passes_and_recorded_steps_do_not(monkeypatch):
     model, hw, _ = ADIABATIC_CASES["dipole-uqs1"]()
     plan_t = protocol_for_model(model, hw)
     cfg = AdiabaticConfig(nn_chain("zz", 3), build_model(model), steps=10, theta1=0.1,
@@ -413,7 +415,66 @@ def test_recorded_and_irregular_steps_end_fused_passes(monkeypatch):
     assert fused == [9, 1]
     fused.clear()
     adiabatic_run(replace(cfg, record_every=1), hw, plan_target=plan_t)
-    assert fused == [1] * 10  # every step recorded
+    assert fused == [9, 1]  # every step recorded, copied out mid-pass
+
+
+def reference_trajectory(cfg, hw, plan_t, seed, start):
+    """The trajectory and generator of adiabatic_run(cfg) at `seed`, step
+    by step: each step's emit_cycle instructions one at a time through
+    oracles.reference_execute, and at each recorded step the ground-space
+    weight and the energy from a dense eigh of H(k)."""
+    n = cfg.h_initial.n_qubits
+    plan_i = plan_for_hamiltonian(cfg.h_initial, hw)
+    dt = cfg.theta1 / max(plan_i.max_unit_angle(), plan_t.max_unit_angle())
+    dense_i, dense_t = (oracles.dense_hamiltonian(n, [(t.coeff, t.ops) for t in h.terms])
+                        for h in (cfg.h_initial, cfg.h_target))
+    rng = replace(cfg.error_model, seed=seed).rng()
+    amps, trajectory = start.copy(), []
+    ramp = cfg.ramp_fn()
+    for s in range(1, cfg.steps + 1):
+        k = ramp(s / cfg.steps)
+        oracles.reference_execute(amps, n, emit_cycle(plan_i, dt, k) + emit_cycle(plan_t, dt, 1.0 - k),
+                                  cfg.error_model, rng)
+        if s % cfg.record_every == 0 or s == cfg.steps:
+            m = k * dense_i + (1.0 - k) * dense_t
+            w, v = np.linalg.eigh(m)
+            tol = 1e-8 * max(1.0, w[-1] - w[0])
+            ground = int(np.argmax(np.r_[np.diff(w) >= tol, True])) + 1
+            fid = float(np.sum(np.abs(v[:, :ground].conj().T @ amps) ** 2))
+            trajectory.append((s, k, fid, float(np.real(np.vdot(amps, m @ amps)))))
+    return trajectory, rng
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("case", ["dipole-uqs1", "heisenberg-field-uqs1", "random-ising-uqs2"])
+def test_recorded_run_matches_step_by_step_trajectory(monkeypatch, case, record_every):
+    # passes of a few steps, and recorded states sampled in chunks of two
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
+    monkeypatch.setattr(GroundPath, "chunk", lambda self, vectors=True: 2)
+    model, hw, chain = ADIABATIC_CASES[case]()
+    target = build_model(model)
+    init = nn_chain(chain, model.geometry.n_sites)
+    plan_t = protocol_for_model(model, hw)
+    cfg = AdiabaticConfig(init, target, steps=11, theta1=0.1, ramp="cosine",
+                          error_model=ErrorModel(0.03, 0.02, seed=5), record_every=record_every)
+    path = GroundPath(init, target)
+    path.start
+    made = spy_generators(monkeypatch)
+    stacked, solve = [], engine._spectrum
+    monkeypatch.setattr(engine, "_spectrum", lambda mats, *a: stacked.append(len(mats[0])) or
+                        solve(mats, *a))
+    seeds = [5, 9]
+    results = adiabatic_batch(cfg, hw, seeds, plan_target=plan_t, ground_path=path)
+    # recorded steps in chunks of two k, then the final spectrum at k = 0
+    recorded = len(results[0].trajectory)
+    assert stacked == [2] * (recorded // 2) + [1] * (recorded % 2) + [1]
+    assert len(made) == len(seeds)
+    for result, rng, seed in zip(results, made, seeds):
+        ref, ref_rng = reference_trajectory(cfg, hw, plan_t, seed, path.start)
+        assert [row[:2] for row in result.trajectory] == [row[:2] for row in ref]
+        for (_, _, fid, energy), (_, _, ref_fid, ref_energy) in zip(result.trajectory, ref):
+            assert abs(fid - ref_fid) <= AMP_TOL and abs(energy - ref_energy) <= AMP_TOL
+        assert rng.random() == ref_rng.random()  # the next draw is the same
 
 
 def test_regular_scales_keep_the_shape_of_scale_one():
@@ -435,6 +496,49 @@ def test_regular_scales_keep_the_shape_of_scale_one():
     template, slots, regular = cycle_template(replace(plan, local_fields=None), 1.0, 1, scales)
     assert regular.tolist() == [True] * 5 + [False] * 2
     assert slots == [1 if isinstance(ins, RawGate) else None for ins in template]
+
+
+def per_scale_regular(plan, dt, scales):
+    """cycle_template's regular mask by the rule it replaced: one
+    LoweredLayer per scale, its active sites compared with scale one's."""
+    template = emit_cycle(plan, dt)
+    regular = scales != 0.0
+    thetas = [ins.theta for ins in template if isinstance(ins, RawGate)]
+    if thetas:
+        regular &= np.all(np.multiply.outer(scales, thetas) != 0.0, axis=1)
+    active = [None if f is None else engine.LoweredLayer(np.zeros(plan.n_qubits), *f).active
+              for f in (field_angles(plan, dt * s) for s in [1.0, *scales])]
+    return regular & np.array([a == active[0] for a in active[1:]], dtype=bool)
+
+
+@pytest.mark.parametrize("model", ["heisenberg", "random_ising"])
+def test_field_masks_match_the_per_scale_rule(model):
+    n = 7
+    if model == "heisenberg":  # one field on every site
+        named = NamedModel("heisenberg", Geometry.chain(n), j=-1.0, b=0.4, direction=(0.6, 0.0, 0.8))
+        hw = LatticeModel(n_sites=n)
+    else:  # a field per site, one of them zero
+        named = NamedModel("random_ising", Geometry.chain(n), j_range=(0.5, 1.5), seed=3,
+                           b_list=(0.3, 0.0, 0.5, 0.2, 0.7, 0.25, 0.4))
+        hw = chain_trap(n)
+    plan = protocol_for_model(named, hw)
+    norms = plan.field_axes[0]
+    rng = np.random.default_rng(0)
+    cases, flips = 0, []
+    # a plain dt, and dts whose scale-one field sits at the identity
+    # tolerance and at FIELD_ANGLE_FLOOR, so that scales near one cross them
+    for dt in (0.1, 1.25e-14 / norms.max(), FIELD_ANGLE_FLOOR / norms[norms > 0].min()):
+        near = 1.0 + np.linspace(-0.3, 0.3, 61)
+        edge = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+        scales = np.concatenate([near, near * 1.25e-14 / (dt * norms.max()), edge,
+                                 [0.0, 1e-323, -1e-310], rng.uniform(-2.0, 2.0, 38)])
+        cases += scales.size
+        _, _, regular = cycle_template(plan, dt, 0, scales)
+        expect = per_scale_regular(plan, dt, scales)
+        assert regular.tolist() == expect.tolist()
+        flips.append(int(np.sum(expect[:-1] != expect[1:])))
+    assert cases == 498
+    assert min(flips) >= 2  # each dt's scales cross a boundary of the rule
 
 
 def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):

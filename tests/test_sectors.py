@@ -280,3 +280,51 @@ def test_trap_chain_oracle_splits_by_the_flip_only():
     assert [b.shape for b in sectors.parts(h)] == [(2, 128, 128)]
     spec = SpectrumCache.from_hamiltonian(h)
     np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(dense(h)), rtol=0, atol=1e-12)
+
+
+def field(n, axis):
+    return Hamiltonian.from_terms(n, [(1.0, "I" * q + axis + "I" * (n - q - 1)) for q in range(n)])
+
+
+BATCHED_PATHS = {
+    "fig4a": lambda: (nn_chain("zz", 7), build_model(NamedModel("dipole", Geometry.chain(7)))),
+    "fig5": lambda: (nn_chain("xx", 9), build_model(NamedModel("dipole", Geometry.chain(9)))),
+    # one Y per target term: complex parts
+    "odd-y": lambda: (field(4, "X"), field(4, "Y")),
+    # a transverse field does not conserve the magnetization
+    "no-magnetization": lambda: (nn_chain("zz", 5), field(5, "X")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_PATHS))
+def test_batched_spectra_match_one_k_spectra(monkeypatch, case):
+    h_i, h_t = BATCHED_PATHS[case]()
+    path = GroundPath(h_i, h_t)
+    if case == "odd-y":
+        assert any(np.iscomplexobj(m) for m in path.blocks(0.5))
+    if case == "no-magnetization":
+        assert not path.sectors.magnetization
+    ks = np.array([0.0, 0.2, 0.45, 0.5, 0.9, 1.0] if case != "fig5" else [0.0, 0.3, 1.0])
+    rng = np.random.default_rng(len(case))
+    dim = 1 << h_i.n_qubits
+    amps = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    # chunks of two and of every k: the cut between chunks changes nothing
+    for chunk in (2, len(ks)):
+        monkeypatch.setattr(GroundPath, "chunk", lambda self, vectors=True, c=chunk: c)
+        for vectors in (True, False):
+            batched = list(path.spectra(ks, vectors))
+            assert len(batched) == ks.size
+            for k, spec in zip(ks.tolist(), batched):
+                one = SpectrumCache.from_blocks(path.sectors, path.blocks(k), vectors)
+                assert spec.groups == one.groups
+                assert abs(spec.tol - one.tol) <= 1e-12
+                np.testing.assert_allclose(spec.eigenvalues, one.eigenvalues, rtol=0, atol=1e-12)
+                if not vectors:
+                    assert spec.eigenvectors is None
+                    continue
+                w, w_one = spec.level_weights(amps), one.level_weights(amps)
+                np.testing.assert_allclose(spec.weights(amps)[:, 0], one.weights(amps)[:, 0],
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(w @ spec.eigenvalues, w_one @ one.eigenvalues,
+                                           rtol=0, atol=1e-12)
