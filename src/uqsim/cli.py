@@ -59,7 +59,7 @@ from .experiments import (
     protocol_for_model,
     sweep_table_csv,
 )
-from .hardware import HardwareError, parse_hardware_text
+from .hardware import HardwareError, TrapArrayModel, parse_hardware_text
 from .pauli import CoeffMatrix, Hamiltonian, PauliError
 
 CONFIG_DIALECT = "ini-1"
@@ -186,10 +186,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise ValueError("a seed must be a non-negative integer")
+        raise ValueError("must be a non-negative integer")
     return value
 
 
@@ -197,7 +197,7 @@ def _run_seed(args, section) -> int | None:
     """--seed, else the section's seed=, else None; a negative seed is a
     UsageError naming where it came from."""
     if args.seed is None:
-        return config_value(section, "seed", _seed)
+        return config_value(section, "seed", _non_negative_int)
     if args.seed < 0:
         raise UsageError(f"--seed {args.seed}: a seed must be a non-negative integer")
     return args.seed
@@ -270,7 +270,7 @@ def load_named_model(cfg) -> NamedModel:
     )
     optional = (("direction", "direction", _floats), ("b_values", "b_list", _floats),
                 ("j_values", "j_map", _j_map), ("j_range", "j_range", _j_range),
-                ("seed", "seed", _seed))
+                ("seed", "seed", _non_negative_int))
     for key, name, convert in optional:
         if key in section:
             kwargs[name] = config_value(section, key, convert)
@@ -542,7 +542,7 @@ def cmd_cost(args, cfg, config_path) -> int:
     if not cfg.has_section("cost"):
         raise UsageError("config needs a [cost] section")
     section = cfg["cost"]
-    gamma = config_value(section, "gamma", float, 1.0)
+    gamma = config_value(section, "gamma", _finite_float, 1.0)
     mode = section.get("mode", "homogeneous")
     matrix = config_value(section, "matrix", _parse_matrix, CoeffMatrix(np.diag([0.0, 0.0, 1.0])))
     lines = []
@@ -561,7 +561,7 @@ def cmd_cost(args, cfg, config_path) -> int:
     if "t_prime" in section and "epsilon" in section:
         t_prime = config_value(section, "t_prime", _finite_float)
         epsilon = config_value(section, "epsilon", _finite_float)
-        n_controls = config_value(section, "n_controls", int, 1)
+        n_controls = config_value(section, "n_controls", _non_negative_int, 1)
         report = cost_report(cost_value, n_controls, trotter_cycles(cost_value, t_prime, epsilon),
                              t_prime, epsilon)
         lines.append(f"L={report.num_gates}")
@@ -573,17 +573,16 @@ def cmd_cost(args, cfg, config_path) -> int:
     return EXIT_OK
 
 
-def _groups(text: str) -> list[list[int]]:
-    return [list(_ints(chunk)) for chunk in text.split(";") if chunk.strip()]
-
-
 def cmd_crosstalk(args, cfg, config_path) -> int:
     from .hardware import crosstalk_report
 
     if not cfg.has_section("crosstalk"):
         raise UsageError("config needs a [crosstalk] section")
     hw = load_hardware(cfg, config_path)
-    groups = config_value(cfg["crosstalk"], "groups", _groups, [])
+    if not isinstance(hw, TrapArrayModel):
+        raise UsageError("crosstalk needs a uqs2 [hardware] description")
+    groups = config_value(cfg["crosstalk"], "groups", lambda text: [
+        hw.pushed_ions(_ints(chunk)) for chunk in text.split(";") if chunk.strip()], [])
     if not groups:
         raise UsageError("[crosstalk] needs groups= (e.g. '0 1; 11 12')")
     report = crosstalk_report(hw, groups)

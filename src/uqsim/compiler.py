@@ -154,14 +154,18 @@ class FeasibilityResult:
 EIGENVALUE_REL_TOL = 1e-10
 
 
+def _check_gamma(gamma: float):
+    if not (math.isfinite(gamma) and gamma != 0.0):
+        raise CompileError(f"gamma must be finite and nonzero, got {gamma}")
+
+
 def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
     """Sign rule for simulating a symmetric interaction with homogeneous control.
 
     Feasible iff every non-vanishing eigenvalue of M has the sign of gamma;
     the minimal time cost is then (sum of eigenvalues) / gamma.
     """
-    if gamma == 0.0:
-        raise CompileError("gamma must be nonzero")
+    _check_gamma(gamma)
     if not m.is_symmetric(1e-10):
         raise CompileError("asymmetric interaction matrix cannot arise from homogeneous control")
     evals = m.eigenvalues()
@@ -181,8 +185,7 @@ def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
 
 def inhomogeneous_cost(m: CoeffMatrix, gamma: float) -> float:
     """Optimal time cost with per-qubit control: sum of singular values / |gamma|."""
-    if gamma == 0.0:
-        raise CompileError("gamma must be nonzero")
+    _check_gamma(gamma)
     return float(np.sum(m.singular_values())) / abs(gamma)
 
 

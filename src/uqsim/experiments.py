@@ -29,7 +29,7 @@ from .engine import (
     _check_dense,
     ground_state,
 )
-from .hardware import LatticeModel, TrapArrayModel, displacement_classes
+from .hardware import LatticeModel, TrapArrayModel, displacement_classes, inv_cube
 from .pauli import Hamiltonian
 
 
@@ -76,8 +76,7 @@ class Geometry:
         return math.dist(self.positions[a], self.positions[b])
 
     def inv_cube(self, a: int, b: int) -> float:
-        d = self.distance(a, b)
-        return 1.0 / (d * d * d)
+        return inv_cube(self.positions[a], self.positions[b])
 
     def all_pairs(self):
         n = self.n_sites

@@ -11,6 +11,7 @@ the crosstalk law for parallel scheduling.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -37,6 +38,21 @@ class HardwareError(Exception):
 def _check_gamma(gamma: float):
     if not (math.isfinite(gamma) and gamma != 0.0):
         raise HardwareError(f"gamma must be finite and nonzero, got {gamma}")
+
+
+def _points(positions) -> tuple[tuple[float, ...], ...]:
+    """Positions as coordinate tuples (a scalar is a 1D point), all finite."""
+    pos = tuple((float(p),) if np.isscalar(p) else tuple(float(x) for x in p) for p in positions)
+    for i, p in enumerate(pos):
+        if not all(math.isfinite(x) for x in p):
+            raise HardwareError(f"position {i} is not finite: {p}")
+    return pos
+
+
+def inv_cube(p: Sequence[float], q: Sequence[float]) -> float:
+    """The 1/d^3 law of the dipole coupling and the push phase."""
+    d = math.dist(p, q)
+    return 1.0 / (d * d * d)
 
 
 @dataclass(frozen=True)
@@ -75,9 +91,11 @@ class LatticeModel:
         object.__setattr__(self, "available_j", js)
 
     def site_index(self, *coords: int) -> int:
-        if self.dims == 1:
-            return coords[0]
-        return coords[0] * self.shape[1] + coords[1]
+        """Row-major index of the site at `coords`."""
+        index = 0
+        for c, size in zip(coords, self.shape):
+            index = index * size + c
+        return index
 
 
 @dataclass(frozen=True)
@@ -91,34 +109,38 @@ class TrapArrayModel:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        pos = tuple(
-            (float(p),) if np.isscalar(p) else tuple(float(x) for x in p)
-            for p in self.positions
-        )
+        for name in ("kappa", "crosstalk_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise HardwareError(f"{name} must be finite, got {getattr(self, name)}")
+        pos = _points(self.positions)
         if len(pos) < 2:
             raise HardwareError("need at least 2 traps")
         ndim = len(pos[0])
         if any(len(p) != ndim for p in pos):
             raise HardwareError("positions must share dimensionality")
-        for a in range(len(pos)):
-            for b in range(a + 1, len(pos)):
-                d = math.dist(pos[a], pos[b])
-                if d < 1.0 - 1e-12:
-                    raise HardwareError(
-                        f"traps {a} and {b} are {d} apart; separations must be >= 1"
-                    )
+        for a, b in itertools.combinations(range(len(pos)), 2):
+            d = math.dist(pos[a], pos[b])
+            if not 1.0 - 1e-12 <= d <= 1e100:  # so that every 1/d^3 is a normal float
+                raise HardwareError(
+                    f"traps {a} and {b} are {d} apart; separations must lie in [1, 1e100]")
         object.__setattr__(self, "positions", pos)
 
     @property
     def n_ions(self) -> int:
         return len(self.positions)
 
-    def distance(self, a: int, b: int) -> float:
-        return math.dist(self.positions[a], self.positions[b])
-
     def inv_cube_distance(self, a: int, b: int) -> float:
-        d = self.distance(a, b)
-        return 1.0 / (d * d * d)
+        return inv_cube(self.positions[a], self.positions[b])
+
+    def pushed_ions(self, ions: Iterable[int]) -> tuple[int, ...]:
+        """The distinct ions of a push, ascending: at least 2, each in the array."""
+        out = tuple(sorted(set(int(i) for i in ions)))
+        if len(out) < 2:
+            raise HardwareError(f"a push needs at least 2 distinct ions, got {list(out)}")
+        for i in out:
+            if not 0 <= i < self.n_ions:
+                raise HardwareError(f"ion {i} outside the array 0..{self.n_ions - 1}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -173,47 +195,28 @@ def displacement_gate_id(disp: tuple[int, ...]) -> str:
 def _class_pairs(model: LatticeModel, disp: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """Distinct unordered pairs (a, b, multiplicity) reached by a displacement."""
     counts: dict[tuple[int, int], int] = {}
-    if model.dims == 1:
-        (j,) = disp
-        rng = range(model.n_sites) if model.boundary == "periodic" else range(model.n_sites - j)
-        for a in rng:
-            b = (a + j) % model.n_sites
-            if a == b:
-                continue
+    periodic = model.boundary == "periodic"
+    for site in itertools.product(*(range(size) for size in model.shape)):
+        moved = [x + dx for x, dx in zip(site, disp)]
+        if periodic:
+            moved = [x % size for x, size in zip(moved, model.shape)]
+        elif not all(0 <= x < size for x, size in zip(moved, model.shape)):
+            continue
+        a, b = model.site_index(*site), model.site_index(*moved)
+        if a != b:
             key = (min(a, b), max(a, b))
             counts[key] = counts.get(key, 0) + 1
-    else:
-        rows, cols = model.shape
-        dr, dc = disp
-        for r in range(rows):
-            for c in range(cols):
-                r2, c2 = r + dr, c + dc
-                if model.boundary == "periodic":
-                    r2 %= rows
-                    c2 %= cols
-                elif not (0 <= r2 < rows and 0 <= c2 < cols):
-                    continue
-                a, b = model.site_index(r, c), model.site_index(r2, c2)
-                if a == b:
-                    continue
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
     return tuple((a, b, m) for (a, b), m in sorted(counts.items()))
 
 
 def displacement_classes(model: LatticeModel):
     """All (displacement, pairs-with-multiplicity) classes the model offers."""
     out = []
-    if model.dims == 1:
-        disps = [(j,) for j in sorted(model.available_j)]
-    else:
-        disps = []
-        for j in sorted(model.available_j):
-            disps.extend([(0, j), (j, 0), (j, j), (j, -j)])
-    for disp in disps:
-        pairs = _class_pairs(model, disp)
-        if pairs:
-            out.append((disp, pairs))
+    for j in sorted(model.available_j):
+        for disp in [(j,)] if model.dims == 1 else [(0, j), (j, 0), (j, j), (j, -j)]:
+            pairs = _class_pairs(model, disp)
+            if pairs:
+                out.append((disp, pairs))
     return out
 
 
@@ -227,19 +230,19 @@ def uqs1_gate(model: LatticeModel, displacement, theta: float) -> tuple[Hamilton
     pairs = _class_pairs(model, disp)
     if not pairs:
         raise HardwareError(f"displacement {disp} reaches no pairs on this lattice")
+    gate = RawGate(displacement_gate_id(disp), theta,
+                   tuple((a, b, float(mult)) for a, b, mult in pairs))
+    return _zz_generator(model.n_sites, gate.targets), gate
+
+
+def _zz_generator(n_qubits: int, targets) -> Hamiltonian:
+    """sum_(a, b, w) w Z_a Z_b over a gate's targets."""
     terms = []
-    for a, b, mult in pairs:
-        ops = ["I"] * model.n_sites
-        ops[a] = "Z"
-        ops[b] = "Z"
-        terms.append((float(mult), "".join(ops)))
-    generator = Hamiltonian.from_terms(model.n_sites, terms)
-    gate = RawGate(
-        displacement_gate_id(disp),
-        theta,
-        tuple((a, b, float(mult)) for a, b, mult in pairs),
-    )
-    return generator, gate
+    for a, b, w in targets:
+        ops = ["I"] * n_qubits
+        ops[a] = ops[b] = "Z"
+        terms.append((w, "".join(ops)))
+    return Hamiltonian.from_terms(n_qubits, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +254,16 @@ def uqs2_push(model: TrapArrayModel, pushed: Iterable[int], theta_base: float) -
 
     Every pair of pushed ions couples -- crosstalk is physical, not optional.
     """
-    ions = sorted(set(int(i) for i in pushed))
-    if len(ions) < 2:
-        raise HardwareError("need at least 2 pushed ions")
-    for i in ions:
-        if not (0 <= i < model.n_ions):
-            raise HardwareError(f"ion index {i} out of range")
-    terms = []
-    for ia, a in enumerate(ions):
-        for b in ions[ia + 1 :]:
-            ops = ["I"] * model.n_ions
-            ops[a] = "Z"
-            ops[b] = "Z"
-            terms.append((theta_base * model.inv_cube_distance(a, b), "".join(ops)))
-    return Hamiltonian.from_terms(model.n_ions, terms)
+    targets = push_gate(model, pushed, theta_base).targets
+    return _zz_generator(model.n_ions, ((a, b, theta_base * w) for a, b, w in targets))
 
 
 def push_gate(model: TrapArrayModel, pushed: Iterable[int], theta_base: float) -> RawGate:
     """Instruction form of :func:`uqs2_push` (weights carry the 1/d^3 law)."""
-    ions = sorted(set(int(i) for i in pushed))
-    if len(ions) < 2:
-        raise HardwareError("need at least 2 pushed ions")
-    targets = []
-    for ia, a in enumerate(ions):
-        for b in ions[ia + 1 :]:
-            targets.append((a, b, model.inv_cube_distance(a, b)))
-    return RawGate("push:" + ",".join(str(i) for i in ions), theta_base, tuple(targets))
+    ions = model.pushed_ions(pushed)
+    targets = tuple((a, b, model.inv_cube_distance(a, b))
+                    for a, b in itertools.combinations(ions, 2))
+    return RawGate("push:" + ",".join(str(i) for i in ions), theta_base, targets)
 
 
 def theta_from_pulse(
@@ -309,11 +296,9 @@ def crosstalk_report(model: TrapArrayModel, pair_groups: Sequence[Iterable[int]]
     A set of simultaneously pushed groups is scheduled concurrently only when
     every cross-group ratio stays below the model threshold.
     """
-    groups = [sorted(set(int(i) for i in g)) for g in pair_groups]
+    groups = [model.pushed_ions(g) for g in pair_groups]
     seen: set[int] = set()
     for g in groups:
-        if len(g) < 2:
-            raise HardwareError("each pushed group needs at least 2 ions")
         overlap = seen.intersection(g)
         if overlap:
             raise HardwareError(f"groups overlap on ions {sorted(overlap)}")
@@ -322,12 +307,9 @@ def crosstalk_report(model: TrapArrayModel, pair_groups: Sequence[Iterable[int]]
     max_ratio = 0.0
     for gi in range(len(groups)):
         for gj in range(gi + 1, len(groups)):
-            intended = min(
-                model.inv_cube_distance(a, b)
-                for grp in (groups[gi], groups[gj])
-                for ia, a in enumerate(grp)
-                for b in grp[ia + 1 :]
-            )
+            intended = min(model.inv_cube_distance(a, b)
+                           for grp in (groups[gi], groups[gj])
+                           for a, b in itertools.combinations(grp, 2))
             parasitic = max(
                 model.inv_cube_distance(a, b) for a in groups[gi] for b in groups[gj]
             )
@@ -394,6 +376,13 @@ class BeamSolution:
     has_negative: bool
 
 
+def _beam_matrix(pos, f, target: int, nu0: float) -> np.ndarray:
+    """A_jk = nu0 * f(|r_j - r_k|) * (-1)^(k==target): beam k's rotation rate on atom j."""
+    a = np.array([[nu0 * f(math.dist(p, q)) for q in pos] for p in pos])
+    a[:, target] = -a[:, target]
+    return a
+
+
 def beam_compensation(
     positions: Sequence,
     f: Callable[[float], float],
@@ -407,7 +396,7 @@ def beam_compensation(
     the sign convention means the target's own beam duration comes out
     negative (flagged, see `has_negative`).
     """
-    pos = [(p,) if np.isscalar(p) else tuple(p) for p in positions]
+    pos = _points(positions)
     n = len(pos)
     if not (0 <= target < n):
         raise HardwareError("target index out of range")
@@ -421,12 +410,7 @@ def beam_compensation(
         if val > last + 1e-12:
             raise HardwareError("beam profile must be monotone decreasing in distance")
         last = val
-    a = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            a[j, k] = nu0 * f(math.dist(pos[j], pos[k]))
-            if k == target:
-                a[j, k] = -a[j, k]
+    a = _beam_matrix(pos, f, target, nu0)
     cond = float(np.linalg.cond(a))
     if not math.isfinite(cond) or cond > 1e12:
         raise HardwareError(
@@ -442,14 +426,7 @@ def beam_compensation(
 
 def compensation_angles(solution: BeamSolution, positions, f, target, nu0=1.0) -> np.ndarray:
     """Reconstructed per-atom rotation angles from the solved durations."""
-    pos = [(p,) if np.isscalar(p) else tuple(p) for p in positions]
-    n = len(pos)
-    out = np.zeros(n)
-    for j in range(n):
-        for k in range(n):
-            sgn = -1.0 if k == target else 1.0
-            out[j] += nu0 * solution.durations[k] * f(math.dist(pos[j], pos[k])) * sgn
-    return out
+    return _beam_matrix(_points(positions), f, target, nu0) @ solution.durations
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import Hamiltonian, _parity, commutator
+from .pauli import COEFF_PRUNE_TOL, Hamiltonian, TermTable, _parity
 
 
 def _reversed_bits(v: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -18,6 +18,26 @@ def _reversed_bits(v: np.ndarray, n_qubits: int) -> np.ndarray:
     for q in range(n_qubits):
         out |= ((v >> q) & 1) << (n_qubits - 1 - q)
     return out
+
+
+def _conserves_popcount(n_qubits: int, table: TermTable) -> bool:
+    """Whether the terms commute with sum_q Z_q, to pauli.commutator's pruning.
+
+    A term c P = c i^n_y X^x Z^z with q in x anticommutes with Z_q, and
+    Z_q c P = -c i^n_y X^x Z^(z ^ 2^q). So [H, sum_q Z_q] has, per string
+    (x, z ^ 2^q), twice the sum of c i^n_y over the terms reaching it, up
+    to a phase of that string; commutator drops one below COEFF_PRUNE_TOL.
+    """
+    phase = table.coeff * np.array([1, 1j, -1, -1j])[table.n_y % 4]
+    keys, values = [], []
+    for q in range(n_qubits):
+        flips = (table.x_mask >> q) & 1 == 1
+        keys.append((table.x_mask[flips] << n_qubits) | (table.z_mask[flips] ^ (1 << q)))
+        values.append(phase[flips])
+    _, at = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(at.size, dtype=complex)
+    np.add.at(sums, at, np.concatenate(values))
+    return bool(np.all(np.abs(sums) < COEFF_PRUNE_TOL / 2))
 
 
 def _symmetries(n_qubits: int, hamiltonians) -> list[tuple[np.ndarray, tuple[int, int]]]:
@@ -92,8 +112,8 @@ class Sectors:
     GF(2) span of all the strings' x_masks are invariant blocks: the
     Z-string symmetries of the symplectic picture (Aaronson & Gottesman,
     quant-ph/0406196). When every Hamiltonian commutes with sum_q Z_q, as
-    pauli.commutator decides, each coset splits further by popcount
-    (`magnetization`).
+    _conserves_popcount decides from the term tables, each coset splits
+    further by popcount (`magnetization`).
 
     The spin flip and the mirror (`flip`, `mirror`; _symmetries finds them
     from the term tables, nothing switches them) permute these blocks. Only
@@ -129,9 +149,7 @@ class Sectors:
         key = states
         for b in basis:  # clears every leading bit: one label per coset
             key = np.minimum(key, key ^ b)
-        total_z = Hamiltonian.from_terms(
-            n_qubits, [(1.0, "I" * q + "Z" + "I" * (n_qubits - q - 1)) for q in range(n_qubits)])
-        self.magnetization = all(not commutator(h, total_z) for h in hamiltonians)
+        self.magnetization = all(_conserves_popcount(n_qubits, h.table) for h in hamiltonians)
         if self.magnetization:
             key = key * (n_qubits + 1) + sum((states >> q) & 1 for q in range(n_qubits))
         self._layout(key, _symmetries(n_qubits, hamiltonians))

@@ -33,6 +33,7 @@ HEISENBERG_CHAIN3 = "\n".join(
 
 UQS1_3 = "[hardware]\nplatform = uqs1\nsites = 3\nboundary = open\navailable_j = all\ngamma = 1.0\n"
 UQS2_2 = "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1\n"
+UQS2_4 = "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2 ; 3\n"
 
 
 class TestCompile:
@@ -510,6 +511,22 @@ class TestCostAndCrosstalk:
         assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("positions", "0 ; nan ; 2 ; 3", "position 1 is not finite"),
+        ("positions", "0 ; inf ; 2 ; 3", "position 1 is not finite"),
+        ("positions", "0 ; 1 ; 2 ; 1e200", "traps 0 and 3 are 1e+200 apart"),
+        ("crosstalk_threshold", "nan", "crosstalk_threshold must be finite, got nan"),
+        ("kappa", "inf", "kappa must be finite, got inf"),
+        ("platform", "uqs1\nsites = 4", "needs a uqs2"),
+    ])
+    def test_bad_trap_array_exits_1_naming_the_value(self, tmp_path, capsys, key, value, named):
+        cfg = write(tmp_path / "x.cfg",
+                    set_value(CONFIG_BASES["crosstalk"], "hardware", key, value))
+        assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "crosstalk.txt").exists()
+
     def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
         cfg = write(
             tmp_path / "x.cfg",
@@ -624,8 +641,9 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, run, where):
 
 
 CONFIG_BASES = {
-    "cost": "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n",
-    "crosstalk": UQS2_2 + "[crosstalk]\ngroups = 0 1\n",
+    "cost": "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n"
+            "t_prime = 1.0\nepsilon = 0.01\n",
+    "crosstalk": UQS2_4 + "[crosstalk]\ngroups = 0 1\n",
     "compile": UQS2_2 + "[compile]\nhamiltonian = zz.ham\nt_prime = 1.0\n",
 }
 
@@ -651,8 +669,14 @@ def set_value(text: str, section: str, key: str, value: str) -> str:
     ("fig4b.cfg", "sweep", "repetitions", "many"),
     ("fig4b.cfg", "sweep", "steps_list", "100 1e3"),
     ("cost", "cost", "gamma", "abc"),
+    ("cost", "cost", "gamma", "inf"),
+    ("cost", "cost", "gamma", "nan"),
+    ("cost", "cost", "n_controls", "-3"),
     ("cost", "cost", "matrix", "1 0 0 ; 0 x 0 ; 0 0 1"),
     ("crosstalk", "crosstalk", "groups", "0 a ; 2 3"),
+    ("crosstalk", "crosstalk", "groups", "0 1; 2 9"),
+    ("crosstalk", "crosstalk", "groups", "-1 0; 1 2"),
+    ("crosstalk", "crosstalk", "groups", "0 1; 3 3"),
     ("compile", "compile", "t_prime", "abc"),
 ])
 def test_unparsable_config_value_exits_1_naming_the_key(tmp_path, capsys, config, section, key,
@@ -765,6 +789,38 @@ def test_mutated_bundled_configs_never_raise(config, data):
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or err.getvalue().startswith("uqsim: ")
+
+
+TRAP_EXTREMES = st.sampled_from(["nan", "inf", "-inf", "-1", "0.5", "1e100", "-1e100", "1e200",
+                                 "abc", "1 2"])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 5), data=st.data())
+def test_crosstalk_never_raises_nor_writes_non_finite(n, data):
+    # traps with non-finite, coincident or far-apart positions, any threshold,
+    # and up to 2 disjoint groups, one ion of which may be negative or past the array
+    positions = [str(i) for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 1))):
+        positions[data.draw(st.integers(0, n - 1))] = data.draw(TRAP_EXTREMES)
+    threshold = data.draw(st.sampled_from(["1e-3", "0.5", "0", "-1", "nan", "inf", "1e308"]))
+    ions = data.draw(st.permutations(range(n)))[:data.draw(st.integers(2, n))]
+    for _ in range(data.draw(st.integers(0, 1))):
+        ions[data.draw(st.integers(0, len(ions) - 1))] = data.draw(st.sampled_from([-2, -1, n, 9]))
+    cut = data.draw(st.sampled_from([len(ions), *range(2, len(ions) - 1)]))
+    groups = " ; ".join(" ".join(map(str, g)) for g in (ions[:cut], ions[cut:]) if g)
+    text = (f"[hardware]\nplatform = uqs2\npositions = {' ; '.join(positions)}\n"
+            f"crosstalk_threshold = {threshold}\n[crosstalk]\ngroups = {groups}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp) / "c.cfg", text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["crosstalk", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+        report = Path(tmp) / "out" / "crosstalk.txt"
+        written = report.read_text().lower() if code == 0 else ""
+    assert code in (0, 1), err.getvalue()
+    assert "nan" not in written and "inf" not in written, written
 
 
 EMPTY_SCHEDULE = "# pulse schedule version=1 n_qubits=2\n"

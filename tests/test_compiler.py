@@ -189,6 +189,12 @@ class TestFeasibilityAndCost:
         gamma = 0.8
         assert inhomogeneous_cost(CoeffMatrix(np.diag([0, 0, gamma])), gamma) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cost", [homogeneous_feasibility, inhomogeneous_cost])
+    def test_gamma_must_be_finite_and_nonzero(self, cost, gamma):
+        with pytest.raises(CompileError, match="gamma must be finite and nonzero"):
+            cost(CoeffMatrix(np.eye(3)), gamma)
+
     def test_random_matrix_vs_svd_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -83,6 +83,27 @@ class TestUqs1Gate:
         weights = {(a, b): w for a, b, w in gate.targets}
         assert weights == {(0, 2): 2.0, (1, 3): 2.0}
 
+    @pytest.mark.parametrize("model, disp", [
+        (LatticeModel(n_sites=5), 2),
+        (LatticeModel(n_sites=5, boundary="periodic"), 2),
+        (LatticeModel(n_sites=6, dims=2, shape=(2, 3)), (1, 1)),
+        (LatticeModel(n_sites=9, dims=2, shape=(3, 3), boundary="periodic"), (1, -1)),
+    ])
+    def test_opposite_displacements_reach_the_same_pairs(self, model, disp):
+        # one loop over sites for every dimension: -disp drives the pairs of +disp
+        minus = -disp if isinstance(disp, int) else tuple(-x for x in disp)
+        gen, gate = uqs1_gate(model, disp, 0.1)
+        gen_minus, gate_minus = uqs1_gate(model, minus, 0.1)
+        assert gen_minus == gen and gate_minus.targets == gate.targets
+        assert all(0 <= q < model.n_sites for a, b, _ in gate.targets for q in (a, b))
+
+    def test_generator_is_the_gates_targets(self):
+        model = LatticeModel(n_sites=4, boundary="periodic")
+        gen, gate = uqs1_gate(model, 2, 0.3)
+        assert gen == Hamiltonian.from_terms(
+            4, [(w, "".join("Z" if q in (a, b) else "I" for q in range(4)))
+                for a, b, w in gate.targets])
+
     def test_translation_invariance_periodic(self):
         model = LatticeModel(n_sites=5, boundary="periodic")
         gen, _ = uqs1_gate(model, 2, 0.1)
@@ -138,6 +159,37 @@ class TestUqs2Push:
     def test_needs_two_ions(self):
         with pytest.raises(HardwareError):
             uqs2_push(chain_trap(3), [1], 1.0)
+
+    @pytest.mark.parametrize("ions, named", [
+        ([1], "at least 2"), ([2, 2], "at least 2"), ([0, 4], "ion 4 outside"),
+        ([-1, 0], "ion -1 outside"),
+    ])
+    @pytest.mark.parametrize("push", [
+        lambda model, ions: uqs2_push(model, ions, 1.0),
+        lambda model, ions: push_gate(model, ions, 1.0),
+        lambda model, ions: crosstalk_report(model, [{0, 1} if 0 not in ions else {2, 3}, ions]),
+    ], ids=["uqs2_push", "push_gate", "crosstalk_report"])
+    def test_every_push_checks_one_ion_set(self, push, ions, named):
+        with pytest.raises(HardwareError, match=named):
+            push(chain_trap(4), ions)
+
+    def test_push_generator_is_theta_times_the_gates(self):
+        model = TrapArrayModel(positions=((0.0, 0.0), (1.0, 0.0), (0.0, 2.5), (3.0, 1.0)))
+        gate = push_gate(model, [3, 0, 2], 0.7)
+        assert uqs2_push(model, [0, 2, 3], 0.7) == Hamiltonian.from_terms(
+            4, [(0.7 * w, "".join("Z" if q in (a, b) else "I" for q in range(4)))
+                for a, b, w in gate.targets])
+
+    @pytest.mark.parametrize("kw, named", [
+        (dict(positions=((0.0,), (math.nan,))), "position 1 is not finite"),
+        (dict(positions=((0.0,), (-math.inf,))), "position 1 is not finite"),
+        (dict(positions=((0.0,), (2e100,))), "separations must lie in"),
+        (dict(positions=((0.0,), (1.0,)), kappa=math.nan), "kappa"),
+        (dict(positions=((0.0,), (1.0,)), crosstalk_threshold=math.inf), "crosstalk_threshold"),
+    ])
+    def test_trap_values_must_be_finite(self, kw, named):
+        with pytest.raises(HardwareError, match=named):
+            TrapArrayModel(**kw)
 
     def test_min_spacing_enforced(self):
         with pytest.raises(HardwareError):
@@ -279,6 +331,19 @@ class TestBeamCompensation:
             u = oracles.expm(-1j * phi * oracles.SX)
             expect = oracles.expm(-1j * tau * oracles.SX) if j == target else np.eye(2)
             assert oracles.op_distance(u, expect) <= 1e-8
+
+    def test_angles_are_the_beam_matrix_times_the_durations(self):
+        positions = [(0.0, 0.0), (1.0, 0.5), (2.2, 0.0), (3.0, 1.0)]
+        f, target, nu0 = gaussian_beam(0.9), 2, 1.3
+        sol = beam_compensation(positions, f, target=target, tau=0.4, nu0=nu0)
+        loop = [sum(nu0 * t * f(math.dist(p, q)) * (-1.0 if k == target else 1.0)
+                    for k, (q, t) in enumerate(zip(positions, sol.durations)))
+                for p in positions]
+        np.testing.assert_allclose(compensation_angles(sol, positions, f, target, nu0), loop,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(loop, [0.0, 0.0, 0.4, 0.0], rtol=0, atol=1e-12)
+        with pytest.raises(HardwareError, match="not finite"):
+            beam_compensation([0.0, math.nan, 2.0], f, target=0, tau=0.1)
 
     def test_coincident_atoms_singular(self):
         with pytest.raises(HardwareError):

@@ -10,12 +10,15 @@ tests/oracles.py and numpy.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from test_experiments import random_hamiltonian
 from uqsim.engine import Sectors, SpectrumCache, StateVector, ground_state
 from uqsim.experiments import Geometry, GroundPath, NamedModel, build_model, nn_chain
-from uqsim.pauli import Hamiltonian
+from uqsim.pauli import Hamiltonian, commutator
+from uqsim.sectors import _conserves_popcount
 
 
 def conserving_hamiltonian(rng, n):
@@ -164,6 +167,39 @@ def test_popcount_split_exactly_when_both_endpoints_conserve(seed):
     _, h_i, h_t = random_pair(seed)
     conserving = commutes_with_total_z(h_i) and commutes_with_total_z(h_t)
     assert GroundPath(h_i, h_t).sectors.magnetization == conserving
+
+
+COEFFS = st.sampled_from([1.0, -1.0, 0.5, -0.75])
+
+
+@st.composite
+def popcount_candidates(draw):
+    """Random strings on 1 to 5 qubits (some of I and Z only), mixed with pairs
+    c X_a X_b + c' Y_a Y_b that conserve the popcount when c' = c, and to
+    commutator's pruning when c' = c + 1e-15."""
+    n = draw(st.integers(1, 5))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(COEFFS)
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            c_y = c + draw(st.sampled_from([0.0, 1e-15, 1e-14, -2 * c]))
+            for axis, coeff in (("X", c), ("Y", c_y)):
+                ops = ["I"] * n
+                ops[a] = ops[b] = axis
+                terms.append((coeff, "".join(ops)))
+        else:
+            letters = st.sampled_from(draw(st.sampled_from(["IZ", "IXYZ"])))
+            terms.append((c, "".join(draw(st.lists(letters, min_size=n, max_size=n)))))
+    return Hamiltonian.from_terms(n, terms)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(popcount_candidates())
+def test_popcount_rule_agrees_with_commutator(h):
+    n = h.n_qubits
+    total_z = Hamiltonian.from_terms(n, [(1.0, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)])
+    assert _conserves_popcount(n, h.table) == (not commutator(h, total_z))
 
 
 def test_bundled_paths_split_as_measured():
