@@ -30,8 +30,8 @@ from .compiler import (
     cost_report,
     homogeneous_feasibility,
     inhomogeneous_cost,
-    schedule_from_text,
-    schedule_to_text,
+    schedule_from_lines,
+    schedule_text_chunks,
     trotter_cycles,
     trotter_schedule,
 )
@@ -153,11 +153,22 @@ def load_config(path: Path) -> configparser.ConfigParser:
     return cfg
 
 
-def _read_input(path: Path) -> str:
-    """The text of an input file named by a config; a file that is not
-    UTF-8 text is a UsageError naming it."""
+def _lines(fh, size: int = 1 << 16):
+    """The lines of a text file opened with newline="", as its whole text's
+    str.splitlines(keepends=True) gives them: the file's own lines, which
+    end at CR, LF or CRLF only, split again about `size` characters at a time."""
+    while batch := fh.readlines(size):
+        yield from "".join(batch).splitlines(keepends=True)
+
+
+def _read_input(path: Path, parse=None):
+    """The text of an input file named by a config, or `parse` of its
+    _lines; a file that is not UTF-8 text is a UsageError naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        if parse is None:
+            return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(_lines(fh))
     except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
@@ -183,6 +194,12 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
+    return value
+
+
+def _nonzero_finite_float(text: str) -> float:
+    if (value := _finite_float(text)) == 0.0:
+        raise ValueError("must be nonzero")
     return value
 
 
@@ -299,9 +316,22 @@ class OutputWriter:
         self.files: dict[str, str] = {}
 
     def write(self, name: str, content: str) -> Path:
-        path = self.out_dir / name
-        path.write_text(content)
-        self.files[name] = hashlib.sha256(content.encode()).hexdigest()
+        return self.write_chunks(name, (content,))
+
+    def write_chunks(self, name: str, chunks) -> Path:
+        """Write an iterable of text chunks to `name` as UTF-8, hashing them
+        as they go; a stream that raises leaves no file behind."""
+        path, digest = self.out_dir / name, hashlib.sha256()
+        try:
+            with open(path, "wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    digest.update(data)
+                    fh.write(data)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        self.files[name] = digest.hexdigest()
         return path
 
     def manifest(self, command, config_path, seed=None, extra=None):
@@ -340,7 +370,7 @@ def cmd_compile(args, cfg, config_path) -> int:
     epsilon = config_value(section, "epsilon", _finite_float, 0.01)
     schedule, report = trotter_schedule(target, t_prime, epsilon, hw)
     writer = OutputWriter(Path(args.out_dir))
-    writer.write("schedule.txt", schedule_to_text(schedule))
+    writer.write_chunks("schedule.txt", schedule_text_chunks(schedule))
     writer.write("cost.txt", report.to_text())
     doc = {
         "cost": report.as_dict(),
@@ -389,7 +419,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         raise UsageError("config needs a [simulate] section")
     section = cfg["simulate"]
     sched_path = _relative(section.get("schedule", "schedule.txt"), config_path)
-    schedule = schedule_from_text(_read_input(sched_path))
+    schedule = _read_input(sched_path, schedule_from_lines)
     init_spec = section.get("initial", "zeros")
     if init_spec == "zeros":
         state = StateVector.zero_state(schedule.n_qubits)
@@ -402,7 +432,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
     final, log = run_schedule(state, schedule, err)
     writer = OutputWriter(Path(args.out_dir))
     writer.write("state.txt", final.dump_text())
-    writer.write("execution_log.txt", log.to_text())
+    writer.write_chunks("execution_log.txt", log.text_chunks())
     summary = {"n_qubits": final.n_qubits, "norm": final.norm()}
     obs_spec = [s.strip() for s in section.get("observables", "").split(",") if s.strip()]
     if obs_spec:
@@ -542,7 +572,7 @@ def cmd_cost(args, cfg, config_path) -> int:
     if not cfg.has_section("cost"):
         raise UsageError("config needs a [cost] section")
     section = cfg["cost"]
-    gamma = config_value(section, "gamma", _finite_float, 1.0)
+    gamma = config_value(section, "gamma", _nonzero_finite_float, 1.0)
     mode = section.get("mode", "homogeneous")
     matrix = config_value(section, "matrix", _parse_matrix, CoeffMatrix(np.diag([0.0, 0.0, 1.0])))
     lines = []
@@ -581,8 +611,8 @@ def cmd_crosstalk(args, cfg, config_path) -> int:
     hw = load_hardware(cfg, config_path)
     if not isinstance(hw, TrapArrayModel):
         raise UsageError("crosstalk needs a uqs2 [hardware] description")
-    groups = config_value(cfg["crosstalk"], "groups", lambda text: [
-        hw.pushed_ions(_ints(chunk)) for chunk in text.split(";") if chunk.strip()], [])
+    groups = config_value(cfg["crosstalk"], "groups", lambda text: hw.pushed_groups(
+        _ints(chunk) for chunk in text.split(";") if chunk.strip()), [])
     if not groups:
         raise UsageError("[crosstalk] needs groups= (e.g. '0 1; 11 12')")
     report = crosstalk_report(hw, groups)

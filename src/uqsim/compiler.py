@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -459,21 +459,28 @@ def _format_instruction(ins: Instruction) -> str:
     return f"GATE {ins.gate_id} {ins.theta!r} {targets}"
 
 
-def schedule_to_text(schedule: PulseSchedule) -> str:
-    """The schedule text format; an instruction object that repeats (the
-    cycles of a Trotter schedule) is formatted once."""
+_PIECE_LINES = 1024
+
+
+def schedule_text_chunks(schedule: PulseSchedule):
+    """The schedule text format in pieces: the header line, then up to
+    _PIECE_LINES instruction lines per piece. An instruction object that
+    repeats (the cycles of a Trotter schedule) is formatted once."""
     header = f"# pulse schedule version=1 n_qubits={schedule.n_qubits}"
     for key, value in (("cycles", schedule.num_cycles), ("cycle_length", schedule.cycle_length)):
         if value is not None:
             header += f" {key}={value}"
-    lines = [header]
-    formatted: dict[int, str] = {}
-    for ins in schedule.instructions:
-        line = formatted.get(id(ins))
-        if line is None:
-            line = formatted[id(ins)] = _format_instruction(ins)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    line: dict[int, str] = {}  # id of an instruction -> its line
+    body = schedule.instructions
+    for start in range(0, len(body), _PIECE_LINES):
+        yield "".join([line.get(id(i)) or line.setdefault(id(i), _format_instruction(i) + "\n")
+                       for i in body[start:start + _PIECE_LINES]])
+
+
+def schedule_to_text(schedule: PulseSchedule) -> str:
+    """The whole text of schedule_text_chunks."""
+    return "".join(schedule_text_chunks(schedule))
 
 
 def _check_instruction(ins: Instruction, n_qubits: int) -> None:
@@ -509,9 +516,15 @@ def _parse_instruction(parts: list[str]) -> Instruction:
 
 
 def schedule_from_text(text: str) -> PulseSchedule:
-    """Parse the schedule text format; every instruction is checked against
-    the header's n_qubits (or, without one, the largest gate qubit), which
-    must lie in 1..STATEVECTOR_CAP.
+    """Parse the schedule text format: schedule_from_lines of the whole text."""
+    return schedule_from_lines(text.splitlines(keepends=True))
+
+
+def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
+    """Parse the schedule text format from its lines, as
+    str.splitlines(keepends=True) gives them; every instruction is checked
+    against the header's n_qubits (or, without one, the largest gate
+    qubit), which must lie in 1..STATEVECTOR_CAP.
 
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
@@ -523,7 +536,7 @@ def schedule_from_text(text: str) -> PulseSchedule:
     header_line = 1
     instructions: list[Instruction] = []
     parsed: dict[str, tuple[Instruction, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

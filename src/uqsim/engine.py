@@ -245,10 +245,11 @@ class ExecutionLog:
     the index of the pass's first instruction, each instruction's kind
     ("local" or "gate") and draw count, and one float array of the pass's
     mapped draws in instruction order. `entries` is a fresh list of
-    (index, kind, draws) per instruction; `to_text` writes one line per
-    instruction, which `from_text` reads back exactly. Replaying a log
-    needs only the reader and a draw source: run_schedule(..., replay=log)
-    takes every draw from the log (LogDraws) instead of the generator.
+    (index, kind, draws) per instruction. The text has one line per
+    instruction: `text_chunks` yields it one recorded pass at a time,
+    `to_text` joins them, and `from_text` reads it back exactly. Replaying
+    a log needs only the reader and a draw source: run_schedule(...,
+    replay=log) takes every draw from the log (LogDraws), not the generator.
     """
 
     def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None,
@@ -263,23 +264,29 @@ class ExecutionLog:
         values of the flat `draws`, in order."""
         self._chunks.append((index, kinds, sizes, draws))
 
-    def _rows(self):
-        for index, kinds, sizes, draws in self._chunks:
-            values, pos = draws.tolist(), 0
-            for i, (kind, k) in enumerate(zip(kinds, sizes)):
-                yield index + i, kind, values[pos:pos + k]
-                pos += k
+    @staticmethod
+    def _rows(chunk):
+        index, kinds, sizes, draws = chunk
+        values, pos = draws.tolist(), 0
+        for i, (kind, k) in enumerate(zip(kinds, sizes)):
+            yield index + i, kind, values[pos:pos + k]
+            pos += k
 
     @property
     def entries(self) -> list[tuple[int, str, tuple[float, ...]]]:
-        return [(index, kind, tuple(values)) for index, kind, values in self._rows()]
+        return [(index, kind, tuple(values))
+                for chunk in self._chunks for index, kind, values in self._rows(chunk)]
+
+    def text_chunks(self):
+        """The text format in pieces: the header line, then the lines of
+        one recorded pass per piece."""
+        yield f"# execution log rng={self.rng_algorithm} seed={self.seed}\n"
+        for chunk in self._chunks:
+            yield "".join(f"{index} {kind} {','.join(map(repr, values)) if values else '-'}\n"
+                          for index, kind, values in self._rows(chunk))
 
     def to_text(self) -> str:
-        lines = [f"# execution log rng={self.rng_algorithm} seed={self.seed}"]
-        for index, kind, values in self._rows():
-            payload = ",".join(map(repr, values)) if values else "-"
-            lines.append(f"{index} {kind} {payload}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.text_chunks())
 
     @staticmethod
     def from_text(text: str) -> "ExecutionLog":

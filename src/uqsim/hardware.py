@@ -142,6 +142,16 @@ class TrapArrayModel:
                 raise HardwareError(f"ion {i} outside the array 0..{self.n_ions - 1}")
         return out
 
+    def pushed_groups(self, groups: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+        """pushed_ions of each group; no ion may be pushed by two groups."""
+        out, seen = [self.pushed_ions(g) for g in groups], set()
+        for g in out:
+            overlap = seen.intersection(g)
+            if overlap:
+                raise HardwareError(f"groups overlap on ions {sorted(overlap)}")
+            seen.update(g)
+        return out
+
 
 @dataclass(frozen=True)
 class PulseProfile:
@@ -296,13 +306,7 @@ def crosstalk_report(model: TrapArrayModel, pair_groups: Sequence[Iterable[int]]
     A set of simultaneously pushed groups is scheduled concurrently only when
     every cross-group ratio stays below the model threshold.
     """
-    groups = [model.pushed_ions(g) for g in pair_groups]
-    seen: set[int] = set()
-    for g in groups:
-        overlap = seen.intersection(g)
-        if overlap:
-            raise HardwareError(f"groups overlap on ions {sorted(overlap)}")
-        seen.update(g)
+    groups = model.pushed_groups(pair_groups)
     ratios = []
     max_ratio = 0.0
     for gi in range(len(groups)):
@@ -609,31 +613,6 @@ def parse_hardware_text(text: str):
             gamma=float(fields.get("gamma", "1.0")),
         )
     raise HardwareError(f"unknown or missing platform {platform!r}")
-
-
-def hardware_to_text(model) -> str:
-    if isinstance(model, LatticeModel):
-        lines = [
-            "platform uqs1",
-            f"sites {model.n_sites}",
-            f"dims {model.dims}",
-            f"shape {' '.join(str(s) for s in model.shape)}",
-            f"boundary {model.boundary}",
-            f"available_j {' '.join(str(j) for j in sorted(model.available_j))}",
-            f"gamma {model.gamma!r}",
-        ]
-        return "\n".join(lines) + "\n"
-    if isinstance(model, TrapArrayModel):
-        lines = [
-            "platform uqs2",
-            f"kappa {model.kappa!r}",
-            f"gamma {model.gamma!r}",
-            f"crosstalk_threshold {model.crosstalk_threshold!r}",
-            "positions",
-        ]
-        lines += [" ".join(repr(x) for x in p) for p in model.positions]
-        return "\n".join(lines) + "\n"
-    raise HardwareError(f"unknown hardware model {type(model).__name__}")
 
 
 def _parasitic_gate(group: list[RawGate], hw: TrapArrayModel) -> RawGate | None:

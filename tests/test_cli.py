@@ -502,14 +502,15 @@ class TestCostAndCrosstalk:
         assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
         assert "max_ratio=0.0" in capsys.readouterr().out
 
-    def test_addressing_fault_after_load_keeps_exit_4(self, tmp_path, capsys):
+    def test_overlapping_groups_exit_1_naming_the_key(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "x.cfg",
             "[hardware]\nplatform = uqs2\npositions = 0 ; 1 ; 2\n"
             "[crosstalk]\ngroups = 0 1 ; 1 2\n",
         )
-        assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
-        assert "overlap" in capsys.readouterr().err
+        assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: [crosstalk] groups = ") and "overlap on ions [1]" in err
 
     @pytest.mark.parametrize("key, value, named", [
         ("positions", "0 ; nan ; 2 ; 3", "position 1 is not finite"),
@@ -671,6 +672,8 @@ def set_value(text: str, section: str, key: str, value: str) -> str:
     ("cost", "cost", "gamma", "abc"),
     ("cost", "cost", "gamma", "inf"),
     ("cost", "cost", "gamma", "nan"),
+    ("cost", "cost", "gamma", "0"),
+    ("cost", "cost", "gamma", "-0.0"),
     ("cost", "cost", "n_controls", "-3"),
     ("cost", "cost", "matrix", "1 0 0 ; 0 x 0 ; 0 0 1"),
     ("crosstalk", "crosstalk", "groups", "0 a ; 2 3"),

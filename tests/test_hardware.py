@@ -25,7 +25,6 @@ from uqsim.hardware import (
     displacement_classes,
     gaussian_beam,
     geometry_remap,
-    hardware_to_text,
     parse_hardware_text,
     push_gate,
     realize_schedule,
@@ -34,6 +33,32 @@ from uqsim.hardware import (
     uqs2_push,
 )
 from uqsim.pauli import Hamiltonian, LocalLayer, SingleQubitUnitary
+
+
+def hardware_to_text(model) -> str:
+    """The hardware text format of a model, which parse_hardware_text reads back."""
+    if isinstance(model, LatticeModel):
+        lines = [
+            "platform uqs1",
+            f"sites {model.n_sites}",
+            f"dims {model.dims}",
+            f"shape {' '.join(str(s) for s in model.shape)}",
+            f"boundary {model.boundary}",
+            f"available_j {' '.join(str(j) for j in sorted(model.available_j))}",
+            f"gamma {model.gamma!r}",
+        ]
+        return "\n".join(lines) + "\n"
+    if isinstance(model, TrapArrayModel):
+        lines = [
+            "platform uqs2",
+            f"kappa {model.kappa!r}",
+            f"gamma {model.gamma!r}",
+            f"crosstalk_threshold {model.crosstalk_threshold!r}",
+            "positions",
+        ]
+        lines += [" ".join(repr(x) for x in p) for p in model.positions]
+        return "\n".join(lines) + "\n"
+    raise HardwareError(f"unknown hardware model {type(model).__name__}")
 
 
 def chain_trap(n, **kw):
