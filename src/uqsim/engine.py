@@ -48,10 +48,9 @@ ascending order before grouping them. Its eigenvectors stay per block.
 The adiabatic oracle (experiments.GroundPath) reduces both endpoints once
 per path and decomposes k*H_initial + (1-k)*H_target on the parts for a
 chunk of k values per stacked call (SpectrumCache.from_stacks); its gap
-scan asks for eigenvalues only. The start state is the one exception:
-ground_state decomposes the whole matrix in complex arithmetic, since its
-pick among degenerate ground states follows rounding, and a pinned
-benchmark weight depends on that pick.
+scan asks for eigenvalues only. The start state (ground_state) comes from
+the parts of its own Hamiltonian too; its pick among degenerate ground
+states still follows the parts' rounding (see ground_vector).
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per pass mapped onto [-eta, eta] exactly as per-instruction
@@ -1011,12 +1010,13 @@ class SpectrumCache:
         breaks to the lowest index. Weights that are equal in exact
         arithmetic but differ in rounding pick k by that rounding, which can
         change with the eigensolver, its arithmetic, its thread count and
-        the blocks it is given: on the 9-site XX chain all 512 weights are
-        1/256, and with one OpenBLAS thread complex eigh of the whole matrix
-        picks k = 11 and real eigh k = 263, whose vectors lie in different
-        Z-parity sectors. ground_state therefore asks it only of a
-        whole-matrix complex decomposition, whose pick the pinned fig5
-        ground weight depends on (see ground_state).
+        the blocks it is given. On the 9-site XX chain all 512 weights are
+        1/256: its parts (ground_state) pick k = 254, an odd Z-parity
+        state, at one and at two OpenBLAS threads, where complex eigh of
+        the whole matrix picked k = 11 at one thread and 261 at two. The
+        pinned fig5 ground weight depends on that pick; a rule that does
+        not depend on rounding, and the weight it re-pins, wait for the
+        next change to the benchmark.
         """
         basis = self.group_basis(0)
         k = int(np.argmax(np.sum(np.abs(basis) ** 2, axis=1)))
@@ -1044,18 +1044,13 @@ class GroundState:
 def ground_state(h: Hamiltonian) -> GroundState:
     """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state.
 
-    This is also the start vector of every adiabatic run (GroundPath.start),
-    and the one oracle answer not taken part by part: h is decomposed whole
-    (Sectors.whole), in complex arithmetic, with neither the blocks nor the
-    flip and mirror parts that every other answer uses. The vector
-    picks its basis state k by rounding when weights tie in exact
-    arithmetic (see ground_vector), and the pinned fig5 ground weight
-    depends on the pick this decomposition makes. A tie-break that does not
-    depend on rounding, and the re-pinned weight it gives, belong with the
-    next change to the benchmark.
+    This is also the start vector of every adiabatic run (GroundPath.start).
+    h is decomposed part by part (SpectrumCache.from_hamiltonian), like
+    every other oracle answer, never as one dense matrix, so the vector is
+    exactly zero outside the block of its pick k. When the ground space is
+    degenerate, k follows the parts' rounding (see ground_vector).
     """
-    _check_dense(h.n_qubits)
-    spec = SpectrumCache.from_blocks(Sectors.whole(h.n_qubits), [h.to_matrix()[None]])
+    spec = SpectrumCache.from_hamiltonian(h)
     return GroundState(energy=float(spec.eigenvalues[0]), degeneracy=spec.groups[0][1],
                        state=StateVector(h.n_qubits, spec.ground_vector()))
 

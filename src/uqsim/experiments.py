@@ -258,8 +258,8 @@ class GroundPath:
     eigenvectors mapped onto the blocks) within _CHUNK_ENTRIES entries.
     `spectrum` and `levels` are its one-k case. The spectra of the two
     endpoints are kept, so runs sharing a path decompose each endpoint
-    once. The start vector of every run is ground_state(h_initial),
-    decomposed whole once per path.
+    once. The start vector of every run is ground_state(h_initial), taken
+    once per path from the parts of h_initial alone.
     """
 
     def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):

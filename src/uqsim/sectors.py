@@ -152,18 +152,7 @@ class Sectors:
         self.magnetization = all(_conserves_popcount(n_qubits, h.table) for h in hamiltonians)
         if self.magnetization:
             key = key * (n_qubits + 1) + sum((states >> q) & 1 for q in range(n_qubits))
-        self._layout(key, _symmetries(n_qubits, hamiltonians))
-
-    @staticmethod
-    def whole(n_qubits: int) -> "Sectors":
-        """All 2^n basis states as one block, without symmetries."""
-        sectors = Sectors.__new__(Sectors)
-        sectors.magnetization = False
-        states = np.arange(1 << n_qubits)
-        sectors._layout(np.zeros_like(states), [(states, (0, 0))])
-        return sectors
-
-    def _layout(self, key: np.ndarray, group):
+        group = _symmetries(n_qubits, hamiltonians)
         exponents = {e for _, e in group}
         self.flip, self.mirror = (1, 0) in exponents, (0, 1) in exponents
         self._key = key

@@ -32,6 +32,32 @@ def dense_hamiltonian(n: int, terms) -> np.ndarray:
     return h
 
 
+class DenseSpectrum:
+    """numpy eigh of one whole dense matrix, with eigenvalues less than
+    1e-8 * max(1, spread) apart in one group, as the package groups its
+    merged spectrum: the dense reference for SpectrumCache's groups, bases,
+    weights and histograms."""
+
+    def __init__(self, m: np.ndarray):
+        self.eigenvalues, self.vectors = np.linalg.eigh(m)
+        w = self.eigenvalues
+        cuts = (np.flatnonzero(np.diff(w) >= 1e-8 * max(1.0, w[-1] - w[0])) + 1).tolist()
+        self.groups = tuple(zip([0] + cuts, cuts + [w.size]))
+
+    def group_basis(self, g: int) -> np.ndarray:
+        return self.vectors[:, slice(*self.groups[g])]
+
+    def level_weights(self, amps: np.ndarray) -> np.ndarray:
+        return np.abs(amps @ self.vectors.conj()) ** 2
+
+    def weights(self, amps: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.level_weights(amps), [s for s, _ in self.groups], axis=-1)
+
+    def histogram(self, state) -> list[tuple[float, float]]:
+        energies = [float(np.mean(self.eigenvalues[slice(*g)])) for g in self.groups]
+        return list(zip(energies, self.weights(state.amps).tolist()))
+
+
 def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 

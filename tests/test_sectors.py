@@ -8,6 +8,11 @@ parts. These tests check the split, the merged spectra, the ground-space
 projectors and the evolution against the dense forms built by
 tests/oracles.py and numpy.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +141,7 @@ def test_merged_spectrum_projector_and_evolution_match_dense(seed):
     dim = 1 << h_i.n_qubits
     for k in rng.random(2):
         m = k * dense(h_i) + (1.0 - k) * dense(h_t)
-        whole = SpectrumCache.from_blocks(Sectors.whole(h_i.n_qubits), [m[None]])
+        whole = oracles.DenseSpectrum(m)
         levels, spec = path.levels(k), path.spectrum(k)
         np.testing.assert_allclose(levels.eigenvalues, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
         assert levels.groups == spec.groups == whole.groups
@@ -232,6 +237,40 @@ def test_start_vector_is_the_ground_state(h_initial):
     assert path.start is path.start
 
 
+XX9_AMPS = ("import sys; from uqsim.engine import ground_state; "
+            "from uqsim.experiments import nn_chain; "
+            "sys.stdout.write(ground_state(nn_chain('xx', 9)).state.amps.tobytes().hex())")
+
+
+def test_xx_chain_start_lies_in_one_odd_parity_block(monkeypatch):
+    # fig5's start: decomposed part by part, never as one dense matrix
+    def refuse(self):
+        raise AssertionError("ground_state built a dense matrix")
+
+    monkeypatch.setattr(Hamiltonian, "to_matrix", refuse)
+    h = nn_chain("xx", 9)
+    amps = ground_state(h).state.amps
+    (idx,) = Sectors(9, (h,)).stacks
+    rows = [row for row in idx if np.any(amps[row] != 0.0)]
+    assert len(rows) == 1
+    outside = np.ones(amps.size, dtype=bool)
+    outside[rows[0]] = False
+    assert np.all(amps[outside] == 0.0)
+    assert {bin(c).count("1") % 2 for c in rows[0].tolist()} == {1}
+
+
+def test_xx_chain_start_is_bit_identical_at_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", XX9_AMPS], env=env, capture_output=True,
+                              text=True, check=True)
+        out.append(proc.stdout)
+    assert len(out[0]) == 2 * 16 * 512 and out[0] == out[1]
+
+
 def flip_and_mirror(n):
     states = np.arange(1 << n)
     reverse = sum(((states >> q) & 1) << (n - 1 - q) for q in range(n))
@@ -269,7 +308,7 @@ def test_adapted_parts_match_dense(seed):
         levels, spec = path.levels(k), path.spectrum(k)
         np.testing.assert_allclose(levels.eigenvalues, w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(spec.eigenvalues, w, rtol=0, atol=1e-12)
-        whole = SpectrumCache.from_blocks(Sectors.whole(n), [m[None]])
+        whole = oracles.DenseSpectrum(m)
         assert spec.groups == whole.groups
         for g in range(min(3, len(spec.groups))):
             basis, full = spec.group_basis(g), whole.group_basis(g)
