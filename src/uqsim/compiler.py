@@ -468,7 +468,7 @@ def schedule_text_chunks(schedule: PulseSchedule):
     repeats (the cycles of a Trotter schedule) is formatted once."""
     header = f"# pulse schedule version=1 n_qubits={schedule.n_qubits}"
     for key, value in (("cycles", schedule.num_cycles), ("cycle_length", schedule.cycle_length)):
-        if value is not None:
+        if value:  # an empty schedule's 0 is no cycle field
             header += f" {key}={value}"
     yield header + "\n"
     line: dict[int, str] = {}  # id of an instruction -> its line
@@ -529,8 +529,8 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
     object, and an error names the line of its first occurrence. A header
-    giving both cycles and cycle_length must multiply to the instruction
-    count.
+    giving both cycles and cycle_length, each at least 1, must multiply to
+    the instruction count.
     """
     header: dict[str, int] = {}
     header_line = 1
@@ -545,8 +545,9 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
                 for tok in line[1:].split():
                     key, sep, value = tok.partition("=")
                     if sep and key in ("n_qubits", "cycles", "cycle_length"):
-                        header[key] = int(value)
-                        header_line = lineno
+                        header[key], header_line = int(value), lineno
+                        if key != "n_qubits" and header[key] < 1:
+                            raise ValueError(f"{key}={value} is below 1")
                 continue
             hit = parsed.get(line)
             if hit is None:

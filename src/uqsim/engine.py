@@ -22,9 +22,8 @@ contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
 one multiply by exp(-i * coef @ signs). The blocks of a pass over many
 occurrences of the window are built in one vectorised pass, jitter
 rescaling theta in closed form, then applied (4 state-sized calls per
-cycle on the 8-ion trap chain instead of 23). A schedule whose
-cycle_length names its period runs each window of that many instructions
-that the next windows repeat, object for object, as one FusedCycle over
+cycle on the 8-ion trap chain instead of 23). _repeats finds repeated
+cycles by object id, not from a header; each runs as one FusedCycle over
 all its occurrences; every other stretch runs in windows of at most
 _CHUNK instructions, one occurrence each. Consecutive adiabatic steps
 of the template's shape run as occurrences of the two plans' template
@@ -692,28 +691,36 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     return np.eye(dim, dtype=complex) if block is None else block
 
 
-def _repeats(instructions, period: int | None):
-    """The stream as (instructions, count) pieces in order. count >= 2 is a
-    window of `period` instructions that the next count - 1 windows repeat
-    object for object (by id); count == 1 is a window of at most _CHUNK
-    instructions of a stretch without such a repeat, the whole stream when
-    period is None."""
-    seq = tuple(instructions)
-    start = i = 0
-    if period is not None and period >= 1:
-        ids = [id(ins) for ins in seq]
-        while i + 2 * period <= len(seq):
-            window, stop = ids[i:i + period], i + period
-            while ids[stop:stop + period] == window:
-                stop += period
-            if stop - i > period:
-                for at in range(start, i, _CHUNK):
-                    yield seq[at:min(at + _CHUNK, i)], 1
-                yield seq[i:i + period], (stop - i) // period
-                start = stop
-            i = stop
-    for at in range(start, len(seq), _CHUNK):
-        yield seq[at:at + _CHUNK], 1
+def _repeats(instructions):
+    """The stream as (instructions, count) pieces in order, found by object
+    identity: count >= 2 is a window that the next count - 1 windows
+    repeat, over at least _CHUNK instructions (a shorter repeat saves no
+    build); count 1 a window of at most _CHUNK others. At an object's next
+    occurrence, the distance p back to its last one is the least period a
+    repeat through both can have. It holds if the next p objects are the p
+    before them, and then runs back to its first instruction and on while
+    they are. A failed guess of p keeps where it failed: no later guess of
+    p compares those again."""
+    seq, last, failed = tuple(instructions), {}, {}
+    n, start, j = len(seq), 0, 0  # start: the end of the last piece
+    while j < n:
+        prev, last[id(seq[j])] = last.get(id(seq[j]), -1), j
+        p = j - prev
+        if prev >= start and failed.get(p, -1) < j:
+            e = j
+            while e < n and seq[e] is seq[e - p]:
+                e += 1
+            if e - j >= p and e - prev >= _CHUNK:
+                while prev > start and seq[prev - 1] is seq[prev - 1 + p]:
+                    prev -= 1
+                yield from ((seq[at:min(at + _CHUNK, prev)], 1)
+                            for at in range(start, prev, _CHUNK))
+                yield seq[prev:prev + p], (e - prev) // p
+                start = j = e - (e - prev) % p
+                continue
+            failed[p] = e
+        j += 1
+    yield from ((seq[at:at + _CHUNK], 1) for at in range(start, n, _CHUNK))
 
 
 def execute_batch(
@@ -723,7 +730,6 @@ def execute_batch(
     err: ErrorModel | None,
     draws,
     log: ExecutionLog | None = None,
-    cycle_length: int | None = None,
 ) -> int:
     """Apply instructions to the batch `amps` (R, 2^n) in place, row r drawing
     its jitter from the generator draws[r], or a batch of one replaying the
@@ -732,12 +738,11 @@ def execute_batch(
     Each distinct layer object is lowered once per call, and each window's
     gates are read once, when its FusedCycle is built (a schedule of
     repeated cycles pays per line of its cycle, not per occurrence). Every
-    piece of _repeats runs as one FusedCycle: given a cycle_length, each
-    window of that many instructions that the next windows repeat object
-    for object, for all its occurrences; anything else (no cycle_length, an
-    unrepeated window, a trailing partial cycle) in windows of at most
-    _CHUNK instructions, one occurrence each. Returns the number of
-    instructions run.
+    piece of _repeats runs as one FusedCycle: a repeat found in the stream
+    itself, for all its occurrences; anything else (unrepeated stretches,
+    short repeats, a trailing partial cycle) in windows of at most _CHUNK
+    instructions, one occurrence each. Returns the number of instructions
+    run.
     """
     if (amps.ndim != 2 or amps.shape[1] != 1 << n_qubits or amps.dtype != np.complex128
             or not amps.flags.c_contiguous):
@@ -752,7 +757,7 @@ def execute_batch(
     eta_l = err.eta_local if err is not None else 0.0
     eta_i = err.eta_int if err is not None else 0.0
     lowered, index = {}, 0
-    for piece, count in _repeats(instructions, cycle_length):
+    for piece, count in _repeats(instructions):
         cycle = FusedCycle(piece, n_qubits, eta_l, eta_i, lowered=lowered)
         index = cycle.execute(amps, count, draws, log, index)
     return index
@@ -765,12 +770,11 @@ def execute_instructions(
     err: ErrorModel | None,
     rng: "np.random.Generator | LogDraws | None",
     log: ExecutionLog | None = None,
-    cycle_length: int | None = None,
 ) -> int:
     """Apply instructions to `amps` in place, drawing jitter from `rng`, a
     generator or a LogDraws replaying a log.
 
-    A batch of one through execute_batch, cycle_length included. Returns
+    A batch of one through execute_batch, repeats found as there. Returns
     the number of instructions run; noise draws are strictly sequential in
     instruction order so runs replay exactly.
     """
@@ -778,7 +782,7 @@ def execute_instructions(
     if amps.shape != (1 << n_qubits,):
         raise EngineError(f"amplitude array has shape {amps.shape}, expected ({1 << n_qubits},)")
     draws = rng if isinstance(rng, LogDraws) else [rng]
-    return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log, cycle_length)
+    return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log)
 
 
 def apply_local_layer(
@@ -840,8 +844,7 @@ def run_schedule(
         log = ExecutionLog(seed=err.seed if err is not None else None)
         rng = err.rng() if err is not None and err.is_noisy else None
     out = state.copy()
-    execute_instructions(out.amps, out.n_qubits, schedule.instructions, err, rng, log,
-                         cycle_length=schedule.cycle_length)
+    execute_instructions(out.amps, out.n_qubits, schedule.instructions, err, rng, log)
     if replay is not None:
         rng.close()
     out.check_norm(len(schedule.instructions) + 1)

@@ -475,7 +475,7 @@ def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel):
         frozenset((a, b) for a, b, _ in pairs): disp
         for disp, pairs in displacement_classes(hw)
     }
-    out = []
+    out, bound = [], {}  # id of a gate -> its renamed gate, shared where the input's is
     for ins in abstract.instructions:
         if isinstance(ins, ApplyLocal):
             if not ins.layer.is_homogeneous:
@@ -491,7 +491,7 @@ def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel):
             raise HardwareConstraintError(
                 f"gate targets {sorted(key)} do not form a realizable translation class"
             )
-        out.append(RawGate(displacement_gate_id(disp), ins.theta, ins.targets))
+        out.append(bound.setdefault(id(ins), RawGate(displacement_gate_id(disp), ins.theta, ins.targets)))
     return out, tuple((i,) for i in range(len(out)))
 
 

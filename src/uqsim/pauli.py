@@ -174,10 +174,6 @@ class Hamiltonian:
             part[cols ^ x_mask, cols] += values
         return m
 
-    def frobenius_coeff_norm(self) -> float:
-        """2-norm of the Pauli coefficient vector (orthogonal basis)."""
-        return math.sqrt(sum(t.coeff**2 for t in self.terms))
-
     def to_text(self) -> str:
         lines = [f"# hamiltonian n_qubits={self.n_qubits}"]
         for t in self.terms:

@@ -23,6 +23,11 @@ def kron_string(ops: str, coeff=1.0) -> np.ndarray:
     return m
 
 
+def frobenius_coeff_norm(h) -> float:
+    """2-norm of a Hamiltonian's Pauli coefficient vector (orthogonal basis)."""
+    return float(np.sqrt(sum(t.coeff**2 for t in h.terms)))
+
+
 def dense_hamiltonian(n: int, terms) -> np.ndarray:
     """terms: iterable of (coeff, ops)."""
     h = np.zeros((2**n, 2**n), dtype=complex)

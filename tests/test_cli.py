@@ -198,6 +198,26 @@ class TestSimulate:
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
+    def test_header_cycle_fields_do_not_change_the_run(self, tmp_path):
+        # the executor finds the repeated cycles in the schedule itself, so
+        # the file without cycles= and cycle_length= simulates to the same bytes
+        write(tmp_path / "h.ham", "-0.5 Z Z I\n-0.8 I Z Z\n0.4 X I I\n0.3 I X I\n0.6 I I X\n")
+        cfg = write(tmp_path / "c.cfg", "[compile]\nhamiltonian = h.ham\nt_prime = 0.5\n"
+                    "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2\n")
+        assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+        head, body = (tmp_path / "c" / "schedule.txt").read_text().split("\n", 1)
+        bare = re.sub(r" (cycles|cycle_length)=\d+", "", head)
+        assert bare == "# pulse schedule version=1 n_qubits=3" != head
+        outs = []
+        for name, header in (("headered", head), ("bare", bare)):
+            write(tmp_path / f"{name}.txt", f"{header}\n{body}")
+            cfg = write(tmp_path / f"{name}.cfg", f"[simulate]\nschedule = {name}.txt\n"
+                        "eta_local = 0.01\neta_int = 0.005\nseed = 3\n")
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+            outs.append([(tmp_path / name / f).read_bytes()
+                         for f in ("state.txt", "execution_log.txt")])
+        assert outs[0] == outs[1]
+
     def simulate_text(self, tmp_path, schedule_text, extra=""):
         write(tmp_path / "s.txt", schedule_text)
         cfg = write(tmp_path / "sim.cfg", "[simulate]\nschedule = s.txt\n" + extra)

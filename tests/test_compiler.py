@@ -620,6 +620,13 @@ class TestScheduleText:
         with pytest.raises(CompileError, match="line 2:"):
             schedule_from_text(f"\n# pulse schedule {field}\nGATE zz 0.25 0-1:1.0\n")
 
+    @pytest.mark.parametrize("field", ["cycles=-2 cycle_length=-1", "cycle_length=0",
+                                       "cycle_length=-5", "cycles=0", "cycles=-7"])
+    def test_header_cycle_field_below_one_is_a_parse_error(self, field):
+        # two gates: -2 times -1 would match the body
+        with pytest.raises(CompileError, match=f"line 2: {field.split()[0]} is below 1"):
+            schedule_from_text(f"\n# pulse schedule {field}\n" + "GATE zz 0.25 0-1:1.0\n" * 2)
+
     @pytest.mark.parametrize("n", [0, STATEVECTOR_CAP + 1, 99])
     def test_header_n_qubits_outside_the_cap_is_rejected(self, n):
         with pytest.raises(CompileError, match=f"n_qubits={n}, outside 1..{STATEVECTOR_CAP}"):
@@ -629,7 +636,7 @@ class TestScheduleText:
         with pytest.raises(CompileError, match="outside 1.."):
             schedule_from_text("GATE zz 0.25 0-99:1.0\n")
 
-    @pytest.mark.parametrize("header", ["n_qubits=abc", "n_qubits=30"])
+    @pytest.mark.parametrize("header", ["n_qubits=abc", "n_qubits=30", "cycles=0"])
     def test_bad_header_exits_1_through_main(self, tmp_path, header):
         (tmp_path / "s.txt").write_text(f"# pulse schedule {header}\nGATE zz 0.25 0-1:1.0\n")
         cfg = tmp_path / "sim.cfg"
@@ -694,8 +701,9 @@ BASE_TEXT = [
 ]
 TOKENS = st.sampled_from([
     "#", "LOCAL", "GATE", "H", "I", "n_qubits=2", "n_qubits=abc", "n_qubits=0",
-    "n_qubits=99", "cycles=x", "cycle_length=1.5", "0-1:1.0", "0-0:1.0", "0-7:1.0",
-    "-1-2:1.0", "0-1", "0-1:nan", "1-0:inf", ":", "-", "=", "nan", "inf", "-inf",
+    "n_qubits=99", "cycles=x", "cycle_length=1.5", "cycles=0", "cycle_length=-1",
+    "0-1:1.0", "0-0:1.0", "0-7:1.0", "-1-2:1.0", "0-1", "0-1:nan", "1-0:inf", ":", "-",
+    "=", "nan", "inf", "-inf",
     "1e999", "0.0", "-0.0", "1.0", "0.7071067811865476", "zz", "",
 ]) | st.text(max_size=6)
 

@@ -394,6 +394,15 @@ class TestRealizeSchedule:
         assert gate.theta == 0.1
         assert realized.schedule.gate_angle_totals() == {"uqs1:1": 0.1}
 
+    def test_uqs1_renames_a_repeated_gate_once(self):
+        # a gate object that repeats stays one object, so the executor still
+        # finds the cycles of a realized schedule
+        gate = RawGate("zz", 0.1, ((0, 1, 1.0), (1, 2, 1.0)))
+        layer = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.quarter_turn("X")))
+        out = realize_schedule(PulseSchedule(3, (gate, layer) * 3), LatticeModel(n_sites=3))
+        body = out.schedule.instructions
+        assert body[0].gate_id == "uqs1:1" and all(ins is body[i % 2] for i, ins in enumerate(body))
+
     def test_uqs1_rejects_inhomogeneous_layer(self):
         model = LatticeModel(n_sites=2)
         layer = LocalLayer.inhomogeneous(

@@ -94,11 +94,11 @@ def error_model(etas, seed):
     return ErrorModel(*etas, seed=seed) if any(etas) else None
 
 
-def run_both(n, instructions, err, start, cycle_length=None):
+def run_both(n, instructions, err, start):
     """(lowered amps, lowered log text, reference amps, reference log text)."""
     got = start.copy()
     log = ExecutionLog(seed=err.seed if err else None)
-    execute_instructions(got, n, instructions, err, err.rng() if err else None, log, cycle_length)
+    execute_instructions(got, n, instructions, err, err.rng() if err else None, log)
     ref = start.copy()
     entries = []
     oracles.reference_execute(ref, n, instructions, err, err.rng() if err else None, entries)
@@ -147,34 +147,65 @@ def test_group_bounds(n, sizes):
 
 
 @pytest.mark.parametrize("etas", ETAS)
-def test_long_runs_repeats_and_chunks(etas):
+def test_long_runs_repeats_and_chunks(monkeypatch, etas):
     # more ops than one chunk, a raw-gate run longer than one fused run, and
     # instruction objects that repeat (a cycle tuple times a count)
     n = 3
+    passes = spy_passes(monkeypatch)
     cycle = random_schedule(n, 9, length=30)
     gates = [RawGate("run", 0.01 * (i + 1), ((i % 3, (i + 1) % 3, 1.0),)) for i in range(150)]
     empty = RawGate("empty", 0.5, ())
     instructions = (empty,) + tuple(cycle) * 4 + tuple(gates) + tuple(cycle)
     got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 3), random_amps(n, 3))
+    # the four cycles, found in the stream, run as one count-4 piece; the
+    # gates and the last cycle, repeated once, in windows of _CHUNK
+    assert passes == [(1, 1), (4, 30), (1, 64), (1, 64), (1, 52)]
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert log == ref_log
 
 
 @pytest.mark.parametrize("etas", ETAS)
 def test_unrepeated_stretches_run_in_bounded_fused_windows(monkeypatch, etas):
-    # without a cycle_length the whole stream is one unrepeated stretch: it
-    # runs as count-1 FusedCycle passes over windows of _CHUNK instructions
+    # no object of a random schedule repeats, so the whole stream is one
+    # unrepeated stretch: count-1 FusedCycle passes over windows of _CHUNK
     n = 5
-    passes, real = [], engine.FusedCycle.execute
-
-    def spy(self, amps, count, *args):
-        passes.append((count, len(self.kinds)))
-        return real(self, amps, count, *args)
-
-    monkeypatch.setattr(engine.FusedCycle, "execute", spy)
+    passes = spy_passes(monkeypatch)
     instructions = random_schedule(n, 31, length=200)
     got, log, ref, ref_log = run_both(n, instructions, error_model(etas, 31), random_amps(n, 31))
     assert engine._CHUNK == 64 and passes == [(1, 64)] * 3 + [(1, 8)]
+    assert np.max(np.abs(got - ref)) <= AMP_TOL
+    assert log == ref_log
+
+
+def test_repeats_rebuild_the_stream():
+    # random streams over a few objects, a repeated cycle among them: the
+    # pieces, each window run count times, are the stream object for object
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        objs = [object() for _ in range(rng.integers(1, 6))]
+        draw = lambda size: [objs[k] for k in rng.integers(len(objs), size=size)]
+        cycle = draw(rng.integers(1, 30))
+        stream = draw(rng.integers(40)) + cycle * int(rng.integers(1, 12)) + draw(rng.integers(40))
+        out = []
+        for piece, count in engine._repeats(stream):
+            # a repeat spans at least _CHUNK; a count-1 window at most that
+            span = len(piece) * count
+            assert span >= engine._CHUNK if count > 1 else 1 <= span <= engine._CHUNK
+            out += list(piece) * count
+        assert len(out) == len(stream) and all(a is b for a, b in zip(out, stream))
+
+
+def test_short_repeats_stay_in_the_windows(monkeypatch):
+    # a repeat over fewer than _CHUNK instructions gains nothing from a
+    # FusedCycle of its own: a doubled gate and a doubled 10-instruction
+    # stretch run inside the count-1 windows
+    n = 4
+    passes = spy_passes(monkeypatch)
+    body = random_schedule(n, 12, length=100)
+    instructions = body[:21] + body[20:60] + body[60:70] * 2 + body[70:]
+    got, log, ref, ref_log = run_both(n, instructions, ErrorModel(0.05, 0.02, seed=12),
+                                      random_amps(n, 12))
+    assert passes == [(1, 64), (1, 47)]
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert log == ref_log
 
@@ -222,16 +253,22 @@ def cycle_of(n, seed):
     return head + random_schedule(n, seed, length=10)
 
 
-def spy_fused(monkeypatch):
-    """The occurrence counts that FusedCycle.execute runs."""
-    counts, real = [], engine.FusedCycle.execute
+def spy_passes(monkeypatch, entry=lambda cycle, count: (count, len(cycle.kinds))):
+    """entry(cycle, count) of each FusedCycle.execute call: by default its
+    occurrence count and window length."""
+    passes, real = [], engine.FusedCycle.execute
 
     def spy(self, amps, count, *args):
-        counts.append(count)
+        passes.append(entry(self, count))
         return real(self, amps, count, *args)
 
     monkeypatch.setattr(engine.FusedCycle, "execute", spy)
-    return counts
+    return passes
+
+
+def spy_fused(monkeypatch):
+    """The occurrence counts that FusedCycle.execute runs."""
+    return spy_passes(monkeypatch, lambda cycle, count: count)
 
 
 @pytest.mark.parametrize("etas", ETAS)
@@ -242,7 +279,7 @@ def test_repeated_cycles_match_reference(monkeypatch, n, etas):
     fused = spy_fused(monkeypatch)
     cycle = cycle_of(n, n)
     instructions, err = tuple(cycle) * 8, error_model(etas, n)
-    got, log, ref, ref_log = run_both(n, instructions, err, random_amps(n, n), len(cycle))
+    got, log, ref, ref_log = run_both(n, instructions, err, random_amps(n, n))
     assert fused == [8]
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert log == ref_log
@@ -250,7 +287,7 @@ def test_repeated_cycles_match_reference(monkeypatch, n, etas):
     start = np.array([random_amps(n, s) for s in seeds])
     batch = start.copy()
     rngs = [replace(err, seed=s).rng() if err else None for s in seeds]
-    assert execute_batch(batch, n, instructions, err, rngs, None, len(cycle)) == len(instructions)
+    assert execute_batch(batch, n, instructions, err, rngs) == len(instructions)
     for r, s in enumerate(seeds):
         ref = start[r].copy()
         oracles.reference_execute(ref, n, instructions, err, replace(err, seed=s).rng() if err else None)
@@ -258,7 +295,7 @@ def test_repeated_cycles_match_reference(monkeypatch, n, etas):
 
 
 @pytest.mark.parametrize("case", ["cycle 2 differs", "trailing partial cycle", "wrong period"])
-def test_cycle_length_is_checked_not_assumed(monkeypatch, case):
+def test_header_period_is_ignored(monkeypatch, case):
     n, err = 6, ErrorModel(0.04, 0.03, seed=11)
     fused = spy_fused(monkeypatch)
     cycle = cycle_of(n, 6)
@@ -274,13 +311,16 @@ def test_cycle_length_is_checked_not_assumed(monkeypatch, case):
     final, log = run_schedule(StateVector.from_amplitudes(start), schedule, err)
     ref, entries = start.copy(), []
     oracles.reference_execute(ref, n, instructions, err, err.rng(), entries)
-    # every piece of the stream is one FusedCycle: the repeats of one
-    # 17-instruction window as one, an unrepeated stretch in count-1
-    # windows of at most 64 instructions
-    assert fused == {"cycle 2 differs": [1, 3], "trailing partial cycle": [4, 1],
-                     "wrong period": [1, 1]}[case]
+    # every piece of the stream is one FusedCycle: the repeats of the
+    # 17-instruction cycle that the stream holds as one, whatever the header
+    # says, and an unrepeated stretch in count-1 windows of at most 64
+    assert fused == {"cycle 2 differs": [1, 3, 1], "trailing partial cycle": [4, 1],
+                     "wrong period": [4]}[case]
     assert np.max(np.abs(final.amps - ref)) <= AMP_TOL
     assert log.to_text() == ExecutionLog(seed=err.seed, entries=entries).to_text()
+    bare = replace(schedule, cycle_length=None, num_cycles=None)
+    again, again_log = run_schedule(StateVector.from_amplitudes(start), bare, err)
+    assert np.array_equal(again.amps, final.amps) and again_log.to_text() == log.to_text()
 
 
 def test_lowering_validates_against_n_qubits():

@@ -272,7 +272,8 @@ class TestConjugate:
             np.linalg.eigvalsh(h.to_matrix()),
             atol=1e-10,
         )
-        assert out.frobenius_coeff_norm() == pytest.approx(h.frobenius_coeff_norm(), abs=1e-10)
+        norm = oracles.frobenius_coeff_norm
+        assert norm(out) == pytest.approx(norm(h), abs=1e-10)
 
     def test_inhomogeneous_layer(self):
         h = Hamiltonian.from_terms(2, [(1.0, "ZZ")])

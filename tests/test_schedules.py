@@ -2,6 +2,7 @@
 lowering per distinct instruction, kernel calls per repeated cycle, the
 contract the benchmark's tracer reads, and replay of a run from its
 execution log."""
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -177,14 +178,18 @@ def count_calls(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("header", [True, False])
 @pytest.mark.parametrize("err", [None, ErrorModel(0.002, 0.001, seed=1)])
-def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err):
+def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err, header):
     # the trotter-uqs2 shape: on 8 ions a cycle is a field layer, 14 one-ion
     # echo pulses and 7 one-pair gates, and ZZ(3, 4) is the one gate across
-    # the two 4-qubit groups
+    # the two 4-qubit groups. The executor finds the cycles itself, so a
+    # schedule without its cycle fields runs the same
     schedule, cost = trotter_schedule(ising_chain(8), t_prime=0.6, epsilon=0.01, hw=trap_chain(8))
     cycles, per_pass = cost.num_gates, engine._CHUNK_BLOCKS // 3
     assert schedule.cycle_length == 22 and cycles > per_pass
+    if not header:
+        schedule = dataclasses.replace(schedule, cycle_length=None, num_cycles=None)
     counts = count_calls(monkeypatch)
     run_schedule(StateVector.zero_state(8), schedule, err)
     assert counts["block"] + counts["zz"] + counts["single"] <= 4 * cycles
