@@ -41,8 +41,9 @@ from .engine import (
     StateFormatError,
     StateVector,
     exact_evolve,
+    expectation,
     fidelity,
-    observables,
+    parse_observable,
     run_schedule,
 )
 from .experiments import (
@@ -143,13 +144,32 @@ def resolve_config_path(name: str) -> Path:
     raise UsageError(f"config {name!r} not found (and no bundled config of that name)")
 
 
+# The keys of each section uqsim reads. parse_hardware_text checks those of
+# [hardware]; sections that uqsim does not read, such as [run], may hold any.
+CONFIG_KEYS = {
+    "compile": "hamiltonian t_prime epsilon",
+    "simulate": "schedule initial seed eta_local eta_int observables oracle_hamiltonian t_prime",
+    "adiabatic": "initial steps seed theta1 ramp record_every eta_local eta_int",
+    "sweep": "etas steps_list repetitions",
+    "model": "name geometry j b direction b_values j_values j_range seed",
+    "cost": "mode gamma matrix t_prime epsilon n_controls",
+    "crosstalk": "groups",
+    "output": "dir",
+}
+
+
 def load_config(path: Path) -> configparser.ConfigParser:
+    """The parsed config; a key its section does not take is a UsageError."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as fh:
             cfg.read_file(fh)
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    for name, keys in CONFIG_KEYS.items():
+        unknown = sorted(set(cfg[name]) - set(keys.split())) if cfg.has_section(name) else ()
+        if unknown:
+            raise UsageError(f"[{name}] has no key {', '.join(unknown)} (it takes {keys})")
     return cfg
 
 
@@ -237,6 +257,9 @@ def load_hardware(cfg, config_path):
         raise UsageError("config needs a [hardware] section")
     section = cfg["hardware"]
     if "file" in section:
+        if len(section) > 1:
+            others = ", ".join(k for k in section if k != "file")
+            raise UsageError(f"[hardware] file = takes no other keys, got {others}")
         text = _read_input(_relative(section["file"], config_path))
     else:
         lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
@@ -427,6 +450,17 @@ def cmd_simulate(args, cfg, config_path) -> int:
         state = StateVector.load_text(_read_input(_relative(init_spec[5:], config_path)))
     else:
         raise UsageError(f"unknown initial state {init_spec!r}")
+    obs = []
+    for spec in [s.strip() for s in section.get("observables", "").split(",") if s.strip()]:
+        try:
+            obs.append((spec, parse_observable(spec, schedule.n_qubits)))
+        except EngineError as exc:
+            raise UsageError(f"[simulate] observables entry {spec!r}: {exc}") from exc
+    if args.oracle:
+        if "oracle_hamiltonian" not in section:
+            raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
+        h = Hamiltonian.from_text(_read_input(_relative(section["oracle_hamiltonian"], config_path)))
+        t_prime = config_value(section, "t_prime", _finite_float, 1.0)
     seed = _run_seed(args, section)
     err = _error_model_from(section, seed)
     final, log = run_schedule(state, schedule, err)
@@ -434,19 +468,12 @@ def cmd_simulate(args, cfg, config_path) -> int:
     writer.write("state.txt", final.dump_text())
     writer.write_chunks("execution_log.txt", log.text_chunks())
     summary = {"n_qubits": final.n_qubits, "norm": final.norm()}
-    obs_spec = [s.strip() for s in section.get("observables", "").split(",") if s.strip()]
-    if obs_spec:
-        values = observables(final, obs_spec)
+    if obs:
+        values = [(spec, expectation(final, op)) for spec, op in obs]
         lines = ["observable,value"] + [f"{name},{value!r}" for name, value in values]
         writer.write("observables.csv", "\n".join(lines) + "\n")
         summary["observables"] = {name: value for name, value in values}
     if args.oracle:
-        if "oracle_hamiltonian" not in section:
-            raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
-        h = Hamiltonian.from_text(
-            _read_input(_relative(section["oracle_hamiltonian"], config_path))
-        )
-        t_prime = config_value(section, "t_prime", _finite_float, 1.0)
         reference = exact_evolve(h, t_prime, state)
         fid = fidelity(final, reference)
         summary["oracle_fidelity"] = fid

@@ -666,10 +666,7 @@ def _local_layer_for(plan: CyclePlan, dt: float) -> ApplyLocal | None:
     angles = field_angles(plan, dt)
     if angles is None:
         return None
-    units = [
-        SingleQubitUnitary.rot(axis, theta) if theta != 0.0 else SingleQubitUnitary.identity()
-        for theta, axis in zip(*angles)
-    ]
+    units = [SingleQubitUnitary.rot(axis, theta) for theta, axis in zip(*angles)]
     if plan.homogeneous_locals:
         return ApplyLocal(LocalLayer.homogeneous(units[0]))
     return ApplyLocal(LocalLayer.inhomogeneous(units))
@@ -900,7 +897,6 @@ def trotter_schedule(
     epsilon: float,
     hw,
     *,
-    plan: CyclePlan | None = None,
     num_cycles: int | None = None,
 ) -> tuple[PulseSchedule, CostReport]:
     """Compile `target` for simulated time t_prime within error budget epsilon.
@@ -912,8 +908,7 @@ def trotter_schedule(
     """
     if t_prime < 0 or epsilon <= 0:
         raise CompileError("need t_prime >= 0 and epsilon > 0")
-    if plan is None:
-        plan = plan_for_hamiltonian(target, hw)
+    plan = plan_for_hamiltonian(target, hw)
     c = plan.time_cost
     if num_cycles is not None:
         num = int(num_cycles)
@@ -1003,11 +998,7 @@ class EchoSequence:
             if zz_targets:
                 instructions.append(RawGate("echo-zz", theta, tuple(zz_targets)))
             if any(z_fields):
-                units = [
-                    SingleQubitUnitary.rot((0.0, 0.0, 1.0), g * theta)
-                    if g != 0.0 else SingleQubitUnitary.identity()
-                    for g in z_fields
-                ]
+                units = [SingleQubitUnitary.rot((0.0, 0.0, 1.0), g * theta) for g in z_fields]
                 instructions.append(ApplyLocal(LocalLayer.inhomogeneous(units)))
         return PulseSchedule(n, tuple(instructions))
 
@@ -1048,11 +1039,5 @@ def magnetic_field_layer(
         raise CompileError(f"direction must be a unit vector (|n| = {norm})")
     n = n / norm
     if b_per_qubit is None:
-        if b * dt == 0.0:
-            return LocalLayer.identity()
         return LocalLayer.homogeneous(SingleQubitUnitary.rot(n, b * dt))
-    units = [
-        SingleQubitUnitary.rot(n, ba * dt) if ba * dt != 0.0 else SingleQubitUnitary.identity()
-        for ba in b_per_qubit
-    ]
-    return LocalLayer.inhomogeneous(units)
+    return LocalLayer.inhomogeneous([SingleQubitUnitary.rot(n, ba * dt) for ba in b_per_qubit])

@@ -76,7 +76,7 @@ import numpy as np
 from . import kernels
 from .kernels import STATEVECTOR_CAP
 from .compiler import ApplyLocal, PulseSchedule, RawGate
-from .pauli import Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
+from .pauli import IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
 from .sectors import Sectors
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -240,27 +240,30 @@ class ExecutionLog:
     """Per-instruction jitter draws, sufficient to replay a run.
 
     The draws are kept per pass of FusedCycle.execute, as it draws them:
-    the index of the pass's first instruction, each instruction's kind
-    ("local" or "gate") and draw count, and one float array of the pass's
-    mapped draws in instruction order. `entries` is a fresh list of
-    (index, kind, draws) per instruction. The text has one line per
-    instruction: `text_chunks` yields it one recorded pass at a time,
-    `to_text` joins them, and `from_text` reads it back exactly. Replaying
-    a log needs only the reader and a draw source: run_schedule(...,
-    replay=log) takes every draw from the log (LogDraws), not the generator.
+    the index of the pass's first instruction (rows are numbered in the
+    order they are recorded), each instruction's kind ("local" or "gate")
+    and draw count, and one float array of the pass's mapped draws in
+    instruction order. `entries` is a fresh list of (index, kind, draws)
+    per instruction; the argument of that name is such a list to record.
+    The text has one line per instruction: `text_chunks` yields it one
+    recorded pass at a time, `to_text` joins them, and `from_text` reads it
+    back exactly. Replaying a log needs only the reader and a draw source:
+    run_schedule(..., replay=log) takes every draw from the log (LogDraws),
+    not the generator.
     """
 
     def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None,
                  entries=()):
         self.rng_algorithm, self.seed = rng_algorithm, seed
         self._chunks: list[tuple[int, list[str], list[int], np.ndarray]] = []
-        for index, kind, draws in entries:
-            self.record(index, [kind], [len(draws)], np.array(draws, dtype=float))
+        for _, kind, draws in entries:
+            self.record([kind], [len(draws)], np.array(draws, dtype=float))
 
-    def record(self, index: int, kinds: list[str], sizes: list[int], draws: np.ndarray):
-        """Instruction index + i has kind kinds[i] and the next sizes[i]
-        values of the flat `draws`, in order."""
-        self._chunks.append((index, kinds, sizes, draws))
+    def record(self, kinds: list[str], sizes: list[int], draws: np.ndarray):
+        """The next len(kinds) instructions: the i-th has kind kinds[i] and
+        the next sizes[i] values of the flat `draws`, in order."""
+        last = self._chunks[-1] if self._chunks else (0, [])
+        self._chunks.append((last[0] + len(last[1]), kinds, sizes, draws))
 
     @staticmethod
     def _rows(chunk):
@@ -323,7 +326,7 @@ class ExecutionLog:
             draws.extend(values)
         log = ExecutionLog(head.group(1), seed)
         if kinds:
-            log.record(0, kinds, sizes, np.array(draws, dtype=float))
+            log.record(kinds, sizes, np.array(draws, dtype=float))
         return log
 
 
@@ -362,7 +365,6 @@ class LogDraws:
 # Fused execution core
 # ---------------------------------------------------------------------------
 
-_IDENTITY_TOL = 1e-14      # as SingleQubitUnitary.is_identity
 _SIGN_ROW_QUBITS = 12      # most qubits whose cross-group diagonals keep their sign rows
 _CHUNK = 64                # instructions per unrepeated window, raw gates per diagonal
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
@@ -403,7 +405,7 @@ class LoweredLayer:
         self.matrices = (_local_matrices(self.theta, self.nsigma, self.phase, 1.0)
                          if matrices is None else matrices)
         off = np.max(np.abs(self.matrices - _EYE2), axis=(1, 2))
-        self.active = tuple(np.flatnonzero(off > _IDENTITY_TOL).tolist())
+        self.active = tuple(np.flatnonzero(off > IDENTITY_TOL).tolist())
 
     @staticmethod
     def from_layer(layer: LocalLayer, n_qubits: int) -> "LoweredLayer":
@@ -609,13 +611,13 @@ class FusedCycle:
                 for step in self.steps]
 
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
-                index: int, scales: np.ndarray | None = None, after=None) -> int:
+                scales: np.ndarray | None = None, after=None) -> int:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
         passes of up to _CHUNK_BLOCKS blocks over occurrences and rows;
         occurrence j with the scales[j] (count, slots) of its ops' slots
         when the cycle has any. `after(j)`, when given, is called once
         occurrence j has run, so that a caller can copy amps out mid-pass.
-        Returns the next instruction index.
+        Returns the number of instructions run.
 
         `draws` is the jitter source. Given a sequence of generators, row r
         draws one rng.random(c * width) from draws[r] per pass of c
@@ -623,7 +625,7 @@ class FusedCycle:
         what one rng.uniform(-eta, eta) per instruction gives, since PCG64
         splits one call into consecutive ones exactly, so seeds and logs
         keep their meaning. Given a LogDraws, each pass takes the mapped
-        draws the log recorded. `log` records each pass's draws at `index`.
+        draws the log recorded. `log` records each pass's draws.
         """
         rows = amps.shape[0]
         per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
@@ -647,9 +649,8 @@ class FusedCycle:
                 if after is not None:
                     after(first + j)
             if log is not None and kinds:
-                log.record(index, kinds, sizes, d[0])
-            index += len(kinds)
-        return index
+                log.record(kinds, sizes, d[0])
+        return count * len(self.kinds)
 
 
 def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -756,11 +757,11 @@ def execute_batch(
         raise EngineError("an execution log records a batch of one state")
     eta_l = err.eta_local if err is not None else 0.0
     eta_i = err.eta_int if err is not None else 0.0
-    lowered, index = {}, 0
+    lowered, run = {}, 0
     for piece, count in _repeats(instructions):
-        cycle = FusedCycle(piece, n_qubits, eta_l, eta_i, lowered=lowered)
-        index = cycle.execute(amps, count, draws, log, index)
-    return index
+        run += FusedCycle(piece, n_qubits, eta_l, eta_i, lowered=lowered).execute(
+            amps, count, draws, log)
+    return run
 
 
 def execute_instructions(
@@ -889,7 +890,7 @@ class SpectrumCache:
     energies and gaps mean what they mean for the full spectrum.
     Eigenvectors stay per block: bases, weights, histograms and evolution
     work block by block. from_stacks builds the spectra of many values of
-    k at once, and they share its arrays; from_blocks is its one-k case.
+    k at once, and they share its arrays.
 
     A spectrum without vectors answers group energies and gaps only; asking
     it for a basis, weight or evolution raises EngineError. It caches
@@ -909,13 +910,7 @@ class SpectrumCache:
     def from_hamiltonian(h: Hamiltonian) -> "SpectrumCache":
         _check_dense(h.n_qubits)
         sectors = Sectors(h.n_qubits, (h,))
-        return SpectrumCache.from_blocks(sectors, sectors.parts(h))
-
-    @staticmethod
-    def from_blocks(sectors: Sectors, mats, vectors: bool = True) -> "SpectrumCache":
-        """The spectrum of the part matrices `mats`, one (p, d, d) array per
-        entry of sectors.part_sizes: from_stacks for one k."""
-        (spec,) = SpectrumCache.from_stacks(sectors, [m[None] for m in mats], vectors)
+        (spec,) = SpectrumCache.from_stacks(sectors, [m[None] for m in sectors.parts(h)])
         return spec
 
     @staticmethod
@@ -1092,15 +1087,15 @@ def parse_observable(spec: str, n_qubits: int) -> PauliString:
     tokens = _OBS_TOKEN.findall(spec.replace(" ", ""))
     if not tokens or "".join(c + q for c, q in tokens) != spec.replace(" ", ""):
         raise EngineError(f"bad observable spec {spec!r}")
-    ops = ["I"] * n_qubits
+    sites = {}
     for char, qs in tokens:
-        q = int(qs)
+        q = int(qs) if len(qs) < 5 else n_qubits  # 5 digits or more: out of range, unparsed
         if not (0 <= q < n_qubits):
-            raise EngineError(f"observable site {q} out of range")
-        if ops[q] != "I":
+            raise EngineError(f"observable site {qs} out of range")
+        if q in sites:
             raise EngineError(f"observable {spec!r} repeats site {q}")
-        ops[q] = char
-    return PauliString("".join(ops))
+        sites[q] = char
+    return PauliString.on(n_qubits, sites)
 
 
 def _term_values(amps: np.ndarray, table: TermTable) -> np.ndarray:
@@ -1129,7 +1124,3 @@ def expectation_energy(state: StateVector, h: Hamiltonian) -> float:
     if h.n_qubits != state.n_qubits:
         raise EngineError("operator size mismatch")
     return float(sum(_term_values(state.amps, h.table).tolist()))
-
-
-def observables(state: StateVector, specs) -> list[tuple[str, float]]:
-    return [(s, expectation(state, parse_observable(s, state.n_qubits))) for s in specs]

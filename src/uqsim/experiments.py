@@ -30,7 +30,7 @@ from .engine import (
     ground_state,
 )
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes, inv_cube
-from .pauli import Hamiltonian
+from .pauli import Hamiltonian, PauliString
 
 
 class ExperimentError(Exception):
@@ -126,23 +126,6 @@ class NamedModel:
                     f"j_map pair {a}-{b} is not two distinct sites of the {n}-site geometry")
 
 
-def _single_site_terms(n, q, vec):
-    out = []
-    for c, axis in zip(vec, "XYZ"):
-        if c != 0.0:
-            ops = ["I"] * n
-            ops[q] = axis
-            out.append((c, "".join(ops)))
-    return out
-
-
-def _pair_term(n, a, b, axis, coeff):
-    ops = ["I"] * n
-    ops[a] = axis
-    ops[b] = axis
-    return (coeff, "".join(ops))
-
-
 def random_couplings(model: NamedModel) -> dict[tuple[int, int], float]:
     if model.j_map is not None:
         return {tuple(k): v for k, v in model.j_map}
@@ -159,40 +142,38 @@ def build_model(model: NamedModel) -> Hamiltonian:
     if model.name == "dipole":
         for a, b in geo.all_pairs():
             coeff = 0.5 * model.j * geo.inv_cube(a, b)
-            terms.append(_pair_term(n, a, b, "X", coeff))
-            terms.append(_pair_term(n, a, b, "Y", coeff))
+            terms += [PauliString.on(n, {a: axis, b: axis}, coeff) for axis in "XY"]
     elif model.name == "ising":
         for a, b in geo.nn_pairs:
-            terms.append(_pair_term(n, a, b, "Z", -0.5 * model.j))
+            terms.append(PauliString.on(n, {a: "Z", b: "Z"}, -0.5 * model.j))
     elif model.name == "heisenberg":
         for a, b in geo.nn_pairs:
-            for axis in "XYZ":
-                terms.append(_pair_term(n, a, b, axis, -0.5 * model.j))
+            terms += [PauliString.on(n, {a: axis, b: axis}, -0.5 * model.j) for axis in "XYZ"]
     elif model.name == "random_ising":
         couplings = random_couplings(model)
         for (a, b), j_ab in couplings.items():
-            terms.append(_pair_term(n, a, b, "Z", -0.5 * j_ab))
-        for q, ba in enumerate(model.b_list or ()):
-            terms.extend(_single_site_terms(n, q, (ba, 0.0, 0.0)))
+            terms.append(PauliString.on(n, {a: "Z", b: "Z"}, -0.5 * j_ab))
+        terms += [PauliString.on(n, {q: "X"}, ba)
+                  for q, ba in enumerate(model.b_list or ()) if ba != 0.0]
     if model.b != 0.0:
         nx, ny, nz = model.direction
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if abs(norm - 1.0) > 1e-10:
             raise ExperimentError("field direction must be a unit vector")
-        for q in range(n):
-            terms.extend(_single_site_terms(n, q, (model.b * nx, model.b * ny, model.b * nz)))
+        field = [(axis, model.b * c) for axis, c in zip("XYZ", model.direction)]
+        terms += [PauliString.on(n, {q: axis}, c)
+                  for q in range(n) for axis, c in field if c != 0.0]
     return Hamiltonian.from_terms(n, terms)
 
 
 # Figure-style initial Hamiltonians: nearest-neighbor ZZ or XX chains.
 
-def nn_chain(kind: str, n: int, coeff: float = 1.0) -> Hamiltonian:
+def nn_chain(kind: str, n: int) -> Hamiltonian:
     axis = {"zz": "Z", "xx": "X"}.get(kind)
     if axis is None:
         raise ExperimentError(f"unknown chain kind {kind!r}")
-    return Hamiltonian.from_terms(
-        n, [_pair_term(n, a, a + 1, axis, coeff) for a in range(n - 1)]
-    )
+    return Hamiltonian.from_terms(n, [PauliString.on(n, {a: axis, a + 1: axis})
+                                      for a in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +237,10 @@ class GroundPath:
     values of k at once: one stacked call per part size per chunk of k,
     each chunk as large as keeps its part matrices (and, with vectors, the
     eigenvectors mapped onto the blocks) within _CHUNK_ENTRIES entries.
-    `spectrum` and `levels` are its one-k case. The spectra of the two
-    endpoints are kept, so runs sharing a path decompose each endpoint
-    once. The start vector of every run is ground_state(h_initial), taken
-    once per path from the parts of h_initial alone.
+    `spectrum` is its one-k case. The spectra of the two endpoints are
+    kept, so runs sharing a path decompose each endpoint once. The start
+    vector of every run is ground_state(h_initial), taken once per path
+    from the parts of h_initial alone.
     """
 
     def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
@@ -310,14 +291,6 @@ class GroundPath:
             (spec,) = self.spectra([k])
             if k in (0.0, 1.0):
                 self._spectra[k] = spec
-        return spec
-
-    def levels(self, k: float) -> SpectrumCache:
-        """The grouped eigenvalues of H(k): a kept spectrum of k if there is
-        one, else an eigenvalue-only spectrum that is not kept."""
-        spec = self._spectra.get(k)
-        if spec is None:
-            (spec,) = self.spectra([k], vectors=False)
         return spec
 
     def ground_basis(self, k: float) -> np.ndarray:
@@ -528,7 +501,7 @@ def adiabatic_batch(
         for trajectory, fid, energy in zip(trajectories, fidelities, energies):
             trajectory.append((s, float(ks[s - 1]), fid, energy))
 
-    index = 0
+    executed = 0
     if config.stepper == "exact":
         for s, spec in enumerate(path.spectra(ks), 1):
             amps = spec.evolve(amps, dt)
@@ -565,19 +538,19 @@ def adiabatic_batch(
                     stop += 1
                 run = ks[s:stop]
                 after = (lambda j, s=s: keep(s + j + 1)) if len(kept) else None
-                index = cycle.execute(amps, stop - s, rngs, None, index,
-                                      np.column_stack([run, 1.0 - run]), after)
+                executed += cycle.execute(amps, stop - s, rngs, None,
+                                          np.column_stack([run, 1.0 - run]), after)
             else:
                 k = float(ks[s])
                 ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
-                index = FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None, index)
+                executed += FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None)
                 keep(stop)
             s = stop
     final = path.spectrum(0.0)
     results = []
     for row, trajectory in zip(amps, trajectories):
         state = StateVector(n, row.copy())
-        state.check_norm(max(index, 1))
+        state.check_norm(max(executed, 1))
         histogram = final.histogram(state)
         results.append(AdiabaticResult(trajectory=trajectory, histogram=histogram,
                                        ground_weight=histogram[0][1], final_state=state,

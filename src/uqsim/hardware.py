@@ -24,7 +24,7 @@ from .compiler import (
     PulseSchedule,
     RawGate,
 )
-from .pauli import Hamiltonian
+from .pauli import Hamiltonian, PauliString
 
 
 class HardwareError(Exception):
@@ -247,12 +247,8 @@ def uqs1_gate(model: LatticeModel, displacement, theta: float) -> tuple[Hamilton
 
 def _zz_generator(n_qubits: int, targets) -> Hamiltonian:
     """sum_(a, b, w) w Z_a Z_b over a gate's targets."""
-    terms = []
-    for a, b, w in targets:
-        ops = ["I"] * n_qubits
-        ops[a] = ops[b] = "Z"
-        terms.append((w, "".join(ops)))
-    return Hamiltonian.from_terms(n_qubits, terms)
+    return Hamiltonian.from_terms(n_qubits, [PauliString.on(n_qubits, {a: "Z", b: "Z"}, w)
+                                             for a, b, w in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +550,20 @@ def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel, include_crosstalk
 # Hardware description files
 # ---------------------------------------------------------------------------
 
+# The keys of each platform's description, besides platform and the positions block.
+HARDWARE_KEYS = {"uqs1": "sites dims shape boundary available_j gamma",
+                 "uqs2": "kappa gamma crosstalk_threshold"}
+
+
 def parse_hardware_text(text: str):
     """Parse the line-oriented hardware description format.
 
     Keys one per line (``platform uqs1|uqs2`` first), then for uqs1:
     sites/dims/shape/boundary/available_j/gamma; for uqs2: kappa, gamma,
     crosstalk_threshold, and a ``positions`` block with one coordinate line
-    per ion.
+    per ion. A key the platform does not have (HARDWARE_KEYS) raises
+    HardwareError naming it; the CLI's INI [hardware] section is read
+    through this format too.
     """
     fields: dict[str, str] = {}
     positions: list[tuple[float, ...]] = []
@@ -581,6 +584,9 @@ def parse_hardware_text(text: str):
             continue
         fields[key] = value.strip()
     platform = fields.get("platform")
+    unknown = sorted(set(fields) - {"platform", *HARDWARE_KEYS.get(platform, "").split()})
+    if platform in HARDWARE_KEYS and unknown:
+        raise HardwareError(f"platform {platform} has no key {', '.join(unknown)}")
     if platform == "uqs1":
         try:
             n_sites = int(fields["sites"])

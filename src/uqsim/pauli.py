@@ -41,6 +41,7 @@ for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
 # Coefficients below this are dropped when a Hamiltonian is canonicalized.
 COEFF_PRUNE_TOL = 1e-14
 UNITARITY_TOL = 1e-12
+IDENTITY_TOL = 1e-14  # a 2x2 unitary this close to I, entry by entry, is I
 
 
 class PauliError(ValueError):
@@ -60,6 +61,17 @@ class PauliString:
         if not math.isfinite(self.coeff):
             raise PauliError(f"non-finite coefficient {self.coeff!r}")
         object.__setattr__(self, "coeff", float(self.coeff))
+
+    @staticmethod
+    def on(n_qubits: int, sites: dict[int, str], coeff: float = 1.0) -> "PauliString":
+        """coeff * sites[q] ("X", "Y" or "Z") on each site q, I elsewhere; a site
+        outside 0..n_qubits-1 (a negative one would wrap) raises PauliError."""
+        ops = ["I"] * n_qubits
+        for q, op in sites.items():
+            if not (0 <= q < n_qubits and op in ("X", "Y", "Z")):
+                raise PauliError(f"cannot put {op!r} on site {q} of {n_qubits} qubits")
+            ops[q] = op
+        return PauliString("".join(ops), coeff)
 
     @property
     def n_qubits(self) -> int:
@@ -356,11 +368,13 @@ class SingleQubitUnitary:
 
     @staticmethod
     def rot(axis: Sequence[float], angle: float) -> "SingleQubitUnitary":
-        """exp(-i*angle*(n.sigma)) for unit vector n."""
+        """exp(-i*angle*(n.sigma)) for unit vector n; identity() at angle 0."""
         n = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(n)
         if abs(norm - 1.0) > 1e-10:
             raise PauliError(f"rotation axis must be a unit vector (|n|={norm})")
+        if angle == 0.0:
+            return SingleQubitUnitary.identity()
         n = n / norm
         nsigma = n[0] * SIGMA["X"] + n[1] * SIGMA["Y"] + n[2] * SIGMA["Z"]
         m = math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * nsigma
@@ -405,8 +419,8 @@ class SingleQubitUnitary:
         """Matrix product self @ other (other acts first)."""
         return SingleQubitUnitary(self.matrix @ other.matrix, self.adjoint @ other.adjoint)
 
-    def is_identity(self, tol: float = 1e-14) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(2))) <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - np.eye(2))) <= IDENTITY_TOL)
 
     def with_angle_scale(self, scale: float) -> "SingleQubitUnitary":
         """Replace exp(-i*theta*(n.sigma)) by exp(-i*theta*scale*(n.sigma)).
@@ -481,10 +495,10 @@ class LocalLayer:
             raise PauliError("layer size mismatch in compose")
         return LocalLayer(unitaries=[self.unitary_at(q).compose(other.unitary_at(q)) for q in range(n)])
 
-    def is_identity(self, tol: float = 1e-14) -> bool:
+    def is_identity(self) -> bool:
         if self._hom is not None:
-            return self._hom.is_identity(tol)
-        return all(u.is_identity(tol) for u in self._units)
+            return self._hom.is_identity()
+        return all(u.is_identity() for u in self._units)
 
     def __repr__(self):
         if self._hom is not None:

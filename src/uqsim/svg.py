@@ -8,6 +8,7 @@ import math
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 70
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+TICKS = 6
 
 
 def escape(text: str) -> str:
@@ -16,13 +17,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / max(n - 1, 1)))
+    step = 10 ** math.floor(math.log10(span / (TICKS - 1)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step

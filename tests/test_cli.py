@@ -163,6 +163,30 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "t_prime" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["Q0", "Z5", "Z0Z0", "Z" + "9" * 5000])
+    def test_bad_observable_exits_1_before_running(self, tmp_path, capsys, entry):
+        write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=3\n")
+        cfg = write(tmp_path / "sim.cfg",
+                    f"[simulate]\nschedule = empty.txt\nobservables = Z0, {entry}, Z1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: [simulate] observables entry ") and repr(entry) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("oracle", ["", "oracle_hamiltonian = missing.ham\n", "t_prime = nan\n"])
+    def test_bad_oracle_setting_exits_1_before_running(self, tmp_path, oracle):
+        write(tmp_path / "zz.ham", "1.0 Z Z\n")
+        write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=2\n")
+        if "t_prime" in oracle:
+            oracle += "oracle_hamiltonian = zz.ham\n"
+        cfg = write(tmp_path / "sim.cfg", "[simulate]\nschedule = empty.txt\n" + oracle)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), "--oracle"]) == 1
+        assert not out.exists()
+
     def test_overflowing_oracle_exits_4(self, tmp_path, capsys):
         write(tmp_path / "big.ham", "1e308 Z Z\n1e308 X X\n1e308 Y Y\n")
         write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=2\n")
@@ -714,6 +738,54 @@ def test_unparsable_config_value_exits_1_naming_the_key(tmp_path, capsys, config
     assert code == 1, err
     assert "Traceback" not in err
     assert err.startswith(f"uqsim: [{section}] {key} = {value!r}: ")
+
+
+@pytest.mark.parametrize("config, section, key", [
+    ("compile", "compile", "epsilonn"),
+    ("compile", "hardware", "gama"),
+    ("compile", "output", "directory"),
+    ("simulate", "simulate", "eta_locl"),
+    ("fig4a.cfg", "adiabatic", "theta"),
+    ("fig4a.cfg", "model", "b_vaules"),
+    ("fig4a.cfg", "hardware", "site"),
+    ("fig4b.cfg", "sweep", "reps"),
+    ("cost", "cost", "n_control"),
+    ("crosstalk", "crosstalk", "group"),
+    ("crosstalk", "hardware", "kapa"),
+])
+def test_unknown_config_key_exits_1_naming_it(tmp_path, capsys, config, section, key):
+    write(tmp_path / "zz.ham", "1.0 Z Z\n")
+    write(tmp_path / "empty.txt", "# pulse schedule version=1 n_qubits=2\n")
+    bases = {**CONFIG_BASES, "simulate": "[simulate]\nschedule = empty.txt\n"}
+    text = bases.get(config) or bundled(config)
+    if f"[{section}]" not in text:
+        text += f"[{section}]\n"
+    cfg = write(tmp_path / "bad.cfg", set_value(text, section, key, "1"))
+    command = "adiabatic" if config.endswith(".cfg") else config
+    argv = STEPS_3 if command == "adiabatic" else []
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("uqsim: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    if config in bases:  # without the key it runs; a section uqsim does not read takes any key
+        cfg = write(tmp_path / "good.cfg", "[notes]\nanything = 1\n" + bases[config])
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("file_text, extra, named", [
+    ("platform uqs2\ngamma 1.0\ngama 5.0\npositions\n0\n1\n", "", "gama"),
+    ("platform uqs1\nsites 2\nkappa 2.0\n", "", "kappa"),
+    ("platform uqs2\npositions\n0\n1\n", "gamma = 2.0\n", "gamma"),
+])
+def test_hardware_file_keys_are_checked(tmp_path, capsys, file_text, extra, named):
+    write(tmp_path / "zz.ham", "1.0 Z Z\n")
+    write(tmp_path / "hw.txt", file_text)
+    cfg = write(tmp_path / "c.cfg", f"[hardware]\nfile = hw.txt\n{extra}"
+                "[compile]\nhamiltonian = zz.ham\nt_prime = 1.0\n")
+    assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("uqsim: ") and named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -145,6 +145,49 @@ class TestBuildModel:
         assert Hamiltonian.from_terms(n, relabeled) == h
 
 
+# build_model of every named model, nn_chain and the ZZ generators of both
+# platforms, one small instance each, as written before PauliString.on
+TERM_TEXTS = {
+    "dipole": "# hamiltonian n_qubits=3\n-0.1 I I Y\n0.35 I X X\n-0.1 I Y I\n0.35 I Y Y\n"
+              "0.04375 X I X\n0.35 X X I\n-0.1 Y I I\n0.04375 Y I Y\n0.35 Y Y I\n",
+    "ising": "# hamiltonian n_qubits=3\n0.24 I I X\n0.32000000000000006 I I Z\n0.24 I X I\n"
+             "0.32000000000000006 I Z I\n-0.65 I Z Z\n0.24 X I I\n0.32000000000000006 Z I I\n"
+             "-0.65 Z Z I\n",
+    "heisenberg": "# hamiltonian n_qubits=4\n0.25 I I X X\n0.25 I I Y Y\n0.25 I I Z Z\n"
+                  "0.25 I X I X\n0.25 I Y I Y\n0.25 I Z I Z\n0.25 X I X I\n0.25 X X I I\n"
+                  "0.25 Y I Y I\n0.25 Y Y I I\n0.25 Z I Z I\n0.25 Z Z I I\n",
+    "random_ising": "# hamiltonian n_qubits=3\n-0.2 I I X\n-0.30794078973649375 I Z Z\n"
+                    "0.3 X I I\n-0.3050029237453802 Z Z I\n",
+    "zz_chain": "# hamiltonian n_qubits=3\n1.0 I Z Z\n1.0 Z Z I\n",
+    "xx_chain": "# hamiltonian n_qubits=3\n1.0 I X X\n1.0 X X I\n",
+    "uqs2_push": "# hamiltonian n_qubits=3\n0.08888888888888888 I Z Z\n0.0192 Z I Z\n"
+                 "0.3 Z Z I\n",
+    "uqs1_gate": "# hamiltonian n_qubits=4\n1.0 I I Z Z\n1.0 I Z Z I\n1.0 Z Z I I\n",
+}
+
+
+@pytest.mark.parametrize("name", TERM_TEXTS)
+def test_term_builders_keep_their_text(name):
+    from uqsim.hardware import uqs1_gate, uqs2_push
+
+    build = {
+        "dipole": lambda: build_model(NamedModel("dipole", Geometry.chain(3), j=0.7, b=0.1,
+                                                 direction=(0.0, -1.0, 0.0))),
+        "ising": lambda: build_model(NamedModel("ising", Geometry.chain(3), j=1.3, b=0.4,
+                                                direction=(0.6, 0.0, 0.8))),
+        "heisenberg": lambda: build_model(NamedModel("heisenberg", Geometry.grid(2, 2), j=-0.5)),
+        "random_ising": lambda: build_model(NamedModel(
+            "random_ising", Geometry.chain(3), j_range=(-1.0, 1.0), seed=5,
+            b_list=(0.3, 0.0, -0.2))),
+        "zz_chain": lambda: nn_chain("zz", 3),
+        "xx_chain": lambda: nn_chain("xx", 3),
+        "uqs2_push": lambda: uqs2_push(TrapArrayModel(((0.0,), (1.0,), (2.5,))), [0, 1, 2], 0.3),
+        "uqs1_gate": lambda: uqs1_gate(LatticeModel(n_sites=4), 1, 0.2)[0],
+    }[name]
+    assert set(MODEL_NAMES) <= set(TERM_TEXTS)
+    assert build().to_text() == TERM_TEXTS[name]
+
+
 class TestProtocolForModel:
     def test_dipole_uqs2_single_global_push(self):
         geo = Geometry.chain(4)
@@ -321,7 +364,8 @@ class TestGroundPath:
         dense_t = oracles.dense_hamiltonian(n, [(t.coeff, t.ops) for t in h_t.terms])
         for k in (1.0, 0.0, *rng.random(3)):
             expect = np.linalg.eigvalsh(k * dense_i + (1.0 - k) * dense_t)
-            np.testing.assert_allclose(path.levels(k).eigenvalues, expect, rtol=0, atol=1e-12)
+            levels = next(path.spectra([k], vectors=False))
+            np.testing.assert_allclose(levels.eigenvalues, expect, rtol=0, atol=1e-12)
 
     @staticmethod
     def count_decompositions(monkeypatch):
@@ -442,7 +486,7 @@ class TestMinGap:
         for k in (0.0, 0.3, 0.5, 1.0):
             for calls in seen.values():
                 calls.append([])
-            levels = path.levels(k)
+            levels = next(path.spectra([k], vectors=False))
             assert levels.eigenvectors is None
             full = path.spectrum(k)
             assert levels.groups == full.groups
@@ -451,14 +495,6 @@ class TestMinGap:
         stacks = len(path.sectors.part_sizes)
         for calls in seen.values():
             assert calls == [[dtype] * stacks for dtype in dtypes]
-
-    def test_levels_reuse_a_kept_spectrum_and_keep_nothing(self):
-        path = self.complex_path()
-        assert path.levels(1.0) is not path.levels(1.0)
-        full = path.spectrum(1.0)
-        assert path.levels(1.0) is full
-        path.levels(0.25)
-        assert path.spectrum(0.25).eigenvectors is not None
 
     def test_complex_path_gap(self):
         res = min_gap(self.complex_path(), samples=41)
@@ -474,7 +510,7 @@ class TestMinGap:
         assert res.min_gap == pytest.approx(0.6927372499417848, abs=1e-6)
 
     def test_eigenvalue_only_spectrum_has_no_vectors(self):
-        levels = self.complex_path().levels(0.5)
+        levels = next(self.complex_path().spectra([0.5], vectors=False))
         state = StateVector.zero_state(4)
         for ask in (lambda: levels.group_basis(0), levels.ground_vector,
                     lambda: levels.group_weight(0, state), lambda: levels.histogram(state),

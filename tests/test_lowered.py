@@ -356,7 +356,7 @@ def test_plan_ops_draw_exactly_what_emit_cycle_emits(homogeneous):
         oracles.reference_execute(ref, n, cycle, err, ref_rng)
         got, rng = random_amps(n, 4)[None, :].copy(), err.rng()
         step = engine.FusedCycle(cycle, n, err.eta_local, err.eta_int)
-        count = step.execute(got, 1, [rng], None, 0)
+        count = step.execute(got, 1, [rng], None)
         assert count == len(cycle)
         assert np.max(np.abs(got[0] - ref)) <= AMP_TOL
         assert rng.random() == ref_rng.random()  # streams in the same place
@@ -600,7 +600,7 @@ def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
                             calls.__setitem__(key, calls[key] + 1) or real(*a))
     amps = np.tile(random_amps(n, 1), (2, 1))
     ks = np.array([0.9, 0.7, 0.5])
-    cycle.execute(amps, 3, [err.rng(), err.rng()], None, 0, np.column_stack([ks, 1.0 - ks]))
+    cycle.execute(amps, 3, [err.rng(), err.rng()], None, np.column_stack([ks, 1.0 - ks]))
     assert calls["block"] <= 12 * 3 and calls["zz"] <= 3 * 3
 
 

@@ -382,3 +382,30 @@ class TestSingleQubitUnitary:
     def test_flip_scaled_recomposes(self):
         u = SingleQubitUnitary.pauli_flip("X")
         np.testing.assert_allclose(u.with_angle_scale(1.0 + 1e-16).matrix, u.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, -0.0])
+    def test_zero_angle_rotation_is_the_identity(self, angle):
+        ident = SingleQubitUnitary.identity()
+        u = SingleQubitUnitary.rot((0.6, 0.0, -0.8), angle)
+        for field in ("matrix", "adjoint", "axis"):
+            assert np.array_equal(getattr(u, field), getattr(ident, field))
+        assert (u.alpha, u.theta) == (ident.alpha, ident.theta) == (0.0, 0.0)
+        assert u.is_identity()
+        # the same signs as identity(): a schedule line prints them
+        assert np.array_equal(np.signbit(u.matrix.view(float)), np.signbit(ident.matrix.view(float)))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.4])
+    def test_non_unit_axis_raises_at_any_angle(self, angle):
+        with pytest.raises(PauliError, match="unit vector"):
+            SingleQubitUnitary.rot((0.0, 0.0, 2.0), angle)
+
+
+class TestPauliStringOn:
+    def test_places_ops_on_sites(self):
+        assert PauliString.on(4, {3: "X", 0: "Z"}, -0.5) == PauliString("ZIIX", -0.5)
+        assert PauliString.on(2, {}) == PauliString("II", 1.0)
+
+    @pytest.mark.parametrize("sites", [{-1: "Z"}, {3: "Z"}, {0: "Z", 3: "X"}, {1: "I"}, {1: "XY"}])
+    def test_rejects_a_site_outside_the_register_or_another_op(self, sites):
+        with pytest.raises(PauliError):
+            PauliString.on(3, sites)

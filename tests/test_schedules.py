@@ -208,7 +208,7 @@ def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
     amps[:, 0] = 1.0
     counts = count_calls(monkeypatch)
     step = engine.FusedCycle(emit_cycle(plan, 0.1, 0.6), 8, err.eta_local, err.eta_int)
-    assert step.execute(amps, 1, [err.rng(), err.rng()], None, 0) == 22
+    assert step.execute(amps, 1, [err.rng(), err.rng()], None) == 22
     assert counts == {"block": 3, "zz": 1, "single": 0, "build": 3}
 
 

@@ -142,7 +142,7 @@ def test_merged_spectrum_projector_and_evolution_match_dense(seed):
     for k in rng.random(2):
         m = k * dense(h_i) + (1.0 - k) * dense(h_t)
         whole = oracles.DenseSpectrum(m)
-        levels, spec = path.levels(k), path.spectrum(k)
+        levels, spec = next(path.spectra([k], vectors=False)), path.spectrum(k)
         np.testing.assert_allclose(levels.eigenvalues, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
         assert levels.groups == spec.groups == whole.groups
         basis, full = spec.group_basis(0), whole.group_basis(0)
@@ -305,7 +305,7 @@ def test_adapted_parts_match_dense(seed):
     for k in (1.0, float(rng.random())):
         m = k * dense(h_i) + (1.0 - k) * dense(h_t)
         w, v = np.linalg.eigh(m)
-        levels, spec = path.levels(k), path.spectrum(k)
+        levels, spec = next(path.spectra([k], vectors=False)), path.spectrum(k)
         np.testing.assert_allclose(levels.eigenvalues, w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(spec.eigenvalues, w, rtol=0, atol=1e-12)
         whole = oracles.DenseSpectrum(m)
@@ -391,7 +391,7 @@ def test_batched_spectra_match_one_k_spectra(monkeypatch, case):
             batched = list(path.spectra(ks, vectors))
             assert len(batched) == ks.size
             for k, spec in zip(ks.tolist(), batched):
-                one = SpectrumCache.from_blocks(path.sectors, path.blocks(k), vectors)
+                (one,) = SpectrumCache.from_stacks(path.sectors, path.blocks([k]), vectors)
                 assert spec.groups == one.groups
                 assert abs(spec.tol - one.tol) <= 1e-12
                 np.testing.assert_allclose(spec.eigenvalues, one.eigenvalues, rtol=0, atol=1e-12)
