@@ -450,6 +450,9 @@ def cmd_simulate(args, cfg, config_path) -> int:
         state = StateVector.load_text(_read_input(_relative(init_spec[5:], config_path)))
     else:
         raise UsageError(f"unknown initial state {init_spec!r}")
+    if state.n_qubits != schedule.n_qubits:
+        raise UsageError(f"[simulate] initial = {init_spec} holds {state.n_qubits} qubits, "
+                         f"the schedule is for {schedule.n_qubits}")
     obs = []
     for spec in [s.strip() for s in section.get("observables", "").split(",") if s.strip()]:
         try:
@@ -519,6 +522,12 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
     plan_target = protocol_for_model(model, hw)
     extra = {}
     if cfg.has_section("sweep"):
+        ignored = [key for key in ("eta_local", "eta_int") if key in section]
+        if "record_every" in section and base.record_every != 0:
+            ignored.append("record_every")
+        if ignored:
+            raise UsageError(f"[adiabatic] {', '.join(ignored)} does nothing with [sweep]: "
+                             "it sets both etas per cell and records no trajectory")
         sw = cfg["sweep"]
         etas = config_value(sw, "etas", _jitter_fractions, (0.0,))
         steps_list = config_value(sw, "steps_list", _ints, (steps,))

@@ -29,6 +29,7 @@ from .pauli import (
     SingleQubitUnitary,
     commutator_generator,
     conjugate,
+    read_header,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -63,17 +64,12 @@ class ControlSequence:
     def __post_init__(self):
         if not self.steps:
             raise CompileError("empty control sequence")
-        total = 0.0
-        size = None
-        for p, layer in self.steps:
+        for p, _ in self.steps:
             if not (0.0 < p <= 1.0):
                 raise CompileError(f"step weight {p} outside (0, 1]")
-            total += p
-            if layer.n_qubits is not None:
-                if size is None:
-                    size = layer.n_qubits
-                elif size != layer.n_qubits:
-                    raise CompileError("layers in a sequence must share n_qubits")
+        if len({layer.n_qubits for _, layer in self.steps} - {None}) > 1:
+            raise CompileError("layers in a sequence must share n_qubits")
+        total = sum(p for p, _ in self.steps)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise CompileError(f"step weights sum to {total!r}, not 1")
 
@@ -83,10 +79,7 @@ class ControlSequence:
 
     @property
     def n_qubits(self) -> int | None:
-        for _, layer in self.steps:
-            if layer.n_qubits is not None:
-                return layer.n_qubits
-        return None
+        return next((layer.n_qubits for _, layer in self.steps if layer.n_qubits is not None), None)
 
 
 def effective_hamiltonian(seq: ControlSequence, h0: Hamiltonian) -> Hamiltonian:
@@ -288,12 +281,12 @@ def compile_pair_interaction(
     only). General dense M synthesis is out of scope.
     """
     if m.is_diagonal(1e-12):
-        if homogeneous_only:
+        try:
             return synthesize_diagonal(m, gamma)
-        feas = homogeneous_feasibility(m, gamma)
-        if feas.feasible:
-            return synthesize_diagonal(m, gamma)
-        return synthesize_diagonal_signed(m, gamma)
+        except InfeasibleTargetError:
+            if homogeneous_only:
+                raise
+            return synthesize_diagonal_signed(m, gamma)
     j = _antisym_zy_component(m)
     if j is not None and j != 0.0:
         if homogeneous_only:
@@ -332,19 +325,11 @@ class ApplyLocal:
     layer: LocalLayer
 
     def equals(self, other) -> bool:
-        if not isinstance(other, ApplyLocal):
-            return False
-        a, b = self.layer, other.layer
-        if a.is_homogeneous != b.is_homogeneous:
-            return False
-        if a.is_homogeneous:
-            return bool(np.array_equal(a.unitary_at(0).matrix, b.unitary_at(0).matrix))
-        if a.n_qubits != b.n_qubits:
-            return False
-        return all(
+        """Both homogeneous, or both on the same qubits, with equal matrices."""
+        a, b = self.layer, getattr(other, "layer", None)
+        return isinstance(other, ApplyLocal) and a.n_qubits == b.n_qubits and all(
             np.array_equal(a.unitary_at(q).matrix, b.unitary_at(q).matrix)
-            for q in range(a.n_qubits)
-        )
+            for q in range(a.n_qubits or 1))
 
 
 @dataclass(frozen=True)
@@ -363,14 +348,6 @@ class RawGate:
                 raise CompileError(f"gate targets identical qubit {a}")
             if not math.isfinite(w):
                 raise CompileError(f"gate weight {w!r} on {a}-{b} is not finite")
-
-    def equals(self, other) -> bool:
-        return (
-            isinstance(other, RawGate)
-            and self.gate_id == other.gate_id
-            and self.theta == other.theta
-            and self.targets == other.targets
-        )
 
 
 Instruction = ApplyLocal | RawGate
@@ -420,13 +397,6 @@ class PulseSchedule:
     cost: CostReport | None = None
     cycle_length: int | None = None
     num_cycles: int | None = None
-
-    def equals(self, other: "PulseSchedule") -> bool:
-        return (
-            self.n_qubits == other.n_qubits
-            and len(self.instructions) == len(other.instructions)
-            and all(a.equals(b) for a, b in zip(self.instructions, other.instructions))
-        )
 
     def gate_angle_totals(self) -> dict[str, float]:
         """Sum of |theta| per gate family; conserved by hardware realization."""
@@ -528,9 +498,10 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
 
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
-    object, and an error names the line of its first occurrence. A header
-    giving both cycles and cycle_length, each at least 1, must multiply to
-    the instruction count.
+    object, and an error names the line of its first occurrence. The
+    header fields n_qubits, cycles and cycle_length follow read_header;
+    cycles and cycle_length are at least 1, and must multiply to the
+    instruction count when both are given.
     """
     header: dict[str, int] = {}
     header_line = 1
@@ -542,12 +513,11 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
             continue
         try:
             if line.startswith("#"):
-                for tok in line[1:].split():
-                    key, sep, value = tok.partition("=")
-                    if sep and key in ("n_qubits", "cycles", "cycle_length"):
-                        header[key], header_line = int(value), lineno
-                        if key != "n_qubits" and header[key] < 1:
-                            raise ValueError(f"{key}={value} is below 1")
+                if read_header(line, ("n_qubits", "cycles", "cycle_length"), header):
+                    header_line = lineno
+                for key in ("cycles", "cycle_length"):
+                    if header.get(key, 1) < 1:
+                        raise ValueError(f"{key}={header[key]} is below 1")
                 continue
             hit = parsed.get(line)
             if hit is None:

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import re
 from dataclasses import dataclass
 from itertools import groupby
@@ -76,11 +75,14 @@ import numpy as np
 from . import kernels
 from .kernels import STATEVECTOR_CAP
 from .compiler import ApplyLocal, PulseSchedule, RawGate
-from .pauli import IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable
+from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
+                    read_header)
 from .sectors import Sectors
 
 RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
+DENSE_CAP = 12
+"""Most qubits of a Hamiltonian the exact oracle decomposes (_check_dense)."""
 
 
 class EngineError(Exception):
@@ -92,14 +94,9 @@ class StateFormatError(EngineError):
 
 
 def _check_dense(n_qubits: int):
-    """Refuse dense matrices above the qubit cap: 12, or UQS_DENSE_CAP when set."""
-    raw = os.environ.get("UQS_DENSE_CAP", "").strip() or "12"
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise EngineError(f"bad UQS_DENSE_CAP value {raw!r}") from exc
-    if n_qubits > cap:
-        raise EngineError(f"{n_qubits} qubits exceeds the dense cap {cap}")
+    """Refuse an oracle above DENSE_CAP qubits."""
+    if n_qubits > DENSE_CAP:
+        raise EngineError(f"{n_qubits} qubits exceeds the dense cap {DENSE_CAP}")
 
 
 @dataclass
@@ -122,13 +119,6 @@ class StateVector:
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return StateVector(n_qubits, amps)
-
-    @staticmethod
-    def from_amplitudes(amps) -> "StateVector":
-        a = np.asarray(amps, dtype=np.complex128)
-        if a.size == 0 or a.size & (a.size - 1):
-            raise EngineError("amplitude count is not a power of 2")
-        return StateVector(a.size.bit_length() - 1, a.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -153,21 +143,21 @@ class StateVector:
 
     @staticmethod
     def load_text(text: str) -> "StateVector":
-        """Parse a dump; indices must be distinct and in range, values
-        finite, and the norm within NORM_TOL of 1."""
-        n_qubits = None
+        """Parse a dump: a `#` header with n_qubits (read_header), then
+        indices distinct and in range, values finite, and the norm within
+        NORM_TOL of 1."""
+        header: dict[str, int] = {}
         entries = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                m = re.search(r"n_qubits=(\d+)", line)
-                if m:
-                    try:
-                        n_qubits = int(m.group(1))
-                    except ValueError as exc:  # beyond int's digit limit
-                        raise StateFormatError(f"line {lineno}: bad n_qubits") from exc
+                try:
+                    if read_header(line, ("n_qubits",), header):
+                        header_line = lineno
+                except ValueError as exc:
+                    raise StateFormatError(f"line {lineno}: {exc}") from exc
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -179,10 +169,12 @@ class StateVector:
             if not cmath.isfinite(entry[1]):
                 raise StateFormatError(f"line {lineno}: non-finite amplitude")
             entries.append((lineno, *entry))
+        n_qubits = header.get("n_qubits")
         if n_qubits is None:
             raise StateFormatError("missing n_qubits header")
         if not 1 <= n_qubits <= STATEVECTOR_CAP:
-            raise StateFormatError(f"n_qubits={n_qubits} outside 1..{STATEVECTOR_CAP}")
+            raise StateFormatError(
+                f"line {header_line}: n_qubits={n_qubits} outside 1..{STATEVECTOR_CAP}")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         seen = set()
         for lineno, k, z in entries:
@@ -243,21 +235,16 @@ class ExecutionLog:
     the index of the pass's first instruction (rows are numbered in the
     order they are recorded), each instruction's kind ("local" or "gate")
     and draw count, and one float array of the pass's mapped draws in
-    instruction order. `entries` is a fresh list of (index, kind, draws)
-    per instruction; the argument of that name is such a list to record.
-    The text has one line per instruction: `text_chunks` yields it one
-    recorded pass at a time, `to_text` joins them, and `from_text` reads it
-    back exactly. Replaying a log needs only the reader and a draw source:
-    run_schedule(..., replay=log) takes every draw from the log (LogDraws),
-    not the generator.
+    instruction order; `record` appends one pass. The text has one line per
+    instruction: `text_chunks` yields it one recorded pass at a time,
+    `to_text` joins them, and `from_text` reads it back exactly. Replaying
+    a log needs only the reader and a draw source: run_schedule(...,
+    replay=log) takes every draw from the log (LogDraws), not the generator.
     """
 
-    def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None,
-                 entries=()):
+    def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None):
         self.rng_algorithm, self.seed = rng_algorithm, seed
         self._chunks: list[tuple[int, list[str], list[int], np.ndarray]] = []
-        for _, kind, draws in entries:
-            self.record([kind], [len(draws)], np.array(draws, dtype=float))
 
     def record(self, kinds: list[str], sizes: list[int], draws: np.ndarray):
         """The next len(kinds) instructions: the i-th has kind kinds[i] and
@@ -272,11 +259,6 @@ class ExecutionLog:
         for i, (kind, k) in enumerate(zip(kinds, sizes)):
             yield index + i, kind, values[pos:pos + k]
             pos += k
-
-    @property
-    def entries(self) -> list[tuple[int, str, tuple[float, ...]]]:
-        return [(index, kind, tuple(values))
-                for chunk in self._chunks for index, kind, values in self._rows(chunk)]
 
     def text_chunks(self):
         """The text format in pieces: the header line, then the lines of

@@ -72,9 +72,6 @@ class Geometry:
     def n_sites(self) -> int:
         return len(self.positions)
 
-    def distance(self, a: int, b: int) -> float:
-        return math.dist(self.positions[a], self.positions[b])
-
     def inv_cube(self, a: int, b: int) -> float:
         return inv_cube(self.positions[a], self.positions[b])
 
@@ -97,7 +94,8 @@ class NamedModel:
     dipole: all-pairs (J/d^3) flip-flop interaction.
     ising: -(J/2) ZZ on nearest neighbors.
     heisenberg: -(J/2)(XX+YY+ZZ) on nearest neighbors.
-    random_ising: -(J_ab/2) ZZ on nearest neighbors plus site fields B_a X_a.
+    random_ising: -(J_ab/2) ZZ on nearest neighbors plus site fields B_a X_a;
+    only it takes b_list, j_map, j_range and seed.
     An optional uniform field B along `direction` can be added to any model.
     """
 
@@ -119,6 +117,12 @@ class NamedModel:
                 raise ExperimentError("random_ising needs j_map or j_range")
             if self.j_range is not None and self.seed is None:
                 raise ExperimentError("random_ising with j_range needs a seed")
+        else:
+            unread = [k for k in ("b_list", "j_map", "j_range", "seed")
+                      if getattr(self, k) is not None]
+            if unread:
+                raise ExperimentError(f"{self.name} takes no {', '.join(unread)} "
+                                      "(only random_ising reads them)")
         n = self.geometry.n_sites
         for (a, b), _ in self.j_map or ():
             if a == b or not (0 <= a < n and 0 <= b < n):

@@ -552,7 +552,7 @@ def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel, include_crosstalk
 
 # The keys of each platform's description, besides platform and the positions block.
 HARDWARE_KEYS = {"uqs1": "sites dims shape boundary available_j gamma",
-                 "uqs2": "kappa gamma crosstalk_threshold"}
+                 "uqs2": "kappa gamma crosstalk_threshold positions"}
 
 
 def parse_hardware_text(text: str):
@@ -579,10 +579,8 @@ def parse_hardware_text(text: str):
             except ValueError as exc:
                 raise HardwareError(f"line {lineno}: bad position {line!r}") from exc
         key, _, value = line.partition(" ")
-        if key == "positions":
-            in_positions = True
-            continue
         fields[key] = value.strip()
+        in_positions = key == "positions"
     platform = fields.get("platform")
     unknown = sorted(set(fields) - {"platform", *HARDWARE_KEYS.get(platform, "").split()})
     if platform in HARDWARE_KEYS and unknown:

@@ -48,6 +48,27 @@ class PauliError(ValueError):
     """Raised on malformed Pauli-algebra input (size mismatch, bad ops, ...)."""
 
 
+_HEADER_INT = re.compile(r"-?[0-9]{1,18}")
+
+
+def read_header(line: str, keys: Sequence[str], fields: dict[str, int]) -> bool:
+    """Read into `fields` each whole `key=value` token of the `#` comment
+    `line` whose key is in `keys` (so `max_n_qubits=1` is no `n_qubits`),
+    and say whether there was one: the header rule of every text reader.
+    The value is up to 18 ASCII digits with an optional `-`, and a key
+    already in `fields` must repeat its value; anything else raises
+    ValueError."""
+    found = False
+    for key, sep, value in (tok.partition("=") for tok in line[1:].split()):
+        if sep and key in keys:
+            if not _HEADER_INT.fullmatch(value):
+                raise ValueError(f"bad {key} {value[:24]!r}")
+            if fields.setdefault(key, int(value)) != int(value):
+                raise ValueError(f"{key}={value}, expected {fields[key]}")
+            found = True
+    return found
+
+
 @dataclass(frozen=True)
 class PauliString:
     """A weighted tensor product of single-qubit Paulis, e.g. ``0.5 * XZI``."""
@@ -193,27 +214,22 @@ class Hamiltonian:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, n_qubits: int | None = None) -> "Hamiltonian":
+    def from_text(text: str) -> "Hamiltonian":
         """Parse the one-term-per-line format ``coeff op_1 op_2 ... op_N``.
 
-        A comment line with ``n_qubits=N``, the header to_text writes, fixes
-        the size: the `n_qubits` argument and every term must agree with it,
-        and a header alone is the zero Hamiltonian on N qubits.
+        A comment line with ``n_qubits=N`` (read_header), the header to_text
+        writes, fixes the size: every term must agree with it, and a header
+        alone is the zero Hamiltonian on N qubits.
         """
         terms = []
-        n = n_qubits
+        header: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line.startswith("#"):
-                m = re.search(r"n_qubits=(\d+)", line)
-                if m:
-                    try:
-                        size = int(m.group(1))
-                    except ValueError as exc:  # beyond int's digit limit
-                        raise PauliError(f"line {lineno}: bad n_qubits") from exc
-                    if n is not None and size != n:
-                        raise PauliError(f"line {lineno}: n_qubits={size}, expected {n}")
-                    n = size
+                try:
+                    read_header(line, ("n_qubits",), header)
+                except ValueError as exc:
+                    raise PauliError(f"line {lineno}: {exc}") from exc
                 continue
             if not line:
                 continue
@@ -225,11 +241,11 @@ class Hamiltonian:
             except ValueError as exc:
                 raise PauliError(f"line {lineno}: bad coefficient {parts[0]!r}") from exc
             ops = "".join(parts[1:])
-            if n is None:
-                n = len(ops)
-            elif len(ops) != n:
+            n = header.setdefault("n_qubits", len(ops))
+            if len(ops) != n:
                 raise PauliError(f"line {lineno}: expected {n} ops, got {len(ops)}")
             terms.append((coeff, ops))
+        n = header.get("n_qubits")
         if n is None:
             raise PauliError("no terms and no n_qubits header")
         return Hamiltonian.from_terms(n, terms)

@@ -105,12 +105,12 @@ def local_layer_matrix(unitaries) -> np.ndarray:
 def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
     """Apply instructions one at a time: per qubit a jittered
     SingleQubitUnitary and a kernel call, per gate target one ZZ kernel
-    call, jitter drawn by one rng.uniform per instruction. `log` (a list)
-    receives (index, kind, draws) like ExecutionLog.entries."""
+    call, jitter drawn by one rng.uniform per instruction. `log`, an
+    ExecutionLog, records each instruction's kind and draws."""
     from uqsim import kernels
     from uqsim.compiler import ApplyLocal
 
-    for index, ins in enumerate(instructions):
+    for ins in instructions:
         deltas = None
         if isinstance(ins, ApplyLocal):
             if err is not None and err.eta_local > 0:
@@ -131,8 +131,8 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
                 if theta != 0.0:
                     kernels.apply_zz_phase(amps, a, b, theta)
         if log is not None:
-            kind = "local" if isinstance(ins, ApplyLocal) else "gate"
-            log.append((index, kind, tuple(deltas) if deltas is not None else ()))
+            draws = deltas if deltas is not None else np.empty(0)
+            log.record(["local" if isinstance(ins, ApplyLocal) else "gate"], [len(draws)], draws)
 
 
 def reference_adiabatic_amps(config, plan_initial, plan_target):

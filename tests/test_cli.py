@@ -276,6 +276,15 @@ class TestSimulate:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_initial_dump_of_another_size_exits_1_before_the_run(self, tmp_path, capsys):
+        write(tmp_path / "dump.txt", StateVector.zero_state(3).dump_text())
+        code, out = self.simulate_text(
+            tmp_path, "# pulse schedule version=1 n_qubits=2\n", "initial = file:dump.txt\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: ") and "holds 3 qubits, the schedule is for 2" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def simulate_oracle(self, tmp_path, ham_text, n_qubits):
         write(tmp_path / "h.ham", ham_text)
         write(tmp_path / "s.txt", f"# pulse schedule version=1 n_qubits={n_qubits}\n")
@@ -295,13 +304,16 @@ class TestSimulate:
 
 
 class TestAdiabatic:
-    def small_cfg(self, tmp_path, extra=""):
+    def small_cfg(self, tmp_path, sweep=None):
+        """A 3-site dipole run recording every step, or with `sweep` the
+        [sweep] lines of a sweep, which records no trajectory."""
         return write(
             tmp_path / "adia.cfg",
             "[hardware]\nplatform = uqs1\nsites = 3\navailable_j = all\ngamma = 1.0\n"
             "[model]\nname = dipole\nj = 1.0\ngeometry = chain:3\n"
             "[adiabatic]\ninitial = zz_chain\nsteps = 20\ntheta1 = 0.1\n"
-            "record_every = 1\nseed = 3\n" + extra,
+            f"record_every = {0 if sweep else 1}\nseed = 3\n"
+            + (f"[sweep]\n{sweep}" if sweep else ""),
         )
 
     def test_run_produces_valid_outputs(self, tmp_path):
@@ -339,10 +351,7 @@ class TestAdiabatic:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_grid(self, tmp_path):
-        cfg = self.small_cfg(
-            tmp_path,
-            "[sweep]\netas = 0 0.02\nsteps_list = 5 10\nrepetitions = 3\n",
-        )
+        cfg = self.small_cfg(tmp_path, "etas = 0 0.02\nsteps_list = 5 10\nrepetitions = 3\n")
         out = tmp_path / "out"
         assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
@@ -351,10 +360,7 @@ class TestAdiabatic:
         ET.fromstring((out / "sweep.svg").read_text())
 
     def test_sweep_jobs_deterministic(self, tmp_path):
-        cfg = self.small_cfg(
-            tmp_path,
-            "[sweep]\netas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n",
-        )
+        cfg = self.small_cfg(tmp_path, "etas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n")
         texts = []
         for name, jobs in (("o1", "1"), ("o2", "2")):
             out = tmp_path / name
@@ -386,10 +392,7 @@ class TestAdiabatic:
                 return fut
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = self.small_cfg(
-            tmp_path,
-            "[sweep]\netas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n",
-        )
+        cfg = self.small_cfg(tmp_path, "etas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n")
         texts = []
         for name, jobs in (("o1", "1"), ("o8", "8")):
             out = tmp_path / name
@@ -400,10 +403,7 @@ class TestAdiabatic:
         assert texts[0] == texts[1]
 
     def test_format_json_writes_the_sweep_rows(self, tmp_path):
-        cfg = self.small_cfg(
-            tmp_path,
-            "[sweep]\netas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n",
-        )
+        cfg = self.small_cfg(tmp_path, "etas = 0 0.02\nsteps_list = 5\nrepetitions = 2\n")
         out = tmp_path / "out"
         assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out),
                      "--format", "json"]) == 0
@@ -556,17 +556,21 @@ class TestCostAndCrosstalk:
         err = capsys.readouterr().err
         assert err.startswith("uqsim: [crosstalk] groups = ") and "overlap on ions [1]" in err
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("positions", "0 ; nan ; 2 ; 3", "position 1 is not finite"),
-        ("positions", "0 ; inf ; 2 ; 3", "position 1 is not finite"),
-        ("positions", "0 ; 1 ; 2 ; 1e200", "traps 0 and 3 are 1e+200 apart"),
-        ("crosstalk_threshold", "nan", "crosstalk_threshold must be finite, got nan"),
-        ("kappa", "inf", "kappa must be finite, got inf"),
-        ("platform", "uqs1\nsites = 4", "needs a uqs2"),
+    @pytest.mark.parametrize("platform, key, value, named", [
+        ("uqs2", "positions", "0 ; nan ; 2 ; 3", "position 1 is not finite"),
+        ("uqs2", "positions", "0 ; inf ; 2 ; 3", "position 1 is not finite"),
+        ("uqs2", "positions", "0 ; 1 ; 2 ; 1e200", "traps 0 and 3 are 1e+200 apart"),
+        ("uqs2", "crosstalk_threshold", "nan", "crosstalk_threshold must be finite, got nan"),
+        ("uqs2", "kappa", "inf", "kappa must be finite, got inf"),
+        ("uqs1", "sites", "4", "needs a uqs2"),
+        ("uqs1", "positions", "0 ; 1 ; 2 ; 3", "platform uqs1 has no key positions"),
+        ("uqs1", "positions", "", "platform uqs1 has no key positions"),
     ])
-    def test_bad_trap_array_exits_1_naming_the_value(self, tmp_path, capsys, key, value, named):
+    def test_bad_trap_array_exits_1_naming_the_value(self, tmp_path, capsys, platform, key, value,
+                                                     named):
+        hardware = {"uqs1": UQS1_3, "uqs2": UQS2_4}[platform]
         cfg = write(tmp_path / "x.cfg",
-                    set_value(CONFIG_BASES["crosstalk"], "hardware", key, value))
+                    set_value(hardware + "[crosstalk]\ngroups = 0 1\n", "hardware", key, value))
         assert main(["crosstalk", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("uqsim: ") and named in err and "Traceback" not in err
@@ -957,6 +961,36 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, which):
     assert main(argv + (["--oracle"] if which == "oracle_hamiltonian" else [])) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and bad in err and err.startswith("uqsim: ")
+
+
+@pytest.mark.parametrize("line, named", [
+    ("eta_local = 0.5", "eta_local"),
+    ("eta_int = 0.9", "eta_int"),
+    ("record_every = 7", "record_every"),
+    ("eta_local = 0.5\neta_int = 0.9\nrecord_every = 7", "eta_local, eta_int, record_every"),
+])
+def test_adiabatic_key_a_sweep_ignores_exits_1_naming_it(tmp_path, capsys, line, named):
+    cfg = write(tmp_path / "c.cfg", ADIABATIC_3 + f"seed = 1\n{line}\n[sweep]\n"
+                "etas = 0 0.02\nsteps_list = 2\nrepetitions = 2\n")
+    out = tmp_path / "out"
+    assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uqsim: [adiabatic] {named} does nothing with [sweep]")
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("line, named", [
+    ("j_range = -1 1\nseed = 4", "dipole takes no j_range, seed"),
+    ("b_values = 0.1 0.2 0.3", "dipole takes no b_list"),
+    ("j_values = 0-1:1.0", "dipole takes no j_map"),
+])
+def test_random_ising_key_on_another_model_exits_1(tmp_path, capsys, line, named):
+    cfg = write(tmp_path / "c.cfg", ADIABATIC_3.replace("[adiabatic]", f"{line}\n[adiabatic]"))
+    out = tmp_path / "out"
+    assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uqsim: {named} ") and "Traceback" not in err
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("key", ["etas", "steps_list"])

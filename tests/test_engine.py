@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from uqsim import kernels
+from uqsim import engine, kernels
 from uqsim.compiler import ApplyLocal, PulseSchedule, RawGate
 from uqsim.engine import (
     EngineError,
@@ -194,7 +194,7 @@ class TestRunSchedule:
         s = random_state(3)
         out, log = run_schedule(s, PulseSchedule(3, ()))
         np.testing.assert_array_equal(out.amps, s.amps)
-        assert log.entries == []
+        assert log.to_text() == "# execution log rng=numpy-PCG64 seed=None\n"
 
     def test_determinism_same_seed(self):
         s = random_state(3, 1)
@@ -208,7 +208,7 @@ class TestRunSchedule:
         out1, log1 = run_schedule(s, sched, err)
         out2, log2 = run_schedule(s, sched, err)
         np.testing.assert_array_equal(out1.amps, out2.amps)
-        assert log1.entries == log2.entries
+        assert log1.to_text() == log2.to_text()
 
     def test_different_seed_differs(self):
         s = random_state(3, 1)
@@ -226,9 +226,10 @@ class TestRunSchedule:
             RawGate("zz", 0.1, ((0, 1, 1.0),)),
         ))
         _, log = run_schedule(s, sched, ErrorModel(eta_local=0.01, eta_int=0.01, seed=5))
-        assert len(log.entries[0][2]) == 2  # one delta per qubit
-        assert len(log.entries[1][2]) == 1  # one delta per gate entry
         text = log.to_text()
+        rows = [line.split()[2].split(",") for line in text.splitlines()[1:]]
+        assert len(rows[0]) == 2  # one delta per qubit
+        assert len(rows[1]) == 1  # one delta per gate entry
         assert "numpy-PCG64" in text and "seed=5" in text
 
     def test_log_text_values_are_the_applied_draws(self):
@@ -272,7 +273,7 @@ class TestExactEvolve:
         np.testing.assert_allclose(out.amps, s.amps, atol=1e-12)
 
     def test_single_qubit_z(self):
-        s = StateVector.from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
+        s = StateVector(1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
         h = Hamiltonian.from_terms(1, [(1.0, "Z")])
         out = exact_evolve(h, math.pi / 2, s)
         np.testing.assert_allclose(
@@ -285,10 +286,10 @@ class TestExactEvolve:
         # singlet has eigenvalue -3J, triplets +J
         j = 0.7
         h = Hamiltonian.from_terms(2, [(j, "XX"), (j, "YY"), (j, "ZZ")])
-        singlet = StateVector.from_amplitudes([0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0])
+        singlet = StateVector(2, [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0])
         out = exact_evolve(h, 1.0, singlet)
         np.testing.assert_allclose(out.amps, np.exp(3j * j) * singlet.amps, atol=1e-10)
-        triplet = StateVector.from_amplitudes([1, 0, 0, 0])
+        triplet = StateVector(2, [1, 0, 0, 0])
         out_t = exact_evolve(h, 1.0, triplet)
         np.testing.assert_allclose(out_t.amps, np.exp(-1j * j) * triplet.amps, atol=1e-10)
 
@@ -314,7 +315,7 @@ class TestExactEvolve:
             exact_evolve(h, t, random_state(2, 3))
 
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("UQS_DENSE_CAP", "2")
+        monkeypatch.setattr(engine, "DENSE_CAP", 2)
         h = Hamiltonian.from_terms(3, [(1.0, "ZZZ")])
         with pytest.raises(EngineError):
             exact_evolve(h, 1.0, random_state(3))
@@ -362,8 +363,8 @@ class TestFidelity:
         assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        a = StateVector.from_amplitudes([1, 0])
-        b = StateVector.from_amplitudes([0, 1])
+        a = StateVector(1, [1, 0])
+        b = StateVector(1, [0, 1])
         assert fidelity(a, b) == 0.0
 
     def test_phase_invariance_and_symmetry(self):
@@ -377,7 +378,7 @@ class TestFidelity:
         h = Hamiltonian.from_terms(2, [(1.0, "ZZ")])
         spec = SpectrumCache.from_hamiltonian(h)
         basis = spec.group_basis(0)
-        psi = StateVector.from_amplitudes([0, 1, 0, 0])
+        psi = StateVector(2, [0, 1, 0, 0])
         assert subspace_fidelity(psi, basis) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -404,7 +405,7 @@ class TestSpectrumAndHistogram:
 
     def test_uniform_superposition_of_degenerate_space(self):
         h = Hamiltonian.from_terms(2, [(1.0, "ZZ")])
-        psi = StateVector.from_amplitudes([0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
+        psi = StateVector(2, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
         hist = eigenspace_histogram(psi, h)
         assert hist[0][1] == pytest.approx(1.0, abs=1e-9)
 
@@ -440,7 +441,7 @@ class TestObservables:
         assert expectation(s, PauliString("Z")) == pytest.approx(1.0, abs=1e-12)
 
     def test_zz_on_bell_like(self):
-        psi = StateVector.from_amplitudes([0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
+        psi = StateVector(2, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
         assert expectation(psi, PauliString("ZZ")) == pytest.approx(-1.0, abs=1e-12)
 
     def test_xx_matches_dense(self):
@@ -505,6 +506,22 @@ class TestDumpFormat:
     def test_header_beyond_the_int_digit_limit_is_a_parse_error(self):
         with pytest.raises(StateFormatError, match="bad n_qubits"):
             StateVector.load_text("# statevector n_qubits=" + "9" * 5000 + "\n0 1.0 0.0\n")
+
+    @pytest.mark.parametrize("header, message", [
+        ("# statevector n_qubits=2\n# n_qubits=1", "line 2: n_qubits=1, expected 2"),
+        ("# statevector n_qubits=1_0", "line 1: bad n_qubits '1_0'"),
+        ("# statevector n_qubits=\u0663", "line 1: bad n_qubits"),
+        ("# statevector n_qubits=-1", "line 1: n_qubits=-1 outside 1.."),
+        ("# statevector max_n_qubits=1", "missing n_qubits header"),
+    ], ids=["repeat", "underscore", "non-ascii-digit", "negative", "whole-token"])
+    def test_bad_header_is_a_parse_error(self, header, message):
+        with pytest.raises(StateFormatError, match=message):
+            StateVector.load_text(f"{header}\n0 1.0 0.0\n")
+
+    def test_header_fields_are_whole_tokens_and_repeats_agree(self):
+        state = StateVector.load_text(
+            "# statevector max_n_qubits=1 n_qubits=2\n# n_qubits=2\n3 1.0 0.0\n")
+        assert state.n_qubits == 2 and state.amps[3] == 1.0
 
     def test_non_finite_norm_fails_closed(self):
         with pytest.raises(EngineError, match="norm"):
@@ -578,7 +595,8 @@ class TestDumpFormatFuzz:
         except StateFormatError:
             pass
 
-    @pytest.mark.parametrize("amps", [[], [1.0, 0.0, 0.0], [1.0] + [0.0] * 5])
-    def test_amplitude_count_must_be_a_power_of_2(self, amps):
-        with pytest.raises(EngineError, match="not a power of 2"):
-            StateVector.from_amplitudes(amps)
+    @pytest.mark.parametrize("n_qubits, amps", [(1, []), (2, [1.0, 0.0, 0.0]),
+                                                (3, [1.0] + [0.0] * 5)])
+    def test_amplitude_count_must_be_a_power_of_2(self, n_qubits, amps):
+        with pytest.raises(EngineError, match="wrong length"):
+            StateVector(n_qubits, amps)

@@ -72,7 +72,8 @@ class TestGeometry:
         geo = Geometry.grid(3, 3, pattern)
         assert sorted(geo.nn_pairs) == sorted(pairs)
         assert geo.positions == tuple((float(r), float(c)) for r in range(3) for c in range(3))
-        assert geo.distance(0, 4) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert math.dist(geo.positions[0], geo.positions[4]) == pytest.approx(math.sqrt(2.0),
+                                                                              rel=1e-15)
 
     def test_unknown_grid_pattern(self):
         with pytest.raises(HardwareError, match="pattern"):
@@ -129,6 +130,14 @@ class TestBuildModel:
         assert random_couplings(m) == random_couplings(m)
         with pytest.raises(ExperimentError):
             NamedModel("random_ising", geo, j_range=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["dipole", "ising", "heisenberg"])
+    def test_random_ising_settings_on_another_model_are_rejected(self, name):
+        with pytest.raises(ExperimentError, match=f"{name} takes no b_list, j_range, seed"):
+            NamedModel(name, Geometry.chain(3), b_list=(0.1, 0.2, 0.3), j_range=(0.0, 1.0),
+                       seed=1)
+        with pytest.raises(ExperimentError, match=f"{name} takes no j_map "):
+            NamedModel(name, Geometry.chain(3), j_map=(((0, 1), 1.0),))
 
     @pytest.mark.parametrize("pair", [(0, 7), (1, 1), (-1, 2)])
     def test_j_map_pairs_are_distinct_sites(self, pair):

@@ -461,7 +461,8 @@ class TestRealizeSchedule:
         noisy = realize_schedule(sched, model, include_crosstalk=True).schedule
         assert len(noisy.instructions) == 9  # a crosstalk gate per concurrent pair
         assert (noisy.cycle_length, noisy.num_cycles) == (None, None)
-        assert schedule_from_text(schedule_to_text(noisy)).equals(noisy)
+        text = schedule_to_text(noisy)
+        assert schedule_to_text(schedule_from_text(text)) == text
 
     def test_packing_is_linear_in_the_cycle_count(self, monkeypatch):
         # a ZZ-only target has no local layer between its cycles: 2,916 gates
@@ -530,6 +531,11 @@ class TestHardwareText:
     def test_unknown_platform(self):
         with pytest.raises(HardwareError):
             parse_hardware_text("platform uqs9\n")
+
+    @pytest.mark.parametrize("block", ["positions\n0\n1\n", "positions\n"])
+    def test_positions_on_uqs1_is_rejected(self, block):
+        with pytest.raises(HardwareError, match="platform uqs1 has no key positions"):
+            parse_hardware_text("platform uqs1\nsites 2\n" + block)
 
     def test_all_j_shorthand(self):
         model = parse_hardware_text("platform uqs1\nsites 5\navailable_j all\n")

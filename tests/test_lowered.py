@@ -100,9 +100,8 @@ def run_both(n, instructions, err, start):
     log = ExecutionLog(seed=err.seed if err else None)
     execute_instructions(got, n, instructions, err, err.rng() if err else None, log)
     ref = start.copy()
-    entries = []
-    oracles.reference_execute(ref, n, instructions, err, err.rng() if err else None, entries)
-    ref_log = ExecutionLog(seed=err.seed if err else None, entries=entries)
+    ref_log = ExecutionLog(seed=err.seed if err else None)
+    oracles.reference_execute(ref, n, instructions, err, err.rng() if err else None, ref_log)
     return got, log.to_text(), ref, ref_log.to_text()
 
 
@@ -308,18 +307,18 @@ def test_header_period_is_ignored(monkeypatch, case):
     }[case]
     schedule = PulseSchedule(n, tuple(instructions), None, period, cycles)
     start = random_amps(n, 6)
-    final, log = run_schedule(StateVector.from_amplitudes(start), schedule, err)
-    ref, entries = start.copy(), []
-    oracles.reference_execute(ref, n, instructions, err, err.rng(), entries)
+    final, log = run_schedule(StateVector(n, start), schedule, err)
+    ref, ref_log = start.copy(), ExecutionLog(seed=err.seed)
+    oracles.reference_execute(ref, n, instructions, err, err.rng(), ref_log)
     # every piece of the stream is one FusedCycle: the repeats of the
     # 17-instruction cycle that the stream holds as one, whatever the header
     # says, and an unrepeated stretch in count-1 windows of at most 64
     assert fused == {"cycle 2 differs": [1, 3, 1], "trailing partial cycle": [4, 1],
                      "wrong period": [4]}[case]
     assert np.max(np.abs(final.amps - ref)) <= AMP_TOL
-    assert log.to_text() == ExecutionLog(seed=err.seed, entries=entries).to_text()
+    assert log.to_text() == ref_log.to_text()
     bare = replace(schedule, cycle_length=None, num_cycles=None)
-    again, again_log = run_schedule(StateVector.from_amplitudes(start), bare, err)
+    again, again_log = run_schedule(StateVector(n, start), bare, err)
     assert np.array_equal(again.amps, final.amps) and again_log.to_text() == log.to_text()
 
 

@@ -85,25 +85,29 @@ class TestHamiltonianCanonical:
         h = Hamiltonian.from_text("# c\n\n1.0 Z Z\n")
         assert h.n_qubits == 2 and h.coefficient("ZZ") == 1.0
 
-    @pytest.mark.parametrize("text, n_qubits, message", [
-        ("# hamiltonian n_qubits=3\n1 ZZ\n", None, "expected 3 ops, got 2"),
-        ("# hamiltonian n_qubits=3\n1 ZZZ\n", 2, "line 1: n_qubits=3, expected 2"),
-        ("# hamiltonian n_qubits=3\n# n_qubits=2\n", None, "line 2: n_qubits=2, expected 3"),
-        ("1 ZZ\n# n_qubits=3\n", None, "line 2: n_qubits=3, expected 2"),
-        ("# hamiltonian n_qubits=0\n", None, "positive"),
-        ("# hamiltonian n_qubits=" + "9" * 5000 + "\n", None, "bad n_qubits"),
-        ("# a comment\n", None, "no terms and no n_qubits header"),
-    ], ids=["short-term", "argument", "two-headers", "header-after-term", "zero", "digits",
-            "nothing"])
-    def test_header_is_checked(self, text, n_qubits, message):
+    @pytest.mark.parametrize("text, message", [
+        ("# hamiltonian n_qubits=3\n1 ZZ\n", "expected 3 ops, got 2"),
+        ("# hamiltonian n_qubits=3\n# n_qubits=2\n", "line 2: n_qubits=2, expected 3"),
+        ("1 ZZ\n# n_qubits=3\n", "line 2: n_qubits=3, expected 2"),
+        ("# hamiltonian n_qubits=0\n", "positive"),
+        ("# hamiltonian n_qubits=" + "9" * 5000 + "\n", "bad n_qubits"),
+        ("# a comment\n", "no terms and no n_qubits header"),
+        ("# hamiltonian max_n_qubits=1 n_qubits=2\n1 Z\n", "line 2: expected 2 ops, got 1"),
+        ("# n_qubits=2 n_qubits=1\n", "line 1: n_qubits=1, expected 2"),
+        ("# n_qubits=1_0\n", "line 1: bad n_qubits '1_0'"),
+        ("# n_qubits=\u0663\n", "line 1: bad n_qubits"),
+        ("# n_qubits=+2\n", "line 1: bad n_qubits"),
+        ("# n_qubits=\n", "line 1: bad n_qubits ''"),
+    ], ids=["short-term", "two-headers", "header-after-term", "zero", "digits", "nothing",
+            "whole-token", "repeat-in-line", "underscore", "non-ascii-digit", "plus", "empty"])
+    def test_header_is_checked(self, text, message):
         with pytest.raises(PauliError, match=message):
-            Hamiltonian.from_text(text, n_qubits)
+            Hamiltonian.from_text(text)
 
     def test_header_only_is_the_zero_hamiltonian(self):
         zero = Hamiltonian.zero(3)
         assert zero.to_text() == "# hamiltonian n_qubits=3\n"
         assert Hamiltonian.from_text(zero.to_text()) == zero
-        assert Hamiltonian.from_text(zero.to_text(), 3) == zero
         assert Hamiltonian.from_text("# hamiltonian n_qubits=3\n0.5 X I Z\n").coefficient("XIZ") == 0.5
 
 
@@ -150,9 +154,8 @@ class TestHamiltonianTextFuzz:
                 lines.insert(row, data.draw(st.lists(HAM_TOKENS, max_size=4)))
             else:
                 words.insert(at, data.draw(HAM_TOKENS))
-        n_qubits = data.draw(st.sampled_from([None, 2, 3]))
         try:
-            Hamiltonian.from_text("\n".join(" ".join(w) for w in lines) + "\n", n_qubits)
+            Hamiltonian.from_text("\n".join(" ".join(w) for w in lines) + "\n")
         except PauliError:
             pass
 
