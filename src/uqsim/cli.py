@@ -463,6 +463,9 @@ def cmd_simulate(args, cfg, config_path) -> int:
         if "oracle_hamiltonian" not in section:
             raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
         h = Hamiltonian.from_text(_read_input(_relative(section["oracle_hamiltonian"], config_path)))
+        if h.n_qubits != schedule.n_qubits:
+            raise UsageError(f"[simulate] oracle_hamiltonian holds {h.n_qubits} qubits, "
+                             f"the schedule is for {schedule.n_qubits}")
         t_prime = config_value(section, "t_prime", _finite_float, 1.0)
     seed = _run_seed(args, section)
     err = _error_model_from(section, seed)

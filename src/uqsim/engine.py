@@ -53,14 +53,14 @@ states still follows the parts' rounding (see ground_vector).
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per pass mapped onto [-eta, eta] exactly as per-instruction
-rng.uniform calls would. The log keeps each pass's mapped draws as one
-array and writes them per instruction; a run replays from its log
-(run_schedule(..., replay=log)) bit for bit. The same command and seed
-give bit-identical results. The fused arithmetic multiplies in another
-order than one kernel call per instruction: it agrees with that
-per-instruction reference within 1e-12, not bitwise. A repetition run
-inside a sweep batch agrees with the same seed run alone within 1e-12,
-not bitwise, since BLAS blocking depends on the batch size.
+rng.uniform calls would. The log keeps the draws that reach the state,
+and a run replays from it (run_schedule(..., replay=log)) bit for bit.
+The same command and seed give bit-identical results. The fused
+arithmetic multiplies in another order than one kernel call per
+instruction: it agrees with that per-instruction reference within 1e-12,
+not bitwise. A repetition run inside a sweep batch agrees with the same
+seed run alone within 1e-12, not bitwise, since BLAS blocking depends on
+the batch size.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -229,17 +229,17 @@ _LOG_KINDS = ("local", "gate")
 
 
 class ExecutionLog:
-    """Per-instruction jitter draws, sufficient to replay a run.
+    """The jitter draws that reach the state, enough to replay a run: a
+    local layer's at its active qubits (LoweredLayer.active), a gate's at
+    its targets, each in order.
 
-    The draws are kept per pass of FusedCycle.execute, as it draws them:
-    the index of the pass's first instruction (rows are numbered in the
-    order they are recorded), each instruction's kind ("local" or "gate")
-    and draw count, and one float array of the pass's mapped draws in
-    instruction order; `record` appends one pass. The text has one line per
-    instruction: `text_chunks` yields it one recorded pass at a time,
-    `to_text` joins them, and `from_text` reads it back exactly. Replaying
-    a log needs only the reader and a draw source: run_schedule(...,
-    replay=log) takes every draw from the log (LogDraws), not the generator.
+    Kept per pass of FusedCycle.execute: the index of the pass's first
+    instruction (rows are numbered in the order they are recorded), each
+    instruction's kind ("local" or "gate") and logged count, and one float
+    array of the pass's logged draws; `record` appends one pass. The text
+    has one line per instruction: `text_chunks` yields it one pass at a
+    time, `to_text` joins them, and `from_text` reads it back exactly.
+    run_schedule(..., replay=log) takes every draw from it (LogDraws).
     """
 
     def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None):
@@ -252,21 +252,14 @@ class ExecutionLog:
         last = self._chunks[-1] if self._chunks else (0, [])
         self._chunks.append((last[0] + len(last[1]), kinds, sizes, draws))
 
-    @staticmethod
-    def _rows(chunk):
-        index, kinds, sizes, draws = chunk
-        values, pos = draws.tolist(), 0
-        for i, (kind, k) in enumerate(zip(kinds, sizes)):
-            yield index + i, kind, values[pos:pos + k]
-            pos += k
-
     def text_chunks(self):
         """The text format in pieces: the header line, then the lines of
         one recorded pass per piece."""
         yield f"# execution log rng={self.rng_algorithm} seed={self.seed}\n"
-        for chunk in self._chunks:
-            yield "".join(f"{index} {kind} {','.join(map(repr, values)) if values else '-'}\n"
-                          for index, kind, values in self._rows(chunk))
+        for index, kinds, sizes, draws in self._chunks:
+            values = map(repr, draws.tolist())
+            yield "".join(f"{index + i} {kind} {','.join(islice(values, k)) if k else '-'}\n"
+                          for i, (kind, k) in enumerate(zip(kinds, sizes)))
 
     def to_text(self) -> str:
         return "".join(self.text_chunks())
@@ -313,11 +306,9 @@ class ExecutionLog:
 
 
 class LogDraws:
-    """A draw source that hands out a log's mapped draws in order: the
-    jitter of the run the log recorded, for a batch of one state.
-
-    Each pass must ask for the kinds and draw counts that the log holds
-    for its instructions; `close` checks that the run used every one.
+    """A draw source that hands out a log's draws in order, for a batch of
+    one. Each pass must ask for the kinds and logged counts that the log
+    holds for its instructions; `close` checks that the run used every one.
     """
 
     def __init__(self, log: ExecutionLog):
@@ -332,10 +323,9 @@ class LogDraws:
         stop = self.index + len(kinds)
         if self.kinds[self.index:stop] != kinds or self.sizes[self.index:stop] != sizes:
             raise EngineError(f"instructions {self.index}..{stop - 1} do not match the log")
-        size = sum(sizes)
-        out = self.values[None, self.pos:self.pos + size]
-        self.index, self.pos = stop, self.pos + size
-        return out
+        at, self.index = self.pos, stop
+        self.pos += sum(sizes)
+        return self.values[None, at:self.pos]
 
     def close(self):
         if self.index != len(self.kinds):
@@ -425,12 +415,14 @@ def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarra
     amps *= np.exp(-1j * angles)
 
 
-def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int]) -> np.ndarray:
+def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int], used) -> np.ndarray:
     """(R, size) jitter draws, u mapped onto -eta + 2*eta*u with one
-    rng.random(size) per row of generators, or the next (1, size) values of
-    a LogDraws, whose instructions must have `kinds` and `sizes`."""
+    rng.random(size) per row of generators; from a LogDraws, zeros (1, size)
+    with its next values at `used`, which must be of `kinds` and `sizes`."""
     if isinstance(draws, LogDraws):
-        return draws.take(kinds, sizes)
+        d = np.zeros((1, size))
+        d[:, used] = draws.take(kinds, sizes)
+        return d
     if not size:
         return np.empty((len(draws), 0))
     if any(rng is None for rng in draws):
@@ -473,10 +465,10 @@ class FusedCycle:
 
     A layer draws one value per qubit when eta_l > 0 and a gate one per
     target when eta_i > 0, in instruction order, so a pass over C
-    occurrences takes one rng.random per row for all of them and logs them
-    as one chunk. Each pass builds its blocks for all (C, R) occurrences at
-    once, a few broadcast operations per factor; a cycle without draws or
-    scales builds them once.
+    occurrences takes one rng.random per row for all of them and logs
+    those at at_u and at_g as one chunk. Each pass builds its blocks for all
+    (C, R) occurrences at once, a few broadcast operations per factor; a
+    cycle without draws or scales builds them once.
     """
 
     def __init__(self, instructions, n_qubits: int, eta_l: float, eta_i: float, slots=None,
@@ -510,8 +502,8 @@ class FusedCycle:
                         hit = lowered[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
                     op, start = hit[1], len(eta)  # start: the layer's first draw
                     self.kinds.append("local")
-                    self.sizes.append(n_qubits if eta_l > 0 else 0)
-                    eta += [eta_l] * self.sizes[-1]
+                    self.sizes.append(len(op.active) if eta_l > 0 else 0)  # logged
+                    eta += [eta_l] * (n_qubits if eta_l > 0 else 0)  # drawn
                     layer: dict[tuple[int, int], list] = {}
                     for q in op.active:
                         lo, k = home[q]
@@ -568,8 +560,8 @@ class FusedCycle:
         self.slot_u = np.array(slot_u, dtype=np.intp)
         self.slot_g = np.array(slot_g, dtype=np.intp)
         # where the draws of the factors' 2x2s and of the targets' coefs sit
-        self.at_u = np.array(at_u, dtype=np.intp) if eta_l > 0 and at_u else None
-        self.at_g = np.array(at_g, dtype=np.intp) if eta_i > 0 and at_g else None
+        self.at_u = np.array(at_u if eta_l > 0 else [], dtype=np.intp)
+        self.at_g = np.array(at_g if eta_i > 0 else [], dtype=np.intp)
         self._static = None
 
     def _build(self, d: np.ndarray | None, scales: np.ndarray | None) -> list:
@@ -582,11 +574,11 @@ class FusedCycle:
         if scales is not None:
             theta = theta * scales[:, None, self.slot_u]
             coef = (self.theta_g * scales[:, None, self.slot_g]) * self.weight
-        if self.at_u is not None:
+        if self.at_u.size:
             mult = 1.0 + d[..., self.at_u]
-        if scales is not None or self.at_u is not None:
+        if scales is not None or self.at_u.size:
             mats = _local_matrices(theta, self.nsigma, self.phase, mult)
-        if self.at_g is not None:
+        if self.at_g.size:
             coef = coef * (1.0 + d[..., self.at_g])
         return [(None, step[1:3], coef[..., step[3]]) if step[0] == "zz"
                 else (step[1], _fused_block(step[2], step[3], mats, coef), None)
@@ -606,17 +598,20 @@ class FusedCycle:
         occurrences and maps each value u onto -eta + 2*eta*u: bit for bit
         what one rng.uniform(-eta, eta) per instruction gives, since PCG64
         splits one call into consecutive ones exactly, so seeds and logs
-        keep their meaning. Given a LogDraws, each pass takes the mapped
-        draws the log recorded. `log` records each pass's draws.
+        keep their meaning. A LogDraws gives each pass the logged draws,
+        0.0 elsewhere. `log` records the draws that act.
         """
         rows = amps.shape[0]
         per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
         if scales is not None:
             scales = np.column_stack([scales, np.ones(count)])
+        keep = (np.union1d(self.at_u, self.at_g)  # the logged places
+                if log is not None or isinstance(draws, LogDraws) else None)
         for first in range(0, count, per_pass):
             c = min(per_pass, count - first)
             kinds, sizes = self.kinds * c, self.sizes * c
-            d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, kinds, sizes)
+            used = None if keep is None else (keep + self.width * np.arange(c)[:, None]).ravel()
+            d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, kinds, sizes, used)
             if self.width or scales is not None:
                 built = self._build(d.reshape(rows, c, self.width).transpose(1, 0, 2),
                                     None if scales is None else scales[first:first + c])
@@ -631,7 +626,7 @@ class FusedCycle:
                 if after is not None:
                     after(first + j)
             if log is not None and kinds:
-                log.record(kinds, sizes, d[0])
+                log.record(kinds, sizes, d[0][used])
         return count * len(self.kinds)
 
 

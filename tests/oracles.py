@@ -106,15 +106,19 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
     """Apply instructions one at a time: per qubit a jittered
     SingleQubitUnitary and a kernel call, per gate target one ZZ kernel
     call, jitter drawn by one rng.uniform per instruction. `log`, an
-    ExecutionLog, records each instruction's kind and draws."""
+    ExecutionLog, records each instruction's kind and the draws that reach
+    the state: a local layer's at the qubits whose noiseless unitary is not
+    the identity, in qubit order, and a gate's at every target."""
     from uqsim import kernels
     from uqsim.compiler import ApplyLocal
 
     for ins in instructions:
-        deltas = None
+        deltas = logged = None
         if isinstance(ins, ApplyLocal):
             if err is not None and err.eta_local > 0:
                 deltas = rng.uniform(-err.eta_local, err.eta_local, size=n_qubits)
+                logged = deltas[[q for q in range(n_qubits)
+                                 if not ins.layer.unitary_at(q).is_identity()]]
             for q in range(n_qubits):
                 u = ins.layer.unitary_at(q)
                 if deltas is not None and deltas[q] != 0.0:
@@ -123,7 +127,7 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
                     kernels.apply_single_qubit(amps, q, u.matrix)
         else:
             if err is not None and err.eta_int > 0:
-                deltas = rng.uniform(-err.eta_int, err.eta_int, size=len(ins.targets))
+                deltas = logged = rng.uniform(-err.eta_int, err.eta_int, size=len(ins.targets))
             for i, (a, b, w) in enumerate(ins.targets):
                 theta = ins.theta * w
                 if deltas is not None:
@@ -131,7 +135,7 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
                 if theta != 0.0:
                     kernels.apply_zz_phase(amps, a, b, theta)
         if log is not None:
-            draws = deltas if deltas is not None else np.empty(0)
+            draws = logged if logged is not None else np.empty(0)
             log.record(["local" if isinstance(ins, ApplyLocal) else "gate"], [len(draws)], draws)
 
 

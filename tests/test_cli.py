@@ -298,6 +298,13 @@ class TestSimulate:
         assert err.startswith("uqsim: line 2: expected 3 ops, got 2")
         assert "Traceback" not in err
 
+    def test_oracle_hamiltonian_of_another_size_exits_1_before_the_run(self, tmp_path, capsys):
+        assert self.simulate_oracle(tmp_path, Hamiltonian.zero(3).to_text(), 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: [simulate] oracle_hamiltonian holds 3 qubits, "
+                              "the schedule is for 2")
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
     def test_oracle_reads_a_header_only_hamiltonian(self, tmp_path, capsys):
         assert self.simulate_oracle(tmp_path, Hamiltonian.zero(2).to_text(), 2) == 0
         assert "oracle_fidelity=1.0" in capsys.readouterr().out

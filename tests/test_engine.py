@@ -228,7 +228,7 @@ class TestRunSchedule:
         _, log = run_schedule(s, sched, ErrorModel(eta_local=0.01, eta_int=0.01, seed=5))
         text = log.to_text()
         rows = [line.split()[2].split(",") for line in text.splitlines()[1:]]
-        assert len(rows[0]) == 2  # one delta per qubit
+        assert rows[0] == ["-"]  # one delta drawn per qubit, none logged: no qubit is active
         assert len(rows[1]) == 1  # one delta per gate entry
         assert "numpy-PCG64" in text and "seed=5" in text
 
@@ -247,10 +247,12 @@ class TestRunSchedule:
         assert len(lines) == len(sched.instructions)
         for line, ins in zip(lines, sched.instructions):
             _, kind, payload = line.split()
-            values = [float(v) for v in payload.split(",")]
+            values = [] if payload == "-" else [float(v) for v in payload.split(",")]
             eta = err.eta_local if kind == "local" else err.eta_int
             size = 3 if isinstance(ins, ApplyLocal) else len(ins.targets)
-            assert values == rng.uniform(-eta, eta, size=size).tolist()
+            drawn = rng.uniform(-eta, eta, size=size).tolist()
+            # the identity layer draws three values and logs none
+            assert values == ([] if ins is sched.instructions[2] else drawn)
 
     def test_missing_seed_rejected(self):
         with pytest.raises(EngineError):

@@ -14,6 +14,8 @@ import oracles
 from uqsim import engine, kernels
 from uqsim.cli import main
 from uqsim.compiler import (
+    ApplyLocal,
+    PulseSchedule,
     RawGate,
     emit_cycle,
     plan_for_hamiltonian,
@@ -31,7 +33,7 @@ from uqsim.engine import (
     run_schedule,
 )
 from uqsim.hardware import TrapArrayModel
-from uqsim.pauli import Hamiltonian
+from uqsim.pauli import Hamiltonian, LocalLayer, SingleQubitUnitary
 
 # A random-field Ising chain on 4 trap ions. Compiled at t'=0.5 and eps=0.05
 # it is 14 cycles of 10 instructions (7 layers, 3 gates).
@@ -64,10 +66,11 @@ ETAS = (0.01, 0.02)
 SEED = 5
 # sha256 of the outputs at SEED. The state was recorded once the engine ran
 # repeated cycles as fused blocks (the 4 ions are one qubit group, so each
-# cycle is one block), which moved its last bits; the log, recorded before
-# the engine lowered each distinct instruction once, has not moved since.
+# cycle is one block), which moved its last bits. The log was recorded once
+# it kept only the draws that reach the state (a local layer's active
+# qubits); the draws made, and so the state, did not move with it.
 STATE_SHA256 = "62b8f9df161d9468aae90cca8aad5bda8e9bedb7683ccd8fa6a9d03d979f4046"
-LOG_SHA256 = "8e06a612adf1c557bf185e81f263089a45979accdf82a826ff8e682c4a4c77d8"
+LOG_SHA256 = "eced476bbb3c56362eb224a6905262d23bd0d3a32d3a43f0843add0f7921b078"
 
 
 @pytest.fixture
@@ -121,6 +124,50 @@ def test_replay_refuses_a_log_of_another_run(simulated):
     longer = type(schedule)(4, schedule.instructions + schedule.instructions[:1])
     with pytest.raises(EngineError, match="do not match the log"):
         run_schedule(start, longer, ErrorModel(*ETAS, seed=1), replay=log)
+
+
+def test_replay_of_layers_with_inactive_qubits():
+    # a field layer, one-ion echo pulses, an identity and a bare phase
+    # (theta = 0, alpha != 0: active), 12 cycles, so that one pass of the
+    # repeated cycle draws for many occurrences
+    n, err = 6, ErrorModel(*ETAS, seed=SEED)
+    ident = [SingleQubitUnitary.identity()] * n
+
+    def one_ion(q, u):
+        return ApplyLocal(LocalLayer.inhomogeneous(ident[:q] + [u] + ident[q + 1:]))
+
+    echo = [one_ion(q, SingleQubitUnitary.rot((1.0, 0.0, 0.0), math.pi / 2)) for q in (1, 4)]
+    field = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.rot((0.6, 0.0, 0.8), 0.3)))
+    gate = RawGate("zz", 0.2, ((0, 1, 1.0), (3, 4, -0.5)))
+    cycle = (field, echo[0], gate, echo[0], ApplyLocal(LocalLayer.identity()),
+             one_ion(2, SingleQubitUnitary(np.exp(0.3j) * np.eye(2))), echo[1], gate, echo[1])
+    schedule = PulseSchedule(n, cycle * 12)
+    start = StateVector.zero_state(n)
+    final, log = run_schedule(start, schedule, err)
+    text = log.to_text()
+    # each line holds the draws of its active qubits or targets, in order,
+    # out of all that the generator drew for it
+    rng, full, counts = err.rng(), text.splitlines()[:1], []
+    for i, (ins, line) in enumerate(zip(schedule.instructions, text.splitlines()[1:])):
+        index, kind, payload = line.split()
+        values = [] if payload == "-" else [float(v) for v in payload.split(",")]
+        if kind == "local":
+            drawn = rng.uniform(-ETAS[0], ETAS[0], size=n).tolist()
+            active = [q for q in range(n) if not ins.layer.unitary_at(q).is_identity()]
+            counts.append(len(values))
+        else:
+            drawn = rng.uniform(-ETAS[1], ETAS[1], size=len(ins.targets)).tolist()
+            active = range(len(drawn))
+        assert index == str(i) and values == [drawn[q] for q in active]
+        full.append(f"{i} {kind} {','.join(map(repr, drawn))}")
+    assert counts[:7] == [6, 1, 1, 0, 1, 1, 1]
+    # the log replays the run bit for bit and writes the same text
+    again, replayed = run_schedule(start, schedule, ErrorModel(*ETAS, seed=SEED + 1),
+                                   replay=ExecutionLog.from_text(text))
+    assert np.array_equal(again.amps, final.amps) and replayed.to_text() == text
+    # a log of every draw made, one per qubit per layer, is refused, not misread
+    with pytest.raises(EngineError, match="do not match the log"):
+        run_schedule(start, schedule, err, replay=ExecutionLog.from_text("\n".join(full) + "\n"))
 
 
 def trap_chain(n):
