@@ -317,7 +317,10 @@ def load_named_model(cfg) -> NamedModel:
     try:
         return NamedModel(**kwargs)
     except ExperimentError as exc:
-        raise UsageError(str(exc)) from exc
+        message = str(exc)
+        for key, name, _ in optional:  # name the config keys, not NamedModel's fields
+            message = message.replace(name, key)
+        raise UsageError(message) from exc
 
 
 def load_hamiltonian_source(spec: str, n: int, config_path: Path) -> Hamiltonian:

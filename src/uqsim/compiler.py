@@ -6,7 +6,9 @@ interleaving short evolutions under it with local layers V_i of weight p_i
 produces the average Hamiltonian sum_i p_i V_i H0 V_i^dag. Feasibility and
 time cost follow the eigenvalue/singular-value rules for homogeneous and
 per-qubit control, and long evolutions are Trotterized into L identical
-cycles with a quadratic gate-count/error trade-off. plan_for_hamiltonian is
+cycles with a quadratic gate-count/error trade-off; the schedule text holds
+such a schedule as one cycle and L (version 2), and any other schedule line
+by line (version 1). plan_for_hamiltonian is
 the one planner: it picks the native gates (lattice displacement classes,
 sharing a wrap where their sequences agree; one push of all trap ions for a
 1/d^3 target, else one push per pair).
@@ -14,6 +16,7 @@ sharing a wrap where their sequences agree; one push of all trap ions for a
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -430,19 +433,36 @@ def _format_instruction(ins: Instruction) -> str:
 
 
 _PIECE_LINES = 1024
+# Most instructions a schedule may hold: trotter_schedule emits no more, and
+# a version=2 file may not ask for more by its cycles and cycle_length.
+MAX_INSTRUCTIONS = 1 << 24
+
+
+def _cycle_length(schedule: PulseSchedule) -> int | None:
+    """The schedule's cycle_length when its body is the first cycle_length
+    instructions repeated num_cycles > 1 times object for object, else None.
+    Compared with `is`: an instruction's == compares numpy arrays."""
+    m, body = schedule.cycle_length, schedule.instructions
+    if (schedule.num_cycles or 0) > 1 and m and len(body) == m * schedule.num_cycles and all(
+            map(operator.is_, body[m:], body[:-m])):
+        return m
+    return None
 
 
 def schedule_text_chunks(schedule: PulseSchedule):
     """The schedule text format in pieces: the header line, then up to
-    _PIECE_LINES instruction lines per piece. An instruction object that
-    repeats (the cycles of a Trotter schedule) is formatted once."""
-    header = f"# pulse schedule version=1 n_qubits={schedule.n_qubits}"
+    _PIECE_LINES instruction lines per piece. A schedule of num_cycles > 1
+    repeats of one cycle is written as version=2, with only the lines of
+    that cycle; any other as version=1, with every line. An instruction
+    object that repeats is formatted once."""
+    m = _cycle_length(schedule)
+    header = f"# pulse schedule version={1 if m is None else 2} n_qubits={schedule.n_qubits}"
     for key, value in (("cycles", schedule.num_cycles), ("cycle_length", schedule.cycle_length)):
         if value:  # an empty schedule's 0 is no cycle field
             header += f" {key}={value}"
     yield header + "\n"
     line: dict[int, str] = {}  # id of an instruction -> its line
-    body = schedule.instructions
+    body = schedule.instructions if m is None else schedule.instructions[:m]
     for start in range(0, len(body), _PIECE_LINES):
         yield "".join([line.get(id(i)) or line.setdefault(id(i), _format_instruction(i) + "\n")
                        for i in body[start:start + _PIECE_LINES]])
@@ -499,9 +519,14 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
     object, and an error names the line of its first occurrence. The
-    header fields n_qubits, cycles and cycle_length follow read_header;
-    cycles and cycle_length are at least 1, and must multiply to the
-    instruction count when both are given.
+    header fields version, n_qubits, cycles and cycle_length follow
+    read_header; version is 1 (also when it is missing) or 2, and cycles
+    and cycle_length are at least 1. In version 1 the body is every
+    instruction, and cycles and cycle_length must multiply to its count
+    when both are given. In version 2 both are required, the body is one
+    cycle of cycle_length instructions, and the schedule is that cycle
+    repeated, each repeat the same objects; it may hold at most
+    MAX_INSTRUCTIONS, which is checked before the cycle is repeated.
     """
     header: dict[str, int] = {}
     header_line = 1
@@ -513,8 +538,10 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
             continue
         try:
             if line.startswith("#"):
-                if read_header(line, ("n_qubits", "cycles", "cycle_length"), header):
+                if read_header(line, ("version", "n_qubits", "cycles", "cycle_length"), header):
                     header_line = lineno
+                if header.get("version", 1) not in (1, 2):
+                    raise ValueError(f"version={header['version']} is not 1 or 2")
                 for key in ("cycles", "cycle_length"):
                     if header.get(key, 1) < 1:
                         raise ValueError(f"{key}={header[key]} is below 1")
@@ -538,12 +565,24 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
         except CompileError as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
     cycles, cycle_length = header.get("cycles"), header.get("cycle_length")
-    if cycles is not None and cycle_length is not None and cycles * cycle_length != len(instructions):
-        raise CompileError(
-            f"schedule parse error at line {header_line}: cycles={cycles} times "
-            f"cycle_length={cycle_length} is not the {len(instructions)} instructions of the body"
-        )
-    return PulseSchedule(n_qubits, tuple(instructions), None, cycle_length, cycles)
+    body = tuple(instructions)
+    problem = None
+    if header.get("version") != 2:
+        if cycles is not None and cycle_length is not None and cycles * cycle_length != len(body):
+            problem = (f"cycles={cycles} times cycle_length={cycle_length} is not "
+                       f"the {len(body)} instructions of the body")
+    elif cycles is None or cycle_length is None:
+        problem = "version=2 needs cycles= and cycle_length="
+    elif cycles * cycle_length > MAX_INSTRUCTIONS:
+        problem = (f"cycles={cycles} times cycle_length={cycle_length} is over "
+                   f"{MAX_INSTRUCTIONS} instructions")
+    elif len(body) != cycle_length:
+        problem = f"cycle_length={cycle_length} is not the {len(body)} instructions of the body"
+    else:
+        body *= cycles
+    if problem is not None:
+        raise CompileError(f"schedule parse error at line {header_line}: {problem}")
+    return PulseSchedule(n_qubits, body, None, cycle_length, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +886,10 @@ def trotter_cycles(time_cost: float, t_prime: float, epsilon: float) -> int:
     """
     if t_prime < 0 or epsilon <= 0:
         raise CompileError("need t_prime >= 0 and epsilon > 0")
-    return max(1, math.ceil(time_cost * time_cost * t_prime * t_prime / epsilon - 1e-9))
+    ratio = time_cost * time_cost * t_prime * t_prime / epsilon
+    if not math.isfinite(ratio):
+        raise CompileError(f"L = c^2 t'^2 / eps is {ratio} at eps={epsilon!r}")
+    return max(1, math.ceil(ratio - 1e-9))
 
 
 def cost_report(time_cost: float, n_controls: int, num_cycles: int,
@@ -874,7 +916,8 @@ def trotter_schedule(
     Emits L identical Trotter cycles with L = ceil(c^2 t'^2 / eps) (or the
     explicit `num_cycles`); each cycle realizes every two-qubit term through
     its control sequence around the raw hardware gate and every one-qubit
-    term as a local layer.
+    term as a local layer. More than MAX_INSTRUCTIONS instructions raise
+    CompileError.
     """
     if t_prime < 0 or epsilon <= 0:
         raise CompileError("need t_prime >= 0 and epsilon > 0")
@@ -886,7 +929,12 @@ def trotter_schedule(
         num = trotter_cycles(c, t_prime, epsilon)
     else:
         num = 0
+    if num > MAX_INSTRUCTIONS:  # before emit_cycle divides by it
+        raise CompileError(f"L={num:.4g} cycles are over MAX_INSTRUCTIONS={MAX_INSTRUCTIONS}")
     cycle = emit_cycle(plan, t_prime / num) if num else []
+    if num * len(cycle) > MAX_INSTRUCTIONS:
+        raise CompileError(f"L={num} cycles of {len(cycle)} instructions are over "
+                           f"MAX_INSTRUCTIONS={MAX_INSTRUCTIONS}")
     n_controls = sum(1 for ins in cycle if isinstance(ins, ApplyLocal))
     report = cost_report(c, n_controls, num, t_prime, epsilon)
     return PulseSchedule(target.n_qubits, tuple(cycle) * num, report, len(cycle), num), report

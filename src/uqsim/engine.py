@@ -65,10 +65,11 @@ the batch size.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 
 import numpy as np
 
@@ -228,6 +229,12 @@ _LOG_HEADER = re.compile(r"# execution log rng=(\S+) seed=(None|\d+)")
 _LOG_KINDS = ("local", "gate")
 
 
+@functools.cache
+def _log_line_template(kind: str, count: int) -> str:
+    """The `%` template of an execution log line of `count` draws."""
+    return f"%d {kind} {','.join(['%.17g'] * count) if count else '-'}\n"
+
+
 class ExecutionLog:
     """The jitter draws that reach the state, enough to replay a run: a
     local layer's at its active qubits (LoweredLayer.active), a gate's at
@@ -237,8 +244,9 @@ class ExecutionLog:
     instruction (rows are numbered in the order they are recorded), each
     instruction's kind ("local" or "gate") and logged count, and one float
     array of the pass's logged draws; `record` appends one pass. The text
-    has one line per instruction: `text_chunks` yields it one pass at a
-    time, `to_text` joins them, and `from_text` reads it back exactly.
+    has one line per instruction, each draw written %.17g: `text_chunks`
+    yields it one pass at a time, `to_text` joins them, and `from_text`
+    reads it back exactly, as it does a log of shortest reprs.
     run_schedule(..., replay=log) takes every draw from it (LogDraws).
     """
 
@@ -254,12 +262,21 @@ class ExecutionLog:
 
     def text_chunks(self):
         """The text format in pieces: the header line, then the lines of
-        one recorded pass per piece."""
+        one recorded pass per piece, each pass formatted by one `%` with
+        the line templates of its kinds and counts joined (passes of one
+        shape share that template). A draw is written as %.17g, which
+        reads back as the same double."""
         yield f"# execution log rng={self.rng_algorithm} seed={self.seed}\n"
+        templates: dict[tuple, str] = {}
         for index, kinds, sizes, draws in self._chunks:
-            values = map(repr, draws.tolist())
-            yield "".join(f"{index + i} {kind} {','.join(islice(values, k)) if k else '-'}\n"
-                          for i, (kind, k) in enumerate(zip(kinds, sizes)))
+            key = (*kinds, *sizes)
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = "".join(map(_log_line_template, kinds, sizes))
+            # each line's index before its draws; %d writes the float index
+            # (exact below 2^53) as an integer
+            args = np.insert(draws, np.cumsum(sizes) - sizes, np.arange(index, index + len(kinds)))
+            yield template % tuple(args.tolist())
 
     def to_text(self) -> str:
         return "".join(self.text_chunks())
@@ -605,7 +622,9 @@ class FusedCycle:
         per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
         if scales is not None:
             scales = np.column_stack([scales, np.ones(count)])
-        keep = (np.union1d(self.at_u, self.at_g)  # the logged places
+        # the logged places: at_u and at_g are sorted and disjoint (np.union1d
+        # would import numpy.ma through np.unique)
+        keep = (np.sort(np.concatenate([self.at_u, self.at_g]))
                 if log is not None or isinstance(draws, LogDraws) else None)
         for first in range(0, count, per_pass):
             c = min(per_pass, count - first)

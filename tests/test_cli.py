@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from uqsim import svg
 from uqsim.cli import build_parser, main
-from uqsim.compiler import schedule_from_text, trotter_cycles, trotter_schedule
+from uqsim.compiler import (schedule_from_text, schedule_to_text, trotter_cycles,
+                             trotter_schedule)
 from uqsim.engine import StateVector
 from uqsim.hardware import TrapArrayModel
 from uqsim.pauli import Hamiltonian
@@ -110,6 +112,18 @@ class TestCompile:
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["compile", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-320"])
+    def test_schedule_over_the_instruction_bound_exits_1(self, tmp_path, capsys, eps):
+        # L = c^2 t'^2 / eps is 4e300 and inf: refused before any cycle is repeated
+        write(tmp_path / "zz.ham", "1.0 Z Z\n")
+        cfg = write(tmp_path / "c.cfg",
+                    f"[compile]\nhamiltonian = zz.ham\nt_prime = 1.0\nepsilon = {eps}\n" + UQS2_2)
+        out = tmp_path / "out"
+        assert main(["compile", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: L") and "Traceback" not in err
+        assert not (out / "schedule.txt").exists()
 
 
 class TestSimulate:
@@ -224,23 +238,30 @@ class TestSimulate:
 
     def test_header_cycle_fields_do_not_change_the_run(self, tmp_path):
         # the executor finds the repeated cycles in the schedule itself, so
-        # the file without cycles= and cycle_length= simulates to the same bytes
+        # the version=1 file with every line, with or without cycles= and
+        # cycle_length=, simulates to the same bytes as the compiled
+        # version=2 file of one cycle
         write(tmp_path / "h.ham", "-0.5 Z Z I\n-0.8 I Z Z\n0.4 X I I\n0.3 I X I\n0.6 I I X\n")
         cfg = write(tmp_path / "c.cfg", "[compile]\nhamiltonian = h.ham\nt_prime = 0.5\n"
                     "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2\n")
         assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
-        head, body = (tmp_path / "c" / "schedule.txt").read_text().split("\n", 1)
-        bare = re.sub(r" (cycles|cycle_length)=\d+", "", head)
-        assert bare == "# pulse schedule version=1 n_qubits=3" != head
+        cycle = (tmp_path / "c" / "schedule.txt").read_text()
+        compiled = schedule_from_text(cycle)
+        assert cycle.startswith("# pulse schedule version=2 n_qubits=3 cycles=")
+        bare, body = schedule_to_text(
+            dataclasses.replace(compiled, cycle_length=None, num_cycles=None)).split("\n", 1)
+        assert bare == "# pulse schedule version=1 n_qubits=3"
+        head = f"{bare} cycles={compiled.num_cycles} cycle_length={compiled.cycle_length}"
         outs = []
-        for name, header in (("headered", head), ("bare", bare)):
-            write(tmp_path / f"{name}.txt", f"{header}\n{body}")
+        texts = (("headered", f"{head}\n{body}"), ("bare", f"{bare}\n{body}"), ("cycle", cycle))
+        for name, text in texts:
+            write(tmp_path / f"{name}.txt", text)
             cfg = write(tmp_path / f"{name}.cfg", f"[simulate]\nschedule = {name}.txt\n"
                         "eta_local = 0.01\neta_int = 0.005\nseed = 3\n")
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
             outs.append([(tmp_path / name / f).read_bytes()
                          for f in ("state.txt", "execution_log.txt")])
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def simulate_text(self, tmp_path, schedule_text, extra=""):
         write(tmp_path / "s.txt", schedule_text)
@@ -988,8 +1009,8 @@ def test_adiabatic_key_a_sweep_ignores_exits_1_naming_it(tmp_path, capsys, line,
 
 @pytest.mark.parametrize("line, named", [
     ("j_range = -1 1\nseed = 4", "dipole takes no j_range, seed"),
-    ("b_values = 0.1 0.2 0.3", "dipole takes no b_list"),
-    ("j_values = 0-1:1.0", "dipole takes no j_map"),
+    ("b_values = 0.1 0.2 0.3", "dipole takes no b_values"),
+    ("j_values = 0-1:1.0", "dipole takes no j_values"),
 ])
 def test_random_ising_key_on_another_model_exits_1(tmp_path, capsys, line, named):
     cfg = write(tmp_path / "c.cfg", ADIABATIC_3.replace("[adiabatic]", f"{line}\n[adiabatic]"))
@@ -997,6 +1018,8 @@ def test_random_ising_key_on_another_model_exits_1(tmp_path, capsys, line, named
     assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"uqsim: {named} ") and "Traceback" not in err
+    # the config keys are named, not NamedModel's fields b_list and j_map
+    assert "b_list" not in err and "j_map" not in err
     assert not (out / "summary.json").exists()
 
 

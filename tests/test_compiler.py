@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from uqsim.compiler import (
     CyclePlan,
     HardwareConstraintError,
     InfeasibleTargetError,
+    MAX_INSTRUCTIONS,
     PlannedFamily,
     PulseSchedule,
     RawGate,
@@ -563,8 +565,58 @@ class TestScheduleText:
         sched, _ = trotter_schedule(target, 0.5, 0.05, chain_trap(3), num_cycles=4)
         return sched
 
+    def test_version_2_is_one_cycle_whose_repeats_share_objects(self):
+        sched = self.per_qubit_schedule()
+        m = sched.cycle_length
+        text = schedule_to_text(sched)
+        head, *lines = text.splitlines()
+        assert head == f"# pulse schedule version=2 n_qubits=3 cycles=4 cycle_length={m}"
+        assert len(lines) == m
+        parsed = schedule_from_text(text)
+        assert (parsed.num_cycles, parsed.cycle_length) == (4, m)
+        assert len(parsed.instructions) == len(sched.instructions)
+        assert all(ins is parsed.instructions[i % m] for i, ins in enumerate(parsed.instructions))
+        assert schedule_to_text(parsed) == text
+        # the version=1 text of the same schedule runs to the same state, bit for bit
+        v1 = schedule_from_text(schedule_to_text(
+            dataclasses.replace(sched, cycle_length=None, num_cycles=None)))
+        err = ErrorModel(0.01, 0.02, seed=4)
+        runs = [run_schedule(StateVector.zero_state(3), s, err) for s in (parsed, v1)]
+        assert runs[0][0].dump_text() == runs[1][0].dump_text()
+        assert runs[0][1].to_text() == runs[1][1].to_text()
+
+    def test_equal_but_distinct_repeats_are_written_as_version_1(self):
+        gates = tuple(RawGate("zz", 0.25, ((0, 1, 1.0),)) for _ in range(3))
+        text = schedule_to_text(PulseSchedule(2, gates, None, 1, 3))
+        assert text.splitlines() == ["# pulse schedule version=1 n_qubits=2 cycles=3 cycle_length=1",
+                                     "GATE zz 0.25 0-1:1.0", "GATE zz 0.25 0-1:1.0",
+                                     "GATE zz 0.25 0-1:1.0"]
+
+    @pytest.mark.parametrize("header, problem", [
+        ("version=2 n_qubits=2 cycles=3 cycle_length=2", "cycle_length=2 is not the 1 instructions"),
+        ("version=2 n_qubits=2 cycles=3", "version=2 needs cycles= and cycle_length="),
+        ("version=3 n_qubits=2 cycles=1 cycle_length=1", "version=3 is not 1 or 2"),
+        (f"version=2 n_qubits=2 cycles={MAX_INSTRUCTIONS + 1} cycle_length=1",
+         f"cycles={MAX_INSTRUCTIONS + 1} times cycle_length=1 is over {MAX_INSTRUCTIONS}"),
+    ])
+    def test_version_2_header_errors_name_line_1(self, header, problem):
+        with pytest.raises(CompileError, match=f"at line 1: {problem}"):
+            schedule_from_text(f"# pulse schedule {header}\nGATE zz 0.25 0-1:1.0\n")
+
+    def test_trotter_schedule_over_the_instruction_bound_raises(self):
+        target = Hamiltonian.from_terms(2, [(0.6, "ZZ"), (0.2, "XI")])
+        for eps in (1e-300, 1e-320):  # L = c^2 t'^2 / eps: huge, then inf
+            with pytest.raises(CompileError, match="L"):
+                trotter_schedule(target, 1.0, eps, chain_trap(2))
+        sched, _ = trotter_schedule(target, 1.0, 0.05, chain_trap(2), num_cycles=2)
+        over = MAX_INSTRUCTIONS // sched.cycle_length + 1
+        with pytest.raises(CompileError, match="MAX_INSTRUCTIONS"):
+            trotter_schedule(target, 1.0, 0.05, chain_trap(2), num_cycles=over)
+
     def test_repeated_lines_share_one_instruction(self):
-        text = schedule_to_text(self.per_qubit_schedule())
+        # version=1, every line written out
+        text = schedule_to_text(
+            dataclasses.replace(self.per_qubit_schedule(), cycle_length=None, num_cycles=None))
         lines = text.splitlines()[1:]
         assert any(line.startswith("LOCAL I ") for line in lines)
         assert len(set(lines)) < len(lines)

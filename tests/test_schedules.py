@@ -67,10 +67,11 @@ SEED = 5
 # sha256 of the outputs at SEED. The state was recorded once the engine ran
 # repeated cycles as fused blocks (the 4 ions are one qubit group, so each
 # cycle is one block), which moved its last bits. The log was recorded once
-# it kept only the draws that reach the state (a local layer's active
-# qubits); the draws made, and so the state, did not move with it.
+# it wrote each draw as %.17g, not as its shortest repr; it keeps only the
+# draws that reach the state (a local layer's active qubits), and neither
+# change moved the draws or the state.
 STATE_SHA256 = "62b8f9df161d9468aae90cca8aad5bda8e9bedb7683ccd8fa6a9d03d979f4046"
-LOG_SHA256 = "eced476bbb3c56362eb224a6905262d23bd0d3a32d3a43f0843add0f7921b078"
+LOG_SHA256 = "4c931aec90c89ff771e174848ab8381032827828a754675d777f7cccc879e815"
 
 
 @pytest.fixture
@@ -109,6 +110,26 @@ def test_replay_reproduces_the_state_dump(simulated):
     err = ErrorModel(*ETAS, seed=SEED + 1)
     final, replayed = run_schedule(StateVector.zero_state(4), schedule, err, replay=log)
     assert final.dump_text() == (simulated / "out" / "state.txt").read_text()
+    assert replayed.to_text() == text
+
+
+def test_replay_of_a_log_with_shortest_repr_draws(simulated):
+    # logs were written with each draw's shortest repr before %.17g; the pin
+    # below is that older text of this run, and it replays bit for bit
+    out = simulated / "out"
+    text = (out / "execution_log.txt").read_text()
+    draws = LogDraws(ExecutionLog.from_text(text))
+    values = iter(draws.values.tolist())
+    older = text.splitlines(keepends=True)[0] + "".join(
+        f"{i} {kind} {','.join(repr(next(values)) for _ in range(k)) or '-'}\n"
+        for i, (kind, k) in enumerate(zip(draws.kinds, draws.sizes)))
+    assert hashlib.sha256(older.encode()).hexdigest() == (
+        "eced476bbb3c56362eb224a6905262d23bd0d3a32d3a43f0843add0f7921b078")
+    schedule = schedule_from_text((simulated / "compiled" / "schedule.txt").read_text())
+    err = ErrorModel(*ETAS, seed=SEED + 1)
+    final, replayed = run_schedule(StateVector.zero_state(4), schedule, err,
+                                   replay=ExecutionLog.from_text(older))
+    assert final.dump_text() == (out / "state.txt").read_text()
     assert replayed.to_text() == text
 
 
@@ -285,12 +306,15 @@ class TestLogText:
     HEAD = "# execution log rng=numpy-PCG64 seed=3\n"
 
     def test_round_trip(self):
-        text = self.HEAD + "0 local 0.001,-0.002\n1 gate -\n2 gate 5e-324\n"
+        text = self.HEAD + "0 local 0.001,-0.002\n1 gate -\n2 gate 4.9406564584124654e-324\n"
         log = ExecutionLog.from_text(text)
         assert log.to_text() == text
         parsed = LogDraws(log).take(["local", "gate", "gate"], [2, 0, 1])
         assert parsed.tolist() == [[0.001, -0.002, 5e-324]]
         assert ExecutionLog.from_text(ExecutionLog().to_text()).seed is None
+        # the shortest repr of a draw, as older logs hold it, reads as the same value
+        short = ExecutionLog.from_text(text.replace("4.9406564584124654e-324", "5e-324"))
+        assert short.to_text() == text
 
     @pytest.mark.parametrize("text, line", [
         ("0 local -\n", 1),

@@ -2,8 +2,12 @@
 and read in pieces: OutputWriter.write_chunks hashes what it streams, the
 line reader splits a file as str.splitlines splits its whole text, and
 neither path holds a whole file in memory."""
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 
 from uqsim.cli import OutputWriter, _lines, _read_input, main
 from uqsim.compiler import (
+    MAX_INSTRUCTIONS,
     CompileError,
     schedule_from_lines,
     schedule_from_text,
@@ -28,6 +33,7 @@ GATE = "GATE zz 0.25 0-1:1.0"
 BAD = "GATE zz 0.25 0-1:oops"
 ONE = "1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
 HEAD = "# pulse schedule version=1 n_qubits=2"
+HEAD2 = "# pulse schedule version=2 n_qubits=2"
 
 
 def outcome(parse):
@@ -52,6 +58,12 @@ READER_CASES = {
     "repeated out-of-range gate": f"{GATE}\r\nGATE zz 0.25 0-5:1.0\r\n{GATE}\r\n"
                                   f"GATE zz 0.25 0-5:1.0\r\n{HEAD}\r\n",
     "bad header count": f"\r\n{HEAD} cycles=3 cycle_length=1\r\n{GATE}\r\n",
+    "version 2": f"{HEAD2} cycles=3 cycle_length=2\r\n{GATE}\n\nLOCAL H {ONE}",
+    "version 2, wrong body count": f"{HEAD2} cycles=3 cycle_length=2\n{GATE}\n",
+    "version 2, no cycle_length": f"{HEAD2} cycles=3\n{GATE}\n",
+    "version 3": f"{HEAD2.replace('version=2', 'version=3')} cycles=1 cycle_length=1\n{GATE}\n",
+    "version 2, cycles=10**18": f"{HEAD2} cycles={10**18} cycle_length=1\n{GATE}\n",
+    "version 2, over the bound": f"{HEAD2} cycles={MAX_INSTRUCTIONS} cycle_length=2\n{GATE}\n{GATE}\n",
 }
 
 
@@ -68,6 +80,8 @@ def test_streamed_reader_matches_schedule_from_text(tmp_path, case):
     assert outcome(lambda: _read_input(path, schedule_from_lines)) == expected
     if expected[0] == "error":
         assert "line" in expected[1]
+        if "version" in case:
+            assert "at line 1:" in expected[1]
 
 
 def test_streamed_reader_keeps_first_occurrence_line_numbers(tmp_path):
@@ -105,6 +119,28 @@ def test_written_files_match_manifest_and_formatters(tmp_path, capsys):
     assert (compiled / "schedule.txt").read_text() == schedule_to_text(schedule)
     _, log = run_schedule(StateVector.zero_state(3), schedule, ErrorModel(0.002, 0.001, seed=5))
     assert (simulated / "execution_log.txt").read_text() == log.to_text()
+
+
+SIMULATE_AND_LIST_NUMPY_MA = """
+import sys
+from uqsim.cli import main
+code = main(["simulate", "--config", "simulate.cfg", "--seed", "5", "--oracle",
+             "--out-dir", "fresh"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_logged_run_does_not_import_numpy_ma(tmp_path):
+    # np.union1d goes through np.unique, which imports numpy.ma (about 13 ms)
+    compile_and_simulate(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SIMULATE_AND_LIST_NUMPY_MA], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "fresh" / "execution_log.txt").read_bytes() == (
+        tmp_path / "simulated" / "execution_log.txt").read_bytes()
 
 
 def test_a_stream_that_raises_leaves_no_file(tmp_path):
@@ -146,10 +182,11 @@ def traced_peak(fn):
 def test_streamed_paths_hold_neither_file_whole(tmp_path):
     # a streamed peak is about one piece (one recorded pass of the log), so
     # it does not grow with the file; 42,000 instructions keep both files
-    # well above twice that
+    # well above twice that; written as version=1, every line out
     schedule, _ = trotter_schedule(Hamiltonian.from_text(TARGET), 1.0, 0.05,
                                    TrapArrayModel(positions=((0.0,), (1.0,), (2.0,))),
                                    num_cycles=6000)
+    schedule = dataclasses.replace(schedule, cycle_length=None, num_cycles=None)
     assert len(schedule.instructions) >= 20_000
     writer = OutputWriter(tmp_path)
     path = writer.write_chunks("schedule.txt", schedule_text_chunks(schedule))
