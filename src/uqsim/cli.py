@@ -27,6 +27,8 @@ from .compiler import (
     HardwareConstraintError,
     InfeasibleTargetError,
     UnsupportedInteractionError,
+    check_budget,
+    check_gamma,
     cost_report,
     homogeneous_feasibility,
     inhomogeneous_cost,
@@ -47,6 +49,8 @@ from .engine import (
     run_schedule,
 )
 from .experiments import (
+    MODEL_NAMES,
+    RAMPS,
     AdiabaticConfig,
     ExperimentError,
     Geometry,
@@ -144,133 +148,39 @@ def resolve_config_path(name: str) -> Path:
     raise UsageError(f"config {name!r} not found (and no bundled config of that name)")
 
 
-# The keys of each section uqsim reads. parse_hardware_text checks those of
-# [hardware]; sections that uqsim does not read, such as [run], may hold any.
-CONFIG_KEYS = {
-    "compile": "hamiltonian t_prime epsilon",
-    "simulate": "schedule initial seed eta_local eta_int observables oracle_hamiltonian t_prime",
-    "adiabatic": "initial steps seed theta1 ramp record_every eta_local eta_int",
-    "sweep": "etas steps_list repetitions",
-    "model": "name geometry j b direction b_values j_values j_range seed",
-    "cost": "mode gamma matrix t_prime epsilon n_controls",
-    "crosstalk": "groups",
-    "output": "dir",
-}
+def _number(kind, ok, why: str):
+    """A converter of text into a `kind` number for which ok(number) holds."""
+    def convert(text: str):
+        if not ok(value := kind(text)):
+            raise ValueError(why)
+        return value
+    return convert
 
 
-def load_config(path: Path) -> configparser.ConfigParser:
-    """The parsed config; a key its section does not take is a UsageError."""
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg.read_file(fh)
-    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    for name, keys in CONFIG_KEYS.items():
-        unknown = sorted(set(cfg[name]) - set(keys.split())) if cfg.has_section(name) else ()
-        if unknown:
-            raise UsageError(f"[{name}] has no key {', '.join(unknown)} (it takes {keys})")
-    return cfg
+_finite_float = _number(float, math.isfinite, "not a finite number")
+_non_negative_int = _number(int, lambda value: value >= 0, "must be a non-negative integer")
+_jitter_fraction = _number(float, lambda value: 0.0 <= value < 1.0, "outside [0, 1)")
 
 
-def _lines(fh, size: int = 1 << 16):
-    """The lines of a text file opened with newline="", as its whole text's
-    str.splitlines(keepends=True) gives them: the file's own lines, which
-    end at CR, LF or CRLF only, split again about `size` characters at a time."""
-    while batch := fh.readlines(size):
-        yield from "".join(batch).splitlines(keepends=True)
+def _list(item, sep=None, least=1, most=None):
+    """A converter of `sep`-separated text (whitespace by default) into the
+    tuple of `item` of each non-blank part, with least..most parts."""
+    def convert(text: str) -> tuple:
+        values = tuple(item(part.strip()) for part in text.split(sep) if part.strip())
+        if not least <= len(values) <= (most or len(values)):
+            wanted = least if least == most else f"at least {least}"
+            raise ValueError(f"needs {wanted} value(s), got {len(values)}")
+        return values
+    return convert
 
 
-def _read_input(path: Path, parse=None):
-    """The text of an input file named by a config, or `parse` of its
-    _lines; a file that is not UTF-8 text is a UsageError naming it."""
-    try:
-        if parse is None:
-            return path.read_text(encoding="utf-8")
-        with open(path, encoding="utf-8", newline="") as fh:
-            return parse(_lines(fh))
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
-
-
-def config_value(section, key: str, convert, fallback=None):
-    """section[key] read through `convert`, or `fallback` when the key is
-    absent; a value that does not convert is a UsageError naming the key
-    (a grid geometry is converted through the hardware's lattice checks)."""
-    if key not in section:
-        return fallback
-    raw = section[key]
-    try:
-        return convert(raw)
-    except (ValueError, HardwareError) as exc:
-        raise UsageError(f"[{section.name}] {key} = {raw!r}: {exc}") from exc
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split())
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
-def _nonzero_finite_float(text: str) -> float:
-    if (value := _finite_float(text)) == 0.0:
-        raise ValueError("must be nonzero")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be a non-negative integer")
-    return value
-
-
-def _run_seed(args, section) -> int | None:
-    """--seed, else the section's seed=, else None; a negative seed is a
-    UsageError naming where it came from."""
-    if args.seed is None:
-        return config_value(section, "seed", _non_negative_int)
-    if args.seed < 0:
-        raise UsageError(f"--seed {args.seed}: a seed must be a non-negative integer")
-    return args.seed
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    values = tuple(int(x) for x in text.split())
-    if not values:
-        raise ValueError("needs at least one value")
-    return values
-
-
-def _relative(path_str: str, config_path: Path) -> Path:
-    p = Path(path_str)
-    return p if p.is_absolute() else config_path.parent / p
-
-
-def load_hardware(cfg, config_path):
-    if not cfg.has_section("hardware"):
-        raise UsageError("config needs a [hardware] section")
-    section = cfg["hardware"]
-    if "file" in section:
-        if len(section) > 1:
-            others = ", ".join(k for k in section if k != "file")
-            raise UsageError(f"[hardware] file = takes no other keys, got {others}")
-        text = _read_input(_relative(section["file"], config_path))
-    else:
-        lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
-        if "positions" in section:
-            lines.append("positions")
-            lines += [chunk.strip() for chunk in section["positions"].split(";") if chunk.strip()]
-        text = "\n".join(lines) + "\n"
-    try:
-        return parse_hardware_text(text)
-    except (HardwareError, ValueError) as exc:
-        raise UsageError(f"bad hardware description: {exc}") from exc
+def _choice(*names, files=False):
+    """A converter that takes one of `names`, or file:PATH where `files`."""
+    def convert(text: str) -> str:
+        if text in names or (files and text.startswith("file:")):
+            return text
+        raise ValueError("use " + " | ".join(names + ("file:PATH",) * files))
+    return convert
 
 
 def parse_geometry(spec: str) -> Geometry:
@@ -284,51 +194,179 @@ def parse_geometry(spec: str) -> Geometry:
     raise ValueError("use chain:N or grid:RxC[:pattern]")
 
 
-def _j_map(text: str) -> tuple:
-    j_map = []
-    for chunk in text.split(","):
-        pair, value = chunk.strip().split(":")
-        a, b = pair.split("-")
-        j_map.append(((int(a), int(b)), float(value)))
-    return tuple(j_map)
+def _coupling(text: str) -> tuple[tuple[int, int], float]:
+    pair, value = text.split(":")
+    a, b = pair.split("-")
+    return (int(a), int(b)), float(value)
 
 
-def _j_range(text: str) -> tuple[float, float]:
-    lo, hi = _floats(text)
-    return lo, hi
+_JITTER = {  # the keys of a run with timing jitter
+    "seed": (_non_negative_int, None),
+    "eta_local": (_jitter_fraction, None),
+    "eta_int": (_jitter_fraction, None),
+}
+
+# Each section uqsim reads, but [hardware]: its keys, each with its converter
+# and its default (None: unset). load_config converts every key a file has,
+# so a value that does not convert exits 1 even where the run would not read
+# it. [hardware] stays text for parse_hardware_text, whose HARDWARE_KEYS are
+# its keys; sections that uqsim does not read, such as [run], may hold any.
+CONFIG_TABLE = {
+    "compile": {
+        "hamiltonian": (str, None),
+        "t_prime": (_finite_float, 1.0),
+        "epsilon": (_finite_float, 0.01),
+    },
+    "simulate": {
+        "schedule": (str, "schedule.txt"),
+        "initial": (_choice("zeros", files=True), "zeros"),
+        **_JITTER,
+        "observables": (_list(str, ",", least=0), ()),
+        "oracle_hamiltonian": (str, None),
+        "t_prime": (_finite_float, 1.0),
+    },
+    "adiabatic": {
+        "initial": (_choice("zz_chain", "xx_chain", files=True), "zz_chain"),
+        "steps": (int, 100),
+        "theta1": (float, 0.1),
+        "ramp": (_choice(*RAMPS), "linear"),
+        "record_every": (int, None),
+        **_JITTER,
+    },
+    "sweep": {
+        "etas": (_list(_jitter_fraction), (0.0,)),
+        "steps_list": (_list(int), None),
+        "repetitions": (int, 20),
+    },
+    "model": {
+        "name": (_choice(*MODEL_NAMES), "ising"),
+        "geometry": (parse_geometry, Geometry.chain(2)),
+        "j": (float, None),
+        "b": (float, None),
+        "direction": (_list(float, least=3, most=3), None),
+        "b_values": (_list(float), None),
+        "j_values": (_list(_coupling, ","), None),
+        "j_range": (_list(float, least=2, most=2), None),
+        "seed": (_non_negative_int, None),
+    },
+    "cost": {
+        "mode": (_choice("homogeneous", "inhomogeneous"), "homogeneous"),
+        "gamma": (lambda text: check_gamma(float(text)), 1.0),
+        "matrix": (lambda text: CoeffMatrix(np.array(_list(_list(float), ";", 3, 3)(text))),
+                   CoeffMatrix(np.diag([0.0, 0.0, 1.0]))),
+        "t_prime": (_finite_float, None),
+        "epsilon": (_finite_float, None),
+        "n_controls": (_non_negative_int, None),
+    },
+    "crosstalk": {"groups": (_list(_list(int), ";"), None)},
+    "output": {"dir": (str, None)},
+}
+
+
+class Config(dict):
+    """section name -> {key: value}, as load_config reads them from `parser`."""
+
+    parser: configparser.ConfigParser
+
+
+def load_config(path: Path) -> Config:
+    """Each section of the config that uqsim reads, its keys converted
+    through CONFIG_TABLE and its absent keys at their defaults; [hardware]
+    as text. A key its section does not take, or a value that does not
+    convert, is a UsageError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    cfg = Config()
+    cfg.parser = parser
+    for name in parser.sections():
+        section, table = parser[name], CONFIG_TABLE.get(name)
+        if name == "hardware":
+            cfg[name] = dict(section)
+        if table is None:
+            continue
+        unknown = sorted(set(section) - set(table))
+        if unknown:
+            raise UsageError(f"[{name}] has no key {', '.join(unknown)} (it takes {' '.join(table)})")
+        cfg[name] = {key: default for key, (_, default) in table.items()}
+        for key, raw in section.items():
+            cfg[name][key] = _checked(f"[{name}] {key} = {raw!r}:", table[key][0], raw)
+    return cfg
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs); an error the library raises on a value is a
+    UsageError that starts with `where`, the key or flag that gave it."""
+    try:
+        return build(*args, **kwargs)
+    except (CompileError, EngineError, ExperimentError, HardwareError, OSError,
+            ValueError) as exc:
+        raise UsageError(f"{where} {exc}") from exc
+
+
+def _lines(fh, size: int = 1 << 16):
+    """The lines of a text file opened with newline="", as its whole text's
+    str.splitlines(keepends=True) gives them: the file's own lines, which
+    end at CR, LF or CRLF only, split again about `size` characters at a time."""
+    while batch := fh.readlines(size):
+        yield from "".join(batch).splitlines(keepends=True)
+
+
+def _read_input(path: Path, parse="".join):
+    """`parse` of the _lines of a UTF-8 input file named by a config (by
+    default its text)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return parse(_lines(fh))
+
+
+def _input(cfg, name: str, key: str, config_path: Path, parse="".join):
+    """_read_input of the file that [name] key names (a path, or file:PATH),
+    relative to the config's directory unless absolute; a file it cannot
+    read or parse is a UsageError naming the key."""
+    spec = cfg[name][key]
+    return _checked(f"[{name}] {key} = {spec!r}:", _read_input,
+                    config_path.parent / spec.removeprefix("file:"), parse)
+
+
+def _run_seed(args, section) -> int | None:
+    """--seed, else the section's seed= (None if unset); a negative --seed is
+    a UsageError naming the flag."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed {args.seed}: a seed must be a non-negative integer")
+    return section["seed"] if args.seed is None else args.seed
+
+
+def load_hardware(cfg, config_path):
+    section = cfg["hardware"]
+    if "file" in section:
+        if len(section) > 1:
+            others = ", ".join(k for k in section if k != "file")
+            raise UsageError(f"[hardware] file = takes no other keys, got {others}")
+        text = _input(cfg, "hardware", "file", config_path)
+    else:
+        lines = [f"{k} {v}" for k, v in section.items() if k != "positions"]
+        if "positions" in section:
+            lines.append("positions")
+            lines += [chunk.strip() for chunk in section["positions"].split(";") if chunk.strip()]
+        text = "\n".join(lines) + "\n"
+    return _checked("[hardware]", parse_hardware_text, text)
+
+
+MODEL_FIELDS = {"b_values": "b_list", "j_values": "j_map"}  # the [model] keys NamedModel renames
 
 
 def load_named_model(cfg) -> NamedModel:
-    if not cfg.has_section("model"):
-        raise UsageError("config needs a [model] section")
-    section = cfg["model"]
-    kwargs = dict(
-        name=section.get("name", "ising"),
-        geometry=config_value(section, "geometry", parse_geometry, Geometry.chain(2)),
-        j=config_value(section, "j", float, 1.0),
-        b=config_value(section, "b", float, 0.0),
-    )
-    optional = (("direction", "direction", _floats), ("b_values", "b_list", _floats),
-                ("j_values", "j_map", _j_map), ("j_range", "j_range", _j_range),
-                ("seed", "seed", _non_negative_int))
-    for key, name, convert in optional:
-        if key in section:
-            kwargs[name] = config_value(section, key, convert)
+    kwargs = {MODEL_FIELDS.get(k, k): v for k, v in cfg["model"].items() if v is not None}
     try:
         return NamedModel(**kwargs)
     except ExperimentError as exc:
         message = str(exc)
-        for key, name, _ in optional:  # name the config keys, not NamedModel's fields
+        for key, name in MODEL_FIELDS.items():  # name the config keys, not NamedModel's fields
             message = message.replace(name, key)
         raise UsageError(message) from exc
-
-
-def load_hamiltonian_source(spec: str, n: int, config_path: Path) -> Hamiltonian:
-    if spec in ("zz_chain", "xx_chain"):
-        return nn_chain(spec.split("_")[0], n)
-    if spec.startswith("file:"):
-        return Hamiltonian.from_text(_read_input(_relative(spec[5:], config_path)))
-    raise UsageError(f"unknown Hamiltonian source {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +420,16 @@ class OutputWriter:
 # ---------------------------------------------------------------------------
 
 def cmd_compile(args, cfg, config_path) -> int:
-    if not cfg.has_section("compile"):
-        raise UsageError("config needs a [compile] section")
     section = cfg["compile"]
+    t_prime, epsilon = section["t_prime"], section["epsilon"]
+    _checked("[compile]", check_budget, t_prime, epsilon)
     hw = load_hardware(cfg, config_path)
-    if "hamiltonian" in section:
-        target = Hamiltonian.from_text(_read_input(_relative(section["hamiltonian"], config_path)))
-    elif cfg.has_section("model"):
+    if section["hamiltonian"] is not None:
+        target = Hamiltonian.from_text(_input(cfg, "compile", "hamiltonian", config_path))
+    elif "model" in cfg:
         target = build_model(load_named_model(cfg))
     else:
         raise UsageError("[compile] needs hamiltonian= or a [model] section")
-    t_prime = config_value(section, "t_prime", _finite_float, 1.0)
-    epsilon = config_value(section, "epsilon", _finite_float, 0.01)
     schedule, report = trotter_schedule(target, t_prime, epsilon, hw)
     writer = OutputWriter(Path(args.out_dir))
     writer.write_chunks("schedule.txt", schedule_text_chunks(schedule))
@@ -414,62 +450,35 @@ def cmd_compile(args, cfg, config_path) -> int:
     return EXIT_OK
 
 
-def _jitter_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise ValueError("outside [0, 1)")
-    return value
-
-
-def _jitter_fractions(text: str) -> tuple[float, ...]:
-    values = tuple(_jitter_fraction(x) for x in text.split())
-    if not values:
-        raise ValueError("needs at least one value")
-    return values
-
-
 def _error_model_from(section, seed) -> ErrorModel | None:
-    eta_local = config_value(section, "eta_local", _jitter_fraction, 0.0)
-    eta_int = config_value(section, "eta_int", _jitter_fraction, 0.0)
+    eta_local, eta_int = section["eta_local"] or 0.0, section["eta_int"] or 0.0
     if eta_local == 0.0 and eta_int == 0.0:
         return None
     if seed is None:
-        raise PolicyError(
-            "an error model needs a seed for reproducibility: set seed= or pass --seed"
-        )
+        raise PolicyError("an error model needs a seed for reproducibility: "
+                          "set seed= or pass --seed")
     return ErrorModel(eta_local=eta_local, eta_int=eta_int, seed=seed)
 
 
 def cmd_simulate(args, cfg, config_path) -> int:
-    if not cfg.has_section("simulate"):
-        raise UsageError("config needs a [simulate] section")
     section = cfg["simulate"]
-    sched_path = _relative(section.get("schedule", "schedule.txt"), config_path)
-    schedule = _read_input(sched_path, schedule_from_lines)
-    init_spec = section.get("initial", "zeros")
-    if init_spec == "zeros":
+    schedule = _input(cfg, "simulate", "schedule", config_path, schedule_from_lines)
+    if section["initial"] == "zeros":
         state = StateVector.zero_state(schedule.n_qubits)
-    elif init_spec.startswith("file:"):
-        state = StateVector.load_text(_read_input(_relative(init_spec[5:], config_path)))
     else:
-        raise UsageError(f"unknown initial state {init_spec!r}")
+        state = StateVector.load_text(_input(cfg, "simulate", "initial", config_path))
     if state.n_qubits != schedule.n_qubits:
-        raise UsageError(f"[simulate] initial = {init_spec} holds {state.n_qubits} qubits, "
-                         f"the schedule is for {schedule.n_qubits}")
-    obs = []
-    for spec in [s.strip() for s in section.get("observables", "").split(",") if s.strip()]:
-        try:
-            obs.append((spec, parse_observable(spec, schedule.n_qubits)))
-        except EngineError as exc:
-            raise UsageError(f"[simulate] observables entry {spec!r}: {exc}") from exc
+        raise UsageError(f"[simulate] initial = {section['initial']} holds {state.n_qubits} "
+                         f"qubits, the schedule is for {schedule.n_qubits}")
+    obs = [(spec, _checked(f"[simulate] observables entry {spec!r}:", parse_observable, spec,
+                           schedule.n_qubits)) for spec in section["observables"]]
     if args.oracle:
-        if "oracle_hamiltonian" not in section:
+        if section["oracle_hamiltonian"] is None:
             raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
-        h = Hamiltonian.from_text(_read_input(_relative(section["oracle_hamiltonian"], config_path)))
+        h = Hamiltonian.from_text(_input(cfg, "simulate", "oracle_hamiltonian", config_path))
         if h.n_qubits != schedule.n_qubits:
             raise UsageError(f"[simulate] oracle_hamiltonian holds {h.n_qubits} qubits, "
                              f"the schedule is for {schedule.n_qubits}")
-        t_prime = config_value(section, "t_prime", _finite_float, 1.0)
     seed = _run_seed(args, section)
     err = _error_model_from(section, seed)
     final, log = run_schedule(state, schedule, err)
@@ -483,7 +492,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         writer.write("observables.csv", "\n".join(lines) + "\n")
         summary["observables"] = {name: value for name, value in values}
     if args.oracle:
-        reference = exact_evolve(h, t_prime, state)
+        reference = exact_evolve(h, section["t_prime"], state)
         fid = fidelity(final, reference)
         summary["oracle_fidelity"] = fid
         print(f"oracle_fidelity={fid!r}")
@@ -508,36 +517,34 @@ def _histogram_csv(result) -> str:
 
 
 def cmd_adiabatic(args, cfg, config_path) -> int:
-    if not cfg.has_section("adiabatic"):
-        raise UsageError("config needs an [adiabatic] section")
     section = cfg["adiabatic"]
     hw = load_hardware(cfg, config_path)
     model = load_named_model(cfg)
     target = build_model(model)
-    n = model.geometry.n_sites
-    initial = load_hamiltonian_source(section.get("initial", "zz_chain"), n, config_path)
-    steps = args.steps if args.steps is not None else config_value(section, "steps", int, 100)
+    if section["initial"].startswith("file:"):
+        initial = Hamiltonian.from_text(_input(cfg, "adiabatic", "initial", config_path))
+    else:
+        initial = nn_chain(section["initial"].split("_")[0], model.geometry.n_sites)
     seed = _run_seed(args, section)
-    theta1 = config_value(section, "theta1", float, 0.1)
-    base = AdiabaticConfig(
-        h_initial=initial, h_target=target, steps=steps, theta1=theta1,
-        ramp=section.get("ramp", "linear"),
-        record_every=config_value(section, "record_every", int, 1),
-    )
+    base = _checked("[adiabatic]", AdiabaticConfig, h_initial=initial, h_target=target,
+                    steps=section["steps"], theta1=section["theta1"], ramp=section["ramp"],
+                    record_every=1 if section["record_every"] is None else section["record_every"])
+    if args.steps is not None:
+        base = _checked(f"--steps {args.steps}:", replace, base, steps=args.steps)
     writer = OutputWriter(Path(args.out_dir))
     plan_target = protocol_for_model(model, hw)
     extra = {}
-    if cfg.has_section("sweep"):
-        ignored = [key for key in ("eta_local", "eta_int") if key in section]
-        if "record_every" in section and base.record_every != 0:
+    if "sweep" in cfg:
+        ignored = [key for key in ("eta_local", "eta_int") if section[key] is not None]
+        if section["record_every"]:  # 0 and unset are what a sweep does
             ignored.append("record_every")
         if ignored:
             raise UsageError(f"[adiabatic] {', '.join(ignored)} does nothing with [sweep]: "
                              "it sets both etas per cell and records no trajectory")
-        sw = cfg["sweep"]
-        etas = config_value(sw, "etas", _jitter_fractions, (0.0,))
-        steps_list = config_value(sw, "steps_list", _ints, (steps,))
-        reps = config_value(sw, "repetitions", int, 20)
+        etas, steps_list, reps = (cfg["sweep"][k] for k in ("etas", "steps_list", "repetitions"))
+        steps_list = steps_list or (base.steps,)
+        for s in steps_list:
+            _checked("[sweep] steps_list:", replace, base, steps=s)
         if any(e > 0 for e in etas) and seed is None:
             raise PolicyError("sweep with noise needs a seed (seed= or --seed)")
         rows = _run_sweep(base, hw, etas, steps_list, reps, seed or 0, args.jobs, plan_target)
@@ -569,8 +576,8 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
             title="Final weight per eigenspace", xlabel="energy", ylabel="weight"))
         gap = min_gap(path, samples=41)
         summary = {
-            "steps": steps,
-            "theta1": theta1,
+            "steps": base.steps,
+            "theta1": base.theta1,
             "dt": result.dt,
             "t_sim": result.t_sim,
             "ground_weight": result.ground_weight,
@@ -579,7 +586,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         }
         writer.write("summary.json", json.dumps(summary, indent=2) + "\n")
         extra["ground_weight"] = result.ground_weight
-        print(f"adiabatic run: {steps} steps, final ground weight {result.ground_weight:.6f}")
+        print(f"adiabatic run: {base.steps} steps, final ground weight {result.ground_weight:.6f}")
     writer.manifest("adiabatic", config_path, seed, extra)
     return EXIT_OK
 
@@ -603,38 +610,27 @@ def _run_sweep(base, hw, etas, steps_list, reps, seed, jobs, plan_target=None):
     return rows
 
 
-def _parse_matrix(text: str) -> CoeffMatrix:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    if len(rows) != 3:
-        raise ValueError("a matrix needs 3 ';'-separated rows")
-    return CoeffMatrix(np.array([[float(x) for x in r.split()] for r in rows]))
-
-
 def cmd_cost(args, cfg, config_path) -> int:
-    if not cfg.has_section("cost"):
-        raise UsageError("config needs a [cost] section")
     section = cfg["cost"]
-    gamma = config_value(section, "gamma", _nonzero_finite_float, 1.0)
-    mode = section.get("mode", "homogeneous")
-    matrix = config_value(section, "matrix", _parse_matrix, CoeffMatrix(np.diag([0.0, 0.0, 1.0])))
+    given = [k for k in ("t_prime", "epsilon", "n_controls") if section[k] is not None]
+    if given and not {"t_prime", "epsilon"} <= set(given):
+        raise UsageError(f"[cost] {', '.join(given)} does nothing alone: "
+                         "L and chi need both t_prime and epsilon")
     lines = []
-    if mode == "homogeneous":
-        res = homogeneous_feasibility(matrix, gamma)
+    if section["mode"] == "homogeneous":
+        res = homogeneous_feasibility(section["matrix"], section["gamma"])
         if not res.feasible:
             sys.stderr.write(res.message + "\n")
             return EXIT_INFEASIBLE
         cost_value = res.time_cost
         lines.append(f"feasible=True")
-    elif mode == "inhomogeneous":
-        cost_value = inhomogeneous_cost(matrix, gamma)
     else:
-        raise UsageError(f"unknown mode {mode!r}")
+        cost_value = inhomogeneous_cost(section["matrix"], section["gamma"])
     lines.append(f"c={cost_value!r}")
-    if "t_prime" in section and "epsilon" in section:
-        t_prime = config_value(section, "t_prime", _finite_float)
-        epsilon = config_value(section, "epsilon", _finite_float)
-        n_controls = config_value(section, "n_controls", _non_negative_int, 1)
-        report = cost_report(cost_value, n_controls, trotter_cycles(cost_value, t_prime, epsilon),
+    if given:
+        t_prime, epsilon, n_controls = (section[k] for k in ("t_prime", "epsilon", "n_controls"))
+        num_cycles = _checked("[cost]", trotter_cycles, cost_value, t_prime, epsilon)
+        report = cost_report(cost_value, 1 if n_controls is None else n_controls, num_cycles,
                              t_prime, epsilon)
         lines.append(f"L={report.num_gates}")
         lines.append(f"chi={report.chi!r}")
@@ -648,15 +644,13 @@ def cmd_cost(args, cfg, config_path) -> int:
 def cmd_crosstalk(args, cfg, config_path) -> int:
     from .hardware import crosstalk_report
 
-    if not cfg.has_section("crosstalk"):
-        raise UsageError("config needs a [crosstalk] section")
     hw = load_hardware(cfg, config_path)
     if not isinstance(hw, TrapArrayModel):
         raise UsageError("crosstalk needs a uqs2 [hardware] description")
-    groups = config_value(cfg["crosstalk"], "groups", lambda text: hw.pushed_groups(
-        _ints(chunk) for chunk in text.split(";") if chunk.strip()), [])
-    if not groups:
+    if cfg["crosstalk"]["groups"] is None:
         raise UsageError("[crosstalk] needs groups= (e.g. '0 1; 11 12')")
+    raw = cfg.parser["crosstalk"]["groups"]  # quoted as written
+    groups = _checked(f"[crosstalk] groups = {raw!r}:", hw.pushed_groups, cfg["crosstalk"]["groups"])
     report = crosstalk_report(hw, groups)
     lines = [f"threshold={report.threshold!r}",
              f"max_ratio={report.max_ratio!r}",
@@ -670,12 +664,12 @@ def cmd_crosstalk(args, cfg, config_path) -> int:
     return EXIT_OK
 
 
-HANDLERS = {
-    "compile": cmd_compile,
-    "simulate": cmd_simulate,
-    "adiabatic": cmd_adiabatic,
-    "cost": cmd_cost,
-    "crosstalk": cmd_crosstalk,
+HANDLERS = {  # each command, then the sections it needs, checked in this order
+    "compile": (cmd_compile, "compile", "hardware"),
+    "simulate": (cmd_simulate, "simulate"),
+    "adiabatic": (cmd_adiabatic, "adiabatic", "hardware", "model"),
+    "cost": (cmd_cost, "cost"),
+    "crosstalk": (cmd_crosstalk, "crosstalk", "hardware"),
 }
 
 
@@ -685,24 +679,24 @@ def main(argv=None) -> int:
     try:
         config_path = resolve_config_path(args.config)
         cfg = load_config(config_path)
-        if args.out_dir == "." and cfg.has_option("output", "dir"):
-            args.out_dir = str(_relative(cfg.get("output", "dir"), config_path))
-        return HANDLERS[args.command](args, cfg, config_path)
-    except UsageError as exc:
-        sys.stderr.write(f"uqsim: {exc}\n")
-        return EXIT_USAGE
-    except (PauliError, OSError, StateFormatError) as exc:
+        command, *needed = HANDLERS[args.command]
+        for name in needed:
+            if name not in cfg:
+                raise UsageError(f"config needs {'an' if name[0] in 'aeiou' else 'a'} [{name}] section")
+        out_dir = cfg.get("output", {}).get("dir")
+        if args.out_dir == "." and out_dir is not None:
+            args.out_dir = str(config_path.parent / out_dir)
+        return command(args, cfg, config_path)
+    except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
+        sys.stderr.write(f"uqsim: infeasible: {exc}\n")
+        return EXIT_INFEASIBLE
+    except (UsageError, PauliError, OSError, StateFormatError, CompileError,
+            ExperimentError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
     except PolicyError as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_POLICY
-    except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
-        sys.stderr.write(f"uqsim: infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
-    except (CompileError, ExperimentError) as exc:
-        sys.stderr.write(f"uqsim: {exc}\n")
-        return EXIT_USAGE
     except (EngineError, HardwareError) as exc:
         sys.stderr.write(f"uqsim: numeric failure: {exc}\n")
         return EXIT_NUMERIC

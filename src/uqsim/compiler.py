@@ -150,9 +150,11 @@ class FeasibilityResult:
 EIGENVALUE_REL_TOL = 1e-10
 
 
-def _check_gamma(gamma: float):
+def check_gamma(gamma: float, error: type[Exception] = CompileError) -> float:
+    """gamma, if it is finite and nonzero; else `error` is raised."""
     if not (math.isfinite(gamma) and gamma != 0.0):
-        raise CompileError(f"gamma must be finite and nonzero, got {gamma}")
+        raise error(f"gamma must be finite and nonzero, got {gamma}")
+    return gamma
 
 
 def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
@@ -161,7 +163,7 @@ def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
     Feasible iff every non-vanishing eigenvalue of M has the sign of gamma;
     the minimal time cost is then (sum of eigenvalues) / gamma.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if not m.is_symmetric(1e-10):
         raise CompileError("asymmetric interaction matrix cannot arise from homogeneous control")
     evals = m.eigenvalues()
@@ -181,7 +183,7 @@ def homogeneous_feasibility(m: CoeffMatrix, gamma: float) -> FeasibilityResult:
 
 def inhomogeneous_cost(m: CoeffMatrix, gamma: float) -> float:
     """Optimal time cost with per-qubit control: sum of singular values / |gamma|."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     return float(np.sum(m.singular_values())) / abs(gamma)
 
 
@@ -877,6 +879,14 @@ def _plan_uqs2(n_qubits, fields, pairs, hw) -> CyclePlan:
     return CyclePlan(n_qubits, tuple(families), fields, homogeneous_locals=False)
 
 
+def check_budget(t_prime: float, epsilon: float) -> None:
+    """A CompileError naming t_prime or epsilon unless t_prime >= 0 and epsilon > 0."""
+    if t_prime < 0:
+        raise CompileError(f"t_prime must be at least 0, got {t_prime!r}")
+    if epsilon <= 0:
+        raise CompileError(f"epsilon must be positive, got {epsilon!r}")
+
+
 def trotter_cycles(time_cost: float, t_prime: float, epsilon: float) -> int:
     """The Trotter cycle count L = ceil(c^2 t'^2 / eps), at least 1.
 
@@ -884,8 +894,7 @@ def trotter_cycles(time_cost: float, t_prime: float, epsilon: float) -> int:
     simulating time t' at time cost c inside the budget eps. A guard of 1e-9
     keeps float fuzz from pushing an exact integer over the next ceiling.
     """
-    if t_prime < 0 or epsilon <= 0:
-        raise CompileError("need t_prime >= 0 and epsilon > 0")
+    check_budget(t_prime, epsilon)
     ratio = time_cost * time_cost * t_prime * t_prime / epsilon
     if not math.isfinite(ratio):
         raise CompileError(f"L = c^2 t'^2 / eps is {ratio} at eps={epsilon!r}")
@@ -919,8 +928,7 @@ def trotter_schedule(
     term as a local layer. More than MAX_INSTRUCTIONS instructions raise
     CompileError.
     """
-    if t_prime < 0 or epsilon <= 0:
-        raise CompileError("need t_prime >= 0 and epsilon > 0")
+    check_budget(t_prime, epsilon)
     plan = plan_for_hamiltonian(target, hw)
     c = plan.time_cost
     if num_cycles is not None:

@@ -23,6 +23,7 @@ from .compiler import (
     HardwareConstraintError,
     PulseSchedule,
     RawGate,
+    check_gamma,
 )
 from .pauli import Hamiltonian, PauliString
 
@@ -34,11 +35,6 @@ class HardwareError(Exception):
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
-
-def _check_gamma(gamma: float):
-    if not (math.isfinite(gamma) and gamma != 0.0):
-        raise HardwareError(f"gamma must be finite and nonzero, got {gamma}")
-
 
 def _points(positions) -> tuple[tuple[float, ...], ...]:
     """Positions as coordinate tuples (a scalar is a 1D point), all finite."""
@@ -67,9 +63,9 @@ class LatticeModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        check_gamma(self.gamma, HardwareError)
         if self.n_sites < 2:
-            raise HardwareError("need at least 2 sites")
+            raise HardwareError(f"sites must be at least 2, got {self.n_sites}")
         if self.dims not in (1, 2):
             raise HardwareError("dims must be 1 or 2")
         if self.boundary not in ("open", "periodic"):
@@ -108,7 +104,7 @@ class TrapArrayModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        check_gamma(self.gamma, HardwareError)
         for name in ("kappa", "crosstalk_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise HardwareError(f"{name} must be finite, got {getattr(self, name)}")
@@ -585,36 +581,36 @@ def parse_hardware_text(text: str):
     unknown = sorted(set(fields) - {"platform", *HARDWARE_KEYS.get(platform, "").split()})
     if platform in HARDWARE_KEYS and unknown:
         raise HardwareError(f"platform {platform} has no key {', '.join(unknown)}")
-    if platform == "uqs1":
+
+    def converted(key, convert, default=None):
+        """fields[key] through `convert` (`default` when absent), naming the key on failure."""
+        if key not in fields:
+            return default
         try:
-            n_sites = int(fields["sites"])
-        except KeyError as exc:
-            raise HardwareError("uqs1 description needs a 'sites' line") from exc
-        dims = int(fields.get("dims", "1"))
-        shape = None
-        if "shape" in fields:
-            shape = tuple(int(x) for x in fields["shape"].split())
-        avail = fields.get("available_j", "all")
-        if avail == "all":
-            js: frozenset[int] = frozenset()
-        else:
-            js = frozenset(int(x) for x in avail.split())
+            return convert(fields[key])
+        except ValueError as exc:
+            raise HardwareError(f"{key} = {fields[key]!r}: {exc}") from exc
+
+    if platform == "uqs1":
+        if "sites" not in fields:
+            raise HardwareError("uqs1 description needs a 'sites' line")
         return LatticeModel(
-            n_sites=n_sites,
-            dims=dims,
-            shape=shape,
+            n_sites=converted("sites", int),
+            dims=converted("dims", int, 1),
+            shape=converted("shape", lambda text: tuple(int(x) for x in text.split())),
             boundary=fields.get("boundary", "open"),
-            available_j=js,
-            gamma=float(fields.get("gamma", "1.0")),
+            available_j=converted("available_j", lambda text: frozenset(
+                () if text == "all" else (int(x) for x in text.split())), frozenset()),
+            gamma=converted("gamma", float, 1.0),
         )
     if platform == "uqs2":
         if not positions:
             raise HardwareError("uqs2 description needs a 'positions' block")
         return TrapArrayModel(
             positions=tuple(positions),
-            kappa=float(fields.get("kappa", "1.0")),
-            crosstalk_threshold=float(fields.get("crosstalk_threshold", "1e-3")),
-            gamma=float(fields.get("gamma", "1.0")),
+            kappa=converted("kappa", float, 1.0),
+            crosstalk_threshold=converted("crosstalk_threshold", float, 1e-3),
+            gamma=converted("gamma", float, 1.0),
         )
     raise HardwareError(f"unknown or missing platform {platform!r}")
 

@@ -15,11 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uqsim import svg
-from uqsim.cli import build_parser, main
-from uqsim.compiler import (schedule_from_text, schedule_to_text, trotter_cycles,
+from uqsim.cli import CONFIG_TABLE, build_parser, main
+from uqsim.compiler import (CompileError, schedule_from_text, schedule_to_text, trotter_cycles,
                              trotter_schedule)
 from uqsim.engine import StateVector
-from uqsim.hardware import TrapArrayModel
+from uqsim.experiments import ExperimentError
+from uqsim.hardware import HARDWARE_KEYS, HardwareError, TrapArrayModel
 from uqsim.pauli import Hamiltonian
 
 
@@ -648,40 +649,48 @@ EMPTY_SCHEDULE = "# pulse schedule version=1 n_qubits=2\n"
 STEPS_3 = ["--steps", "3"]
 
 
-@pytest.mark.parametrize("config, key, value, argv", [
-    ("fig4a.cfg", None, None, ["--steps", "0"]),
-    ("fig4a.cfg", None, None, ["--steps", "-4"]),
-    ("fig4b.cfg", "steps_list", "0", STEPS_3),
-    ("fig4a.cfg", "theta1", "-0.1", STEPS_3),
-    ("fig4a.cfg", "theta1", "nan", STEPS_3),
-    ("fig4a.cfg", "theta1", "inf", STEPS_3),
-    ("fig4a.cfg", "record_every", "-1", STEPS_3),
-    ("fig4a.cfg", "ramp", "cubic", STEPS_3),
-    ("fig4a.cfg", "sites", "abc", STEPS_3),
-    ("fig4a.cfg", "sites", "1", STEPS_3),
-    ("fig4a.cfg", "gamma", "0", STEPS_3),
-    ("fig4a.cfg", "gamma", "nan", STEPS_3),
-    ("fig4a.cfg", "eta_local", "1.5", STEPS_3),
-    ("simulate", "eta_local", "1.5", []),
-    ("fig4b.cfg", "etas", "1.5", STEPS_3),
-    ("fig4b.cfg", "etas", "-0.1", STEPS_3),
-    ("fig4a.cfg", "initial", "file:.", STEPS_3),
+@pytest.mark.parametrize("config, section, key, value, argv", [
+    ("fig4a.cfg", None, None, None, ["--steps", "0"]),
+    ("fig4a.cfg", None, None, None, ["--steps", "-4"]),
+    ("fig4b.cfg", "sweep", "steps_list", "0", STEPS_3),
+    ("fig4b.cfg", "sweep", "steps_list", "100 -1", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "steps", "0", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "theta1", "-0.1", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "theta1", "nan", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "theta1", "inf", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "record_every", "-1", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "ramp", "cubic", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "initial", "foo", STEPS_3),
+    ("fig4a.cfg", "hardware", "sites", "abc", STEPS_3),
+    ("fig4a.cfg", "hardware", "sites", "1", STEPS_3),
+    ("fig4a.cfg", "hardware", "gamma", "0", STEPS_3),
+    ("fig4a.cfg", "hardware", "gamma", "nan", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "eta_local", "1.5", STEPS_3),
+    ("simulate", "simulate", "eta_local", "1.5", []),
+    ("simulate", "simulate", "initial", "ones", []),
+    ("fig4b.cfg", "sweep", "etas", "1.5", STEPS_3),
+    ("fig4b.cfg", "sweep", "etas", "-0.1", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "initial", "file:.", STEPS_3),
+    ("cost", "cost", "mode", "bogus", []),
+    ("compile", "compile", "epsilon", "0", []),
+    ("compile", "compile", "t_prime", "-1", []),
 ])
-def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, key, value, argv):
-    if config == "simulate":
-        write(tmp_path / "empty.txt", EMPTY_SCHEDULE)
-        text = "[simulate]\nschedule = empty.txt\neta_local = 0.0\nseed = 1\n"
-    else:
-        text = bundled(config)
+def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, section, key, value,
+                                                    argv):
+    write(tmp_path / "zz.ham", "1.0 Z Z\n")
+    write(tmp_path / "empty.txt", EMPTY_SCHEDULE)
+    text = {**CONFIG_BASES, "simulate": SIMULATE_BASE}.get(config) or bundled(config)
     if key is not None:
-        text = with_value(text, key, value)
+        text = set_value(text, section, key, value)
     cfg = write(tmp_path / "bad.cfg", text)
-    command = "simulate" if config == "simulate" else "adiabatic"
+    command = "adiabatic" if config.endswith(".cfg") else config
     code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
     assert code == 1, err
     assert "Traceback" not in err
     assert err.startswith("uqsim: ")
+    assert (f"[{section}] {key}" if key else "--steps") in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("run, where", [
@@ -717,12 +726,13 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, run, where):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+BARE_COST = "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n"
 CONFIG_BASES = {
-    "cost": "[cost]\nmode = homogeneous\ngamma = 1.0\nmatrix = 0 0 0 ; 0 0 0 ; 0 0 1\n"
-            "t_prime = 1.0\nepsilon = 0.01\n",
+    "cost": BARE_COST + "t_prime = 1.0\nepsilon = 0.01\n",
     "crosstalk": UQS2_4 + "[crosstalk]\ngroups = 0 1\n",
     "compile": UQS2_2 + "[compile]\nhamiltonian = zz.ham\nt_prime = 1.0\n",
 }
+SIMULATE_BASE = "[simulate]\nschedule = empty.txt\neta_local = 0.0\nseed = 1\n"
 
 
 def set_value(text: str, section: str, key: str, value: str) -> str:
@@ -732,44 +742,123 @@ def set_value(text: str, section: str, key: str, value: str) -> str:
     return text if n else text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
 
 
-@pytest.mark.parametrize("config, section, key, value", [
-    ("fig4a.cfg", "adiabatic", "theta1", "abc"),
-    ("fig4a.cfg", "adiabatic", "record_every", "1.5"),
-    ("fig4a.cfg", "adiabatic", "seed", "x"),
-    ("fig4a.cfg", "adiabatic", "eta_local", "abc"),
-    ("fig4a.cfg", "model", "j", "abc"),
-    ("fig4a.cfg", "model", "b", "abc"),
-    ("fig4a.cfg", "model", "geometry", "chain:x"),
-    ("fig4a.cfg", "model", "geometry", "grid:2x2:kagome"),
-    ("fig4a.cfg", "model", "geometry", "grid:0x2"),
-    ("fig4b.cfg", "sweep", "etas", "0 abc"),
-    ("fig4b.cfg", "sweep", "repetitions", "many"),
-    ("fig4b.cfg", "sweep", "steps_list", "100 1e3"),
-    ("cost", "cost", "gamma", "abc"),
-    ("cost", "cost", "gamma", "inf"),
-    ("cost", "cost", "gamma", "nan"),
-    ("cost", "cost", "gamma", "0"),
-    ("cost", "cost", "gamma", "-0.0"),
-    ("cost", "cost", "n_controls", "-3"),
-    ("cost", "cost", "matrix", "1 0 0 ; 0 x 0 ; 0 0 1"),
-    ("crosstalk", "crosstalk", "groups", "0 a ; 2 3"),
-    ("crosstalk", "crosstalk", "groups", "0 1; 2 9"),
-    ("crosstalk", "crosstalk", "groups", "-1 0; 1 2"),
-    ("crosstalk", "crosstalk", "groups", "0 1; 3 3"),
-    ("compile", "compile", "t_prime", "abc"),
+@pytest.mark.parametrize("config, section, key, value, argv", [
+    ("fig4a.cfg", "adiabatic", "theta1", "abc", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "record_every", "1.5", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "seed", "x", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "eta_local", "abc", STEPS_3),
+    # keys the run does not read are checked too
+    ("fig4a.cfg", "adiabatic", "steps", "abc", STEPS_3),
+    ("fig4a.cfg", "adiabatic", "seed", "x", ["--seed", "5", *STEPS_3]),
+    ("simulate", "simulate", "t_prime", "abc", []),
+    ("bare cost", "cost", "n_controls", "abc", []),
+    ("fig4a.cfg", "model", "j", "abc", STEPS_3),
+    ("fig4a.cfg", "model", "b", "abc", STEPS_3),
+    ("fig4a.cfg", "model", "direction", "1 0", STEPS_3),
+    ("fig4a.cfg", "model", "geometry", "chain:x", STEPS_3),
+    ("fig4a.cfg", "model", "geometry", "chain:1", STEPS_3),
+    ("fig4a.cfg", "model", "geometry", "grid:2x2:kagome", STEPS_3),
+    ("fig4a.cfg", "model", "geometry", "grid:0x2", STEPS_3),
+    ("fig4b.cfg", "sweep", "etas", "0 abc", STEPS_3),
+    ("fig4b.cfg", "sweep", "repetitions", "many", STEPS_3),
+    ("fig4b.cfg", "sweep", "steps_list", "100 1e3", STEPS_3),
+    ("cost", "cost", "gamma", "abc", []),
+    ("cost", "cost", "gamma", "inf", []),
+    ("cost", "cost", "gamma", "nan", []),
+    ("cost", "cost", "gamma", "0", []),
+    ("cost", "cost", "gamma", "-0.0", []),
+    ("cost", "cost", "n_controls", "-3", []),
+    ("cost", "cost", "matrix", "1 0 0 ; 0 x 0 ; 0 0 1", []),
+    ("crosstalk", "crosstalk", "groups", "0 a ; 2 3", []),
+    ("crosstalk", "crosstalk", "groups", "0 1; 2 9", []),
+    ("crosstalk", "crosstalk", "groups", "-1 0; 1 2", []),
+    ("crosstalk", "crosstalk", "groups", "0 1; 3 3", []),
+    ("compile", "compile", "t_prime", "abc", []),
 ])
 def test_unparsable_config_value_exits_1_naming_the_key(tmp_path, capsys, config, section, key,
-                                                        value):
+                                                        value, argv):
     write(tmp_path / "zz.ham", "1.0 Z Z\n")
-    text = CONFIG_BASES.get(config) or bundled(config)
+    write(tmp_path / "empty.txt", EMPTY_SCHEDULE)
+    bases = {**CONFIG_BASES, "simulate": SIMULATE_BASE, "bare cost": BARE_COST}
+    text = bases.get(config) or bundled(config)
     cfg = write(tmp_path / "bad.cfg", set_value(text, section, key, value))
-    command = "adiabatic" if config.endswith(".cfg") else config
-    argv = STEPS_3 if command == "adiabatic" else []
+    command = "adiabatic" if config.endswith(".cfg") else section
     code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
     assert code == 1, err
     assert "Traceback" not in err
     assert err.startswith(f"uqsim: [{section}] {key} = {value!r}: ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def rejected_text(convert) -> str | None:
+    """The first of a few texts that `convert` refuses, or None."""
+    for text in ("abc", "", "-1", "nan", "1.5"):
+        try:
+            convert(text)
+        except (ValueError, CompileError, ExperimentError, HardwareError):
+            return text
+    return None
+
+
+TABLE_CASES = {(section, key): rejected_text(convert)
+               for section, table in CONFIG_TABLE.items()
+               for key, (convert, _) in table.items()}
+
+
+def test_only_path_and_text_keys_take_any_text():
+    # a key whose converter takes any text is one the run checks in context, or a path
+    assert {case for case, text in TABLE_CASES.items() if text is None} == {
+        ("compile", "hamiltonian"), ("simulate", "schedule"), ("simulate", "observables"),
+        ("simulate", "oracle_hamiltonian"), ("output", "dir")}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (*case, text) for case, text in TABLE_CASES.items() if text is not None])
+def test_every_key_of_the_table_is_checked_by_any_command(tmp_path, capsys, section, key, value):
+    # every section in CONFIG_TABLE is converted as the file is read, so a cost run,
+    # which reads only [cost], refuses a bad value anywhere else too
+    text = BARE_COST if section == "cost" else BARE_COST + f"[{section}]\n"
+    cfg = write(tmp_path / "bad.cfg", set_value(text, section, key, value))
+    code = main(["cost", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"uqsim: [{section}] {key} = {value!r}: ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("lines, named", [
+    ("t_prime = 1.0", "t_prime"),
+    ("epsilon = 0.01", "epsilon"),
+    ("n_controls = 2", "n_controls"),
+    ("t_prime = 1.0\nn_controls = 2", "t_prime, n_controls"),
+])
+def test_cost_budget_key_alone_exits_1_naming_it(tmp_path, capsys, lines, named):
+    cfg = write(tmp_path / "c.cfg", BARE_COST + lines + "\n")
+    assert main(["cost", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uqsim: [cost] {named} does nothing alone: ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def readme_config_keys() -> dict[str, set[str]]:
+    """Each section of the README's config reference and the keys it lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = keys.setdefault(header[1], set())
+        elif line:
+            section.add(line.split("=", 1)[0].strip())
+    return keys
+
+
+def test_readme_config_reference_lists_every_key():
+    expected = {name: set(table) for name, table in CONFIG_TABLE.items()}
+    expected["hardware"] = {"file", "platform", *" ".join(HARDWARE_KEYS.values()).split()}
+    assert readme_config_keys() == expected
 
 
 @pytest.mark.parametrize("config, section, key", [

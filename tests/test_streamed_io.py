@@ -166,7 +166,7 @@ def test_non_utf8_byte_deep_in_a_schedule_exits_1_naming_the_file(tmp_path, caps
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("uqsim: cannot read ") and "s.txt: not UTF-8 text" in err
+    assert err.startswith("uqsim: [simulate] schedule = 's.txt': 'utf-8' codec can't decode")
     assert "Traceback" not in err and not (out / "state.txt").exists()
 
 
