@@ -197,7 +197,7 @@ def parse_geometry(spec: str) -> Geometry:
 def _coupling(text: str) -> tuple[tuple[int, int], float]:
     pair, value = text.split(":")
     a, b = pair.split("-")
-    return (int(a), int(b)), float(value)
+    return (int(a), int(b)), _finite_float(value)
 
 
 _JITTER = {  # the keys of a run with timing jitter
@@ -241,12 +241,12 @@ CONFIG_TABLE = {
     "model": {
         "name": (_choice(*MODEL_NAMES), "ising"),
         "geometry": (parse_geometry, Geometry.chain(2)),
-        "j": (float, None),
-        "b": (float, None),
-        "direction": (_list(float, least=3, most=3), None),
-        "b_values": (_list(float), None),
+        "j": (_finite_float, None),
+        "b": (_finite_float, None),
+        "direction": (_list(_finite_float, least=3, most=3), None),
+        "b_values": (_list(_finite_float), None),
         "j_values": (_list(_coupling, ","), None),
-        "j_range": (_list(float, least=2, most=2), None),
+        "j_range": (_list(_finite_float, least=2, most=2), None),
         "seed": (_non_negative_int, None),
     },
     "cost": {

@@ -10,19 +10,24 @@ per-qubit form exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus
 the mask of non-identity qubits (LoweredLayer), once per distinct layer
 object per call, so a schedule of L repeated cycles pays for the lines of
 one cycle, not for each occurrence; a run of consecutive raw gates becomes
-one diagonal, theta*w per target beside the +-1 Z_a Z_b sign rows. An
-adiabatic step is the compiler's emit_cycle of both plans, so the
-compiler alone decides what a cycle contains.
+one diagonal, theta*w per target beside the +-1 Z_a Z_b sign rows over the
+lower half of the basis (Z_a Z_b is the same at x and at 2^n - 1 - x, so
+the upper half takes the lower half's phases in reverse). An adiabatic
+step is the compiler's emit_cycle of both plans, so the compiler alone
+decides what a cycle contains.
 
 A FusedCycle applies a window of instructions group by group in the manner
 of qsim's gate fusion (arXiv:2111.02396). The qubits split into
 contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
 3+3+3 at n=9); the window's layers and in-group gate runs fuse into one
 (2^k, 2^k) block per group between gate runs across groups, each kept as
-one multiply by exp(-i * coef @ signs). The blocks of a pass over many
-occurrences of the window are built in one vectorised pass, jitter
-rescaling theta in closed form, then applied (4 state-sized calls per
-cycle on the 8-ion trap chain instead of 23). _repeats finds repeated
+one multiply by exp(-i * coef @ signs), its phases made in real
+arithmetic (_zz_phases). The blocks of a pass over many occurrences of the
+window are built in one vectorised pass, jitter rescaling theta in closed
+form, then applied (4 state-sized calls per cycle on the 8-ion trap chain
+instead of 23). A pass holds at most _CHUNK_BLOCKS occurrences, and blocks
+of at most as many (2^4, 2^4) blocks' entries, 1 MiB, unless one
+occurrence holds more (FusedCycle.per_pass). _repeats finds repeated
 cycles by object id, not from a header; each runs as one FusedCycle over
 all its occurrences; every other stretch runs in windows of at most
 _CHUNK instructions, one occurrence each. Consecutive adiabatic steps
@@ -60,7 +65,8 @@ arithmetic multiplies in another order than one kernel call per
 instruction: it agrees with that per-instruction reference within 1e-12,
 not bitwise. A repetition run inside a sweep batch agrees with the same
 seed run alone within 1e-12, not bitwise, since BLAS blocking depends on
-the batch size.
+the batch size. So do sign rows made one at a time above _SIGN_ROW_QUBITS
+and kept rows: at one row, BLAS sums the kept rows a few at a time.
 """
 from __future__ import annotations
 
@@ -357,7 +363,7 @@ class LogDraws:
 _SIGN_ROW_QUBITS = 12      # most qubits whose cross-group diagonals keep their sign rows
 _CHUNK = 64                # instructions per unrepeated window, raw gates per diagonal
 _GROUP_QUBITS = 4          # most qubits per fused local block, a (2^4, 2^4) matrix
-_CHUNK_BLOCKS = 256        # most fused blocks one pass of a FusedCycle builds
+_CHUNK_BLOCKS = 256        # most (2^4, 2^4) blocks' entries, and occurrences, per pass
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
@@ -419,17 +425,31 @@ def _local_matrices(theta, nsigma, phase, scale) -> np.ndarray:
     return phase[..., None, None] * m
 
 
+def _zz_phases(angles: np.ndarray) -> np.ndarray:
+    """The phases of a ZZ diagonal over a whole basis from its angles
+    (..., 2^(n-1)) over the lower half: exp(-i * angles), then the same in
+    reverse, since Z_a Z_b is the same at x and at 2^n - 1 - x. Every ZZ
+    phase of execution is made here, in real arithmetic: cos into the real
+    part and -sin into the imaginary one give the bits of complex np.exp in
+    less time."""
+    half = np.empty(angles.shape, dtype=complex)
+    half.real = np.cos(angles)
+    half.imag = -np.sin(angles)
+    return np.concatenate([half, half[..., ::-1]], axis=-1)
+
+
 def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarray) -> None:
     """exp(-i * coef @ signs) on every row of amps (R, 2^n): `signs` holds
-    the +-1 row of Z_a Z_b per pair (a, b), or is None to make the rows one
-    at a time."""
+    the +-1 row of Z_a Z_b per pair (a, b) over the lower 2^(n-1) basis
+    states (zz_signs(..., half=True)), or is None to make the rows one at a
+    time; _zz_phases mirrors their phases onto the upper half."""
     if signs is None:
         n = amps.shape[1].bit_length() - 1
-        angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b)
+        angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b, half=True)
                      for t, (a, b) in enumerate(pairs))
     else:
         angles = coef @ signs
-    amps *= np.exp(-1j * angles)
+    amps *= _zz_phases(angles)
 
 
 def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int], used) -> np.ndarray:
@@ -459,11 +479,12 @@ class FusedCycle:
     dict the caller may share between cycles, and each of its active qubits
     joins the open block of its group (_group_bounds) as a 2x2 factor. A run
     of up to _CHUNK consecutive raw gates is one diagonal exp(-i * coef @
-    signs), with theta * w per target and the +-1 Z_a Z_b sign rows built
-    here: a run whose targets all lie inside one group joins that group's
-    block as a diagonal factor, and a run with a target across groups
-    closes the open blocks of the groups it touches and stays one diagonal
-    over the whole state (its rows made as it runs above _SIGN_ROW_QUBITS).
+    signs), with theta * w per target and the +-1 Z_a Z_b sign rows over the
+    lower half of its states built here: a run whose targets all lie
+    inside one group joins that group's block as a diagonal factor, and a
+    run with a target across groups closes the open blocks of the groups it
+    touches and stays one diagonal over the whole state (its rows made as
+    it runs above _SIGN_ROW_QUBITS).
     The end of the cycle closes the rest. What other groups' blocks hold
     commutes with such a run, so only the order within each group is kept.
     A trotter-uqs2 cycle on 8 ions (a field layer, 14 one-ion echo pulses
@@ -556,17 +577,19 @@ class FusedCycle:
                 if len(touched) == 1:
                     (lo, k), = touched
                     # a diagonal factor: (its coef slice, its sign rows in the block)
-                    signs = np.array([kernels.zz_signs(k, a - lo, b - lo) for a, b in pairs])
+                    signs = np.array([kernels.zz_signs(k, a - lo, b - lo, half=True)
+                                      for a, b in pairs])
                     open_blocks.setdefault((lo, k), []).append((span, signs))
                 elif touched:
                     for group in touched:
                         close(group)
                     signs = (None if n_qubits > _SIGN_ROW_QUBITS
-                             else np.array([kernels.zz_signs(n_qubits, a, b) for a, b in pairs]))
+                             else np.array([kernels.zz_signs(n_qubits, a, b, half=True)
+                                            for a, b in pairs]))
                     self.steps.append(("zz", pairs, signs, span))
         for group in sorted(open_blocks):
             close(group)
-        self.width, self.n_blocks = len(eta), sum(step[0] == "block" for step in self.steps)
+        self.width, self.entries = len(eta), sum(4 ** s[2] for s in self.steps if s[0] == "block")
         self.eta = np.array(eta, dtype=float)
         self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
         self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
@@ -580,6 +603,14 @@ class FusedCycle:
         self.at_u = np.array(at_u if eta_l > 0 else [], dtype=np.intp)
         self.at_g = np.array(at_g if eta_i > 0 else [], dtype=np.intp)
         self._static = None
+
+    def per_pass(self, rows: int) -> int:
+        """The most occurrences of one pass over `rows` batch rows: at most
+        _CHUNK_BLOCKS, whose blocks hold the entries of at most
+        _CHUNK_BLOCKS (2^4, 2^4) blocks (1 MiB), or one occurrence if a
+        single one holds more."""
+        budget = _CHUNK_BLOCKS * 4 ** _GROUP_QUBITS
+        return max(1, min(_CHUNK_BLOCKS, budget // (rows * max(1, self.entries))))
 
     def _build(self, d: np.ndarray | None, scales: np.ndarray | None) -> list:
         """Per step (lo, block, None) or (None, (pairs, signs), coef) for
@@ -604,9 +635,8 @@ class FusedCycle:
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
                 scales: np.ndarray | None = None, after=None) -> int:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
-        passes of up to _CHUNK_BLOCKS blocks over occurrences and rows;
-        occurrence j with the scales[j] (count, slots) of its ops' slots
-        when the cycle has any. `after(j)`, when given, is called once
+        passes of per_pass(R) occurrences; occurrence j with the scales[j]
+        (count, slots) of its ops' slots when the cycle has any. `after(j)`, when given, is called once
         occurrence j has run, so that a caller can copy amps out mid-pass.
         Returns the number of instructions run.
 
@@ -619,7 +649,7 @@ class FusedCycle:
         0.0 elsewhere. `log` records the draws that act.
         """
         rows = amps.shape[0]
-        per_pass = max(1, _CHUNK_BLOCKS // (rows * max(1, self.n_blocks)))
+        per_pass = self.per_pass(rows)
         if scales is not None:
             scales = np.column_stack([scales, np.ones(count)])
         # the logged places: at_u and at_g are sorted and disjoint (np.union1d
@@ -652,8 +682,8 @@ class FusedCycle:
 def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The (..., 2^k, 2^k) product of a block's factors, the first applied
     first: for (((i, b), ...), None) one layer's 2x2s mats[..., i] on bits b
-    of the row index, and exp(-i * coef[..., span] @ signs) on the rows for
-    (span, signs).
+    of the row index, and for (span, signs) exp(-i * coef[..., span] @
+    signs) on the rows, `signs` over the lower 2^(k-1) rows (_zz_phases).
 
     With one batch row, a layer's 2x2s are multiplied into the block one at
     a time. With many (mats (C, R, ...), R > 1), each such product is a loop
@@ -668,7 +698,7 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     block = None  # the identity so far
     for a, b in factors:
         if b is not None:
-            phases = np.exp(-1j * (coef[..., a] @ b))[..., :, None]
+            phases = _zz_phases(coef[..., a] @ b)[..., :, None]
             block = phases * (np.eye(dim) if block is None else block)
         elif rows > 1 and (block is None or len(a) > 1):
             at = {bit: i for i, bit in a}

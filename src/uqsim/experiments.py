@@ -96,7 +96,8 @@ class NamedModel:
     heisenberg: -(J/2)(XX+YY+ZZ) on nearest neighbors.
     random_ising: -(J_ab/2) ZZ on nearest neighbors plus site fields B_a X_a;
     only it takes b_list, j_map, j_range and seed.
-    An optional uniform field B along `direction` can be added to any model.
+    An optional uniform field B along `direction` can be added to any model;
+    `direction` is 3 finite values forming a unit vector, whatever B is.
     """
 
     name: str
@@ -123,6 +124,10 @@ class NamedModel:
             if unread:
                 raise ExperimentError(f"{self.name} takes no {', '.join(unread)} "
                                       "(only random_ising reads them)")
+        d = self.direction
+        if not (len(d) == 3 and all(map(math.isfinite, d))
+                and abs(math.sqrt(sum(c * c for c in d)) - 1.0) <= 1e-10):
+            raise ExperimentError(f"direction {d!r} is not 3 finite values forming a unit vector")
         n = self.geometry.n_sites
         for (a, b), _ in self.j_map or ():
             if a == b or not (0 <= a < n and 0 <= b < n):
@@ -160,10 +165,6 @@ def build_model(model: NamedModel) -> Hamiltonian:
         terms += [PauliString.on(n, {q: "X"}, ba)
                   for q, ba in enumerate(model.b_list or ()) if ba != 0.0]
     if model.b != 0.0:
-        nx, ny, nz = model.direction
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if abs(norm - 1.0) > 1e-10:
-            raise ExperimentError("field direction must be a unit vector")
         field = [(axis, model.b * c) for axis, c in zip("XYZ", model.direction)]
         terms += [PauliString.on(n, {q: axis}, c)
                   for q in range(n) for axis, c in field if c != 0.0]

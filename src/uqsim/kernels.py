@@ -1,11 +1,12 @@
 """Statevector gate kernels in numpy.
 
-Schedule execution applies its fused blocks through `apply_block` and its
-ZZ diagonals through the sign rows of `zz_signs`. `apply_single_qubit` and
-`apply_zz_phase` apply one instruction's unitary as it stands: they are
-the kernels of the per-instruction reference that the tests compare
-execution against, and the benchmark's tracer (perfbench/spans.py) wraps
-them by name, so they stay.
+Schedule execution applies its fused blocks through `apply_block` and
+builds its ZZ diagonals from the sign rows of `zz_signs` over the lower
+half of the basis (half=True), mirrored onto the upper half.
+`apply_single_qubit` and `apply_zz_phase` apply one instruction's unitary
+as it stands: they are the kernels of the per-instruction reference that
+the tests compare execution against, and the benchmark's tracer
+(perfbench/spans.py) wraps them by name, so they stay.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit) and
 come as one state (2^n,) or a batch of states (R, 2^n); the kernels mutate
@@ -54,9 +55,12 @@ def apply_block(amps: np.ndarray, lo: int, u: np.ndarray) -> None:
         view[...] = (u[:, None] if u.ndim == 3 else u) @ view
 
 
-def zz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
-    """The +-1 eigenvalue of Z_a Z_b on every basis state of n qubits."""
-    k = np.arange(1 << n_qubits)
+def zz_signs(n_qubits: int, a: int, b: int, half: bool = False) -> np.ndarray:
+    """The +-1 eigenvalue of Z_a Z_b on every basis state of n qubits, or
+    with `half` on the lower 2^(n-1) only. Flipping every bit keeps Z_a Z_b,
+    so the value at 2^n - 1 - x is the value at x: the lower half fixes the
+    rest."""
+    k = np.arange(1 << (n_qubits - half))
     return 1.0 - 2.0 * (((k >> a) ^ (k >> b)) & 1)
 
 

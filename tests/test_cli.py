@@ -674,6 +674,14 @@ STEPS_3 = ["--steps", "3"]
     ("cost", "cost", "mode", "bogus", []),
     ("compile", "compile", "epsilon", "0", []),
     ("compile", "compile", "t_prime", "-1", []),
+    # a non-finite model value names its key, not only the coefficient
+    ("fig4a.cfg", "model", "j", "nan", STEPS_3),
+    ("fig4a.cfg", "model", "j", "-inf", STEPS_3),
+    ("fig4a.cfg", "model", "b", "nan", STEPS_3),
+    ("fig4a.cfg", "model", "direction", "nan 0 1", STEPS_3),
+    ("fig4a.cfg", "model", "b_values", "0.1 inf 0.2", STEPS_3),
+    ("fig4a.cfg", "model", "j_values", "0-1:nan", STEPS_3),
+    ("fig4a.cfg", "model", "j_range", "0 inf", STEPS_3),
 ])
 def test_bad_config_value_exits_1_without_traceback(tmp_path, capsys, config, section, key, value,
                                                     argv):

@@ -144,6 +144,15 @@ class TestBuildModel:
         with pytest.raises(ExperimentError, match="distinct sites"):
             NamedModel("random_ising", Geometry.chain(3), j_map=((pair, 1.0),))
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0),
+                                           (0.6, 0.0, 0.7), (math.nan, 0.0, 1.0),
+                                           (math.inf, 0.0, 0.0)])
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_direction_is_a_unit_vector_at_construction(self, direction, b):
+        # checked whatever b is, before build_model: not a bare ValueError
+        with pytest.raises(ExperimentError, match="3 finite values forming a unit vector"):
+            NamedModel("ising", Geometry.chain(3), b=b, direction=direction)
+
     def test_ising_relabeling_invariance(self):
         # reversing a chain is a graph automorphism: canonical forms agree
         n = 5

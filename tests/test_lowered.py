@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uqsim import engine
+from uqsim import engine, kernels
 from uqsim.compiler import (
     ApplyLocal,
     CyclePlan,
@@ -212,7 +212,7 @@ def test_short_repeats_stay_in_the_windows(monkeypatch):
 def test_unstacked_sign_rows_match(monkeypatch):
     # above _SIGN_ROW_QUBITS a diagonal across groups makes its sign rows
     # one target at a time as it runs
-    n = 4
+    n = 6  # two qubit groups: gate runs across them
     err = ErrorModel(0.03, 0.02, seed=8)
     instructions = random_schedule(n, 8, length=40)
     stacked = random_amps(n, 8)
@@ -221,6 +221,145 @@ def test_unstacked_sign_rows_match(monkeypatch):
     got, _, ref, _ = run_both(n, instructions, err, random_amps(n, 8))
     assert np.max(np.abs(got - ref)) <= AMP_TOL
     assert np.max(np.abs(got - stacked)) <= AMP_TOL
+
+
+def random_pairs(n, rng):
+    """One to seven random pairs of distinct qubits of n."""
+    return [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(rng.integers(1, 8))]
+
+
+def zz_reference(amps, pairs, coef):
+    """amps (R, 2^n) under exp(-i coef[r, t] Z_a Z_b) for each pair t, one
+    kernels.apply_zz_phase call per row and pair."""
+    out = amps.copy()
+    for row, row_coef in zip(out, coef):
+        for (a, b), theta in zip(pairs, row_coef.tolist()):
+            kernels.apply_zz_phase(row, a, b, theta)
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_zz_diagonal_over_half_the_basis(n, rows):
+    # sign rows over the lower half of the basis, kept or made one pair at a
+    # time, give the products of one kernel call per pair. Not always the
+    # same bits: at one row numpy's vector-matrix product sums the kept rows
+    # a few pairs at a time, the made rows are summed one by one
+    rng = np.random.default_rng(10 * n + rows)
+    pairs = random_pairs(n, rng)
+    coef = rng.uniform(-3.0, 3.0, (rows, len(pairs)))
+    start = np.array([random_amps(n, 10 * n + r) for r in range(rows)])
+    signs = np.array([kernels.zz_signs(n, a, b, half=True) for a, b in pairs])
+    assert signs.shape == (len(pairs), 2 ** (n - 1))
+    kept, made = start.copy(), start.copy()
+    engine._apply_zz(kept, pairs, signs, coef)
+    engine._apply_zz(made, pairs, None, coef)
+    ref = zz_reference(start, pairs, coef)
+    assert np.max(np.abs(kept - ref)) <= AMP_TOL
+    assert np.max(np.abs(made - ref)) <= AMP_TOL
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", range(5, 10))
+def test_cycle_diagonals_keep_half_rows_and_match_made_rows(monkeypatch, n, rows):
+    # a gate across groups keeps sign rows of 2^(n-1) columns, or makes them
+    # one at a time above _SIGN_ROW_QUBITS
+    rng = np.random.default_rng(n)
+    pairs = [(0, n - 1)] + random_pairs(n, rng)
+    gate = RawGate("zz", 0.3, tuple((a, b, w) for (a, b), w
+                                    in zip(pairs, rng.uniform(-2.0, 2.0, len(pairs)).tolist())))
+    err = ErrorModel(0.0, 0.05, seed=n)
+    start = np.array([random_amps(n, 10 * n + r) for r in range(rows)])
+    out = []
+    for cap in (engine._SIGN_ROW_QUBITS, n - 1):
+        monkeypatch.setattr(engine, "_SIGN_ROW_QUBITS", cap)
+        cycle = engine.FusedCycle([gate], n, err.eta_local, err.eta_int)
+        (kind, _, signs, _), = cycle.steps
+        assert kind == "zz" and (signs is None) == (cap < n)
+        if signs is not None:
+            assert signs.shape == (len(pairs), 2 ** (n - 1))
+        amps = start.copy()
+        cycle.execute(amps, 1, [replace(err, seed=s).rng() for s in range(rows)], None)
+        out.append(amps)
+    for r in range(rows):
+        ref = start[r].copy()
+        oracles.reference_execute(ref, n, [gate], err, replace(err, seed=r).rng())
+        for amps in out:
+            assert np.max(np.abs(amps[r] - ref)) <= AMP_TOL
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fused_block_diagonal_factors_match_kernel_calls(k, rows):
+    # a block of two diagonal factors around a layer of 2x2s on bits 0 and
+    # k-1, for (C, R) occurrences, against one kernel call per 2x2 and pair
+    rng = np.random.default_rng(k + rows)
+    first, second = random_pairs(k, rng), random_pairs(k, rng)
+    pairs = first + second
+    signs = [np.array([kernels.zz_signs(k, a, b, half=True) for a, b in part])
+             for part in (first, second)]
+    coef = rng.uniform(-3.0, 3.0, (2, rows, len(pairs)))
+    mats = np.array([[[SingleQubitUnitary.rot(*args).matrix
+                       for args in (((0.0, 0.6, 0.8), rng.uniform(-3, 3)), ((1.0, 0.0, 0.0), 0.7))]
+                      for _ in range(rows)] for _ in range(2)])
+    factors = [(slice(0, len(first)), signs[0]), (((0, 0), (1, k - 1)), None),
+               (slice(len(first), len(pairs)), signs[1])]
+    block = engine._fused_block(k, factors, mats, coef)
+    assert block.shape == (2, rows, 2**k, 2**k)
+    for c in range(2):
+        start = np.array([random_amps(k, 10 * c + r) for r in range(rows)])
+        got = start.copy()
+        kernels.apply_block(got, 0, block[c])
+        ref = zz_reference(start, first, coef[c, :, :len(first)])
+        for row, m in zip(ref, mats[c]):
+            kernels.apply_single_qubit(row, 0, m[0])
+            kernels.apply_single_qubit(row, k - 1, m[1])
+        ref = zz_reference(ref, second, coef[c, :, len(first):])
+        assert np.max(np.abs(got - ref)) <= AMP_TOL
+
+
+def test_zz_phases_are_the_bits_of_complex_exp():
+    # the byte-identity of execution's outputs rests on this: the lower
+    # half is exp(-1j * angles) bit for bit, the upper half its mirror
+    angles = np.linspace(-50.0, 50.0, 400_001)
+    for x in (angles, angles[1:].reshape(8, -1)):
+        got, want = engine._zz_phases(x), np.exp(-1j * x)
+        assert got.dtype == want.dtype and got.shape == (*x.shape[:-1], 2 * x.shape[-1])
+        assert np.array_equal(got.view(np.uint64),
+                              np.concatenate([want, want[..., ::-1]], axis=-1).view(np.uint64))
+
+
+def fig4b_cell_cycle():
+    """The template cycle of a fig4b-cell step: 7 lattice sites, the ZZ
+    chain toward the dipole chain."""
+    hw = LatticeModel(n_sites=7)
+    plans = (plan_for_hamiltonian(nn_chain("zz", 7), hw),
+             protocol_for_model(NamedModel("dipole", Geometry.chain(7)), hw))
+    dt = 0.025 / max(p.max_unit_angle() for p in plans)
+    (ins_i, slots_i, _), (ins_t, slots_t, _) = (cycle_template(p, dt, j, [])
+                                                for j, p in enumerate(plans))
+    return engine.FusedCycle(ins_i + ins_t, 7, 0.02, 0.02, slots_i + slots_t)
+
+
+def test_passes_are_sized_by_block_entries():
+    trotter = plan_for_hamiltonian(build_model(NamedModel(
+        "random_ising", Geometry.chain(8), j_map=tuple(((a, a + 1), 1.0) for a in range(7)),
+        b_list=(0.4,) * 8)), chain_trap(8))
+    three = random_schedule(3, 3, length=20)
+    cycles = {"fig4b-cell": (fig4b_cell_cycle(), 10, 6),
+              "trotter-uqs2": (engine.FusedCycle(emit_cycle(trotter, 0.1, 1.0), 8, 0.002, 0.001),
+                               1, 85),
+              "3 qubits": (engine.FusedCycle(three, 3, 0.01, 0.01), 1, 256)}
+    for name, (cycle, rows, per_pass) in cycles.items():
+        assert cycle.per_pass(rows) == per_pass, name
+    unit = 4 ** engine._GROUP_QUBITS
+    assert cycles["fig4b-cell"][0].entries == 3 * unit + 3 * unit // 4
+    for cycle, _, _ in cycles.values():
+        for rows in (1, 2, 3, 10, 20, 100):
+            c = cycle.per_pass(rows)
+            assert 1 <= c <= engine._CHUNK_BLOCKS
+            if c > 1:
+                assert c * rows * cycle.entries <= engine._CHUNK_BLOCKS * unit == 1 << 16
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])
@@ -273,7 +412,7 @@ def spy_fused(monkeypatch):
 @pytest.mark.parametrize("etas", ETAS)
 @pytest.mark.parametrize("n", [5, 8])
 def test_repeated_cycles_match_reference(monkeypatch, n, etas):
-    # at most 8 blocks per pass: passes of one or two occurrences
+    # passes of at most 8 (2^4, 2^4) blocks' entries: of one to four occurrences
     monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 8)
     fused = spy_fused(monkeypatch)
     cycle = cycle_of(n, n)
@@ -419,7 +558,7 @@ def spy_generators(monkeypatch):
 def test_adiabatic_run_matches_reference(monkeypatch, case, etas):
     # steps 4 and 8 are recorded inside one run of fused occurrences (in
     # passes of a few steps); the final k = 0 step 12 runs on its own
-    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 8)
     fused = spy_fused(monkeypatch)
     model, hw, chain = ADIABATIC_CASES[case]()
     target = build_model(model)
@@ -488,7 +627,7 @@ def reference_trajectory(cfg, hw, plan_t, seed, start):
 @pytest.mark.parametrize("case", ["dipole-uqs1", "heisenberg-field-uqs1", "random-ising-uqs2"])
 def test_recorded_run_matches_step_by_step_trajectory(monkeypatch, case, record_every):
     # passes of a few steps, and recorded states sampled in chunks of two
-    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 24)
+    monkeypatch.setattr(engine, "_CHUNK_BLOCKS", 8)
     monkeypatch.setattr(GroundPath, "chunk", lambda self, vectors=True: 2)
     model, hw, chain = ADIABATIC_CASES[case]()
     target = build_model(model)
@@ -590,7 +729,7 @@ def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
                                                 for j, p in enumerate(plans))
     err = ErrorModel(0.01, 0.01, seed=1)
     cycle = engine.FusedCycle(ins_i + ins_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
-    assert cycle.n_blocks == 12
+    assert [step[0] for step in cycle.steps].count("block") == 12
     calls = {"block": 0, "zz": 0}
     for name, module, key in (("apply_block", engine.kernels, "block"),
                               ("_apply_zz", engine, "zz")):
