@@ -359,6 +359,8 @@ MODEL_FIELDS = {"b_values": "b_list", "j_values": "j_map"}  # the [model] keys N
 
 
 def load_named_model(cfg) -> NamedModel:
+    """The [model] section as a NamedModel; its errors name the section and
+    the config keys."""
     kwargs = {MODEL_FIELDS.get(k, k): v for k, v in cfg["model"].items() if v is not None}
     try:
         return NamedModel(**kwargs)
@@ -366,7 +368,7 @@ def load_named_model(cfg) -> NamedModel:
         message = str(exc)
         for key, name in MODEL_FIELDS.items():  # name the config keys, not NamedModel's fields
             message = message.replace(name, key)
-        raise UsageError(message) from exc
+        raise UsageError(f"[model] {message}") from exc
 
 
 # ---------------------------------------------------------------------------

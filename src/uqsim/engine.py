@@ -22,10 +22,11 @@ contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
 3+3+3 at n=9); the window's layers and in-group gate runs fuse into one
 (2^k, 2^k) block per group between gate runs across groups, each kept as
 one multiply by exp(-i * coef @ signs), its phases made in real
-arithmetic (_zz_phases). The blocks of a pass over many occurrences of the
-window are built in one vectorised pass, jitter rescaling theta in closed
-form, then applied (4 state-sized calls per cycle on the 8-ion trap chain
-instead of 23). A pass holds at most _CHUNK_BLOCKS occurrences, and blocks
+arithmetic (_zz_phases). A pass over many occurrences of the window builds
+their blocks in one vectorised call per group of like blocks, jitter
+rescaling theta in closed form, then applies them out of place (4
+state-sized calls per cycle on the 8-ion trap chain instead of 23). A pass
+holds at most _CHUNK_BLOCKS occurrences, and blocks
 of at most as many (2^4, 2^4) blocks' entries, 1 MiB, unless one
 occurrence holds more (FusedCycle.per_pass). _repeats finds repeated
 cycles by object id, not from a header; each runs as one FusedCycle over
@@ -506,7 +507,11 @@ class FusedCycle:
     occurrences takes one rng.random per row for all of them and logs
     those at at_u and at_g as one chunk. Each pass builds its blocks for all
     (C, R) occurrences at once, a few broadcast operations per factor; a
-    cycle without draws or scales builds them once.
+    cycle without draws or scales builds them once. Blocks of one k whose
+    factors match one by one (a layer's 2x2s on the same bits, a diagonal
+    with the same sign rows), at any lo, are like and share one build of
+    `like`, a block without a like as a stack of one: fig4b-cell's 6 blocks
+    and fig5's 12 make 2 builds each.
     """
 
     def __init__(self, instructions, n_qubits: int, eta_l: float, eta_i: float, slots=None,
@@ -517,7 +522,8 @@ class FusedCycle:
         theta, nsigma, phase, mats, at_u, slot_u = [], [], [], [], [], []
         theta_g, weight, at_g, slot_g, eta = [], [], [], [], []
         open_blocks: dict[tuple[int, int], list] = {}
-        # ("block", lo, k, factors) and ("zz", pairs, sign rows, coef slice) in apply order
+        # ("block", lo, k, factors), then ("block", lo, like group, index in
+        # it), and ("zz", pairs, sign rows, coef slice) in apply order
         self.steps = []
 
         def close(group):
@@ -576,10 +582,10 @@ class FusedCycle:
                 touched = sorted({home[q] for pair in pairs for q in pair})
                 if len(touched) == 1:
                     (lo, k), = touched
-                    # a diagonal factor: (its coef slice, its sign rows in the block)
+                    # a diagonal factor: (its targets' coefs, its sign rows in the block)
                     signs = np.array([kernels.zz_signs(k, a - lo, b - lo, half=True)
                                       for a, b in pairs])
-                    open_blocks.setdefault((lo, k), []).append((span, signs))
+                    open_blocks.setdefault((lo, k), []).append((range(first, span.stop), signs))
                 elif touched:
                     for group in touched:
                         close(group)
@@ -589,7 +595,19 @@ class FusedCycle:
                     self.steps.append(("zz", pairs, signs, span))
         for group in sorted(open_blocks):
             close(group)
-        self.width, self.entries = len(eta), sum(4 ** s[2] for s in self.steps if s[0] == "block")
+        # like blocks: the same k and, factor by factor, the same bits or sign rows
+        like: dict[tuple, list] = {}
+        for s, step in enumerate(self.steps):
+            if step[0] == "block":
+                key = (step[2], *(tuple(bit for _, bit in a) if b is None else b.tobytes()
+                                  for a, b in step[3]))
+                members = like.setdefault(key, [])
+                self.steps[s] = ("block", step[1], list(like).index(key), len(members))
+                members.append(step[3])
+        self.like = [(key[0], [_stacked(parts) for parts in zip(*members)])
+                     for key, members in like.items()]
+        self.width = len(eta)
+        self.entries = sum(4 ** self.like[s[2]][0] for s in self.steps if s[0] == "block")
         self.eta = np.array(eta, dtype=float)
         self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
         self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
@@ -628,17 +646,21 @@ class FusedCycle:
             mats = _local_matrices(theta, self.nsigma, self.phase, mult)
         if self.at_g.size:
             coef = coef * (1.0 + d[..., self.at_g])
+        blocks = [_fused_block(k, factors, mats, coef) for k, factors in self.like]
         return [(None, step[1:3], coef[..., step[3]]) if step[0] == "zz"
-                else (step[1], _fused_block(step[2], step[3], mats, coef), None)
+                else (step[1], blocks[step[2]][..., step[3], :, :], None)
                 for step in self.steps]
 
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
                 scales: np.ndarray | None = None, after=None) -> int:
         """`count` occurrences of the cycle on amps (R, 2^n) in place, in
         passes of per_pass(R) occurrences; occurrence j with the scales[j]
-        (count, slots) of its ops' slots when the cycle has any. `after(j)`, when given, is called once
-        occurrence j has run, so that a caller can copy amps out mid-pass.
-        Returns the number of instructions run.
+        (count, slots) of its ops' slots when the cycle has any. A block
+        writes the state into the other of amps and a scratch state, which
+        is copied back into amps, if needed, before `after(j)` and on
+        return. `after(j)`, when given, is called once occurrence j has run,
+        so that a caller can copy amps out mid-pass. Returns the number of
+        instructions run.
 
         `draws` is the jitter source. Given a sequence of generators, row r
         draws one rng.random(c * width) from draws[r] per pass of c
@@ -650,6 +672,7 @@ class FusedCycle:
         """
         rows = amps.shape[0]
         per_pass = self.per_pass(rows)
+        state, spare = amps, np.empty_like(amps)
         if scales is not None:
             scales = np.column_stack([scales, np.ones(count)])
         # the logged places: at_u and at_g are sorted and disjoint (np.union1d
@@ -669,21 +692,47 @@ class FusedCycle:
             for j in range(c):
                 for lo, step, coef in built:
                     if lo is None:
-                        _apply_zz(amps, *step, coef if coef.ndim == 1 else coef[j])
+                        _apply_zz(state, *step, coef if coef.ndim == 1 else coef[j])
                     else:
-                        kernels.apply_block(amps, lo, step if step.ndim == 2 else step[j])
+                        kernels.apply_block(state, lo, step if step.ndim == 2 else step[j], spare)
+                        state, spare = spare, state
                 if after is not None:
+                    state, spare = _settle(amps, state, spare)
                     after(first + j)
             if log is not None and kinds:
                 log.record(kinds, sizes, d[0][used])
+        _settle(amps, state, spare)
         return count * len(self.kinds)
+
+
+def _stacked(parts):
+    """One factor of a group of like blocks from each block's own: per 2x2
+    of a layer its index in each block (G,), for a diagonal its targets in
+    each (G, targets)."""
+    _, b = parts[0]
+    if b is None:
+        return tuple((np.array([i for i, _ in col]), col[0][1])
+                     for col in zip(*(part[0] for part in parts))), None
+    return np.array([part[0] for part in parts]), b
+
+
+def _settle(amps: np.ndarray, state: np.ndarray, spare: np.ndarray):
+    """(amps, the other buffer), the state copied into amps if elsewhere."""
+    if state is amps:
+        return state, spare
+    amps[...] = state
+    return amps, state
 
 
 def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The (..., 2^k, 2^k) product of a block's factors, the first applied
     first: for (((i, b), ...), None) one layer's 2x2s mats[..., i] on bits b
-    of the row index, and for (span, signs) exp(-i * coef[..., span] @
-    signs) on the rows, `signs` over the lower 2^(k-1) rows (_zz_phases).
+    of the row index, and for (targets, signs) exp(-i * coef[..., targets]
+    @ signs) on the rows, `signs` over the lower 2^(k-1) rows (_zz_phases).
+
+    For G like blocks (FusedCycle.like), each i is an index array (G,) and
+    each `targets` one (G, t): block g of the (..., G, 2^k, 2^k) result is
+    bit for bit what its own indices give alone.
 
     With one batch row, a layer's 2x2s are multiplied into the block one at
     a time. With many (mats (C, R, ...), R > 1), each such product is a loop
@@ -698,7 +747,9 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     block = None  # the identity so far
     for a, b in factors:
         if b is not None:
-            phases = _zz_phases(coef[..., a] @ b)[..., :, None]
+            # one (1, targets) row per product: numpy sums M rows (gemm) in
+            # another order than one (gemv), so a stack rounds as alone
+            phases = _zz_phases((coef[..., a][..., None, :] @ b)[..., 0, :])[..., :, None]
             block = phases * (np.eye(dim) if block is None else block)
         elif rows > 1 and (block is None or len(a) > 1):
             at = {bit: i for i, bit in a}
@@ -990,6 +1041,10 @@ class SpectrumCache:
             raise EngineError(f"the energy of eigenvalue group {g} is not finite")
         return energy
 
+    def group_energies(self) -> list[float]:
+        """group_energy of every group, in order."""
+        return [self.group_energy(g) for g in range(len(self.groups))]
+
     def group_basis(self, g: int) -> np.ndarray:
         """Orthonormal columns (2^n, size) spanning group g, each an
         eigenvector embedded from its block."""
@@ -1019,9 +1074,12 @@ class SpectrumCache:
     def group_weight(self, g: int, state: StateVector) -> float:
         return float(self.weights(state.amps)[g])
 
-    def histogram(self, state: StateVector) -> list[tuple[float, float]]:
-        """(energy, weight) of the state in each eigenvalue group."""
-        return [(self.group_energy(g), w) for g, w in enumerate(self.weights(state.amps).tolist())]
+    def histogram(self, state: StateVector,
+                  energies: list[float] | None = None) -> list[tuple[float, float]]:
+        """(energy, weight) of the state in each eigenvalue group; `energies`,
+        when given, is group_energies() taken once for many states."""
+        energies = self.group_energies() if energies is None else energies
+        return list(zip(energies, self.weights(state.amps).tolist()))
 
     def ground_vector(self) -> np.ndarray:
         """A unit vector of the ground space, the same on every call with

@@ -552,11 +552,12 @@ def adiabatic_batch(
                 keep(stop)
             s = stop
     final = path.spectrum(0.0)
+    energies = final.group_energies()  # weights stay per row: a batched call rounds otherwise
     results = []
     for row, trajectory in zip(amps, trajectories):
         state = StateVector(n, row.copy())
         state.check_norm(max(executed, 1))
-        histogram = final.histogram(state)
+        histogram = final.histogram(state, energies)
         results.append(AdiabaticResult(trajectory=trajectory, histogram=histogram,
                                        ground_weight=histogram[0][1], final_state=state,
                                        dt=dt, t_sim=dt * config.steps))

@@ -10,8 +10,9 @@ the tests compare execution against, and the benchmark's tracer
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit) and
 come as one state (2^n,) or a batch of states (R, 2^n); the kernels mutate
-them in place. Z_a Z_b has eigenvalue +1 on basis states where bits a and b
-agree and -1 where they differ; `zz_signs` is the one place that rule lives.
+them in place, or `apply_block` writes into `out` when given. Z_a Z_b has
+eigenvalue +1 on basis states where bits a and b agree and -1 where they
+differ; `zz_signs` is the one place that rule lives.
 """
 from __future__ import annotations
 
@@ -38,10 +39,11 @@ def apply_single_qubit(amps: np.ndarray, q: int, u: np.ndarray) -> None:
     view[..., 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
 
 
-def apply_block(amps: np.ndarray, lo: int, u: np.ndarray) -> None:
+def apply_block(amps: np.ndarray, lo: int, u: np.ndarray, out: np.ndarray | None = None) -> None:
     """u (2^k, 2^k) on qubits lo..lo+k-1 of amps (2^n,) or of every row of
     amps (R, 2^n), or u (R, 2^k, 2^k), one per row. Qubit lo + j is bit j
-    of the block's row and column index.
+    of the block's row and column index. The result goes into `out` (amps'
+    shape, no memory shared) when given, else into amps.
 
     One matmul on a reshaped view: (..., 2^(n-k), 2^k) @ u^T for a block at
     qubit 0, u @ (..., 2^(n-lo-k), 2^k, 2^lo) above it.
@@ -49,10 +51,14 @@ def apply_block(amps: np.ndarray, lo: int, u: np.ndarray) -> None:
     dim = u.shape[-1]
     if lo == 0:
         view = amps.reshape(*amps.shape[:-1], -1, dim)
-        view[...] = view @ np.swapaxes(u, -1, -2)
+        left, right = view, np.swapaxes(u, -1, -2)
     else:
         view = amps.reshape(*amps.shape[:-1], -1, dim, 1 << lo)
-        view[...] = (u[:, None] if u.ndim == 3 else u) @ view
+        left, right = (u[:, None] if u.ndim == 3 else u), view
+    if out is None:
+        view[...] = left @ right
+    else:
+        np.matmul(left, right, out=out.reshape(view.shape))
 
 
 def zz_signs(n_qubits: int, a: int, b: int, half: bool = False) -> np.ndarray:

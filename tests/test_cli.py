@@ -1108,13 +1108,15 @@ def test_adiabatic_key_a_sweep_ignores_exits_1_naming_it(tmp_path, capsys, line,
     ("j_range = -1 1\nseed = 4", "dipole takes no j_range, seed"),
     ("b_values = 0.1 0.2 0.3", "dipole takes no b_values"),
     ("j_values = 0-1:1.0", "dipole takes no j_values"),
+    # NamedModel's own check, past the table's: three finite values, not of unit length
+    ("b = 0.5\ndirection = 3 0 0", "direction (3.0, 0.0, 0.0) is not"),
 ])
 def test_random_ising_key_on_another_model_exits_1(tmp_path, capsys, line, named):
     cfg = write(tmp_path / "c.cfg", ADIABATIC_3.replace("[adiabatic]", f"{line}\n[adiabatic]"))
     out = tmp_path / "out"
     assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"uqsim: {named} ") and "Traceback" not in err
+    assert err.startswith(f"uqsim: [model] {named} ") and "Traceback" not in err
     # the config keys are named, not NamedModel's fields b_list and j_map
     assert "b_list" not in err and "j_map" not in err
     assert not (out / "summary.json").exists()

@@ -123,6 +123,23 @@ class TestKernels:
                 kernels.apply_block(one, lo, block)
                 np.testing.assert_allclose(one, got[0], atol=1e-12)
 
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_block_into_out_matches_in_place(self, n, per_row):
+        # the result written into `out` is the in-place result bit for bit,
+        # at qubit 0 and above it, and amps is left as it was
+        rows = 3
+        amps = self.batch(n, rows)
+        rng = np.random.default_rng(n)
+        for lo, k in self.block_positions(n):
+            shape = (rows, 2**k, 2**k) if per_row else (2**k, 2**k)
+            block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            in_place, source, out = amps.copy(), amps.copy(), np.full_like(amps, np.nan)
+            kernels.apply_block(in_place, lo, block)
+            kernels.apply_block(source, lo, block, out)
+            assert out.tobytes() == in_place.tobytes()
+            assert source.tobytes() == amps.tobytes()
+
 
 class TestApplyLocalLayer:
     def test_identity(self):

@@ -329,6 +329,108 @@ def test_zz_phases_are_the_bits_of_complex_exp():
                               np.concatenate([want, want[..., ::-1]], axis=-1).view(np.uint64))
 
 
+def like_schedule(n, seed):
+    """Instructions whose blocks come in like groups: layers that give every
+    qubit group the same 2x2s bit by bit (some of them identities), and gate
+    runs inside each group on the same pairs, with their own angles and
+    weights, each run ended by an identity layer. A gate across groups, then
+    a layer of random 2x2s, make blocks of their own."""
+    rng = np.random.default_rng(seed)
+    bounds = list(engine._group_bounds(n))
+    gap = ApplyLocal(LocalLayer.identity())
+
+    def like_layer():
+        units = [random_unit(rng) for _ in range(max(k for _, k in bounds))]
+        return [ApplyLocal(LocalLayer.inhomogeneous(
+            [units[q - lo] for lo, k in bounds for q in range(lo, lo + k)]))]
+
+    def in_group_runs():
+        pairs, out = random_pairs(min(k for _, k in bounds), rng), []
+        for lo, _ in bounds:
+            out += [RawGate("in", rng.uniform(-1.0, 1.0), tuple(
+                (lo + a, lo + b, rng.uniform(-1.5, 1.5)) for a, b in pairs)), gap]
+        return out
+
+    across = [RawGate("across", rng.uniform(-1.0, 1.0), ((0, n - 1, 1.0),))]
+    unlike = [ApplyLocal(LocalLayer.inhomogeneous([random_unit(rng) for _ in range(n)]))]
+    return (like_layer() + in_group_runs() + like_layer() + in_group_runs() + across
+            + like_layer() + unlike + in_group_runs() + like_layer())
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("scaled, etas", [(False, (0.0, 0.0)), (True, (0.0, 0.0)),
+                                          (False, (0.04, 0.03)), (True, (0.04, 0.03))])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_like_blocks_share_one_build_bit_for_bit(monkeypatch, n, scaled, etas, rows):
+    # each block of a stacked build is, bit for bit, the block built alone
+    # from its own 2x2 indices and targets; and the run matches the reference
+    instructions = like_schedule(n, n)
+    rng = np.random.default_rng(n)
+    slots = ([None if s == 2 else int(s) for s in rng.integers(3, size=len(instructions))]
+             if scaled else None)
+    cycle = engine.FusedCycle(instructions, n, *etas, slots)
+    real, stacks = engine._fused_block, []
+
+    def stacked(k, factors, mats, coef):
+        block = real(k, factors, mats, coef)
+        for p in range(block.shape[-3]):
+            alone = real(k, [(tuple((i[p], bit) for i, bit in a), None) if b is None
+                             else (a[p], b) for a, b in factors], mats, coef)
+            assert alone.shape == block[..., p, :, :].shape
+            assert alone.tobytes() == block[..., p, :, :].tobytes()
+        stacks.append((block.shape[-3], any(b is not None for _, b in factors)))
+        return block
+
+    monkeypatch.setattr(engine, "_fused_block", stacked)
+    start = np.array([random_amps(n, 10 * n + r) for r in range(rows)])
+    amps, count = start.copy(), 3
+    err = ErrorModel(*etas, seed=0)
+    scales = rng.uniform(0.2, 1.0, (count, 2)) if scaled else None
+    cycle.execute(amps, count, [replace(err, seed=r).rng() for r in range(rows)], None, scales)
+    # one pass: each group of like blocks is built once
+    assert len(stacks) == len(cycle.like)
+    assert sum(g for g, _ in stacks) == [s[0] for s in cycle.steps].count("block")
+    if n in (6, 8, 9):  # groups of one size: like blocks with in-group diagonals
+        assert any(g > 1 and diagonal for g, diagonal in stacks)
+    if not scaled:
+        for r in range(rows):
+            ref = start[r].copy()
+            oracles.reference_execute(ref, n, instructions * count, err if any(etas) else None,
+                                      replace(err, seed=r).rng())
+            assert np.max(np.abs(amps[r] - ref)) <= AMP_TOL
+
+
+@pytest.mark.parametrize("etas", [(0.0, 0.0), (0.04, 0.03)])
+def test_odd_block_ops_leave_each_occurrence_in_amps(etas):
+    # 3 blocks per occurrence (both groups, then group 0 again after a
+    # diagonal across them) alternate between amps and the scratch state;
+    # after(j) and the caller still find occurrence j's state in amps
+    n, rows, count = 6, 2, 5
+    rng = np.random.default_rng(6)
+    units = [random_unit(rng) for _ in range(n)]
+    low = units[:3] + [SingleQubitUnitary.identity()] * 3
+    instructions = [ApplyLocal(LocalLayer.inhomogeneous(units)),
+                    RawGate("across", 0.4, ((2, 3, 1.0), (0, 5, -0.5))),
+                    ApplyLocal(LocalLayer.inhomogeneous(low))]
+    err = ErrorModel(*etas, seed=0)
+    cycle = engine.FusedCycle(instructions, n, *etas)
+    assert [s[0] for s in cycle.steps] == ["block", "block", "zz", "block"]
+    start = np.array([random_amps(n, r) for r in range(rows)])
+    amps, seen = start.copy(), []
+    cycle.execute(amps, count, [replace(err, seed=r).rng() for r in range(rows)], None,
+                  after=lambda j: seen.append((j, amps.copy())))
+    assert [j for j, _ in seen] == list(range(count))
+    assert seen[-1][1].tobytes() == amps.tobytes()
+    alone = start.copy()
+    cycle.execute(alone, count, [replace(err, seed=r).rng() for r in range(rows)], None)
+    assert alone.tobytes() == amps.tobytes()
+    for r in range(rows):
+        ref, gen = start[r].copy(), replace(err, seed=r).rng()
+        for j in range(count):
+            oracles.reference_execute(ref, n, instructions, err if any(etas) else None, gen)
+            assert np.max(np.abs(seen[j][1][r] - ref)) <= AMP_TOL
+
+
 def fig4b_cell_cycle():
     """The template cycle of a fig4b-cell step: 7 lattice sites, the ZZ
     chain toward the dipole chain."""

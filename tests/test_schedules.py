@@ -32,7 +32,8 @@ from uqsim.engine import (
     StateVector,
     run_schedule,
 )
-from uqsim.hardware import TrapArrayModel
+from uqsim.experiments import Geometry, NamedModel, cycle_template, nn_chain, protocol_for_model
+from uqsim.hardware import LatticeModel, TrapArrayModel
 from uqsim.pauli import Hamiltonian, LocalLayer, SingleQubitUnitary
 
 # A random-field Ising chain on 4 trap ions. Compiled at t'=0.5 and eps=0.05
@@ -263,9 +264,35 @@ def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err
     run_schedule(StateVector.zero_state(8), schedule, err)
     assert counts["block"] + counts["zz"] + counts["single"] <= 4 * cycles
     assert counts["single"] == 0 and counts["zz"] == cycles
-    # 3 blocks per cycle (0..3, 4..7 twice), built per pass of up to
-    # per_pass cycles; noiseless, each is built once
+    # 3 blocks per cycle (0..3, 4..7 twice), all unlike, so 3 builds per
+    # pass of up to per_pass cycles; noiseless, each is built once
     assert counts["build"] == 3 * (1 if err is None else -(-cycles // per_pass))
+
+
+@pytest.mark.parametrize("n, initial, rows, blocks", [(7, "zz", 10, 6), (9, "xx", 1, 12)])
+def test_adiabatic_template_cycles_build_two_block_shapes_per_pass(monkeypatch, n, initial, rows,
+                                                                    blocks):
+    # the fig4b-cell (7 sites, 10 rows) and fig5 (9 sites) template cycles:
+    # their blocks are one layer's 2x2s over groups of 4 and 3 qubits, or
+    # over three groups of 3, in 2 shapes, so each pass makes 2 builds
+    hw = LatticeModel(n_sites=n)
+    plans = (plan_for_hamiltonian(nn_chain(initial, n), hw),
+             protocol_for_model(NamedModel("dipole", Geometry.chain(n)), hw))
+    dt = 0.025 / max(p.max_unit_angle() for p in plans)
+    (ins_i, slots_i, _), (ins_t, slots_t, _) = (cycle_template(p, dt, j, [])
+                                                for j, p in enumerate(plans))
+    err = ErrorModel(0.02, 0.02, seed=1)
+    cycle = engine.FusedCycle(ins_i + ins_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
+    passes = 2
+    count = passes * cycle.per_pass(rows)
+    ks = np.linspace(0.99, 0.01, count)
+    amps = np.zeros((rows, 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    counts = count_calls(monkeypatch)
+    cycle.execute(amps, count, [err.rng() for _ in range(rows)], None,
+                  np.column_stack([ks, 1.0 - ks]))
+    assert counts["build"] == 2 * passes
+    assert counts["block"] == blocks * count and counts["single"] == 0
 
 
 def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
