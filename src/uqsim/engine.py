@@ -24,11 +24,12 @@ contiguous groups of at most _GROUP_QUBITS (_group_bounds: 4+3 at n=7,
 one multiply by exp(-i * coef @ signs), its phases made in real
 arithmetic (_zz_phases). A pass over many occurrences of the window builds
 their blocks in one vectorised call per group of like blocks, jitter
-rescaling theta in closed form, then applies them out of place (4
-state-sized calls per cycle on the 8-ion trap chain instead of 23). A pass
-holds at most _CHUNK_BLOCKS occurrences, and blocks
-of at most as many (2^4, 2^4) blocks' entries, 1 MiB, unless one
-occurrence holds more (FusedCycle.per_pass). _repeats finds repeated
+rescaling theta in closed form, and each diagonal's phases for all of
+them in one call, then applies them: a block as one matmul out of place,
+a diagonal as one multiply in place (4 state-sized calls per cycle on the
+8-ion trap chain instead of 23). A pass holds at most _CHUNK_BLOCKS
+occurrences, and blocks and phases of at most as many (2^4, 2^4) blocks'
+entries, 1 MiB, unless one occurrence holds more (FusedCycle.per_pass). _repeats finds repeated
 cycles by object id, not from a header; each runs as one FusedCycle over
 all its occurrences; every other stretch runs in windows of at most
 _CHUNK instructions, one occurrence each. Consecutive adiabatic steps
@@ -39,7 +40,8 @@ cycle of its own (experiments.adiabatic_batch). The state has a leading
 batch axis (R, 2^n): the repetitions of a sweep cell advance as one
 array, each row with its own seeded PCG64 generator, and a single run is
 a batch of one.
-The block kernel and the Z_a Z_b sign rows come from uqsim.kernels.
+The block's reshape rule and the Z_a Z_b sign rows come from
+uqsim.kernels.
 
 The oracle decomposes part by part and keeps no process-wide cache.
 Sectors (uqsim.sectors) splits the basis states into the invariant blocks
@@ -65,9 +67,13 @@ The same command and seed give bit-identical results. The fused
 arithmetic multiplies in another order than one kernel call per
 instruction: it agrees with that per-instruction reference within 1e-12,
 not bitwise. A repetition run inside a sweep batch agrees with the same
-seed run alone within 1e-12, not bitwise, since BLAS blocking depends on
-the batch size. So do sign rows made one at a time above _SIGN_ROW_QUBITS
-and kept rows: at one row, BLAS sums the kept rows a few at a time.
+seed run alone within 1e-12, not bitwise, for two reasons: a block's
+later layers are Kronecker products at many rows and multiplied in one
+2x2 at a time at one (_fused_block), and numpy sends the coef @ signs
+angle sums of one row to gemv and of many rows to gemm, which sum in
+another order. So do sign rows made one at a time above
+_SIGN_ROW_QUBITS and kept rows: at one row, BLAS sums the kept rows a
+few at a time.
 """
 from __future__ import annotations
 
@@ -506,7 +512,8 @@ class FusedCycle:
     target when eta_i > 0, in instruction order, so a pass over C
     occurrences takes one rng.random per row for all of them and logs
     those at at_u and at_g as one chunk. Each pass builds its blocks for all
-    (C, R) occurrences at once, a few broadcast operations per factor; a
+    (C, R) occurrences at once, a few broadcast operations per factor, and
+    the phases of each diagonal that keeps its sign rows in one call; a
     cycle without draws or scales builds them once. Blocks of one k whose
     factors match one by one (a layer's 2x2s on the same bits, a diagonal
     with the same sign rows), at any lo, are like and share one build of
@@ -607,7 +614,10 @@ class FusedCycle:
         self.like = [(key[0], [_stacked(parts) for parts in zip(*members)])
                      for key, members in like.items()]
         self.width = len(eta)
-        self.entries = sum(4 ** self.like[s[2]][0] for s in self.steps if s[0] == "block")
+        # a pass holds each block (2^k, 2^k) and each kept-row diagonal's
+        # phases (2^n,) per occurrence and row
+        self.entries = sum(4 ** self.like[b][0] if kind == "block" else 1 << n_qubits
+                           for kind, _, b, _ in self.steps if b is not None)
         self.eta = np.array(eta, dtype=float)
         self.theta, self.phase = np.array(theta, dtype=float), np.array(phase, dtype=complex)
         self.nsigma = np.array(nsigma, dtype=complex).reshape(-1, 2, 2)
@@ -624,18 +634,24 @@ class FusedCycle:
 
     def per_pass(self, rows: int) -> int:
         """The most occurrences of one pass over `rows` batch rows: at most
-        _CHUNK_BLOCKS, whose blocks hold the entries of at most
-        _CHUNK_BLOCKS (2^4, 2^4) blocks (1 MiB), or one occurrence if a
-        single one holds more."""
+        _CHUNK_BLOCKS, whose blocks and kept-row diagonal phases (entries)
+        hold the entries of at most _CHUNK_BLOCKS (2^4, 2^4) blocks (1 MiB),
+        or one occurrence if a single one holds more."""
         budget = _CHUNK_BLOCKS * 4 ** _GROUP_QUBITS
         return max(1, min(_CHUNK_BLOCKS, budget // (rows * max(1, self.entries))))
 
     def _build(self, d: np.ndarray | None, scales: np.ndarray | None) -> list:
-        """Per step (lo, block, None) or (None, (pairs, signs), coef) for
-        the draws d (C, R, width) and the scales (C, slots + 1), the last
-        column ones: a block (2^k, 2^k) or (C, R or 1, 2^k, 2^k), coefs
-        (targets,) or (C, R or 1, targets), the same for every occurrence
-        where no draw and no scale reaches them."""
+        """Per step what execute applies, for the draws d (C, R, width) and
+        the scales (C, slots + 1), the last column ones: a block's operand
+        (kernels.block_operand of its (2^k, 2^k) matrix), a diagonal's
+        phases (2^n,) when it keeps its sign rows, else its coefs
+        (targets,). Each has a leading (C, R or 1) where a draw or a scale
+        reaches it; where none does, it is the same for every occurrence
+        and broadcast to a leading _CHUNK_BLOCKS.
+
+        A diagonal's phases for the whole pass come from one coef @ signs,
+        whose cores are the (R or 1, targets) products one occurrence would
+        take alone, so they keep its bits."""
         theta, mats, coef, mult = self.theta, self.mats, self.coef, 1.0
         if scales is not None:
             theta = theta * scales[:, None, self.slot_u]
@@ -647,9 +663,17 @@ class FusedCycle:
         if self.at_g.size:
             coef = coef * (1.0 + d[..., self.at_g])
         blocks = [_fused_block(k, factors, mats, coef) for k, factors in self.like]
-        return [(None, step[1:3], coef[..., step[3]]) if step[0] == "zz"
-                else (step[1], blocks[step[2]][..., step[3], :, :], None)
-                for step in self.steps]
+        built = []
+        for kind, a, b, c in self.steps:
+            if kind == "block":
+                u = blocks[b][..., c, :, :]
+                x, fixed = kernels.block_operand(u, a), u.ndim == 2
+            else:
+                x, fixed = coef[..., c], coef.ndim == 1
+                if b is not None:
+                    x = _zz_phases(x @ b)
+            built.append(np.broadcast_to(x, (_CHUNK_BLOCKS, *x.shape)) if fixed else x)
+        return built
 
     def execute(self, amps: np.ndarray, count: int, draws, log: ExecutionLog | None,
                 scales: np.ndarray | None = None, after=None) -> int:
@@ -662,6 +686,11 @@ class FusedCycle:
         so that a caller can copy amps out mid-pass. Returns the number of
         instructions run.
 
+        Both buffers' views (kernels.block_view) are made once per call and
+        each pass's operands and phases once per pass (_build), so an
+        occurrence is one np.matmul(..., out=) per block and one in-place
+        multiply per diagonal, or per made-row diagonal one _apply_zz.
+
         `draws` is the jitter source. Given a sequence of generators, row r
         draws one rng.random(c * width) from draws[r] per pass of c
         occurrences and maps each value u onto -eta + 2*eta*u: bit for bit
@@ -672,7 +701,16 @@ class FusedCycle:
         """
         rows = amps.shape[0]
         per_pass = self.per_pass(rows)
-        state, spare = amps, np.empty_like(amps)
+        bufs, at = (amps, np.empty_like(amps)), 0  # bufs[at] holds the state
+        # per step its kind, the state's views in both buffers and, for a
+        # diagonal that makes its sign rows, its pairs
+        plan = []
+        for kind, a, b, _ in self.steps:
+            if kind == "block":
+                views = [kernels.block_view(buf, a, self.like[b][0]) for buf in bufs]
+                plan.append(("view @ u" if a == 0 else "u @ view", views, None))
+            else:
+                plan.append(("phases", bufs, None) if b is not None else ("made", bufs, a))
         if scales is not None:
             scales = np.column_stack([scales, np.ones(count)])
         # the logged places: at_u and at_g are sorted and disjoint (np.union1d
@@ -690,18 +728,25 @@ class FusedCycle:
             else:
                 built = self._static = self._static or self._build(None, None)
             for j in range(c):
-                for lo, step, coef in built:
-                    if lo is None:
-                        _apply_zz(state, *step, coef if coef.ndim == 1 else coef[j])
+                for (kind, views, pairs), x in zip(plan, built):
+                    if kind == "view @ u":
+                        np.matmul(views[at], x[j], out=views[1 - at])
+                        at = 1 - at
+                    elif kind == "u @ view":
+                        np.matmul(x[j], views[at], out=views[1 - at])
+                        at = 1 - at
+                    elif kind == "phases":
+                        np.multiply(views[at], x[j], out=views[at])
                     else:
-                        kernels.apply_block(state, lo, step if step.ndim == 2 else step[j], spare)
-                        state, spare = spare, state
+                        _apply_zz(views[at], pairs, None, x[j])
                 if after is not None:
-                    state, spare = _settle(amps, state, spare)
+                    if at:
+                        amps[...], at = bufs[1], 0
                     after(first + j)
             if log is not None and kinds:
                 log.record(kinds, sizes, d[0][used])
-        _settle(amps, state, spare)
+        if at:
+            amps[...] = bufs[1]
         return count * len(self.kinds)
 
 
@@ -716,14 +761,6 @@ def _stacked(parts):
     return np.array([part[0] for part in parts]), b
 
 
-def _settle(amps: np.ndarray, state: np.ndarray, spare: np.ndarray):
-    """(amps, the other buffer), the state copied into amps if elsewhere."""
-    if state is amps:
-        return state, spare
-    amps[...] = state
-    return amps, state
-
-
 def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The (..., 2^k, 2^k) product of a block's factors, the first applied
     first: for (((i, b), ...), None) one layer's 2x2s mats[..., i] on bits b
@@ -734,13 +771,15 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
     each `targets` one (G, t): block g of the (..., G, 2^k, 2^k) result is
     bit for bit what its own indices give alone.
 
-    With one batch row, a layer's 2x2s are multiplied into the block one at
-    a time. With many (mats (C, R, ...), R > 1), each such product is a loop
-    over C * R * 2^(k-1) tiny matrices, so a layer with more than one 2x2,
-    or the block's first, becomes their Kronecker product (an exact
-    identity on each other bit) times the block. That is much faster for
-    fig4b-cell's 10 rows; at one row it gains no time on fig5 or
-    trotter-uqs2 and raises trotter-uqs2's peak memory.
+    The block's first layer is the Kronecker product of its 2x2s (an exact
+    identity on each other bit) at any batch size, so each row of a
+    one-layer block built for many rows is its build alone bit for bit. A
+    later layer's 2x2s are
+    multiplied into the block one at a time with one batch row; with many
+    (mats (C, R, ...), R > 1) each such product is a loop over C * R *
+    2^(k-1) tiny matrices, so a later layer of more than one 2x2 is their
+    Kronecker product times the block, much faster for fig4b-cell's 10
+    rows.
     """
     dim = 1 << k
     rows = mats.shape[-4] if mats.ndim > 4 else 1
@@ -751,7 +790,7 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
             # another order than one (gemv), so a stack rounds as alone
             phases = _zz_phases((coef[..., a][..., None, :] @ b)[..., 0, :])[..., :, None]
             block = phases * (np.eye(dim) if block is None else block)
-        elif rows > 1 and (block is None or len(a) > 1):
+        elif block is None or (rows > 1 and len(a) > 1):
             at = {bit: i for i, bit in a}
             kron = mats[..., at[0], :, :] if 0 in at else _EYE2
             for q in range(1, k):
@@ -762,7 +801,6 @@ def _fused_block(k: int, factors, mats: np.ndarray, coef: np.ndarray) -> np.ndar
             block = kron if block is None else kron @ block
         else:
             for i, bit in a:
-                block = np.eye(dim, dtype=complex) if block is None else block
                 view = block.reshape(*block.shape[:-2], dim >> (bit + 1), 2, -1)
                 prod = mats[..., i, None, :, :] @ view
                 block = prod.reshape(*prod.shape[:-3], dim, dim)

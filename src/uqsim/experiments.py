@@ -456,8 +456,9 @@ def adiabatic_batch(
     """One run of `config` per seed, advanced in lockstep as one batch.
 
     Run r draws its jitter from config.error_model with seed seeds[r] and
-    gives what adiabatic_run gives at that seed, within 1e-12 (BLAS blocking
-    depends on the batch size). Step k runs emit_cycle(plan_initial, dt, k)
+    gives what adiabatic_run gives at that seed, within 1e-12 (the block
+    builds and the angle sums of execution depend on the batch size, see
+    uqsim.engine). Step k runs emit_cycle(plan_initial, dt, k)
     followed by emit_cycle(plan_target, dt, 1 - k).
 
     Both plans' cycles at scale 1 (cycle_template) form one template

@@ -1,8 +1,10 @@
 """Statevector gate kernels in numpy.
 
-Schedule execution applies its fused blocks through `apply_block` and
-builds its ZZ diagonals from the sign rows of `zz_signs` over the lower
-half of the basis (half=True), mirrored onto the upper half.
+Schedule execution multiplies each fused block into the state as one
+matmul of `block_view` and `block_operand`, the one home of the block's
+reshape rule (`apply_block` is that product in one call), and builds its
+ZZ diagonals from the sign rows of `zz_signs` over the lower half of the
+basis (half=True), mirrored onto the upper half.
 `apply_single_qubit` and `apply_zz_phase` apply one instruction's unitary
 as it stands: they are the kernels of the per-instruction reference that
 the tests compare execution against, and the benchmark's tracer
@@ -39,26 +41,37 @@ def apply_single_qubit(amps: np.ndarray, q: int, u: np.ndarray) -> None:
     view[..., 1, :] = u[..., 1, 0] * lo + u[..., 1, 1] * hi
 
 
+def block_view(amps: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """amps (2^n,) or (R, 2^n) as a block on qubits lo..lo+k-1 multiplies
+    it: (..., 2^(n-k), 2^k) at qubit 0, (..., 2^(n-lo-k), 2^k, 2^lo) above."""
+    if lo == 0:
+        return amps.reshape(*amps.shape[:-1], -1, 1 << k)
+    return amps.reshape(*amps.shape[:-1], -1, 1 << k, 1 << lo)
+
+
+def block_operand(u: np.ndarray, lo: int) -> np.ndarray:
+    """A block u (..., 2^k, 2^k) as its product with block_view takes it:
+    u^T on the right at qubit 0 (view @ u^T), above it u on the left with
+    an axis for the view's slices (u @ view)."""
+    return np.swapaxes(u, -1, -2) if lo == 0 else u[..., None, :, :]
+
+
 def apply_block(amps: np.ndarray, lo: int, u: np.ndarray, out: np.ndarray | None = None) -> None:
     """u (2^k, 2^k) on qubits lo..lo+k-1 of amps (2^n,) or of every row of
     amps (R, 2^n), or u (R, 2^k, 2^k), one per row. Qubit lo + j is bit j
     of the block's row and column index. The result goes into `out` (amps'
     shape, no memory shared) when given, else into amps.
 
-    One matmul on a reshaped view: (..., 2^(n-k), 2^k) @ u^T for a block at
-    qubit 0, u @ (..., 2^(n-lo-k), 2^k, 2^lo) above it.
+    One matmul of block_view and block_operand, the product that schedule
+    execution makes per block.
     """
-    dim = u.shape[-1]
-    if lo == 0:
-        view = amps.reshape(*amps.shape[:-1], -1, dim)
-        left, right = view, np.swapaxes(u, -1, -2)
-    else:
-        view = amps.reshape(*amps.shape[:-1], -1, dim, 1 << lo)
-        left, right = (u[:, None] if u.ndim == 3 else u), view
+    k = u.shape[-1].bit_length() - 1
+    view, op = block_view(amps, lo, k), block_operand(u, lo)
+    left, right = (view, op) if lo == 0 else (op, view)
     if out is None:
         view[...] = left @ right
     else:
-        np.matmul(left, right, out=out.reshape(view.shape))
+        np.matmul(left, right, out=block_view(out, lo, k))
 
 
 def zz_signs(n_qubits: int, a: int, b: int, half: bool = False) -> np.ndarray:

@@ -329,6 +329,118 @@ def test_zz_phases_are_the_bits_of_complex_exp():
                               np.concatenate([want, want[..., ::-1]], axis=-1).view(np.uint64))
 
 
+def across_gate(n, rng):
+    """One gate on (0, n - 1) and random pairs, with random weights."""
+    pairs = [(0, n - 1)] + random_pairs(n, rng)
+    return RawGate("zz", float(rng.uniform(-1.0, 1.0)), tuple(
+        (a, b, w) for (a, b), w in zip(pairs, rng.uniform(-2.0, 2.0, len(pairs)).tolist())))
+
+
+@pytest.mark.parametrize("draws, scaled", [(False, False), (True, False), (False, True),
+                                           (True, True)])
+@pytest.mark.parametrize("rows", [1, 3, 10])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pass_phases_are_per_occurrence_apply_zz_bit_for_bit(monkeypatch, n, rows, draws, scaled):
+    # a pass makes each kept-row diagonal's phases for all its occurrences
+    # in one coef @ signs; multiplied in, they give what _apply_zz of each
+    # occurrence's coefs alone gives, bit for bit. The coefs are those of
+    # the same cycle with its sign rows made as it runs. Groups of 2 put
+    # the diagonal across groups at every n
+    monkeypatch.setattr(engine, "_GROUP_QUBITS", 2)
+    rng = np.random.default_rng(100 * n + rows)
+    gate, eta_i = across_gate(n, rng), 0.05 * draws
+    slots = [0] if scaled else None
+    kept = engine.FusedCycle([gate], n, 0.0, eta_i, slots)
+    monkeypatch.setattr(engine, "_SIGN_ROW_QUBITS", 1)
+    made = engine.FusedCycle([gate], n, 0.0, eta_i, slots)
+    (_, pairs, signs, _), = kept.steps
+    assert signs is not None and made.steps[0][2] is None
+    count = 4
+    d = rng.uniform(-0.05, 0.05, (count, rows, kept.width)) if draws or scaled else None
+    scales = np.column_stack([rng.uniform(0.2, 1.0, count), np.ones(count)]) if scaled else None
+    (phases,), (coef,) = kept._build(d, scales), made._build(d, scales)
+    assert phases.shape[-1] == 1 << n
+    start = np.array([random_amps(n, 10 * n + r) for r in range(rows)])
+    for j in range(count):
+        want, got = start.copy(), start.copy()
+        engine._apply_zz(want, pairs, signs, coef[j])
+        np.multiply(got, phases[j], out=got)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("etas", [(0.0, 0.0), (0.04, 0.03)])
+def test_made_row_diagonals_run_per_occurrence(monkeypatch, etas):
+    # above _SIGN_ROW_QUBITS a diagonal across groups makes its sign rows
+    # as it runs, one _apply_zz per occurrence, and no pass makes phases
+    n, count = 6, 5
+    rng = np.random.default_rng(6)
+    instructions = [ApplyLocal(LocalLayer.inhomogeneous([random_unit(rng) for _ in range(n)])),
+                    across_gate(n, rng)]
+    calls = {"_apply_zz": 0, "_zz_phases": 0}
+    for name in calls:
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    monkeypatch.setattr(engine, "_SIGN_ROW_QUBITS", 1)
+    cycle = engine.FusedCycle(instructions, n, *etas)
+    assert [s[0] for s in cycle.steps] == ["block", "block", "zz"] and cycle.steps[2][2] is None
+    assert cycle.entries == 2 * 4 ** 3  # made rows hold no phases in a pass
+    err = ErrorModel(*etas, seed=6)
+    start = np.array([random_amps(n, r) for r in range(2)])
+    amps = start.copy()
+    cycle.execute(amps, count, [replace(err, seed=r).rng() for r in range(2)], None)
+    assert calls == {"_apply_zz": count, "_zz_phases": count}
+    for r in range(2):
+        ref = start[r].copy()
+        oracles.reference_execute(ref, n, instructions * count, err if any(etas) else None,
+                                  replace(err, seed=r).rng())
+        assert np.max(np.abs(amps[r] - ref)) <= AMP_TOL
+
+
+def one_at_a_time(k, layer, mats):
+    """The block of one layer's 2x2s mats[..., i] on bits b, each applied to
+    every column of the identity in turn with kernels.apply_single_qubit."""
+    dim = 1 << k
+    out = np.empty((*mats.shape[:-3], dim, dim), dtype=complex)
+    for at in np.ndindex(*mats.shape[:-3]):
+        cols = np.eye(dim, dtype=complex)  # row c: column c of the block
+        for i, bit in layer:
+            kernels.apply_single_qubit(cols, bit, mats[at][i])
+        out[at] = cols.T
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kronecker_first_layer_matches_one_at_a_time(k, rows):
+    # the first layer of a block is the Kronecker product of its 2x2s, an
+    # exact identity on the bits without one, at any batch size
+    rng = np.random.default_rng(k + 10 * rows)
+    mats = np.array([[[random_unit(rng).matrix for _ in range(k)] for _ in range(rows)]
+                     for _ in range(2)])
+    for bits in ([0], [k - 1], list(range(k)), list(range(k))[::-2]):
+        layer = tuple((i, bit) for i, bit in enumerate(bits))
+        block = engine._fused_block(k, [(layer, None)], mats, np.empty((2, rows, 0)))
+        assert block.shape == (2, rows, 1 << k, 1 << k)
+        assert np.max(np.abs(block - one_at_a_time(k, layer, mats))) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_layer_block_rows_are_their_builds_alone(k):
+    # each row of a one-layer block built for 3 rows is, bit for bit, that
+    # row's block built alone, like blocks stacked or not
+    rng = np.random.default_rng(k)
+    mats = np.array([[[random_unit(rng).matrix for _ in range(2 * k)] for _ in range(3)]
+                     for _ in range(2)])
+    coef = np.empty((2, 3, 0))
+    for layer in (tuple((q, q) for q in range(k)),
+                  ((np.array([0, k]), 0), (np.array([k - 1, 2 * k - 1]), k - 1))):
+        block = engine._fused_block(k, [(layer, None)], mats, coef)
+        for r in range(3):
+            alone = engine._fused_block(k, [(layer, None)], mats[:, r:r + 1], coef[:, r:r + 1])
+            assert alone.tobytes() == block[:, r:r + 1].tobytes()
+
+
 def like_schedule(n, seed):
     """Instructions whose blocks come in like groups: layers that give every
     qubit group the same 2x2s bit by bit (some of them identities), and gate
@@ -448,14 +560,17 @@ def test_passes_are_sized_by_block_entries():
         "random_ising", Geometry.chain(8), j_map=tuple(((a, a + 1), 1.0) for a in range(7)),
         b_list=(0.4,) * 8)), chain_trap(8))
     three = random_schedule(3, 3, length=20)
-    cycles = {"fig4b-cell": (fig4b_cell_cycle(), 10, 6),
+    cycles = {"fig4b-cell": (fig4b_cell_cycle(), 10, 4),
               "trotter-uqs2": (engine.FusedCycle(emit_cycle(trotter, 0.1, 1.0), 8, 0.002, 0.001),
-                               1, 85),
+                               1, 64),
               "3 qubits": (engine.FusedCycle(three, 3, 0.01, 0.01), 1, 256)}
     for name, (cycle, rows, per_pass) in cycles.items():
         assert cycle.per_pass(rows) == per_pass, name
     unit = 4 ** engine._GROUP_QUBITS
-    assert cycles["fig4b-cell"][0].entries == 3 * unit + 3 * unit // 4
+    # blocks of 4 and 3 qubits three times, and the phases (2^n,) of each
+    # diagonal across groups: 3 on 7 sites, 1 on 8 ions
+    assert cycles["fig4b-cell"][0].entries == 3 * unit + 3 * unit // 4 + 3 * 2**7
+    assert cycles["trotter-uqs2"][0].entries == 3 * unit + 2**8
     for cycle, _, _ in cycles.values():
         for rows in (1, 2, 3, 10, 20, 100):
             c = cycle.per_pass(rows)
@@ -832,16 +947,16 @@ def test_fig5_step_fuses_into_twelve_blocks_and_three_diagonals(monkeypatch):
     err = ErrorModel(0.01, 0.01, seed=1)
     cycle = engine.FusedCycle(ins_i + ins_t, n, err.eta_local, err.eta_int, slots_i + slots_t)
     assert [step[0] for step in cycle.steps].count("block") == 12
-    calls = {"block": 0, "zz": 0}
-    for name, module, key in (("apply_block", engine.kernels, "block"),
-                              ("_apply_zz", engine, "zz")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, real=real, key=key:
-                            calls.__setitem__(key, calls[key] + 1) or real(*a))
+    # each block one np.matmul, each diagonal one np.multiply, into `out`
+    calls = {"matmul": 0, "multiply": 0}
+    for name in calls:
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, name=name, **kw:
+                            calls.__setitem__(name, calls[name] + ("out" in kw)) or real(*a, **kw))
     amps = np.tile(random_amps(n, 1), (2, 1))
     ks = np.array([0.9, 0.7, 0.5])
     cycle.execute(amps, 3, [err.rng(), err.rng()], None, np.column_stack([ks, 1.0 - ks]))
-    assert calls["block"] <= 12 * 3 and calls["zz"] <= 3 * 3
+    assert calls == {"matmul": 12 * 3, "multiply": 3 * 3}
 
 
 def test_sweep_repetitions_match_single_runs():

@@ -229,22 +229,29 @@ def test_each_distinct_instruction_is_lowered_once(monkeypatch):
 
 
 def count_calls(monkeypatch):
-    """Calls of the state-sized kernels and of the fused-block build."""
-    counts = dict.fromkeys(("block", "zz", "single", "build"), 0)
+    """Calls of the state-sized kernels and of the per-pass builds.
+    Execution applies a block as one np.matmul and a kept-row diagonal as
+    one np.multiply, each into `out` ("block", "zz"), a diagonal whose sign
+    rows it makes as one _apply_zz ("made"); a pass builds blocks with
+    _fused_block ("build") and a diagonal's phases with _zz_phases
+    ("phases")."""
+    counts = dict.fromkeys(("block", "zz", "made", "single", "build", "phases"), 0)
 
-    def spy(owner, name, key):
+    def spy(owner, name, key, into_out=False):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += not into_out or "out" in kwargs
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(kernels, "apply_block", "block")
-    spy(engine, "_apply_zz", "zz")
+    spy(np, "matmul", "block", into_out=True)
+    spy(np, "multiply", "zz", into_out=True)
+    spy(engine, "_apply_zz", "made")
     spy(kernels, "apply_single_qubit", "single")
     spy(engine, "_fused_block", "build")
+    spy(engine, "_zz_phases", "phases")
     return counts
 
 
@@ -256,17 +263,21 @@ def test_repeated_trap_chain_cycles_make_four_kernel_calls_each(monkeypatch, err
     # the two 4-qubit groups. The executor finds the cycles itself, so a
     # schedule without its cycle fields runs the same
     schedule, cost = trotter_schedule(ising_chain(8), t_prime=0.6, epsilon=0.01, hw=trap_chain(8))
-    cycles, per_pass = cost.num_gates, engine._CHUNK_BLOCKS // 3
+    # a pass holds 3 (2^4, 2^4) blocks and the (2^8,) phases per cycle
+    cycles, per_pass = cost.num_gates, engine._CHUNK_BLOCKS // 4
     assert schedule.cycle_length == 22 and cycles > per_pass
     if not header:
         schedule = dataclasses.replace(schedule, cycle_length=None, num_cycles=None)
     counts = count_calls(monkeypatch)
     run_schedule(StateVector.zero_state(8), schedule, err)
-    assert counts["block"] + counts["zz"] + counts["single"] <= 4 * cycles
-    assert counts["single"] == 0 and counts["zz"] == cycles
+    assert counts["block"] + counts["zz"] + counts["made"] + counts["single"] <= 4 * cycles
+    assert counts["single"] == counts["made"] == 0 and counts["zz"] == cycles
     # 3 blocks per cycle (0..3, 4..7 twice), all unlike, so 3 builds per
-    # pass of up to per_pass cycles; noiseless, each is built once
-    assert counts["build"] == 3 * (1 if err is None else -(-cycles // per_pass))
+    # pass of up to per_pass cycles, and per pass the phases of ZZ(3, 4)
+    # and of the 6 one-pair gates inside the blocks; noiseless, each is
+    # built once
+    passes = 1 if err is None else -(-cycles // per_pass)
+    assert counts["build"] == 3 * passes and counts["phases"] == 7 * passes
 
 
 @pytest.mark.parametrize("n, initial, rows, blocks", [(7, "zz", 10, 6), (9, "xx", 1, 12)])
@@ -288,16 +299,20 @@ def test_adiabatic_template_cycles_build_two_block_shapes_per_pass(monkeypatch, 
     ks = np.linspace(0.99, 0.01, count)
     amps = np.zeros((rows, 1 << n), dtype=complex)
     amps[:, 0] = 1.0
+    diagonals = [s[0] for s in cycle.steps].count("zz")
+    assert diagonals == 3
     counts = count_calls(monkeypatch)
     cycle.execute(amps, count, [err.rng() for _ in range(rows)], None,
                   np.column_stack([ks, 1.0 - ks]))
-    assert counts["build"] == 2 * passes
-    assert counts["block"] == blocks * count and counts["single"] == 0
+    assert counts["build"] == 2 * passes and counts["phases"] == diagonals * passes
+    assert counts["block"] == blocks * count and counts["zz"] == diagonals * count
+    assert counts["single"] == counts["made"] == 0
 
 
 def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
     # an adiabatic step of the same chain, run once, fuses as a repeated
-    # cycle does: 3 blocks and the ZZ(3, 4) diagonal, no single-qubit calls
+    # cycle does: 3 blocks and the ZZ(3, 4) diagonal, no single-qubit calls,
+    # and 7 phase builds (ZZ(3, 4) and the 6 one-pair gates in the blocks)
     plan = plan_for_hamiltonian(ising_chain(8), trap_chain(8))
     err = ErrorModel(0.01, 0.02, seed=3)
     amps = np.zeros((2, 256), dtype=complex)
@@ -305,7 +320,7 @@ def test_an_adiabatic_step_runs_as_one_fused_pass(monkeypatch):
     counts = count_calls(monkeypatch)
     step = engine.FusedCycle(emit_cycle(plan, 0.1, 0.6), 8, err.eta_local, err.eta_int)
     assert step.execute(amps, 1, [err.rng(), err.rng()], None) == 22
-    assert counts == {"block": 3, "zz": 1, "single": 0, "build": 3}
+    assert counts == {"block": 3, "zz": 1, "made": 0, "single": 0, "build": 3, "phases": 7}
 
 
 def test_the_tracer_reads_execute_instructions_by_position():
