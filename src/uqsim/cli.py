@@ -21,51 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, svg
-from .compiler import (
+# What every command runs is imported by name; the rest is bound as modules,
+# which load on first use (see uqsim/__init__.py), so that each command
+# compiles only the modules it runs.
+from . import __version__, compiler, engine, experiments, hardware, svg
+from .pauli import CoeffMatrix, Hamiltonian, PauliError
+from .schedule import (
     CompileError,
     HardwareConstraintError,
     InfeasibleTargetError,
     UnsupportedInteractionError,
-    check_budget,
-    check_gamma,
-    cost_report,
-    homogeneous_feasibility,
-    inhomogeneous_cost,
     schedule_from_lines,
     schedule_text_chunks,
-    trotter_cycles,
-    trotter_schedule,
 )
-from .engine import (
-    EngineError,
-    ErrorModel,
-    StateFormatError,
-    StateVector,
-    exact_evolve,
-    expectation,
-    fidelity,
-    parse_observable,
-    run_schedule,
-)
-from .experiments import (
-    MODEL_NAMES,
-    RAMPS,
-    AdiabaticConfig,
-    ExperimentError,
-    Geometry,
-    GroundPath,
-    NamedModel,
-    adiabatic_run,
-    build_model,
-    error_sweep,
-    min_gap,
-    nn_chain,
-    protocol_for_model,
-    sweep_table_csv,
-)
-from .hardware import HardwareError, TrapArrayModel, parse_hardware_text
-from .pauli import CoeffMatrix, Hamiltonian, PauliError
 
 CONFIG_DIALECT = "ini-1"
 
@@ -183,14 +151,20 @@ def _choice(*names, files=False):
     return convert
 
 
-def parse_geometry(spec: str) -> Geometry:
+def _one_of(names):
+    """_choice of the names that names() gives, called at conversion: the
+    module that holds them loads only when a file has the key."""
+    return lambda text: _choice(*names())(text)
+
+
+def parse_geometry(spec: str) -> experiments.Geometry:
     parts = spec.split(":")
     if parts[0] == "chain" and len(parts) == 2:
-        return Geometry.chain(int(parts[1]))
+        return experiments.Geometry.chain(int(parts[1]))
     if parts[0] == "grid" and len(parts) in (2, 3):
         rows, cols = (int(x) for x in parts[1].split("x"))
         pattern = parts[2] if len(parts) == 3 else "rectangular"
-        return Geometry.grid(rows, cols, pattern)
+        return experiments.Geometry.grid(rows, cols, pattern)
     raise ValueError("use chain:N or grid:RxC[:pattern]")
 
 
@@ -229,7 +203,7 @@ CONFIG_TABLE = {
         "initial": (_choice("zz_chain", "xx_chain", files=True), "zz_chain"),
         "steps": (int, 100),
         "theta1": (float, 0.1),
-        "ramp": (_choice(*RAMPS), "linear"),
+        "ramp": (_one_of(lambda: experiments.RAMPS), "linear"),
         "record_every": (int, None),
         **_JITTER,
     },
@@ -239,8 +213,8 @@ CONFIG_TABLE = {
         "repetitions": (int, 20),
     },
     "model": {
-        "name": (_choice(*MODEL_NAMES), "ising"),
-        "geometry": (parse_geometry, Geometry.chain(2)),
+        "name": (_one_of(lambda: experiments.MODEL_NAMES), "ising"),
+        "geometry": (parse_geometry, None),  # unset: chain:2 (load_named_model)
         "j": (_finite_float, None),
         "b": (_finite_float, None),
         "direction": (_list(_finite_float, least=3, most=3), None),
@@ -251,7 +225,7 @@ CONFIG_TABLE = {
     },
     "cost": {
         "mode": (_choice("homogeneous", "inhomogeneous"), "homogeneous"),
-        "gamma": (lambda text: check_gamma(float(text)), 1.0),
+        "gamma": (lambda text: compiler.check_gamma(float(text)), 1.0),
         "matrix": (lambda text: CoeffMatrix(np.array(_list(_list(float), ";", 3, 3)(text))),
                    CoeffMatrix(np.diag([0.0, 0.0, 1.0]))),
         "t_prime": (_finite_float, None),
@@ -302,8 +276,8 @@ def _checked(where: str, build, *args, **kwargs):
     UsageError that starts with `where`, the key or flag that gave it."""
     try:
         return build(*args, **kwargs)
-    except (CompileError, EngineError, ExperimentError, HardwareError, OSError,
-            ValueError) as exc:
+    except (CompileError, engine.EngineError, experiments.ExperimentError,
+            hardware.HardwareError, OSError, ValueError) as exc:
         raise UsageError(f"{where} {exc}") from exc
 
 
@@ -352,19 +326,20 @@ def load_hardware(cfg, config_path):
             lines.append("positions")
             lines += [chunk.strip() for chunk in section["positions"].split(";") if chunk.strip()]
         text = "\n".join(lines) + "\n"
-    return _checked("[hardware]", parse_hardware_text, text)
+    return _checked("[hardware]", hardware.parse_hardware_text, text)
 
 
 MODEL_FIELDS = {"b_values": "b_list", "j_values": "j_map"}  # the [model] keys NamedModel renames
 
 
-def load_named_model(cfg) -> NamedModel:
-    """The [model] section as a NamedModel; its errors name the section and
-    the config keys."""
+def load_named_model(cfg) -> experiments.NamedModel:
+    """The [model] section as a NamedModel, on a 2-site chain unless it
+    sets geometry; its errors name the section and the config keys."""
     kwargs = {MODEL_FIELDS.get(k, k): v for k, v in cfg["model"].items() if v is not None}
+    kwargs.setdefault("geometry", experiments.Geometry.chain(2))
     try:
-        return NamedModel(**kwargs)
-    except ExperimentError as exc:
+        return experiments.NamedModel(**kwargs)
+    except experiments.ExperimentError as exc:
         message = str(exc)
         for key, name in MODEL_FIELDS.items():  # name the config keys, not NamedModel's fields
             message = message.replace(name, key)
@@ -424,15 +399,15 @@ class OutputWriter:
 def cmd_compile(args, cfg, config_path) -> int:
     section = cfg["compile"]
     t_prime, epsilon = section["t_prime"], section["epsilon"]
-    _checked("[compile]", check_budget, t_prime, epsilon)
+    _checked("[compile]", compiler.check_budget, t_prime, epsilon)
     hw = load_hardware(cfg, config_path)
     if section["hamiltonian"] is not None:
         target = Hamiltonian.from_text(_input(cfg, "compile", "hamiltonian", config_path))
     elif "model" in cfg:
-        target = build_model(load_named_model(cfg))
+        target = experiments.build_model(load_named_model(cfg))
     else:
         raise UsageError("[compile] needs hamiltonian= or a [model] section")
-    schedule, report = trotter_schedule(target, t_prime, epsilon, hw)
+    schedule, report = compiler.trotter_schedule(target, t_prime, epsilon, hw)
     writer = OutputWriter(Path(args.out_dir))
     writer.write_chunks("schedule.txt", schedule_text_chunks(schedule))
     writer.write("cost.txt", report.to_text())
@@ -452,28 +427,28 @@ def cmd_compile(args, cfg, config_path) -> int:
     return EXIT_OK
 
 
-def _error_model_from(section, seed) -> ErrorModel | None:
+def _error_model_from(section, seed) -> engine.ErrorModel | None:
     eta_local, eta_int = section["eta_local"] or 0.0, section["eta_int"] or 0.0
     if eta_local == 0.0 and eta_int == 0.0:
         return None
     if seed is None:
         raise PolicyError("an error model needs a seed for reproducibility: "
                           "set seed= or pass --seed")
-    return ErrorModel(eta_local=eta_local, eta_int=eta_int, seed=seed)
+    return engine.ErrorModel(eta_local=eta_local, eta_int=eta_int, seed=seed)
 
 
 def cmd_simulate(args, cfg, config_path) -> int:
     section = cfg["simulate"]
     schedule = _input(cfg, "simulate", "schedule", config_path, schedule_from_lines)
     if section["initial"] == "zeros":
-        state = StateVector.zero_state(schedule.n_qubits)
+        state = engine.StateVector.zero_state(schedule.n_qubits)
     else:
-        state = StateVector.load_text(_input(cfg, "simulate", "initial", config_path))
+        state = engine.StateVector.load_text(_input(cfg, "simulate", "initial", config_path))
     if state.n_qubits != schedule.n_qubits:
         raise UsageError(f"[simulate] initial = {section['initial']} holds {state.n_qubits} "
                          f"qubits, the schedule is for {schedule.n_qubits}")
-    obs = [(spec, _checked(f"[simulate] observables entry {spec!r}:", parse_observable, spec,
-                           schedule.n_qubits)) for spec in section["observables"]]
+    obs = [(spec, _checked(f"[simulate] observables entry {spec!r}:", engine.parse_observable,
+                           spec, schedule.n_qubits)) for spec in section["observables"]]
     if args.oracle:
         if section["oracle_hamiltonian"] is None:
             raise UsageError("--oracle needs oracle_hamiltonian= in [simulate]")
@@ -483,19 +458,19 @@ def cmd_simulate(args, cfg, config_path) -> int:
                              f"the schedule is for {schedule.n_qubits}")
     seed = _run_seed(args, section)
     err = _error_model_from(section, seed)
-    final, log = run_schedule(state, schedule, err)
+    final, log = engine.run_schedule(state, schedule, err)
     writer = OutputWriter(Path(args.out_dir))
     writer.write("state.txt", final.dump_text())
     writer.write_chunks("execution_log.txt", log.text_chunks())
     summary = {"n_qubits": final.n_qubits, "norm": final.norm()}
     if obs:
-        values = [(spec, expectation(final, op)) for spec, op in obs]
+        values = [(spec, engine.expectation(final, op)) for spec, op in obs]
         lines = ["observable,value"] + [f"{name},{value!r}" for name, value in values]
         writer.write("observables.csv", "\n".join(lines) + "\n")
         summary["observables"] = {name: value for name, value in values}
     if args.oracle:
-        reference = exact_evolve(h, section["t_prime"], state)
-        fid = fidelity(final, reference)
+        reference = engine.exact_evolve(h, section["t_prime"], state)
+        fid = engine.fidelity(final, reference)
         summary["oracle_fidelity"] = fid
         print(f"oracle_fidelity={fid!r}")
     writer.write("summary.json", json.dumps(summary, indent=2) + "\n")
@@ -522,19 +497,20 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
     section = cfg["adiabatic"]
     hw = load_hardware(cfg, config_path)
     model = load_named_model(cfg)
-    target = build_model(model)
+    target = experiments.build_model(model)
     if section["initial"].startswith("file:"):
         initial = Hamiltonian.from_text(_input(cfg, "adiabatic", "initial", config_path))
     else:
-        initial = nn_chain(section["initial"].split("_")[0], model.geometry.n_sites)
+        initial = experiments.nn_chain(section["initial"].split("_")[0], model.geometry.n_sites)
     seed = _run_seed(args, section)
-    base = _checked("[adiabatic]", AdiabaticConfig, h_initial=initial, h_target=target,
-                    steps=section["steps"], theta1=section["theta1"], ramp=section["ramp"],
+    base = _checked("[adiabatic]", experiments.AdiabaticConfig, h_initial=initial,
+                    h_target=target, steps=section["steps"], theta1=section["theta1"],
+                    ramp=section["ramp"],
                     record_every=1 if section["record_every"] is None else section["record_every"])
     if args.steps is not None:
         base = _checked(f"--steps {args.steps}:", replace, base, steps=args.steps)
     writer = OutputWriter(Path(args.out_dir))
-    plan_target = protocol_for_model(model, hw)
+    plan_target = experiments.protocol_for_model(model, hw)
     extra = {}
     if "sweep" in cfg:
         ignored = [key for key in ("eta_local", "eta_int") if section[key] is not None]
@@ -550,7 +526,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         if any(e > 0 for e in etas) and seed is None:
             raise PolicyError("sweep with noise needs a seed (seed= or --seed)")
         rows = _run_sweep(base, hw, etas, steps_list, reps, seed or 0, args.jobs, plan_target)
-        writer.write("sweep.csv", sweep_table_csv(rows))
+        writer.write("sweep.csv", experiments.sweep_table_csv(rows))
         series = []
         for s in steps_list:
             pts = [(r.eta, r.mean_fidelity) for r in rows if r.steps == s]
@@ -564,8 +540,8 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         print(f"sweep complete: {len(rows)} rows")
     else:
         run_cfg = replace(base, error_model=_error_model_from(section, seed))
-        path = GroundPath(initial, target)
-        result = adiabatic_run(run_cfg, hw, plan_target=plan_target, ground_path=path)
+        path = experiments.GroundPath(initial, target)
+        result = experiments.adiabatic_run(run_cfg, hw, plan_target=plan_target, ground_path=path)
         writer.write("trajectory.csv", _trajectory_csv(result))
         writer.write("histogram.csv", _histogram_csv(result))
         traj = result.trajectory
@@ -576,7 +552,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         writer.write("histogram.svg", svg.bar_chart(
             [e for e, _ in result.histogram], [w for _, w in result.histogram],
             title="Final weight per eigenspace", xlabel="energy", ylabel="weight"))
-        gap = min_gap(path, samples=41)
+        gap = experiments.min_gap(path, samples=41)
         summary = {
             "steps": base.steps,
             "theta1": base.theta1,
@@ -595,15 +571,15 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
 
 def _run_sweep(base, hw, etas, steps_list, reps, seed, jobs, plan_target=None):
     if jobs <= 1 or len(etas) * len(steps_list) <= 1:
-        return error_sweep(base, hw, etas, steps_list, reps, base_seed=seed,
-                           plan_target=plan_target)
+        return experiments.error_sweep(base, hw, etas, steps_list, reps, base_seed=seed,
+                                       plan_target=plan_target)
     from concurrent.futures import ProcessPoolExecutor
 
     cells = [(eta, s) for eta in etas for s in steps_list]
     rows = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         futures = [
-            pool.submit(error_sweep, base, hw, [eta], [s], reps, seed,
+            pool.submit(experiments.error_sweep, base, hw, [eta], [s], reps, seed,
                         plan_target=plan_target)
             for eta, s in cells
         ]
@@ -620,20 +596,20 @@ def cmd_cost(args, cfg, config_path) -> int:
                          "L and chi need both t_prime and epsilon")
     lines = []
     if section["mode"] == "homogeneous":
-        res = homogeneous_feasibility(section["matrix"], section["gamma"])
+        res = compiler.homogeneous_feasibility(section["matrix"], section["gamma"])
         if not res.feasible:
             sys.stderr.write(res.message + "\n")
             return EXIT_INFEASIBLE
         cost_value = res.time_cost
         lines.append(f"feasible=True")
     else:
-        cost_value = inhomogeneous_cost(section["matrix"], section["gamma"])
+        cost_value = compiler.inhomogeneous_cost(section["matrix"], section["gamma"])
     lines.append(f"c={cost_value!r}")
     if given:
         t_prime, epsilon, n_controls = (section[k] for k in ("t_prime", "epsilon", "n_controls"))
-        num_cycles = _checked("[cost]", trotter_cycles, cost_value, t_prime, epsilon)
-        report = cost_report(cost_value, 1 if n_controls is None else n_controls, num_cycles,
-                             t_prime, epsilon)
+        num_cycles = _checked("[cost]", compiler.trotter_cycles, cost_value, t_prime, epsilon)
+        report = compiler.cost_report(cost_value, 1 if n_controls is None else n_controls,
+                                      num_cycles, t_prime, epsilon)
         lines.append(f"L={report.num_gates}")
         lines.append(f"chi={report.chi!r}")
     writer = OutputWriter(Path(args.out_dir))
@@ -644,16 +620,14 @@ def cmd_cost(args, cfg, config_path) -> int:
 
 
 def cmd_crosstalk(args, cfg, config_path) -> int:
-    from .hardware import crosstalk_report
-
     hw = load_hardware(cfg, config_path)
-    if not isinstance(hw, TrapArrayModel):
+    if not isinstance(hw, hardware.TrapArrayModel):
         raise UsageError("crosstalk needs a uqs2 [hardware] description")
     if cfg["crosstalk"]["groups"] is None:
         raise UsageError("[crosstalk] needs groups= (e.g. '0 1; 11 12')")
     raw = cfg.parser["crosstalk"]["groups"]  # quoted as written
     groups = _checked(f"[crosstalk] groups = {raw!r}:", hw.pushed_groups, cfg["crosstalk"]["groups"])
-    report = crosstalk_report(hw, groups)
+    report = hardware.crosstalk_report(hw, groups)
     lines = [f"threshold={report.threshold!r}",
              f"max_ratio={report.max_ratio!r}",
              f"concurrent={report.concurrent}"]
@@ -692,14 +666,14 @@ def main(argv=None) -> int:
     except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
         sys.stderr.write(f"uqsim: infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (UsageError, PauliError, OSError, StateFormatError, CompileError,
-            ExperimentError) as exc:
+    except (UsageError, PauliError, OSError, engine.StateFormatError, CompileError,
+            experiments.ExperimentError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
     except PolicyError as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_POLICY
-    except (EngineError, HardwareError) as exc:
+    except (engine.EngineError, hardware.HardwareError) as exc:
         sys.stderr.write(f"uqsim: numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

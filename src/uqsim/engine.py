@@ -4,17 +4,19 @@ injection, plus the exact-diagonalization oracle used to validate them.
 Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 
 Execution is fused and batched, and FusedCycle is its one executor. It
-takes compiler instructions as they are (ApplyLocal, RawGate) and turns
-them into arrays once, when the cycle is built: a local layer becomes its
-per-qubit form exp(i*alpha) (cos(theta) I - i sin(theta) n.sigma) plus
-the mask of non-identity qubits (LoweredLayer), once per distinct layer
-object per call, so a schedule of L repeated cycles pays for the lines of
-one cycle, not for each occurrence; a run of consecutive raw gates becomes
-one diagonal, theta*w per target beside the +-1 Z_a Z_b sign rows over the
-lower half of the basis (Z_a Z_b is the same at x and at 2^n - 1 - x, so
-the upper half takes the lower half's phases in reverse). An adiabatic
-step is the compiler's emit_cycle of both plans, so the compiler alone
-decides what a cycle contains.
+takes the instructions of uqsim.schedule as they are (ApplyLocal, RawGate)
+and turns them into arrays once, when the cycle is built: a local layer
+becomes its per-qubit form exp(i*alpha) (cos(theta) I - i sin(theta)
+n.sigma) plus the mask of non-identity qubits (LoweredLayer), once per
+distinct layer object per call, so a schedule of L repeated cycles pays
+for the lines of one cycle, not for each occurrence; a run of consecutive
+raw gates becomes one diagonal, theta*w per target beside the +-1 Z_a Z_b
+sign rows over the lower half of the basis (Z_a Z_b is the same at x and
+at 2^n - 1 - x, so the upper half takes the lower half's phases in
+reverse). An adiabatic step is the compiler's emit_cycle of both plans, so
+the compiler alone decides what a cycle contains. This module imports the
+instruction set from uqsim.schedule, not from uqsim.compiler, so that
+running a schedule never loads the planner.
 
 A FusedCycle applies a window of instructions group by group in the manner
 of qsim's gate fusion (arXiv:2111.02396). The qubits split into
@@ -88,7 +90,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import STATEVECTOR_CAP
-from .compiler import ApplyLocal, PulseSchedule, RawGate
+from .schedule import ApplyLocal, PulseSchedule, RawGate
 from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
                     read_header)
 from .sectors import Sectors
@@ -438,11 +440,20 @@ def _zz_phases(angles: np.ndarray) -> np.ndarray:
     reverse, since Z_a Z_b is the same at x and at 2^n - 1 - x. Every ZZ
     phase of execution is made here, in real arithmetic: cos into the real
     part and -sin into the imaginary one give the bits of complex np.exp in
-    less time."""
-    half = np.empty(angles.shape, dtype=complex)
-    half.real = np.cos(angles)
-    half.imag = -np.sin(angles)
-    return np.concatenate([half, half[..., ::-1]], axis=-1)
+    less time. cos and -sin are written straight into both halves of the
+    one array returned, each half from one temporary of the lower half's
+    size: copying a half of that array into the other would make a second,
+    since the two halves' views overlap in memory."""
+    h = angles.shape[-1]
+    out = np.empty((*angles.shape[:-1], 2 * h), dtype=complex)
+    lower, upper = out[..., :h], out[..., h:]
+    part = np.cos(angles)
+    lower.real = part
+    upper.real = part[..., ::-1]
+    np.negative(np.sin(angles, out=part), out=part)
+    lower.imag = part
+    upper.imag = part[..., ::-1]
+    return out
 
 
 def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarray) -> None:

@@ -18,14 +18,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .compiler import (
-    ApplyLocal,
-    HardwareConstraintError,
-    PulseSchedule,
-    RawGate,
-    check_gamma,
-)
+from .compiler import check_gamma
 from .pauli import Hamiltonian, PauliString
+from .schedule import RawGate
 
 
 class HardwareError(Exception):
@@ -281,7 +276,7 @@ def theta_from_pulse(
 
 
 # ---------------------------------------------------------------------------
-# Crosstalk-aware scheduling
+# Crosstalk between pushed groups
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -426,123 +421,6 @@ def compensation_angles(solution: BeamSolution, positions, f, target, nu0=1.0) -
 
 
 # ---------------------------------------------------------------------------
-# Schedule realization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealizedSchedule:
-    """Hardware-level schedule plus concurrency groups of instruction indices."""
-
-    schedule: PulseSchedule
-    concurrent_groups: tuple[tuple[int, ...], ...]
-
-
-def realize_schedule(abstract: PulseSchedule, hw, include_crosstalk: bool = False) -> RealizedSchedule:
-    """Bind an abstract schedule to a hardware model.
-
-    UQS1 requires homogeneous layers and complete translation classes and maps
-    every gate to its displacement id. UQS2 greedily packs runs of adjacent
-    pair gates into concurrent groups that pass the crosstalk check; a run
-    ends at every local layer and, when the schedule has a cycle_length, at
-    every cycle boundary, so packing stays linear in the cycle count. With
-    `include_crosstalk` the dropped parasitic couplings are appended as an
-    explicit coherent-error gate per group. The cycle fields of the
-    abstract schedule are kept only when the instruction count is.
-    """
-    if isinstance(hw, LatticeModel):
-        out, groups = _realize_uqs1(abstract, hw)
-    elif isinstance(hw, TrapArrayModel):
-        out, groups = _realize_uqs2(abstract, hw, include_crosstalk)
-    else:
-        raise HardwareError(f"unknown hardware model {type(hw).__name__}")
-    same = len(out) == len(abstract.instructions)
-    schedule = PulseSchedule(abstract.n_qubits, tuple(out), abstract.cost,
-                             abstract.cycle_length if same else None,
-                             abstract.num_cycles if same else None)
-    return RealizedSchedule(schedule, groups)
-
-
-def _realize_uqs1(abstract: PulseSchedule, hw: LatticeModel):
-    class_index = {
-        frozenset((a, b) for a, b, _ in pairs): disp
-        for disp, pairs in displacement_classes(hw)
-    }
-    out, bound = [], {}  # id of a gate -> its renamed gate, shared where the input's is
-    for ins in abstract.instructions:
-        if isinstance(ins, ApplyLocal):
-            if not ins.layer.is_homogeneous:
-                raise HardwareConstraintError(
-                    "inhomogeneous layer on the lattice platform requires "
-                    "single qubit addressability"
-                )
-            out.append(ins)
-            continue
-        key = frozenset((a, b) for a, b, _ in ins.targets)
-        disp = class_index.get(key)
-        if disp is None:
-            raise HardwareConstraintError(
-                f"gate targets {sorted(key)} do not form a realizable translation class"
-            )
-        out.append(bound.setdefault(id(ins), RawGate(displacement_gate_id(disp), ins.theta, ins.targets)))
-    return out, tuple((i,) for i in range(len(out)))
-
-
-def _gate_ions(gate: RawGate) -> tuple[int, ...]:
-    return tuple(sorted({q for a, b, _ in gate.targets for q in (a, b)}))
-
-
-def _realize_uqs2(abstract: PulseSchedule, hw: TrapArrayModel, include_crosstalk: bool):
-    out: list = []
-    groups: list[tuple[int, ...]] = []
-    run: list[RawGate] = []
-
-    def flush_run():
-        if not run:
-            return
-        # Greedy packing: sort by leftmost ion, grow groups while every
-        # cross-pair ratio stays under threshold.
-        pending = sorted(run, key=lambda g: _gate_ions(g)[0])
-        while pending:
-            current = [pending.pop(0)]
-            rest = []
-            for g in pending:
-                candidate = [_gate_ions(x) for x in current] + [_gate_ions(g)]
-                try:
-                    report = crosstalk_report(hw, candidate)
-                except HardwareError:
-                    rest.append(g)
-                    continue
-                if report.concurrent:
-                    current.append(g)
-                else:
-                    rest.append(g)
-            pending = rest
-            start = len(out)
-            out.extend(current)
-            groups.append(tuple(range(start, len(out))))
-            if include_crosstalk and len(current) > 1:
-                parasitic = _parasitic_gate(current, hw)
-                if parasitic is not None:
-                    out.append(parasitic)
-        run.clear()
-
-    cycle = abstract.cycle_length
-    for i, ins in enumerate(abstract.instructions):
-        if cycle and i % cycle == 0:
-            flush_run()  # a run ends at every cycle boundary
-        if isinstance(ins, RawGate):
-            for a, b, _ in ins.targets:
-                if not (0 <= a < hw.n_ions and 0 <= b < hw.n_ions):
-                    raise HardwareConstraintError(f"gate touches ion outside the array: {(a, b)}")
-            run.append(ins)
-        else:
-            flush_run()
-            out.append(ins)
-    flush_run()
-    return out, tuple(groups)
-
-
-# ---------------------------------------------------------------------------
 # Hardware description files
 # ---------------------------------------------------------------------------
 
@@ -613,31 +491,3 @@ def parse_hardware_text(text: str):
             gamma=converted("gamma", float, 1.0),
         )
     raise HardwareError(f"unknown or missing platform {platform!r}")
-
-
-def _parasitic_gate(group: list[RawGate], hw: TrapArrayModel) -> RawGate | None:
-    """Coherent crosstalk between concurrently pushed gates.
-
-    Each gate's push duration tau follows from its longest-driven pair
-    (theta*w = gamma * d^-3 * tau); ions of different gates then accrue ZZ
-    phase over the shorter of the two durations at their own 1/d^3 coupling.
-    """
-    durations = []
-    for g in group:
-        tau = 0.0
-        for a, b, w in g.targets:
-            coupling = hw.gamma * hw.inv_cube_distance(a, b)
-            tau = max(tau, abs(g.theta * w) / abs(coupling))
-        durations.append(tau)
-    targets = []
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            tau = min(durations[i], durations[j])
-            if tau == 0.0:
-                continue
-            for qa in _gate_ions(group[i]):
-                for qb in _gate_ions(group[j]):
-                    targets.append((qa, qb, hw.gamma * hw.inv_cube_distance(qa, qb) * tau))
-    if not targets:
-        return None
-    return RawGate("crosstalk", 1.0, tuple(targets))

@@ -4,16 +4,6 @@ import numpy as np
 import pytest
 
 import oracles
-from uqsim.compiler import (
-    ApplyLocal,
-    HardwareConstraintError,
-    PulseSchedule,
-    RawGate,
-    schedule_from_text,
-    schedule_to_text,
-    trotter_schedule,
-)
-from uqsim import hardware
 from uqsim.hardware import (
     HardwareError,
     LatticeModel,
@@ -27,12 +17,11 @@ from uqsim.hardware import (
     geometry_remap,
     parse_hardware_text,
     push_gate,
-    realize_schedule,
     theta_from_pulse,
     uqs1_gate,
     uqs2_push,
 )
-from uqsim.pauli import Hamiltonian, LocalLayer, SingleQubitUnitary
+from uqsim.pauli import Hamiltonian
 
 
 def hardware_to_text(model) -> str:
@@ -379,138 +368,6 @@ class TestBeamCompensation:
             beam_compensation([0.0, 1.0], lambda r: 0.5, target=0, tau=0.1)
         with pytest.raises(HardwareError):
             beam_compensation([0.0, 1.0, 2.0], lambda r: r, target=0, tau=0.1)
-
-
-class TestRealizeSchedule:
-    def test_uqs1_maps_translation_class(self):
-        model = LatticeModel(n_sites=3)
-        sched = PulseSchedule(3, (
-            RawGate("zz", 0.1, ((0, 1, 1.0), (1, 2, 1.0))),
-            ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.quarter_turn("X"))),
-        ))
-        realized = realize_schedule(sched, model)
-        gate = realized.schedule.instructions[0]
-        assert gate.gate_id == "uqs1:1"
-        assert gate.theta == 0.1
-        assert realized.schedule.gate_angle_totals() == {"uqs1:1": 0.1}
-
-    def test_uqs1_renames_a_repeated_gate_once(self):
-        # a gate object that repeats stays one object, so the executor still
-        # finds the cycles of a realized schedule
-        gate = RawGate("zz", 0.1, ((0, 1, 1.0), (1, 2, 1.0)))
-        layer = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.quarter_turn("X")))
-        out = realize_schedule(PulseSchedule(3, (gate, layer) * 3), LatticeModel(n_sites=3))
-        body = out.schedule.instructions
-        assert body[0].gate_id == "uqs1:1" and all(ins is body[i % 2] for i, ins in enumerate(body))
-
-    def test_uqs1_rejects_inhomogeneous_layer(self):
-        model = LatticeModel(n_sites=2)
-        layer = LocalLayer.inhomogeneous(
-            [SingleQubitUnitary.quarter_turn("X"), SingleQubitUnitary.identity()]
-        )
-        sched = PulseSchedule(2, (ApplyLocal(layer),))
-        with pytest.raises(HardwareConstraintError, match="addressability"):
-            realize_schedule(sched, model)
-
-    def test_uqs1_rejects_partial_class(self):
-        model = LatticeModel(n_sites=3)
-        sched = PulseSchedule(3, (RawGate("zz", 0.1, ((0, 1, 1.0),)),))
-        with pytest.raises(HardwareConstraintError):
-            realize_schedule(sched, model)
-
-    def test_uqs2_packs_distant_pairs(self):
-        model = chain_trap(13, crosstalk_threshold=2e-3)
-        sched = PulseSchedule(13, (
-            RawGate("push:0-1", 0.2, ((0, 1, 1.0),)),
-            RawGate("push:11-12", 0.3, ((11, 12, 1.0),)),
-        ))
-        realized = realize_schedule(sched, model)
-        assert realized.concurrent_groups == ((0, 1),)
-        assert realized.schedule.gate_angle_totals() == sched.gate_angle_totals()
-
-    def test_uqs2_serializes_near_pairs(self):
-        model = chain_trap(4)
-        sched = PulseSchedule(4, (
-            RawGate("push:0-1", 0.2, ((0, 1, 1.0),)),
-            RawGate("push:2-3", 0.3, ((2, 3, 1.0),)),
-        ))
-        realized = realize_schedule(sched, model)
-        assert realized.concurrent_groups == ((0,), (1,))
-
-    def test_uqs2_crosstalk_error_gates(self):
-        model = chain_trap(13, crosstalk_threshold=2e-3)
-        sched = PulseSchedule(13, (
-            RawGate("push:0-1", 0.2, ((0, 1, 1.0),)),
-            RawGate("push:11-12", 0.2, ((11, 12, 1.0),)),
-        ))
-        realized = realize_schedule(sched, model, include_crosstalk=True)
-        ids = [i.gate_id for i in realized.schedule.instructions if isinstance(i, RawGate)]
-        assert "crosstalk" in ids
-        para = [i for i in realized.schedule.instructions if i.gate_id == "crosstalk"][0]
-        # both pushes last tau=0.2; strongest parasitic pair is at distance 10
-        strongest = max(abs(w) for _, _, w in para.targets)
-        assert strongest == pytest.approx(0.2 / 1000.0, rel=1e-12)
-
-    def test_cycle_fields_stay_only_with_the_instruction_count(self):
-        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
-        target = Hamiltonian.from_terms(4, [(0.5, "ZZII"), (0.5, "IIZZ")])
-        sched, _ = trotter_schedule(target, 1.0, 0.5, model, num_cycles=3)
-        assert (sched.cycle_length, sched.num_cycles) == (2, 3)
-        plain = realize_schedule(sched, model).schedule
-        assert (plain.cycle_length, plain.num_cycles) == (2, 3)
-        noisy = realize_schedule(sched, model, include_crosstalk=True).schedule
-        assert len(noisy.instructions) == 9  # a crosstalk gate per concurrent pair
-        assert (noisy.cycle_length, noisy.num_cycles) == (None, None)
-        text = schedule_to_text(noisy)
-        assert schedule_to_text(schedule_from_text(text)) == text
-
-    def test_packing_is_linear_in_the_cycle_count(self, monkeypatch):
-        # a ZZ-only target has no local layer between its cycles: 2,916 gates
-        # in one run took 46 s when packing ignored the cycle boundaries
-        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
-        target = Hamiltonian.from_terms(4, [(0.5, "ZZII"), (0.5, "IIZZ")])
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return crosstalk_report(*args)
-
-        monkeypatch.setattr(hardware, "crosstalk_report", counted)
-        sched, _ = trotter_schedule(target, 1.0, 0.5, model)
-        assert (len(sched.instructions), sched.cycle_length) == (2916, 2)
-        realized = realize_schedule(sched, model, include_crosstalk=True)
-        # per cycle: its two pushes as one group, then their crosstalk gate
-        assert realized.concurrent_groups == tuple((3 * c, 3 * c + 1) for c in range(1458))
-        counts = []
-        for num_cycles in (3, 6, 12, 24):
-            sched, _ = trotter_schedule(target, 1.0, 0.5, model, num_cycles=num_cycles)
-            calls.clear()
-            realize_schedule(sched, model, include_crosstalk=True)
-            counts.append(len(calls))
-        assert counts == [counts[0] * m for m in (1, 2, 4, 8)]
-
-    def test_no_group_spans_a_cycle_boundary(self):
-        # across cycles the second 0-1 push would pair with the next cycle's 2-3
-        model = TrapArrayModel(positions=((0.0,), (3.0,), (6.0,), (9.0,)), crosstalk_threshold=2.0)
-        cycle = (RawGate("push:0-1", 0.2, ((0, 1, 1.0),)), RawGate("push:2-3", 0.3, ((2, 3, 1.0),)),
-                 RawGate("push:0-1", 0.1, ((0, 1, 1.0),)))
-        sched = PulseSchedule(4, cycle * 4, None, 3, 4)
-        realized = realize_schedule(sched, model)
-        assert realized.concurrent_groups == tuple(
-            g for c in range(4) for g in ((3 * c, 3 * c + 1), (3 * c + 2,)))
-        assert realized.schedule.gate_angle_totals() == sched.gate_angle_totals()
-
-    def test_ordering_preserved_around_layers(self):
-        model = chain_trap(4)
-        layer = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.quarter_turn("Y")))
-        sched = PulseSchedule(4, (
-            RawGate("push:0-1", 0.2, ((0, 1, 1.0),)),
-            layer,
-            RawGate("push:2-3", 0.3, ((2, 3, 1.0),)),
-        ))
-        realized = realize_schedule(sched, model)
-        kinds = [type(i).__name__ for i in realized.schedule.instructions]
-        assert kinds == ["RawGate", "ApplyLocal", "RawGate"]
 
 
 class TestHardwareText:

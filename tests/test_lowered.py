@@ -1,6 +1,7 @@
 """The lowered, batched execution core against the per-instruction loop it
 replaced (kept in oracles.reference_execute)."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -328,6 +329,19 @@ def test_zz_phases_are_the_bits_of_complex_exp():
         assert np.array_equal(got.view(np.uint64),
                               np.concatenate([want, want[..., ::-1]], axis=-1).view(np.uint64))
 
+
+
+def test_zz_phases_allocate_one_lower_half_beside_their_result():
+    # a pass builds the phases of all its occurrences at once (fig5: 28 of
+    # 2^8 angles each), so no full-size copy may be made on the way
+    angles = np.random.default_rng(3).normal(size=(28, 1, 256))
+    tracemalloc.start()
+    try:
+        out = engine._zz_phases(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + angles.nbytes + 4096
 
 def across_gate(n, rng):
     """One gate on (0, n - 1) and random pairs, with random weights."""
