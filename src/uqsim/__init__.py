@@ -12,22 +12,22 @@ import sys
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("kernels", "pauli", "schedule", "compiler", "hardware", "sectors", "engine",
-               "experiments", "svg")
+_SUBMODULES = ("errors", "kernels", "pauli", "schedule", "compiler", "hardware", "sectors",
+               "engine", "experiments", "svg")
 
 _EXPORTS = {name: module for module, names in {
     "pauli": "CoeffMatrix Hamiltonian LocalLayer PauliError PauliString SingleQubitUnitary "
              "coeff_matrix commutator commutator_generator conjugate from_coeff_matrix "
              "pauli_multiply",
-    "schedule": "ApplyLocal CompileError HardwareConstraintError InfeasibleTargetError "
-                "PulseSchedule RawGate UnsupportedInteractionError",
+    "errors": "CompileError EngineError HardwareConstraintError HardwareError "
+              "InfeasibleTargetError UnsupportedInteractionError",
+    "schedule": "ApplyLocal PulseSchedule RawGate",
     "compiler": "ControlSequence CostReport decoupling_echo effective_hamiltonian "
-                "homogeneous_feasibility inhomogeneous_cost magnetic_field_layer "
-                "protocol_library synthesize_diagonal three_body_gate trotter_schedule",
-    "hardware": "HardwareError LatticeModel PulseProfile TrapArrayModel beam_compensation "
-                "crosstalk_report geometry_remap theta_from_pulse uqs1_gate uqs2_push",
-    "engine": "EngineError ErrorModel SpectrumCache StateVector apply_local_layer "
-              "apply_zz_gates eigenspace_histogram exact_evolve expectation fidelity "
+                "homogeneous_feasibility inhomogeneous_cost protocol_library "
+                "synthesize_diagonal three_body_gate trotter_schedule",
+    "hardware": "LatticeModel TrapArrayModel beam_compensation crosstalk_report "
+                "geometry_remap uqs1_gate uqs2_push",
+    "engine": "ErrorModel SpectrumCache StateVector exact_evolve expectation fidelity "
               "ground_state run_schedule",
 }.items() for name in names.split()}
 

@@ -25,15 +25,18 @@ import numpy as np
 # which load on first use (see uqsim/__init__.py), so that each command
 # compiles only the modules it runs.
 from . import __version__, compiler, engine, experiments, hardware, svg
-from .pauli import CoeffMatrix, Hamiltonian, PauliError
-from .schedule import (
+from .errors import (
     CompileError,
+    EngineError,
+    ExperimentError,
     HardwareConstraintError,
+    HardwareError,
     InfeasibleTargetError,
+    StateFormatError,
     UnsupportedInteractionError,
-    schedule_from_lines,
-    schedule_text_chunks,
 )
+from .pauli import CoeffMatrix, Hamiltonian, PauliError
+from .schedule import schedule_from_lines, schedule_text_chunks
 
 CONFIG_DIALECT = "ini-1"
 
@@ -276,8 +279,8 @@ def _checked(where: str, build, *args, **kwargs):
     UsageError that starts with `where`, the key or flag that gave it."""
     try:
         return build(*args, **kwargs)
-    except (CompileError, engine.EngineError, experiments.ExperimentError,
-            hardware.HardwareError, OSError, ValueError) as exc:
+    except (CompileError, EngineError, ExperimentError, HardwareError, OSError,
+            ValueError) as exc:
         raise UsageError(f"{where} {exc}") from exc
 
 
@@ -339,7 +342,7 @@ def load_named_model(cfg) -> experiments.NamedModel:
     kwargs.setdefault("geometry", experiments.Geometry.chain(2))
     try:
         return experiments.NamedModel(**kwargs)
-    except experiments.ExperimentError as exc:
+    except ExperimentError as exc:
         message = str(exc)
         for key, name in MODEL_FIELDS.items():  # name the config keys, not NamedModel's fields
             message = message.replace(name, key)
@@ -666,14 +669,14 @@ def main(argv=None) -> int:
     except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
         sys.stderr.write(f"uqsim: infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (UsageError, PauliError, OSError, engine.StateFormatError, CompileError,
-            experiments.ExperimentError) as exc:
+    except (UsageError, PauliError, OSError, StateFormatError, CompileError,
+            ExperimentError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE
     except PolicyError as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_POLICY
-    except (engine.EngineError, hardware.HardwareError) as exc:
+    except (EngineError, HardwareError) as exc:
         sys.stderr.write(f"uqsim: numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

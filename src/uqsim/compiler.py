@@ -11,9 +11,9 @@ the one planner: it picks the native gates (lattice displacement classes,
 sharing a wrap where their sequences agree; one push of all trap ions for a
 1/d^3 target, else one push per pair).
 
-The instructions it emits, the schedule text format and CompileError live
-in uqsim.schedule, which the executor reads without this planner; they
-are re-exported here.
+The instructions it emits and the schedule text format live in
+uqsim.schedule, which the executor reads without this planner; they and
+CompileError (uqsim.errors) are re-exported here.
 """
 from __future__ import annotations
 
@@ -810,24 +810,3 @@ def decoupling_echo(raw: Hamiltonian, theta: float) -> EchoSequence:
             raise CompileError(f"echo raw generator must be at most two-body, got {t.ops}")
     flip = LocalLayer.homogeneous(SingleQubitUnitary.pauli_flip("X"))
     return EchoSequence(raw, theta, flip, Hamiltonian(raw.n_qubits, tuple(zz_terms)))
-
-
-def magnetic_field_layer(
-    b: float,
-    direction: Sequence[float],
-    dt: float,
-    b_per_qubit: Sequence[float] | None = None,
-) -> LocalLayer:
-    """Local layer exp(-i * B * (n.sigma) * dt), homogeneous by default.
-
-    With `b_per_qubit`, a per-site field magnitude list replaces `b` and the
-    layer is inhomogeneous (same direction everywhere).
-    """
-    n = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-10:
-        raise CompileError(f"direction must be a unit vector (|n| = {norm})")
-    n = n / norm
-    if b_per_qubit is None:
-        return LocalLayer.homogeneous(SingleQubitUnitary.rot(n, b * dt))
-    return LocalLayer.inhomogeneous([SingleQubitUnitary.rot(n, ba * dt) for ba in b_per_qubit])

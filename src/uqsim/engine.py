@@ -89,6 +89,7 @@ from itertools import groupby
 import numpy as np
 
 from . import kernels
+from .errors import EngineError, StateFormatError
 from .kernels import STATEVECTOR_CAP
 from .schedule import ApplyLocal, PulseSchedule, RawGate
 from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
@@ -99,14 +100,6 @@ RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
 DENSE_CAP = 12
 """Most qubits of a Hamiltonian the exact oracle decomposes (_check_dense)."""
-
-
-class EngineError(Exception):
-    pass
-
-
-class StateFormatError(EngineError):
-    """A malformed or unnormalised state dump (a parse error, not a numeric one)."""
 
 
 def _check_dense(n_qubits: int):
@@ -912,40 +905,6 @@ def execute_instructions(
     return execute_batch(amps[None, :], n_qubits, instructions, err, draws, log)
 
 
-def apply_local_layer(
-    state: StateVector,
-    layer: LocalLayer,
-    err: ErrorModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply one layer of single-qubit unitaries (pure; returns a new state)."""
-    if err is not None and err.eta_local > 0 and rng is None:
-        rng = err.rng()
-    out = state.copy()
-    execute_instructions(out.amps, out.n_qubits, [ApplyLocal(layer)], err, rng)
-    out.check_norm()
-    return out
-
-
-def apply_zz_gates(
-    state: StateVector,
-    gates,
-    err: ErrorModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply a list of (a, b, theta) diagonal ZZ gates (pure)."""
-    for a, b, _ in gates:
-        if a == b:
-            raise EngineError(f"ZZ gate with identical qubits {a}")
-    if err is not None and err.eta_int > 0 and rng is None:
-        rng = err.rng()
-    out = state.copy()
-    gate = RawGate("zz", 1.0, tuple((a, b, theta) for a, b, theta in gates))
-    execute_instructions(out.amps, out.n_qubits, [gate], err, rng)
-    out.check_norm()
-    return out
-
-
 def run_schedule(
     state: StateVector,
     schedule: PulseSchedule,
@@ -1197,15 +1156,6 @@ def subspace_fidelity(psi: StateVector, basis: np.ndarray) -> float:
     """||P psi||^2 for the projector P onto the spanned (orthonormal) columns."""
     overlaps = basis.conj().T @ psi.amps
     return float(np.real(np.vdot(overlaps, overlaps)))
-
-
-def eigenspace_histogram(state: StateVector, h: Hamiltonian) -> list[tuple[float, float]]:
-    """Weights of the state in each (possibly degenerate) eigenspace of h."""
-    out = SpectrumCache.from_hamiltonian(h).histogram(state)
-    total = sum(w for _, w in out)
-    if abs(total - 1.0) > 1e-9:
-        raise EngineError(f"histogram weights sum to {total}, expected 1")
-    return out
 
 
 # ---------------------------------------------------------------------------

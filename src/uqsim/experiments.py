@@ -29,12 +29,9 @@ from .engine import (
     _check_dense,
     ground_state,
 )
+from .errors import ExperimentError
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes, inv_cube
 from .pauli import Hamiltonian, PauliString
-
-
-class ExperimentError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------

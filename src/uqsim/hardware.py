@@ -19,12 +19,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .compiler import check_gamma
+from .errors import HardwareError
 from .pauli import Hamiltonian, PauliString
 from .schedule import RawGate
-
-
-class HardwareError(Exception):
-    """Invalid hardware description or unsolvable addressing problem."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +141,6 @@ class TrapArrayModel:
         return out
 
 
-@dataclass(frozen=True)
-class PulseProfile:
-    """Sampled push-force envelope f(t) in [0, 1], zero at both ends."""
-
-    samples: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or s.size < 2:
-            raise HardwareError("profile needs at least 2 samples")
-        if np.min(s) < -1e-12 or np.max(s) > 1.0 + 1e-12:
-            raise HardwareError("profile values must lie in [0, 1]")
-        if abs(s[0]) > 1e-12 or abs(s[-1]) > 1e-12:
-            raise HardwareError("profile must start and end at 0 (push and return)")
-        if self.dt <= 0:
-            raise HardwareError("dt must be positive")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-
 # ---------------------------------------------------------------------------
 # UQS1 displacement gates
 # ---------------------------------------------------------------------------
@@ -261,18 +237,6 @@ def push_gate(model: TrapArrayModel, pushed: Iterable[int], theta_base: float) -
     targets = tuple((a, b, model.inv_cube_distance(a, b))
                     for a, b in itertools.combinations(ions, 2))
     return RawGate("push:" + ",".join(str(i) for i in ions), theta_base, targets)
-
-
-def theta_from_pulse(
-    fa: PulseProfile, fb: PulseProfile, model: TrapArrayModel, dist: float
-) -> float:
-    """ZZ phase from two push envelopes: -kappa * d^-3 * integral fA*fB dt."""
-    if fa.samples.size != fb.samples.size or fa.dt != fb.dt:
-        raise HardwareError("pulse profiles must share sample count and dt")
-    if dist <= 0:
-        raise HardwareError("distance must be positive")
-    overlap = float(np.trapezoid(fa.samples * fb.samples, dx=fa.dt))
-    return -model.kappa * overlap / (dist * dist * dist)
 
 
 # ---------------------------------------------------------------------------

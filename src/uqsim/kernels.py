@@ -2,9 +2,9 @@
 
 Schedule execution multiplies each fused block into the state as one
 matmul of `block_view` and `block_operand`, the one home of the block's
-reshape rule (`apply_block` is that product in one call), and builds its
-ZZ diagonals from the sign rows of `zz_signs` over the lower half of the
-basis (half=True), mirrored onto the upper half.
+reshape rule, and builds its ZZ diagonals from the sign rows of
+`zz_signs` over the lower half of the basis (half=True), mirrored onto the
+upper half.
 `apply_single_qubit` and `apply_zz_phase` apply one instruction's unitary
 as it stands: they are the kernels of the per-instruction reference that
 the tests compare execution against, and the benchmark's tracer
@@ -12,9 +12,8 @@ the tests compare execution against, and the benchmark's tracer
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit) and
 come as one state (2^n,) or a batch of states (R, 2^n); the kernels mutate
-them in place, or `apply_block` writes into `out` when given. Z_a Z_b has
-eigenvalue +1 on basis states where bits a and b agree and -1 where they
-differ; `zz_signs` is the one place that rule lives.
+them in place. Z_a Z_b has eigenvalue +1 on basis states where bits a and b
+agree and -1 where they differ; `zz_signs` is the one place that rule lives.
 """
 from __future__ import annotations
 
@@ -54,24 +53,6 @@ def block_operand(u: np.ndarray, lo: int) -> np.ndarray:
     u^T on the right at qubit 0 (view @ u^T), above it u on the left with
     an axis for the view's slices (u @ view)."""
     return np.swapaxes(u, -1, -2) if lo == 0 else u[..., None, :, :]
-
-
-def apply_block(amps: np.ndarray, lo: int, u: np.ndarray, out: np.ndarray | None = None) -> None:
-    """u (2^k, 2^k) on qubits lo..lo+k-1 of amps (2^n,) or of every row of
-    amps (R, 2^n), or u (R, 2^k, 2^k), one per row. Qubit lo + j is bit j
-    of the block's row and column index. The result goes into `out` (amps'
-    shape, no memory shared) when given, else into amps.
-
-    One matmul of block_view and block_operand, the product that schedule
-    execution makes per block.
-    """
-    k = u.shape[-1].bit_length() - 1
-    view, op = block_view(amps, lo, k), block_operand(u, lo)
-    left, right = (view, op) if lo == 0 else (op, view)
-    if out is None:
-        view[...] = left @ right
-    else:
-        np.matmul(left, right, out=block_view(out, lo, k))
 
 
 def zz_signs(n_qubits: int, a: int, b: int, half: bool = False) -> np.ndarray:

@@ -7,8 +7,8 @@ executor (uqsim.engine) runs them; this module holds what both share, so
 that running a schedule loads no planner. The schedule text holds a
 schedule of L repeats of one cycle as that cycle and L (version 2), and any
 other schedule line by line (version 1); MAX_INSTRUCTIONS bounds what a
-schedule may hold. CompileError and its subclasses are the errors of
-compiling and of reading schedules.
+schedule may hold. CompileError and its subclasses (uqsim.errors) are the
+errors of compiling and of reading schedules.
 """
 from __future__ import annotations
 
@@ -19,27 +19,17 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .errors import (  # noqa: F401  (the compile errors, re-exported)
+    CompileError,
+    HardwareConstraintError,
+    InfeasibleTargetError,
+    UnsupportedInteractionError,
+)
 from .kernels import STATEVECTOR_CAP
 from .pauli import LocalLayer, PauliError, SingleQubitUnitary, read_header
 
 if TYPE_CHECKING:
     from .compiler import CostReport
-
-
-class CompileError(Exception):
-    """Base class for compilation failures."""
-
-
-class InfeasibleTargetError(CompileError):
-    """Homogeneous control cannot produce the target (sign condition)."""
-
-
-class HardwareConstraintError(CompileError):
-    """The hardware model cannot realize the requested schedule."""
-
-
-class UnsupportedInteractionError(CompileError):
-    """Interaction matrix outside the synthesizable library."""
 
 
 # ---------------------------------------------------------------------------

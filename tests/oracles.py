@@ -98,6 +98,19 @@ def local_layer_matrix(unitaries) -> np.ndarray:
     return m
 
 
+def apply_block(amps, lo, u):
+    """u (2^k, 2^k), or one per row (R, 2^k, 2^k), on qubits lo..lo+k-1 of
+    amps (2^n,) or of every row of amps (R, 2^n), in place. Qubit lo + j is
+    bit j of the block's row and column index. The product of
+    kernels.block_view and kernels.block_operand that FusedCycle.execute
+    makes per block."""
+    from uqsim import kernels
+
+    k = u.shape[-1].bit_length() - 1
+    view, op = kernels.block_view(amps, lo, k), kernels.block_operand(u, lo)
+    view[...] = view @ op if lo == 0 else op @ view
+
+
 # ---------------------------------------------------------------------------
 # Reference execution: the per-instruction loop the lowered engine replaced
 # ---------------------------------------------------------------------------

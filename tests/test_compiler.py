@@ -28,7 +28,6 @@ from uqsim.compiler import (
     field_angles,
     homogeneous_feasibility,
     inhomogeneous_cost,
-    magnetic_field_layer,
     plan_for_hamiltonian,
     protocol_library,
     schedule_from_text,
@@ -899,33 +898,6 @@ class TestDecouplingEcho:
 
 
 class TestMagneticFieldLayer:
-    def test_zero_field_identity(self):
-        assert magnetic_field_layer(0.0, (0, 0, 1), 0.5).is_identity()
-
-    def test_z_rotation_diagonal(self):
-        layer = magnetic_field_layer(1.0, (0, 0, 1), math.pi / 2)
-        u = layer.unitary_at(0).matrix
-        np.testing.assert_allclose(
-            u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]), atol=1e-12
-        )
-
-    def test_x_quarter(self):
-        layer = magnetic_field_layer(1.0, (1, 0, 0), math.pi / 4)
-        expect = SingleQubitUnitary.quarter_turn("X").matrix
-        np.testing.assert_allclose(layer.unitary_at(0).matrix, expect, atol=1e-12)
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(CompileError):
-            magnetic_field_layer(1.0, (0.0, 0.0, 2.0), 0.1)
-
-    def test_per_qubit_fields(self):
-        layer = magnetic_field_layer(0.0, (1, 0, 0), 0.3, b_per_qubit=[0.5, 0.0, -0.2])
-        assert not layer.is_homogeneous
-        np.testing.assert_allclose(
-            layer.unitary_at(0).matrix, oracles.expm(-1j * 0.15 * oracles.SX), atol=1e-12
-        )
-        assert layer.unitary_at(1).is_identity()
-
     def test_field_angles_read_the_plans_field_axes(self):
         # norms and axes are computed once per plan; each dt only scales them
         fields = ((0.3, 0.0, 0.1), (0.0, 0.0, 0.0), (0.2, -0.4, 0.0))

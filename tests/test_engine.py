@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 import oracles
 from uqsim import engine, kernels
-from uqsim.compiler import ApplyLocal, PulseSchedule, RawGate
+from uqsim.compiler import ApplyLocal, CompileError, PulseSchedule, RawGate
 from uqsim.engine import (
     EngineError,
     ErrorModel,
     SpectrumCache,
     StateFormatError,
     StateVector,
-    apply_local_layer,
-    apply_zz_gates,
-    eigenspace_histogram,
     exact_evolve,
     expectation,
     expectation_energy,
@@ -112,7 +109,7 @@ class TestKernels:
             block = np.array([oracles.local_layer_matrix([u[r] for u in us]) for r in range(rows)]
                              if per_row else oracles.local_layer_matrix(us))
             got = amps.copy()
-            kernels.apply_block(got, lo, block)
+            oracles.apply_block(got, lo, block)
             for r in range(rows):
                 mats = [np.eye(2)] * n
                 mats[lo:lo + k] = [u[r] for u in us] if per_row else us
@@ -120,65 +117,58 @@ class TestKernels:
                 np.testing.assert_allclose(got[r], dense @ amps[r], atol=1e-12)
             if not per_row:  # a single state (2^n,)
                 one = amps[0].copy()
-                kernels.apply_block(one, lo, block)
+                oracles.apply_block(one, lo, block)
                 np.testing.assert_allclose(one, got[0], atol=1e-12)
 
-    @pytest.mark.parametrize("per_row", [False, True])
-    @pytest.mark.parametrize("n", [1, 3, 6, 9])
-    def test_block_into_out_matches_in_place(self, n, per_row):
-        # the result written into `out` is the in-place result bit for bit,
-        # at qubit 0 and above it, and amps is left as it was
-        rows = 3
-        amps = self.batch(n, rows)
-        rng = np.random.default_rng(n)
-        for lo, k in self.block_positions(n):
-            shape = (rows, 2**k, 2**k) if per_row else (2**k, 2**k)
-            block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            in_place, source, out = amps.copy(), amps.copy(), np.full_like(amps, np.nan)
-            kernels.apply_block(in_place, lo, block)
-            kernels.apply_block(source, lo, block, out)
-            assert out.tobytes() == in_place.tobytes()
-            assert source.tobytes() == amps.tobytes()
+
+def run_one(state, ins, err=None):
+    """The state after a one-instruction schedule, as run_schedule runs it."""
+    return run_schedule(state, PulseSchedule(state.n_qubits, (ins,)), err)[0]
+
+
+def zz_gate(gates):
+    return RawGate("zz", 1.0, tuple(gates))
 
 
 class TestApplyLocalLayer:
     def test_identity(self):
         s = random_state(3)
-        out = apply_local_layer(s, LocalLayer.identity())
+        out = run_one(s, ApplyLocal(LocalLayer.identity()))
         np.testing.assert_array_equal(out.amps, s.amps)
 
     def test_x_layer_flips_all(self):
         s = StateVector.zero_state(3)
         layer = LocalLayer.homogeneous(SingleQubitUnitary.rot((1, 0, 0), math.pi / 2))
-        out = apply_local_layer(s, layer)
+        out = run_one(s, ApplyLocal(layer))
         probs = np.abs(out.amps) ** 2
         assert probs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_eta_bit_identical_to_no_error(self):
         s = random_state(4, 7)
-        layer = LocalLayer.homogeneous(SingleQubitUnitary.rot((0, 0, 1), 0.4))
-        clean = apply_local_layer(s, layer, err=None)
-        noisy = apply_local_layer(s, layer, err=ErrorModel(0.0, 0.0, seed=1))
+        ins = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.rot((0, 0, 1), 0.4)))
+        clean = run_one(s, ins, err=None)
+        noisy = run_one(s, ins, err=ErrorModel(0.0, 0.0, seed=1))
         np.testing.assert_array_equal(clean.amps, noisy.amps)
 
     def test_norm_preserved_with_noise(self):
         s = random_state(4, 8)
-        layer = LocalLayer.homogeneous(SingleQubitUnitary.rot((1, 0, 0), 1.1))
-        out = apply_local_layer(s, layer, err=ErrorModel(eta_local=0.05, seed=3))
+        ins = ApplyLocal(LocalLayer.homogeneous(SingleQubitUnitary.rot((1, 0, 0), 1.1)))
+        out = run_one(s, ins, err=ErrorModel(eta_local=0.05, seed=3))
+        assert not np.array_equal(out.amps, run_one(s, ins).amps)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestApplyZZ:
     def test_zero_angle_identity(self):
         s = random_state(2)
-        out = apply_zz_gates(s, [(0, 1, 0.0)])
+        out = run_one(s, zz_gate([(0, 1, 0.0)]))
         np.testing.assert_array_equal(out.amps, s.amps)
 
     def test_parity_rule(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1 / math.sqrt(2)  # |00> + |11>
         s = StateVector(2, amps)
-        out = apply_zz_gates(s, [(0, 1, math.pi / 4)])
+        out = run_one(s, zz_gate([(0, 1, math.pi / 4)]))
         expect = np.exp(-1j * math.pi / 4)
         assert out.amps[0] / s.amps[0] == pytest.approx(expect, abs=1e-12)
         assert out.amps[3] / s.amps[3] == pytest.approx(expect, abs=1e-12)
@@ -187,7 +177,7 @@ class TestApplyZZ:
         # 1/d^3 chain couplings on 3 qubits vs dense matrix exponential
         s = random_state(3, 12)
         gates = [(0, 1, 0.3), (1, 2, 0.3), (0, 2, 0.3 / 8)]
-        out = apply_zz_gates(s, gates)
+        out = run_one(s, zz_gate(gates))
         gen = oracles.dense_hamiltonian(
             3, [(0.3, "ZZI"), (0.3, "IZZ"), (0.3 / 8, "ZIZ")]
         )
@@ -197,13 +187,13 @@ class TestApplyZZ:
     def test_gate_order_irrelevant(self):
         s = random_state(4, 13)
         gates = [(0, 1, 0.2), (2, 3, 0.7), (1, 2, -0.4)]
-        a = apply_zz_gates(s, gates)
-        b = apply_zz_gates(s, list(reversed(gates)))
+        a = run_one(s, zz_gate(gates))
+        b = run_one(s, zz_gate(reversed(gates)))
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-12)
 
     def test_identical_qubits_rejected(self):
-        with pytest.raises(EngineError):
-            apply_zz_gates(random_state(2), [(1, 1, 0.1)])
+        with pytest.raises(CompileError, match="identical qubit 1"):
+            zz_gate([(0, 2, 0.3), (1, 1, 0.1)])
 
 
 class TestRunSchedule:
@@ -419,19 +409,19 @@ class TestSpectrumAndHistogram:
     def test_ground_vector_weight(self):
         h = Hamiltonian.from_terms(2, [(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
         gs = ground_state(h)
-        hist = eigenspace_histogram(gs.state, h)
+        hist = SpectrumCache.from_hamiltonian(h).histogram(gs.state)
         assert hist[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_superposition_of_degenerate_space(self):
         h = Hamiltonian.from_terms(2, [(1.0, "ZZ")])
         psi = StateVector(2, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
-        hist = eigenspace_histogram(psi, h)
+        hist = SpectrumCache.from_hamiltonian(h).histogram(psi)
         assert hist[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_sum_to_one(self):
         h = Hamiltonian.from_terms(3, [(0.3, "ZZI"), (0.4, "IXX")])
         s = random_state(3, 17)
-        hist = eigenspace_histogram(s, h)
+        hist = SpectrumCache.from_hamiltonian(h).histogram(s)
         assert sum(w for _, w in hist) == pytest.approx(1.0, abs=1e-9)
         assert all(w >= -1e-12 for _, w in hist)
 

@@ -7,7 +7,6 @@ import oracles
 from uqsim.hardware import (
     HardwareError,
     LatticeModel,
-    PulseProfile,
     TrapArrayModel,
     beam_compensation,
     compensation_angles,
@@ -17,7 +16,6 @@ from uqsim.hardware import (
     geometry_remap,
     parse_hardware_text,
     push_gate,
-    theta_from_pulse,
     uqs1_gate,
     uqs2_push,
 )
@@ -208,49 +206,6 @@ class TestUqs2Push:
     def test_min_spacing_enforced(self):
         with pytest.raises(HardwareError):
             TrapArrayModel(positions=((0.0,), (0.5,)))
-
-
-class TestThetaFromPulse:
-    def test_zero_profile(self):
-        t = np.linspace(0, 1, 11)
-        fa = PulseProfile(np.sin(math.pi * t) ** 2, 0.1)
-        fb = PulseProfile(np.zeros(11), 0.1)
-        model = chain_trap(2, kappa=1.0)
-        assert theta_from_pulse(fa, fb, model, 1.0) == 0.0
-
-    def test_near_rectangular_gives_minus_duration(self):
-        n = 2001
-        dt = 1.0 / (n - 1)
-        samples = np.ones(n)
-        samples[0] = samples[-1] = 0.0
-        f = PulseProfile(samples, dt)
-        model = chain_trap(2, kappa=1.0)
-        theta = theta_from_pulse(f, f, model, 1.0)
-        assert theta == pytest.approx(-1.0, abs=2 * dt)
-
-    def test_triangular_ramp_matches_fine_quadrature(self):
-        n = 1001
-        dt = 1.0 / (n - 1)
-        t = np.linspace(0, 1, n)
-        tri = 1.0 - np.abs(2 * t - 1.0)
-        f = PulseProfile(tri, dt)
-        model = chain_trap(2, kappa=2.0)
-        theta = theta_from_pulse(f, f, model, 2.0)
-        # independent fine-grid quadrature of the same piecewise-linear pulse
-        tf = np.linspace(0, 1, 100001)
-        fine = np.interp(tf, t, tri)
-        expect = -2.0 * np.trapezoid(fine * fine, tf) / 8.0
-        assert theta == pytest.approx(expect, abs=1e-6)
-
-    def test_profile_validation(self):
-        with pytest.raises(HardwareError):
-            PulseProfile(np.array([0.0, 1.5, 0.0]), 0.1)
-        with pytest.raises(HardwareError):
-            PulseProfile(np.array([0.2, 1.0, 0.0]), 0.1)
-        fa = PulseProfile(np.array([0.0, 1.0, 0.0]), 0.1)
-        fb = PulseProfile(np.array([0.0, 1.0, 1.0, 0.0]), 0.1)
-        with pytest.raises(HardwareError):
-            theta_from_pulse(fa, fb, chain_trap(2), 1.0)
 
 
 class TestCrosstalkReport:

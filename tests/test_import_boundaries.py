@@ -92,8 +92,8 @@ def test_each_command_executes_only_the_modules_it_runs(tmp_path):
 ])
 def test_an_error_named_in_a_module_not_yet_loaded_keeps_its_exit_code(
         tmp_path, command, config, bad_file, bad_text):
-    # main's except clauses name classes of engine and experiments, which a
-    # compile has not loaded when the parse error reaches them
+    # main's except clauses name the error classes of every module; they
+    # live in uqsim.errors, so the failing command runs only its own modules
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "compiled").mkdir()
@@ -104,21 +104,22 @@ def test_an_error_named_in_a_module_not_yet_loaded_keeps_its_exit_code(
     assert run["code"] == 1
     assert run["stderr"].startswith("uqsim: ") and "numeric failure" not in run["stderr"]
     assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (EXECUTOR if command == "compile" else PLANNER) & set(run["ran"])
 
 
 EXPORTED = {
     "pauli": "CoeffMatrix Hamiltonian LocalLayer PauliError PauliString SingleQubitUnitary "
              "coeff_matrix commutator commutator_generator conjugate from_coeff_matrix "
              "pauli_multiply",
-    "schedule": "ApplyLocal CompileError HardwareConstraintError InfeasibleTargetError "
-                "PulseSchedule RawGate UnsupportedInteractionError",
+    "errors": "CompileError EngineError HardwareConstraintError HardwareError "
+              "InfeasibleTargetError UnsupportedInteractionError",
+    "schedule": "ApplyLocal PulseSchedule RawGate",
     "compiler": "ControlSequence CostReport decoupling_echo effective_hamiltonian "
-                "homogeneous_feasibility inhomogeneous_cost magnetic_field_layer "
-                "protocol_library synthesize_diagonal three_body_gate trotter_schedule",
-    "hardware": "HardwareError LatticeModel PulseProfile TrapArrayModel beam_compensation "
-                "crosstalk_report geometry_remap theta_from_pulse uqs1_gate uqs2_push",
-    "engine": "EngineError ErrorModel SpectrumCache StateVector apply_local_layer "
-              "apply_zz_gates eigenspace_histogram exact_evolve expectation fidelity "
+                "homogeneous_feasibility inhomogeneous_cost protocol_library "
+                "synthesize_diagonal three_body_gate trotter_schedule",
+    "hardware": "LatticeModel TrapArrayModel beam_compensation crosstalk_report "
+                "geometry_remap uqs1_gate uqs2_push",
+    "engine": "ErrorModel SpectrumCache StateVector exact_evolve expectation fidelity "
               "ground_state run_schedule",
 }
 NAMES = sorted((name, module) for module, names in EXPORTED.items() for name in names.split())

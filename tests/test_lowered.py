@@ -310,7 +310,7 @@ def test_fused_block_diagonal_factors_match_kernel_calls(k, rows):
     for c in range(2):
         start = np.array([random_amps(k, 10 * c + r) for r in range(rows)])
         got = start.copy()
-        kernels.apply_block(got, 0, block[c])
+        oracles.apply_block(got, 0, block[c])
         ref = zz_reference(start, first, coef[c, :, :len(first)])
         for row, m in zip(ref, mats[c]):
             kernels.apply_single_qubit(row, 0, m[0])
