@@ -120,6 +120,27 @@ class TestKernels:
                 oracles.apply_block(one, lo, block)
                 np.testing.assert_allclose(one, got[0], atol=1e-12)
 
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_block_into_out_matches_in_place(self, n, per_row):
+        # FusedCycle.execute writes each block's product into the views of
+        # a second buffer (np.matmul(..., out=)): that is the in-place
+        # result bit for bit, at qubit 0 and above it, and amps is left as
+        # it was
+        rows = 3
+        amps = self.batch(n, rows)
+        rng = np.random.default_rng(n)
+        for lo, k in self.block_positions(n):
+            shape = (rows, 2**k, 2**k) if per_row else (2**k, 2**k)
+            block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            in_place, source, out = amps.copy(), amps.copy(), np.full_like(amps, np.nan)
+            oracles.apply_block(in_place, lo, block)
+            view, op = kernels.block_view(source, lo, k), kernels.block_operand(block, lo)
+            target = kernels.block_view(out, lo, k)
+            np.matmul(view, op, out=target) if lo == 0 else np.matmul(op, view, out=target)
+            assert out.tobytes() == in_place.tobytes()
+            assert source.tobytes() == amps.tobytes()
+
 
 def run_one(state, ins, err=None):
     """The state after a one-instruction schedule, as run_schedule runs it."""

@@ -152,3 +152,40 @@ def test_the_compiler_re_exports_the_instruction_set(name):
     from uqsim import compiler, schedule
 
     assert getattr(compiler, name) is getattr(schedule, name)
+
+
+RAISED_BY = [  # each class of uqsim.errors, the module that raises it, its exit code and prefix
+    ("CompileError", "schedule", 1, "uqsim: "),
+    ("InfeasibleTargetError", "schedule", 2, "uqsim: infeasible: "),
+    ("HardwareConstraintError", "schedule", 2, "uqsim: infeasible: "),
+    ("UnsupportedInteractionError", "schedule", 2, "uqsim: infeasible: "),
+    ("EngineError", "engine", 4, "uqsim: numeric failure: "),
+    ("StateFormatError", "engine", 1, "uqsim: "),
+    ("HardwareError", "hardware", 4, "uqsim: numeric failure: "),
+    ("ExperimentError", "experiments", 1, "uqsim: "),
+]
+
+
+@pytest.mark.parametrize("name, module, code, prefix", RAISED_BY)
+def test_the_raising_module_re_exports_its_error_class(name, module, code, prefix):
+    import importlib
+
+    from uqsim import errors
+
+    assert getattr(importlib.import_module(f"uqsim.{module}"), name) is getattr(errors, name)
+
+
+@pytest.mark.parametrize("name, module, code, prefix", RAISED_BY)
+def test_each_error_class_keeps_its_exit_code(tmp_path, monkeypatch, capsys, name, module, code,
+                                              prefix):
+    # a subclass is caught before its base: StateFormatError is an
+    # EngineError that exits 1, and the three infeasible CompileErrors exit 2
+    from uqsim import cli, errors
+
+    def fail(*_):
+        raise getattr(errors, name)("the reason")
+
+    monkeypatch.setitem(cli.HANDLERS, "cost", (fail,))
+    (tmp_path / "c.cfg").write_text("[cost]\n")
+    assert cli.main(["cost", "--config", str(tmp_path / "c.cfg")]) == code
+    assert capsys.readouterr().err == f"{prefix}the reason\n"
