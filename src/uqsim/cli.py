@@ -32,6 +32,7 @@ from .errors import (
     HardwareConstraintError,
     HardwareError,
     InfeasibleTargetError,
+    LogFormatError,
     StateFormatError,
     UnsupportedInteractionError,
 )
@@ -95,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          help="execute a pulse schedule on a statevector")))
     p_sim.add_argument("--oracle", action="store_true",
                        help="also compare against exact dense evolution")
+    p_sim.add_argument("--replay", metavar="LOG", default=None,
+                       help="take every jitter draw from an execution_log.txt of an earlier "
+                            "run of this schedule, not from the seed's generator")
     p_adia = seeded(common(sub.add_parser("adiabatic",
                                           help="adiabatic ground-state preparation runs")))
     p_adia.add_argument("--steps", type=int, default=None, help="override step count")
@@ -299,6 +303,12 @@ def _read_input(path: Path, parse="".join):
         return parse(_lines(fh))
 
 
+def _read_log(path: Path) -> tuple[engine.ExecutionLog, str]:
+    """The execution log in a file, and the sha256 of its bytes."""
+    text = _read_input(path)
+    return engine.ExecutionLog.from_text(text), hashlib.sha256(text.encode()).hexdigest()
+
+
 def _input(cfg, name: str, key: str, config_path: Path, parse="".join):
     """_read_input of the file that [name] key names (a path, or file:PATH),
     relative to the config's directory unless absolute; a file it cannot
@@ -459,9 +469,19 @@ def cmd_simulate(args, cfg, config_path) -> int:
         if h.n_qubits != schedule.n_qubits:
             raise UsageError(f"[simulate] oracle_hamiltonian holds {h.n_qubits} qubits, "
                              f"the schedule is for {schedule.n_qubits}")
-    seed = _run_seed(args, section)
+    seed, replay, where = _run_seed(args, section), None, f"--replay {args.replay}:"
+    if args.replay is not None:  # the run takes its draws and its seed from the log
+        replay, digest = _checked(where, _read_log, Path(args.replay))
+        if args.seed is not None and args.seed != replay.seed:
+            raise UsageError(f"{where} the log is of seed={replay.seed}, not --seed {args.seed}")
+        if replay.seed is None and (section["eta_local"] or section["eta_int"]):
+            raise UsageError(f"{where} the log is of a run without jitter (seed=None)")
+        seed = replay.seed
     err = _error_model_from(section, seed)
-    final, log = engine.run_schedule(state, schedule, err)
+    try:
+        final, log = engine.run_schedule(state, schedule, err, replay)
+    except LogFormatError as exc:  # the log does not fit this schedule and error model
+        raise UsageError(f"{where} {exc}") from exc
     writer = OutputWriter(Path(args.out_dir))
     writer.write("state.txt", final.dump_text())
     writer.write_chunks("execution_log.txt", log.text_chunks())
@@ -477,7 +497,8 @@ def cmd_simulate(args, cfg, config_path) -> int:
         summary["oracle_fidelity"] = fid
         print(f"oracle_fidelity={fid!r}")
     writer.write("summary.json", json.dumps(summary, indent=2) + "\n")
-    writer.manifest("simulate", config_path, seed)
+    writer.manifest("simulate", config_path, seed,
+                    None if replay is None else {"replay": {"log": args.replay, "sha256": digest}})
     print(f"final state written ({final.n_qubits} qubits, norm={final.norm():.12f})")
     return EXIT_OK
 
@@ -669,7 +690,7 @@ def main(argv=None) -> int:
     except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
         sys.stderr.write(f"uqsim: infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (UsageError, PauliError, OSError, StateFormatError, CompileError,
+    except (UsageError, PauliError, OSError, StateFormatError, LogFormatError, CompileError,
             ExperimentError) as exc:
         sys.stderr.write(f"uqsim: {exc}\n")
         return EXIT_USAGE

@@ -63,8 +63,10 @@ states still follows the parts' rounding (see ground_vector).
 
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per pass mapped onto [-eta, eta] exactly as per-instruction
-rng.uniform calls would. The log keeps the draws that reach the state,
-and a run replays from it (run_schedule(..., replay=log)) bit for bit.
+rng.uniform calls would. The log (uqsim.execlog.ExecutionLog) keeps the
+draws that reach the state, written exactly as base64 of their float64
+bytes, and a run replays from it (run_schedule(..., replay=log), `uqsim
+simulate --replay`) bit for bit.
 The same command and seed give bit-identical results. The fused
 arithmetic multiplies in another order than one kernel call per
 instruction: it agrees with that per-instruction reference within 1e-12,
@@ -80,7 +82,6 @@ few at a time.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -89,14 +90,14 @@ from itertools import groupby
 import numpy as np
 
 from . import kernels
-from .errors import EngineError, StateFormatError
+from .errors import EngineError, LogFormatError, StateFormatError  # noqa: F401 (re-exported)
+from .execlog import ExecutionLog, LogDraws, log_codes
 from .kernels import STATEVECTOR_CAP
 from .schedule import ApplyLocal, PulseSchedule, RawGate
 from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
                     read_header)
 from .sectors import Sectors
 
-RNG_ALGORITHM = "numpy-PCG64"
 NORM_TOL = 1e-9
 DENSE_CAP = 12
 """Most qubits of a Hamiltonian the exact oracle decomposes (_check_dense)."""
@@ -229,135 +230,6 @@ class ErrorModel:
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
-class LogFormatError(EngineError):
-    """A malformed execution log text (a parse error, not a numeric one)."""
-
-
-_LOG_HEADER = re.compile(r"# execution log rng=(\S+) seed=(None|\d+)")
-_LOG_KINDS = ("local", "gate")
-
-
-@functools.cache
-def _log_line_template(kind: str, count: int) -> str:
-    """The `%` template of an execution log line of `count` draws."""
-    return f"%d {kind} {','.join(['%.17g'] * count) if count else '-'}\n"
-
-
-class ExecutionLog:
-    """The jitter draws that reach the state, enough to replay a run: a
-    local layer's at its active qubits (LoweredLayer.active), a gate's at
-    its targets, each in order.
-
-    Kept per pass of FusedCycle.execute: the index of the pass's first
-    instruction (rows are numbered in the order they are recorded), each
-    instruction's kind ("local" or "gate") and logged count, and one float
-    array of the pass's logged draws; `record` appends one pass. The text
-    has one line per instruction, each draw written %.17g: `text_chunks`
-    yields it one pass at a time, `to_text` joins them, and `from_text`
-    reads it back exactly, as it does a log of shortest reprs.
-    run_schedule(..., replay=log) takes every draw from it (LogDraws).
-    """
-
-    def __init__(self, rng_algorithm: str = RNG_ALGORITHM, seed: int | None = None):
-        self.rng_algorithm, self.seed = rng_algorithm, seed
-        self._chunks: list[tuple[int, list[str], list[int], np.ndarray]] = []
-
-    def record(self, kinds: list[str], sizes: list[int], draws: np.ndarray):
-        """The next len(kinds) instructions: the i-th has kind kinds[i] and
-        the next sizes[i] values of the flat `draws`, in order."""
-        last = self._chunks[-1] if self._chunks else (0, [])
-        self._chunks.append((last[0] + len(last[1]), kinds, sizes, draws))
-
-    def text_chunks(self):
-        """The text format in pieces: the header line, then the lines of
-        one recorded pass per piece, each pass formatted by one `%` with
-        the line templates of its kinds and counts joined (passes of one
-        shape share that template). A draw is written as %.17g, which
-        reads back as the same double."""
-        yield f"# execution log rng={self.rng_algorithm} seed={self.seed}\n"
-        templates: dict[tuple, str] = {}
-        for index, kinds, sizes, draws in self._chunks:
-            key = (*kinds, *sizes)
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = "".join(map(_log_line_template, kinds, sizes))
-            # each line's index before its draws; %d writes the float index
-            # (exact below 2^53) as an integer
-            args = np.insert(draws, np.cumsum(sizes) - sizes, np.arange(index, index + len(kinds)))
-            yield template % tuple(args.tolist())
-
-    def to_text(self) -> str:
-        return "".join(self.text_chunks())
-
-    @staticmethod
-    def from_text(text: str) -> "ExecutionLog":
-        """Parse what to_text writes: the header line, then `index kind
-        draws` per instruction with indices 0, 1, 2, ..., kind `local` or
-        `gate`, and draws a comma list of finite floats or `-` for none.
-        Anything else raises LogFormatError naming the line."""
-        lines = text.splitlines()
-        head = _LOG_HEADER.fullmatch(lines[0].strip()) if lines else None
-        if head is None:
-            raise LogFormatError("line 1: expected the header "
-                                 "'# execution log rng=<name> seed=<non-negative int or None>'")
-        try:
-            seed = None if head.group(2) == "None" else int(head.group(2))
-        except ValueError as exc:  # beyond int's digit limit
-            raise LogFormatError("line 1: bad seed") from exc
-        kinds, sizes, draws = [], [], []
-        for lineno, raw in enumerate(lines[1:], start=2):
-            parts = raw.split()
-            if len(parts) != 3:
-                raise LogFormatError(f"line {lineno}: expected 'index kind draws'")
-            index, kind, payload = parts
-            if index != str(len(kinds)):
-                raise LogFormatError(f"line {lineno}: expected index {len(kinds)}, got {index!r}")
-            if kind not in _LOG_KINDS:
-                raise LogFormatError(f"line {lineno}: kind {kind!r} is not local or gate")
-            values = [] if payload == "-" else payload.split(",")
-            try:
-                values = [float(v) for v in values]
-            except ValueError as exc:
-                raise LogFormatError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, values)):
-                raise LogFormatError(f"line {lineno}: non-finite draw")
-            kinds.append(kind)
-            sizes.append(len(values))
-            draws.extend(values)
-        log = ExecutionLog(head.group(1), seed)
-        if kinds:
-            log.record(kinds, sizes, np.array(draws, dtype=float))
-        return log
-
-
-class LogDraws:
-    """A draw source that hands out a log's draws in order, for a batch of
-    one. Each pass must ask for the kinds and logged counts that the log
-    holds for its instructions; `close` checks that the run used every one.
-    """
-
-    def __init__(self, log: ExecutionLog):
-        chunks = log._chunks
-        self.kinds = [k for c in chunks for k in c[1]]
-        self.sizes = [k for c in chunks for k in c[2]]
-        self.values = np.concatenate([c[3] for c in chunks]) if chunks else np.empty(0)
-        self.index = self.pos = 0
-
-    def take(self, kinds: list[str], sizes: list[int]) -> np.ndarray:
-        """The next (1, sum(sizes)) draws."""
-        stop = self.index + len(kinds)
-        if self.kinds[self.index:stop] != kinds or self.sizes[self.index:stop] != sizes:
-            raise EngineError(f"instructions {self.index}..{stop - 1} do not match the log")
-        at, self.index = self.pos, stop
-        self.pos += sum(sizes)
-        return self.values[None, at:self.pos]
-
-    def close(self):
-        if self.index != len(self.kinds):
-            raise EngineError(
-                f"the log holds {len(self.kinds)} instructions, the run {self.index}")
-
-
 # ---------------------------------------------------------------------------
 # Fused execution core
 # ---------------------------------------------------------------------------
@@ -463,13 +335,13 @@ def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarra
     amps *= _zz_phases(angles)
 
 
-def _mapped_draws(draws, eta, size: int, kinds: list[str], sizes: list[int], used) -> np.ndarray:
+def _mapped_draws(draws, eta, size: int, codes: np.ndarray, used) -> np.ndarray:
     """(R, size) jitter draws, u mapped onto -eta + 2*eta*u with one
     rng.random(size) per row of generators; from a LogDraws, zeros (1, size)
-    with its next values at `used`, which must be of `kinds` and `sizes`."""
+    with its next values at `used`, which must be of the log codes `codes`."""
     if isinstance(draws, LogDraws):
         d = np.zeros((1, size))
-        d[:, used] = draws.take(kinds, sizes)
+        d[:, used] = draws.take(codes)
         return d
     if not size:
         return np.empty((len(draws), 0))
@@ -529,7 +401,7 @@ class FusedCycle:
                  lowered: dict | None = None):
         lowered = {} if lowered is None else lowered
         home = [(lo, k) for lo, k in _group_bounds(n_qubits) for _ in range(k)]
-        self.kinds, self.sizes = [], []
+        kinds, sizes = [], []  # per instruction its kind and logged count
         theta, nsigma, phase, mats, at_u, slot_u = [], [], [], [], [], []
         theta_g, weight, at_g, slot_g, eta = [], [], [], [], []
         open_blocks: dict[tuple[int, int], list] = {}
@@ -556,8 +428,8 @@ class FusedCycle:
                     if hit is None:  # kept with the object, so that its id stays its own
                         hit = lowered[id(ins)] = (ins, LoweredLayer.from_layer(ins.layer, n_qubits))
                     op, start = hit[1], len(eta)  # start: the layer's first draw
-                    self.kinds.append("local")
-                    self.sizes.append(len(op.active) if eta_l > 0 else 0)  # logged
+                    kinds.append("local")
+                    sizes.append(len(op.active) if eta_l > 0 else 0)  # logged
                     eta += [eta_l] * (n_qubits if eta_l > 0 else 0)  # drawn
                     layer: dict[tuple[int, int], list] = {}
                     for q in op.active:
@@ -583,9 +455,9 @@ class FusedCycle:
                                 f"gate qubits {(a, b)} out of range for {n_qubits} qubits")
                         pairs.append((a, b))
                         weight.append(w)
-                    self.kinds.append("gate")
-                    self.sizes.append(size if eta_i > 0 else 0)
-                    eta += [eta_i] * self.sizes[-1]
+                    kinds.append("gate")
+                    sizes.append(size if eta_i > 0 else 0)
+                    eta += [eta_i] * sizes[-1]
                     theta_g += [gate.theta] * size
                     at_g.extend(range(start, start + size))
                     slot_g += [column] * size
@@ -617,6 +489,7 @@ class FusedCycle:
                 members.append(step[3])
         self.like = [(key[0], [_stacked(parts) for parts in zip(*members)])
                      for key, members in like.items()]
+        self.codes = log_codes(kinds, sizes)
         self.width = len(eta)
         # a pass holds each block (2^k, 2^k) and each kept-row diagonal's
         # phases (2^n,) per occurrence and row
@@ -723,9 +596,9 @@ class FusedCycle:
                 if log is not None or isinstance(draws, LogDraws) else None)
         for first in range(0, count, per_pass):
             c = min(per_pass, count - first)
-            kinds, sizes = self.kinds * c, self.sizes * c
+            codes = None if keep is None else np.tile(self.codes, c)
             used = None if keep is None else (keep + self.width * np.arange(c)[:, None]).ravel()
-            d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, kinds, sizes, used)
+            d = _mapped_draws(draws, np.tile(self.eta, c), c * self.width, codes, used)
             if self.width or scales is not None:
                 built = self._build(d.reshape(rows, c, self.width).transpose(1, 0, 2),
                                     None if scales is None else scales[first:first + c])
@@ -747,11 +620,11 @@ class FusedCycle:
                     if at:
                         amps[...], at = bufs[1], 0
                     after(first + j)
-            if log is not None and kinds:
-                log.record(kinds, sizes, d[0][used])
+            if log is not None:
+                log.record(codes, d[0][used])
         if at:
             amps[...] = bufs[1]
-        return count * len(self.kinds)
+        return count * len(self.codes)
 
 
 def _stacked(parts):
@@ -917,7 +790,7 @@ def run_schedule(
     state under an error model with the same nonzero etas, every draw comes
     from that log instead of err's generator, and the run repeats the
     earlier one bit for bit. A log that does not fit the run raises
-    EngineError.
+    LogFormatError.
     """
     if schedule.n_qubits != state.n_qubits:
         raise EngineError(

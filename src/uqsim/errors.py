@@ -3,8 +3,9 @@
 They import nothing, so an except clause that names them loads no
 planner or executor, and a failing command runs only its own modules.
 Each module that raises one re-exports it: uqsim.schedule the compile
-errors, uqsim.engine EngineError and StateFormatError, uqsim.hardware
-HardwareError and uqsim.experiments ExperimentError.
+errors, uqsim.engine EngineError, StateFormatError and LogFormatError
+(which uqsim.execlog raises), uqsim.hardware HardwareError and
+uqsim.experiments ExperimentError.
 """
 
 
@@ -30,6 +31,11 @@ class EngineError(Exception):
 
 class StateFormatError(EngineError):
     """A malformed or unnormalised state dump (a parse error, not a numeric one)."""
+
+
+class LogFormatError(EngineError):
+    """A malformed execution log, or one that does not fit the run that
+    replays it (an input error, not a numeric one)."""
 
 
 class HardwareError(Exception):

@@ -90,12 +90,19 @@ def _format_unitary(u: SingleQubitUnitary) -> str:
     return " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in u.matrix.ravel())
 
 
-def _parse_unitary(tokens: list[str]) -> SingleQubitUnitary:
+def _parse_unitary(tokens: list[str], parsed: dict) -> SingleQubitUnitary:
+    """The unitary of 8 tokens, taken from `parsed` (tokens -> unitary) when
+    they were read before; a SingleQubitUnitary is immutable, so equal
+    tokens share one object."""
+    key = tuple(tokens)
+    hit = parsed.get(key)
+    if hit is not None:
+        return hit
     if len(tokens) != 8:
         raise CompileError(f"a unitary needs 8 floats, got {len(tokens)}")
     # (real, imag) pairs read as complex: exact, signed zeros included
     m = np.array([float(t) for t in tokens]).view(np.complex128)
-    return SingleQubitUnitary(m.reshape(2, 2))
+    return parsed.setdefault(key, SingleQubitUnitary(m.reshape(2, 2)))
 
 
 def _format_instruction(ins: Instruction) -> str:
@@ -160,15 +167,16 @@ def _check_instruction(ins: Instruction, n_qubits: int) -> None:
         )
 
 
-def _parse_instruction(parts: list[str]) -> Instruction:
+def _parse_instruction(parts: list[str], unitaries: dict) -> Instruction:
+    """The instruction of a line's tokens; `unitaries` as _parse_unitary's."""
     if parts[0] == "LOCAL":
         if parts[1] == "H":
-            return ApplyLocal(LocalLayer.homogeneous(_parse_unitary(parts[2:])))
+            return ApplyLocal(LocalLayer.homogeneous(_parse_unitary(parts[2:], unitaries)))
         if parts[1] == "I":
             vals = parts[2:]
             if len(vals) % 8:
                 raise CompileError("inhomogeneous layer needs 8 floats per qubit")
-            units = [_parse_unitary(vals[i : i + 8]) for i in range(0, len(vals), 8)]
+            units = [_parse_unitary(vals[i : i + 8], unitaries) for i in range(0, len(vals), 8)]
             return ApplyLocal(LocalLayer.inhomogeneous(units))
         raise CompileError(f"unknown layer kind {parts[1]!r}")
     if parts[0] == "GATE":
@@ -194,7 +202,9 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
 
     Each distinct instruction line is parsed and checked once: a line that
     repeats (the cycles of a Trotter schedule) gives the same instruction
-    object, and an error names the line of its first occurrence. The
+    object, and an error names the line of its first occurrence. So is
+    each distinct unitary (its 8 tokens), wherever it stands: equal tokens
+    give the same SingleQubitUnitary object. The
     header fields version, n_qubits, cycles and cycle_length follow
     read_header; version is 1 (also when it is missing) or 2, and cycles
     and cycle_length are at least 1. In version 1 the body is every
@@ -208,6 +218,7 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
     header_line = 1
     instructions: list[Instruction] = []
     parsed: dict[str, tuple[Instruction, int]] = {}
+    unitaries: dict[tuple[str, ...], SingleQubitUnitary] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -224,7 +235,7 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
                 continue
             hit = parsed.get(line)
             if hit is None:
-                hit = parsed[line] = (_parse_instruction(line.split()), lineno)
+                hit = parsed[line] = (_parse_instruction(line.split(), unitaries), lineno)
         except (ValueError, IndexError, PauliError, CompileError) as exc:
             raise CompileError(f"schedule parse error at line {lineno}: {exc}") from exc
         instructions.append(hit[0])

@@ -119,11 +119,12 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
     """Apply instructions one at a time: per qubit a jittered
     SingleQubitUnitary and a kernel call, per gate target one ZZ kernel
     call, jitter drawn by one rng.uniform per instruction. `log`, an
-    ExecutionLog, records each instruction's kind and the draws that reach
+    ExecutionLog, records each instruction's log code (kind and count) and the draws that reach
     the state: a local layer's at the qubits whose noiseless unitary is not
     the identity, in qubit order, and a gate's at every target."""
     from uqsim import kernels
     from uqsim.compiler import ApplyLocal
+    from uqsim.execlog import log_codes
 
     for ins in instructions:
         deltas = logged = None
@@ -149,7 +150,23 @@ def reference_execute(amps, n_qubits, instructions, err, rng, log=None):
                     kernels.apply_zz_phase(amps, a, b, theta)
         if log is not None:
             draws = logged if logged is not None else np.empty(0)
-            log.record(["local" if isinstance(ins, ApplyLocal) else "gate"], [len(draws)], draws)
+            kind = "local" if isinstance(ins, ApplyLocal) else "gate"
+            log.record(log_codes([kind], [len(draws)]), draws)
+
+
+def log_entries(text):
+    """Per instruction of an execution log text, its kind and its logged
+    draws, read through ExecutionLog.from_text and LogDraws: a code holds
+    the kind in bit 15 (set for a gate) and the count in bits 0-13."""
+    from uqsim.execlog import ExecutionLog, LogDraws
+
+    draws = LogDraws(ExecutionLog.from_text(text))
+    values, at, entries = draws.values.tolist(), 0, []
+    for code in draws.codes.tolist():
+        count = code & 0x3FFF
+        entries.append(("gate" if code & 0x8000 else "local", values[at:at + count]))
+        at += count
+    return entries
 
 
 def reference_adiabatic_amps(config, plan_initial, plan_target):

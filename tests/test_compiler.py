@@ -556,6 +556,22 @@ class TestScheduleText:
         with pytest.raises(CompileError, match="line 2"):
             schedule_from_text("# pulse schedule n_qubits=2\nGATE zz oops 0-1:1.0\n")
 
+    def test_equal_unitary_tokens_parse_to_one_object(self):
+        one = "1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
+        flip = "0.0 0.0 1.0 0.0 1.0 0.0 0.0 0.0"
+        sched = schedule_from_text(f"# pulse schedule n_qubits=2\nLOCAL H {flip}\n"
+                                   f"LOCAL I {one} {flip}\nLOCAL I {flip} {one}\n")
+        a, b, c = (ins.layer for ins in sched.instructions)
+        assert a.unitary_at(0) is b.unitary_at(1) is c.unitary_at(0)
+        assert b.unitary_at(0) is c.unitary_at(1) is not a.unitary_at(0)
+        assert np.array_equal(b.unitary_at(0).matrix, np.eye(2))
+        # tokens that are no unitary fail where they first stand, each time
+        bad = "2.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0"
+        text = f"# pulse schedule n_qubits=2\nLOCAL H {one}\nLOCAL I {one} {bad}\nLOCAL H {bad}\n"
+        for _ in range(2):
+            with pytest.raises(CompileError, match="line 3: matrix is not unitary"):
+                schedule_from_text(text)
+
     @staticmethod
     def per_qubit_schedule():
         target = Hamiltonian.from_terms(

@@ -222,7 +222,8 @@ class TestRunSchedule:
         s = random_state(3)
         out, log = run_schedule(s, PulseSchedule(3, ()))
         np.testing.assert_array_equal(out.amps, s.amps)
-        assert log.to_text() == "# execution log rng=numpy-PCG64 seed=None\n"
+        assert log.to_text() == "# execution log rng=numpy-PCG64 seed=None version=2\n"
+        assert oracles.log_entries(log.to_text()) == []
 
     def test_determinism_same_seed(self):
         s = random_state(3, 1)
@@ -255,9 +256,10 @@ class TestRunSchedule:
         ))
         _, log = run_schedule(s, sched, ErrorModel(eta_local=0.01, eta_int=0.01, seed=5))
         text = log.to_text()
-        rows = [line.split()[2].split(",") for line in text.splitlines()[1:]]
-        assert rows[0] == ["-"]  # one delta drawn per qubit, none logged: no qubit is active
-        assert len(rows[1]) == 1  # one delta per gate entry
+        (kind0, row0), (kind1, row1) = oracles.log_entries(text)
+        # one delta drawn per qubit, none logged: no qubit is active
+        assert kind0 == "local" and row0 == []
+        assert kind1 == "gate" and len(row1) == 1  # one delta per gate entry
         assert "numpy-PCG64" in text and "seed=5" in text
 
     def test_log_text_values_are_the_applied_draws(self):
@@ -271,11 +273,9 @@ class TestRunSchedule:
         err = ErrorModel(eta_local=0.02, eta_int=0.007, seed=13)
         _, log = run_schedule(random_state(3, 2), sched, err)
         rng = np.random.Generator(np.random.PCG64(13))
-        lines = log.to_text().splitlines()[1:]
-        assert len(lines) == len(sched.instructions)
-        for line, ins in zip(lines, sched.instructions):
-            _, kind, payload = line.split()
-            values = [] if payload == "-" else [float(v) for v in payload.split(",")]
+        entries = oracles.log_entries(log.to_text())
+        assert len(entries) == len(sched.instructions)
+        for (kind, values), ins in zip(entries, sched.instructions):
             eta = err.eta_local if kind == "local" else err.eta_int
             size = 3 if isinstance(ins, ApplyLocal) else len(ins.targets)
             drawn = rng.uniform(-eta, eta, size=size).tolist()

@@ -46,7 +46,7 @@ INPUTS = {  # a trotter-uqs2-style pipeline on 4 trap ions, and a small adiabati
                      "[adiabatic]\ninitial = zz_chain\nsteps = 4\ntheta1 = 0.1\n",
 }
 
-EXECUTOR = {"engine", "sectors", "experiments", "svg"}
+EXECUTOR = {"engine", "execlog", "sectors", "experiments", "svg"}
 PLANNER = {"compiler", "hardware", "experiments", "svg"}
 
 
@@ -161,6 +161,7 @@ RAISED_BY = [  # each class of uqsim.errors, the module that raises it, its exit
     ("UnsupportedInteractionError", "schedule", 2, "uqsim: infeasible: "),
     ("EngineError", "engine", 4, "uqsim: numeric failure: "),
     ("StateFormatError", "engine", 1, "uqsim: "),
+    ("LogFormatError", "execlog", 1, "uqsim: "),
     ("HardwareError", "hardware", 4, "uqsim: numeric failure: "),
     ("ExperimentError", "experiments", 1, "uqsim: "),
 ]
@@ -178,8 +179,9 @@ def test_the_raising_module_re_exports_its_error_class(name, module, code, prefi
 @pytest.mark.parametrize("name, module, code, prefix", RAISED_BY)
 def test_each_error_class_keeps_its_exit_code(tmp_path, monkeypatch, capsys, name, module, code,
                                               prefix):
-    # a subclass is caught before its base: StateFormatError is an
-    # EngineError that exits 1, and the three infeasible CompileErrors exit 2
+    # a subclass is caught before its base: StateFormatError and
+    # LogFormatError are EngineErrors that exit 1, and the three infeasible
+    # CompileErrors exit 2
     from uqsim import cli, errors
 
     def fail(*_):

@@ -622,7 +622,7 @@ def cycle_of(n, seed):
     return head + random_schedule(n, seed, length=10)
 
 
-def spy_passes(monkeypatch, entry=lambda cycle, count: (count, len(cycle.kinds))):
+def spy_passes(monkeypatch, entry=lambda cycle, count: (count, len(cycle.codes))):
     """entry(cycle, count) of each FusedCycle.execute call: by default its
     occurrence count and window length."""
     passes, real = [], engine.FusedCycle.execute

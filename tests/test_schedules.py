@@ -2,16 +2,19 @@
 lowering per distinct instruction, kernel calls per repeated cycle, the
 contract the benchmark's tracer reads, and replay of a run from its
 execution log."""
+import base64
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from uqsim import engine, kernels
+from uqsim import engine, execlog, kernels
 from uqsim.cli import main
 from uqsim.compiler import (
     ApplyLocal,
@@ -68,11 +71,11 @@ SEED = 5
 # sha256 of the outputs at SEED. The state was recorded once the engine ran
 # repeated cycles as fused blocks (the 4 ions are one qubit group, so each
 # cycle is one block), which moved its last bits. The log was recorded once
-# it wrote each draw as %.17g, not as its shortest repr; it keeps only the
-# draws that reach the state (a local layer's active qubits), and neither
-# change moved the draws or the state.
+# it was written as version 2 (codes and draws in base64); it keeps only
+# the draws that reach the state (a local layer's active qubits), and
+# neither change moved the draws or the state.
 STATE_SHA256 = "62b8f9df161d9468aae90cca8aad5bda8e9bedb7683ccd8fa6a9d03d979f4046"
-LOG_SHA256 = "4c931aec90c89ff771e174848ab8381032827828a754675d777f7cccc879e815"
+LOG_SHA256 = "e665227ebff372601eedabfbede26ae944da21312ad7b5b3581ef87ee47ed098"
 
 
 @pytest.fixture
@@ -119,11 +122,9 @@ def test_replay_of_a_log_with_shortest_repr_draws(simulated):
     # below is that older text of this run, and it replays bit for bit
     out = simulated / "out"
     text = (out / "execution_log.txt").read_text()
-    draws = LogDraws(ExecutionLog.from_text(text))
-    values = iter(draws.values.tolist())
-    older = text.splitlines(keepends=True)[0] + "".join(
-        f"{i} {kind} {','.join(repr(next(values)) for _ in range(k)) or '-'}\n"
-        for i, (kind, k) in enumerate(zip(draws.kinds, draws.sizes)))
+    older = f"# execution log rng=numpy-PCG64 seed={SEED}\n" + "".join(
+        f"{i} {kind} {','.join(map(repr, values)) or '-'}\n"
+        for i, (kind, values) in enumerate(oracles.log_entries(text)))
     assert hashlib.sha256(older.encode()).hexdigest() == (
         "eced476bbb3c56362eb224a6905262d23bd0d3a32d3a43f0843add0f7921b078")
     schedule = schedule_from_text((simulated / "compiled" / "schedule.txt").read_text())
@@ -138,14 +139,67 @@ def test_replay_refuses_a_log_of_another_run(simulated):
     schedule = schedule_from_text((simulated / "compiled" / "schedule.txt").read_text())
     log = ExecutionLog.from_text((simulated / "out" / "execution_log.txt").read_text())
     start = StateVector.zero_state(4)
-    with pytest.raises(EngineError, match="do not match the log"):
+    with pytest.raises(LogFormatError, match="do not match the log"):
         run_schedule(start, schedule, ErrorModel(ETAS[0], 0.0, seed=1), replay=log)
     short = type(schedule)(4, schedule.instructions[:-1])
-    with pytest.raises(EngineError, match="140 instructions, the run 139"):
+    with pytest.raises(LogFormatError, match="140 instructions, the run 139"):
         run_schedule(start, short, ErrorModel(*ETAS, seed=1), replay=log)
     longer = type(schedule)(4, schedule.instructions + schedule.instructions[:1])
-    with pytest.raises(EngineError, match="do not match the log"):
+    with pytest.raises(LogFormatError, match="do not match the log"):
         run_schedule(start, longer, ErrorModel(*ETAS, seed=1), replay=log)
+
+
+def version_1(entries, seed=SEED):
+    """A version-1 log text of (kind, draws) entries, each draw as %.17g."""
+    return f"# execution log rng=numpy-PCG64 seed={seed}\n" + "".join(
+        f"{i} {kind} {','.join('%.17g' % v for v in values) or '-'}\n"
+        for i, (kind, values) in enumerate(entries))
+
+
+def simulate_replay(simulated, text, *extra):
+    """Exit code and out dir of `uqsim simulate --replay` of a log text."""
+    (simulated / "replay.log").write_text(text)
+    out = simulated / "replayed"
+    code = main(["simulate", "--config", str(simulated / "sim.cfg"), "--oracle", "--replay",
+                 str(simulated / "replay.log"), "--out-dir", str(out), *extra])
+    return code, out
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_simulate_replay_reproduces_the_run(simulated, version):
+    # the config holds no seed: the run takes it, and every draw, from the log
+    out = simulated / "out"
+    text = (out / "execution_log.txt").read_text()
+    if version == 1:
+        text = version_1(oracles.log_entries(text))
+    code, replayed = simulate_replay(simulated, text)
+    assert code == 0
+    for name in ("state.txt", "execution_log.txt", "summary.json"):
+        assert (replayed / name).read_bytes() == (out / name).read_bytes(), name
+    manifest = json.loads((replayed / "manifest.json").read_text())
+    assert manifest["seed"] == SEED
+    assert manifest["replay"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_simulate_replay_of_a_log_that_does_not_fit_exits_1(simulated, capsys):
+    text = (simulated / "out" / "execution_log.txt").read_text()
+    entries = oracles.log_entries(text)
+    schedule = schedule_from_text((simulated / "compiled" / "schedule.txt").read_text())
+    other = PulseSchedule(4, schedule.instructions[::-1])
+    _, other_log = run_schedule(StateVector.zero_state(4), other, ErrorModel(*ETAS, seed=SEED))
+    for bad, extra, why in [
+        (text[:len(text) // 2] + "\n", (), "line 2: draws: "),   # cut mid-line
+        (version_1(entries[:-1]), (), "do not match the log"),
+        (version_1(entries + entries[:1]), (), "the log holds 141 instructions, the run 140"),
+        (other_log.to_text(), (), "do not match the log"),
+        (text.replace("version=2", "version=3"), (), "line 1: version=3 is not 1 or 2"),
+        (text, ("--seed", "6"), "the log is of seed=5, not --seed 6"),
+        (version_1([(kind, []) for kind, _ in entries], None), (), "a run without jitter"),
+    ]:
+        code, out = simulate_replay(simulated, bad, *extra)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists(), why
+        assert err.startswith(f"uqsim: --replay {simulated / 'replay.log'}: ") and why in err
 
 
 def test_replay_of_layers_with_inactive_qubits():
@@ -167,12 +221,12 @@ def test_replay_of_layers_with_inactive_qubits():
     start = StateVector.zero_state(n)
     final, log = run_schedule(start, schedule, err)
     text = log.to_text()
-    # each line holds the draws of its active qubits or targets, in order,
+    # each instruction logs the draws of its active qubits or targets, in order,
     # out of all that the generator drew for it
-    rng, full, counts = err.rng(), text.splitlines()[:1], []
-    for i, (ins, line) in enumerate(zip(schedule.instructions, text.splitlines()[1:])):
-        index, kind, payload = line.split()
-        values = [] if payload == "-" else [float(v) for v in payload.split(",")]
+    rng, full, counts = err.rng(), [f"# execution log rng=numpy-PCG64 seed={SEED}"], []
+    entries = oracles.log_entries(text)
+    assert len(entries) == len(schedule.instructions)
+    for i, (ins, (kind, values)) in enumerate(zip(schedule.instructions, entries)):
         if kind == "local":
             drawn = rng.uniform(-ETAS[0], ETAS[0], size=n).tolist()
             active = [q for q in range(n) if not ins.layer.unitary_at(q).is_identity()]
@@ -180,7 +234,7 @@ def test_replay_of_layers_with_inactive_qubits():
         else:
             drawn = rng.uniform(-ETAS[1], ETAS[1], size=len(ins.targets)).tolist()
             active = range(len(drawn))
-        assert index == str(i) and values == [drawn[q] for q in active]
+        assert values == [drawn[q] for q in active]
         full.append(f"{i} {kind} {','.join(map(repr, drawn))}")
     assert counts[:7] == [6, 1, 1, 0, 1, 1, 1]
     # the log replays the run bit for bit and writes the same text
@@ -188,7 +242,7 @@ def test_replay_of_layers_with_inactive_qubits():
                                    replay=ExecutionLog.from_text(text))
     assert np.array_equal(again.amps, final.amps) and replayed.to_text() == text
     # a log of every draw made, one per qubit per layer, is refused, not misread
-    with pytest.raises(EngineError, match="do not match the log"):
+    with pytest.raises(LogFormatError, match="do not match the log"):
         run_schedule(start, schedule, err, replay=ExecutionLog.from_text("\n".join(full) + "\n"))
 
 
@@ -344,19 +398,68 @@ def test_run_schedule_goes_through_execute_instructions(monkeypatch):
     assert calls == [len(schedule.instructions)]
 
 
+def v2_line(first, entries, count=None, draws=None):
+    """A version-2 log line of (kind, draws) entries, base64 made here."""
+    codes = [(0x8000 if kind == "gate" else 0) | len(values) for kind, values in entries]
+    values = [v for _, v in entries for v in v] if draws is None else draws
+    b64 = [base64.b64encode(np.array(a, dtype=dtype).tobytes()).decode() or "-"
+           for a, dtype in ((codes, "<u2"), (values, "<f8"))]
+    return f"{first} {len(codes) if count is None else count} {b64[0]} {b64[1]}\n"
+
+
 class TestLogText:
     HEAD = "# execution log rng=numpy-PCG64 seed=3\n"
+    HEAD2 = "# execution log rng=numpy-PCG64 seed=3 version=2\n"
+    ENTRIES = [("local", [0.001, -0.002]), ("gate", []), ("gate", [5e-324])]
 
     def test_round_trip(self):
-        text = self.HEAD + "0 local 0.001,-0.002\n1 gate -\n2 gate 4.9406564584124654e-324\n"
+        text = self.HEAD2 + v2_line(0, self.ENTRIES)
         log = ExecutionLog.from_text(text)
-        assert log.to_text() == text
-        parsed = LogDraws(log).take(["local", "gate", "gate"], [2, 0, 1])
+        assert log.to_text() == text and oracles.log_entries(text) == self.ENTRIES
+        parsed = LogDraws(log).take(execlog.log_codes(["local", "gate", "gate"], [2, 0, 1]))
         assert parsed.tolist() == [[0.001, -0.002, 5e-324]]
         assert ExecutionLog.from_text(ExecutionLog().to_text()).seed is None
-        # the shortest repr of a draw, as older logs hold it, reads as the same value
-        short = ExecutionLog.from_text(text.replace("4.9406564584124654e-324", "5e-324"))
-        assert short.to_text() == text
+        # version 1, each draw as %.17g or as its shortest repr, reads as the same values
+        for draw in ("4.9406564584124654e-324", "5e-324"):
+            older = self.HEAD + f"0 local 0.001,-0.002\n1 gate -\n2 gate {draw}\n"
+            assert ExecutionLog.from_text(older).to_text() == text
+
+    def test_draws_round_trip_bit_for_bit(self):
+        # signed zero, the least subnormal, the extremes and random draws,
+        # over more instructions than a line holds
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(0, 9, size=execlog._LOG_LINE + 300)
+        sizes[0] = len(special)
+        kinds = ["gate" if k else "local" for k in rng.integers(0, 2, size=sizes.size)]
+        draws = np.concatenate([special, rng.uniform(-0.01, 0.01, size=sizes.sum() - 6)])
+        log = ExecutionLog(seed=9)
+        log.record(execlog.log_codes(kinds, sizes), draws)
+        text = log.to_text()
+        assert len(text.splitlines()) == 3  # the header and two lines
+        again = LogDraws(ExecutionLog.from_text(text))
+        assert again.values.view(np.uint64).tolist() == draws.view(np.uint64).tolist()
+        assert again.codes.tolist() == execlog.log_codes(kinds, sizes).tolist()
+        assert ExecutionLog.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize("per_pass", [1, 7, 256])
+    def test_text_does_not_depend_on_the_passes(self, monkeypatch, per_pass):
+        # 150 cycles of 10 instructions: passes of 1, 7 or 150 occurrences,
+        # cut across the lines of 1024 instructions in different places
+        schedule, _ = trotter_schedule(Hamiltonian.from_text(ISING4), 0.5, 0.05, trap_chain(4),
+                                       num_cycles=150)
+        err = ErrorModel(*ETAS, seed=SEED)
+        _, reference = run_schedule(StateVector.zero_state(4), schedule, err)
+        monkeypatch.setattr(engine, "_CHUNK_BLOCKS", per_pass)
+        passes, record = [], ExecutionLog.record
+        monkeypatch.setattr(ExecutionLog, "record",
+                            lambda log, codes, draws: passes.append(len(codes)) or record(
+                                log, codes, draws))
+        _, log = run_schedule(StateVector.zero_state(4), schedule, err)
+        assert passes[0] == 10 * min(per_pass, 150)
+        assert log.to_text() == reference.to_text()
+        assert [line.split()[:2] for line in log.to_text().splitlines()[1:]] == [
+            ["0", "1024"], ["1024", "476"]]
 
     @pytest.mark.parametrize("text, line", [
         ("0 local -\n", 1),
@@ -380,6 +483,41 @@ class TestLogText:
         with pytest.raises(LogFormatError, match=f"line {line}:"):
             ExecutionLog.from_text(text)
         assert issubclass(LogFormatError, EngineError)
+
+    GOOD = v2_line(0, [("gate", [0.1])])
+    FULL = v2_line(0, [("local", [])] * 1024)
+
+    @pytest.mark.parametrize("body, line, why", [
+        ("0 1 AQ!A -\n", 2, "codes: bad base64"),
+        ("0 1 AQA AAAAAAAA8D8=\n", 2, "codes: bad base64"),
+        ("0 1 AQCA AAAAAAAA8D8=\n", 2, "codes: 3 bytes is not a whole number of 2-byte"),
+        (GOOD.replace("mpmZmZmZuT8=", "mpmZmZmZuT8A"), 2, "draws: 9 bytes is not"),
+        (v2_line(0, [("gate", [0.1])], draws=[0.1, 0.2]), 2, "2 draws, the codes count 1"),
+        (v2_line(0, [("gate", [0.1, 0.2])], draws=[0.1]), 2, "1 draws, the codes count 2"),
+        (v2_line(0, [("gate", [0.1])], draws=[]), 2, "0 draws, the codes count 1"),
+        (v2_line(0, [("gate", [float("nan")])]), 2, "non-finite draw"),
+        (v2_line(0, [("gate", [float("-inf")])]), 2, "non-finite draw"),
+        (v2_line(1, [("gate", [0.1])]), 2, "expected index 0, got '1'"),
+        (FULL + v2_line(1025, [("gate", [0.1])]), 3, "expected index 1024, got '1025'"),
+        (GOOD + v2_line(1, [("gate", [0.1])]), 2, "the last 1 to 1024; got '1'"),
+        (v2_line(0, [("gate", [0.1])], count=2), 2, "1 codes for 2 instructions"),
+        (v2_line(0, [("gate", [0.1])], count="01"), 2, "got '01'"),
+        (v2_line(0, [("gate", [0.1])], count=1025), 2, "got '1025'"),
+        ("0 1 AEA= -\n", 2, "unknown kind bit"),
+        (GOOD.rsplit(" ", 1)[0] + "\n", 2, "expected 'index count codes draws'"),
+        ("\n" + GOOD, 2, "expected 'index count codes draws'"),
+    ])
+    def test_malformed_version_2_names_the_line(self, body, line, why):
+        with pytest.raises(LogFormatError, match=f"^line {line}: .*{re.escape(why)}"):
+            ExecutionLog.from_text(self.HEAD2 + body)
+
+    @pytest.mark.parametrize("version", ["0", "3", "20"])
+    def test_only_versions_1_and_2_read(self, version):
+        with pytest.raises(LogFormatError, match=f"^line 1: version={version} is not 1 or 2"):
+            ExecutionLog.from_text(self.HEAD2.replace("version=2", f"version={version}")
+                                   + self.GOOD)
+        text = self.HEAD.replace("\n", " version=1\n") + "0 gate 0.1\n"
+        assert ExecutionLog.from_text(text).to_text() == self.HEAD2 + self.GOOD
 
     def test_replay_is_for_a_batch_of_one(self):
         log = ExecutionLog.from_text(self.HEAD + "0 gate 0.1\n")

@@ -180,8 +180,8 @@ def traced_peak(fn):
 
 
 def test_streamed_paths_hold_neither_file_whole(tmp_path):
-    # a streamed peak is about one piece (one recorded pass of the log), so
-    # it does not grow with the file; 42,000 instructions keep both files
+    # a streamed peak is about one piece (a line of the log and a recorded
+    # pass), so it does not grow with the file; 42,000 instructions keep both files
     # well above twice that; written as version=1, every line out
     schedule, _ = trotter_schedule(Hamiltonian.from_text(TARGET), 1.0, 0.05,
                                    TrapArrayModel(positions=((0.0,), (1.0,), (2.0,))),
