@@ -13,7 +13,7 @@ import sys
 __version__ = "0.1.0"
 
 _SUBMODULES = ("errors", "kernels", "pauli", "schedule", "compiler", "hardware", "sectors",
-               "execlog", "engine", "experiments", "svg")
+               "records", "execlog", "engine", "experiments", "svg")
 
 _EXPORTS = {name: module for module, names in {
     "pauli": "CoeffMatrix Hamiltonian LocalLayer PauliError PauliString SingleQubitUnitary "

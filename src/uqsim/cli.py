@@ -378,10 +378,10 @@ class OutputWriter:
         path, digest = self.out_dir / name, hashlib.sha256()
         try:
             with open(path, "wb") as fh:
-                for chunk in chunks:
-                    data = chunk.encode()
+                for data in map(str.encode, chunks):
                     digest.update(data)
                     fh.write(data)
+                    del data  # not held while the next chunk is built
         except BaseException:
             path.unlink(missing_ok=True)
             raise

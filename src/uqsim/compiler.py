@@ -18,7 +18,6 @@ CompileError (uqsim.errors) are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .pauli import (
     commutator_generator,
     conjugate,
 )
+from .records import record
 from .schedule import (  # noqa: F401  (the instruction set and its text format, re-exported)
     MAX_INSTRUCTIONS,
     ApplyLocal,
@@ -55,7 +55,7 @@ WEIGHT_SUM_TOL = 1e-12
 # Control sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ControlSequence:
     """Ordered (weight, layer) steps with weights p_i in (0, 1] summing to 1."""
 
@@ -135,8 +135,9 @@ def protocol_library(name: str) -> ControlSequence:
 # Feasibility and cost
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FeasibilityResult:
+    """Whether homogeneous control can reach a target, its time cost if so, and why not."""
     feasible: bool
     time_cost: float | None
     eigenvalues: tuple[float, ...]
@@ -316,7 +317,7 @@ def compile_pair_interaction(
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CostReport:
     """Resource accounting of one compiled schedule.
 
@@ -355,7 +356,7 @@ class CostReport:
 # Cycle plans and Trotter scheduling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RawGateSpec:
     """One hardware gate inside a cycle: angle per unit simulated time."""
 
@@ -364,7 +365,7 @@ class RawGateSpec:
     unit_angle: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlannedFamily:
     """A group of raw gates driven inside one control-sequence wrap."""
 
@@ -373,7 +374,7 @@ class PlannedFamily:
     cost: float  # raw-interaction time per unit simulated time
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CyclePlan:
     """Everything needed to emit one Trotter cycle for any simulated dt."""
 
@@ -716,7 +717,7 @@ def trotter_schedule(
 # Commutator (three-body) gate and decoupling echo
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThreeBodyGate:
     """Four-segment commutator gate; segments are (generator, angle), applied
     first to last as exp(-i*h*angle)."""
@@ -749,7 +750,7 @@ def three_body_gate(h1: Hamiltonian, h2: Hamiltonian, theta: float) -> ThreeBody
     return ThreeBodyGate(segments, commutator_generator(h1, h2), theta * theta)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EchoSequence:
     """Gate, homogeneous pi flip, gate, inverse flip: cancels single-qubit Z
     phases of the raw generator exactly while doubling its ZZ part."""

@@ -84,7 +84,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -96,6 +95,7 @@ from .kernels import STATEVECTOR_CAP
 from .schedule import ApplyLocal, PulseSchedule, RawGate
 from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
                     read_header)
+from .records import record
 from .sectors import Sectors
 
 NORM_TOL = 1e-9
@@ -109,7 +109,7 @@ def _check_dense(n_qubits: int):
         raise EngineError(f"{n_qubits} qubits exceeds the dense cap {DENSE_CAP}")
 
 
-@dataclass
+@record
 class StateVector:
     """2^N complex amplitudes, unit norm, little-endian qubit order."""
 
@@ -201,7 +201,7 @@ class StateVector:
         return state
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ErrorModel:
     """Fractional timing jitter, uniform on [-eta, +eta] per pulse.
 
@@ -833,7 +833,7 @@ def _spectrum(stacks, vectors: bool = True):
     return [(np.linalg.eigvalsh(m), None) for m in stacks]
 
 
-@dataclass
+@record
 class SpectrumCache:
     """A grouped spectrum, decomposed part by part.
 
@@ -997,8 +997,9 @@ class SpectrumCache:
         return out
 
 
-@dataclass
+@record
 class GroundState:
+    """The lowest energy of a Hamiltonian, a ground vector and the ground degeneracy."""
     energy: float
     state: StateVector
     degeneracy: int

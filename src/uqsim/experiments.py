@@ -5,7 +5,7 @@ preparation with timing errors (the experiments behind the figures).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -32,13 +32,14 @@ from .engine import (
 from .errors import ExperimentError
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes, inv_cube
 from .pauli import Hamiltonian, PauliString
+from .records import record
 
 
 # ---------------------------------------------------------------------------
 # Geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Geometry:
     """Site positions plus the nearest-neighbor adjacency used by the models."""
 
@@ -84,7 +85,7 @@ class Geometry:
 MODEL_NAMES = ("dipole", "ising", "heisenberg", "random_ising")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NamedModel:
     """Parameters of one of the library spin models.
 
@@ -300,8 +301,9 @@ class GroundPath:
         return self.spectrum(k).group_basis(0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinGapResult:
+    """The smallest gap between the two lowest levels on a k grid, its k, and the time 1/gap."""
     min_gap: float
     argmin_k: float
     recommended_time: float
@@ -341,7 +343,7 @@ RAMPS: dict[str, Callable[[float], float]] = {
 STEPPERS = ("trotter", "exact")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdiabaticConfig:
     """One interpolation run H(k) = k*H_initial + (1-k)*H_target.
 
@@ -378,8 +380,9 @@ class AdiabaticConfig:
         return fn
 
 
-@dataclass
+@record
 class AdiabaticResult:
+    """One adiabatic run: its per-step trajectory, final histogram and ground weight."""
     trajectory: list[tuple[int, float, float, float]]  # step, k, fidelity, energy
     histogram: list[tuple[float, float]]
     ground_weight: float
@@ -566,8 +569,9 @@ def adiabatic_batch(
 # Error sweeps (the figure-4b style grid)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepRow:
+    """One (eta, steps) cell of a sweep: the ground weights' mean, spread and error."""
     eta: float
     steps: int
     repetitions: int

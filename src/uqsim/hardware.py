@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .compiler import check_gamma
 from .errors import HardwareError
 from .pauli import Hamiltonian, PauliString
+from .records import record
 from .schedule import RawGate
 
 
@@ -43,7 +44,7 @@ def inv_cube(p: Sequence[float], q: Sequence[float]) -> float:
     return 1.0 / (d * d * d)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatticeModel:
     """Optical-lattice platform: homogeneous control, displacement gates."""
 
@@ -86,7 +87,7 @@ class LatticeModel:
         return index
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrapArrayModel:
     """Microtrap platform: per-qubit control, pair pushes, 1/d^3 crosstalk."""
 
@@ -243,8 +244,9 @@ def push_gate(model: TrapArrayModel, pushed: Iterable[int], theta_base: float) -
 # Crosstalk between pushed groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CrosstalkReport:
+    """Parasitic-to-intended ratios between pushed groups, and whether they may run together."""
     ratios: tuple[tuple[int, int, float], ...]  # (group_i, group_j, parasitic/intended)
     max_ratio: float
     threshold: float
@@ -279,8 +281,9 @@ def crosstalk_report(model: TrapArrayModel, pair_groups: Sequence[Iterable[int]]
 # Lattice-geometry remapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RemapResult:
+    """The nearest-neighbour pairs of a remapped pattern, grouped into pair families."""
     pairs: tuple[tuple[int, int], ...]
     families: dict
 
@@ -323,8 +326,9 @@ def gaussian_beam(width: float) -> Callable[[float], float]:
     return lambda r: math.exp(-(r * r) / (2.0 * width * width))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BeamSolution:
+    """Per-beam durations that rotate one atom only, with the solve's condition and residual."""
     durations: np.ndarray
     condition_number: float
     residual: float

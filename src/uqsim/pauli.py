@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from .records import record
 
 PAULI_CHARS = "IXYZ"
 
@@ -69,7 +70,7 @@ def read_header(line: str, keys: Sequence[str], fields: dict[str, int]) -> bool:
     return found
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PauliString:
     """A weighted tensor product of single-qubit Paulis, e.g. ``0.5 * XZI``."""
 
@@ -131,7 +132,7 @@ def pauli_multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString
     return phase, PauliString("".join(out), p.coeff * q.coeff)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Hamiltonian:
     """A Hermitian operator as a canonical list of real-weighted Pauli strings.
 
@@ -262,7 +263,8 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-class TermTable(NamedTuple):
+@record(frozen=True)
+class TermTable:
     """Pauli strings as bitmasks, one entry per string in order.
 
     A string has X or Y on the sites of x_mask, Y or Z on those of z_mask,
@@ -583,11 +585,11 @@ def commutator_generator(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
 # Two-qubit coefficient matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoeffMatrix:
     """The real 3x3 matrix M of a two-qubit interaction sum M_ij sigma_i x sigma_j."""
 
-    m: np.ndarray = field(repr=False)
+    m: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.m, dtype=float)

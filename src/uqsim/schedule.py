@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (  # noqa: F401  (the compile errors, re-exported)
 )
 from .kernels import STATEVECTOR_CAP
 from .pauli import LocalLayer, PauliError, SingleQubitUnitary, read_header
+from .records import record
 
 if TYPE_CHECKING:
     from .compiler import CostReport
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 # Schedule IR
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ApplyLocal:
     """Apply a layer of fast single-qubit unitaries."""
 
@@ -50,7 +50,7 @@ class ApplyLocal:
             for q in range(a.n_qubits or 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RawGate:
     """exp(-i * theta * sum_targets w * Z_a Z_b) on the listed qubit pairs."""
 
@@ -71,7 +71,7 @@ class RawGate:
 Instruction = ApplyLocal | RawGate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PulseSchedule:
     """Time-ordered instructions ready for execution (first entry acts first)."""
 

@@ -107,6 +107,36 @@ def test_an_error_named_in_a_module_not_yet_loaded_keeps_its_exit_code(
     assert not (EXECUTOR if command == "compile" else PLANNER) & set(run["ran"])
 
 
+NO_GENERATED_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import argparse, base64, cmath, concurrent.futures, configparser, dataclasses, functools, hashlib
+import importlib, importlib.resources, importlib.util, itertools, json, math, operator, pathlib
+import pkgutil, re, typing
+import numpy
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>"
+                 and compiled.append(str(args[0])[:80]))
+import uqsim
+for info in pkgutil.iter_modules(uqsim.__path__):
+    if info.name != "__main__":
+        importlib.import_module(f"uqsim.{info.name}").__name__  # runs a lazy module's source
+print(json.dumps(compiled))
+"""
+
+
+def test_no_module_compiles_generated_code():
+    # dataclasses.dataclass compiles each method that it adds from source
+    # text, six per frozen class, in every process; uqsim.records adds them
+    # as closures. The stdlib modules and numpy load before the hook, so only
+    # what importing uqsim compiles is counted.
+    proc = subprocess.run([sys.executable, "-c", NO_GENERATED_CODE, str(SRC)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 EXPORTED = {
     "pauli": "CoeffMatrix Hamiltonian LocalLayer PauliError PauliString SingleQubitUnitary "
              "coeff_matrix commutator commutator_generator conjugate from_coeff_matrix "

@@ -158,6 +158,16 @@ def test_a_stream_that_raises_leaves_no_file(tmp_path):
     assert writer.files["ok.txt"] == hashlib.sha256("a\né\n".encode()).hexdigest()
 
 
+def test_the_writer_holds_no_chunk_while_the_next_is_built(tmp_path):
+    # each chunk and its bytes go once written, so equal chunks peak at about
+    # one chunk and its bytes, not also the previous chunk's pair
+    size = 1 << 20
+    chunks = ("x" * size for _ in range(4))
+    writer = OutputWriter(tmp_path)
+    assert traced_peak(lambda: writer.write_chunks("equal.txt", chunks)) < 2.5 * size
+    assert (tmp_path / "equal.txt").stat().st_size == 4 * size
+
+
 def test_non_utf8_byte_deep_in_a_schedule_exits_1_naming_the_file(tmp_path, capsys):
     body = f"{HEAD}\n" + f"{GATE}\n" * 5000
     assert len(body) > 1 << 16
