@@ -12,7 +12,7 @@ import sys
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("errors", "kernels", "pauli", "schedule", "compiler", "hardware", "sectors",
+_SUBMODULES = ("errors", "kernels", "pauli", "schedule", "compiler", "hardware", "oracle",
                "records", "execlog", "engine", "experiments", "svg")
 
 _EXPORTS = {name: module for module, names in {
@@ -27,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
                 "synthesize_diagonal three_body_gate trotter_schedule",
     "hardware": "LatticeModel TrapArrayModel beam_compensation crosstalk_report "
                 "geometry_remap uqs1_gate uqs2_push",
-    "engine": "ErrorModel SpectrumCache StateVector exact_evolve expectation fidelity "
-              "ground_state run_schedule",
+    "engine": "ErrorModel StateVector expectation fidelity run_schedule",
+    "oracle": "SpectrumCache exact_evolve ground_state",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

@@ -24,7 +24,7 @@ import numpy as np
 # What every command runs is imported by name; the rest is bound as modules,
 # which load on first use (see uqsim/__init__.py), so that each command
 # compiles only the modules it runs.
-from . import __version__, compiler, engine, experiments, hardware, svg
+from . import __version__, compiler, engine, experiments, hardware, oracle, svg
 from .errors import (
     CompileError,
     EngineError,
@@ -492,7 +492,7 @@ def cmd_simulate(args, cfg, config_path) -> int:
         writer.write("observables.csv", "\n".join(lines) + "\n")
         summary["observables"] = {name: value for name, value in values}
     if args.oracle:
-        reference = engine.exact_evolve(h, section["t_prime"], state)
+        reference = oracle.exact_evolve(h, section["t_prime"], state)
         fid = engine.fidelity(final, reference)
         summary["oracle_fidelity"] = fid
         print(f"oracle_fidelity={fid!r}")
@@ -564,7 +564,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         print(f"sweep complete: {len(rows)} rows")
     else:
         run_cfg = replace(base, error_model=_error_model_from(section, seed))
-        path = experiments.GroundPath(initial, target)
+        path = oracle.GroundPath(initial, target)
         result = experiments.adiabatic_run(run_cfg, hw, plan_target=plan_target, ground_path=path)
         writer.write("trajectory.csv", _trajectory_csv(result))
         writer.write("histogram.csv", _histogram_csv(result))
@@ -576,7 +576,7 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
         writer.write("histogram.svg", svg.bar_chart(
             [e for e, _ in result.histogram], [w for _, w in result.histogram],
             title="Final weight per eigenspace", xlabel="energy", ylabel="weight"))
-        gap = experiments.min_gap(path, samples=41)
+        gap = oracle.min_gap(path, samples=41)
         summary = {
             "steps": base.steps,
             "theta1": base.theta1,

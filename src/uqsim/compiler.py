@@ -534,13 +534,6 @@ def plan_for_hamiltonian(target: Hamiltonian, hw) -> CyclePlan:
     return planner(target.n_qubits, *split_target(target), hw)
 
 
-def _same_wrap(s: ControlSequence, t: ControlSequence) -> bool:
-    """Equal weights and equal layer matrices, step by step."""
-    return s.n == t.n and all(
-        p == q and ApplyLocal(a).equals(ApplyLocal(b)) for (p, a), (q, b) in zip(s.steps, t.steps)
-    )
-
-
 def _plan_uqs1(n_qubits, fields, pairs, hw) -> CyclePlan:
     """One displacement gate per translation class. Classes whose control
     sequences are equal share one wrap, in class order: every gate is
@@ -582,7 +575,7 @@ def _plan_uqs1(n_qubits, fields, pairs, hw) -> CyclePlan:
             unit_angle=hw.gamma * cost,
         )
         for i, fam in enumerate(families):
-            if _same_wrap(fam.sequence, seq):
+            if fam.sequence == seq:
                 families[i] = PlannedFamily(fam.gates + (gate,), fam.sequence, fam.cost + cost)
                 break
         else:

@@ -1,5 +1,6 @@
 """Dense statevector execution of pulse schedules with timing-error
-injection, plus the exact-diagonalization oracle used to validate them.
+injection, and the observables of the final state. The exact oracle that
+validates a run is uqsim.oracle.
 
 Amplitudes are indexed little-endian (qubit 0 = least significant bit).
 
@@ -45,22 +46,6 @@ a batch of one.
 The block's reshape rule and the Z_a Z_b sign rows come from
 uqsim.kernels.
 
-The oracle decomposes part by part and keeps no process-wide cache.
-Sectors (uqsim.sectors) splits the basis states into the invariant blocks
-of the Hamiltonians' term tables, decomposes one block per orbit of the
-spin flip and the mirror when both endpoints commute with them, and
-splits it into symmetry-adapted parts. `_spectrum`, the one
-eigendecomposition call, solves the parts of one size as one stacked
-array, in real arithmetic when they have no imaginary part, and
-SpectrumCache merges every block's eigenvalues, with multiplicity, in
-ascending order before grouping them. Its eigenvectors stay per block.
-The adiabatic oracle (experiments.GroundPath) reduces both endpoints once
-per path and decomposes k*H_initial + (1-k)*H_target on the parts for a
-chunk of k values per stacked call (SpectrumCache.from_stacks); its gap
-scan asks for eigenvalues only. The start state (ground_state) comes from
-the parts of its own Hamiltonian too; its pick among degenerate ground
-states still follows the parts' rounding (see ground_vector).
-
 Determinism: each row's jitter is drawn in instruction order, one
 rng.random per pass mapped onto [-eta, eta] exactly as per-instruction
 rng.uniform calls would. The log (uqsim.execlog.ExecutionLog) keeps the
@@ -82,7 +67,6 @@ few at a time.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from itertools import groupby
 
@@ -96,17 +80,10 @@ from .schedule import ApplyLocal, PulseSchedule, RawGate
 from .pauli import (IDENTITY_TOL, Hamiltonian, LocalLayer, PauliString, SIGMA, TermTable,
                     read_header)
 from .records import record
-from .sectors import Sectors
+# bound here only because perfbench/spans.py looks these up under engine
+from .oracle import SpectrumCache, _spectrum, exact_evolve, ground_state  # noqa: F401
 
 NORM_TOL = 1e-9
-DENSE_CAP = 12
-"""Most qubits of a Hamiltonian the exact oracle decomposes (_check_dense)."""
-
-
-def _check_dense(n_qubits: int):
-    """Refuse an oracle above DENSE_CAP qubits."""
-    if n_qubits > DENSE_CAP:
-        raise EngineError(f"{n_qubits} qubits exceeds the dense cap {DENSE_CAP}")
 
 
 @record
@@ -811,213 +788,8 @@ def run_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle: dense evolution, spectra, ground states
+# Observables
 # ---------------------------------------------------------------------------
-
-def exact_evolve(h: Hamiltonian, t: float, state: StateVector) -> StateVector:
-    """exp(-i h t) |state> through the block eigendecomposition of h."""
-    if h.n_qubits != state.n_qubits:
-        raise EngineError("Hamiltonian and state size mismatch")
-    if not math.isfinite(t):
-        raise EngineError(f"evolution time {t!r} is not finite")
-    return StateVector(state.n_qubits, SpectrumCache.from_hamiltonian(h).evolve(state.amps, t))
-
-
-def _spectrum(stacks, vectors: bool = True):
-    """The oracle's one eigendecomposition call: for each (m, d, d) stack of
-    equal-size blocks, one stacked LAPACK call giving ascending eigenvalues
-    (m, d) and eigenvector columns (m, d, d), or None with vectors=False. A
-    real stack is decomposed in real arithmetic, a complex one in complex."""
-    if vectors:
-        return [np.linalg.eigh(m) for m in stacks]
-    return [(np.linalg.eigvalsh(m), None) for m in stacks]
-
-
-@record
-class SpectrumCache:
-    """A grouped spectrum, decomposed part by part.
-
-    `stacks` holds every block's basis states as Sectors.stacks does, and
-    per stack `levels` the blocks' eigenvalues (m, d) and, unless the
-    spectrum was built from eigenvalues alone, `eigenvectors` their
-    eigenvector columns (m, d, d) over those states, real for a real
-    stack; copies of one block under a symmetry share its eigenpairs.
-    `eigenvalues` merges all blocks' eigenvalues, with multiplicity, in
-    ascending order, `order` gives the flat position in the stacks of each,
-    and `groups` the (near-)degenerate groups of the merged list, so group
-    energies and gaps mean what they mean for the full spectrum.
-    Eigenvectors stay per block: bases, weights, histograms and evolution
-    work block by block. from_stacks builds the spectra of many values of
-    k at once, and they share its arrays.
-
-    A spectrum without vectors answers group energies and gaps only; asking
-    it for a basis, weight or evolution raises EngineError. It caches
-    nothing; the name stays because perfbench/spans.py wraps its methods by
-    name.
-    """
-
-    eigenvalues: np.ndarray
-    groups: tuple[tuple[int, int], ...]  # [start, stop) index ranges
-    tol: float
-    stacks: tuple[np.ndarray, ...]
-    levels: tuple[np.ndarray, ...]
-    eigenvectors: tuple[np.ndarray, ...] | None
-    order: np.ndarray
-
-    @staticmethod
-    def from_hamiltonian(h: Hamiltonian) -> "SpectrumCache":
-        _check_dense(h.n_qubits)
-        sectors = Sectors(h.n_qubits, (h,))
-        (spec,) = SpectrumCache.from_stacks(sectors, [m[None] for m in sectors.parts(h)])
-        return spec
-
-    @staticmethod
-    def from_stacks(sectors: Sectors, mats, vectors: bool = True) -> list["SpectrumCache"]:
-        """The spectra of K sets of part matrices, one (K, p, d, d) array per
-        entry of sectors.part_sizes, decomposed in one stacked call per size
-        and merged and grouped for all K at once. Merged eigenvalues less
-        than 1e-8 * max(1, spread) apart share a group. vectors=False
-        decomposes eigenvalues only. A non-finite entry, a failed
-        decomposition or a non-finite eigenvalue or spread raises
-        EngineError. The K spectra share the arrays of the call."""
-        if not all(np.isfinite(m).all() for m in mats):
-            raise EngineError("the Hamiltonian has a non-finite matrix entry")
-        try:
-            parts = _spectrum(mats, vectors)
-        except np.linalg.LinAlgError as exc:
-            raise EngineError(f"eigendecomposition failed: {exc}") from exc
-        levels, vecs = sectors.expand(parts, vectors)
-        flat = np.concatenate([w.reshape(w.shape[0], -1) for w in levels], axis=1)
-        order = np.argsort(flat, axis=1, kind="stable")
-        evals = np.take_along_axis(flat, order, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite if either end is not
-            spread = evals[:, -1] - evals[:, 0]
-        if not np.isfinite(spread).all():
-            raise EngineError("the spectrum is not finite")
-        out = []
-        for k, tol in enumerate((1e-8 * np.maximum(1.0, spread)).tolist()):
-            cuts = (np.flatnonzero(np.diff(evals[k]) >= tol) + 1).tolist()
-            groups = tuple(zip([0] + cuts, cuts + [evals.shape[1]]))
-            vectors_k = None if vecs is None else tuple(v[k] for v in vecs)
-            out.append(SpectrumCache(evals[k], groups, tol, sectors.stacks,
-                                     tuple(w[k] for w in levels), vectors_k, order[k]))
-        return out
-
-    def _vectors(self) -> tuple[np.ndarray, ...]:
-        if self.eigenvectors is None:
-            raise EngineError("this spectrum holds eigenvalues only, no eigenvectors")
-        return self.eigenvectors
-
-    def _coefficients(self, amps: np.ndarray) -> list[np.ndarray]:
-        """Per stack, (..., m, d): the components <v|psi> of one state
-        (2^n,) or of each row of a batch (R, 2^n) along the stack's
-        eigenvectors."""
-        return [(amps[..., idx][..., None, :] @ v.conj())[..., 0, :]
-                for idx, v in zip(self.stacks, self._vectors())]
-
-    def group_energy(self, g: int) -> float:
-        start, stop = self.groups[g]
-        energy = float(np.mean(self.eigenvalues[start:stop]))
-        if not math.isfinite(energy):
-            raise EngineError(f"the energy of eigenvalue group {g} is not finite")
-        return energy
-
-    def group_energies(self) -> list[float]:
-        """group_energy of every group, in order."""
-        return [self.group_energy(g) for g in range(len(self.groups))]
-
-    def group_basis(self, g: int) -> np.ndarray:
-        """Orthonormal columns (2^n, size) spanning group g, each an
-        eigenvector embedded from its block."""
-        start, stop = self.groups[g]
-        vecs = self._vectors()
-        ends = np.cumsum([idx.size for idx in self.stacks])
-        out = np.zeros((self.eigenvalues.size, stop - start), dtype=complex)
-        for col, p in enumerate(self.order[start:stop].tolist()):
-            s = int(np.searchsorted(ends, p, side="right"))
-            idx = self.stacks[s]
-            b, j = divmod(p - int(ends[s]) + idx.size, idx.shape[1])
-            out[idx[b], col] = vecs[s][b, :, j]
-        return out
-
-    def level_weights(self, amps: np.ndarray) -> np.ndarray:
-        """|<v_j|psi>|^2 for every eigenvector v_j in merged order: (2^n,)
-        for one state, (R, 2^n) for each row of a batch."""
-        lead = amps.shape[:-1]
-        parts = [np.abs(c.reshape(*lead, -1)) ** 2 for c in self._coefficients(amps)]
-        return np.concatenate(parts, axis=-1)[..., self.order]
-
-    def weights(self, amps: np.ndarray) -> np.ndarray:
-        """The weight of one state, or of each row of a batch, in every group."""
-        starts = [start for start, _ in self.groups]
-        return np.add.reduceat(self.level_weights(amps), starts, axis=-1)
-
-    def group_weight(self, g: int, state: StateVector) -> float:
-        return float(self.weights(state.amps)[g])
-
-    def histogram(self, state: StateVector,
-                  energies: list[float] | None = None) -> list[tuple[float, float]]:
-        """(energy, weight) of the state in each eigenvalue group; `energies`,
-        when given, is group_energies() taken once for many states."""
-        energies = self.group_energies() if energies is None else energies
-        return list(zip(energies, self.weights(state.amps).tolist()))
-
-    def ground_vector(self) -> np.ndarray:
-        """A unit vector of the ground space, the same on every call with
-        the same eigenvectors.
-
-        With P the projector onto the (possibly degenerate) ground space,
-        this is P|e_k>/||P|e_k>|| for the computational basis state k whose
-        computed diagonal weight <e_k|P|e_k> is largest; its k-th amplitude
-        is then real positive by construction. Only an exact float tie
-        breaks to the lowest index. Weights that are equal in exact
-        arithmetic but differ in rounding pick k by that rounding, which can
-        change with the eigensolver, its arithmetic, its thread count and
-        the blocks it is given. On the 9-site XX chain all 512 weights are
-        1/256: its parts (ground_state) pick k = 254, an odd Z-parity
-        state, at one and at two OpenBLAS threads, where complex eigh of
-        the whole matrix picked k = 11 at one thread and 261 at two. The
-        pinned fig5 ground weight depends on that pick; a rule that does
-        not depend on rounding, and the weight it re-pins, wait for the
-        next change to the benchmark.
-        """
-        basis = self.group_basis(0)
-        k = int(np.argmax(np.sum(np.abs(basis) ** 2, axis=1)))
-        vec = basis @ basis[k, :].conj()
-        return vec / np.linalg.norm(vec)
-
-    def evolve(self, amps: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) applied to one state (2^n,) or to each row of a batch
-        (R, 2^n), block by block."""
-        out = np.empty(amps.shape, dtype=complex)
-        for idx, w, v, c in zip(self.stacks, self.levels, self._vectors(),
-                                self._coefficients(amps)):
-            c = c * np.exp(-1j * w * t)
-            out[..., idx] = (c[..., None, :] @ np.swapaxes(v, -1, -2))[..., 0, :]
-        return out
-
-
-@record
-class GroundState:
-    """The lowest energy of a Hamiltonian, a ground vector and the ground degeneracy."""
-    energy: float
-    state: StateVector
-    degeneracy: int
-
-
-def ground_state(h: Hamiltonian) -> GroundState:
-    """Lowest eigenvalue of h with SpectrumCache.ground_vector as its state.
-
-    This is also the start vector of every adiabatic run (GroundPath.start).
-    h is decomposed part by part (SpectrumCache.from_hamiltonian), like
-    every other oracle answer, never as one dense matrix, so the vector is
-    exactly zero outside the block of its pick k. When the ground space is
-    degenerate, k follows the parts' rounding (see ground_vector).
-    """
-    spec = SpectrumCache.from_hamiltonian(h)
-    return GroundState(energy=float(spec.eigenvalues[0]), degeneracy=spec.groups[0][1],
-                       state=StateVector(h.n_qubits, spec.ground_vector()))
-
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """|<psi|phi>|^2 (phase invariant, symmetric)."""
@@ -1031,10 +803,6 @@ def subspace_fidelity(psi: StateVector, basis: np.ndarray) -> float:
     overlaps = basis.conj().T @ psi.amps
     return float(np.real(np.vdot(overlaps, overlaps)))
 
-
-# ---------------------------------------------------------------------------
-# Observables
-# ---------------------------------------------------------------------------
 
 _OBS_TOKEN = re.compile(r"([XYZ])(\d+)")
 

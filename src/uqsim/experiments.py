@@ -1,12 +1,12 @@
 """End-to-end spin-model protocols: model builders, the rules a model adds
-to the compiler's plan, minimum-gap analysis, and adiabatic ground-state
-preparation with timing errors (the experiments behind the figures).
+to the compiler's plan, and adiabatic ground-state preparation with timing
+errors and its sweeps (the experiments behind the figures). The exact
+oracle of a run's path is uqsim.oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,18 +19,11 @@ from .compiler import (
     field_angles,
     plan_for_hamiltonian,
 )
-from .engine import (
-    ErrorModel,
-    FusedCycle,
-    LoweredLayer,
-    Sectors,
-    SpectrumCache,
-    StateVector,
-    _check_dense,
-    ground_state,
-)
+from .engine import ErrorModel, FusedCycle, LoweredLayer, StateVector
 from .errors import ExperimentError
 from .hardware import LatticeModel, TrapArrayModel, displacement_classes, inv_cube
+# min_gap is bound here only because perfbench/spans.py looks it up under experiments
+from .oracle import _CHUNK_ENTRIES, GroundPath, min_gap  # noqa: F401
 from .pauli import Hamiltonian, PauliString
 from .records import record
 
@@ -220,119 +213,6 @@ def protocol_for_model(model: NamedModel, hw) -> CyclePlan:
 
 
 # ---------------------------------------------------------------------------
-# The interpolation path and its exact oracle
-# ---------------------------------------------------------------------------
-
-_CHUNK_ENTRIES = 1 << 16  # most matrix or state entries one chunk of k values holds
-
-
-class GroundPath:
-    """The exact oracle of the path H(k) = k*H_initial + (1-k)*H_target.
-
-    The path is split once into the symmetry blocks and adapted parts both
-    endpoints share (Sectors: cosets, popcount, and the spin flip and
-    mirror when both endpoints commute with them), and each endpoint is
-    reduced onto the parts once; H(k) is then k*A + (1-k)*B part by part,
-    real wherever it has no imaginary part. fig5's path decomposes a 136
-    and a 120 part per k instead of two 256 blocks.
-
-    The spectra do not depend on any state, so `spectra` decomposes many
-    values of k at once: one stacked call per part size per chunk of k,
-    each chunk as large as keeps its part matrices (and, with vectors, the
-    eigenvectors mapped onto the blocks) within _CHUNK_ENTRIES entries.
-    `spectrum` is its one-k case. The spectra of the two endpoints are
-    kept, so runs sharing a path decompose each endpoint once. The start
-    vector of every run is ground_state(h_initial), taken once per path
-    from the parts of h_initial alone.
-    """
-
-    def __init__(self, h_initial: Hamiltonian, h_target: Hamiltonian):
-        if h_initial.n_qubits != h_target.n_qubits:
-            raise ExperimentError("size mismatch")
-        _check_dense(h_initial.n_qubits)
-        self.h_initial, self.h_target = h_initial, h_target
-        self.sectors = Sectors(h_initial.n_qubits, (h_initial, h_target))
-        self._initial = self.sectors.parts(h_initial)
-        self._target = self.sectors.parts(h_target)
-        self._spectra: dict[float, SpectrumCache] = {}
-
-    @cached_property
-    def start(self) -> np.ndarray:
-        """The amplitudes of ground_state(h_initial), where every run starts."""
-        return ground_state(self.h_initial).state.amps
-
-    def blocks(self, k) -> list[np.ndarray]:
-        """The part matrices of H(k), one (p, d, d) array per entry of
-        self.sectors.part_sizes, or (K, p, d, d) for a 1-D array of K
-        values of k; real when the stack has no imaginary part."""
-        k = np.asarray(k, dtype=float)[..., None, None, None]
-        out = []
-        for a, b in zip(self._initial, self._target):
-            m = k * a + (1.0 - k) * b
-            out.append(m.real if np.iscomplexobj(m) and not m.imag.any() else m)
-        return out
-
-    def chunk(self, vectors: bool = True) -> int:
-        """How many values of k one stacked decomposition takes."""
-        entries = sum(a.size for a in self._initial)
-        if vectors:
-            entries += sum(idx.size * idx.shape[1] for idx in self.sectors.stacks)
-        return max(1, _CHUNK_ENTRIES // entries)
-
-    def spectra(self, ks, vectors: bool = True):
-        """The SpectrumCache of H(k) for each k of ks in order, decomposed
-        in chunks of self.chunk(vectors) values; only one chunk is held."""
-        ks = np.asarray(ks, dtype=float)
-        size = self.chunk(vectors)
-        for at in range(0, ks.size, size):
-            yield from SpectrumCache.from_stacks(self.sectors, self.blocks(ks[at:at + size]),
-                                                 vectors)
-
-    def spectrum(self, k: float) -> SpectrumCache:
-        spec = self._spectra.get(k)
-        if spec is None:
-            (spec,) = self.spectra([k])
-            if k in (0.0, 1.0):
-                self._spectra[k] = spec
-        return spec
-
-    def ground_basis(self, k: float) -> np.ndarray:
-        """Orthonormal columns spanning the ground space of H(k)."""
-        return self.spectrum(k).group_basis(0)
-
-
-@record(frozen=True)
-class MinGapResult:
-    """The smallest gap between the two lowest levels on a k grid, its k, and the time 1/gap."""
-    min_gap: float
-    argmin_k: float
-    recommended_time: float
-    gapless: bool
-
-
-def min_gap(path: GroundPath, samples: int = 101) -> MinGapResult:
-    """Smallest gap between the two lowest eigenvalue groups of H(k) on a
-    uniform k grid, plus the adiabatic-time recommendation 1/gap. The grid
-    is decomposed for eigenvalues only, in chunks (GroundPath.spectra)."""
-    best = math.inf
-    best_k = 0.0
-    all_gapless = True
-    ks = np.linspace(0.0, 1.0, samples)
-    for k, spec in zip(ks.tolist(), path.spectra(ks, vectors=False)):
-        if len(spec.groups) < 2:
-            continue
-        gap = spec.group_energy(1) - spec.group_energy(0)
-        if gap >= spec.tol:
-            all_gapless = False
-        if gap < best:
-            best = gap
-            best_k = k
-    if not math.isfinite(best):
-        return MinGapResult(0.0, 0.0, math.inf, True)
-    return MinGapResult(best, best_k, math.inf if all_gapless else 1.0 / best, all_gapless)
-
-
-# ---------------------------------------------------------------------------
 # Adiabatic ground-state preparation
 # ---------------------------------------------------------------------------
 
@@ -340,7 +220,6 @@ RAMPS: dict[str, Callable[[float], float]] = {
     "linear": lambda x: 1.0 - x,
     "cosine": lambda x: 0.5 * (1.0 + math.cos(math.pi * x)),
 }
-STEPPERS = ("trotter", "exact")
 
 
 @record(frozen=True)
@@ -359,7 +238,6 @@ class AdiabaticConfig:
     ramp: str | Callable[[float], float] = "linear"
     error_model: ErrorModel | None = None
     record_every: int = 1
-    stepper: str = "trotter"  # or "exact" (dense per-step evolution, no gates)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -370,8 +248,6 @@ class AdiabaticConfig:
             raise ExperimentError(f"record_every must be at least 0, got {self.record_every}")
         if not (callable(self.ramp) or self.ramp in RAMPS):
             raise ExperimentError(f"unknown ramp {self.ramp!r} (have {tuple(RAMPS)})")
-        if self.stepper not in STEPPERS:
-            raise ExperimentError(f"unknown stepper {self.stepper!r} (have {STEPPERS})")
 
     def ramp_fn(self) -> Callable[[float], float]:
         fn = RAMPS[self.ramp] if isinstance(self.ramp, str) else self.ramp
@@ -471,8 +347,7 @@ def adiabatic_batch(
     where it runs. The copied states wait until a chunk of them is held
     (GroundPath.chunk, and at most _CHUNK_ENTRIES amplitudes) or the run
     ends; their spectra are then decomposed as one chunk of k
-    (GroundPath.spectra) and the trajectory sampled from them. The exact
-    stepper steps and samples through the same chunks of spectra.
+    (GroundPath.spectra) and the trajectory sampled from them.
     """
     h_i, h_t = config.h_initial, config.h_target
     if not seeds:
@@ -481,13 +356,10 @@ def adiabatic_batch(
     if (path.h_initial, path.h_target) != (h_i, h_t):
         raise ExperimentError("ground_path is for other Hamiltonians than the config's")
     n = h_i.n_qubits
-    if config.stepper == "trotter":
-        plan_initial = plan_for_hamiltonian(h_i, hw)
-        plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
-        peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
-        dt = config.theta1 / peak if peak > 0 else config.theta1
-    else:
-        dt = config.theta1
+    plan_initial = plan_for_hamiltonian(h_i, hw)
+    plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
+    peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
+    dt = config.theta1 / peak if peak > 0 else config.theta1
     ramp = config.ramp_fn()
     err = config.error_model
     noisy = err is not None and err.is_noisy
@@ -508,50 +380,44 @@ def adiabatic_batch(
             trajectory.append((s, float(ks[s - 1]), fid, energy))
 
     executed = 0
-    if config.stepper == "exact":
-        for s, spec in enumerate(path.spectra(ks), 1):
-            amps = spec.evolve(amps, dt)
-            if recorded[s - 1]:
-                sample(s, spec, amps)
-    else:
-        # recorded states are copied out mid-pass into `kept`, and sampled
-        # from one chunk of spectra once it is full or the run ends
-        kept = np.empty((min(int(recorded.sum()), path.chunk(),
-                             max(1, _CHUNK_ENTRIES // amps.size)), *amps.shape), dtype=complex)
-        held = []  # the steps whose states `kept` holds
+    # recorded states are copied out mid-pass into `kept`, and sampled
+    # from one chunk of spectra once it is full or the run ends
+    kept = np.empty((min(int(recorded.sum()), path.chunk(),
+                         max(1, _CHUNK_ENTRIES // amps.size)), *amps.shape), dtype=complex)
+    held = []  # the steps whose states `kept` holds
 
-        def keep(s):
-            """Step s has run on amps."""
-            if recorded[s - 1]:
-                kept[len(held)] = amps
-                held.append(s)
-            if held and (len(held) == len(kept) or s == config.steps):
-                for step, spec, states in zip(held, path.spectra(ks[np.array(held) - 1]), kept):
-                    sample(step, spec, states)
-                held.clear()
+    def keep(s):
+        """Step s has run on amps."""
+        if recorded[s - 1]:
+            kept[len(held)] = amps
+            held.append(s)
+        if held and (len(held) == len(kept) or s == config.steps):
+            for step, spec, states in zip(held, path.spectra(ks[np.array(held) - 1]), kept):
+                sample(step, spec, states)
+            held.clear()
 
-        etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
-        (ins_i, slots_i, regular_i), (ins_t, slots_t, regular_t) = (
-            cycle_template(plan_initial, dt, 0, ks), cycle_template(plan_target, dt, 1, 1.0 - ks))
-        regular = regular_i & regular_t
-        if regular.any():
-            cycle = FusedCycle(ins_i + ins_t, n, *etas, slots_i + slots_t)
-        s = 0  # steps 1..s have run
-        while s < config.steps:
-            stop = s + 1
-            if regular[s]:
-                while stop < config.steps and regular[stop]:
-                    stop += 1
-                run = ks[s:stop]
-                after = (lambda j, s=s: keep(s + j + 1)) if len(kept) else None
-                executed += cycle.execute(amps, stop - s, rngs, None,
-                                          np.column_stack([run, 1.0 - run]), after)
-            else:
-                k = float(ks[s])
-                ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
-                executed += FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None)
-                keep(stop)
-            s = stop
+    etas = (err.eta_local, err.eta_int) if err is not None else (0.0, 0.0)
+    (ins_i, slots_i, regular_i), (ins_t, slots_t, regular_t) = (
+        cycle_template(plan_initial, dt, 0, ks), cycle_template(plan_target, dt, 1, 1.0 - ks))
+    regular = regular_i & regular_t
+    if regular.any():
+        cycle = FusedCycle(ins_i + ins_t, n, *etas, slots_i + slots_t)
+    s = 0  # steps 1..s have run
+    while s < config.steps:
+        stop = s + 1
+        if regular[s]:
+            while stop < config.steps and regular[stop]:
+                stop += 1
+            run = ks[s:stop]
+            after = (lambda j, s=s: keep(s + j + 1)) if len(kept) else None
+            executed += cycle.execute(amps, stop - s, rngs, None,
+                                      np.column_stack([run, 1.0 - run]), after)
+        else:
+            k = float(ks[s])
+            ins = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
+            executed += FusedCycle(ins, n, *etas).execute(amps, 1, rngs, None)
+            keep(stop)
+        s = stop
     final = path.spectrum(0.0)
     energies = final.group_energies()  # weights stay per row: a batched call rounds otherwise
     results = []
@@ -600,8 +466,7 @@ def error_sweep(
         raise ExperimentError("need at least one repetition")
     # every step count is checked before any cell runs
     configs = {steps: replace(config, steps=int(steps), record_every=0) for steps in steps_list}
-    if config.stepper == "trotter":
-        plan_target = plan_target or plan_for_hamiltonian(config.h_target, hw)
+    plan_target = plan_target or plan_for_hamiltonian(config.h_target, hw)
     path = GroundPath(config.h_initial, config.h_target)
     rows = []
     for eta in eta_list:

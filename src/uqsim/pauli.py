@@ -518,6 +518,21 @@ class LocalLayer:
             return self._hom.is_identity()
         return all(u.is_identity() for u in self._units)
 
+    def _matrices(self) -> np.ndarray:
+        return np.array([self.unitary_at(q).matrix for q in range(self.n_qubits or 1)])
+
+    def __eq__(self, other):
+        """The same object, or both homogeneous or both on the same qubits,
+        with equal matrices."""
+        if not isinstance(other, LocalLayer):
+            return NotImplemented
+        return self is other or (self.n_qubits == other.n_qubits
+                                 and np.array_equal(self._matrices(), other._matrices()))
+
+    def __hash__(self):
+        # over the entries as Python numbers, whose hash -0.0 and 0.0 share
+        return hash((self.n_qubits, *self._matrices().ravel().tolist()))
+
     def __repr__(self):
         if self._hom is not None:
             return f"LocalLayer(homogeneous {self._hom!r})"

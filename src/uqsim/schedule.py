@@ -42,13 +42,6 @@ class ApplyLocal:
 
     layer: LocalLayer
 
-    def equals(self, other) -> bool:
-        """Both homogeneous, or both on the same qubits, with equal matrices."""
-        a, b = self.layer, getattr(other, "layer", None)
-        return isinstance(other, ApplyLocal) and a.n_qubits == b.n_qubits and all(
-            np.array_equal(a.unitary_at(q).matrix, b.unitary_at(q).matrix)
-            for q in range(a.n_qubits or 1))
-
 
 @record(frozen=True)
 class RawGate:

@@ -173,7 +173,7 @@ def reference_adiabatic_amps(config, plan_initial, plan_target):
     """Final amplitudes of an adiabatic Trotter run built step by step from
     emit_cycle and reference_execute."""
     from uqsim.compiler import emit_cycle
-    from uqsim.engine import ground_state
+    from uqsim.oracle import ground_state
 
     n = config.h_initial.n_qubits
     peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())

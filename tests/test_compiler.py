@@ -488,9 +488,7 @@ class TestPlanning:
         assert fam.cost == hand.cost
         for dt, scale in ((0.01, 1.0), (0.1, 0.37)):
             ours, theirs = emit_cycle(plan, dt, scale), emit_cycle(by_hand, dt, scale)
-            assert len(ours) == len(theirs)
-            assert all(a.equals(b) if isinstance(a, ApplyLocal) else a == b
-                       for a, b in zip(ours, theirs))
+            assert ours == theirs
 
     def test_cube_law_target_compiles_to_one_push(self):
         n = 5

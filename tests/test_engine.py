@@ -6,23 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from uqsim import engine, kernels
+from uqsim import kernels, oracle
 from uqsim.compiler import ApplyLocal, CompileError, PulseSchedule, RawGate
 from uqsim.engine import (
     EngineError,
     ErrorModel,
-    SpectrumCache,
     StateFormatError,
     StateVector,
-    exact_evolve,
     expectation,
     expectation_energy,
     fidelity,
-    ground_state,
     parse_observable,
     run_schedule,
     subspace_fidelity,
 )
+from uqsim.oracle import SpectrumCache, exact_evolve, ground_state
 from uqsim.pauli import Hamiltonian, LocalLayer, PauliString, SingleQubitUnitary
 
 
@@ -345,7 +343,7 @@ class TestExactEvolve:
             exact_evolve(h, t, random_state(2, 3))
 
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(engine, "DENSE_CAP", 2)
+        monkeypatch.setattr(oracle, "DENSE_CAP", 2)
         h = Hamiltonian.from_terms(3, [(1.0, "ZZZ")])
         with pytest.raises(EngineError):
             exact_evolve(h, 1.0, random_state(3))

@@ -8,22 +8,22 @@ from uqsim.compiler import ApplyLocal, HardwareConstraintError, InfeasibleTarget
 from uqsim.engine import EngineError, ErrorModel, StateVector
 from uqsim.experiments import (
     MODEL_NAMES,
+    RAMPS,
     AdiabaticConfig,
     ExperimentError,
     Geometry,
-    GroundPath,
     NamedModel,
     SweepRow,
     adiabatic_run,
     build_model,
     error_sweep,
-    min_gap,
     nn_chain,
     protocol_for_model,
     random_couplings,
     sweep_table_csv,
 )
 from uqsim.hardware import HardwareError, LatticeModel, TrapArrayModel
+from uqsim.oracle import GroundPath, min_gap
 from uqsim.pauli import Hamiltonian, conjugate as pauli_conjugate
 
 
@@ -362,6 +362,16 @@ def test_plans_are_physically_realizable(name, platform, sign, gamma):
     assert all(g.unit_angle * gamma > 0 for fam in plan.families for g in fam.gates)
 
 
+def exact_ground_weight(path: GroundPath, steps: int, theta1: float) -> float:
+    """The final ground weight of an exact run of the path: from path.start,
+    exp(-i H(k_s) theta1) for each step s on the linear ramp k_s."""
+    ks = [RAMPS["linear"](s / steps) for s in range(1, steps + 1)]
+    amps = path.start[None]
+    for spec in path.spectra(ks):
+        amps = spec.evolve(amps, theta1)
+    return float(path.spectrum(0.0).weights(amps[0])[0])
+
+
 def random_hamiltonian(rng, n):
     terms = [(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=n)))
              for _ in range(int(rng.integers(1, 2 * n + 2)))]
@@ -387,16 +397,16 @@ class TestGroundPath:
 
     @staticmethod
     def count_decompositions(monkeypatch):
-        from uqsim import engine
+        from uqsim import oracle
 
         calls = []
-        real = engine._spectrum
+        real = oracle._spectrum
 
         def counting(stacks, *args, **kwargs):
             calls.append([m.shape for m in stacks])
             return real(stacks, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "_spectrum", counting)
+        monkeypatch.setattr(oracle, "_spectrum", counting)
         return calls
 
     def setup_method(self):
@@ -413,12 +423,10 @@ class TestGroundPath:
         assert len(rows) == 3
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("stepper", ["trotter", "exact"])
-    def test_recorded_run_decomposes_once_per_step(self, monkeypatch, stepper):
+    def test_recorded_run_decomposes_once_per_step(self, monkeypatch):
         calls = self.count_decompositions(monkeypatch)
         steps = 6
-        cfg = AdiabaticConfig(self.init, self.target, steps=steps, theta1=0.05,
-                              record_every=1, stepper=stepper)
+        cfg = AdiabaticConfig(self.init, self.target, steps=steps, theta1=0.05, record_every=1)
         res = adiabatic_run(cfg, self.hw)
         assert len(res.trajectory) == steps
         assert len(calls) <= steps + 1
@@ -448,7 +456,7 @@ class TestAdiabaticConfigChecks:
     @pytest.mark.parametrize("field, value", [
         ("steps", 0), ("steps", -4), ("theta1", -0.1), ("theta1", 0.0),
         ("theta1", math.nan), ("theta1", math.inf), ("record_every", -1),
-        ("ramp", "cubic"), ("stepper", "leapfrog"),
+        ("ramp", "cubic"),
     ])
     def test_bad_field_names_it(self, field, value):
         h = nn_chain("zz", 2)
@@ -589,8 +597,8 @@ class TestAdiabaticRun:
         shared = dict(h_initial=self.init, h_target=self.target, steps=200,
                       theta1=0.05, record_every=0)
         trot = adiabatic_run(AdiabaticConfig(**shared), self.hw)
-        exact = adiabatic_run(AdiabaticConfig(**shared, stepper="exact"), self.hw)
-        assert abs(trot.ground_weight - exact.ground_weight) < 0.02
+        exact = exact_ground_weight(GroundPath(self.init, self.target), 200, 0.05)
+        assert abs(trot.ground_weight - exact) < 0.02
 
     @pytest.mark.slow
     def test_exact_step_convergence_is_monotone(self):
@@ -598,12 +606,7 @@ class TestAdiabaticRun:
         init = nn_chain("zz", n)
         target = build_model(NamedModel("dipole", Geometry.chain(n), j=1.0))
         path = GroundPath(init, target)
-        weights = []
-        for steps in (50, 100, 250, 500, 1500):
-            cfg = AdiabaticConfig(init, target, steps=steps, theta1=0.1,
-                                  record_every=0, stepper="exact")
-            res = adiabatic_run(cfg, LatticeModel(n_sites=n), ground_path=path)
-            weights.append(res.ground_weight)
+        weights = [exact_ground_weight(path, steps, 0.1) for steps in (50, 100, 250, 500, 1500)]
         assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
         assert weights[-1] >= 0.99
 
@@ -613,14 +616,12 @@ class TestAdiabaticRun:
         n = 7
         init = nn_chain("zz", n)
         target = build_model(NamedModel("dipole", Geometry.chain(n), j=1.0))
-        gap = min_gap(GroundPath(init, target), samples=41).min_gap
+        path = GroundPath(init, target)
+        gap = min_gap(path, samples=41).min_gap
         theta1 = 0.1
         steps = math.ceil(10.0 / gap / theta1)
-        cfg = AdiabaticConfig(init, target, steps=steps, theta1=theta1,
-                              record_every=0, stepper="exact")
-        res = adiabatic_run(cfg, LatticeModel(n_sites=n))
-        assert res.t_sim >= 10.0 / gap
-        assert res.ground_weight >= 0.9
+        assert steps * theta1 >= 10.0 / gap
+        assert exact_ground_weight(path, steps, theta1) >= 0.9
 
 
 class TestErrorSweep:

@@ -46,7 +46,7 @@ INPUTS = {  # a trotter-uqs2-style pipeline on 4 trap ions, and a small adiabati
                      "[adiabatic]\ninitial = zz_chain\nsteps = 4\ntheta1 = 0.1\n",
 }
 
-EXECUTOR = {"engine", "execlog", "sectors", "experiments", "svg"}
+EXECUTOR = {"engine", "execlog", "oracle", "experiments", "svg"}
 PLANNER = {"compiler", "hardware", "experiments", "svg"}
 
 
@@ -149,8 +149,8 @@ EXPORTED = {
                 "synthesize_diagonal three_body_gate trotter_schedule",
     "hardware": "LatticeModel TrapArrayModel beam_compensation crosstalk_report "
                 "geometry_remap uqs1_gate uqs2_push",
-    "engine": "ErrorModel SpectrumCache StateVector exact_evolve expectation fidelity "
-              "ground_state run_schedule",
+    "engine": "ErrorModel StateVector expectation fidelity run_schedule",
+    "oracle": "SpectrumCache exact_evolve ground_state",
 }
 NAMES = sorted((name, module) for module, names in EXPORTED.items() for name in names.split())
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uqsim import engine, kernels
+from uqsim import engine, kernels, oracle
 from uqsim.compiler import (
     ApplyLocal,
     CyclePlan,
@@ -34,7 +34,6 @@ from uqsim.engine import (
 from uqsim.experiments import (
     AdiabaticConfig,
     Geometry,
-    GroundPath,
     NamedModel,
     adiabatic_batch,
     adiabatic_run,
@@ -45,6 +44,7 @@ from uqsim.experiments import (
     protocol_for_model,
 )
 from uqsim.hardware import LatticeModel, TrapArrayModel
+from uqsim.oracle import GroundPath
 from uqsim.pauli import LocalLayer, SingleQubitUnitary
 
 AMP_TOL = 1e-12
@@ -869,8 +869,8 @@ def test_recorded_run_matches_step_by_step_trajectory(monkeypatch, case, record_
     path = GroundPath(init, target)
     path.start
     made = spy_generators(monkeypatch)
-    stacked, solve = [], engine._spectrum
-    monkeypatch.setattr(engine, "_spectrum", lambda mats, *a: stacked.append(len(mats[0])) or
+    stacked, solve = [], oracle._spectrum
+    monkeypatch.setattr(oracle, "_spectrum", lambda mats, *a: stacked.append(len(mats[0])) or
                         solve(mats, *a))
     seeds = [5, 9]
     results = adiabatic_batch(cfg, hw, seeds, plan_target=plan_t, ground_path=path)

@@ -12,11 +12,11 @@ import pickle
 import numpy as np
 import pytest
 
-from uqsim import compiler, engine, experiments, hardware, pauli, schedule
+from uqsim import compiler, engine, experiments, hardware, oracle, pauli, schedule
 from uqsim.errors import CompileError
 from uqsim.records import record
 
-MODULES = ("pauli", "schedule", "compiler", "hardware", "engine", "experiments")
+MODULES = ("pauli", "schedule", "compiler", "hardware", "engine", "oracle", "experiments")
 MUTABLE = {"StateVector", "SpectrumCache", "GroundState", "AdiabaticResult"}
 OWN_REPR = {"PauliString", "Hamiltonian", "CoeffMatrix"}
 
@@ -34,7 +34,7 @@ def examples() -> dict:
     three_ions = hardware.TrapArrayModel(positions=trap.positions[:n])
     sched, report = compiler.trotter_schedule(ising, 1.0, 0.5, three_ions)
     config = experiments.AdiabaticConfig(initial, target, steps=4, theta1=0.1)
-    path = experiments.GroundPath(initial, target)
+    path = oracle.GroundPath(initial, target)
     h1 = pauli.Hamiltonian.from_terms(n, [(1.0, "IZZ")])
     h2 = pauli.Hamiltonian.from_terms(n, [(1.0, "XXI")])
     raw = pauli.Hamiltonian.from_terms(n, [(0.8, "ZII"), (1.0, "ZZI"), (0.6, "IZZ")])
@@ -50,8 +50,8 @@ def examples() -> dict:
         hardware.geometry_remap("triangular", hardware.LatticeModel(4, dims=2, shape=(2, 2))),
         hardware.beam_compensation([0.0, 1.0, 2.0], hardware.gaussian_beam(0.5), 1, 0.6),
         engine.ErrorModel(0.01, 0.02, seed=3), engine.StateVector.zero_state(n),
-        engine.SpectrumCache.from_hamiltonian(target), engine.ground_state(target),
-        model, model.geometry, config, experiments.min_gap(path, samples=5),
+        oracle.SpectrumCache.from_hamiltonian(target), oracle.ground_state(target),
+        model, model.geometry, config, oracle.min_gap(path, samples=5),
         experiments.adiabatic_run(config, lattice, ground_path=path),
         *experiments.error_sweep(config, lattice, [0.0], [4], 1),
     ]
@@ -97,6 +97,7 @@ def test_a_record_copies_compares_and_hashes_by_its_fields(cls, examples):
     assert type(sent) is cls and list(vars(sent)) == list(vars(obj)) and repr(sent) == repr(obj)
     if hashable(obj):
         assert copy == obj and not copy != obj and values(copy) == values(obj)
+        assert sent == obj  # a layer compares by its matrices, not by identity
         assert obj != object() and obj.__eq__(object()) is NotImplemented
     if cls.__name__ in MUTABLE:
         with pytest.raises(TypeError, match="unhashable"):
@@ -174,3 +175,23 @@ def test_post_init_still_validates():
     with pytest.raises(pauli.PauliError):
         pauli.CoeffMatrix(np.eye(2))
     assert pauli.PauliString("XZ", 1).coeff.__class__ is float  # set through object.__setattr__
+
+
+def test_a_schedule_read_back_from_its_text_equals_the_original(examples):
+    sched = examples["PulseSchedule"]
+    back = schedule.schedule_from_text(schedule.schedule_to_text(sched))
+    assert back.instructions is not sched.instructions
+    assert back == dataclasses.replace(sched, cost=None)  # the text holds no cost report
+
+
+def test_equal_layers_share_a_hash():
+    hom, per_qubit, layer = (pauli.LocalLayer.homogeneous, pauli.LocalLayer.inhomogeneous,
+                             pauli.SingleQubitUnitary)
+    u = layer.rot((0.0, 0.0, 1.0), 0.0)
+    minus = layer(u.matrix * np.array([[1, -1], [-1, 1]]))  # -0.0 off the diagonal
+    assert np.signbit(minus.matrix.real).any() and not np.signbit(u.matrix.real).any()
+    for a, b in ((hom(u), hom(minus)), (per_qubit([u, minus]), per_qubit([minus, u]))):
+        assert a == b and hash(a) == hash(b) and a is not b
+    assert hom(u) != per_qubit([u, u]) and hom(u) != per_qubit([u]) and hom(u) != "layer"
+    other = hom(layer.rot((1.0, 0.0, 0.0), 0.3))
+    assert hom(u) != other and schedule.ApplyLocal(hom(u)) != schedule.ApplyLocal(other)

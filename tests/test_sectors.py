@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import oracles
 from test_experiments import random_hamiltonian
-from uqsim.engine import Sectors, SpectrumCache, StateVector, ground_state
-from uqsim.experiments import Geometry, GroundPath, NamedModel, build_model, nn_chain
+from uqsim.engine import StateVector
+from uqsim.experiments import Geometry, NamedModel, build_model, nn_chain
+from uqsim.oracle import GroundPath, Sectors, SpectrumCache, _conserves_popcount, ground_state
 from uqsim.pauli import Hamiltonian, commutator
-from uqsim.sectors import _conserves_popcount
 
 
 def conserving_hamiltonian(rng, n):
@@ -237,7 +237,7 @@ def test_start_vector_is_the_ground_state(h_initial):
     assert path.start is path.start
 
 
-XX9_AMPS = ("import sys; from uqsim.engine import ground_state; "
+XX9_AMPS = ("import sys; from uqsim.oracle import ground_state; "
             "from uqsim.experiments import nn_chain; "
             "sys.stdout.write(ground_state(nn_chain('xx', 9)).state.amps.tobytes().hex())")
 

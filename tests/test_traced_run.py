@@ -60,5 +60,13 @@ def test_traced_commands_exit_0_and_count_their_outputs(tmp_path):
     assert finish(*compiled)["compiler.trotter_schedule"] == 1
     simulated = start(tmp_path, "simulate", ["simulate", "--config", "simulate.cfg", "--seed", "3",
                                              "--oracle", "--jobs", "1", "--out-dir", "simulated"])
-    assert finish(*simulated)["engine.execute"] >= 1
-    assert finish(*adiabatic)["experiments.adiabatic_run"] == 1
+    simulate_calls = finish(*simulated)
+    assert simulate_calls["engine.execute"] >= 1
+    # the oracle's functions are traced through the names engine and
+    # experiments keep for the tracer, wherever uqsim.oracle calls them
+    assert simulate_calls["engine.exact_evolve"] == 1
+    adiabatic_calls = finish(*adiabatic)
+    assert adiabatic_calls["experiments.adiabatic_run"] == 1
+    assert adiabatic_calls["engine.spectrum"] >= 1
+    assert adiabatic_calls["engine.ground_state"] == 1
+    assert adiabatic_calls["experiments.min_gap"] == 1
