@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="INI config (bundled names resolve too)")
-        p.add_argument("--out-dir", default=".", help="output directory")
+        p.add_argument("--out-dir", default=None,
+                       help="output directory (default: [output] dir, else .)")
         return p
 
     def seeded(p):
@@ -101,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "run of this schedule, not from the seed's generator")
     p_adia = seeded(common(sub.add_parser("adiabatic",
                                           help="adiabatic ground-state preparation runs")))
-    p_adia.add_argument("--steps", type=int, default=None, help="override step count")
+    p_adia.add_argument("--steps", type=int, default=None,
+                        help="override the step count: [adiabatic] steps, and a sweep's steps_list")
     p_adia.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="json also writes a sweep's rows to sweep.json")
+                        help="json also writes a sweep's rows to sweep.json (needs [sweep])")
     common(sub.add_parser("cost", help="time cost / control complexity of a target"))
     common(sub.add_parser("crosstalk", help="crosstalk report for pushed ion groups"))
     return parser
@@ -342,21 +344,12 @@ def load_hardware(cfg, config_path):
     return _checked("[hardware]", hardware.parse_hardware_text, text)
 
 
-MODEL_FIELDS = {"b_values": "b_list", "j_values": "j_map"}  # the [model] keys NamedModel renames
-
-
 def load_named_model(cfg) -> experiments.NamedModel:
-    """The [model] section as a NamedModel, on a 2-site chain unless it
-    sets geometry; its errors name the section and the config keys."""
-    kwargs = {MODEL_FIELDS.get(k, k): v for k, v in cfg["model"].items() if v is not None}
+    """The [model] section as a NamedModel, its keys NamedModel's fields, on
+    a 2-site chain unless it sets geometry; its errors name the section."""
+    kwargs = {k: v for k, v in cfg["model"].items() if v is not None}
     kwargs.setdefault("geometry", experiments.Geometry.chain(2))
-    try:
-        return experiments.NamedModel(**kwargs)
-    except ExperimentError as exc:
-        message = str(exc)
-        for key, name in MODEL_FIELDS.items():  # name the config keys, not NamedModel's fields
-            message = message.replace(name, key)
-        raise UsageError(f"[model] {message}") from exc
+    return _checked("[model]", experiments.NamedModel, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +417,19 @@ def cmd_compile(args, cfg, config_path) -> int:
     writer = OutputWriter(Path(args.out_dir))
     writer.write_chunks("schedule.txt", schedule_text_chunks(schedule))
     writer.write("cost.txt", report.to_text())
+    num = len(schedule.instructions)
     doc = {
         "cost": report.as_dict(),
         "schedule": {
             "n_qubits": schedule.n_qubits,
-            "num_cycles": schedule.num_cycles,
-            "cycle_length": schedule.cycle_length,
-            "num_instructions": len(schedule.instructions),
+            "num_cycles": report.num_gates,
+            "cycle_length": num // report.num_gates if report.num_gates else 0,
+            "num_instructions": num,
         },
     }
     writer.write("compile.json", json.dumps(doc, indent=2) + "\n")
     writer.manifest("compile", config_path)
-    print(f"compiled {len(schedule.instructions)} instructions "
+    print(f"compiled {num} instructions "
           f"(L={report.num_gates}, c={report.time_cost:g}, chi={report.chi:g})")
     return EXIT_OK
 
@@ -519,6 +513,9 @@ def _histogram_csv(result) -> str:
 
 def cmd_adiabatic(args, cfg, config_path) -> int:
     section = cfg["adiabatic"]
+    if args.format == "json" and "sweep" not in cfg:
+        raise UsageError("--format json does nothing without [sweep]: "
+                         "it writes a sweep's rows to sweep.json")
     hw = load_hardware(cfg, config_path)
     model = load_named_model(cfg)
     target = experiments.build_model(model)
@@ -544,9 +541,10 @@ def cmd_adiabatic(args, cfg, config_path) -> int:
             raise UsageError(f"[adiabatic] {', '.join(ignored)} does nothing with [sweep]: "
                              "it sets both etas per cell and records no trajectory")
         etas, steps_list, reps = (cfg["sweep"][k] for k in ("etas", "steps_list", "repetitions"))
-        steps_list = steps_list or (base.steps,)
-        for s in steps_list:
+        for s in steps_list or ():  # checked under --steps too
             _checked("[sweep] steps_list:", replace, base, steps=s)
+        if args.steps is not None or not steps_list:
+            steps_list = (base.steps,)
         if any(e > 0 for e in etas) and seed is None:
             raise PolicyError("sweep with noise needs a seed (seed= or --seed)")
         rows = _run_sweep(base, hw, etas, steps_list, reps, seed or 0, args.jobs, plan_target)
@@ -683,9 +681,9 @@ def main(argv=None) -> int:
         for name in needed:
             if name not in cfg:
                 raise UsageError(f"config needs {'an' if name[0] in 'aeiou' else 'a'} [{name}] section")
-        out_dir = cfg.get("output", {}).get("dir")
-        if args.out_dir == "." and out_dir is not None:
-            args.out_dir = str(config_path.parent / out_dir)
+        if args.out_dir is None:  # no --out-dir: [output] dir, relative to the config
+            out_dir = cfg.get("output", {}).get("dir")
+            args.out_dir = "." if out_dir is None else str(config_path.parent / out_dir)
         return command(args, cfg, config_path)
     except (InfeasibleTargetError, HardwareConstraintError, UnsupportedInteractionError) as exc:
         sys.stderr.write(f"uqsim: infeasible: {exc}\n")

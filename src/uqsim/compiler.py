@@ -683,8 +683,9 @@ def trotter_schedule(
     Emits L identical Trotter cycles with L = ceil(c^2 t'^2 / eps) (or the
     explicit `num_cycles`); each cycle realizes every two-qubit term through
     its control sequence around the raw hardware gate and every one-qubit
-    term as a local layer. More than MAX_INSTRUCTIONS instructions raise
-    CompileError.
+    term as a local layer. The L cycles are the same instruction objects,
+    and the report holds L (num_gates). More than MAX_INSTRUCTIONS
+    instructions raise CompileError.
     """
     check_budget(t_prime, epsilon)
     plan = plan_for_hamiltonian(target, hw)
@@ -703,7 +704,7 @@ def trotter_schedule(
                            f"MAX_INSTRUCTIONS={MAX_INSTRUCTIONS}")
     n_controls = sum(1 for ins in cycle if isinstance(ins, ApplyLocal))
     report = cost_report(c, n_controls, num, t_prime, epsilon)
-    return PulseSchedule(target.n_qubits, tuple(cycle) * num, report, len(cycle), num), report
+    return PulseSchedule(target.n_qubits, tuple(cycle) * num), report
 
 
 # ---------------------------------------------------------------------------

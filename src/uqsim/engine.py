@@ -298,18 +298,14 @@ def _zz_phases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_zz(amps: np.ndarray, pairs, signs: np.ndarray | None, coef: np.ndarray) -> None:
-    """exp(-i * coef @ signs) on every row of amps (R, 2^n): `signs` holds
-    the +-1 row of Z_a Z_b per pair (a, b) over the lower 2^(n-1) basis
-    states (zz_signs(..., half=True)), or is None to make the rows one at a
-    time; _zz_phases mirrors their phases onto the upper half."""
-    if signs is None:
-        n = amps.shape[1].bit_length() - 1
-        angles = sum(coef[..., t, None] * kernels.zz_signs(n, a, b, half=True)
-                     for t, (a, b) in enumerate(pairs))
-    else:
-        angles = coef @ signs
-    amps *= _zz_phases(angles)
+def _apply_zz(amps: np.ndarray, pairs, coef: np.ndarray) -> None:
+    """exp(-i * sum_t coef[..., t] Z_a Z_b) over the pairs (a, b) on every
+    row of amps (R, 2^n), making the +-1 sign row of each pair over the
+    lower 2^(n-1) basis states (zz_signs(..., half=True)) one at a time;
+    _zz_phases mirrors their phases onto the upper half."""
+    n = amps.shape[1].bit_length() - 1
+    amps *= _zz_phases(sum(coef[..., t, None] * kernels.zz_signs(n, a, b, half=True)
+                           for t, (a, b) in enumerate(pairs)))
 
 
 def _mapped_draws(draws, eta, size: int, codes: np.ndarray, used) -> np.ndarray:
@@ -592,7 +588,7 @@ class FusedCycle:
                     elif kind == "phases":
                         np.multiply(views[at], x[j], out=views[at])
                     else:
-                        _apply_zz(views[at], pairs, None, x[j])
+                        _apply_zz(views[at], pairs, x[j])
                 if after is not None:
                     if at:
                         amps[...], at = bufs[1], 0

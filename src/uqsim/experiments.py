@@ -52,7 +52,7 @@ class Geometry:
     def grid(rows: int, cols: int, pattern: str = "rectangular") -> "Geometry":
         from .hardware import geometry_remap
 
-        base = LatticeModel(n_sites=rows * cols, dims=2, shape=(rows, cols))
+        base = LatticeModel(n_sites=rows * cols, shape=(rows, cols))
         remap = geometry_remap(pattern, base)
         positions = tuple(
             (float(r), float(c)) for r in range(rows) for c in range(cols)
@@ -86,18 +86,19 @@ class NamedModel:
     ising: -(J/2) ZZ on nearest neighbors.
     heisenberg: -(J/2)(XX+YY+ZZ) on nearest neighbors.
     random_ising: -(J_ab/2) ZZ on nearest neighbors plus site fields B_a X_a;
-    only it takes b_list, j_map, j_range and seed.
+    only it takes b_values, j_values, j_range and seed, and it takes no j:
+    its couplings are j_values, or drawn from j_range with seed.
     An optional uniform field B along `direction` can be added to any model;
     `direction` is 3 finite values forming a unit vector, whatever B is.
     """
 
     name: str
     geometry: Geometry
-    j: float = 1.0
+    j: float | None = None  # 1.0 when unset, but on random_ising
     b: float = 0.0
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    b_list: tuple[float, ...] | None = None
-    j_map: tuple[tuple[tuple[int, int], float], ...] | None = None
+    b_values: tuple[float, ...] | None = None
+    j_values: tuple[tuple[tuple[int, int], float], ...] | None = None
     j_range: tuple[float, float] | None = None
     seed: int | None = None
 
@@ -105,30 +106,38 @@ class NamedModel:
         if self.name not in MODEL_NAMES:
             raise ExperimentError(f"unknown model {self.name!r} (have {MODEL_NAMES})")
         if self.name == "random_ising":
-            if self.j_map is None and self.j_range is None:
-                raise ExperimentError("random_ising needs j_map or j_range")
-            if self.j_range is not None and self.seed is None:
+            if self.j_values is None and self.j_range is None:
+                raise ExperimentError("random_ising needs j_values or j_range")
+            drawn = self.j_values is None  # j_values win: j_range and seed are then unread
+            unread = [k for k in ("j", "j_range", "seed")
+                      if getattr(self, k) is not None and (k == "j" or not drawn)]
+            if unread:
+                raise ExperimentError(f"random_ising takes no {', '.join(unread)} here "
+                                      "(its couplings are j_values, or j_range drawn with seed)")
+            if drawn and self.seed is None:
                 raise ExperimentError("random_ising with j_range needs a seed")
         else:
-            unread = [k for k in ("b_list", "j_map", "j_range", "seed")
+            unread = [k for k in ("b_values", "j_values", "j_range", "seed")
                       if getattr(self, k) is not None]
             if unread:
                 raise ExperimentError(f"{self.name} takes no {', '.join(unread)} "
                                       "(only random_ising reads them)")
+            if self.j is None:
+                object.__setattr__(self, "j", 1.0)
         d = self.direction
         if not (len(d) == 3 and all(map(math.isfinite, d))
                 and abs(math.sqrt(sum(c * c for c in d)) - 1.0) <= 1e-10):
             raise ExperimentError(f"direction {d!r} is not 3 finite values forming a unit vector")
         n = self.geometry.n_sites
-        for (a, b), _ in self.j_map or ():
+        for (a, b), _ in self.j_values or ():
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ExperimentError(
-                    f"j_map pair {a}-{b} is not two distinct sites of the {n}-site geometry")
+                    f"j_values pair {a}-{b} is not two distinct sites of the {n}-site geometry")
 
 
 def random_couplings(model: NamedModel) -> dict[tuple[int, int], float]:
-    if model.j_map is not None:
-        return {tuple(k): v for k, v in model.j_map}
+    if model.j_values is not None:
+        return {tuple(k): v for k, v in model.j_values}
     lo, hi = model.j_range
     rng = np.random.Generator(np.random.PCG64(model.seed))
     return {pair: float(rng.uniform(lo, hi)) for pair in model.geometry.nn_pairs}
@@ -154,7 +163,7 @@ def build_model(model: NamedModel) -> Hamiltonian:
         for (a, b), j_ab in couplings.items():
             terms.append(PauliString.on(n, {a: "Z", b: "Z"}, -0.5 * j_ab))
         terms += [PauliString.on(n, {q: "X"}, ba)
-                  for q, ba in enumerate(model.b_list or ()) if ba != 0.0]
+                  for q, ba in enumerate(model.b_values or ()) if ba != 0.0]
     if model.b != 0.0:
         field = [(axis, model.b * c) for axis, c in zip("XYZ", model.direction)]
         terms += [PauliString.on(n, {q: axis}, c)
@@ -235,7 +244,7 @@ class AdiabaticConfig:
     h_target: Hamiltonian
     steps: int
     theta1: float
-    ramp: str | Callable[[float], float] = "linear"
+    ramp: str = "linear"  # a RAMPS name
     error_model: ErrorModel | None = None
     record_every: int = 1
 
@@ -246,14 +255,8 @@ class AdiabaticConfig:
             raise ExperimentError(f"theta1 must be finite and positive, got {self.theta1}")
         if self.record_every < 0:
             raise ExperimentError(f"record_every must be at least 0, got {self.record_every}")
-        if not (callable(self.ramp) or self.ramp in RAMPS):
+        if self.ramp not in RAMPS:
             raise ExperimentError(f"unknown ramp {self.ramp!r} (have {tuple(RAMPS)})")
-
-    def ramp_fn(self) -> Callable[[float], float]:
-        fn = RAMPS[self.ramp] if isinstance(self.ramp, str) else self.ramp
-        if abs(fn(0.0) - 1.0) > 1e-12 or abs(fn(1.0)) > 1e-12:
-            raise ExperimentError("ramp must go from 1 to 0")
-        return fn
 
 
 @record
@@ -360,7 +363,7 @@ def adiabatic_batch(
     plan_target = plan_target or plan_for_hamiltonian(h_t, hw)
     peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
     dt = config.theta1 / peak if peak > 0 else config.theta1
-    ramp = config.ramp_fn()
+    ramp = RAMPS[config.ramp]
     err = config.error_model
     noisy = err is not None and err.is_noisy
     rngs = [replace(err, seed=seed).rng() if noisy else None for seed in seeds]

@@ -49,7 +49,6 @@ class LatticeModel:
     """Optical-lattice platform: homogeneous control, displacement gates."""
 
     n_sites: int
-    dims: int = 1
     shape: tuple[int, ...] | None = None
     boundary: str = "open"
     available_j: frozenset[int] = field(default_factory=frozenset)
@@ -57,20 +56,17 @@ class LatticeModel:
 
     def __post_init__(self):
         check_gamma(self.gamma, HardwareError)
+        shape = (self.n_sites,) if self.shape is None else tuple(self.shape)
+        if self.shape is not None and (len(shape) not in (1, 2) or min(shape) < 1):
+            raise HardwareError(f"shape {shape} is not 1 or 2 sizes of at least 1 "
+                                "(a chain or a 2D lattice)")
         if self.n_sites < 2:
             raise HardwareError(f"sites must be at least 2, got {self.n_sites}")
-        if self.dims not in (1, 2):
-            raise HardwareError("dims must be 1 or 2")
         if self.boundary not in ("open", "periodic"):
             raise HardwareError(f"unknown boundary {self.boundary!r}")
-        shape = self.shape
-        if shape is None:
-            if self.dims != 1:
-                raise HardwareError("2D lattice needs an explicit shape")
-            shape = (self.n_sites,)
-        if int(np.prod(shape)) != self.n_sites or len(shape) != self.dims:
+        if int(np.prod(shape)) != self.n_sites:
             raise HardwareError(f"shape {shape} does not match n_sites={self.n_sites}")
-        object.__setattr__(self, "shape", tuple(shape))
+        object.__setattr__(self, "shape", shape)
         js = frozenset(int(j) for j in self.available_j) or frozenset(
             range(1, max(self.shape))
         )
@@ -78,6 +74,11 @@ class LatticeModel:
             if j < 1 or j >= max(self.shape):
                 raise HardwareError(f"displacement j={j} outside 1..{max(self.shape) - 1}")
         object.__setattr__(self, "available_j", js)
+
+    @property
+    def dims(self) -> int:
+        """1 for a chain, 2 for a 2D lattice: the sizes in the shape."""
+        return len(self.shape)
 
     def site_index(self, *coords: int) -> int:
         """Row-major index of the site at `coords`."""
@@ -92,15 +93,13 @@ class TrapArrayModel:
     """Microtrap platform: per-qubit control, pair pushes, 1/d^3 crosstalk."""
 
     positions: tuple[tuple[float, ...], ...]
-    kappa: float = 1.0
     crosstalk_threshold: float = 1e-3
     gamma: float = 1.0
 
     def __post_init__(self):
         check_gamma(self.gamma, HardwareError)
-        for name in ("kappa", "crosstalk_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise HardwareError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(threshold := self.crosstalk_threshold):
+            raise HardwareError(f"crosstalk_threshold must be finite, got {threshold}")
         pos = _points(self.positions)
         if len(pos) < 2:
             raise HardwareError("need at least 2 traps")
@@ -393,15 +392,15 @@ def compensation_angles(solution: BeamSolution, positions, f, target, nu0=1.0) -
 # ---------------------------------------------------------------------------
 
 # The keys of each platform's description, besides platform and the positions block.
-HARDWARE_KEYS = {"uqs1": "sites dims shape boundary available_j gamma",
-                 "uqs2": "kappa gamma crosstalk_threshold positions"}
+HARDWARE_KEYS = {"uqs1": "sites shape boundary available_j gamma",
+                 "uqs2": "gamma crosstalk_threshold positions"}
 
 
 def parse_hardware_text(text: str):
     """Parse the line-oriented hardware description format.
 
     Keys one per line (``platform uqs1|uqs2`` first), then for uqs1:
-    sites/dims/shape/boundary/available_j/gamma; for uqs2: kappa, gamma,
+    sites or shape (not both), boundary, available_j, gamma; for uqs2: gamma,
     crosstalk_threshold, and a ``positions`` block with one coordinate line
     per ion. A key the platform does not have (HARDWARE_KEYS) raises
     HardwareError naming it; the CLI's INI [hardware] section is read
@@ -438,12 +437,13 @@ def parse_hardware_text(text: str):
             raise HardwareError(f"{key} = {fields[key]!r}: {exc}") from exc
 
     if platform == "uqs1":
-        if "sites" not in fields:
-            raise HardwareError("uqs1 description needs a 'sites' line")
+        shape = converted("shape", lambda text: tuple(int(x) for x in text.split()))
+        if ("sites" in fields) == (shape is not None):
+            raise HardwareError("uqs1 description needs a 'sites' or a 'shape' line, not both "
+                                "(a shape's sites are the product of its sizes)")
         return LatticeModel(
-            n_sites=converted("sites", int),
-            dims=converted("dims", int, 1),
-            shape=converted("shape", lambda text: tuple(int(x) for x in text.split())),
+            n_sites=converted("sites", int) if shape is None else math.prod(shape),
+            shape=shape,
             boundary=fields.get("boundary", "open"),
             available_j=converted("available_j", lambda text: frozenset(
                 () if text == "all" else (int(x) for x in text.split())), frozenset()),
@@ -454,7 +454,6 @@ def parse_hardware_text(text: str):
             raise HardwareError("uqs2 description needs a 'positions' block")
         return TrapArrayModel(
             positions=tuple(positions),
-            kappa=converted("kappa", float, 1.0),
             crosstalk_threshold=converted("crosstalk_threshold", float, 1e-3),
             gamma=converted("gamma", float, 1.0),
         )

@@ -182,12 +182,6 @@ class Hamiltonian:
             raise PauliError("size mismatch in Hamiltonian sum")
         return Hamiltonian.from_terms(self.n_qubits, list(self.terms) + list(other.terms))
 
-    def __sub__(self, other: "Hamiltonian") -> "Hamiltonian":
-        return self + other.scaled(-1.0)
-
-    def __rmul__(self, factor: float) -> "Hamiltonian":
-        return self.scaled(float(factor))
-
     @cached_property
     def table(self) -> "TermTable":
         """The terms as bitmasks, in term order (see TermTable)."""

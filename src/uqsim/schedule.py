@@ -5,16 +5,16 @@ layer of fast single-qubit unitaries, and RawGate, a raw ZZ interaction on
 listed qubit pairs. The compiler (uqsim.compiler) emits them and the
 executor (uqsim.engine) runs them; this module holds what both share, so
 that running a schedule loads no planner. The schedule text holds a
-schedule of L repeats of one cycle as that cycle and L (version 2), and any
-other schedule line by line (version 1); MAX_INSTRUCTIONS bounds what a
-schedule may hold. CompileError and its subclasses (uqsim.errors) are the
-errors of compiling and of reading schedules.
+schedule whose instructions are L repeats of one cycle, found by object
+identity, as that cycle and L (version 2), and any other schedule line by
+line (version 1); MAX_INSTRUCTIONS bounds what a schedule may hold.
+CompileError and its subclasses (uqsim.errors) are the errors of compiling
+and of reading schedules.
 """
 from __future__ import annotations
 
 import math
-import operator
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .errors import (  # noqa: F401  (the compile errors, re-exported)
 from .kernels import STATEVECTOR_CAP
 from .pauli import LocalLayer, PauliError, SingleQubitUnitary, read_header
 from .records import record
-
-if TYPE_CHECKING:
-    from .compiler import CostReport
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +67,6 @@ class PulseSchedule:
 
     n_qubits: int
     instructions: tuple[Instruction, ...]
-    cost: CostReport | None = None
-    cycle_length: int | None = None
-    num_cycles: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +108,39 @@ _PIECE_LINES = 1024
 MAX_INSTRUCTIONS = 1 << 24
 
 
-def _cycle_length(schedule: PulseSchedule) -> int | None:
-    """The schedule's cycle_length when its body is the first cycle_length
-    instructions repeated num_cycles > 1 times object for object, else None.
-    Compared with `is`: an instruction's == compares numpy arrays."""
-    m, body = schedule.cycle_length, schedule.instructions
-    if (schedule.num_cycles or 0) > 1 and m and len(body) == m * schedule.num_cycles and all(
-            map(operator.is_, body[m:], body[:-m])):
-        return m
-    return None
+def _period(instructions) -> int | None:
+    """The least p for which the instructions are L >= 2 back-to-back
+    repeats of their first p, compared by identity (an instruction's ==
+    compares numpy arrays), else None. A period starts again at a later
+    occurrence of the first instruction and divides the count; each such
+    candidate is checked with one list compare of the ids."""
+    ids = list(map(id, instructions))
+    n, p = len(ids), 0
+    if n < 2:
+        return None
+    while True:
+        try:
+            p = ids.index(ids[0], p + 1, n // 2 + 1)
+        except ValueError:
+            return None
+        if n % p == 0 and ids[p:] == ids[:-p]:
+            return p
 
 
 def schedule_text_chunks(schedule: PulseSchedule):
     """The schedule text format in pieces: the header line, then up to
-    _PIECE_LINES instruction lines per piece. A schedule of num_cycles > 1
-    repeats of one cycle is written as version=2, with only the lines of
-    that cycle; any other as version=1, with every line. An instruction
-    object that repeats is formatted once."""
-    m = _cycle_length(schedule)
+    _PIECE_LINES instruction lines per piece. A schedule whose instructions
+    repeat one cycle (_period) is written as version=2 with cycles= and
+    cycle_length=, and only the lines of that cycle; any other as
+    version=1, with every line. An instruction object that repeats is
+    formatted once."""
+    body, m = schedule.instructions, _period(schedule.instructions)
     header = f"# pulse schedule version={1 if m is None else 2} n_qubits={schedule.n_qubits}"
-    for key, value in (("cycles", schedule.num_cycles), ("cycle_length", schedule.cycle_length)):
-        if value:  # an empty schedule's 0 is no cycle field
-            header += f" {key}={value}"
+    if m is not None:
+        header += f" cycles={len(body) // m} cycle_length={m}"
+        body = body[:m]
     yield header + "\n"
     line: dict[int, str] = {}  # id of an instruction -> its line
-    body = schedule.instructions if m is None else schedule.instructions[:m]
     for start in range(0, len(body), _PIECE_LINES):
         yield "".join([line.get(id(i)) or line.setdefault(id(i), _format_instruction(i) + "\n")
                        for i in body[start:start + _PIECE_LINES]])
@@ -202,10 +204,11 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
     read_header; version is 1 (also when it is missing) or 2, and cycles
     and cycle_length are at least 1. In version 1 the body is every
     instruction, and cycles and cycle_length must multiply to its count
-    when both are given. In version 2 both are required, the body is one
-    cycle of cycle_length instructions, and the schedule is that cycle
-    repeated, each repeat the same objects; it may hold at most
-    MAX_INSTRUCTIONS, which is checked before the cycle is repeated.
+    when both are given (as an older writer set them). In version 2 both
+    are required, the body is one cycle of cycle_length instructions, and
+    the schedule is that cycle repeated, each repeat the same objects; it
+    may hold at most MAX_INSTRUCTIONS, which is checked before the cycle is
+    repeated. The fields are not kept: the schedule is its instructions.
     """
     header: dict[str, int] = {}
     header_line = 1
@@ -262,4 +265,4 @@ def schedule_from_lines(lines: Iterable[str]) -> PulseSchedule:
         body *= cycles
     if problem is not None:
         raise CompileError(f"schedule parse error at line {header_line}: {problem}")
-    return PulseSchedule(n_qubits, body, None, cycle_length, cycles)
+    return PulseSchedule(n_qubits, body)

@@ -173,12 +173,13 @@ def reference_adiabatic_amps(config, plan_initial, plan_target):
     """Final amplitudes of an adiabatic Trotter run built step by step from
     emit_cycle and reference_execute."""
     from uqsim.compiler import emit_cycle
+    from uqsim.experiments import RAMPS
     from uqsim.oracle import ground_state
 
     n = config.h_initial.n_qubits
     peak = max(plan_initial.max_unit_angle(), plan_target.max_unit_angle())
     dt = config.theta1 / peak if peak > 0 else config.theta1
-    ramp = config.ramp_fn()
+    ramp = RAMPS[config.ramp]
     err = config.error_model
     rng = err.rng() if err is not None and err.is_noisy else None
     amps = ground_state(config.h_initial).state.amps.copy()
@@ -187,3 +188,21 @@ def reference_adiabatic_amps(config, plan_initial, plan_target):
         cycle = emit_cycle(plan_initial, dt, k) + emit_cycle(plan_target, dt, 1.0 - k)
         reference_execute(amps, n, cycle, err, rng)
     return amps
+
+
+def schedule_header(text: str) -> dict[str, int]:
+    """The key=value fields of a schedule text's first line, as integers."""
+    return {key: int(value) for key, value in
+            (field.split("=") for field in text.split("\n", 1)[0].split() if "=" in field)}
+
+
+def version_1_text(schedule) -> str:
+    """The version=1 text of a schedule, every instruction a line: its
+    written text with the header's cycles and cycle_length dropped and the
+    cycle's lines written that many times."""
+    from uqsim.schedule import schedule_to_text
+
+    text = schedule_to_text(schedule)
+    header = schedule_header(text)
+    return (f"# pulse schedule version=1 n_qubits={header['n_qubits']}\n"
+            + text.split("\n", 1)[1] * header.get("cycles", 1))

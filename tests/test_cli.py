@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from uqsim import svg
 from uqsim.cli import CONFIG_TABLE, build_parser, main
 from uqsim.compiler import (CompileError, schedule_from_text, schedule_to_text, trotter_cycles,
@@ -53,11 +53,11 @@ class TestCompile:
         assert float(cost_lines["c"]) == pytest.approx(3.0, rel=1e-12)
         assert int(cost_lines["n"]) == 3
         # 3 homogeneous layers per compiled cycle
-        first_cycle = sched.instructions[: sched.cycle_length]
+        doc = json.loads((out / "compile.json").read_text())
+        first_cycle = sched.instructions[: doc["schedule"]["cycle_length"]]
         layers = [i for i in first_cycle if type(i).__name__ == "ApplyLocal"]
         assert len(layers) == 3
-        doc = json.loads((out / "compile.json").read_text())
-        assert doc["cost"]["L"] == 900
+        assert doc["cost"]["L"] == doc["schedule"]["num_cycles"] == 900
 
     @pytest.mark.parametrize("key", ["t_prime", "epsilon"])
     def test_non_finite_trotter_setting_exits_1(self, tmp_path, capsys, key):
@@ -247,12 +247,10 @@ class TestSimulate:
                     "[hardware]\nplatform = uqs2\ngamma = 1.0\npositions = 0 ; 1 ; 2\n")
         assert main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
         cycle = (tmp_path / "c" / "schedule.txt").read_text()
-        compiled = schedule_from_text(cycle)
         assert cycle.startswith("# pulse schedule version=2 n_qubits=3 cycles=")
-        bare, body = schedule_to_text(
-            dataclasses.replace(compiled, cycle_length=None, num_cycles=None)).split("\n", 1)
-        assert bare == "# pulse schedule version=1 n_qubits=3"
-        head = f"{bare} cycles={compiled.num_cycles} cycle_length={compiled.cycle_length}"
+        header = oracles.schedule_header(cycle)
+        bare, body = oracles.version_1_text(schedule_from_text(cycle)).split("\n", 1)
+        head = f"{bare} cycles={header['cycles']} cycle_length={header['cycle_length']}"
         outs = []
         texts = (("headered", f"{head}\n{body}"), ("bare", f"{bare}\n{body}"), ("cycle", cycle))
         for name, text in texts:
@@ -446,11 +444,31 @@ class TestAdiabatic:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "sweep.json" in manifest["outputs"]
 
+    def test_steps_overrides_the_sweep_steps_list(self, tmp_path):
+        cfg = self.small_cfg(tmp_path, "etas = 0 0.02\nsteps_list = 2 5\nrepetitions = 2\n")
+        outs = {}
+        for name, argv in (("flag", ["--steps", "3"]), ("list", [])):
+            out = tmp_path / name
+            assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out), *argv]) == 0
+            outs[name] = [line.split(",")[:2] for line in
+                          (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert outs["flag"] == [["0.0", "3"], ["0.02", "3"]]
+        assert sorted(steps for _, steps in outs["list"]) == ["2", "2", "5", "5"]
+
+    def test_format_json_without_a_sweep_exits_1_naming_the_flag(self, tmp_path, capsys):
+        cfg = self.small_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out),
+                     "--format", "json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqsim: --format json does nothing without [sweep]")
+        assert not out.exists()
+
     def test_ising_on_a_2d_lattice(self, tmp_path):
         # a 2x2 grid on a 2D uqs1 lattice, with a homogeneous transverse field
         cfg = write(
             tmp_path / "grid.cfg",
-            "[hardware]\nplatform = uqs1\nsites = 4\ndims = 2\nshape = 2 2\n"
+            "[hardware]\nplatform = uqs1\nshape = 2 2\n"
             "boundary = open\navailable_j = all\ngamma = 1.0\n"
             "[model]\nname = ising\nj = -1.0\nb = 0.5\ndirection = 1 0 0\ngeometry = grid:2x2\n"
             "[adiabatic]\ninitial = xx_chain\nsteps = 20\ntheta1 = 0.1\nrecord_every = 1\n",
@@ -500,6 +518,20 @@ class TestAdiabatic:
         err = capsys.readouterr().err
         assert code == 1, err
         assert "distinct sites" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("couplings, named", [
+        ("j = 2.0\nj_values = 0-1:1.0", "random_ising takes no j here"),
+        ("j_values = 0-1:1.0\nseed = 4", "random_ising takes no seed here"),
+        ("j_values = 0-1:1.0\nj_range = -1 1\nseed = 4", "random_ising takes no j_range, seed here"),
+    ])
+    def test_random_ising_key_it_would_not_read_exits_1(self, tmp_path, capsys, couplings, named):
+        cfg = write(tmp_path / "ri.cfg", self.RANDOM_ISING.replace(
+            "[adiabatic]", f"{couplings}\n[adiabatic]"))
+        out = tmp_path / "o"
+        assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out), "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"uqsim: [model] {named} ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep_noise_without_seed_exits_3(self, tmp_path):
         cfg = write(
@@ -590,7 +622,8 @@ class TestCostAndCrosstalk:
         ("uqs2", "positions", "0 ; inf ; 2 ; 3", "position 1 is not finite"),
         ("uqs2", "positions", "0 ; 1 ; 2 ; 1e200", "traps 0 and 3 are 1e+200 apart"),
         ("uqs2", "crosstalk_threshold", "nan", "crosstalk_threshold must be finite, got nan"),
-        ("uqs2", "kappa", "inf", "kappa must be finite, got inf"),
+        ("uqs2", "kappa", "1.0", "platform uqs2 has no key kappa"),
+        ("uqs1", "dims", "1", "platform uqs1 has no key dims"),
         ("uqs1", "sites", "4", "needs a uqs2"),
         ("uqs1", "positions", "0 ; 1 ; 2 ; 3", "platform uqs1 has no key positions"),
         ("uqs1", "positions", "", "platform uqs1 has no key positions"),
@@ -605,7 +638,13 @@ class TestCostAndCrosstalk:
         assert err.startswith("uqsim: ") and named in err and "Traceback" not in err
         assert not (tmp_path / "o" / "crosstalk.txt").exists()
 
-    def test_output_dir_from_config(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, written", [
+        ([], "results"),
+        # an explicit --out-dir wins, however it is spelled
+        (["--out-dir", "."], "."),
+        (["--out-dir", "./"], "."),
+    ])
+    def test_output_dir_from_config(self, tmp_path, monkeypatch, argv, written):
         cfg = write(
             tmp_path / "x.cfg",
             "[output]\ndir = results\n"
@@ -613,9 +652,9 @@ class TestCostAndCrosstalk:
             "[crosstalk]\ngroups = 0 1\n",
         )
         monkeypatch.chdir(tmp_path)
-        assert main(["crosstalk", "--config", str(cfg)]) == 0
-        assert (tmp_path / "results" / "crosstalk.txt").exists()
-
+        assert main(["crosstalk", "--config", str(cfg), *argv]) == 0
+        assert (tmp_path / written / "crosstalk.txt").exists()
+        assert (tmp_path / "results").exists() == (written == "results")
 
 class TestUsage:
     def test_unknown_subcommand_exits_1(self):
@@ -917,6 +956,46 @@ def test_hardware_file_keys_are_checked(tmp_path, capsys, file_text, extra, name
     assert err.startswith("uqsim: ") and named in err and "Traceback" not in err
 
 
+# Per platform: a description that compiles CHAIN4, and per hardware key another value.
+# The uqs1 base gives its sites by its shape, so a sites line beside it is refused.
+HARDWARE_CHANGES = {
+    "uqs1": ("shape = 4\nboundary = open\navailable_j = all\ngamma = 1.0\n",
+             {"sites": "4", "shape": "2 2", "boundary": "periodic", "available_j": "1",
+              "gamma": "2.0"}),
+    "uqs2": ("gamma = 1.0\ncrosstalk_threshold = 0.001\npositions = 0 ; 1 ; 2 ; 3\n",
+             {"gamma": "2.0", "crosstalk_threshold": "0.5", "positions": "0 ; 1 ; 2 ; 3.5"}),
+}
+CHAIN4 = ("0.5 Z Z I I\n0.5 I Z Z I\n0.5 I I Z Z\n0.3 Z I Z I\n0.3 I Z I Z\n"
+          "0.2 X I I I\n0.2 I X I I\n0.2 I I X I\n0.2 I I I X\n")
+
+
+@pytest.mark.parametrize("platform, key", [(platform, key) for platform, keys in HARDWARE_KEYS.items()
+                                           for key in keys.split()])
+def test_every_hardware_key_changes_the_outputs_or_is_refused(tmp_path, platform, key):
+    base, changed = HARDWARE_CHANGES[platform]
+    write(tmp_path / "h.ham", CHAIN4)
+
+    def outcome(description, name):
+        """Per command its exit code and the bytes of its outputs but the manifest."""
+        cfg = write(tmp_path / f"{name}.cfg", f"[hardware]\nplatform = {platform}\n{description}"
+                    "[compile]\nhamiltonian = h.ham\n[crosstalk]\ngroups = 0 1 ; 2 3\n")
+        result = {}
+        for command in ("compile", "crosstalk"):
+            out = tmp_path / name / command
+            code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+            result[command] = code, sorted((f.name, f.read_bytes()) for f in out.glob("*")
+                                           if f.name != "manifest.json")
+        return result
+
+    before = outcome(base, "base")
+    assert before["compile"][0] == 0
+    assert (before["crosstalk"][0] == 0) == (platform == "uqs2")  # crosstalk needs uqs2
+    # the key's line replaced, or one added where the base has none
+    changed_base = (set_value(base, "hardware", key, changed[key]) if f"{key} =" in base
+                    else f"{base}{key} = {changed[key]}\n")
+    assert outcome(changed_base, "changed") != before
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (command, flag, "csv" if flag == "--format" else "1")
     for command, flags in (("compile", ("--seed", "--jobs", "--format")),
@@ -1117,8 +1196,6 @@ def test_random_ising_key_on_another_model_exits_1(tmp_path, capsys, line, named
     assert main(["adiabatic", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"uqsim: [model] {named} ") and "Traceback" not in err
-    # the config keys are named, not NamedModel's fields b_list and j_map
-    assert "b_list" not in err and "j_map" not in err
     assert not (out / "summary.json").exists()
 
 

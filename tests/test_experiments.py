@@ -115,8 +115,8 @@ class TestBuildModel:
         model = NamedModel(
             "random_ising",
             Geometry.chain(3),
-            j_map=(((0, 1), 1.0), ((1, 2), -0.5)),
-            b_list=(0.1, 0.0, 0.2),
+            j_values=(((0, 1), 1.0), ((1, 2), -0.5)),
+            b_values=(0.1, 0.0, 0.2),
         )
         h = build_model(model)
         assert h.coefficient("ZZI") == pytest.approx(-0.5)
@@ -131,18 +131,30 @@ class TestBuildModel:
         with pytest.raises(ExperimentError):
             NamedModel("random_ising", geo, j_range=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("kw, named", [
+        (dict(j=2.0, j_values=(((0, 1), 1.0),)), "takes no j here"),
+        (dict(j_values=(((0, 1), 1.0),), seed=4), "takes no seed here"),
+        (dict(j_values=(((0, 1), 1.0),), j_range=(-1.0, 1.0), seed=4), "takes no j_range, seed here"),
+        (dict(j_range=(-1.0, 1.0)), "with j_range needs a seed"),
+        (dict(), "needs j_values or j_range"),
+    ])
+    def test_random_ising_refuses_what_it_would_not_read(self, kw, named):
+        with pytest.raises(ExperimentError, match=f"random_ising {named}"):
+            NamedModel("random_ising", Geometry.chain(3), **kw)
+        assert NamedModel("ising", Geometry.chain(3)).j == 1.0  # the default of the others
+
     @pytest.mark.parametrize("name", ["dipole", "ising", "heisenberg"])
     def test_random_ising_settings_on_another_model_are_rejected(self, name):
-        with pytest.raises(ExperimentError, match=f"{name} takes no b_list, j_range, seed"):
-            NamedModel(name, Geometry.chain(3), b_list=(0.1, 0.2, 0.3), j_range=(0.0, 1.0),
+        with pytest.raises(ExperimentError, match=f"{name} takes no b_values, j_range, seed"):
+            NamedModel(name, Geometry.chain(3), b_values=(0.1, 0.2, 0.3), j_range=(0.0, 1.0),
                        seed=1)
-        with pytest.raises(ExperimentError, match=f"{name} takes no j_map "):
-            NamedModel(name, Geometry.chain(3), j_map=(((0, 1), 1.0),))
+        with pytest.raises(ExperimentError, match=f"{name} takes no j_values "):
+            NamedModel(name, Geometry.chain(3), j_values=(((0, 1), 1.0),))
 
     @pytest.mark.parametrize("pair", [(0, 7), (1, 1), (-1, 2)])
-    def test_j_map_pairs_are_distinct_sites(self, pair):
+    def test_j_values_pairs_are_distinct_sites(self, pair):
         with pytest.raises(ExperimentError, match="distinct sites"):
-            NamedModel("random_ising", Geometry.chain(3), j_map=((pair, 1.0),))
+            NamedModel("random_ising", Geometry.chain(3), j_values=((pair, 1.0),))
 
     @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0),
                                            (0.6, 0.0, 0.7), (math.nan, 0.0, 1.0),
@@ -196,7 +208,7 @@ def test_term_builders_keep_their_text(name):
         "heisenberg": lambda: build_model(NamedModel("heisenberg", Geometry.grid(2, 2), j=-0.5)),
         "random_ising": lambda: build_model(NamedModel(
             "random_ising", Geometry.chain(3), j_range=(-1.0, 1.0), seed=5,
-            b_list=(0.3, 0.0, -0.2))),
+            b_values=(0.3, 0.0, -0.2))),
         "zz_chain": lambda: nn_chain("zz", 3),
         "xx_chain": lambda: nn_chain("xx", 3),
         "uqs2_push": lambda: uqs2_push(TrapArrayModel(((0.0,), (1.0,), (2.5,))), [0, 1, 2], 0.3),
@@ -273,7 +285,7 @@ class TestProtocolForModel:
         geo = Geometry.chain(4)
         model = NamedModel(
             "random_ising", geo,
-            j_map=(((0, 1), 0.5), ((1, 2), 1.0), ((2, 3), 2.0)),
+            j_values=(((0, 1), 0.5), ((1, 2), 1.0), ((2, 3), 2.0)),
         )
         plan = protocol_for_model(model, chain_trap(4))
         counts = {fam.gates[0].gate_id: len(fam.gates) for fam in plan.families}
@@ -285,8 +297,8 @@ class TestProtocolForModel:
     @pytest.mark.parametrize("model, hw", [
         (NamedModel("dipole", Geometry.chain(3), b=0.4, direction=(0.6, 0.0, 0.8)),
          LatticeModel(n_sites=3)),
-        (NamedModel("random_ising", Geometry.chain(4), j_map=(((0, 1), 1.0), ((2, 3), -0.6)),
-                    b_list=(0.3, 0.0, -0.5, 0.2), b=0.25, direction=(1.0, 0.0, 0.0)),
+        (NamedModel("random_ising", Geometry.chain(4), j_values=(((0, 1), 1.0), ((2, 3), -0.6)),
+                    b_values=(0.3, 0.0, -0.5, 0.2), b=0.25, direction=(1.0, 0.0, 0.0)),
          chain_trap(4)),
     ])
     def test_plan_fields_are_the_targets(self, model, hw):
@@ -318,7 +330,7 @@ class TestProtocolForModel:
 
     def test_random_ising_uqs1_needs_addressability(self):
         geo = Geometry.chain(3)
-        model = NamedModel("random_ising", geo, j_map=(((0, 1), 1.0), ((1, 2), 0.5)))
+        model = NamedModel("random_ising", geo, j_values=(((0, 1), 1.0), ((1, 2), 0.5)))
         with pytest.raises(HardwareConstraintError, match="addressability"):
             protocol_for_model(model, LatticeModel(n_sites=3))
 
@@ -326,7 +338,7 @@ class TestProtocolForModel:
 def realizability_model(name, sign):
     if name == "random_ising":
         couplings = (((0, 1), sign), ((1, 2), -0.6 * sign), ((2, 3), 2.0 * sign))
-        return NamedModel(name, Geometry.chain(4), j_map=couplings, b_list=(0.3, 0.0, -0.5, 0.2))
+        return NamedModel(name, Geometry.chain(4), j_values=couplings, b_values=(0.3, 0.0, -0.5, 0.2))
     return NamedModel(name, Geometry.chain(4), j=sign, b=0.25, direction=(1.0, 0.0, 0.0))
 
 
@@ -582,11 +594,11 @@ class TestAdiabaticRun:
         b = adiabatic_run(cfg, self.hw)
         np.testing.assert_array_equal(a.final_state.amps, b.final_state.amps)
 
-    def test_ramp_endpoints_enforced(self):
-        cfg = AdiabaticConfig(self.init, self.target, steps=5, theta1=0.05,
-                              ramp=lambda x: 1.0 - 0.5 * x)
-        with pytest.raises(ExperimentError):
-            adiabatic_run(cfg, self.hw)
+    def test_a_ramp_is_a_ramps_name_from_1_to_0(self):
+        with pytest.raises(ExperimentError, match="unknown ramp"):
+            AdiabaticConfig(self.init, self.target, steps=5, theta1=0.05, ramp=RAMPS["linear"])
+        for ramp in RAMPS.values():
+            assert ramp(0.0) == pytest.approx(1.0, abs=1e-12) and abs(ramp(1.0)) <= 1e-12
 
     def test_cosine_ramp_runs(self):
         cfg = AdiabaticConfig(self.init, self.target, steps=10, theta1=0.05, ramp="cosine")

@@ -27,9 +27,7 @@ def hardware_to_text(model) -> str:
     if isinstance(model, LatticeModel):
         lines = [
             "platform uqs1",
-            f"sites {model.n_sites}",
-            f"dims {model.dims}",
-            f"shape {' '.join(str(s) for s in model.shape)}",
+            f"shape {' '.join(str(s) for s in model.shape)}",  # its product is the sites
             f"boundary {model.boundary}",
             f"available_j {' '.join(str(j) for j in sorted(model.available_j))}",
             f"gamma {model.gamma!r}",
@@ -38,7 +36,6 @@ def hardware_to_text(model) -> str:
     if isinstance(model, TrapArrayModel):
         lines = [
             "platform uqs2",
-            f"kappa {model.kappa!r}",
             f"gamma {model.gamma!r}",
             f"crosstalk_threshold {model.crosstalk_threshold!r}",
             "positions",
@@ -80,7 +77,7 @@ class TestUqs1Gate:
             uqs1_gate(model, 2, 0.1)
 
     def test_2d_axis_displacements(self):
-        model = LatticeModel(n_sites=4, dims=2, shape=(2, 2))
+        model = LatticeModel(n_sites=4, shape=(2, 2))
         gen_row, _ = uqs1_gate(model, (0, 1), 0.1)
         assert gen_row == Hamiltonian.from_terms(4, [(1.0, "ZZII"), (1.0, "IIZZ")])
         gen_col, _ = uqs1_gate(model, (1, 0), 0.1)
@@ -98,8 +95,8 @@ class TestUqs1Gate:
     @pytest.mark.parametrize("model, disp", [
         (LatticeModel(n_sites=5), 2),
         (LatticeModel(n_sites=5, boundary="periodic"), 2),
-        (LatticeModel(n_sites=6, dims=2, shape=(2, 3)), (1, 1)),
-        (LatticeModel(n_sites=9, dims=2, shape=(3, 3), boundary="periodic"), (1, -1)),
+        (LatticeModel(n_sites=6, shape=(2, 3)), (1, 1)),
+        (LatticeModel(n_sites=9, shape=(3, 3), boundary="periodic"), (1, -1)),
     ])
     def test_opposite_displacements_reach_the_same_pairs(self, model, disp):
         # one loop over sites for every dimension: -disp drives the pairs of +disp
@@ -196,7 +193,6 @@ class TestUqs2Push:
         (dict(positions=((0.0,), (math.nan,))), "position 1 is not finite"),
         (dict(positions=((0.0,), (-math.inf,))), "position 1 is not finite"),
         (dict(positions=((0.0,), (2e100,))), "separations must lie in"),
-        (dict(positions=((0.0,), (1.0,)), kappa=math.nan), "kappa"),
         (dict(positions=((0.0,), (1.0,)), crosstalk_threshold=math.inf), "crosstalk_threshold"),
     ])
     def test_trap_values_must_be_finite(self, kw, named):
@@ -232,26 +228,26 @@ class TestCrosstalkReport:
 
 class TestGeometryRemap:
     def test_2x2_triangular(self):
-        base = LatticeModel(n_sites=4, dims=2, shape=(2, 2))
+        base = LatticeModel(n_sites=4, shape=(2, 2))
         out = geometry_remap("triangular", base)
         assert len(out.families["row"]) + len(out.families["col"]) == 4
         assert out.families["diag"] == ((0, 3),)
 
     def test_3x3_triangular(self):
-        base = LatticeModel(n_sites=9, dims=2, shape=(3, 3))
+        base = LatticeModel(n_sites=9, shape=(3, 3))
         out = geometry_remap("triangular", base)
         rect = len(out.families["row"]) + len(out.families["col"])
         assert rect == 12
         assert len(out.families["diag"]) == 4
 
     def test_rectangular_passthrough(self):
-        base = LatticeModel(n_sites=6, dims=2, shape=(2, 3))
+        base = LatticeModel(n_sites=6, shape=(2, 3))
         out = geometry_remap("rectangular", base)
         assert set(out.families) == {"row", "col"}
         assert len(out.pairs) == 2 * 2 + 3  # 4 row edges + 3 col edges
 
     def test_triangular_interior_degree_six(self):
-        base = LatticeModel(n_sites=25, dims=2, shape=(5, 5))
+        base = LatticeModel(n_sites=25, shape=(5, 5))
         out = geometry_remap("triangular", base)
         degree = {}
         for a, b in out.pairs:
@@ -261,7 +257,7 @@ class TestGeometryRemap:
         assert degree[interior] == 6
 
     def test_hexagonal_degree_at_most_three(self):
-        base = LatticeModel(n_sites=24, dims=2, shape=(4, 6))
+        base = LatticeModel(n_sites=24, shape=(4, 6))
         out = geometry_remap("hexagonal", base)
         degree = {}
         for a, b in out.pairs:
@@ -334,7 +330,6 @@ class TestHardwareText:
     def test_uqs2_round_trip(self):
         model = TrapArrayModel(
             positions=((0.0, 0.0), (1.0, 0.0), (0.0, 1.5)),
-            kappa=2.0,
             crosstalk_threshold=5e-4,
         )
         again = parse_hardware_text(hardware_to_text(model))
@@ -348,6 +343,18 @@ class TestHardwareText:
     def test_positions_on_uqs1_is_rejected(self, block):
         with pytest.raises(HardwareError, match="platform uqs1 has no key positions"):
             parse_hardware_text("platform uqs1\nsites 2\n" + block)
+
+    def test_sites_or_shape_not_both(self):
+        assert parse_hardware_text("platform uqs1\nshape 2 3\n") == LatticeModel(6, (2, 3))
+        assert parse_hardware_text("platform uqs1\nsites 6\n") == LatticeModel(6, (6,))
+        for keys in ("", "sites 6\nshape 2 3\n", "sites 6\nshape 6\n"):
+            with pytest.raises(HardwareError, match="'sites' or a 'shape' line, not both"):
+                parse_hardware_text(f"platform uqs1\n{keys}gamma 1.0\n")
+
+    @pytest.mark.parametrize("shape", ["-2 -2", "0 4", "2 2 2"])
+    def test_a_shape_needs_1_or_2_sizes_of_at_least_1(self, shape):
+        with pytest.raises(HardwareError, match="is not 1 or 2 sizes of at least 1"):
+            parse_hardware_text(f"platform uqs1\nshape {shape}\n")
 
     def test_all_j_shorthand(self):
         model = parse_hardware_text("platform uqs1\nsites 5\navailable_j all\n")

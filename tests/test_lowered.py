@@ -32,6 +32,7 @@ from uqsim.engine import (
     run_schedule,
 )
 from uqsim.experiments import (
+    RAMPS,
     AdiabaticConfig,
     Geometry,
     NamedModel,
@@ -253,8 +254,8 @@ def test_zz_diagonal_over_half_the_basis(n, rows):
     signs = np.array([kernels.zz_signs(n, a, b, half=True) for a, b in pairs])
     assert signs.shape == (len(pairs), 2 ** (n - 1))
     kept, made = start.copy(), start.copy()
-    engine._apply_zz(kept, pairs, signs, coef)
-    engine._apply_zz(made, pairs, None, coef)
+    kept *= engine._zz_phases(coef @ signs)
+    engine._apply_zz(made, pairs, coef)
     ref = zz_reference(start, pairs, coef)
     assert np.max(np.abs(kept - ref)) <= AMP_TOL
     assert np.max(np.abs(made - ref)) <= AMP_TOL
@@ -356,8 +357,8 @@ def across_gate(n, rng):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_pass_phases_are_per_occurrence_apply_zz_bit_for_bit(monkeypatch, n, rows, draws, scaled):
     # a pass makes each kept-row diagonal's phases for all its occurrences
-    # in one coef @ signs; multiplied in, they give what _apply_zz of each
-    # occurrence's coefs alone gives, bit for bit. The coefs are those of
+    # in one coef @ signs; multiplied in, they give the phases of each
+    # occurrence's coefs alone, coef[j] @ signs, bit for bit. The coefs are those of
     # the same cycle with its sign rows made as it runs. Groups of 2 put
     # the diagonal across groups at every n
     monkeypatch.setattr(engine, "_GROUP_QUBITS", 2)
@@ -377,7 +378,7 @@ def test_pass_phases_are_per_occurrence_apply_zz_bit_for_bit(monkeypatch, n, row
     start = np.array([random_amps(n, 10 * n + r) for r in range(rows)])
     for j in range(count):
         want, got = start.copy(), start.copy()
-        engine._apply_zz(want, pairs, signs, coef[j])
+        want *= engine._zz_phases(coef[j] @ signs)
         np.multiply(got, phases[j], out=got)
         assert got.tobytes() == want.tobytes()
 
@@ -571,8 +572,8 @@ def fig4b_cell_cycle():
 
 def test_passes_are_sized_by_block_entries():
     trotter = plan_for_hamiltonian(build_model(NamedModel(
-        "random_ising", Geometry.chain(8), j_map=tuple(((a, a + 1), 1.0) for a in range(7)),
-        b_list=(0.4,) * 8)), chain_trap(8))
+        "random_ising", Geometry.chain(8), j_values=tuple(((a, a + 1), 1.0) for a in range(7)),
+        b_values=(0.4,) * 8)), chain_trap(8))
     three = random_schedule(3, 3, length=20)
     cycles = {"fig4b-cell": (fig4b_cell_cycle(), 10, 4),
               "trotter-uqs2": (engine.FusedCycle(emit_cycle(trotter, 0.1, 1.0), 8, 0.002, 0.001),
@@ -663,33 +664,28 @@ def test_repeated_cycles_match_reference(monkeypatch, n, etas):
         assert np.max(np.abs(batch[r] - ref)) <= AMP_TOL
 
 
-@pytest.mark.parametrize("case", ["cycle 2 differs", "trailing partial cycle", "wrong period"])
-def test_header_period_is_ignored(monkeypatch, case):
+@pytest.mark.parametrize("case", ["cycle 2 differs", "trailing partial cycle"])
+def test_repeats_are_found_in_the_stream(monkeypatch, case):
     n, err = 6, ErrorModel(0.04, 0.03, seed=11)
     fused = spy_fused(monkeypatch)
     cycle = cycle_of(n, 6)
     other = list(cycle)
     other[2] = RawGate("in", 0.7, ((0, 1, 1.0), (1, 2, -0.5)))  # one changed angle in cycle 2
-    instructions, period, cycles = {
-        "cycle 2 differs": (cycle + other + cycle * 3, len(cycle), 5),
-        "trailing partial cycle": (cycle * 4 + cycle[:5], len(cycle), None),
-        "wrong period": (cycle * 4, len(cycle) + 1, None),
+    instructions = {
+        "cycle 2 differs": cycle + other + cycle * 3,
+        "trailing partial cycle": cycle * 4 + cycle[:5],
     }[case]
-    schedule = PulseSchedule(n, tuple(instructions), None, period, cycles)
+    schedule = PulseSchedule(n, tuple(instructions))
     start = random_amps(n, 6)
     final, log = run_schedule(StateVector(n, start), schedule, err)
     ref, ref_log = start.copy(), ExecutionLog(seed=err.seed)
     oracles.reference_execute(ref, n, instructions, err, err.rng(), ref_log)
     # every piece of the stream is one FusedCycle: the repeats of the
-    # 17-instruction cycle that the stream holds as one, whatever the header
-    # says, and an unrepeated stretch in count-1 windows of at most 64
-    assert fused == {"cycle 2 differs": [1, 3, 1], "trailing partial cycle": [4, 1],
-                     "wrong period": [4]}[case]
+    # 17-instruction cycle that the stream holds as one, and an unrepeated
+    # stretch in count-1 windows of at most 64
+    assert fused == {"cycle 2 differs": [1, 3, 1], "trailing partial cycle": [4, 1]}[case]
     assert np.max(np.abs(final.amps - ref)) <= AMP_TOL
     assert log.to_text() == ref_log.to_text()
-    bare = replace(schedule, cycle_length=None, num_cycles=None)
-    again, again_log = run_schedule(StateVector(n, start), bare, err)
-    assert np.array_equal(again.amps, final.amps) and again_log.to_text() == log.to_text()
 
 
 def test_lowering_validates_against_n_qubits():
@@ -747,8 +743,8 @@ ADIABATIC_CASES = {
         LatticeModel(n_sites=3), "xx"),
     # per-qubit fields and per-pair sequences
     "random-ising-uqs2": lambda: (
-        NamedModel("random_ising", Geometry.chain(4), j_map=(((0, 1), 1.0), ((1, 2), -0.6), ((2, 3), 0.8)),
-                   b_list=(0.3, 0.0, 0.5, 0.2)),
+        NamedModel("random_ising", Geometry.chain(4), j_values=(((0, 1), 1.0), ((1, 2), -0.6), ((2, 3), 0.8)),
+                   b_values=(0.3, 0.0, 0.5, 0.2)),
         chain_trap(4), "zz"),
 }
 
@@ -763,7 +759,7 @@ def op_by_op(cfg, hw, plan_t, seeds, start):
     err = cfg.error_model
     rngs = [replace(err, seed=s).rng() if err else None for s in seeds]
     amps = np.tile(start, (len(seeds), 1))
-    ramp = cfg.ramp_fn()
+    ramp = RAMPS[cfg.ramp]
     for s in range(1, cfg.steps + 1):
         k = ramp(s / cfg.steps)
         cycle = emit_cycle(plan_i, dt, k) + emit_cycle(plan_t, dt, 1.0 - k)
@@ -839,7 +835,7 @@ def reference_trajectory(cfg, hw, plan_t, seed, start):
                         for h in (cfg.h_initial, cfg.h_target))
     rng = replace(cfg.error_model, seed=seed).rng()
     amps, trajectory = start.copy(), []
-    ramp = cfg.ramp_fn()
+    ramp = RAMPS[cfg.ramp]
     for s in range(1, cfg.steps + 1):
         k = ramp(s / cfg.steps)
         oracles.reference_execute(amps, n, emit_cycle(plan_i, dt, k) + emit_cycle(plan_t, dt, 1.0 - k),
@@ -928,7 +924,7 @@ def test_field_masks_match_the_per_scale_rule(model):
         hw = LatticeModel(n_sites=n)
     else:  # a field per site, one of them zero
         named = NamedModel("random_ising", Geometry.chain(n), j_range=(0.5, 1.5), seed=3,
-                           b_list=(0.3, 0.0, 0.5, 0.2, 0.7, 0.25, 0.4))
+                           b_values=(0.3, 0.0, 0.5, 0.2, 0.7, 0.25, 0.4))
         hw = chain_trap(n)
     plan = protocol_for_model(named, hw)
     norms = plan.field_axes[0]
